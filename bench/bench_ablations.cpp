@@ -1,6 +1,7 @@
 // Ablations over the design choices DESIGN.md calls out:
-//   A. light vs full delta estimation inside the grouping search
-//      (§III fn.2: "a light version ... to reduce computation cost");
+//   A. the light estimator the grouping search probes with against the
+//      transmit encoder's exact delta size on the same documents (§III
+//      fn.2: "a light version ... to reduce computation cost");
 //   B. base-file selector eviction variants (§IV fn.3);
 //   C. rebase-timeout sweep ("to control the number of rebases");
 //   D. anonymization M sweep for fixed N (§V: "values of M close to N
@@ -11,6 +12,7 @@
 
 #include "bench_common.hpp"
 #include "core/anonymizer.hpp"
+#include "core/class_manager.hpp"
 #include "core/simulation.hpp"
 #include "proxy/gd_cache.hpp"
 #include "util/zipf.hpp"
@@ -45,23 +47,59 @@ core::PipelineReport run_pipeline(const trace::SiteModel& site,
 }
 
 void ablation_light_vs_full() {
-  std::printf("\nA. grouping estimator: light vs full delta (cost of the search)\n");
+  std::printf("\nA. grouping estimator: light estimate vs the encoder's exact size\n");
   const auto site = make_site();
-  for (const bool light : {true, false}) {
-    core::PipelineConfig config;
-    config.measure_latency = false;
-    config.server.grouping.light_params =
-        light ? delta::DeltaParams::light() : delta::DeltaParams::full();
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto report = run_pipeline(site, config);
-    const auto t1 = std::chrono::steady_clock::now();
-    std::printf("  %-6s estimator: classes=%zu savings=%5.1f%%  wall=%.2fs\n",
-                light ? "light" : "full", report.num_classes,
-                report.origin_savings() * 100.0,
-                std::chrono::duration<double>(t1 - t0).count());
+  // Every probe the grouping search could make on this site: one base per
+  // category against every document of every category at a later instant,
+  // so same-category (match) and cross-category (no-match) pairs both occur.
+  const double threshold = core::GroupingConfig{}.match_threshold;
+  const auto secs = [](auto t0, auto t1) {
+    return std::chrono::duration<double>(t1 - t0).count();
+  };
+  std::size_t probes = 0;
+  std::size_t doc_bytes = 0;
+  std::size_t agree = 0;
+  std::size_t light_matches = 0;
+  std::size_t full_matches = 0;
+  double ratio_sum = 0;
+  double light_s = 0;
+  double full_s = 0;
+  const std::size_t per_category = site.config().docs_per_category;
+  for (std::size_t base_cat = 0; base_cat < site.num_categories(); ++base_cat) {
+    const Bytes base = site.generate(trace::DocRef{base_cat, 0}, 1, 0);
+    const delta::Estimator estimator(base);
+    const delta::Encoder encoder(base);
+    for (std::size_t cat = 0; cat < site.num_categories(); ++cat) {
+      for (std::size_t i = 0; i < per_category; ++i) {
+        const Bytes doc = site.generate(trace::DocRef{cat, i}, 2 + i, 60 * util::kSecond);
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::size_t light = estimator.estimate(util::as_view(doc));
+        const auto t1 = std::chrono::steady_clock::now();
+        const std::size_t full = encoder.encode_size(util::as_view(doc));
+        const auto t2 = std::chrono::steady_clock::now();
+        light_s += secs(t0, t1);
+        full_s += secs(t1, t2);
+        const double limit = threshold * static_cast<double>(doc.size());
+        const bool light_match = static_cast<double>(light) <= limit;
+        const bool full_match = static_cast<double>(full) <= limit;
+        light_matches += light_match;
+        full_matches += full_match;
+        agree += light_match == full_match;
+        ratio_sum += static_cast<double>(light) / static_cast<double>(full);
+        doc_bytes += doc.size();
+        ++probes;
+      }
+    }
   }
-  std::printf("  (same grouping quality; the light estimator is what makes the\n"
-              "   N-try search affordable)\n");
+  const double n = static_cast<double>(probes);
+  std::printf("  %zu probes of %.1f KB documents, match at threshold %.2f: light %zu, "
+              "exact %zu, agree %.1f%%\n",
+              probes, cbde::bench::to_kb(doc_bytes) / n, threshold, light_matches,
+              full_matches, 100.0 * static_cast<double>(agree) / n);
+  std::printf("  light/exact size ratio %.2f (mean)   us/probe: light %.1f, exact %.1f\n",
+              ratio_sum / n, light_s * 1e6 / n, full_s * 1e6 / n);
+  std::printf("  (the sparse forward-only estimate is what makes the N-try search\n"
+              "   affordable; it only has to take the same match decision)\n");
 }
 
 void ablation_eviction() {

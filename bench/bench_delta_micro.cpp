@@ -4,13 +4,12 @@
 // Context for §VI-C: the paper measures 6-8 ms per delta for a 50-60 KB
 // base-file on a PIII-866 with Vdelta, calling the CPU overhead
 // "reasonable". These benchmarks measure our encoder's cost across document
-// sizes and configurations, plus apply/compress/estimate costs, so the
-// capacity model's constants can be sanity-checked on any host.
+// sizes, plus apply/compress/light-estimate costs, so the capacity model's
+// constants can be sanity-checked on any host.
 #include <benchmark/benchmark.h>
 
 #include "compress/compressor.hpp"
 #include "delta/delta.hpp"
-#include "delta/vcdiff.hpp"
 #include "trace/document.hpp"
 
 namespace {
@@ -39,7 +38,7 @@ struct Corpus {
   }
 };
 
-void BM_DeltaEncodeFull_Temporal(benchmark::State& state) {
+void BM_DeltaEncode_Temporal(benchmark::State& state) {
   const Corpus corpus(static_cast<std::size_t>(state.range(0)));
   std::size_t delta_size = 0;
   for (auto _ : state) {
@@ -50,9 +49,9 @@ void BM_DeltaEncodeFull_Temporal(benchmark::State& state) {
   state.counters["delta_B"] = static_cast<double>(delta_size);
   state.counters["doc_B"] = static_cast<double>(corpus.temporal.size());
 }
-BENCHMARK(BM_DeltaEncodeFull_Temporal)->Arg(10 << 10)->Arg(30 << 10)->Arg(55 << 10);
+BENCHMARK(BM_DeltaEncode_Temporal)->Arg(10 << 10)->Arg(30 << 10)->Arg(55 << 10);
 
-void BM_DeltaEncodeFull_CrossDoc(benchmark::State& state) {
+void BM_DeltaEncode_CrossDoc(benchmark::State& state) {
   const Corpus corpus(static_cast<std::size_t>(state.range(0)));
   std::size_t delta_size = 0;
   for (auto _ : state) {
@@ -62,7 +61,7 @@ void BM_DeltaEncodeFull_CrossDoc(benchmark::State& state) {
   }
   state.counters["delta_B"] = static_cast<double>(delta_size);
 }
-BENCHMARK(BM_DeltaEncodeFull_CrossDoc)->Arg(10 << 10)->Arg(30 << 10)->Arg(55 << 10);
+BENCHMARK(BM_DeltaEncode_CrossDoc)->Arg(10 << 10)->Arg(30 << 10)->Arg(55 << 10);
 
 void BM_DeltaEstimateLight(benchmark::State& state) {
   const Corpus corpus(static_cast<std::size_t>(state.range(0)));
@@ -114,29 +113,6 @@ void BM_DecompressDocument(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecompressDocument);
-
-void BM_VcdiffEncode_CrossDoc(benchmark::State& state) {
-  const Corpus corpus(static_cast<std::size_t>(state.range(0)));
-  std::size_t delta_size = 0;
-  for (auto _ : state) {
-    auto delta = delta::vcdiff_encode(util::as_view(corpus.base), util::as_view(corpus.cross));
-    delta_size = delta.size();
-    benchmark::DoNotOptimize(delta);
-  }
-  state.counters["delta_B"] = static_cast<double>(delta_size);
-}
-BENCHMARK(BM_VcdiffEncode_CrossDoc)->Arg(30 << 10)->Arg(55 << 10);
-
-void BM_VcdiffApply(benchmark::State& state) {
-  const Corpus corpus(30 << 10);
-  const auto delta =
-      delta::vcdiff_encode(util::as_view(corpus.base), util::as_view(corpus.cross));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        delta::vcdiff_apply(util::as_view(corpus.base), util::as_view(delta)));
-  }
-}
-BENCHMARK(BM_VcdiffApply);
 
 void BM_DocumentGeneration(benchmark::State& state) {
   const trace::DocumentTemplate tmpl(7, sized_template(45 << 10));

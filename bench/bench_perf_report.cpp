@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   const util::Bytes base = tmpl.generate(0, 1, 0);
   const util::Bytes temporal = tmpl.generate(0, 1, 120 * util::kSecond);
   const util::Bytes cross = tmpl.generate(3, 9, 120 * util::kSecond);
-  const delta::Encoder cached(base);  // full params, index built once
+  const delta::Encoder cached(base);  // footprint table built once
 
   JsonWriter json;
   json.open("config");
@@ -285,20 +285,12 @@ int main(int argc, char** argv) {
   const delta::InPlaceInstruments inplace_ins =
       delta::InPlaceInstruments::attach(*e2e_obs);
 
-  // Codec family sweep (docs/PERFORMANCE.md codec table): the same
-  // base/cross pair through each encoder tier — the full hash-chain index
-  // and the two O(1)-state rolling-hash matchers — plus the in-place
-  // analysis verdict on each codec's output. The one-pass size factor is
-  // the quality floor ci.sh's inplace stage pins (<= 3x hash-chain).
+  // Matcher sweep (docs/PERFORMANCE.md codec table): the same base/cross
+  // pair through the transmit encoder, with the in-place analysis verdict on
+  // its output, and through the light estimator the grouping search probes.
   json.open("codecs");
-  const std::pair<const char*, delta::DeltaParams> codec_set[] = {
-      {"hash_chain", delta::DeltaParams::full()},
-      {"one_pass", delta::DeltaParams::one_pass()},
-      {"correcting", delta::DeltaParams::correcting()},
-  };
-  std::size_t hash_chain_bytes = 0, one_pass_bytes = 0;
-  for (const auto& [codec_name, codec_params] : codec_set) {
-    const delta::Encoder enc(base, codec_params);
+  {
+    const delta::Encoder enc(base);
     util::Bytes wire;
     const double encode_ns = time_op(3, iters, [&] {
       wire = enc.encode(util::as_view(cross)).delta;
@@ -307,8 +299,7 @@ int main(int argc, char** argv) {
       (void)delta::apply(util::as_view(base), util::as_view(wire));
     });
 
-    // In-place verdict on this codec's output. Unsafe programs (the
-    // hash-chain codec emits self-referential target copies) go through
+    // In-place verdict on the encoder's output. Unsafe programs go through
     // the transformer; the timed loop then runs the certified wire.
     const delta::Program prog = delta::lift(util::as_view(wire));
     const delta::VerifyResult verdict = delta::verify_in_place(prog);
@@ -330,10 +321,7 @@ int main(int argc, char** argv) {
     const delta::DeltaLintStats lint = delta::delta_lint(prog, wire.size());
     inplace_ins.observe_lint(lint);
 
-    if (std::strcmp(codec_name, "hash_chain") == 0) hash_chain_bytes = wire.size();
-    if (std::strcmp(codec_name, "one_pass") == 0) one_pass_bytes = wire.size();
-
-    json.open(codec_name);
+    json.open("encoder");
     json.field("encode_ns_per_op", encode_ns);
     json.field("encode_mbps", mbps(cross.size(), encode_ns));
     json.field("delta_bytes", wire.size());
@@ -347,14 +335,24 @@ int main(int argc, char** argv) {
     json.field("lint_overhead_bytes", lint.instruction_overhead_bytes);
     json.close();
     std::printf("codec %-22s %12.0f ns   %8.2f MB/s   delta %zu B   scratch %zu B\n",
-                codec_name, encode_ns, mbps(cross.size(), encode_ns), wire.size(),
-                scratch);
+                "encoder", encode_ns, mbps(cross.size(), encode_ns), wire.size(), scratch);
   }
-  json.field("one_pass_vs_hash_chain_size_factor",
-             hash_chain_bytes == 0
-                 ? 0.0
-                 : static_cast<double>(one_pass_bytes) /
-                       static_cast<double>(hash_chain_bytes));
+  {
+    const delta::Estimator est(base);
+    std::size_t size = 0;
+    const double estimate_ns = time_op(3, iters, [&] {
+      size = est.estimate(util::as_view(cross));
+    });
+    json.open("estimator");
+    json.field("estimate_ns_per_op", estimate_ns);
+    json.field("estimate_mbps", mbps(cross.size(), estimate_ns));
+    json.field("delta_bytes", size);
+    json.field("delta_ratio",
+               static_cast<double>(size) / static_cast<double>(cross.size()));
+    json.close();
+    std::printf("codec %-22s %12.0f ns   %8.2f MB/s   estimate %zu B\n", "estimator",
+                estimate_ns, mbps(cross.size(), estimate_ns), size);
+  }
   json.close();  // codecs
 
   // Observability overhead on the smoke encode loop: the same cached encode

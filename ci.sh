@@ -93,32 +93,15 @@ for key in encode_cached_cross speedup_4v1 hardware_concurrency overhead_pct \
     { echo "ci.sh: $BENCH_JSON missing key $key" >&2; exit 1; }
 done
 
-echo "== inplace: CRWI verifier self-tests + differential fuzz + codec size floor =="
-# The in-place verifier/transformer and rolling codec family (DESIGN.md §6):
-# the unit suites prove the analyses on constructed programs, fuzz.inplace
-# re-runs the standing differential property (transformer output passes the
-# verifier, apply_in_place reconstructs byte-exactly within the computed
-# scratch bound) on the seeded corpus, and the bench smoke's codecs section
-# pins the one-pass codec's size quality floor against the hash-chain index.
+echo "== inplace: CRWI verifier self-tests + differential fuzz =="
+# The in-place verifier/transformer and the rolling encoder (DESIGN.md §6):
+# the unit suites prove the analyses on constructed programs, and
+# fuzz.inplace re-runs the standing differential property (transformer
+# output passes the verifier, apply_in_place reconstructs byte-exactly
+# within the computed scratch bound) on the seeded corpus, which includes
+# hand-built self-copy deltas the encoder never emits.
 ctest --preset asan-ubsan -R 'DeltaIr\.|InPlace\.|Rolling\.' --output-on-failure
 ctest --preset asan-ubsan -R '^fuzz\.inplace$' --output-on-failure
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$BENCH_JSON" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    codecs = json.load(f)["codecs"]
-factor = codecs["one_pass_vs_hash_chain_size_factor"]
-if not (0 < factor <= 3.0):
-    sys.exit(f"ci.sh: one-pass delta size factor {factor:.2f} outside (0, 3] "
-             "— the O(1)-state codec lost too much match quality")
-print(f"one-pass vs hash-chain size factor {factor:.2f} (<= 3x floor); "
-      f"scratch: " + ", ".join(
-          f"{name} {c['inplace_scratch_bytes']} B"
-          for name, c in codecs.items() if isinstance(c, dict)))
-EOF
-else
-  echo "== SKIPPED: python3 not installed — codec size-floor gate NOT run ==" >&2
-fi
 
 echo "== allocation budget: measured allocs/request vs static inventory =="
 # Cross-check the counting-operator-new measurement against the static
@@ -154,8 +137,9 @@ fi
 echo "== bench-capacity smoke (sharded replay, byte parity across shards 1,2) =="
 # The replay binary itself exits nonzero if Table II byte accounting
 # diverges across shard counts; the python gate re-checks parity from the
-# JSON and enforces the scaling expectation only where the hardware can
-# express it (a 1-core host measures sharding overhead, not speedup).
+# JSON. The shard scaling curve is reported, not gated: DeltaWorkerPool
+# sizes itself at max(shards, cores), so shards=1 already saturates the
+# cores and shards=2 measures lock relief only.
 cmake --build --preset asan-ubsan -j "$JOBS" --target bench_capacity
 CAP_JSON="build/asan-ubsan/BENCH_capacity.json"
 ./build/asan-ubsan/bench/bench_capacity --shards 1,2 --smoke --out "$CAP_JSON"
@@ -172,14 +156,8 @@ for key in ("wire_bytes", "base_wire_bytes", "direct_bytes", "storage_bytes",
     if s1[key] != s2[key]:
         sys.exit(f"ci.sh: {key} differs between shards=1 and shards=2")
 cores = cap["config"]["hardware_concurrency"]
-if cores > 1:
-    speedup = s2["speedup_vs_shards_1"]
-    if speedup < 1.6:
-        sys.exit(f"ci.sh: shards=2 speedup {speedup:.2f}x < 1.6x on a "
-                 f"{cores}-core host")
-    print(f"shards=2 speedup {speedup:.2f}x on {cores} cores (>= 1.6x gate)")
-else:
-    print("1-core host: throughput gate skipped, byte parity verified")
+print(f"byte parity verified; shards=2 speedup {s2['speedup_vs_shards_1']:.2f}x "
+      f"on {cores} core(s) (reported, not gated)")
 EOF
 else
   echo "== SKIPPED: python3 not installed — bench-capacity parity gate NOT run ==" >&2

@@ -1,10 +1,8 @@
 // cbde_tool — command-line front door to the delta and compression codecs,
 // so the library is usable on real files without writing any code.
 //
-//   cbde_tool delta   <base> <target> <out.delta>     native CBD1 encode
-//   cbde_tool patch   <base> <in.delta> <out>         native CBD1 apply
-//   cbde_tool vcdiff  <base> <target> <out.delta>     VCDIFF-style encode
-//   cbde_tool vcpatch <base> <in.delta> <out>         VCDIFF-style apply
+//   cbde_tool delta   <base> <target> <out.delta>     CBD1 encode
+//   cbde_tool patch   <base> <in.delta> <out>         CBD1 apply
 //   cbde_tool pack    <in> <out.cbz>                  compress
 //   cbde_tool unpack  <in.cbz> <out>                  decompress
 //   cbde_tool info    <delta-or-cbz>                  inspect a container
@@ -14,7 +12,6 @@
 
 #include "compress/compressor.hpp"
 #include "delta/delta.hpp"
-#include "delta/vcdiff.hpp"
 
 namespace {
 
@@ -39,8 +36,6 @@ int usage() {
                "usage:\n"
                "  cbde_tool delta   <base> <target> <out.delta>\n"
                "  cbde_tool patch   <base> <in.delta> <out>\n"
-               "  cbde_tool vcdiff  <base> <target> <out.delta>\n"
-               "  cbde_tool vcpatch <base> <in.delta> <out>\n"
                "  cbde_tool pack    <in> <out.cbz>\n"
                "  cbde_tool unpack  <in.cbz> <out>\n"
                "  cbde_tool info    <container>\n");
@@ -55,14 +50,6 @@ void info(const Bytes& blob) {
       std::printf("CBD1 delta: base %zu B (crc %08x) -> target %zu B (crc %08x), "
                   "container %zu B\n",
                   i.base_size, i.base_crc, i.target_size, i.target_crc, blob.size());
-      return;
-    }
-    if (magic == "VCD1") {
-      const auto i = cbde::delta::vcdiff_inspect(as_view(blob));
-      std::printf("VCD1 delta: base %zu B -> target %zu B; sections data=%zu "
-                  "inst=%zu addr=%zu, container %zu B\n",
-                  i.base_size, i.target_size, i.data_section, i.inst_section,
-                  i.addr_section, blob.size());
       return;
     }
     if (magic == "CBZ1") {
@@ -94,14 +81,6 @@ int main(int argc, char** argv) {
     } else if (cmd == "patch" && argc == 5) {
       write_file(argv[4],
                  cbde::delta::apply(as_view(read_file(argv[2])), as_view(read_file(argv[3]))));
-    } else if (cmd == "vcdiff" && argc == 5) {
-      const Bytes delta =
-          cbde::delta::vcdiff_encode(as_view(read_file(argv[2])), as_view(read_file(argv[3])));
-      write_file(argv[4], delta);
-      std::printf("%zu bytes written\n", delta.size());
-    } else if (cmd == "vcpatch" && argc == 5) {
-      write_file(argv[4], cbde::delta::vcdiff_apply(as_view(read_file(argv[2])),
-                                                    as_view(read_file(argv[3]))));
     } else if (cmd == "pack" && argc == 4) {
       const Bytes in = read_file(argv[2]);
       const Bytes out = cbde::compress::compress(as_view(in));

@@ -1,7 +1,7 @@
 // Quickstart: the delta-encoding round trip at the heart of the paper.
 //
 // Two snapshots of a dynamic page are generated; the first acts as the
-// base-file. We compute the delta (Vdelta-style), gzip it with the bundled
+// base-file. We compute the delta (CBD1, delta::encode), gzip it with the bundled
 // compressor, ship it, and reconstruct the second snapshot on the "client"
 // from base + delta — exactly the Fig. 1 flow.
 //

@@ -36,7 +36,7 @@ void Anonymizer::begin(util::Bytes base, std::uint64_t owner_user) {
 
 void Anonymizer::begin(std::shared_ptr<const util::Bytes> base,
                        std::uint64_t owner_user) {
-  encoder_ = std::make_unique<delta::Encoder>(std::move(base), config_.delta_params);
+  encoder_ = std::make_unique<delta::Encoder>(std::move(base));
   owner_ = owner_user;
   counters_.assign(
       (encoder_->base().size() + delta::kAnonChunkSize - 1) / delta::kAnonChunkSize, 0);
@@ -75,10 +75,10 @@ util::Bytes Anonymizer::finalize() {
 }
 
 util::Bytes anonymize_against(util::BytesView base, const std::vector<util::Bytes>& docs,
-                              std::size_t min_common, const delta::DeltaParams& params) {
+                              std::size_t min_common) {
   std::vector<std::uint32_t> counters(
       (base.size() + delta::kAnonChunkSize - 1) / delta::kAnonChunkSize, 0);
-  const delta::Encoder encoder(util::Bytes(base.begin(), base.end()), params);
+  const delta::Encoder encoder(util::Bytes(base.begin(), base.end()));
   for (const auto& doc : docs) {
     const auto result = encoder.encode(util::as_view(doc));
     for (std::size_t c = 0; c < counters.size(); ++c) {

@@ -7,10 +7,9 @@
 // documents shared it, and keep only chunks common with at least M of them
 // (M = 0 no privacy, M = 1 the basic scheme, rule of thumb N >= 2M).
 //
-// The chunk commonality signal comes straight from the Vdelta matcher's
-// COPY coverage (delta::EncodeResult::chunk_used), so anonymization reuses
-// the same delta computations the selector needs — concurrently, as §V
-// notes.
+// The chunk commonality signal comes straight from the transmit encoder's
+// COPY coverage (delta::EncodeResult::chunk_used): the same differ that
+// writes the class's deltas decides which base chunks are common.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +26,6 @@ namespace cbde::core {
 struct AnonymizerConfig {
   std::size_t min_common = 2;    ///< M — chunk kept if common with >= M docs
   std::size_t required_docs = 5; ///< N — documents (distinct users) to observe
-  delta::DeltaParams delta_params = delta::DeltaParams::full();
 };
 
 /// Shared registry counters (per-class anonymizers all point at the owning
@@ -86,8 +84,7 @@ class Anonymizer {
 /// Standalone form of the §V algorithm: anonymize `base` against `docs`
 /// (assumed to come from distinct users), keeping chunks common with at
 /// least `min_common` of them.
-util::Bytes anonymize_against(
-    util::BytesView base, const std::vector<util::Bytes>& docs, std::size_t min_common,
-    const delta::DeltaParams& params = delta::DeltaParams::full());
+util::Bytes anonymize_against(util::BytesView base, const std::vector<util::Bytes>& docs,
+                              std::size_t min_common);
 
 }  // namespace cbde::core

@@ -25,7 +25,7 @@ void BaseFileSelector::admit(util::BytesView doc) {
   ++stats_.sampled;
   if (instr_.sampled != nullptr) instr_.sampled->inc();
   // One copy of the sampled document, shared by the reference set and the
-  // candidate encoder — the kTwoSet policy used to materialize it twice.
+  // candidate estimator — the kTwoSet policy used to materialize it twice.
   auto snapshot = std::make_shared<const util::Bytes>(doc.begin(), doc.end());
   if (config_.eviction == SelectorConfig::Eviction::kTwoSet) {
     insert_reference(snapshot);
@@ -37,15 +37,14 @@ void BaseFileSelector::insert_candidate(std::shared_ptr<const util::Bytes> doc) 
   if (candidates_.size() >= config_.max_samples) evict_candidate();
 
   const std::size_t idx = candidates_.size();
-  candidates_.push_back(
-      std::make_unique<delta::Encoder>(std::move(doc), config_.score_params));
-  const delta::Encoder& fresh = *candidates_[idx];
+  candidates_.push_back(std::make_unique<delta::Estimator>(std::move(doc)));
+  const delta::Estimator& fresh = *candidates_[idx];
 
   if (config_.eviction == SelectorConfig::Eviction::kTwoSet) {
     // Column set is the reference set; score the new candidate against it.
     std::vector<double> row(references_.size(), 0.0);
     for (std::size_t j = 0; j < references_.size(); ++j) {
-      row[j] = static_cast<double>(fresh.encode_size(util::as_view(*references_[j])));
+      row[j] = static_cast<double>(fresh.estimate(util::as_view(*references_[j])));
     }
     score_matrix_.push_back(std::move(row));
     return;
@@ -54,9 +53,9 @@ void BaseFileSelector::insert_candidate(std::shared_ptr<const util::Bytes> doc) 
   // One-set policies: extend the square matrix with a new row and column.
   std::vector<double> row(idx + 1, 0.0);
   for (std::size_t j = 0; j < idx; ++j) {
-    row[j] = static_cast<double>(fresh.encode_size(util::as_view(candidates_[j]->base())));
+    row[j] = static_cast<double>(fresh.estimate(util::as_view(candidates_[j]->base())));
     score_matrix_[j].push_back(
-        static_cast<double>(candidates_[j]->encode_size(util::as_view(fresh.base()))));
+        static_cast<double>(candidates_[j]->estimate(util::as_view(fresh.base()))));
   }
   score_matrix_.push_back(std::move(row));
 }
@@ -73,7 +72,7 @@ void BaseFileSelector::insert_reference(std::shared_ptr<const util::Bytes> doc) 
   references_.push_back(std::move(doc));
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     score_matrix_[i].push_back(
-        static_cast<double>(candidates_[i]->encode_size(util::as_view(*references_.back()))));
+        static_cast<double>(candidates_[i]->estimate(util::as_view(*references_.back()))));
   }
 }
 
@@ -155,7 +154,7 @@ std::size_t BaseFileSelector::stored_bytes() const {
   std::size_t total = 0;
   for (const auto& candidate : candidates_) total += candidate->base().size();
   for (const auto& doc : references_) {
-    // A reference still sharing its buffer with a candidate encoder is one
+    // A reference still sharing its buffer with a candidate estimator is one
     // allocation, not two; count each distinct buffer once.
     bool shared_with_candidate = false;
     for (const auto& candidate : candidates_) {
@@ -197,18 +196,14 @@ void RandomizedPolicy::observe(util::BytesView doc) {
 
 const util::Bytes* RandomizedPolicy::current_base() const { return selector_.best(); }
 
-OnlineOptimalPolicy::OnlineOptimalPolicy(delta::DeltaParams score_params)
-    : score_params_(score_params) {}
-
 void OnlineOptimalPolicy::observe(util::BytesView doc) {
   const std::size_t idx = docs_.size();
-  docs_.push_back(std::make_unique<delta::Encoder>(util::Bytes(doc.begin(), doc.end()),
-                                                   score_params_));
-  const delta::Encoder& fresh = *docs_[idx];
+  docs_.push_back(std::make_unique<delta::Estimator>(util::Bytes(doc.begin(), doc.end())));
+  const delta::Estimator& fresh = *docs_[idx];
   score_.push_back(0.0);
   for (std::size_t j = 0; j < idx; ++j) {
-    score_[idx] += static_cast<double>(fresh.encode_size(util::as_view(docs_[j]->base())));
-    score_[j] += static_cast<double>(docs_[j]->encode_size(util::as_view(fresh.base())));
+    score_[idx] += static_cast<double>(fresh.estimate(util::as_view(docs_[j]->base())));
+    score_[j] += static_cast<double>(docs_[j]->estimate(util::as_view(fresh.base())));
   }
   best_ = static_cast<std::size_t>(
       std::min_element(score_.begin(), score_.end()) - score_.begin());
@@ -218,22 +213,20 @@ const util::Bytes* OnlineOptimalPolicy::current_base() const {
   return docs_.empty() ? nullptr : &docs_[best_]->base();
 }
 
-std::size_t offline_optimal_index(const std::vector<util::Bytes>& docs,
-                                  const delta::DeltaParams& score_params) {
+std::size_t offline_optimal_index(const std::vector<util::Bytes>& docs) {
   CBDE_EXPECT(!docs.empty());
   std::size_t best = 0;
   double best_score = std::numeric_limits<double>::max();
   for (std::size_t i = 0; i < docs.size(); ++i) {
     // One index build per base, then size-only scans against every target.
-    // Non-owning alias of the caller's buffer (the encoder dies inside this
-    // scope) — passing docs[i] by value copied every document once.
-    const delta::Encoder encoder(
-        std::shared_ptr<const util::Bytes>(std::shared_ptr<void>(), &docs[i]),
-        score_params);
+    // Non-owning alias of the caller's buffer (the estimator dies inside
+    // this scope) — passing docs[i] by value copied every document once.
+    const delta::Estimator estimator(
+        std::shared_ptr<const util::Bytes>(std::shared_ptr<void>(), &docs[i]));
     double total = 0.0;
     for (std::size_t j = 0; j < docs.size(); ++j) {
       if (i == j) continue;
-      total += static_cast<double>(encoder.encode_size(util::as_view(docs[j])));
+      total += static_cast<double>(estimator.estimate(util::as_view(docs[j])));
     }
     if (total < best_score) {
       best_score = total;

@@ -37,10 +37,6 @@ struct SelectorConfig {
   Eviction eviction = Eviction::kWorst;
   /// For kPeriodicRandom: every `random_evict_period`-th eviction is random.
   std::size_t random_evict_period = 8;
-
-  /// Delta parameterization used for candidate scoring. Light keeps the
-  /// "calculation can be done offline" cost low; scores only need to rank.
-  delta::DeltaParams score_params = delta::DeltaParams::light();
 };
 
 struct SelectorStats {
@@ -98,17 +94,18 @@ class BaseFileSelector {
 
   SelectorConfig config_;
   util::Rng rng_;
-  /// Each stored candidate is held as an Encoder (score_params) so its
-  /// match index is built once on admission; scoring a newcomer against K
-  /// incumbents then costs K index-free size-only scans instead of K index
-  /// builds.
-  std::vector<std::unique_ptr<delta::Encoder>> candidates_;
+  /// Each stored candidate is held as a light Estimator — scores only need
+  /// to rank, which keeps the "calculation can be done offline" cost low —
+  /// so its match index is built once on admission; scoring a newcomer
+  /// against K incumbents then costs K index-free size-only scans instead of
+  /// K index builds.
+  std::vector<std::unique_ptr<delta::Estimator>> candidates_;
   /// score_matrix_[i][j] = delta size with candidates_[i] as base and
   /// (candidates_ or references_)[j] as target, j != i for the one-set
   /// policies.
   std::vector<std::vector<double>> score_matrix_;
   /// kTwoSet only. A document admitted while both sets have room lands in
-  /// the reference set AND the candidate encoder as one shared buffer (the
+  /// the reference set AND the candidate estimator as one shared buffer (the
   /// old per-set copies doubled the sampling footprint); the sets still
   /// evict independently — the shared_ptr keeps whichever side survives
   /// alive. stored_bytes() counts each distinct buffer once.
@@ -158,23 +155,21 @@ class RandomizedPolicy : public BasePolicy {
 /// minimizes the average delta so far" — stores every document seen.
 class OnlineOptimalPolicy : public BasePolicy {
  public:
-  explicit OnlineOptimalPolicy(delta::DeltaParams score_params = delta::DeltaParams::light());
   void observe(util::BytesView doc) override;
   const util::Bytes* current_base() const override;
   std::string_view name() const override { return "online-optimal"; }
 
  private:
-  delta::DeltaParams score_params_;
-  /// One encoder per stored document: observe() is O(n) size-only scans
-  /// plus a single index build, not O(n) builds.
-  std::vector<std::unique_ptr<delta::Encoder>> docs_;
+  /// One light estimator per stored document: observe() is O(n) size-only
+  /// scans plus a single index build, not O(n) builds.
+  std::vector<std::unique_ptr<delta::Estimator>> docs_;
   std::vector<double> score_;  // sum of deltas from docs_[i] to all others
   std::size_t best_ = 0;
 };
 
 /// Offline reference: given the whole sequence, the document minimizing the
-/// total delta cost (used by tests to sanity-check the online algorithms).
-std::size_t offline_optimal_index(const std::vector<util::Bytes>& docs,
-                                  const delta::DeltaParams& score_params);
+/// total light-estimated delta cost (used by tests to sanity-check the online
+/// algorithms).
+std::size_t offline_optimal_index(const std::vector<util::Bytes>& docs);
 
 }  // namespace cbde::core

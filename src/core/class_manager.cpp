@@ -18,7 +18,7 @@ ClassManager::ClassManager(GroupingConfig config, std::uint64_t seed, ClassId id
 
 ClassManager::Decision ClassManager::group(
     const http::UrlParts& parts, util::BytesView doc,
-    const std::function<const delta::Encoder*(ClassId)>& encoder_of) {
+    const std::function<const delta::Estimator*(ClassId)>& estimator_of) {
   ++stats_.requests;
 
   // Manual grouping bypasses the content test entirely.
@@ -33,10 +33,10 @@ ClassManager::Decision ClassManager::group(
   Decision decision;
   const auto order = candidates(parts.server_part, parts.hint_part);
   for (const ClassId id : order) {
-    const delta::Encoder* encoder = encoder_of(id);
-    if (encoder == nullptr || encoder->base().empty()) continue;
+    const delta::Estimator* estimator = estimator_of(id);
+    if (estimator == nullptr || estimator->base().empty()) continue;
     ++decision.tries;
-    const std::size_t estimate = encoder->encode_size(doc);
+    const std::size_t estimate = estimator->estimate(doc);
     if (static_cast<double>(estimate) <=
         config_.match_threshold * static_cast<double>(doc.size())) {
       decision.id = id;

@@ -37,10 +37,6 @@ struct GroupingConfig {
   /// estimator is deliberately coarse (large chunks, shallow search), so the
   /// threshold is looser than the "real" delta ratio one would accept.
   double match_threshold = 0.5;
-  /// Parameterization the caller's per-class working encoders must be built
-  /// with (group() itself just calls Encoder::encode_size on whatever the
-  /// callback hands back).
-  delta::DeltaParams light_params = delta::DeltaParams::light();
 };
 
 struct GroupingStats {
@@ -73,14 +69,14 @@ class ClassManager {
     std::size_t tries = 0;  ///< delta estimations performed
   };
 
-  /// Group a request. `encoder_of` must return the cached light-params
-  /// encoder over a class's current working base-file (nullptr, or an
-  /// encoder with an empty base, if it has none yet — the class is then
-  /// skipped). The caller owns the encoders and rebuilds them on rebase;
-  /// grouping itself never builds an index, it only runs the size-only
-  /// match scan. Increments the chosen class's member count.
+  /// Group a request. `estimator_of` must return the cached light estimator
+  /// over a class's current working base-file (nullptr, or an estimator with
+  /// an empty base, if it has none yet — the class is then skipped). The
+  /// caller owns the estimators and rebuilds them on rebase; grouping itself
+  /// never builds an index, it only runs the size-only match scan.
+  /// Increments the chosen class's member count.
   Decision group(const http::UrlParts& parts, util::BytesView doc,
-                 const std::function<const delta::Encoder*(ClassId)>& encoder_of);
+                 const std::function<const delta::Estimator*(ClassId)>& estimator_of);
 
   /// Administrator override: requests whose (server-part, hint-part) match
   /// are grouped into a dedicated class with no content test.

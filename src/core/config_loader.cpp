@@ -117,25 +117,6 @@ LoadedConfig load_config(std::istream& in) {
         server.anonymizer.min_common = parse_u64(value, line_no);
       } else if (key == "anonymizer-n") {
         server.anonymizer.required_docs = parse_u64(value, line_no);
-      } else if (key == "delta-key-len") {
-        server.transmit_params.key_len = parse_u64(value, line_no);
-      } else if (key == "delta-index-step") {
-        server.transmit_params.index_step = parse_u64(value, line_no);
-      } else if (key == "delta-max-chain") {
-        server.transmit_params.max_chain = parse_u64(value, line_no);
-      } else if (key == "delta-min-match") {
-        server.transmit_params.min_match = parse_u64(value, line_no);
-      } else if (key == "delta-codec") {
-        if (value == "hash-chain") {
-          server.transmit_params.codec = delta::DeltaParams::Codec::kHashChain;
-        } else if (value == "one-pass") {
-          server.transmit_params = delta::DeltaParams::one_pass();
-        } else if (value == "correcting") {
-          server.transmit_params = delta::DeltaParams::correcting();
-        } else {
-          fail(line_no,
-               "delta-codec must be 'hash-chain', 'one-pass' or 'correcting'");
-        }
       } else if (key == "basic-rebase-ratio") {
         server.basic_rebase_ratio = parse_double(value, line_no);
       } else if (key == "basic-rebase-after") {
@@ -198,21 +179,6 @@ LoadedConfig load_config(std::istream& in) {
   if (out.server.anonymizer.min_common > out.server.anonymizer.required_docs) {
     throw ConfigError("config: anonymizer-m must be <= anonymizer-n");
   }
-  // Every delta parameterization the server will run with must be usable —
-  // a bad deployment config fails here with a typed error, not inside an
-  // encode precondition check mid-request.
-  const std::pair<const char*, const delta::DeltaParams*> param_sets[] = {
-      {"transmit (delta-*)", &out.server.transmit_params},
-      {"anonymizer", &out.server.anonymizer.delta_params},
-      {"grouping (light)", &out.server.grouping.light_params},
-      {"selector (score)", &out.server.selector.score_params},
-  };
-  for (const auto& [label, params] : param_sets) {
-    if (const auto problem = delta::validate(*params)) {
-      throw ConfigError(std::string("config: ") + label +
-                        " delta params invalid: " + *problem);
-    }
-  }
   // A sharded server needs one store per shard; a disk config hands each
   // shard its own subdirectory (one DiskBaseStore must own its directory —
   // two indices over one directory would double-count on restart recovery).
@@ -256,16 +222,6 @@ obs-sample-rate       = 0.01
 obs-histogram-buckets = 4
 # obs-event-log       = /var/log/cbde/events.jsonl
 # obs-lock-profile    = true   # timed mutex acquisition -> cbde_lock_wait_seconds_*
-
-# Transmission delta tuning (defaults are the Vdelta full parameterization;
-# ranges are checked at load time).
-delta-key-len    = 4       # match key width in bytes
-delta-index-step = 1       # index every step-th base position
-delta-max-chain  = 32      # candidate matches probed per position
-delta-min-match  = 32      # shortest match worth a COPY
-# delta-codec    = hash-chain  # or one-pass / correcting (O(1)-state rolling
-#                              # matchers; selecting one loads its preset, so
-#                              # put delta-* overrides after this line)
 
 [site www.foo.com]
 # Table I row 1 organization: /laptops?id=100

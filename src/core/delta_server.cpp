@@ -251,37 +251,35 @@ DeltaServerShard::ClassState& DeltaServerShard::state_of(ClassId id) {
   return *it->second;
 }
 
-std::shared_ptr<const delta::Encoder> DeltaServerShard::make_working_encoder(
+std::shared_ptr<const delta::Estimator> DeltaServerShard::make_working_estimator(
     util::BytesView doc) const {
-  // sema: ok(light-param index built only at class create/rebase, never per request; amortized off the hot path)
-  return std::make_shared<const delta::Encoder>(util::Bytes(doc.begin(), doc.end()),
-                                                config_.grouping.light_params);
+  // sema: ok(light index built only at class create/rebase, never per request; amortized off the hot path)
+  return std::make_shared<const delta::Estimator>(util::Bytes(doc.begin(), doc.end()));
 }
 
 void DeltaServerShard::start_publication(ClassId id, ClassState& cls,
                                          util::SimTime now) {
   if (!config_.anonymize) {
     // No privacy requirement: publish the working base immediately. The
-    // transmit encoder aliases the working encoder's base (shared_base is a
-    // refcount bump) — only the full-param index is built, the document is
+    // transmit encoder aliases the working estimator's base (shared_base is
+    // a refcount bump) — only the footprint table is built, the document is
     // not copied.
     // sema: ok(transmit index built only on publication (class create/rebase), not per request)
     cls.transmit_encoder = std::make_shared<const delta::Encoder>(
-        cls.working_encoder->shared_base(), config_.transmit_params);
+        cls.working_estimator->shared_base());
     ++cls.published_version;
     record_publication(id, cls, now);
     cls.last_group_rebase = now;
     return;
   }
-  cls.anonymizer.begin(cls.working_encoder->shared_base(), cls.working_owner);
+  cls.anonymizer.begin(cls.working_estimator->shared_base(), cls.working_owner);
 }
 
 void DeltaServerShard::maybe_complete_publication(ClassId id, ClassState& cls,
                                                   util::SimTime now) {
   if (!cls.anonymizer.ready()) return;
   // sema: ok(transmit index rebuilt only when an anonymization round completes, not per request)
-  cls.transmit_encoder = std::make_shared<const delta::Encoder>(
-      cls.anonymizer.finalize(), config_.transmit_params);
+  cls.transmit_encoder = std::make_shared<const delta::Encoder>(cls.anonymizer.finalize());
   ++cls.published_version;
   record_publication(id, cls, now);
   cls.last_group_rebase = now;
@@ -358,16 +356,16 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
 
     // 1. Group the request into a class (the URL was already partitioned —
     // and routed — by the server). Probes run against the cached per-class
-    // light encoders — no index is built here. The probe callback runs
+    // light estimators — no index is built here. The probe callback runs
     // synchronously inside group() with mu_ held, but the analysis cannot
     // see into the lambda, so it reaches the class table through a local
     // alias established under the lock.
     const auto& states = states_;
     const auto decision =
         // sema: ok(probe callback runs synchronously inside group() while mu_ is held; ClassManager never stores it)
-        classes_.group(parts, doc, [&states](ClassId id) -> const delta::Encoder* {
+        classes_.group(parts, doc, [&states](ClassId id) -> const delta::Estimator* {
           const auto it = states.find(id);
-          return it == states.end() ? nullptr : it->second->working_encoder.get();
+          return it == states.end() ? nullptr : it->second->working_estimator.get();
         });
     out.class_id = decision.id;
     out.class_created = decision.created;
@@ -388,9 +386,9 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
     ClassState& cls = state_of(decision.id);
     // sema: ok(ClassState nodes are never erased; phase 2 reads only the immutable encoder snapshot and phase 3 retakes mu_ before touching fields)
     cls_ptr = &cls;
-    const bool creating = decision.created || cls.working_encoder == nullptr;
+    const bool creating = decision.created || cls.working_estimator == nullptr;
     if (creating) {
-      cls.working_encoder = make_working_encoder(doc);
+      cls.working_estimator = make_working_estimator(doc);
       cls.working_owner = user_id;
       cls.selector.admit(doc);
       start_publication(decision.id, cls, now);
@@ -493,7 +491,7 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
       cls.consecutive_large_deltas = large_delta ? cls.consecutive_large_deltas + 1 : 0;
       if (cls.consecutive_large_deltas >= config_.basic_rebase_after) {
         cls.consecutive_large_deltas = 0;
-        cls.working_encoder = make_working_encoder(doc);
+        cls.working_estimator = make_working_estimator(doc);
         cls.working_owner = user_id;
         cls.selector.flush();  // "all K stored documents are flushed"
         cls.selector.admit(doc);
@@ -511,8 +509,8 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
     if (!out.basic_rebase && !cls.anonymizer.in_progress() &&
         now - cls.last_group_rebase >= config_.rebase_timeout) {
       if (const util::Bytes* best = cls.selector.best();
-          best != nullptr && *best != cls.working_encoder->base()) {
-        cls.working_encoder = make_working_encoder(util::as_view(*best));
+          best != nullptr && *best != cls.working_estimator->base()) {
+        cls.working_estimator = make_working_estimator(util::as_view(*best));
         cls.working_owner = user_id;  // conservatively exclude the requester
         start_publication(out.class_id, cls, now);
         out.group_rebase = true;
@@ -582,7 +580,7 @@ void DeltaServerShard::append_class_summaries(std::vector<ClassSummary>& out) co
     summary.published_size =
         cls->transmit_encoder ? cls->transmit_encoder->base().size() : 0;
     summary.working_size =
-        cls->working_encoder ? cls->working_encoder->base().size() : 0;
+        cls->working_estimator ? cls->working_estimator->base().size() : 0;
     summary.selector_samples = cls->selector.stored();
     summary.anonymizing = cls->anonymizer.in_progress();
     out.push_back(summary);
@@ -595,7 +593,7 @@ std::size_t DeltaServerShard::storage_bytes() const {
   // of each current base is a cache, not extra footprint).
   std::size_t total = store_->bytes_stored();
   for (const auto& [id, cls] : states_) {
-    total += cls->working_encoder ? cls->working_encoder->base().size() : 0;
+    total += cls->working_estimator ? cls->working_estimator->base().size() : 0;
     total += cls->anonymizer.in_progress() ? cls->anonymizer.pending_base().size() : 0;
     // Selector samples are part of the server-side footprint too.
     total += cls->selector.stored_bytes();

@@ -70,7 +70,6 @@ struct DeltaServerConfig {
   /// classless-vs-class ablations use this).
   bool anonymize = true;
   bool compress_deltas = true;
-  delta::DeltaParams transmit_params = delta::DeltaParams::full();
   compress::CompressParams compress_params = {};
   /// Uncompressed delta larger than this fraction of the document counts as
   /// "relatively large" for basic-rebase purposes.
@@ -248,9 +247,9 @@ class DeltaServerShard {
   struct ClassState {
     /// Working base (raw) + its prebuilt light index: the grouping and
     /// rebase-comparison reference. Rebuilt on create and on either rebase.
-    std::shared_ptr<const delta::Encoder> working_encoder;
+    std::shared_ptr<const delta::Estimator> working_estimator;
     std::uint64_t working_owner = 0;
-    /// Published (anonymized) base + its prebuilt transmit index: what
+    /// Published (anonymized) base + its prebuilt footprint table: what
     /// per-request deltas are computed against. Held shared so serve() can
     /// encode outside the lock against a snapshot that a concurrent rebase
     /// cannot invalidate. The bytes also live in the base store; this is
@@ -269,7 +268,7 @@ class DeltaServerShard {
   };
 
   ClassState& state_of(ClassId id) REQUIRES(mu_);
-  std::shared_ptr<const delta::Encoder> make_working_encoder(util::BytesView doc) const;
+  std::shared_ptr<const delta::Estimator> make_working_estimator(util::BytesView doc) const;
   void start_publication(ClassId id, ClassState& cls, util::SimTime now) REQUIRES(mu_);
   void maybe_complete_publication(ClassId id, ClassState& cls, util::SimTime now)
       REQUIRES(mu_);

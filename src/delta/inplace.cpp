@@ -234,7 +234,6 @@ CrwiGraph build_crwi(const Program& p) {
     const std::size_t r1 = inst.read_off + inst.len;
     switch (inst.op) {
       case OpKind::kAdd:
-      case OpKind::kRun:
         break;  // no reads
       case OpKind::kCopyBase:
       case OpKind::kSpill: {
@@ -342,10 +341,6 @@ DeltaLintStats delta_lint(const Program& p, std::size_t wire_size) {
         }
         break;
       }
-      case OpKind::kRun:
-        ++stats.add_insts;
-        ++literal_bytes;
-        break;
       case OpKind::kCopyBase:
       case OpKind::kSpill:
         if (inst.op == OpKind::kCopyBase) ++stats.copy_insts;
@@ -390,7 +385,7 @@ InPlaceInstruments InPlaceInstruments::attach(obs::Obs& obs) {
       "Instruction-encoding overhead per linted delta: wire bytes minus literal bytes");
   ins.lint_findings = &obs.registry().counter(
       "cbde_delta_lint_findings_total",
-      "Delta-lint findings: overlapping base copies plus uniform ADDs better as RUNs");
+      "Delta-lint findings: overlapping base copies plus uniform ADD runs");
   return ins;
 }
 
@@ -544,9 +539,6 @@ void apply_in_place(util::Bytes& buf, util::BytesView delta,
       case OpKind::kAdd:
         std::memcpy(buf.data() + inst.write_off, p.data.data() + inst.data_off,
                     inst.len);
-        break;
-      case OpKind::kRun:
-        std::memset(buf.data() + inst.write_off, p.data[inst.data_off], inst.len);
         break;
       case OpKind::kCopyBase:
         // memmove: the verifier allows a copy's own write to overlap its

@@ -30,7 +30,7 @@
 //                      verifies, with the scratch bound made explicit in
 //                      the emitted CBDP program
 //   delta_lint         instruction-stream hygiene stats (overlapping
-//                      copies, ADDs that should be RUNs, wire overhead)
+//                      copies, uniform ADD runs, wire overhead)
 //
 // plus apply_in_place(), the execution engine the passes certify, and
 // InPlaceInstruments, the cbde::obs export of the pass results.
@@ -113,15 +113,15 @@ VerifyResult verify_in_place(const Program& program);
 struct DeltaLintStats {
   std::size_t instructions = 0;
   std::size_t copy_insts = 0;  ///< kCopyBase + kCopyTarget + kCopyScratch
-  std::size_t add_insts = 0;   ///< kAdd + kRun
+  std::size_t add_insts = 0;   ///< kAdd
   /// Pairs of base-copies whose read intervals overlap — redundant base
   /// traffic the encoder could merge (and the in-place hazard surface).
   std::size_t overlapping_copy_pairs = 0;
-  /// ADD instructions of >= 4 repeated identical bytes: dead weight a RUN
-  /// (or the downstream gzip pass) would express in O(1).
+  /// ADD instructions of >= 4 repeated identical bytes: dead weight the
+  /// downstream gzip pass would express in O(1).
   std::size_t dead_add_runs = 0;
   /// Wire bytes that are instruction encoding rather than literal payload:
-  /// wire_size - add/run literal bytes. The per-class instruction-overhead
+  /// wire_size - ADD literal bytes. The per-class instruction-overhead
   /// signal alongside the paper's Table II accounting.
   std::size_t instruction_overhead_bytes = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "delta/vcdiff_detail.hpp"
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
 #include "util/varint.hpp"
@@ -97,64 +96,6 @@ Program lift_cbd1(util::BytesView delta) {
   return p;
 }
 
-Program lift_vcd1(util::BytesView delta) {
-  const vcdiff_detail::Sections s = vcdiff_detail::parse_container(delta);
-  Program p;
-  p.base_size = s.info.base_size;
-  p.target_size = s.info.target_size;
-  p.base_crc = s.info.base_crc;
-  p.target_crc = s.info.target_crc;
-  p.insts.reserve(32);
-  // lint: growth-ok (bounded by the instruction-section byte count)
-  p.data.reserve(s.data.size());
-
-  vcdiff_detail::AddressCache cache(s.near_slots);
-  std::size_t cursor = 0;
-  std::size_t data_pos = 0;
-  std::size_t inst_pos = 0;
-  std::size_t addr_pos = 0;
-  while (inst_pos < s.inst.size()) {
-    const std::uint8_t tag = s.inst[inst_pos++];
-    const auto size = util::get_uvarint(s.inst, inst_pos);
-    if (!size) throw CorruptDelta("vcdiff: bad instruction size");
-    const auto len = static_cast<std::size_t>(*size);
-    if (len > p.target_size - cursor) {
-      throw CorruptDelta("vcdiff: output exceeds target size");
-    }
-    if (tag == vcdiff_detail::kTagAdd) {
-      if (len > s.data.size() - data_pos) throw CorruptDelta("vcdiff: ADD past data");
-      if (len > 0) {
-        p.insts.push_back(Inst{OpKind::kAdd, len, cursor, 0, p.data.size()});
-        util::append(p.data, s.data.subspan(data_pos, len));
-      }
-      data_pos += len;
-    } else if (tag == vcdiff_detail::kTagRun) {
-      if (data_pos >= s.data.size()) throw CorruptDelta("vcdiff: RUN past data");
-      if (len > 0) {
-        p.insts.push_back(Inst{OpKind::kRun, len, cursor, 0, p.data.size()});
-        p.data.push_back(s.data[data_pos]);
-      }
-      ++data_pos;
-    } else {
-      const std::size_t mode = static_cast<std::size_t>(tag) - vcdiff_detail::kTagCopyBase;
-      const std::size_t copy_addr = cache.decode(s.addr, addr_pos, mode);
-      if (len > p.base_size || copy_addr > p.base_size - len) {
-        throw CorruptDelta("vcdiff: COPY out of range");
-      }
-      if (len > 0) {
-        p.insts.push_back(Inst{OpKind::kCopyBase, len, cursor, copy_addr, 0});
-      }
-      cache.update(copy_addr, len);
-    }
-    cursor += len;
-  }
-  if (data_pos != s.data.size() || addr_pos != s.addr.size()) {
-    throw CorruptDelta("vcdiff: trailing section bytes");
-  }
-  if (cursor != p.target_size) throw CorruptDelta("vcdiff: target size mismatch");
-  return p;
-}
-
 Program lift_cbdp(util::BytesView delta) {
   std::size_t pos = 4;  // past magic, validated by the caller
   Program p;
@@ -174,7 +115,8 @@ Program lift_cbdp(util::BytesView delta) {
   for (std::size_t i = 0; i < n_insts; ++i) {
     if (pos >= delta.size()) throw CorruptDelta("ir: truncated instruction");
     const std::uint8_t op_byte = delta[pos++];
-    if (op_byte > static_cast<std::uint8_t>(OpKind::kCopyScratch)) {
+    // Op byte 1 is unassigned (see OpKind).
+    if (op_byte == 1 || op_byte > static_cast<std::uint8_t>(OpKind::kCopyScratch)) {
       throw CorruptDelta("ir: bad opcode");
     }
     Inst inst;
@@ -187,11 +129,6 @@ Program lift_cbdp(util::BytesView delta) {
         inst.data_off = p.data.size();
         util::append(p.data, delta.subspan(pos, inst.len));
         pos += inst.len;
-        break;
-      case OpKind::kRun:
-        if (pos >= delta.size()) throw CorruptDelta("ir: run out of range");
-        inst.data_off = p.data.size();
-        p.data.push_back(delta[pos++]);
         break;
       case OpKind::kCopyBase:
       case OpKind::kCopyTarget:
@@ -227,7 +164,6 @@ Program lift_cbdp(util::BytesView delta) {
         }
         break;
       case OpKind::kAdd:
-      case OpKind::kRun:
         break;
     }
     if (inst.op != OpKind::kSpill) {
@@ -258,7 +194,6 @@ DeltaFormat detect_format(util::BytesView delta) {
   if (delta.size() >= 4) {
     const auto magic = util::as_string_view(delta.subspan(0, 4));
     if (magic == "CBD1") return DeltaFormat::kCbd1;
-    if (magic == "VCD1") return DeltaFormat::kVcd1;
     if (magic == "CBDP") return DeltaFormat::kCbdp;
   }
   throw CorruptDelta("ir: unknown delta magic");
@@ -268,8 +203,6 @@ Program lift(util::BytesView delta) {
   switch (detect_format(delta)) {
     case DeltaFormat::kCbd1:
       return lift_cbd1(delta);
-    case DeltaFormat::kVcd1:
-      return lift_vcd1(delta);
     case DeltaFormat::kCbdp:
       return lift_cbdp(delta);
   }
@@ -298,10 +231,6 @@ util::Bytes lower(const Program& program) {
         CBDE_EXPECT(inst.data_off + inst.len <= program.data.size());
         util::append(out,
                      util::as_view(program.data).subspan(inst.data_off, inst.len));
-        break;
-      case OpKind::kRun:
-        CBDE_EXPECT(inst.data_off < program.data.size());
-        out.push_back(program.data[inst.data_off]);
         break;
       case OpKind::kCopyBase:
       case OpKind::kCopyTarget:
@@ -342,12 +271,6 @@ util::Bytes execute(const Program& program, util::BytesView base) {
           std::memcpy(out.data() + inst.write_off, program.data.data() + inst.data_off,
                       inst.len);
         }
-        break;
-      case OpKind::kRun:
-        if (inst.data_off >= program.data.size()) {
-          throw CorruptDelta("ir: run data out of range");
-        }
-        std::memset(out.data() + inst.write_off, program.data[inst.data_off], inst.len);
         break;
       case OpKind::kCopyBase:
         if (inst.len > base.size() || inst.read_off > base.size() - inst.len) {

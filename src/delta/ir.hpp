@@ -1,22 +1,21 @@
 // Delta-program intermediate representation.
 //
 // The deltas this system ships to clients are small *programs*: streams of
-// COPY/ADD/RUN instructions that reconstruct a target document from a base
-// file. Two wire formats exist — the native tag-stream ("CBD1", delta.hpp)
-// and the VCDIFF-style container ("VCD1", vcdiff.hpp) — and the in-place
-// reconstruction work (inplace.hpp) adds a third, "CBDP", for programs that
-// have been statically reordered. lift() decodes any of the three into one
-// shared IR; lower() serializes a (possibly reordered) program back to CBDP.
+// COPY/ADD instructions that reconstruct a target document from a base file.
+// The native tag-stream ("CBD1", delta.hpp) is what the server sends; the
+// in-place reconstruction work (inplace.hpp) adds a second format, "CBDP",
+// for programs that have been statically reordered. lift() decodes either
+// into one shared IR; lower() serializes a (possibly reordered) program back
+// to CBDP.
 //
 // The IR makes every write explicit: each instruction carries the absolute
 // target offset it writes (`write_off`), so a program remains executable
 // after its instructions are reordered — which is exactly what the CRWI
-// transformer in inplace.hpp does. Sequential formats (CBD1/VCD1) get their
-// write offsets assigned during lift by replaying the output cursor.
+// transformer in inplace.hpp does. CBD1 deltas get their write offsets
+// assigned during lift by replaying the output cursor.
 //
 // Instruction kinds and their operands:
 //   kAdd          write data[data_off, data_off+len) at target[write_off]
-//   kRun          write `len` repetitions of data[data_off] at target[write_off]
 //   kCopyBase     copy base[read_off, read_off+len) to target[write_off]
 //   kCopyTarget   copy target[read_off, read_off+len) to target[write_off];
 //                 when the intervals overlap (read_off < write_off) the copy
@@ -31,8 +30,8 @@
 //   crc32(base) LE | crc32(target) LE |
 //   uvarint scratch_bytes | uvarint inst_count |
 //   inst*  where inst = op byte | uvarint len | uvarint write_off |
-//          then uvarint read_off (copies/spill) or `len` raw bytes (kAdd)
-//          or 1 raw byte (kRun).
+//          then uvarint read_off (copies/spill) or `len` raw bytes (kAdd).
+//   Op byte 1 is unassigned and rejected.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +48,9 @@ namespace cbde::delta {
 /// never emits programs above its (much smaller) configured budget.
 inline constexpr std::size_t kMaxInPlaceScratch = std::size_t{1} << 20;
 
+/// The values are CBDP op bytes; 1 is unassigned, so lift() rejects it.
 enum class OpKind : std::uint8_t {
   kAdd = 0,
-  kRun = 1,
   kCopyBase = 2,
   kCopyTarget = 3,
   kSpill = 4,
@@ -64,13 +63,13 @@ struct Inst {
   /// Absolute target offset written (scratch offset for kSpill).
   std::size_t write_off = 0;
   /// Base offset (kCopyBase/kSpill), target offset (kCopyTarget) or scratch
-  /// offset (kCopyScratch). Unused for kAdd/kRun.
+  /// offset (kCopyScratch). Unused for kAdd.
   std::size_t read_off = 0;
-  /// Offset into Program::data for kAdd (len bytes) and kRun (1 byte).
+  /// Offset into Program::data for kAdd.
   std::size_t data_off = 0;
 };
 
-/// One delta program in IR form. `data` pools every ADD/RUN literal so the
+/// One delta program in IR form. `data` pools every ADD literal so the
 /// instruction vector stays POD-sized and reorder-friendly.
 struct Program {
   std::size_t base_size = 0;
@@ -78,7 +77,7 @@ struct Program {
   std::uint32_t base_crc = 0;
   std::uint32_t target_crc = 0;
   /// Scratch bytes the program requires when executed in place (the spill
-  /// slot high-water mark). 0 for freshly lifted CBD1/VCD1 programs.
+  /// slot high-water mark). 0 for freshly lifted CBD1 programs.
   std::size_t scratch_bytes = 0;
   std::vector<Inst> insts;
   util::Bytes data;
@@ -88,7 +87,7 @@ struct Program {
 };
 
 /// Wire format of a delta, from its magic.
-enum class DeltaFormat { kCbd1, kVcd1, kCbdp };
+enum class DeltaFormat { kCbd1, kCbdp };
 
 /// Identify the container format; throws CorruptDelta on an unknown magic.
 DeltaFormat detect_format(util::BytesView delta);

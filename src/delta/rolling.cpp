@@ -16,7 +16,7 @@ namespace {
 constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
 constexpr std::uint64_t kMultiplier = 263;
 
-inline std::uint64_t mod_mul(std::uint64_t a, std::uint64_t b) {
+constexpr std::uint64_t mod_mul(std::uint64_t a, std::uint64_t b) {
   const unsigned __int128 t = static_cast<unsigned __int128>(a) * b;
   std::uint64_t r = static_cast<std::uint64_t>(t & kPrime) +
                     static_cast<std::uint64_t>(t >> 61);
@@ -34,44 +34,28 @@ inline std::uint64_t mod_sub(std::uint64_t a, std::uint64_t b) {
   return a >= b ? a - b : a + kPrime - b;
 }
 
-/// kMultiplier^(w-1) mod p: the weight of the outgoing byte when rolling.
-std::uint64_t leading_weight(std::size_t w) {
+/// kMultiplier^(kWindow-1) mod p: the weight of the outgoing byte when rolling.
+constexpr std::uint64_t kLead = [] {
   std::uint64_t r = 1;
-  for (std::size_t i = 1; i < w; ++i) r = mod_mul(r, kMultiplier);
+  for (std::size_t i = 1; i < kWindow; ++i) r = mod_mul(r, kMultiplier);
   return r;
-}
+}();
 
-std::uint64_t fingerprint(const std::uint8_t* p, std::size_t w) {
+std::uint64_t fingerprint(const std::uint8_t* p) {
   std::uint64_t h = 0;
-  for (std::size_t i = 0; i < w; ++i) h = mod_add(mod_mul(h, kMultiplier), p[i]);
+  for (std::size_t i = 0; i < kWindow; ++i) h = mod_add(mod_mul(h, kMultiplier), p[i]);
   return h;
 }
 
 /// Slide the window one byte: drop `out`, append `in`.
-inline std::uint64_t roll(std::uint64_t h, std::uint64_t lead, std::uint8_t out,
-                          std::uint8_t in) {
-  return mod_add(mod_mul(mod_sub(h, mod_mul(out, lead)), kMultiplier), in);
-}
-
-inline std::size_t forward_match(const std::uint8_t* a, const std::uint8_t* b,
-                                 std::size_t limit) {
-  std::size_t n = 0;
-  while (n + 8 <= limit) {
-    std::uint64_t x;
-    std::uint64_t y;
-    std::memcpy(&x, a + n, 8);
-    std::memcpy(&y, b + n, 8);
-    if (x != y) break;
-    n += 8;
-  }
-  while (n < limit && a[n] == b[n]) ++n;
-  return n;
+inline std::uint64_t roll(std::uint64_t h, std::uint8_t out, std::uint8_t in) {
+  return mod_add(mod_mul(mod_sub(h, mod_mul(out, kLead)), kMultiplier), in);
 }
 
 /// One emitted instruction; together they tile [0, target.size()).
 /// `start` is the target offset the instruction produces — explicit (rather
-/// than implied by the running sum) because the correcting codec trims the
-/// list from the back.
+/// than implied by the running sum) because retro-correction trims the list
+/// from the back.
 struct RollInst {
   bool is_copy = false;
   std::size_t addr = 0;  // base address (copies only)
@@ -80,64 +64,50 @@ struct RollInst {
 };
 
 void mark_chunks(std::vector<bool>& chunk_used, std::size_t addr, std::size_t len) {
+  // Mark chunks fully contained in [addr, addr + len).
   const std::size_t first = (addr + kAnonChunkSize - 1) / kAnonChunkSize;
   const std::size_t end = (addr + len) / kAnonChunkSize;
   for (std::size_t c = first; c < end && c < chunk_used.size(); ++c) chunk_used[c] = true;
 }
 
-void check_rolling_params(const FootprintTable& table, const DeltaParams& params) {
-  if (const auto err = validate(params)) {
-    throw std::invalid_argument("delta params: " + *err);
-  }
-  CBDE_EXPECT(params.codec == DeltaParams::Codec::kOnePass ||
-              params.codec == DeltaParams::Codec::kCorrecting);
-  CBDE_EXPECT(table.window() == params.key_len);
-}
-
-/// The shared matcher: one rolling scan of the target, returning the
-/// instruction tiling. The correcting codec additionally extends verified
-/// matches backwards (bounded) and rewrites the already-emitted tail.
+/// The matcher: one rolling scan of the target, returning the instruction
+/// tiling. Verified matches extend forward, then backwards (bounded), and the
+/// already-emitted tail is rewritten to make room.
 std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView base,
-                                    util::BytesView target, const DeltaParams& params) {
+                                    util::BytesView target) {
   std::vector<RollInst> insts;
-  const std::size_t w = table.window();
-  const bool correcting = params.codec == DeltaParams::Codec::kCorrecting;
-  if (target.size() < w || base.size() < w) {
+  if (target.size() < kWindow || base.size() < kWindow) {
     if (!target.empty()) insts.push_back(RollInst{false, 0, 0, target.size()});
     return insts;
   }
-  insts.reserve(16 + target.size() / (params.min_match * 4));
+  insts.reserve(16 + target.size() / (kMinMatch * 4));
 
   const std::uint8_t* const tdata = target.data();
-  const std::uint64_t lead = leading_weight(w);
   std::size_t pos = 0;
   std::size_t lit_start = 0;
-  std::uint64_t hash = fingerprint(tdata, w);
-  bool hash_fresh = true;  // hash covers [pos, pos + w)
+  std::uint64_t hash = fingerprint(tdata);
+  bool hash_fresh = true;  // hash covers [pos, pos + kWindow)
 
-  while (pos + w <= target.size()) {
+  while (pos + kWindow <= target.size()) {
     if (!hash_fresh) {
-      hash = fingerprint(tdata + pos, w);
+      hash = fingerprint(tdata + pos);
       hash_fresh = true;
     }
     const std::size_t cand = table.probe(hash);
     std::size_t len = 0;
     if (cand != FootprintTable::npos &&
-        std::memcmp(base.data() + cand, tdata + pos, w) == 0) {
+        std::memcmp(base.data() + cand, tdata + pos, kWindow) == 0) {
       const std::size_t limit = std::min(target.size() - pos, base.size() - cand);
-      len = w + forward_match(base.data() + cand + w, tdata + pos + w, limit - w);
+      len = kWindow + forward_match(base.data() + cand + kWindow, tdata + pos + kWindow,
+                                    limit - kWindow);
     }
-    if (len >= params.min_match) {
+    if (len >= kMinMatch) {
+      // Retro-correction: a seed found mid-match can reach backwards into
+      // bytes already covered by emitted instructions; the longer copy wins
+      // and the emitted tail is trimmed to make room.
       std::size_t back = 0;
-      if (correcting) {
-        // Retro-correction: a seed found mid-match can reach backwards into
-        // bytes already covered by emitted instructions; the longer copy
-        // wins and the emitted tail is trimmed to make room.
-        const std::size_t max_back = std::min({pos, cand, kMaxCorrectionBack});
-        while (back < max_back && base[cand - back - 1] == tdata[pos - back - 1]) {
-          ++back;
-        }
-      }
+      const std::size_t max_back = std::min({pos, cand, kMaxCorrectionBack});
+      while (back < max_back && base[cand - back - 1] == tdata[pos - back - 1]) ++back;
       const std::size_t cut = pos - back;  // new coverage starts here
       if (cut >= lit_start) {
         if (cut > lit_start) {
@@ -159,8 +129,8 @@ std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView
       hash_fresh = false;  // recompute at the new position next iteration
       continue;
     }
-    if (pos + w < target.size()) {
-      hash = roll(hash, lead, tdata[pos], tdata[pos + w]);
+    if (pos + kWindow < target.size()) {
+      hash = roll(hash, tdata[pos], tdata[pos + kWindow]);
     }
     ++pos;
   }
@@ -172,39 +142,31 @@ std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView
 
 }  // namespace
 
-FootprintTable::FootprintTable(util::BytesView base, std::size_t window)
-    : window_(window) {
-  CBDE_EXPECT(window >= 2 && window <= 64);
+FootprintTable::FootprintTable(util::BytesView base) : pos_(kFootprintSlots, 0) {
   // Positions are stored +1 in 32 bits; the decode cap already keeps every
   // servable document far below that.
   CBDE_EXPECT(base.size() <= kMaxDecodeTargetSize);
-  fp_.assign(kFootprintSlots, 0);
-  pos_.assign(kFootprintSlots, 0);
-  if (base.size() < window) return;
-  const std::uint64_t lead = leading_weight(window);
-  std::uint64_t h = fingerprint(base.data(), window);
+  if (base.size() < kWindow) return;
+  std::uint64_t h = fingerprint(base.data());
   for (std::size_t p = 0;; ++p) {
     // First-come-wins: earlier base positions keep their slot, so probes are
     // deterministic and biased toward small COPY addresses.
-    const std::size_t slot = static_cast<std::size_t>(h) & (kFootprintSlots - 1);
-    if (pos_[slot] == 0) {
-      fp_[slot] = h;
-      pos_[slot] = static_cast<std::uint32_t>(p + 1);
-    }
-    if (p + window >= base.size()) break;
-    h = roll(h, lead, base[p], base[p + window]);
+    std::uint32_t& slot = pos_[static_cast<std::size_t>(h) & (kFootprintSlots - 1)];
+    if (slot == 0) slot = static_cast<std::uint32_t>(p + 1);
+    if (p + kWindow >= base.size()) break;
+    h = roll(h, base[p], base[p + kWindow]);
   }
 }
 
 EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
-                            std::uint32_t base_crc, util::BytesView target,
-                            const DeltaParams& params) {
-  check_rolling_params(table, params);
-  const std::vector<RollInst> insts = match_rolling(table, base, target, params);
+                            std::uint32_t base_crc, util::BytesView target) {
+  const std::vector<RollInst> insts = match_rolling(table, base, target);
 
   EncodeResult result;
   result.chunk_used.assign((base.size() + kAnonChunkSize - 1) / kAnonChunkSize, false);
   util::Bytes& out = result.delta;
+  // One up-front reservation instead of log2(delta) growth reallocations on
+  // the per-request encode path.
   out.reserve(64 + target.size() / 8);
   util::append(out, std::string_view("CBD1"));
   util::put_uvarint(out, base.size());
@@ -231,9 +193,8 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
 }
 
 std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView base,
-                                util::BytesView target, const DeltaParams& params) {
-  check_rolling_params(table, params);
-  const std::vector<RollInst> insts = match_rolling(table, base, target, params);
+                                util::BytesView target) {
+  const std::vector<RollInst> insts = match_rolling(table, base, target);
   std::size_t bytes = 4 + util::uvarint_size(base.size()) +
                       util::uvarint_size(target.size()) + 8;
   for (const RollInst& inst : insts) {

@@ -257,19 +257,24 @@ TimeSeriesWindow TimeSeriesRecorder::build_window(
   }
   if (any_shard) {
     w.shard_rate.assign(max_shard + 1, 0.0);
-    for (const auto& [name, rate] : w.counter_rate) {
+    std::vector<double> shard_requests(max_shard + 1, 0.0);
+    for (const auto& [name, delta] : w.counter_delta) {
       std::size_t shard = 0;
       if (parse_shard_series(name, "requests_total", &shard)) {
-        w.shard_rate[shard] = rate;
+        shard_requests[shard] = delta;
+        w.shard_rate[shard] = w.counter_rate.at(name);
       }
     }
+    // From the window's exact request counts, not the rates: the span
+    // cancels in max/mean, but dividing by it first rounds (30/20 could
+    // print as 1.4999999999999998).
     double sum = 0.0;
     double peak = 0.0;
-    for (const double rate : w.shard_rate) {
-      sum += rate;
-      peak = std::max(peak, rate);
+    for (const double requests : shard_requests) {
+      sum += requests;
+      peak = std::max(peak, requests);
     }
-    const double mean = sum / static_cast<double>(w.shard_rate.size());
+    const double mean = sum / static_cast<double>(shard_requests.size());
     w.imbalance = mean > 0 ? peak / mean : 0.0;
   }
 

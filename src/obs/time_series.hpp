@@ -14,8 +14,10 @@
 // Derived per-window statistics (all computed from the diffed buckets, no
 // extra instrumentation):
 //   * shard_rate[k]   — Δ cbde_shard_<k>_requests_total / window seconds;
-//   * imbalance       — max(shard_rate) / mean(shard_rate), 1.0 = perfectly
-//                       balanced, 0 when the window saw no shard traffic;
+//   * imbalance       — max / mean of the per-shard request counts in the
+//                       window (the span-free form of max(shard_rate) /
+//                       mean(shard_rate)), 1.0 = perfectly balanced, 0 when
+//                       the window saw no shard traffic;
 //   * serve quantiles — p50/p95/p99 of the per-shard serve histograms
 //                       merged across shards (µs);
 //   * lock_wait_share — Δ seconds spent waiting in cbde_lock_wait_seconds_*

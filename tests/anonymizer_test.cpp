@@ -58,7 +58,7 @@ TEST(Anonymizer, KeepsSharedSkeleton) {
 
 TEST(Anonymizer, OwnerAndDuplicateUsersNotCounted) {
   Portal portal;
-  Anonymizer anon(AnonymizerConfig{1, 3, delta::DeltaParams::full()});
+  Anonymizer anon(AnonymizerConfig{1, 3});
   anon.begin(portal.doc_for(100), 100);
   EXPECT_FALSE(anon.observe(100, as_view(portal.doc_for(100))));  // owner
   EXPECT_TRUE(anon.observe(200, as_view(portal.doc_for(200))));
@@ -69,7 +69,7 @@ TEST(Anonymizer, OwnerAndDuplicateUsersNotCounted) {
 
 TEST(Anonymizer, NotReadyUntilNDistinctUsers) {
   Portal portal;
-  Anonymizer anon(AnonymizerConfig{2, 4, delta::DeltaParams::full()});
+  Anonymizer anon(AnonymizerConfig{2, 4});
   anon.begin(portal.doc_for(1), 1);
   EXPECT_THROW(anon.finalize(), std::invalid_argument);
   for (std::uint64_t user = 10; user < 14; ++user) {
@@ -82,7 +82,7 @@ TEST(Anonymizer, NotReadyUntilNDistinctUsers) {
 
 TEST(Anonymizer, ObservationsIgnoredWhenNotInProgress) {
   Portal portal;
-  Anonymizer anon(AnonymizerConfig{1, 2, delta::DeltaParams::full()});
+  Anonymizer anon(AnonymizerConfig{1, 2});
   EXPECT_FALSE(anon.observe(5, as_view(portal.doc_for(5))));
   EXPECT_FALSE(anon.in_progress());
 }
@@ -142,9 +142,9 @@ TEST(Anonymizer, SharedSecretAmongFewUsersRemovedWithHigherM) {
 }
 
 TEST(Anonymizer, ConfigValidation) {
-  EXPECT_THROW(Anonymizer(AnonymizerConfig{5, 4, delta::DeltaParams::full()}),
+  EXPECT_THROW(Anonymizer(AnonymizerConfig{5, 4}),
                std::invalid_argument);  // M > N
-  EXPECT_THROW(Anonymizer(AnonymizerConfig{0, 0, delta::DeltaParams::full()}),
+  EXPECT_THROW(Anonymizer(AnonymizerConfig{0, 0}),
                std::invalid_argument);  // N == 0
 }
 

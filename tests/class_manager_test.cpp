@@ -15,22 +15,22 @@ using util::as_view;
 
 /// Test harness mirroring how DeltaServer drives ClassManager: classes get
 /// the first document grouped into them as their working base, held as a
-/// cached light-params encoder.
+/// cached light estimator.
 struct Grouper {
   GroupingConfig config;
   ClassManager manager;
-  std::map<ClassId, std::unique_ptr<delta::Encoder>> bases;
+  std::map<ClassId, std::unique_ptr<delta::Estimator>> bases;
 
   explicit Grouper(GroupingConfig config_in = {}, std::uint64_t seed = 1)
       : config(config_in), manager(config_in, seed) {}
 
   void set_base(ClassId id, const Bytes& doc) {
-    bases[id] = std::make_unique<delta::Encoder>(doc, config.light_params);
+    bases[id] = std::make_unique<delta::Estimator>(doc);
   }
 
   ClassManager::Decision group(const http::UrlParts& parts, const Bytes& doc) {
     auto decision =
-        manager.group(parts, as_view(doc), [this](ClassId id) -> const delta::Encoder* {
+        manager.group(parts, as_view(doc), [this](ClassId id) -> const delta::Estimator* {
           const auto it = bases.find(id);
           return it == bases.end() ? nullptr : it->second.get();
         });

@@ -111,58 +111,19 @@ TEST(ConfigLoader, CrossFieldValidation) {
                ConfigError);
 }
 
-TEST(ConfigLoader, DeltaParamsParsed) {
-  const auto config = parse(
-      "[delta-server]\n"
-      "delta-key-len = 8\n"
-      "delta-index-step = 2\n"
-      "delta-max-chain = 16\n"
-      "delta-min-match = 24\n");
-  EXPECT_EQ(config.server.transmit_params.key_len, 8u);
-  EXPECT_EQ(config.server.transmit_params.index_step, 2u);
-  EXPECT_EQ(config.server.transmit_params.max_chain, 16u);
-  EXPECT_EQ(config.server.transmit_params.min_match, 24u);
-}
-
-TEST(ConfigLoader, DeltaCodecSelection) {
-  using Codec = delta::DeltaParams::Codec;
-  EXPECT_EQ(parse("[delta-server]\n").server.transmit_params.codec,
-            Codec::kHashChain);  // default unchanged
-  EXPECT_EQ(parse("[delta-server]\ndelta-codec = hash-chain\n")
-                .server.transmit_params.codec,
-            Codec::kHashChain);
-
-  const auto one = parse("[delta-server]\ndelta-codec = one-pass\n");
-  EXPECT_EQ(one.server.transmit_params.codec, Codec::kOnePass);
-  EXPECT_EQ(one.server.transmit_params.key_len, 16u);  // preset loaded
-
-  const auto corr = parse("[delta-server]\ndelta-codec = correcting\n");
-  EXPECT_EQ(corr.server.transmit_params.codec, Codec::kCorrecting);
-  EXPECT_TRUE(corr.server.transmit_params.backward_extend);
-
-  // Selecting a codec loads its preset; later delta-* lines still override.
-  const auto tuned = parse(
-      "[delta-server]\ndelta-codec = one-pass\ndelta-key-len = 8\n");
-  EXPECT_EQ(tuned.server.transmit_params.codec, Codec::kOnePass);
-  EXPECT_EQ(tuned.server.transmit_params.key_len, 8u);
-
-  EXPECT_THROW(parse("[delta-server]\ndelta-codec = vdelta\n"), ConfigError);
-}
-
-TEST(ConfigLoader, DeltaParamsRangeGuardedAtLoadTime) {
-  // Out-of-range delta params must surface as typed ConfigErrors when the
-  // config loads, not as precondition failures mid-request.
-  EXPECT_THROW(parse("[delta-server]\ndelta-key-len = 1\n"), ConfigError);
-  EXPECT_THROW(parse("[delta-server]\ndelta-key-len = 128\n"), ConfigError);
-  EXPECT_THROW(parse("[delta-server]\ndelta-index-step = 0\n"), ConfigError);
-  EXPECT_THROW(parse("[delta-server]\ndelta-max-chain = 0\n"), ConfigError);
-  EXPECT_THROW(parse("[delta-server]\ndelta-min-match = 2\n"), ConfigError);  // < key_len
-  EXPECT_THROW(parse("[delta-server]\ndelta-min-match = 10000\n"), ConfigError);
-  try {
-    parse("[delta-server]\ndelta-max-chain = 0\n");
-    FAIL() << "bad delta params accepted";
-  } catch (const ConfigError& e) {
-    EXPECT_NE(std::string(e.what()).find("transmit"), std::string::npos);
+TEST(ConfigLoader, RemovedDeltaKeysAreRejected) {
+  // The encoder and the light estimator each have one fixed
+  // parameterization, so the old transmit-tuning keys are unknown keys: a
+  // config that still sets one fails at load time with the line number.
+  for (const char* line : {"delta-key-len = 4", "delta-index-step = 1",
+                           "delta-max-chain = 32", "delta-min-match = 32"}) {
+    try {
+      parse(std::string("[delta-server]\n") + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown delta-server key"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
   }
 }
 

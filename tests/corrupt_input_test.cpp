@@ -1,17 +1,15 @@
 // Corrupt-input regression tests for the decoders that parse untrusted
-// bytes: CBD1 deltas, VCDIFF deltas, CLF access-log lines, and HTTP
+// bytes: CBD1 deltas, CLF access-log lines, and HTTP
 // message framing. Each case is a hand-crafted malformation pinned to the
 // decoder's typed error, so a future refactor that weakens a bound (or
 // starts crashing instead of throwing) fails loudly here rather than in
 // the fuzz suite's statistics.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <sstream>
 #include <string>
 
 #include "delta/delta.hpp"
-#include "delta/vcdiff.hpp"
 #include "http/message.hpp"
 #include "trace/access_log.hpp"
 #include "util/bytes.hpp"
@@ -111,113 +109,6 @@ TEST(CorruptDelta, TargetChecksumMismatch) {
   util::put_uvarint(d, 3u << 1);
   util::append(d, std::string_view("abc"));
   EXPECT_THROW((void)delta::apply(as_view(base), as_view(d)), delta::CorruptDelta);
-}
-
-// ---------------------------------------------------------- VCDIFF deltas
-
-/// VCD1 container with explicit sections; section lengths default to the
-/// actual sizes unless overridden (to exercise mismatch handling).
-Bytes vcd1_container(util::BytesView base, std::uint64_t target_size,
-                     std::uint32_t target_crc, const Bytes& data, const Bytes& inst,
-                     const Bytes& addr, int near_slots = 4) {
-  Bytes d = to_bytes(std::string("VCD1"));
-  util::put_uvarint(d, base.size());
-  util::put_uvarint(d, target_size);
-  put_u32le(d, util::crc32(base));
-  put_u32le(d, target_crc);
-  d.push_back(static_cast<std::uint8_t>(near_slots));
-  util::put_uvarint(d, data.size());
-  util::put_uvarint(d, inst.size());
-  util::put_uvarint(d, addr.size());
-  util::append(d, as_view(data));
-  util::append(d, as_view(inst));
-  util::append(d, as_view(addr));
-  return d;
-}
-
-TEST(CorruptVcdiff, TruncatedHeader) {
-  const Bytes base = to_bytes("vcdiff base bytes");
-  const Bytes full = delta::vcdiff_encode(as_view(base), as_view(base));
-  for (std::size_t cut : {0u, 3u, 4u, 7u, 13u, 20u}) {
-    ASSERT_LT(cut, full.size());
-    const util::BytesView prefix = as_view(full).subspan(0, cut);
-    EXPECT_THROW((void)delta::vcdiff_apply(as_view(base), prefix), delta::CorruptDelta)
-        << "cut=" << cut;
-  }
-}
-
-TEST(CorruptVcdiff, SectionSizesDisagreeWithContainer) {
-  const Bytes base = to_bytes("vcdiff base bytes");
-  const Bytes full = delta::vcdiff_encode(as_view(base), as_view(base));
-  Bytes grown(full);
-  grown.push_back(0x00);  // trailing junk the section sizes do not cover
-  EXPECT_THROW((void)delta::vcdiff_apply(as_view(base), as_view(grown)),
-               delta::CorruptDelta);
-}
-
-TEST(CorruptVcdiff, BadNearCacheSize) {
-  const Bytes base = to_bytes("vcdiff base bytes");
-  for (int slots : {0, 17, 255}) {
-    const Bytes d = vcd1_container(as_view(base), 0, 0, {}, {}, {}, slots);
-    EXPECT_THROW((void)delta::vcdiff_apply(as_view(base), as_view(d)),
-                 delta::CorruptDelta)
-        << "slots=" << slots;
-  }
-}
-
-TEST(CorruptVcdiff, CopyPastSourceEnd) {
-  const Bytes base = to_bytes("0123456789abcdef");
-  Bytes inst;
-  inst.push_back(2);  // COPY, mode SELF
-  util::put_uvarint(inst, 12);  // len 12 ...
-  Bytes addr;
-  util::put_uvarint(addr, base.size() - 4);  // ... from 4 bytes before the end
-  const Bytes d = vcd1_container(as_view(base), 12, 0, {}, inst, addr);
-  EXPECT_THROW((void)delta::vcdiff_apply(as_view(base), as_view(d)),
-               delta::CorruptDelta);
-}
-
-TEST(CorruptVcdiff, RunWithoutDataByte) {
-  const Bytes base = to_bytes("0123456789abcdef");
-  Bytes inst;
-  inst.push_back(1);  // RUN
-  util::put_uvarint(inst, 5);
-  const Bytes d = vcd1_container(as_view(base), 5, 0, {}, inst, {});
-  EXPECT_THROW((void)delta::vcdiff_apply(as_view(base), as_view(d)),
-               delta::CorruptDelta);
-}
-
-TEST(CorruptVcdiff, RunLengthBeyondTargetSizeRejectedBeforeAllocation) {
-  const Bytes base = to_bytes("0123456789abcdef");
-  Bytes data;
-  data.push_back('x');
-  Bytes inst;
-  inst.push_back(1);                        // RUN
-  util::put_uvarint(inst, std::uint64_t{1} << 29);  // enormous length claim
-  const Bytes d = vcd1_container(as_view(base), 4, 0, data, inst, {});
-  EXPECT_THROW((void)delta::vcdiff_apply(as_view(base), as_view(d)),
-               delta::CorruptDelta);
-}
-
-TEST(CorruptVcdiff, ClaimedTargetAboveDecodeCap) {
-  const Bytes base = to_bytes("small base");
-  const Bytes d = vcd1_container(as_view(base), std::uint64_t{16} << 30, 0, {}, {}, {});
-  EXPECT_THROW((void)delta::vcdiff_apply(as_view(base), as_view(d)),
-               delta::CorruptDelta);
-  EXPECT_THROW((void)delta::vcdiff_inspect(as_view(d)), delta::CorruptDelta);
-}
-
-TEST(CorruptVcdiff, HereModeAddressOverflow) {
-  const Bytes base = to_bytes("0123456789abcdef");
-  Bytes inst;
-  inst.push_back(3);  // COPY, mode HERE
-  util::put_uvarint(inst, 4);
-  Bytes addr;
-  // Maximal zigzag offset: the decoded anchor + offset would wrap int64.
-  util::put_uvarint(addr, std::numeric_limits<std::uint64_t>::max());
-  const Bytes d = vcd1_container(as_view(base), 4, 0, {}, inst, addr);
-  EXPECT_THROW((void)delta::vcdiff_apply(as_view(base), as_view(d)),
-               delta::CorruptDelta);
 }
 
 // ------------------------------------------------------- access-log lines

@@ -59,10 +59,7 @@ TEST(Delta, SmallEditProducesSmallDelta) {
   EXPECT_LT(result.delta.size(), 300u);
 }
 
-class DeltaParamsRoundTrip : public ::testing::TestWithParam<DeltaParams> {};
-
-TEST_P(DeltaParamsRoundTrip, AdversarialCorpora) {
-  const DeltaParams params = GetParam();
+TEST(Delta, AdversarialCorporaRoundTrip) {
   const std::vector<std::pair<Bytes, Bytes>> cases = {
       {to_bytes("abcdefgh"), to_bytes("abcdefgh")},
       {to_bytes("aaaaaaaaaaaaaaaa"), to_bytes("aaaabaaaabaaaab")},
@@ -75,17 +72,11 @@ TEST_P(DeltaParamsRoundTrip, AdversarialCorpora) {
       {to_bytes(std::string(1000, 'x')), to_bytes(std::string(3000, 'x'))},
   };
   for (const auto& [base, target] : cases) {
-    const auto result = encode(as_view(base), as_view(target), params);
+    const auto result = encode(as_view(base), as_view(target));
     EXPECT_EQ(apply(as_view(base), as_view(result.delta)), target);
     EXPECT_EQ(result.copy_bytes + result.add_bytes, target.size());
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Configs, DeltaParamsRoundTrip,
-                         ::testing::Values(DeltaParams::full(), DeltaParams::light(),
-                                           DeltaParams{2, 1, 64, true},
-                                           DeltaParams{16, 16, 2, false},
-                                           DeltaParams{4, 1, 1, false}));
 
 TEST(Delta, RandomizedRoundTripSweep) {
   util::Rng rng(12345);
@@ -114,20 +105,23 @@ TEST(Delta, RandomizedRoundTripSweep) {
 // ------------------------------------------------------------ variants
 
 TEST(Delta, BackwardExtensionImprovesDelta) {
-  // A long match whose hash-indexed start sits after a modified byte:
-  // backward extension converts the literal run before the match into COPY.
-  util::Rng rng(9);
-  Bytes base(30000);
-  for (auto& b : base) b = static_cast<std::uint8_t>('a' + rng.next_below(26));
-  Bytes target = base;
-  target[0] ^= 0x01;  // only byte 0 differs
-  DeltaParams fwd = DeltaParams::full();
-  fwd.backward_extend = false;
-  const auto with = encode(as_view(base), as_view(target));
-  const auto without = encode(as_view(base), as_view(target), fwd);
-  EXPECT_LE(with.delta.size(), without.delta.size());
-  EXPECT_EQ(apply(as_view(base), as_view(with.delta)), target);
-  EXPECT_EQ(apply(as_view(base), as_view(without.delta)), target);
+  // base = S ++ R ++ S ++ T with S shorter than the minimum match. The
+  // footprint table keeps the *first* S for every S window, and those seeds
+  // run into R, so the target's S is never seeded on its own. The T seed
+  // extends backwards across the second S: the only literal left is the
+  // junk prefix, and S + T arrive as one COPY.
+  const Bytes s = random_bytes(60, 24);
+  const Bytes r = random_bytes(61, 3000);
+  const Bytes t = random_bytes(62, 3000);
+  Bytes base;
+  for (const Bytes* part : {&s, &r, &s, &t}) util::append(base, as_view(*part));
+  Bytes target = random_bytes(63, 50);
+  util::append(target, as_view(s));
+  util::append(target, as_view(t));
+  const auto result = encode(as_view(base), as_view(target));
+  EXPECT_EQ(apply(as_view(base), as_view(result.delta)), target);
+  EXPECT_EQ(result.add_bytes, 50u);
+  EXPECT_EQ(result.copy_bytes, s.size() + t.size());
 }
 
 TEST(Delta, LightVariantIsCoarserButOrdersSimilarity) {
@@ -173,35 +167,12 @@ TEST(Delta, CoverageSizeMatchesBase) {
   EXPECT_EQ(result.chunk_used.size(), (base.size() + 3) / 4);
 }
 
-// ------------------------------------------------------------ self-reference
-
-TEST(Delta, SelfReferenceCompressesRepetitiveTargets) {
-  // A run-heavy target with an unrelated base: Vdelta's target matching
-  // turns it into one small self-copy chain.
-  const Bytes base = to_bytes("completely unrelated base text");
-  const Bytes target(20000, 'x');
-  const auto result = encode(as_view(base), as_view(target));
-  EXPECT_EQ(apply(as_view(base), as_view(result.delta)), target);
-  EXPECT_LT(result.delta.size(), 256u);
-
-  DeltaParams no_self = DeltaParams::full();
-  no_self.self_reference = false;
-  const auto plain = encode(as_view(base), as_view(target), no_self);
-  EXPECT_EQ(apply(as_view(base), as_view(plain.delta)), target);
-  EXPECT_LT(result.delta.size(), plain.delta.size());
-}
-
-TEST(Delta, SelfReferenceWorksWithEmptyBase) {
-  std::string s;
-  for (int i = 0; i < 300; ++i) s += "<item>repeated catalog row</item>\n";
-  const Bytes target = to_bytes(s);
-  const auto result = encode({}, as_view(target));
-  EXPECT_EQ(apply({}, as_view(result.delta)), target);
-  EXPECT_LT(result.delta.size(), target.size() / 10);
-}
+// ------------------------------------------------------------ base coverage
 
 TEST(Delta, SelfCopiesDoNotPolluteBaseCoverage) {
-  // Coverage feeds the anonymizer and must reflect *base* commonality only.
+  // Coverage feeds the anonymizer and must reflect *base* commonality only:
+  // a self-repetitive target that shares nothing with the base tail must
+  // leave the tail chunks unmarked.
   const Bytes base = to_bytes(std::string(4096, 'b') + "shared-tail-content");
   std::string s(4096, 'b');
   s += "unique ";
@@ -209,23 +180,12 @@ TEST(Delta, SelfCopiesDoNotPolluteBaseCoverage) {
   const Bytes target = to_bytes(s);
   const auto result = encode(as_view(base), as_view(target));
   EXPECT_EQ(apply(as_view(base), as_view(result.delta)), target);
-  // The trailing base chunks ("shared-tail-content") never matched: the
-  // self-copies must not have marked them.
+  // The trailing base chunks ("shared-tail-content") never matched.
   bool tail_marked = false;
   for (std::size_t c = 1024; c < result.chunk_used.size(); ++c) {
     tail_marked |= result.chunk_used[c];
   }
   EXPECT_FALSE(tail_marked);
-}
-
-TEST(Delta, OverlappingSelfCopyRoundTrips) {
-  // Period-3 run: self-copy distance smaller than length.
-  const Bytes base = to_bytes("zz");
-  std::string s = "abc";
-  while (s.size() < 5000) s += "abc";
-  const Bytes target = to_bytes(s);
-  const auto result = encode(as_view(base), as_view(target));
-  EXPECT_EQ(apply(as_view(base), as_view(result.delta)), target);
 }
 
 TEST(Delta, MaliciousSelfCopyRejected) {
@@ -288,20 +248,10 @@ TEST(Delta, InspectReportsHeader) {
   EXPECT_EQ(info.target_crc, util::crc32(as_view(target)));
 }
 
-TEST(Delta, BadParamsRejected) {
-  const Bytes d = to_bytes("x");
-  EXPECT_THROW(encode(as_view(d), as_view(d), DeltaParams{1, 1, 1, false}),
-               std::invalid_argument);
-  EXPECT_THROW(encode(as_view(d), as_view(d), DeltaParams{4, 0, 1, false}),
-               std::invalid_argument);
-  EXPECT_THROW(encode(as_view(d), as_view(d), DeltaParams{4, 1, 0, false}),
-               std::invalid_argument);
-}
-
 // ------------------------------------------------------------ cached encoder
 
 /// Fixed corpus exercising every matcher path: template documents (temporal
-/// + cross-document deltas), adversarial shapes, self-reference, empties.
+/// + cross-document deltas), adversarial shapes, repetitive targets, empties.
 std::vector<std::pair<Bytes, Bytes>> golden_corpus() {
   const trace::DocumentTemplate tmpl(7, trace::TemplateConfig{});
   const trace::DocumentTemplate other(43, trace::TemplateConfig{});
@@ -321,25 +271,23 @@ std::vector<std::pair<Bytes, Bytes>> golden_corpus() {
 }
 
 TEST(Encoder, GoldenByteIdenticalToOneShotAndRoundTrips) {
-  // The cached-index encoder must be a pure amortization: for every corpus
-  // pair and both parameterizations its output is byte-for-byte the one-shot
-  // encode() output, encode_size() is exact, and the delta applies back to
-  // the target bit-exactly.
-  for (const DeltaParams& params : {DeltaParams::full(), DeltaParams::light()}) {
-    for (const auto& [base, target] : golden_corpus()) {
-      const auto one_shot = encode(as_view(base), as_view(target), params);
-      const Encoder cached(base, params);
-      const auto from_cache = cached.encode(as_view(target));
-      EXPECT_EQ(from_cache.delta, one_shot.delta);
-      EXPECT_EQ(from_cache.chunk_used, one_shot.chunk_used);
-      EXPECT_EQ(from_cache.copy_bytes, one_shot.copy_bytes);
-      EXPECT_EQ(from_cache.add_bytes, one_shot.add_bytes);
-      EXPECT_EQ(cached.encode_size(as_view(target)), one_shot.delta.size());
-      EXPECT_EQ(apply(as_view(base), as_view(from_cache.delta)), target);
-      // Deterministic: re-encoding through the same cached index (reused
-      // thread-local scratch) cannot change a byte.
-      EXPECT_EQ(cached.encode(as_view(target)).delta, one_shot.delta);
-    }
+  // The cached-table encoder must be a pure amortization: for every corpus
+  // pair its output is byte-for-byte the one-shot encode() output,
+  // encode_size() is exact, and the delta applies back to the target
+  // bit-exactly.
+  for (const auto& [base, target] : golden_corpus()) {
+    const auto one_shot = encode(as_view(base), as_view(target));
+    const Encoder cached(base);
+    const auto from_cache = cached.encode(as_view(target));
+    EXPECT_EQ(from_cache.delta, one_shot.delta);
+    EXPECT_EQ(from_cache.chunk_used, one_shot.chunk_used);
+    EXPECT_EQ(from_cache.copy_bytes, one_shot.copy_bytes);
+    EXPECT_EQ(from_cache.add_bytes, one_shot.add_bytes);
+    EXPECT_EQ(cached.encode_size(as_view(target)), one_shot.delta.size());
+    EXPECT_EQ(apply(as_view(base), as_view(from_cache.delta)), target);
+    // Deterministic: re-encoding through the same cached table cannot
+    // change a byte.
+    EXPECT_EQ(cached.encode(as_view(target)).delta, one_shot.delta);
   }
 }
 
@@ -348,39 +296,118 @@ TEST(Encoder, ReportsBaseAndCrc) {
   const Encoder encoder(base);
   EXPECT_EQ(encoder.base(), base);
   EXPECT_EQ(encoder.base_crc(), util::crc32(as_view(base)));
-  EXPECT_EQ(encoder.params().key_len, DeltaParams::full().key_len);
+  const Estimator estimator(base);
+  EXPECT_EQ(estimator.base(), base);
+  EXPECT_EQ(estimator.shared_base().get(), &estimator.base());
 }
 
 TEST(Encoder, EstimateDeltaSizeMatchesEncodeExactly) {
-  // estimate_delta_size() now runs the size-only sink: it must equal the
-  // materialized light encode, not approximate it.
+  // Both size-only paths are exact, not approximations: encode_size() is
+  // the materialized delta's size, and the one-shot estimate is the cached
+  // estimator's.
   for (const auto& [base, target] : golden_corpus()) {
+    const Encoder encoder(base);
+    EXPECT_EQ(encoder.encode_size(as_view(target)),
+              encode(as_view(base), as_view(target)).delta.size());
     EXPECT_EQ(estimate_delta_size(as_view(base), as_view(target)),
-              encode(as_view(base), as_view(target), DeltaParams::light()).delta.size());
+              Estimator(base).estimate(as_view(target)));
   }
 }
 
-TEST(Delta, ValidateReportsBadParams) {
-  EXPECT_FALSE(validate(DeltaParams::full()).has_value());
-  EXPECT_FALSE(validate(DeltaParams::light()).has_value());
-  EXPECT_TRUE(validate(DeltaParams{1, 1, 1, false}).has_value());   // key_len < 2
-  EXPECT_TRUE(validate(DeltaParams{4, 0, 1, false}).has_value());   // step 0
-  EXPECT_TRUE(validate(DeltaParams{4, 1, 0, false}).has_value());   // chain 0
-  DeltaParams tiny_match = DeltaParams::full();
-  tiny_match.min_match = 2;  // below key_len
-  EXPECT_TRUE(validate(tiny_match).has_value());
+// ------------------------------------------------- pinned matcher output
+//
+// Both values below were recorded from the implementation that still carried
+// the hash-chain transmit path, the codec presets and a fingerprint array in
+// the footprint table. They pin that the encoder's table (positions only,
+// every hit verified with memcmp) and the estimator's fixed parameterization
+// changed no delta byte, no coverage bit and no estimate.
+
+constexpr std::size_t kGoldenPairs = 3000;
+
+/// Seeded low-entropy document pairs. Small alphabets and a repeated motif
+/// give the matchers dense fingerprint collisions, first-come-wins conflicts,
+/// short and long matches and retro-corrections; bases below the rolling
+/// window and empty targets appear too.
+std::vector<std::pair<Bytes, Bytes>> golden_pairs() {
+  std::vector<std::pair<Bytes, Bytes>> pairs;
+  pairs.reserve(kGoldenPairs);
+  util::Rng rng(2002);
+  const auto letters = [&rng](Bytes& out, std::size_t n, std::size_t alphabet) {
+    for (std::size_t k = 0; k < n; ++k) {
+      out.push_back(static_cast<std::uint8_t>('a' + rng.next_below(alphabet)));
+    }
+  };
+  for (std::size_t i = 0; i < kGoldenPairs; ++i) {
+    const std::size_t alphabet = std::size_t{2} << rng.next_below(4);  // 2, 4, 8 or 16
+    Bytes motif;
+    letters(motif, 8 + rng.next_below(120), alphabet);
+    Bytes base;
+    const std::size_t base_len = 1 + rng.next_below(6000);
+    while (base.size() < base_len) {
+      if (rng.next_below(3) == 0) {
+        util::append(base, as_view(motif));
+      } else {
+        letters(base, 1 + rng.next_below(64), alphabet);
+      }
+    }
+    Bytes target;
+    const std::size_t target_len = rng.next_below(2 * base_len);
+    while (target.size() < target_len) {
+      switch (rng.next_below(4)) {
+        case 0:
+        case 1: {  // a base segment
+          const std::size_t off = rng.next_below(base.size());
+          const std::size_t len =
+              std::min<std::size_t>(base.size() - off, 1 + rng.next_below(512));
+          util::append(target, as_view(base).subspan(off, len));
+          break;
+        }
+        case 2:
+          letters(target, 1 + rng.next_below(96), alphabet);
+          break;
+        default:
+          util::append(target, as_view(motif));
+          break;
+      }
+    }
+    pairs.emplace_back(std::move(base), std::move(target));
+  }
+  return pairs;
 }
 
-TEST(Delta, NonOverlappingSelfCopyBulkPathRoundTrips) {
-  // Self-copy whose source span is entirely behind the frontier: apply()
-  // takes the bulk memcpy path. Repeat a 1 KB block so matches are long and
-  // strictly non-overlapping.
-  const Bytes block = random_bytes(91, 1024);
-  Bytes target;
-  for (int i = 0; i < 16; ++i) util::append(target, as_view(block));
-  const auto result = encode({}, as_view(target));
-  EXPECT_EQ(apply({}, as_view(result.delta)), target);
-  EXPECT_LT(result.delta.size(), 2048u);
+TEST(Encoder, PinnedDeltasAndCoverageOverSeededCorpus) {
+  std::uint32_t crc = 0;
+  std::uint64_t delta_bytes = 0;
+  for (const auto& [base, target] : golden_pairs()) {
+    const EncodeResult r = encode(as_view(base), as_view(target));
+    crc = util::crc32(as_view(r.delta), crc);
+    delta_bytes += r.delta.size();
+    Bytes bits((r.chunk_used.size() + 7) / 8, 0);
+    for (std::size_t c = 0; c < r.chunk_used.size(); ++c) {
+      if (r.chunk_used[c]) bits[c / 8] |= static_cast<std::uint8_t>(1u << (c % 8));
+    }
+    crc = util::crc32(as_view(bits), crc);
+  }
+  EXPECT_EQ(delta_bytes, 1024976u);
+  EXPECT_EQ(crc, 0x44cb3808u);
+}
+
+TEST(Estimator, PinnedEstimatesOverSeededCorpus) {
+  // Both directions of every pair: the grouping probe runs document-vs-base,
+  // the selector scores candidates against each other.
+  std::uint32_t crc = 0;
+  std::uint64_t sum = 0;
+  for (const auto& [base, target] : golden_pairs()) {
+    for (const auto& [from, to] : {std::pair{&base, &target}, std::pair{&target, &base}}) {
+      const std::uint64_t size = estimate_delta_size(as_view(*from), as_view(*to));
+      Bytes le(8);
+      for (int k = 0; k < 8; ++k) le[k] = static_cast<std::uint8_t>(size >> (8 * k));
+      crc = util::crc32(as_view(le), crc);
+      sum += size;
+    }
+  }
+  EXPECT_EQ(sum, 3920092u);
+  EXPECT_EQ(crc, 0x5fea862bu);
 }
 
 // ------------------------------------------------------------ paper-scale behaviour
@@ -525,6 +552,45 @@ TEST(Delta, GoldenSelfCopyPastFrontierRejected) {
   const Bytes delta = assemble_cbd1(as_view(base), insts, forged);
   Bytes out;
   EXPECT_THROW(apply_into(as_view(base), as_view(delta), out), CorruptDelta);
+}
+
+TEST(Delta, OverlappingSelfCopyRoundTrips) {
+  // Period-3 run: a self-copy whose distance is smaller than its length,
+  // through both decoder entry points.
+  const Bytes base = to_bytes("zz");
+  const std::vector<GoldenInst> insts = {GoldenInst{false, 0, "abc", 0},
+                                         GoldenInst{true, base.size(), "", 4997}};
+  const Bytes target = reference_decode(as_view(base), insts);
+  const Bytes delta = assemble_cbd1(as_view(base), insts, target);
+  EXPECT_EQ(apply(as_view(base), as_view(delta)), target);
+  Bytes out;
+  apply_into(as_view(base), as_view(delta), out);
+  EXPECT_EQ(out, target);
+}
+
+TEST(Delta, SelfReferenceWorksWithEmptyBase) {
+  // With an empty base every COPY address is a superstring address: 0 is
+  // the target's first byte.
+  const std::string row = "<item>repeated catalog row</item>\n";
+  expect_golden({}, {GoldenInst{false, 0, row, 0}, GoldenInst{true, 0, "", row.size() * 2}},
+                row + row + row);
+}
+
+TEST(Delta, NonOverlappingSelfCopyBulkPathRoundTrips) {
+  // Self-copies whose source span is entirely behind the frontier: apply()
+  // takes the bulk memcpy path. A 1 KB block repeated by copies of the
+  // growing prefix, so every copy is long and strictly non-overlapping.
+  const Bytes block = random_bytes(91, 1024);
+  std::vector<GoldenInst> insts = {
+      GoldenInst{false, 0, std::string(block.begin(), block.end()), 0}};
+  for (std::size_t have = 1024; have < 16 * 1024; have *= 2) {
+    insts.push_back(GoldenInst{true, 0, "", have});
+  }
+  const Bytes target = reference_decode({}, insts);
+  Bytes expected;
+  for (int i = 0; i < 16; ++i) util::append(expected, as_view(block));
+  ASSERT_EQ(target, expected);
+  EXPECT_EQ(apply({}, as_view(assemble_cbd1({}, insts, target))), target);
 }
 
 TEST(Delta, SpatialNeighborsProduceModerateDeltas) {

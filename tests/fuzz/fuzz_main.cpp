@@ -1,7 +1,8 @@
-// Decoder robustness fuzzing: CBD1 deltas, VCDIFF deltas, CBZ1 compressed
+// Decoder robustness fuzzing: CBD1 deltas, CBZ1 compressed
 // blocks, Apache CLF access-log lines and streams (trace::parse_clf +
 // trace::read_access_log, checked differentially), HTTP/1.1 messages, and
-// cbde.conf files.
+// cbde.conf files, plus the in-place delta pipeline (CBD1/CBDP lift,
+// verify, transform, apply_in_place).
 //
 // Every byte stream a delta-server deployment decodes crosses a trust
 // boundary, so each decoder must satisfy one contract on arbitrary input:
@@ -10,10 +11,11 @@
 // fuzz_common.hpp for the harness semantics and failure reproducers.
 //
 // Usage: cbde_fuzz [target] [iterations] [seed]
-//   target      one of cbd1|vcdiff|compress|access_log|http|config|inplace|all
+//   target      one of cbd1|compress|access_log|http|config|inplace|all
 //               (default all)
 //   iterations  mutations per target (default 10000)
 //   seed        RNG seed (default 0xCBDE)
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -26,12 +28,13 @@
 #include "delta/delta.hpp"
 #include "delta/inplace.hpp"
 #include "delta/ir.hpp"
-#include "delta/vcdiff.hpp"
 #include "http/message.hpp"
 #include "fuzz_common.hpp"
 #include "trace/access_log.hpp"
 #include "util/bytes.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/varint.hpp"
 
 namespace cbde::fuzz {
 namespace {
@@ -63,11 +66,41 @@ Bytes random_bytes(util::Rng& rng, std::size_t n) {
   return out;
 }
 
-/// Base document plus deltas (of both formats) encoded against it.
+/// Base document plus deltas encoded against it.
 struct DeltaCorpus {
   Bytes base;
   std::vector<Bytes> deltas;
 };
+
+/// Hand-assembled CBD1 delta against `base` whose target repeats the base
+/// head through superstring COPYs: one bulk (non-overlapping) self-copy and
+/// one run-like overlapping one. The encoder never emits self-copies, so
+/// without these seeds only mutation would reach apply_into's self-copy
+/// branch and the CRWI kCopyTarget edges.
+Bytes self_copy_delta(const Bytes& base) {
+  const std::size_t head = std::min<std::size_t>(base.size(), 64);
+  Bytes target(base.begin(), base.begin() + static_cast<std::ptrdiff_t>(head));
+  util::append(target, BytesView(target.data(), head));         // bulk self-copy
+  for (int i = 0; i < 40; ++i) target.push_back(target.back());  // period-1 run
+  Bytes d = to_bytes("CBD1");
+  util::put_uvarint(d, base.size());
+  util::put_uvarint(d, target.size());
+  for (const std::uint32_t crc : {util::crc32(as_view(base)), util::crc32(as_view(target))}) {
+    for (int i = 0; i < 4; ++i) d.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  }
+  const std::pair<std::size_t, std::size_t> copies[] = {
+      {0, head},                               // base head
+      {base.size(), head},                     // target[0, head)
+      {base.size() + 2 * head - 1, 40}};       // target's last byte, overlapping
+  for (const auto& [addr, len] : copies) {
+    util::put_uvarint(d, (len << 1) | 1);
+    util::put_uvarint(d, addr);
+  }
+  if (delta::apply(as_view(base), as_view(d)) != target) {
+    throw std::logic_error("self-copy seed does not decode to its target");
+  }
+  return d;
+}
 
 DeltaCorpus make_cbd1_corpus(std::uint64_t seed) {
   util::Rng rng(seed);
@@ -81,20 +114,7 @@ DeltaCorpus make_cbd1_corpus(std::uint64_t seed) {
   for (const Bytes* t : {&close_target, &far_target, &noise_target, &empty_target, &run_doc}) {
     c.deltas.push_back(delta::encode(as_view(c.base), as_view(*t)).delta);
   }
-  return c;
-}
-
-DeltaCorpus make_vcdiff_corpus(std::uint64_t seed) {
-  util::Rng rng(seed);
-  DeltaCorpus c;
-  c.base = to_bytes(page(1, 24));
-  const Bytes close_target = to_bytes(page(2, 24));
-  const Bytes run_heavy = to_bytes(std::string(2048, 'z') + page(4, 1));
-  const Bytes noise_target = random_bytes(rng, 2048);
-  const Bytes empty_target;
-  for (const Bytes* t : {&close_target, &run_heavy, &noise_target, &empty_target}) {
-    c.deltas.push_back(delta::vcdiff_encode(as_view(c.base), as_view(*t)));
-  }
+  c.deltas.push_back(self_copy_delta(c.base));
   return c;
 }
 
@@ -202,26 +222,6 @@ bool fuzz_cbd1(std::uint64_t seed, std::size_t iters) {
   });
 }
 
-bool fuzz_vcdiff(std::uint64_t seed, std::size_t iters) {
-  const DeltaCorpus c = make_vcdiff_corpus(seed);
-  const Bytes wrong_base = to_bytes(page(99, 9));
-  std::size_t calls = 0;
-  return run_target("vcdiff", seed, iters, c.deltas, [&](BytesView input) {
-    const BytesView base =
-        (++calls % 13 == 0) ? as_view(wrong_base) : as_view(c.base);
-    try {
-      (void)delta::vcdiff_inspect(input);
-      const Bytes out = delta::vcdiff_apply(base, input);
-      if (out.size() != delta::vcdiff_inspect(input).target_size) {
-        throw std::logic_error("vcdiff: decoded size contradicts header");
-      }
-      return true;
-    } catch (const delta::CorruptDelta&) {
-      return false;
-    }
-  });
-}
-
 bool fuzz_compress(std::uint64_t seed, std::size_t iters) {
   // Reused buffer: compress::decompress_into must behave identically no
   // matter what the previous iteration left in it.
@@ -297,8 +297,9 @@ bool fuzz_http(std::uint64_t seed, std::size_t iters) {
   });
 }
 
-/// Corpus for the in-place pipeline: all three wire formats, all three
-/// codecs, safe and unsafe instruction orders, against one shared base.
+/// Corpus for the in-place pipeline: both wire formats, encoder output and
+/// hand-built self-copies, safe and unsafe instruction orders, against one
+/// shared base.
 DeltaCorpus make_inplace_corpus(std::uint64_t seed) {
   util::Rng rng(seed);
   DeltaCorpus c;
@@ -313,15 +314,11 @@ DeltaCorpus make_inplace_corpus(std::uint64_t seed) {
   const Bytes close_target = to_bytes(page(2, 24));
   const Bytes noise_target = random_bytes(rng, 2048);
   for (const Bytes* t : {&close_target, &swapped, &noise_target}) {
-    for (const auto& params :
-         {delta::DeltaParams::full(), delta::DeltaParams::one_pass(),
-          delta::DeltaParams::correcting()}) {
-      c.deltas.push_back(delta::encode(as_view(c.base), as_view(*t), params).delta);
-    }
-    c.deltas.push_back(delta::vcdiff_encode(as_view(c.base), as_view(*t)));
+    c.deltas.push_back(delta::encode(as_view(c.base), as_view(*t)).delta);
   }
+  c.deltas.push_back(self_copy_delta(c.base));
   // CBDP entries: the transformer's own output (reordered, spilled), plus a
-  // lowered straight lift — both decode through the third format path.
+  // lowered straight lift — both decode through the second format path.
   for (const Bytes& wire : {c.deltas[0], c.deltas[3]}) {
     const delta::Program p = delta::lift(as_view(wire));
     c.deltas.push_back(delta::lower(p));
@@ -336,8 +333,8 @@ DeltaCorpus make_inplace_corpus(std::uint64_t seed) {
 }
 
 /// One property round: verifier + transformer + in-place executor against
-/// the two-buffer reference on a fresh (base, target, codec) triple. Any
-/// divergence throws (run_target turns that into a failure report).
+/// the two-buffer reference on a fresh (base, target) pair. Any divergence
+/// throws (run_target turns that into a failure report).
 void inplace_property_round(util::Rng& rng) {
   const std::size_t base_len = 256 + rng.next_below(4096);
   Bytes base = random_bytes(rng, base_len);
@@ -352,36 +349,32 @@ void inplace_property_round(util::Rng& rng) {
       util::append(target, BytesView(base.data() + off, len));
     }
   }
-  for (const auto& params :
-       {delta::DeltaParams::full(), delta::DeltaParams::one_pass(),
-        delta::DeltaParams::correcting()}) {
-    const Bytes delta = delta::encode(as_view(base), as_view(target), params).delta;
-    const delta::Program p = delta::lift(as_view(delta));
-    Bytes wire = delta;
-    const auto verdict = delta::verify_in_place(p);
-    if (!verdict.in_place_safe) {
-      const auto t = delta::transform_in_place(p, as_view(base));
-      if (!delta::verify_in_place(t.program).in_place_safe) {
-        throw std::logic_error("inplace: transformer output fails the verifier");
-      }
-      if (t.scratch_bytes > verdict.scratch_bound) {
-        throw std::logic_error("inplace: transformer exceeded the verified scratch bound");
-      }
-      wire = delta::lower(t.program);
+  const Bytes delta = delta::encode(as_view(base), as_view(target)).delta;
+  const delta::Program p = delta::lift(as_view(delta));
+  Bytes wire = delta;
+  const auto verdict = delta::verify_in_place(p);
+  if (!verdict.in_place_safe) {
+    const auto t = delta::transform_in_place(p, as_view(base));
+    if (!delta::verify_in_place(t.program).in_place_safe) {
+      throw std::logic_error("inplace: transformer output fails the verifier");
     }
-    Bytes buf = base;
-    delta::apply_in_place(buf, as_view(wire));
-    if (buf != target) {
-      throw std::logic_error("inplace: in-place reconstruction diverges from target");
+    if (t.scratch_bytes > verdict.scratch_bound) {
+      throw std::logic_error("inplace: transformer exceeded the verified scratch bound");
     }
+    wire = delta::lower(t.program);
+  }
+  Bytes buf = base;
+  delta::apply_in_place(buf, as_view(wire));
+  if (buf != target) {
+    throw std::logic_error("inplace: in-place reconstruction diverges from target");
   }
 }
 
 bool fuzz_inplace(std::uint64_t seed, std::size_t iters) {
   // Phase 1 — the differential property gate on fresh random pairs: the
   // transformer must produce verifier-clean programs within the verified
-  // scratch bound, and in-place application must be byte-exact, for every
-  // codec. Cheaper than the mutation phase, so one round per ~20 mutations.
+  // scratch bound, and in-place application must be byte-exact. Cheaper
+  // than the mutation phase, so one round per ~20 mutations.
   util::Rng rng(seed ^ 0x1122334455667788ull);
   const std::size_t rounds = iters / 20 + 1;
   for (std::size_t i = 0; i < rounds; ++i) {
@@ -455,7 +448,6 @@ int main(int argc, char** argv) {
     }
   };
   run("cbd1", cbde::fuzz::fuzz_cbd1);
-  run("vcdiff", cbde::fuzz::fuzz_vcdiff);
   run("compress", cbde::fuzz::fuzz_compress);
   run("access_log", cbde::fuzz::fuzz_access_log);
   run("http", cbde::fuzz::fuzz_http);

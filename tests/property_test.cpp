@@ -5,7 +5,7 @@
 #include "compress/compressor.hpp"
 #include "core/simulation.hpp"
 #include "delta/delta.hpp"
-#include "delta/vcdiff.hpp"
+#include "delta/ir.hpp"
 #include "http/message.hpp"
 #include "util/rng.hpp"
 
@@ -108,17 +108,14 @@ TEST_P(CodecFuzz, StructuredRandomRoundTrips) {
     }
     // Compressor round trip.
     ASSERT_EQ(compress::decompress(as_view(compress::compress(as_view(doc)))), doc);
-    // Delta round trip against a mutated sibling, both formats.
+    // Delta round trip against a mutated sibling, through both decoders.
     Bytes sibling = doc;
     for (int e = 0; e < 8 && !sibling.empty(); ++e) {
       sibling[rng.next_below(sibling.size())] ^= 0xFF;
     }
-    ASSERT_EQ(delta::apply(as_view(doc),
-                           as_view(delta::encode(as_view(doc), as_view(sibling)).delta)),
-              sibling);
-    ASSERT_EQ(delta::vcdiff_apply(
-                  as_view(doc), as_view(delta::vcdiff_encode(as_view(doc), as_view(sibling)))),
-              sibling);
+    const Bytes delta = delta::encode(as_view(doc), as_view(sibling)).delta;
+    ASSERT_EQ(delta::apply(as_view(doc), as_view(delta)), sibling);
+    ASSERT_EQ(delta::execute(delta::lift(as_view(delta)), as_view(doc)), sibling);
   }
 }
 
@@ -148,8 +145,8 @@ TEST_P(CodecFuzz, GarbageNeverCrashesDecoders) {
     } catch (const delta::CorruptDelta&) {
     }
     try {
-      delta::vcdiff_apply(as_view(base), as_view(junk));
-      FAIL() << "garbage accepted as vcdiff";
+      delta::execute(delta::lift(as_view(junk)), as_view(base));
+      FAIL() << "garbage accepted as a delta program";
     } catch (const delta::CorruptDelta&) {
     }
   }

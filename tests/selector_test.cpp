@@ -223,7 +223,7 @@ TEST(Policies, OfflineOptimalAgreesWithOnlineAtEnd) {
   rng.shuffle(docs);
   OnlineOptimalPolicy policy;
   for (const auto& doc : docs) policy.observe(as_view(doc));
-  const std::size_t offline = offline_optimal_index(docs, delta::DeltaParams::light());
+  const std::size_t offline = offline_optimal_index(docs);
   EXPECT_EQ(*policy.current_base(), docs[offline]);
 }
 

@@ -22,8 +22,9 @@ check id:
                    counter|stat|handshake|seq_cst(<reason>)`) and every
                    operation passes an explicit, policy-conforming
                    memory_order — defaulted seq_cst is always a finding.
-  sema-blocking    no IO, foreign-condvar waits, or unbounded (Encoder)
-                   allocation while holding an annotated mutex; blocking
+  sema-blocking    no IO, foreign-condvar waits, or unbounded
+                   (Encoder/Estimator) allocation while holding an
+                   annotated mutex; blocking
                    facts propagate through call resolution, and `--hotspots`
                    ranks every LockGuard section by static weight.
   sema-alloc       allocation-site inventory: every vector/string/Bytes
@@ -526,7 +527,7 @@ def parse_file_cindex(cindex, path):
 
 UNTRUSTED_TYPE_RE = re.compile(r"BytesView|string_view|istream")
 TAINT_NAME_RE = re.compile(
-    r"^(parse|decode|apply|read_|unframe|percent_|vcdiff_|decompress|from_)"
+    r"^(parse|decode|apply|read_|unframe|percent_|decompress|from_)"
 )
 COMPARATOR_RE = re.compile(r"<=|>=|==|!=|<|>|\.size\s*\(|\.empty\s*\(|\bnpos\b|\.ok\s*\(")
 GUARD_HEAD_RE = re.compile(r"\b(if|while|for|CBDE_EXPECT|CBDE_ASSERT|CBDE_ENSURE)\s*\(")
@@ -812,8 +813,6 @@ def lock_pass(units, classes, suppressed_by_path, graph_out=None):
 # must state >= 1 contract (macro or validated early reject).
 REPO_ENTRY_POINTS = [
     ("src/delta/delta.cpp", "apply"),
-    ("src/delta/vcdiff.cpp", "vcdiff_apply"),
-    ("src/delta/vcdiff.cpp", "vcdiff_encode"),
     ("src/delta/ir.cpp", "lift"),
     ("src/delta/ir.cpp", "execute"),
     ("src/delta/inplace.cpp", "verify_in_place"),
@@ -1267,8 +1266,8 @@ def atomics_pass(atomics_by_path, suppressed_by_path, stripped_by_path):
 # Pass 6: blocking-under-lock + lock-hotspot ranking (sema-blocking)
 #
 # Nothing slow belongs inside a critical section: file/stream IO, waits on a
-# foreign condition variable, or an Encoder build (unbounded in the document
-# size). Blocking facts propagate through the same call resolution the
+# foreign condition variable, or an Encoder/Estimator build (unbounded in the
+# document size). Blocking facts propagate through the same call resolution the
 # lock-order pass uses (including interface dispatch, so store_->put() sees
 # DiskBaseStore). A `sema: ok` on the *source* line accepts the blocking as
 # bounded and stops propagation to callers.
@@ -1296,8 +1295,8 @@ IO_TOKEN_RE = re.compile(
     r"|\bf(?:open|read|write|sync|close)\s*\(|\bgetline\s*\("
 )
 HEAVY_ALLOC_RE = re.compile(
-    r"\bmake_(?:shared|unique)\s*<\s*(?:const\s+)?(?:[\w:]+::)?Encoder\b"
-    r"|\bnew\s+(?:[\w:]+::)?Encoder\b"
+    r"\bmake_(?:shared|unique)\s*<\s*(?:const\s+)?(?:[\w:]+::)?(?:Encoder|Estimator)\b"
+    r"|\bnew\s+(?:[\w:]+::)?(?:Encoder|Estimator)\b"
 )
 CV_WAIT_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*wait\s*\(\s*([A-Za-z_]\w*)\s*\)")
 LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
@@ -1322,7 +1321,7 @@ def direct_blocking_facts(unit, cls):
                     facts.append((m.start(), "io", f"stream member '{name}'"))
     for m in HEAVY_ALLOC_RE.finditer(body):
         facts.append((m.start(), "heavy-alloc",
-                      "Encoder build (index over the whole document)"))
+                      "Encoder/Estimator build (index over the whole document)"))
     return facts
 
 
@@ -1571,7 +1570,7 @@ ALLOC_HOT_ROOTS = [
 # requests (class create, anonymization round, rebase). The hot walk stops
 # here; these seed the rebase classification instead.
 ALLOC_REBASE_BOUNDARY = [
-    "DeltaServerShard::make_working_encoder",
+    "DeltaServerShard::make_working_estimator",
     "DeltaServerShard::start_publication",
     "DeltaServerShard::maybe_complete_publication",
     "DeltaServerShard::record_publication",
