@@ -29,8 +29,6 @@
 #include "core/delta_server.hpp"
 #include "core/delta_worker_pool.hpp"
 #include "delta/delta.hpp"
-#include "delta/inplace.hpp"
-#include "delta/ir.hpp"
 #include "obs/obs.hpp"
 #include "obs/time_series.hpp"
 #include "trace/site.hpp"
@@ -275,19 +273,9 @@ int main(int argc, char** argv) {
   }
   json.close();  // micro
 
-  // One shared telemetry domain for the codec sweep and the end-to-end
-  // runs below, so the --metrics-out snapshot carries the in-place
-  // instrument families alongside the serve-path metrics.
-  obs::ObsConfig e2e_obs_config;
-  e2e_obs_config.sample_rate = 0.01;
-  e2e_obs_config.lock_profile = true;  // lock_wait_share in the windows below
-  auto e2e_obs = std::make_shared<obs::Obs>(e2e_obs_config);
-  const delta::InPlaceInstruments inplace_ins =
-      delta::InPlaceInstruments::attach(*e2e_obs);
-
   // Matcher sweep (docs/PERFORMANCE.md codec table): the same base/cross
-  // pair through the transmit encoder, with the in-place analysis verdict on
-  // its output, and through the light estimator the grouping search probes.
+  // pair through the transmit encoder and through the light estimator the
+  // grouping search probes.
   json.open("codecs");
   {
     const delta::Encoder enc(base);
@@ -299,28 +287,6 @@ int main(int argc, char** argv) {
       (void)delta::apply(util::as_view(base), util::as_view(wire));
     });
 
-    // In-place verdict on the encoder's output. Unsafe programs go through
-    // the transformer; the timed loop then runs the certified wire.
-    const delta::Program prog = delta::lift(util::as_view(wire));
-    const delta::VerifyResult verdict = delta::verify_in_place(prog);
-    util::Bytes certified = wire;
-    bool transformed = false;
-    std::size_t scratch = verdict.scratch_bound;
-    if (!verdict.in_place_safe) {
-      const delta::TransformResult t =
-          delta::transform_in_place(prog, util::as_view(base), {}, &inplace_ins);
-      certified = delta::lower(t.program);
-      transformed = t.transformed;
-      scratch = t.scratch_bytes;
-    }
-    util::Bytes buf;
-    const double inplace_ns = time_op(3, iters * 4, [&] {
-      buf = base;
-      delta::apply_in_place(buf, util::as_view(certified), &inplace_ins);
-    });
-    const delta::DeltaLintStats lint = delta::delta_lint(prog, wire.size());
-    inplace_ins.observe_lint(lint);
-
     json.open("encoder");
     json.field("encode_ns_per_op", encode_ns);
     json.field("encode_mbps", mbps(cross.size(), encode_ns));
@@ -328,14 +294,9 @@ int main(int argc, char** argv) {
     json.field("delta_ratio",
                static_cast<double>(wire.size()) / static_cast<double>(cross.size()));
     json.field("apply_ns_per_op", apply_ns);
-    json.field("apply_in_place_ns_per_op", inplace_ns);
-    json.field("inplace_safe", static_cast<std::size_t>(verdict.in_place_safe ? 1 : 0));
-    json.field("inplace_transformed", static_cast<std::size_t>(transformed ? 1 : 0));
-    json.field("inplace_scratch_bytes", scratch);
-    json.field("lint_overhead_bytes", lint.instruction_overhead_bytes);
     json.close();
-    std::printf("codec %-22s %12.0f ns   %8.2f MB/s   delta %zu B   scratch %zu B\n",
-                "encoder", encode_ns, mbps(cross.size(), encode_ns), wire.size(), scratch);
+    std::printf("codec %-22s %12.0f ns   %8.2f MB/s   delta %zu B\n", "encoder",
+                encode_ns, mbps(cross.size(), encode_ns), wire.size());
   }
   {
     const delta::Estimator est(base);
@@ -420,6 +381,11 @@ int main(int argc, char** argv) {
   sconfig.docs_per_category = 16;
   sconfig.doc_template = sized_template(page);
   const trace::SiteModel site(sconfig);
+
+  obs::ObsConfig e2e_obs_config;
+  e2e_obs_config.sample_rate = 0.01;
+  e2e_obs_config.lock_profile = true;  // lock_wait_share in the windows below
+  auto e2e_obs = std::make_shared<obs::Obs>(e2e_obs_config);
 
   // One time-series window per worker-count run (manual ticks): the
   // `time_series` section perf_gate.py bands in BENCH_delta.json.

@@ -93,16 +93,6 @@ for key in encode_cached_cross speedup_4v1 hardware_concurrency overhead_pct \
     { echo "ci.sh: $BENCH_JSON missing key $key" >&2; exit 1; }
 done
 
-echo "== inplace: CRWI verifier self-tests + differential fuzz =="
-# The in-place verifier/transformer and the rolling encoder (DESIGN.md §6):
-# the unit suites prove the analyses on constructed programs, and
-# fuzz.inplace re-runs the standing differential property (transformer
-# output passes the verifier, apply_in_place reconstructs byte-exactly
-# within the computed scratch bound) on the seeded corpus, which includes
-# hand-built self-copy deltas the encoder never emits.
-ctest --preset asan-ubsan -R 'DeltaIr\.|InPlace\.|Rolling\.' --output-on-failure
-ctest --preset asan-ubsan -R '^fuzz\.inplace$' --output-on-failure
-
 echo "== allocation budget: measured allocs/request vs static inventory =="
 # Cross-check the counting-operator-new measurement against the static
 # sema-alloc inventory and the checked-in measured budget: a hot-path

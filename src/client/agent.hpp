@@ -25,12 +25,6 @@ struct AgentStats {
   std::uint64_t bases_stored = 0;
   std::uint64_t reconstruction_failures = 0;
   std::uint64_t bytes_reconstructed = 0;  ///< document bytes produced locally
-  /// In-place path (reconstruct_in_place): reconstructions served without a
-  /// separate target buffer, how many needed the CRWI transformer first,
-  /// and the total spill scratch those transforms used.
-  std::uint64_t inplace_reconstructions = 0;
-  std::uint64_t inplace_transforms = 0;
-  std::uint64_t inplace_scratch_bytes = 0;
 };
 
 class ClientAgent {
@@ -46,16 +40,6 @@ class ClientAgent {
   /// Throws delta::CorruptDelta / compress::CorruptInput on damage or if no
   /// matching base is stored (std::invalid_argument).
   util::Bytes reconstruct(BaseRef ref, util::BytesView wire_delta, bool compressed);
-
-  /// Memory-constrained variant: reconstruct *inside* the stored base-file's
-  /// buffer, consuming it — peak memory is max(base, target) + delta instead
-  /// of base + target. Deltas the CRWI verifier refuses as ordered are run
-  /// through the in-place transformer first (DESIGN.md §6). The slot is
-  /// erased on success (store a fresh base before the next delta for this
-  /// class); on failure the base is retained untouched. Same exceptions as
-  /// reconstruct().
-  util::Bytes reconstruct_in_place(BaseRef ref, util::BytesView wire_delta,
-                                   bool compressed);
 
   std::size_t stored_bases() const { return bases_.size(); }
   std::size_t stored_bytes() const;

@@ -5,10 +5,13 @@
 namespace cbde::client {
 namespace {
 
-std::uint64_t require_u64_header(const http::HttpResponse& resp, std::string_view name) {
+/// Parse a decimal header that fits T. A value out of T's range is a
+/// protocol violation, not something to wrap into a different valid value.
+template <typename T>
+T require_uint_header(const http::HttpResponse& resp, std::string_view name) {
   const auto value = resp.headers.get(name);
   if (!value) throw http::HttpError("cbde client: missing header " + std::string(name));
-  std::uint64_t v = 0;
+  T v = 0;
   const auto [p, ec] = std::from_chars(value->data(), value->data() + value->size(), v);
   if (ec != std::errc{} || p != value->data() + value->size()) {
     throw http::HttpError("cbde client: bad header " + std::string(name));
@@ -43,9 +46,8 @@ util::Bytes HttpClientAgent::get(const http::Url& url, const Transport& transpor
   }
   ++stats_.delta_responses;
 
-  const auto class_id = require_u64_header(resp, "X-CBDE-Class");
-  const auto version = static_cast<std::uint32_t>(
-      require_u64_header(resp, "X-CBDE-Base-Version"));
+  const auto class_id = require_uint_header<std::uint64_t>(resp, "X-CBDE-Class");
+  const auto version = require_uint_header<std::uint32_t>(resp, "X-CBDE-Base-Version");
   const auto encoding = resp.headers.get("X-CBDE-Encoding");
   const bool compressed = encoding && *encoding == "cbz";
 

@@ -47,11 +47,6 @@ bool parse_bool(std::string_view value, std::size_t line) {
 
 }  // namespace
 
-std::unique_ptr<BaseStore> LoadedConfig::make_store() const {
-  if (disk_store) return std::make_unique<DiskBaseStore>(*disk_store);
-  return std::make_unique<MemoryBaseStore>();
-}
-
 LoadedConfig load_config(std::istream& in) {
   LoadedConfig out;
   std::string section;     // "delta-server" or "site"

@@ -49,11 +49,9 @@ struct LoadedConfig {
   http::RuleBook rules;
   /// (host, hint) pairs to pin via ClassManager::add_manual_class.
   std::vector<std::pair<std::string, std::string>> manual_classes;
-  /// Set when "base-store = disk:<path>" was given.
+  /// Set when "base-store = disk:<path>" was given; server.store_factory
+  /// then builds the shards' disk stores under it.
   std::optional<std::filesystem::path> disk_store;
-
-  /// Construct the base store the config asked for.
-  std::unique_ptr<BaseStore> make_store() const;
 };
 
 /// Parse a config stream. Throws ConfigError with a line number on any

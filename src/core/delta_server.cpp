@@ -7,17 +7,12 @@
 
 namespace cbde::core {
 
-DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules,
-                         std::unique_ptr<BaseStore> store)
+DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
     : config_(std::move(config)),
       rules_(std::move(rules)),
       obs_(config_.obs_instance ? config_.obs_instance
                                 : std::make_shared<obs::Obs>(config_.obs)) {
   CBDE_EXPECT(config_.shards >= 1);
-  // The explicit-store parameter predates sharding; one store cannot be
-  // split, so it is only accepted unsharded. Sharded deployments hand each
-  // shard its own store via DeltaServerConfig::store_factory.
-  CBDE_EXPECT(store == nullptr || config_.shards == 1);
 
   // Registry instruments are the scrape-side mirror of the per-shard ledgers
   // (metrics() itself merges the ledgers), registered once here and shared
@@ -98,10 +93,9 @@ DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules,
 
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    std::unique_ptr<BaseStore> shard_store =
-        store != nullptr      ? std::move(store)
-        : config_.store_factory ? config_.store_factory(i)
-                                : std::make_unique<MemoryBaseStore>();
+    std::unique_ptr<BaseStore> shard_store = config_.store_factory
+                                                 ? config_.store_factory(i)
+                                                 : std::make_unique<MemoryBaseStore>();
     CBDE_EXPECT(shard_store != nullptr);
     shards_.push_back(std::make_unique<DeltaServerShard>(
         config_, i, /*id_stride=*/config_.shards, std::move(shard_store), *obs_,

@@ -305,17 +305,9 @@ class DeltaServerShard {
 /// own — and therefore no lock.
 class DeltaServer {
  public:
-  /// Compat aliases: these used to be nested classes before the server was
-  /// sharded, and all call sites name them through DeltaServer::.
-  using PublishedBase = cbde::core::PublishedBase;
-  using ClassSummary = cbde::core::ClassSummary;
-
-  /// `store` holds retained published base-file versions; defaults to an
-  /// in-memory store per shard. The explicit-store parameter predates
-  /// sharding and is only accepted with shards == 1; sharded deployments
-  /// use DeltaServerConfig::store_factory.
-  DeltaServer(DeltaServerConfig config, http::RuleBook rules,
-              std::unique_ptr<BaseStore> store = nullptr);
+  /// Each shard's retained published base-file versions live in the store
+  /// DeltaServerConfig::store_factory builds (in memory by default).
+  DeltaServer(DeltaServerConfig config, http::RuleBook rules);
 
   /// Process one request: `doc` is the current snapshot obtained from the
   /// web-server. Advances all class machinery and returns the response.

@@ -9,23 +9,27 @@ namespace {
 
 constexpr std::string_view kBasePath = "/.cbde/base";
 
-std::optional<std::uint64_t> parse_u64(std::string_view s) {
-  std::uint64_t v = 0;
+/// Parse a decimal that fits T; out-of-range values fail rather than wrap.
+template <typename T>
+std::optional<T> parse_uint(std::string_view s) {
+  T v = 0;
   const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || p != s.data() + s.size()) return std::nullopt;
   return v;
 }
 
-/// Extract "class" and "v" from the base endpoint query.
+/// Extract "class" and "v" from the base endpoint query. A version above
+/// UINT32_MAX is rejected: truncated, it would name a real version and put
+/// that version's cachable bytes under a URL the server never advertised.
 std::optional<std::pair<ClassId, std::uint32_t>> parse_base_query(std::string_view query) {
   std::optional<std::uint64_t> cls;
-  std::optional<std::uint64_t> version;
+  std::optional<std::uint32_t> version;
   for (const auto item : http::query_items(query)) {
-    if (item.starts_with("class=")) cls = parse_u64(item.substr(6));
-    if (item.starts_with("v=")) version = parse_u64(item.substr(2));
+    if (item.starts_with("class=")) cls = parse_uint<std::uint64_t>(item.substr(6));
+    if (item.starts_with("v=")) version = parse_uint<std::uint32_t>(item.substr(2));
   }
   if (!cls || !version) return std::nullopt;
-  return std::make_pair(*cls, static_cast<std::uint32_t>(*version));
+  return std::make_pair(*cls, *version);
 }
 
 }  // namespace
@@ -33,7 +37,7 @@ std::optional<std::pair<ClassId, std::uint32_t>> parse_base_query(std::string_vi
 std::uint64_t parse_user_header(const http::HttpRequest& request) {
   const auto header = request.headers.get("X-CBDE-User");
   if (!header) return 0;
-  return parse_u64(*header).value_or(0);
+  return parse_uint<std::uint64_t>(*header).value_or(0);
 }
 
 DeltaFrontend::DeltaFrontend(const server::OriginServer& origin, DeltaServerConfig config,

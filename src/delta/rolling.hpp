@@ -16,8 +16,8 @@
 // emitted, so collisions cost probes, never correctness.
 //
 // The matcher never references the target itself, so its deltas contain only
-// base-addressed COPYs — in-place application (delta/inplace.hpp) sees pure
-// kCopyBase/kAdd programs.
+// ADDs and COPYs addressed below the base size: the decoder's superstring
+// (target self-copy) path is reached only by hand-built deltas.
 #pragma once
 
 #include <bit>

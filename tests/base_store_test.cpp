@@ -157,7 +157,10 @@ TEST(DiskBaseStore, DeltaServerServesBasesFromDisk) {
 
   DeltaServerConfig config;
   config.anonymize = false;
-  DeltaServer server(config, std::move(rules), std::make_unique<DiskBaseStore>(d.dir));
+  config.store_factory = [&d](std::size_t) -> std::unique_ptr<BaseStore> {
+    return std::make_unique<DiskBaseStore>(d.dir);
+  };
+  DeltaServer server(config, std::move(rules));
 
   util::SimTime now = 0;
   ServedResponse last;

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "client/agent.hpp"
+#include "client/http_client.hpp"
 #include "compress/compressor.hpp"
 #include "delta/delta.hpp"
 #include "trace/document.hpp"
-#include "util/rng.hpp"
 
 namespace cbde::client {
 namespace {
@@ -101,73 +101,38 @@ TEST(ClientAgent, TracksStoredBytesAcrossClasses) {
   EXPECT_EQ(agent.stored_bytes(), 350u);
 }
 
-TEST(ClientAgent, ReconstructInPlaceMatchesTwoBufferPathAndConsumesBase) {
+TEST(HttpClientAgent, RejectsBaseVersionAboveUint32) {
+  // X-CBDE-Base-Version is untrusted. 2^32 + 1 must not wrap to version 1,
+  // which would store the fetched base and apply the delta under a version
+  // the server never named.
   Fixture f;
-  const auto delta = delta::encode(as_view(f.base), as_view(f.doc)).delta;
+  const Bytes delta = delta::encode(as_view(f.base), as_view(f.doc)).delta;
+  std::size_t calls = 0;
+  const auto serving = [&](const std::string& version) -> Transport {
+    return [&, version](const http::HttpRequest& req) {
+      ++calls;
+      http::HttpResponse resp;
+      if (req.target.starts_with("/.cbde/base")) {
+        resp.body = f.base;
+        return resp;
+      }
+      resp.headers.set("Content-Type", "application/vnd.cbde-delta");
+      resp.headers.set("X-CBDE-Class", "1");
+      resp.headers.set("X-CBDE-Base-Version", version);
+      resp.headers.set("X-CBDE-Base-Location", "/.cbde/base?class=1&v=" + version);
+      resp.body = delta;
+      return resp;
+    };
+  };
+  const http::Url url = http::parse_url("http://www.example.com/page");
+  HttpClientAgent agent(7);
+  EXPECT_THROW(agent.get(url, serving("4294967297")), http::HttpError);
+  EXPECT_EQ(calls, 1u);  // refused before any base fetch
+  EXPECT_EQ(agent.store().stored_bases(), 0u);
 
-  ClientAgent two_buffer;
-  two_buffer.store_base(BaseRef{1, 1}, f.base);
-  const Bytes expected = two_buffer.reconstruct(BaseRef{1, 1}, as_view(delta), false);
-
-  ClientAgent agent;
-  agent.store_base(BaseRef{1, 1}, f.base);
-  const Bytes out = agent.reconstruct_in_place(BaseRef{1, 1}, as_view(delta), false);
-  EXPECT_EQ(out, expected);
-  EXPECT_EQ(out, f.doc);
-  EXPECT_EQ(agent.stats().deltas_applied, 1u);
-  EXPECT_EQ(agent.stats().inplace_reconstructions, 1u);
-  EXPECT_EQ(agent.stats().bytes_reconstructed, f.doc.size());
-  // The base buffer was consumed by the rewrite.
-  EXPECT_EQ(agent.stored_bases(), 0u);
-  EXPECT_FALSE(agent.base_version(1).has_value());
-}
-
-TEST(ClientAgent, ReconstructInPlaceHandlesCompressedAndRollingWires) {
-  Fixture f;
-  const auto delta = delta::encode(as_view(f.base), as_view(f.doc)).delta;
-  const Bytes wire = compress::compress(as_view(delta));
-  ClientAgent agent;
-  agent.store_base(BaseRef{1, 1}, f.base);
-  EXPECT_EQ(agent.reconstruct_in_place(BaseRef{1, 1}, as_view(wire), true), f.doc);
-  EXPECT_EQ(agent.stats().inplace_reconstructions, 1u);
-}
-
-TEST(ClientAgent, ReconstructInPlaceFailureRetainsBase) {
-  Fixture f;
-  ClientAgent agent;
-  agent.store_base(BaseRef{1, 1}, f.base);
-  // A delta encoded against a *different* base: crc validation refuses it
-  // before any byte of the stored base is touched.
-  const Bytes other = f.tmpl.generate(2, 9, 0);
-  const auto delta = delta::encode(as_view(other), as_view(f.doc)).delta;
-  EXPECT_THROW(agent.reconstruct_in_place(BaseRef{1, 1}, as_view(delta), false),
-               delta::CorruptDelta);
-  EXPECT_EQ(agent.stats().reconstruction_failures, 1u);
-  EXPECT_EQ(agent.stored_bases(), 1u);
-
-  // The retained base still serves the matching delta afterwards.
-  const auto good = delta::encode(as_view(f.base), as_view(f.doc)).delta;
-  EXPECT_EQ(agent.reconstruct_in_place(BaseRef{1, 1}, as_view(good), false), f.doc);
-}
-
-TEST(ClientAgent, ReconstructInPlaceTransformsUnsafeDeltas) {
-  // Swapped-halves target: the canonical CRWI conflict cycle, never safe as
-  // ordered, so the agent must route it through the transformer.
-  const Bytes base = [] {
-    util::Rng rng(2026);
-    Bytes b(4096);
-    for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.next_below(256));
-    return b;
-  }();
-  Bytes target(base.begin() + 2048, base.end());
-  target.insert(target.end(), base.begin(), base.begin() + 2048);
-
-  ClientAgent agent;
-  agent.store_base(BaseRef{3, 1}, base);
-  const auto delta = delta::encode(as_view(base), as_view(target)).delta;
-  EXPECT_EQ(agent.reconstruct_in_place(BaseRef{3, 1}, as_view(delta), false), target);
-  EXPECT_EQ(agent.stats().inplace_transforms, 1u);
-  EXPECT_GT(agent.stats().inplace_scratch_bytes, 0u);
+  // The largest version that fits is as valid as any other.
+  EXPECT_EQ(agent.get(url, serving("4294967295")), f.doc);
+  EXPECT_EQ(agent.store().base_version(1), 4294967295u);
 }
 
 }  // namespace

@@ -134,7 +134,7 @@ TEST(ConfigLoader, LoadedConfigDrivesARealServer) {
       "max-tries = 4\n"
       "[site www.example.com]\n"
       "partition = ^/([^/?]+)\\?(.*)$\n");
-  DeltaServer server(config.server, std::move(config.rules), config.make_store());
+  DeltaServer server(config.server, std::move(config.rules));
   // Serve two similar documents; the second should come back as a delta.
   const auto url1 = http::parse_url("www.example.com/laptops?id=1");
   const auto url2 = http::parse_url("www.example.com/laptops?id=2");

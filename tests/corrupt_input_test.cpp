@@ -51,6 +51,22 @@ TEST(CorruptDelta, TruncatedHeader) {
         << "cut=" << cut;
     EXPECT_THROW((void)delta::inspect(prefix), delta::CorruptDelta) << "cut=" << cut;
   }
+  // Body cuts too: every strict prefix of an encoder delta carrying both
+  // instruction kinds ends inside a tag, a COPY address or an ADD payload,
+  // or on an instruction boundary short of the target size. apply() must
+  // refuse each one.
+  const std::string text(util::as_string_view(as_view(base)));
+  const Bytes target = to_bytes("fresh head, " + text + ", fresh tail");
+  const auto mixed = delta::encode(as_view(base), as_view(target));
+  ASSERT_GT(mixed.copy_bytes, 0u);
+  ASSERT_GT(mixed.add_bytes, 0u);
+  ASSERT_EQ(delta::apply(as_view(base), as_view(mixed.delta)), target);
+  for (std::size_t cut = 0; cut < mixed.delta.size(); ++cut) {
+    EXPECT_THROW(
+        (void)delta::apply(as_view(base), as_view(mixed.delta).subspan(0, cut)),
+        delta::CorruptDelta)
+        << "cut=" << cut;
+  }
 }
 
 TEST(CorruptDelta, CopyPastSourceEnd) {

@@ -427,10 +427,10 @@ TEST(Delta, TemporalSnapshotsProduceSmallDeltas) {
 //
 // The CBD1 superstring convention (COPY addresses >= base_size read the
 // target's own already-decoded prefix, overlapping spans decode byte-wise
-// forward) is load-bearing for three consumers: apply_into's bulk-memcpy
-// fast path, the delta-IR lifter, and the in-place executor. These goldens
-// pin the semantics against a byte-at-a-time reference decoder so a future
-// "optimization" of any bulk path cannot silently change them.
+// forward) has one consumer, apply_into, the only CBD1 decoder. The encoder
+// never emits a self-copy, so these goldens pin the semantics against a
+// byte-at-a-time reference decoder: a future "optimization" of apply_into's
+// bulk-memcpy path cannot silently change them.
 
 /// COPY/ADD spec for hand-assembling a CBD1 stream.
 struct GoldenInst {
@@ -590,6 +590,16 @@ TEST(Delta, NonOverlappingSelfCopyBulkPathRoundTrips) {
   Bytes expected;
   for (int i = 0; i < 16; ++i) util::append(expected, as_view(block));
   ASSERT_EQ(target, expected);
+  EXPECT_EQ(apply({}, as_view(assemble_cbd1({}, insts, target))), target);
+}
+
+TEST(Delta, ZeroLengthAddsAreAccepted) {
+  // The encoder never writes an empty instruction, but the wire allows one:
+  // a zero-length ADD on either side of a real one decodes as a no-op.
+  const std::vector<GoldenInst> insts = {GoldenInst{false, 0, "", 0},
+                                         GoldenInst{false, 0, "ab", 0},
+                                         GoldenInst{false, 0, "", 0}};
+  const Bytes target = to_bytes("ab");
   EXPECT_EQ(apply({}, as_view(assemble_cbd1({}, insts, target))), target);
 }
 

@@ -118,6 +118,10 @@ TEST(HttpFrontend, BaseEndpointIsCachableAndVersioned) {
   EXPECT_EQ(rig.frontend.handle(req, rig.now).status, 404);
   req.target = "/.cbde/base?class=junk";
   EXPECT_EQ(rig.frontend.handle(req, rig.now).status, 400);
+  // 2^32 + 1 must not truncate to v=1: that would put version 1's cachable
+  // bytes under a URL the server never advertised.
+  req.target = "/.cbde/base?class=1&v=4294967297";
+  EXPECT_EQ(rig.frontend.handle(req, rig.now).status, 400);
 }
 
 TEST(HttpFrontend, ProxyAbsorbsBaseFetchesAcrossClients) {

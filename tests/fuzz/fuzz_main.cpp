@@ -1,8 +1,7 @@
 // Decoder robustness fuzzing: CBD1 deltas, CBZ1 compressed
 // blocks, Apache CLF access-log lines and streams (trace::parse_clf +
 // trace::read_access_log, checked differentially), HTTP/1.1 messages, and
-// cbde.conf files, plus the in-place delta pipeline (CBD1/CBDP lift,
-// verify, transform, apply_in_place).
+// cbde.conf files.
 //
 // Every byte stream a delta-server deployment decodes crosses a trust
 // boundary, so each decoder must satisfy one contract on arbitrary input:
@@ -11,7 +10,7 @@
 // fuzz_common.hpp for the harness semantics and failure reproducers.
 //
 // Usage: cbde_fuzz [target] [iterations] [seed]
-//   target      one of cbd1|compress|access_log|http|config|inplace|all
+//   target      one of cbd1|compress|access_log|http|config|all
 //               (default all)
 //   iterations  mutations per target (default 10000)
 //   seed        RNG seed (default 0xCBDE)
@@ -26,8 +25,6 @@
 #include "compress/compressor.hpp"
 #include "core/config_loader.hpp"
 #include "delta/delta.hpp"
-#include "delta/inplace.hpp"
-#include "delta/ir.hpp"
 #include "http/message.hpp"
 #include "fuzz_common.hpp"
 #include "trace/access_log.hpp"
@@ -76,7 +73,7 @@ struct DeltaCorpus {
 /// head through superstring COPYs: one bulk (non-overlapping) self-copy and
 /// one run-like overlapping one. The encoder never emits self-copies, so
 /// without these seeds only mutation would reach apply_into's self-copy
-/// branch and the CRWI kCopyTarget edges.
+/// branch.
 Bytes self_copy_delta(const Bytes& base) {
   const std::size_t head = std::min<std::size_t>(base.size(), 64);
   Bytes target(base.begin(), base.begin() + static_cast<std::ptrdiff_t>(head));
@@ -297,128 +294,6 @@ bool fuzz_http(std::uint64_t seed, std::size_t iters) {
   });
 }
 
-/// Corpus for the in-place pipeline: both wire formats, encoder output and
-/// hand-built self-copies, safe and unsafe instruction orders, against one
-/// shared base.
-DeltaCorpus make_inplace_corpus(std::uint64_t seed) {
-  util::Rng rng(seed);
-  DeltaCorpus c;
-  c.base = to_bytes(page(1, 24));
-  const Bytes swapped = [&] {  // block exchange: the canonical unsafe delta
-    Bytes s;
-    const std::size_t half = c.base.size() / 2;
-    util::append(s, BytesView(c.base.data() + half, c.base.size() - half));
-    util::append(s, BytesView(c.base.data(), half));
-    return s;
-  }();
-  const Bytes close_target = to_bytes(page(2, 24));
-  const Bytes noise_target = random_bytes(rng, 2048);
-  for (const Bytes* t : {&close_target, &swapped, &noise_target}) {
-    c.deltas.push_back(delta::encode(as_view(c.base), as_view(*t)).delta);
-  }
-  c.deltas.push_back(self_copy_delta(c.base));
-  // CBDP entries: the transformer's own output (reordered, spilled), plus a
-  // lowered straight lift — both decode through the second format path.
-  for (const Bytes& wire : {c.deltas[0], c.deltas[3]}) {
-    const delta::Program p = delta::lift(as_view(wire));
-    c.deltas.push_back(delta::lower(p));
-    c.deltas.push_back(
-        delta::lower(delta::transform_in_place(p, as_view(c.base)).program));
-  }
-  const delta::Program swap_p =
-      delta::lift(as_view(delta::encode(as_view(c.base), as_view(swapped)).delta));
-  c.deltas.push_back(
-      delta::lower(delta::transform_in_place(swap_p, as_view(c.base)).program));
-  return c;
-}
-
-/// One property round: verifier + transformer + in-place executor against
-/// the two-buffer reference on a fresh (base, target) pair. Any divergence
-/// throws (run_target turns that into a failure report).
-void inplace_property_round(util::Rng& rng) {
-  const std::size_t base_len = 256 + rng.next_below(4096);
-  Bytes base = random_bytes(rng, base_len);
-  // Plant repeated structure so copies (and conflicts) actually happen.
-  Bytes target;
-  while (target.size() < base_len) {
-    if (rng.next_below(3) == 0) {
-      util::append(target, as_view(random_bytes(rng, 16 + rng.next_below(200))));
-    } else {
-      const std::size_t off = rng.next_below(base_len);
-      const std::size_t len = std::min(base_len - off, 32 + rng.next_below(400));
-      util::append(target, BytesView(base.data() + off, len));
-    }
-  }
-  const Bytes delta = delta::encode(as_view(base), as_view(target)).delta;
-  const delta::Program p = delta::lift(as_view(delta));
-  Bytes wire = delta;
-  const auto verdict = delta::verify_in_place(p);
-  if (!verdict.in_place_safe) {
-    const auto t = delta::transform_in_place(p, as_view(base));
-    if (!delta::verify_in_place(t.program).in_place_safe) {
-      throw std::logic_error("inplace: transformer output fails the verifier");
-    }
-    if (t.scratch_bytes > verdict.scratch_bound) {
-      throw std::logic_error("inplace: transformer exceeded the verified scratch bound");
-    }
-    wire = delta::lower(t.program);
-  }
-  Bytes buf = base;
-  delta::apply_in_place(buf, as_view(wire));
-  if (buf != target) {
-    throw std::logic_error("inplace: in-place reconstruction diverges from target");
-  }
-}
-
-bool fuzz_inplace(std::uint64_t seed, std::size_t iters) {
-  // Phase 1 — the differential property gate on fresh random pairs: the
-  // transformer must produce verifier-clean programs within the verified
-  // scratch bound, and in-place application must be byte-exact. Cheaper
-  // than the mutation phase, so one round per ~20 mutations.
-  util::Rng rng(seed ^ 0x1122334455667788ull);
-  const std::size_t rounds = iters / 20 + 1;
-  for (std::size_t i = 0; i < rounds; ++i) {
-    try {
-      inplace_property_round(rng);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[fuzz.inplace] property round %zu failed: %s\n", i,
-                   e.what());
-      return false;
-    }
-  }
-
-  // Phase 2 — mutation robustness: lift/verify/apply_in_place over mutated
-  // wire bytes must succeed or throw CorruptDelta, and whenever the
-  // in-place path accepts an input it must agree with the reference
-  // executor byte-for-byte.
-  const DeltaCorpus c = make_inplace_corpus(seed);
-  const Bytes wrong_base = to_bytes(page(99, 9));
-  std::size_t calls = 0;
-  return run_target("inplace", seed, iters, c.deltas, [&](BytesView input) {
-    const BytesView base =
-        (++calls % 13 == 0) ? as_view(wrong_base) : as_view(c.base);
-    try {
-      Bytes buf(base.begin(), base.end());
-      try {
-        delta::apply_in_place(buf, input);
-      } catch (const delta::NotInPlaceApplicable&) {
-        // Valid but unordered: the transformer must repair it.
-        const delta::Program p = delta::lift(input);
-        const auto t = delta::transform_in_place(p, base);
-        buf.assign(base.begin(), base.end());
-        delta::apply_in_place(buf, as_view(delta::lower(t.program)));
-      }
-      const Bytes ref = delta::execute(delta::lift(input), base);
-      if (buf != ref) {
-        throw std::logic_error("inplace: apply_in_place diverges from execute");
-      }
-      return true;
-    } catch (const delta::CorruptDelta&) {
-      return false;
-    }
-  });
-}
-
 bool fuzz_config(std::uint64_t seed, std::size_t iters) {
   return run_target("config", seed, iters, make_config_corpus(), [&](BytesView input) {
     std::istringstream in(std::string(util::as_string_view(input)));
@@ -452,7 +327,6 @@ int main(int argc, char** argv) {
   run("access_log", cbde::fuzz::fuzz_access_log);
   run("http", cbde::fuzz::fuzz_http);
   run("config", cbde::fuzz::fuzz_config);
-  run("inplace", cbde::fuzz::fuzz_inplace);
   if (!matched) {
     std::fprintf(stderr, "unknown fuzz target '%s'\n", target.c_str());
     return 2;

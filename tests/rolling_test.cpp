@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "delta/delta.hpp"
-#include "delta/ir.hpp"
 #include "delta/rolling.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/varint.hpp"
 
 namespace cbde::delta {
 namespace {
@@ -34,6 +35,36 @@ std::pair<Bytes, Bytes> template_pair(std::uint64_t seed) {
   util::append(target, random_bytes(seed + 3, 100));
   util::append(target, as_view(block_b));
   return {std::move(base), std::move(target)};
+}
+
+/// One CBD1 instruction as it sits on the wire.
+struct WireInst {
+  bool is_copy = false;
+  std::size_t len = 0;
+  std::size_t addr = 0;  // COPY source address; unused for ADD
+};
+
+/// Reads the instruction layout of a well-formed CBD1 delta, the mirror of
+/// delta_test.cpp's assemble_cbd1. It skips the header and ADD payloads and
+/// validates nothing: callers check the delta with apply() first.
+std::vector<WireInst> read_cbd1(const Bytes& delta) {
+  const util::BytesView wire = as_view(delta);
+  std::size_t pos = 4;                 // magic
+  (void)util::get_uvarint(wire, pos);  // base_size
+  (void)util::get_uvarint(wire, pos);  // target_size
+  pos += 8;                            // base and target crc32
+  std::vector<WireInst> insts;
+  while (pos < wire.size()) {
+    const std::uint64_t tag = util::get_uvarint(wire, pos).value();
+    WireInst inst{(tag & 1) != 0, static_cast<std::size_t>(tag >> 1), 0};
+    if (inst.is_copy) {
+      inst.addr = static_cast<std::size_t>(util::get_uvarint(wire, pos).value());
+    } else {
+      pos += inst.len;
+    }
+    insts.push_back(inst);
+  }
+  return insts;
 }
 
 // ------------------------------------------------------------ round trips
@@ -106,13 +137,15 @@ TEST(Rolling, CorrectingExtendsMatchesBackwards) {
 
   const auto corr = encode(as_view(base), as_view(target));
   EXPECT_EQ(apply(as_view(base), as_view(corr.delta)), target);
-  const Program p = lift(as_view(corr.delta));
-  ASSERT_EQ(p.insts.size(), 3u);
-  EXPECT_EQ(p.insts[0].op, OpKind::kAdd);
-  EXPECT_EQ(p.insts[1].read_off, 0u);
-  EXPECT_EQ(p.insts[1].len, v.size() - rolling::kMaxCorrectionBack);
-  EXPECT_EQ(p.insts[2].read_off, base.size() - t.size() - rolling::kMaxCorrectionBack);
-  EXPECT_EQ(p.insts[2].len, t.size() + rolling::kMaxCorrectionBack);
+  const std::vector<WireInst> insts = read_cbd1(corr.delta);
+  ASSERT_EQ(insts.size(), 3u);
+  EXPECT_FALSE(insts[0].is_copy);
+  EXPECT_TRUE(insts[1].is_copy);
+  EXPECT_EQ(insts[1].addr, 0u);
+  EXPECT_EQ(insts[1].len, v.size() - rolling::kMaxCorrectionBack);
+  EXPECT_TRUE(insts[2].is_copy);
+  EXPECT_EQ(insts[2].addr, base.size() - t.size() - rolling::kMaxCorrectionBack);
+  EXPECT_EQ(insts[2].len, t.size() + rolling::kMaxCorrectionBack);
 }
 
 TEST(Rolling, CorrectingTrimsAlreadyEmittedInstructions) {
@@ -135,9 +168,10 @@ TEST(Rolling, CorrectingTrimsAlreadyEmittedInstructions) {
 
   const auto corr = encode(as_view(base), as_view(target));
   EXPECT_EQ(apply(as_view(base), as_view(corr.delta)), target);
-  const Program p = lift(as_view(corr.delta));
-  ASSERT_EQ(p.insts.size(), 1u);  // one merged copy
-  EXPECT_EQ(p.insts[0].read_off, v.size() + r.size());
+  const std::vector<WireInst> insts = read_cbd1(corr.delta);
+  ASSERT_EQ(insts.size(), 1u);  // one merged copy
+  EXPECT_TRUE(insts[0].is_copy);
+  EXPECT_EQ(insts[0].addr, v.size() + r.size());
 }
 
 // ----------------------------------------------------------- infrastructure
@@ -194,12 +228,22 @@ TEST(Rolling, FootprintTableProbeContract) {
 TEST(Rolling, WireFormatIsPlainCbd1) {
   const auto [base, target] = template_pair(15);
   const auto result = encode(as_view(base), as_view(target));
-  EXPECT_EQ(detect_format(as_view(result.delta)), DeltaFormat::kCbd1);
   const DeltaInfo info = inspect(as_view(result.delta));
   EXPECT_EQ(info.base_size, base.size());
   EXPECT_EQ(info.target_size, target.size());
   EXPECT_EQ(info.base_crc, util::crc32(as_view(base)));
   EXPECT_EQ(info.target_crc, util::crc32(as_view(target)));
+  // The matcher never references the target itself: every COPY reads the
+  // base, so no address lands in the superstring (self-copy) range.
+  ASSERT_EQ(apply(as_view(base), as_view(result.delta)), target);
+  std::size_t copies = 0;
+  for (const WireInst& inst : read_cbd1(result.delta)) {
+    if (!inst.is_copy) continue;
+    ++copies;
+    EXPECT_LT(inst.addr, base.size());
+    EXPECT_LE(inst.addr + inst.len, base.size());
+  }
+  EXPECT_GT(copies, 0u);
 }
 
 }  // namespace

@@ -195,12 +195,11 @@ TEST(ShardParity, TableTwoByteAccountingIdenticalAcrossShardCounts) {
   auto s1 = one.server.class_summaries();
   auto s4 = four.server.class_summaries();
   ASSERT_EQ(s1.size(), s4.size());
-  const auto key = [](const DeltaServer::ClassSummary& s) {
+  const auto key = [](const ClassSummary& s) {
     return std::tuple(s.members, s.published_version, s.published_size,
                       s.working_size, s.selector_samples, s.anonymizing);
   };
-  const auto by_key = [&](const DeltaServer::ClassSummary& a,
-                          const DeltaServer::ClassSummary& b) {
+  const auto by_key = [&](const ClassSummary& a, const ClassSummary& b) {
     return key(a) < key(b);
   };
   std::sort(s1.begin(), s1.end(), by_key);

@@ -813,11 +813,6 @@ def lock_pass(units, classes, suppressed_by_path, graph_out=None):
 # must state >= 1 contract (macro or validated early reject).
 REPO_ENTRY_POINTS = [
     ("src/delta/delta.cpp", "apply"),
-    ("src/delta/ir.cpp", "lift"),
-    ("src/delta/ir.cpp", "execute"),
-    ("src/delta/inplace.cpp", "verify_in_place"),
-    ("src/delta/inplace.cpp", "transform_in_place"),
-    ("src/delta/inplace.cpp", "apply_in_place"),
     ("src/compress/compressor.cpp", "compress"),
     ("src/compress/compressor.cpp", "decompress"),
     ("src/http/message.cpp", "HttpRequest::parse"),
