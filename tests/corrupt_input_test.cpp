@@ -51,10 +51,16 @@ TEST(CorruptDelta, TruncatedHeader) {
         << "cut=" << cut;
     EXPECT_THROW((void)delta::inspect(prefix), delta::CorruptDelta) << "cut=" << cut;
   }
-  // Body cuts too: every strict prefix of an encoder delta carrying both
-  // instruction kinds ends inside a tag, a COPY address or an ADD payload,
-  // or on an instruction boundary short of the target size. apply() must
-  // refuse each one.
+}
+
+// The DeltaIr name dates from when the delta IR's lifter also parsed CBD1;
+// the check now runs on apply(), the only CBD1 decoder.
+TEST(DeltaIr, LiftRejectsCorruptCbd1) {
+  // Body cuts: every strict prefix of an encoder delta carrying both
+  // instruction kinds ends inside the header, a tag, a COPY address or an
+  // ADD payload, or on an instruction boundary short of the target size.
+  // apply() must refuse each one.
+  const Bytes base = to_bytes("the base document for truncation tests");
   const std::string text(util::as_string_view(as_view(base)));
   const Bytes target = to_bytes("fresh head, " + text + ", fresh tail");
   const auto mixed = delta::encode(as_view(base), as_view(target));

@@ -233,8 +233,15 @@ TEST(Rolling, WireFormatIsPlainCbd1) {
   EXPECT_EQ(info.target_size, target.size());
   EXPECT_EQ(info.base_crc, util::crc32(as_view(base)));
   EXPECT_EQ(info.target_crc, util::crc32(as_view(target)));
+}
+
+// The DeltaIr name dates from when the delta IR's lifter also parsed CBD1;
+// the check now reads the wire directly.
+TEST(DeltaIr, RollingCodecsLiftToBaseOnlyPrograms) {
   // The matcher never references the target itself: every COPY reads the
   // base, so no address lands in the superstring (self-copy) range.
+  const auto [base, target] = template_pair(81);
+  const auto result = encode(as_view(base), as_view(target));
   ASSERT_EQ(apply(as_view(base), as_view(result.delta)), target);
   std::size_t copies = 0;
   for (const WireInst& inst : read_cbd1(result.delta)) {
