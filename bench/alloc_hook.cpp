@@ -6,8 +6,8 @@
 
 namespace {
 
-// atomic: counter — per-allocation bump; readers only ever look at deltas
-// across quiesced regions, so relaxed is sufficient.
+// Per-allocation bump; readers only ever look at deltas across quiesced
+// regions, so relaxed is sufficient.
 std::atomic<std::uint64_t> g_allocs{0};
 
 void* counted_malloc(std::size_t size) {

@@ -2,10 +2,8 @@
 //
 // Link alloc_hook.cpp into a binary and every operator new (scalar, array,
 // nothrow, aligned) bumps one process-wide counter before delegating to
-// malloc. The counter turns the static allocation inventory
-// (tools/analyze/cbde_sema.py --allocs) into a measured
-// allocations-per-request figure: snapshot alloc_count() around a request
-// loop and divide.
+// malloc. Snapshot alloc_count() around a request loop and divide to get
+// a measured allocations-per-request figure.
 //
 // Deliberately linked ONLY into bench_perf_report and alloc_budget_test —
 // the hook replaces the global allocator, which the regular test binary has

@@ -73,8 +73,7 @@ struct EndToEndResult {
   double doc_mbps = 0;
   double delta_ratio = 0;  ///< wire bytes / document bytes over the run
   /// operator-new calls per request over the timed region (serve proper plus
-  /// the pool's submit/future machinery) — the measured twin of the static
-  /// hot-path inventory in build/sema_allocs.json.
+  /// the pool's submit/future machinery).
   double allocs_per_request = 0;
 };
 
@@ -423,10 +422,9 @@ int main(int argc, char** argv) {
   json.field_raw("time_series",
                  bench::time_series_summary_json(e2e_recorder.windows()));
 
-  // Measured allocation budget — the dynamic twin of the static hot-path
-  // inventory (tools/analyze/cbde_sema.py --allocs). ci.sh cross-checks
-  // these figures against build/sema_allocs.json and the checked-in budget
-  // in tools/analyze/alloc_budget.json.
+  // Measured allocations per request through the worker pool;
+  // tools/obs/perf_gate.py bands them with allocs_per_request_max in
+  // tools/obs/perf_baseline.json.
   json.open("allocs");
   json.field("hook_active",
              static_cast<std::size_t>(bench::alloc_hook_active() ? 1 : 0));

@@ -9,7 +9,7 @@ void BitWriter::write_bits(std::uint32_t value, int nbits) {
   nbuffered_ += nbits;
   while (nbuffered_ >= 8) {
     nbuffered_ -= 8;
-    // alloc: ok(bytes land in the caller's output buffer, which compress() reserves up front)
+    // lint: growth-ok bytes land in the caller's output buffer, which compress() reserves up front
     out_.push_back(static_cast<std::uint8_t>(buffer_ >> nbuffered_));
   }
   buffer_ &= (1u << nbuffered_) - 1;

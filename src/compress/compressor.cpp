@@ -83,7 +83,7 @@ void emit_block(util::Bytes& out, util::BytesView block, bool final,
   const auto lit_lengths = build_code_lengths(lit_freq);
   const auto dist_lengths = build_code_lengths(dist_freq);
 
-  util::Bytes coded;  // alloc: ok(block-sized output buffer, reserved once below)
+  util::Bytes coded;
   coded.reserve(block.size() / 2 + (kNumLitLen + kNumDist) / 2 + 16);
   {
     BitWriter w(coded);

@@ -72,7 +72,6 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
   for (std::size_t s = 0; s < freqs.size(); ++s) {
     if (freqs[s] == 0) continue;
     pool.push_back({freqs[s], -1, -1, static_cast<int>(s)});
-    // alloc: ok(pushes into the storage reserved above; bounded by the alphabet size)
     heap.emplace(freqs[s], static_cast<int>(pool.size() - 1));
   }
   if (heap.empty()) return lengths;
@@ -86,7 +85,6 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
     const auto [fb, b] = heap.top();
     heap.pop();
     pool.push_back({fa + fb, a, b, -1});
-    // alloc: ok(two pops precede this push, so the reserved storage never grows)
     heap.emplace(fa + fb, static_cast<int>(pool.size() - 1));
   }
   assign_depths(pool, heap.top().second, 0, lengths);

@@ -45,7 +45,7 @@ ChainScratch& chain_scratch() {
 }  // namespace
 
 std::vector<Token> lz77_tokenize(util::BytesView input, const Lz77Params& params) {
-  std::vector<Token> tokens;  // alloc: ok(token stream is the function's output)
+  std::vector<Token> tokens;
   const std::size_t n = input.size();
   if (n == 0) return tokens;
   tokens.reserve(n / 4);

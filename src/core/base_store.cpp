@@ -89,7 +89,6 @@ std::optional<util::Bytes> unframe(const util::Bytes& file) {
 }
 
 std::optional<util::Bytes> read_file(const std::filesystem::path& path) {
-  // sema: ok(disk read is DiskBaseStore's contract; bounded by the stored base size)
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   return util::Bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
@@ -144,7 +143,6 @@ void DiskBaseStore::put(std::uint64_t class_id, std::uint32_t version,
   const auto path = path_for(class_id, version);
   const auto tmp = path.string() + ".tmp";
   {
-    // sema: ok(tmp+rename write is the disk store's contract; bounded by the framed base size)
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("base store: cannot write " + tmp);
     const util::Bytes framed = frame(base);
@@ -152,7 +150,6 @@ void DiskBaseStore::put(std::uint64_t class_id, std::uint32_t version,
               static_cast<std::streamsize>(framed.size()));
     if (!out) throw std::runtime_error("base store: short write to " + tmp);
   }
-  // sema: ok(atomic POSIX replace; bounded metadata op completing the tmp+rename protocol)
   std::filesystem::rename(tmp, path);
 
   const auto key = std::make_pair(class_id, version);
@@ -184,7 +181,6 @@ void DiskBaseStore::erase(std::uint64_t class_id, std::uint32_t version) {
   bytes_ -= it->second;
   index_.erase(it);
   std::error_code ec;
-  // sema: ok(bounded metadata op; history trim removes one file per publication)
   std::filesystem::remove(path_for(class_id, version), ec);
 }
 

@@ -145,7 +145,6 @@ std::vector<ClassId> ClassManager::candidates(const std::string& server_part,
   // unsharded one (shard routing is by (server-part, hint-part)).
   util::Rng shuffle_rng(pair_seed(
       server_part, hint_part,
-      // alloc: ok(one ordinal node per (server-part, hint-part) pair, amortized across its requests)
       0x5A5A5A5A00000000ull ^ shuffle_ordinals_[{server_part, hint_part}]++));
   shuffle_rng.shuffle(eligible.begin() + static_cast<std::ptrdiff_t>(n_popular),
                       eligible.end());

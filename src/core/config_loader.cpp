@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <regex>
 
 #include "util/strings.hpp"
@@ -32,6 +33,15 @@ std::uint64_t parse_u64(std::string_view value, std::size_t line) {
   if (ec != std::errc{} || p != value.data() + value.size()) {
     fail(line, "bad integer '" + std::string(value) + "'");
   }
+  return v;
+}
+
+/// parse_u64 for a field narrower than 64 unsigned bits: a value above `max`
+/// fails instead of wrapping when it is stored.
+std::uint64_t parse_u64_at_most(std::string_view value, std::size_t line,
+                                std::uint64_t max, const std::string& key) {
+  const std::uint64_t v = parse_u64(value, line);
+  if (v > max) fail(line, key + " must be <= " + std::to_string(max));
   return v;
 }
 
@@ -106,8 +116,11 @@ LoadedConfig load_config(std::istream& in) {
       } else if (key == "match-threshold") {
         server.grouping.match_threshold = parse_double(value, line_no);
       } else if (key == "rebase-timeout-s") {
+        constexpr auto kMaxSeconds =
+            std::numeric_limits<util::SimTime>::max() / util::kSecond;
         server.rebase_timeout =
-            static_cast<util::SimTime>(parse_u64(value, line_no)) * util::kSecond;
+            static_cast<util::SimTime>(parse_u64_at_most(value, line_no, kMaxSeconds, key)) *
+            util::kSecond;
       } else if (key == "anonymizer-m") {
         server.anonymizer.min_common = parse_u64(value, line_no);
       } else if (key == "anonymizer-n") {
@@ -115,7 +128,8 @@ LoadedConfig load_config(std::istream& in) {
       } else if (key == "basic-rebase-ratio") {
         server.basic_rebase_ratio = parse_double(value, line_no);
       } else if (key == "basic-rebase-after") {
-        server.basic_rebase_after = static_cast<int>(parse_u64(value, line_no));
+        server.basic_rebase_after = static_cast<int>(
+            parse_u64_at_most(value, line_no, std::numeric_limits<int>::max(), key));
       } else if (key == "published-history") {
         server.published_history = parse_u64(value, line_no);
       } else if (key == "seed") {

@@ -235,9 +235,7 @@ DeltaServerShard::ClassState& DeltaServerShard::state_of(ClassId id) {
     // The seed comes from the class's identity (ClassManager::class_seed),
     // not from a shard-local RNG stream, so the selector draws the same
     // sampling decisions for the same class at any shard count.
-    // alloc: ok(ClassState is built once per class creation, never per request)
     auto created = std::make_unique<ClassState>(config_, classes_.class_seed(id));
-    // alloc: ok(one state node per class, amortized across the class's requests)
     it = states_.emplace(id, std::move(created)).first;
     it->second->selector.set_instruments(instr_.selector);
     it->second->anonymizer.set_instruments(instr_.anonymizer);
@@ -247,7 +245,6 @@ DeltaServerShard::ClassState& DeltaServerShard::state_of(ClassId id) {
 
 std::shared_ptr<const delta::Estimator> DeltaServerShard::make_working_estimator(
     util::BytesView doc) const {
-  // sema: ok(light index built only at class create/rebase, never per request; amortized off the hot path)
   return std::make_shared<const delta::Estimator>(util::Bytes(doc.begin(), doc.end()));
 }
 
@@ -258,7 +255,6 @@ void DeltaServerShard::start_publication(ClassId id, ClassState& cls,
     // transmit encoder aliases the working estimator's base (shared_base is
     // a refcount bump) — only the footprint table is built, the document is
     // not copied.
-    // sema: ok(transmit index built only on publication (class create/rebase), not per request)
     cls.transmit_encoder = std::make_shared<const delta::Encoder>(
         cls.working_estimator->shared_base());
     ++cls.published_version;
@@ -272,7 +268,6 @@ void DeltaServerShard::start_publication(ClassId id, ClassState& cls,
 void DeltaServerShard::maybe_complete_publication(ClassId id, ClassState& cls,
                                                   util::SimTime now) {
   if (!cls.anonymizer.ready()) return;
-  // sema: ok(transmit index rebuilt only when an anonymization round completes, not per request)
   cls.transmit_encoder = std::make_shared<const delta::Encoder>(cls.anonymizer.finalize());
   ++cls.published_version;
   record_publication(id, cls, now);
@@ -340,7 +335,6 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
       key = util::fnv1a64(url.path, key);
       key = util::fnv1a64(kFieldSep, key);
       key = util::fnv1a64(url.query, key);
-      // alloc: ok(one ledger node per distinct classless URL; repeat requests hit the existing node)
       auto [it, inserted] = classless_docs_.try_emplace(key, doc.size());
       const std::size_t previous = inserted ? 0 : it->second;
       classless_storage_bytes_ += doc.size();
@@ -351,12 +345,11 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
     // 1. Group the request into a class (the URL was already partitioned —
     // and routed — by the server). Probes run against the cached per-class
     // light estimators — no index is built here. The probe callback runs
-    // synchronously inside group() with mu_ held, but the analysis cannot
-    // see into the lambda, so it reaches the class table through a local
-    // alias established under the lock.
+    // synchronously inside group() with mu_ held and ClassManager never
+    // stores it, but the analysis cannot see into the lambda, so it reaches
+    // the class table through a local alias established under the lock.
     const auto& states = states_;
     const auto decision =
-        // sema: ok(probe callback runs synchronously inside group() while mu_ is held; ClassManager never stores it)
         classes_.group(parts, doc, [&states](ClassId id) -> const delta::Estimator* {
           const auto it = states.find(id);
           return it == states.end() ? nullptr : it->second->working_estimator.get();
@@ -378,7 +371,9 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
     }
 
     ClassState& cls = state_of(decision.id);
-    // sema: ok(ClassState nodes are never erased; phase 2 reads only the immutable encoder snapshot and phase 3 retakes mu_ before touching fields)
+    // ClassState nodes are never erased, so cls_ptr outlives the lock; phase
+    // 2 reads only the `transmit` snapshot and phase 3 retakes mu_ before
+    // touching the class.
     cls_ptr = &cls;
     const bool creating = decision.created || cls.working_estimator == nullptr;
     if (creating) {
@@ -437,7 +432,7 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
 
   // Materialize the response body before retaking the lock: the direct path
   // copies the full document, and that memcpy used to run inside the phase-3
-  // critical section (sema-copy: heavy copy under mu_).
+  // critical section.
   if (serve_delta) {
     out.mode = ServedResponse::Mode::kDelta;
     out.wire_body = std::move(delta_wire);
@@ -459,7 +454,6 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
       if (it == client_versions_.end() || it->second != snap_version) {
         out.base_needed = true;
         out.base_size = transmit->base().size();
-        // alloc: ok(per-(user, class) version ledger: a node inserts only on a base handoff)
         client_versions_[key] = snap_version;
       }
       instr_.delta_responses->inc();

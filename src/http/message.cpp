@@ -192,7 +192,11 @@ HttpResponse HttpResponse::parse(util::BytesView raw) {
   if (!resp.version.starts_with("HTTP/")) throw HttpError("http: bad status line");
   const std::string_view code =
       line.substr(sp1 + 1, (sp2 == std::string_view::npos ? line.size() : sp2) - sp1 - 1);
-  resp.status = static_cast<int>(parse_size(code, 10, "status code"));
+  const std::size_t status = parse_size(code, 10, "status code");
+  if (status < 100 || status > 999) {
+    throw HttpError("http: status code out of range '" + std::string(code) + "'");
+  }
+  resp.status = static_cast<int>(status);
   if (sp2 != std::string_view::npos) resp.reason = std::string(line.substr(sp2 + 1));
   parse_headers(cur, resp.headers);
   resp.body = parse_body(cur, resp.headers);

@@ -22,7 +22,6 @@ EventLog::EventLog(std::size_t ring_capacity)
 
 bool EventLog::open(const std::filesystem::path& path) {
   const LockGuard lock(mu_);
-  // sema: ok(one-time setup before the run starts, not on the serve path)
   sink_.open(path, std::ios::out | std::ios::app);
   return sink_.is_open();
 }
@@ -33,7 +32,6 @@ void EventLog::emit(Event event) {
 #else
   const LockGuard lock(mu_);
   ++emitted_;
-  // sema: ok(events are rare by contract (publications/rebases, not per request) and the stream is buffered)
   if (sink_.is_open()) sink_ << to_jsonl(event) << '\n';
   ring_.push_back(std::move(event));
   while (ring_.size() > capacity_) ring_.pop_front();
@@ -42,7 +40,6 @@ void EventLog::emit(Event event) {
 
 std::vector<Event> EventLog::recent() const {
   const LockGuard lock(mu_);
-  // alloc: ok(admin snapshot API: the ring must be copied while mu_ is held, bounded by capacity_)
   return std::vector<Event>(ring_.begin(), ring_.end());
 }
 
@@ -53,7 +50,6 @@ std::uint64_t EventLog::emitted() const {
 
 void EventLog::flush() {
   const LockGuard lock(mu_);
-  // sema: ok(explicit operator action at shutdown/checkpoints, never on the serve path)
   if (sink_.is_open()) sink_.flush();
 }
 

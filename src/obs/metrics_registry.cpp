@@ -102,7 +102,6 @@ Counter& MetricsRegistry::counter(std::string_view name, std::string_view help) 
   const LockGuard lock(mu_);
   Entry& e = entry_for(name, help, MetricKind::kCounter);
   if (!e.counter) e.counter.reset(new Counter());
-  // sema: ok(node-based map: instrument handles are stable for the registry's lifetime by contract)
   return *e.counter;
 }
 
@@ -111,7 +110,6 @@ DoubleCounter& MetricsRegistry::double_counter(std::string_view name,
   const LockGuard lock(mu_);
   Entry& e = entry_for(name, help, MetricKind::kDoubleCounter);
   if (!e.double_counter) e.double_counter.reset(new DoubleCounter());
-  // sema: ok(node-based map: instrument handles are stable for the registry's lifetime by contract)
   return *e.double_counter;
 }
 
@@ -119,7 +117,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
   const LockGuard lock(mu_);
   Entry& e = entry_for(name, help, MetricKind::kGauge);
   if (!e.gauge) e.gauge.reset(new Gauge());
-  // sema: ok(node-based map: instrument handles are stable for the registry's lifetime by contract)
   return *e.gauge;
 }
 
@@ -140,7 +137,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name, std::string_view he
   } else if (e.histogram->unit_scale() != unit_scale) {
     bad_registration(name, "already registered with a different unit_scale");
   }
-  // sema: ok(node-based map: instrument handles are stable for the registry's lifetime by contract)
   return *e.histogram;
 }
 
@@ -149,7 +145,6 @@ const MetricsRegistry::Entry* MetricsRegistry::find(std::string_view name,
   const LockGuard lock(mu_);
   const auto it = entries_.find(name);
   if (it == entries_.end() || it->second.kind != kind) return nullptr;
-  // sema: ok(node-based map: Entry nodes are never erased, so the pointer is stable for the registry's lifetime)
   return &it->second;
 }
 

@@ -52,11 +52,11 @@ inline constexpr std::size_t kCounterShards = 8;
 
 /// Cache-line-sized cell so shards never share a line.
 struct alignas(64) CounterCell {
-  std::atomic<std::uint64_t> v{0};  // atomic: counter
+  std::atomic<std::uint64_t> v{0};
 };
 
 struct alignas(64) DoubleCell {
-  std::atomic<double> v{0.0};  // atomic: counter
+  std::atomic<double> v{0.0};
 };
 
 /// This thread's shard. Hash of the thread id, cached per thread.
@@ -122,7 +122,7 @@ class Gauge {
  private:
   friend class MetricsRegistry;
   Gauge() = default;
-  std::atomic<std::int64_t> v_{0};  // atomic: stat
+  std::atomic<std::int64_t> v_{0};
 };
 
 /// Log-linear-bucket histogram for non-negative integer observations
@@ -196,8 +196,8 @@ class Histogram {
   unsigned log2_sub_;
   std::size_t value_buckets_;  ///< buckets before the overflow bucket
   double unit_scale_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  // atomic: counter
-  std::atomic<std::uint64_t> sum_{0};                     // atomic: counter
+  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
+  std::atomic<std::uint64_t> sum_{0};
 };
 
 enum class MetricKind { kCounter, kDoubleCounter, kGauge, kHistogram };

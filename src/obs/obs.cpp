@@ -32,7 +32,6 @@ std::shared_ptr<TraceContext> Obs::maybe_trace() {
   const std::uint64_t seq = sample_seq_.fetch_add(1, std::memory_order_relaxed);
   if (seq % sample_period_ != 0) return nullptr;
   traces_sampled_->inc();
-  // alloc: ok(sampled: one trace context per sample_period requests, zero when tracing is off)
   return std::make_shared<TraceContext>(
       next_trace_id_.fetch_add(1, std::memory_order_relaxed));
 }
@@ -53,7 +52,6 @@ util::LockWaitCell& Obs::lock_wait_profile(std::string_view name,
     };
     it = lock_cells_.emplace(std::string(name), std::move(cell)).first;
   }
-  // sema: ok(node-based map: cell nodes are never erased, so the reference is stable for the Obs lifetime)
   return *it->second;
 }
 

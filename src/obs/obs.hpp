@@ -95,8 +95,8 @@ class Obs {
   std::map<std::string, std::unique_ptr<util::LockWaitCell>, std::less<>> lock_cells_
       GUARDED_BY(cells_mu_);
   std::uint64_t sample_period_;  ///< 0 = never, N = every N-th request
-  std::atomic<std::uint64_t> sample_seq_{0};     // atomic: counter
-  std::atomic<std::uint64_t> next_trace_id_{1};  // atomic: counter
+  std::atomic<std::uint64_t> sample_seq_{0};
+  std::atomic<std::uint64_t> next_trace_id_{1};
   Counter* traces_sampled_ = nullptr;
   Counter* events_emitted_ = nullptr;
 };

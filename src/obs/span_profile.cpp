@@ -136,7 +136,6 @@ std::string SpanProfile::speedscope_document(
     out += '}';
   }
   out += "]},\"profiles\":[";
-  // alloc: ok(final append into the assembled document; a string append copies by definition and this runs once per export, off any hot path)
   out += body;
   out += "],\"activeProfileIndex\":0,\"exporter\":\"cbde\"}";
   return out;

@@ -130,7 +130,6 @@ TimeSeriesWindow TimeSeriesRecorder::tick() {
   if (sink_open_) {
     const std::string line = to_jsonl(window);
     const LockGuard io(io_mu_);
-    // sema: ok(recorder-private io_mu_: mu_ is released above and the registry snapshot completed earlier, so no registry/shard/pool mutex is held across this append; ticks run at window rate, not request rate)
     sink_ << line;
     sink_.flush();
   }
@@ -174,7 +173,6 @@ void TimeSeriesRecorder::run() {
 
 std::vector<TimeSeriesWindow> TimeSeriesRecorder::windows() const {
   const LockGuard lock(mu_);
-  // alloc: ok(snapshot contract: the ring is bounded at ring_capacity windows and windows() is a read-side call, never on the serve path)
   return std::vector<TimeSeriesWindow>(ring_.begin(), ring_.end());
 }
 

@@ -28,8 +28,7 @@
 // background snapshot thread (start()/stop(), interval_us > 0); ticks
 // serialize on the recorder's own mu_. The JSONL append happens strictly
 // after mu_ is released, under the dedicated io_mu_ — the recorder never
-// holds a registry, shard or pool mutex while writing (the cbde_sema
-// blocking pass pins this; see PRIVATE_SINK_MUTEXES there).
+// holds a registry, shard or pool mutex while writing.
 //
 // Compile-out (CBDE_OBS_OFF): counters and gauges stay live, so tick()
 // still produces counter deltas; but now_us() is 0 (all rates and spans

@@ -22,7 +22,6 @@ void GreedyDualCache::reindex(const std::string& key, Entry& entry) {
   by_priority_.erase({entry.priority, entry.seq});
   entry.priority = priority_of(entry);
   entry.seq = next_seq_++;
-  // alloc: ok(GreedyDual reindexes the touched entry's priority node on every access by design)
   by_priority_.emplace(std::make_pair(entry.priority, entry.seq), key);
 }
 
@@ -64,7 +63,6 @@ void GreedyDualCache::put(const std::string& key, util::Bytes body) {
   CBDE_ASSERT(inserted);
   // Register in the index (erase of the placeholder pair is a no-op).
   it->second.priority = priority_of(it->second);
-  // alloc: ok(one priority-index node per admitted object; admission already allocated the entry)
   by_priority_.emplace(std::make_pair(it->second.priority, it->second.seq), key);
   sync_size_gauge();
 }

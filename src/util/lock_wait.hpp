@@ -23,9 +23,9 @@ struct LockWaitCell {
   /// wiring, before the first profiled thread starts, and never changed.
   using ObserveFn = void (*)(void* target, std::uint64_t wait_us);
 
-  std::atomic<std::uint64_t> acquisitions{0};  // atomic: counter
-  std::atomic<std::uint64_t> contended{0};     // atomic: counter
-  std::atomic<std::uint64_t> wait_ns{0};       // atomic: counter
+  std::atomic<std::uint64_t> acquisitions{0};
+  std::atomic<std::uint64_t> contended{0};
+  std::atomic<std::uint64_t> wait_ns{0};
 
   ObserveFn observe = nullptr;
   void* target = nullptr;

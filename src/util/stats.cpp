@@ -53,7 +53,6 @@ double Samples::max() const {
 double Samples::percentile(double q) const {
   CBDE_EXPECT(q >= 0.0 && q <= 1.0);
   if (values_.empty()) return 0.0;
-  // alloc: ok(sort needs scratch; values_ keeps insertion order so add() stays O(1))
   std::vector<double> sorted = values_;
   std::sort(sorted.begin(), sorted.end());
   const double pos = q * static_cast<double>(sorted.size() - 1);

@@ -123,7 +123,7 @@ class CAPABILITY("mutex") Mutex {
   /// Profiling cell; null = unprofiled. Written once during wiring
   /// (release), read on every lock (acquire) so the attaching thread's cell
   /// initialization is visible to lockers.
-  std::atomic<util::LockWaitCell*> profile_{nullptr};  // atomic: handshake
+  std::atomic<util::LockWaitCell*> profile_{nullptr};
 #endif
   std::mutex mu_;
 };

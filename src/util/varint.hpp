@@ -14,7 +14,6 @@ namespace cbde::util {
 /// continuation). Values up to 64 bits encode in at most 10 bytes.
 inline void put_uvarint(Bytes& out, std::uint64_t value) {
   while (value >= 0x80) {
-    // alloc: ok(at most 10 bounded pushes into the caller's output buffer)
     out.push_back(static_cast<std::uint8_t>(value) | 0x80);
     value >>= 7;
   }

@@ -104,6 +104,24 @@ TEST(ConfigLoader, MalformedInputsRejected) {
   // PartitionRule's precondition mid-construction.
   EXPECT_THROW(parse("[site www.x.com]\npartition =\n"), ConfigError);
   EXPECT_THROW(parse("[site www.x.com]\npartition =   \n"), ConfigError);
+  // Integers too large for their field fail on their line instead of
+  // wrapping: the int rebase count, and seconds that overflow the
+  // microsecond clock.
+  for (const char* line : {"basic-rebase-after = 2147483648", "basic-rebase-after = 4294967298",
+                           "rebase-timeout-s = 18446744073709551615",
+                           "rebase-timeout-s = 9223372036855"}) {
+    try {
+      parse(std::string("[delta-server]\n") + line + "\n");
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+  }
+  // The largest values that fit still load.
+  const auto edge = parse("[delta-server]\nbasic-rebase-after = 2147483647\n"
+                          "rebase-timeout-s = 9223372036854\n");
+  EXPECT_EQ(edge.server.basic_rebase_after, 2147483647);
+  EXPECT_EQ(edge.server.rebase_timeout, 9223372036854 * util::kSecond);
 }
 
 TEST(ConfigLoader, CrossFieldValidation) {

@@ -455,8 +455,8 @@ TEST(DeltaServerPool, SubmitRacingShutdownNeverLeaksAFuture) {
   }
 
   DeltaWorkerPool pool(server, 2, /*queue_capacity=*/4);
-  std::atomic<std::size_t> served{0};    // atomic: counter
-  std::atomic<std::size_t> rejected{0};  // atomic: counter
+  std::atomic<std::size_t> served{0};
+  std::atomic<std::size_t> rejected{0};
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (std::size_t p = 0; p < kProducers; ++p) {

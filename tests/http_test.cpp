@@ -281,6 +281,11 @@ TEST(HttpMessage, MalformedInputsThrow) {
   EXPECT_THROW(HttpResponse::parse(as_view(to_bytes(
                    "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nZZ\r\n"))),
                HttpError);
+  // Status codes outside 100-999: one that wraps to 200 in an int, and one
+  // that serialize() would refuse.
+  EXPECT_THROW(HttpResponse::parse(as_view(to_bytes("HTTP/1.1 4294967496 OK\r\n\r\n"))),
+               HttpError);
+  EXPECT_THROW(HttpResponse::parse(as_view(to_bytes("HTTP/1.1 7 OK\r\n\r\n"))), HttpError);
 }
 
 TEST(HttpMessage, ReasonPhrases) {

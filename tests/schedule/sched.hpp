@@ -65,16 +65,16 @@ class Scheduler {
   // --- results ----------------------------------------------------------
   bool failed() const { return failed_; }
   const std::string& failure() const { return failure_; }
+  // The two result accessors below hand out references to guarded state:
+  // callers read them after run() returns, when the scheduler is quiescent.
   /// Complete decision vector of the run just executed (replayable).
   const std::vector<int>& decisions() const {
     LockGuard lock(mu_);
-    // sema: ok(result accessor: callers read it after run() returns, when the scheduler is quiescent)
     return decisions_;
   }
   /// Number of allowed choices at each decision depth (for DFS advance).
   const std::vector<int>& arities() const {
     LockGuard lock(mu_);
-    // sema: ok(result accessor: callers read it after run() returns, when the scheduler is quiescent)
     return arities_;
   }
 

@@ -34,6 +34,12 @@ creeping past its budget) without flaking on slower CI hosts:
                           overhead measurement (proves the recorder thread
                           ran while the gate number was taken)
     lock_wait_share_max   mean share over the end-to-end windows
+    allocs_per_request_max
+                          operator-new calls per request at 1 and 4 workers
+                          (serve plus the pool's submit/future machinery),
+                          counted by the bench's alloc hook, which must be
+                          linked and must count something; a per-request
+                          count does not depend on host speed
 
     The end-to-end 4-worker vs 1-worker speedup is printed, not banded: with
     encode cheap the shard lock's share of serve time grows, and a 32-request
@@ -138,6 +144,7 @@ def gate_delta(doc: dict, bands: dict, findings: list[str]) -> None:
         cores = int(doc.get("config", {}).get("hardware_concurrency", 0))
         print(f"perf_gate: delta speedup_4v1 {speedup:.2f}x on {cores} core(s) "
               "(reported, not gated)")
+    gate_allocs(doc.get("allocs", {}), bands["allocs_per_request_max"], findings)
     windows = doc.get("time_series")
     if not isinstance(windows, list):
         findings.append("delta: missing time_series section")
@@ -152,6 +159,23 @@ def gate_delta(doc: dict, bands: dict, findings: list[str]) -> None:
         findings.append(
             f"delta: mean end-to-end lock_wait_share {share:.3f} > band "
             f"{bands['lock_wait_share_max']}")
+
+
+def gate_allocs(allocs: dict, band: float, findings: list[str]) -> None:
+    if allocs.get("hook_active") != 1:
+        findings.append("delta: bench ran without the counting alloc hook")
+        return
+    for key in ("per_request_workers_1", "per_request_workers_4"):
+        measured = allocs.get(key, 0.0)
+        if measured <= 0:
+            findings.append(f"delta: allocs {key} is {measured} -- the alloc "
+                            "hook counted nothing")
+        elif measured > band:
+            findings.append(
+                f"delta: allocs {key} {measured:.1f}/request > band {band}")
+        else:
+            print(f"perf_gate: allocs {key} {measured:.1f}/request "
+                  f"(band {band})")
 
 
 def main(argv: list[str]) -> int:
