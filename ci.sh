@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CI gate: repo lint + semantic analysis (cbde_sema) + sanitizer build +
 # full test suite + cbde_tests under TSan + perf/allocation bands +
-# contracts-audit test suite + Clang thread-safety analysis + clang-tidy
-# over src/.
+# perfbench smoke tests + contracts-audit test suite + Clang thread-safety
+# analysis + clang-tidy over src/.
 #
 #   ./ci.sh          full run
 #   ./ci.sh --fast   skip the Clang-only stages (thread-safety, clang-tidy)
@@ -10,8 +10,9 @@
 # Fails on: any cbde_lint or cbde_sema finding, any compiler warning
 # (CBDE_WERROR), any test failure, any sanitizer report
 # (-fno-sanitize-recover promotes them to test failures), any perf_gate
-# band violation (allocations per request included), any contracts-audit
-# violation, any thread-safety or clang-tidy diagnostic. Clang-only stages
+# band violation (allocations per request included), any perfbench smoke
+# test failure, any contracts-audit violation, any thread-safety or
+# clang-tidy diagnostic. Clang-only stages
 # skip LOUDLY when LLVM is absent — a skip is printed, never silently
 # green. See docs/ANALYSIS.md.
 set -eu
@@ -141,6 +142,16 @@ if command -v python3 >/dev/null 2>&1; then
     --capacity "$CAP_JSON" --delta "$BENCH_JSON"
 else
   echo "== SKIPPED: python3 not installed — telemetry schema + perf gate NOT run ==" >&2
+fi
+
+echo "== perfbench smoke tests (the benchmark's own tests) =="
+# perfbench/ compiles its own copy of src/ and checks byte-exact
+# reconstruction on every workload, so a src/ change that breaks its build
+# or its correctness check fails here. The tests only read perfbench/.
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/test_bench.py
+else
+  echo "== SKIPPED: python3 not installed — perfbench smoke tests NOT run ==" >&2
 fi
 
 echo "== contracts audit build (CBDE_CONTRACTS=audit) + full ctest =="

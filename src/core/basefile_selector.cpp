@@ -168,6 +168,12 @@ std::size_t BaseFileSelector::stored_bytes() const {
   return total;
 }
 
+std::size_t BaseFileSelector::index_bytes() const {
+  std::size_t total = 0;
+  for (const auto& candidate : candidates_) total += candidate->index_bytes();
+  return total;
+}
+
 void BaseFileSelector::flush() {
   candidates_.clear();
   score_matrix_.clear();

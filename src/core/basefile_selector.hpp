@@ -79,6 +79,8 @@ class BaseFileSelector {
   std::size_t stored() const { return candidates_.size(); }
   /// Total bytes held by stored candidates (and references for kTwoSet).
   std::size_t stored_bytes() const;
+  /// Bytes of the candidates' estimator indexes (references have none).
+  std::size_t index_bytes() const;
   const SelectorStats& stats() const { return stats_; }
 
   void set_instruments(const SelectorInstruments& instr) { instr_ = instr; }
@@ -90,7 +92,6 @@ class BaseFileSelector {
   void remove_candidate(std::size_t idx);
   double score(std::size_t idx) const;
   std::size_t best_index() const;
-  void rescore_against_references();  // kTwoSet: refresh matrix column set
 
   SelectorConfig config_;
   util::Rng rng_;

@@ -52,6 +52,8 @@ DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
   instr_.storage =
       &reg.gauge("cbde_server_storage_bytes",
                  "Server-side footprint as of the last storage_bytes() audit");
+  instr_.index = &reg.gauge("cbde_server_index_bytes",
+                            "Match-index bytes as of the last index_bytes() audit");
   instr_.encode_latency =
       &obs_->histogram("cbde_server_encode_latency_microseconds",
                        "Wall time of one delta encode against the published base");
@@ -187,6 +189,13 @@ std::size_t DeltaServer::storage_bytes() const {
   // The gauge mirrors the last audit; per-request maintenance would cost a
   // full class walk on the hot path for a number only scrapes care about.
   instr_.storage->set(static_cast<std::int64_t>(total));
+  return total;
+}
+
+std::size_t DeltaServer::index_bytes() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) total += shard->index_bytes();
+  instr_.index->set(static_cast<std::int64_t>(total));
   return total;
 }
 
@@ -581,10 +590,26 @@ std::size_t DeltaServerShard::storage_bytes() const {
   // of each current base is a cache, not extra footprint).
   std::size_t total = store_->bytes_stored();
   for (const auto& [id, cls] : states_) {
+    // An anonymization in progress aliases the working base: every site that
+    // replaces the working estimator calls start_publication(), which hands
+    // the anonymizer shared_base(). So its pending base is no extra buffer.
+    CBDE_ASSERT_INVARIANT(!cls->anonymizer.in_progress() ||
+                          &cls->anonymizer.pending_base() == &cls->working_estimator->base());
     total += cls->working_estimator ? cls->working_estimator->base().size() : 0;
-    total += cls->anonymizer.in_progress() ? cls->anonymizer.pending_base().size() : 0;
     // Selector samples are part of the server-side footprint too.
     total += cls->selector.stored_bytes();
+  }
+  return total;
+}
+
+std::size_t DeltaServerShard::index_bytes() const {
+  const LockGuard lock(mu_);
+  std::size_t total = 0;
+  for (const auto& [id, cls] : states_) {
+    total += cls->working_estimator ? cls->working_estimator->index_bytes() : 0;
+    total += cls->selector.index_bytes();
+    total += cls->transmit_encoder ? cls->transmit_encoder->index_bytes() : 0;
+    total += cls->anonymizer.index_bytes();
   }
   return total;
 }

@@ -175,6 +175,7 @@ struct ServerInstruments {
   obs::DoubleCounter* cpu_us = nullptr;
   obs::Gauge* classes = nullptr;
   obs::Gauge* storage = nullptr;
+  obs::Gauge* index = nullptr;
   obs::Histogram* encode_latency = nullptr;
   obs::Histogram* delta_size = nullptr;
   obs::Histogram* doc_size = nullptr;
@@ -233,6 +234,7 @@ class DeltaServerShard {
   }
   void append_class_summaries(std::vector<ClassSummary>& out) const EXCLUDES(mu_);
   std::size_t storage_bytes() const EXCLUDES(mu_);
+  std::size_t index_bytes() const EXCLUDES(mu_);
   std::size_t classless_storage_bytes() const EXCLUDES(mu_) {
     LockGuard lock(mu_);
     return classless_storage_bytes_;
@@ -366,6 +368,12 @@ class DeltaServer {
   /// selector samples across all classes of all shards (the paper's
   /// scalability metric).
   std::size_t storage_bytes() const;
+
+  /// Bytes of the match indexes built over those bases, across all shards:
+  /// working and selector estimators, transmit encoders and the encoders of
+  /// anonymizations in progress. storage_bytes() counts the bases; this
+  /// counts only the tables.
+  std::size_t index_bytes() const;
 
   /// Merged operational snapshot of every class, ordered by class id.
   std::vector<ClassSummary> class_summaries() const;

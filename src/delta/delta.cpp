@@ -1,6 +1,7 @@
 #include "delta/delta.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "delta/rolling.hpp"
@@ -20,6 +21,10 @@ constexpr std::size_t kLightMinMatch = 16;  ///< shortest match counted as a COP
 
 constexpr std::size_t kHashBits = 17;
 constexpr std::size_t kHashSize = 1u << kHashBits;
+/// Head-table entries per indexed slot, before rounding up to a power of
+/// two: a bucket then holds a quarter of a slot on average. At 2, walks met
+/// as many other-hash entries as real candidates.
+constexpr std::size_t kHeadsPerSlot = 4;
 
 // Skip acceleration (zstd-style): while no acceptable match is found the
 // scan step grows with the miss streak, so incompressible runs are crossed
@@ -53,21 +58,39 @@ std::size_t header_size(std::size_t base_size, std::size_t target_size) {
 Estimator::Estimator(util::Bytes base)
     : Estimator(std::make_shared<const util::Bytes>(std::move(base))) {}
 
-Estimator::Estimator(std::shared_ptr<const util::Bytes> base)
-    : base_(std::move(base)), head_(kHashSize, 0) {
+Estimator::Estimator(std::shared_ptr<const util::Bytes> base) : base_(std::move(base)) {
   CBDE_EXPECT(base_ != nullptr);
   const util::BytesView bytes = util::as_view(*base_);
   if (bytes.size() < kLightKey) return;
   const std::size_t slots = (bytes.size() - kLightKey) / kLightStep + 1;
+  const std::size_t buckets = std::min(std::bit_ceil(kHeadsPerSlot * slots), kHashSize);
+  head_shift_ = static_cast<unsigned>(kHashBits - std::countr_zero(buckets));
+  head_.assign(buckets, 0);
   prev_.assign(slots, 0);
   // Insert from the end so chains are walked front-to-back; earlier base
   // positions are tried first, which biases COPY addresses low (slightly
   // smaller varints) and is deterministic.
   for (std::size_t s = slots; s-- > 0;) {
-    const std::uint32_t h = chunk_hash(bytes.data() + s * kLightStep);
-    prev_[s] = head_[h];
-    head_[h] = static_cast<std::uint32_t>(s + 1);
+    const std::uint32_t hash = chunk_hash(bytes.data() + s * kLightStep);
+    std::uint32_t& head = head_[hash >> head_shift_];
+    prev_[s] = head;
+    head = static_cast<std::uint32_t>(s + 1);
+    // A probe tries at most the first kLightChain slots of its hash, so
+    // unlink the one that s pushes past them. A bucket's chain then holds at
+    // most kLightChain slots per hash sharing it: a walk stays short even
+    // when one 8-byte chunk repeats through the whole base.
+    std::size_t seen = 0;
+    for (std::uint32_t* link = &prev_[s]; *link != 0; link = &prev_[*link - 1]) {
+      if (chunk_hash(bytes.data() + (*link - 1) * kLightStep) == hash && ++seen == kLightChain) {
+        *link = prev_[*link - 1];
+        break;
+      }
+    }
   }
+}
+
+std::size_t Estimator::index_bytes() const {
+  return (head_.size() + prev_.size()) * sizeof(std::uint32_t);
 }
 
 std::size_t Estimator::estimate(util::BytesView target) const {
@@ -83,10 +106,15 @@ std::size_t Estimator::estimate(util::BytesView target) const {
     std::size_t best_pos = 0;
     std::size_t best_len = 0;
     const std::size_t fwd_limit = target.size() - pos;
-    std::uint32_t slot = prev_.empty() ? 0 : head_[chunk_hash(tdata + pos)];
-    for (std::size_t probes = 0; slot != 0 && probes < kLightChain;
-         ++probes, slot = prev_[slot - 1]) {
+    const std::uint32_t hash = chunk_hash(tdata + pos);
+    std::uint32_t slot = head_.empty() ? 0 : head_[hash >> head_shift_];
+    for (std::size_t probes = 0; slot != 0 && probes < kLightChain; slot = prev_[slot - 1]) {
       const std::size_t bpos = (slot - 1) * kLightStep;
+      // The bucket also chains every other hash sharing its top bits. Those
+      // entries are skipped without counting as probes, so the candidates
+      // tried are exactly those of a full 2^17-entry table.
+      if (chunk_hash(base.data() + bpos) != hash) continue;
+      ++probes;
       const std::size_t limit = std::min(fwd_limit, base.size() - bpos);
       if (limit <= best_len || limit < kLightKey) continue;
       // A candidate can only beat the incumbent if it also matches at the
@@ -152,6 +180,7 @@ const std::shared_ptr<const util::Bytes>& Encoder::shared_base() const {
   return impl_->base_bytes;
 }
 std::uint32_t Encoder::base_crc() const { return impl_->crc; }
+std::size_t Encoder::index_bytes() const { return impl_->footprints.bytes(); }
 
 EncodeResult Encoder::encode(util::BytesView target) const {
   return rolling::encode_rolling(impl_->footprints, util::as_view(*impl_->base_bytes),

@@ -92,6 +92,9 @@ class Encoder {
   const std::shared_ptr<const util::Bytes>& shared_base() const;
   /// crc32 of the base, computed once at construction.
   std::uint32_t base_crc() const;
+  /// Bytes of the footprint table: a fixed 256 KB whatever the base size.
+  /// The base itself is not counted.
+  std::size_t index_bytes() const;
 
   /// Compute the delta that transforms the owned base into `target`.
   /// Byte-identical to the one-shot encode() free function.
@@ -122,12 +125,25 @@ class Estimator {
   /// owned base to `target`: the grouping-time closeness estimate.
   std::size_t estimate(util::BytesView target) const;
 
+  /// Bytes of the hash-chain index: the head table takes at most 4 per base
+  /// byte and at most 512 KB, the chains 0.5 per base byte. The base itself
+  /// is not counted.
+  std::size_t index_bytes() const;
+
  private:
   std::shared_ptr<const util::Bytes> base_;
-  /// Hash chains over every 8th base position: head_[hash] is the first
-  /// slot + 1 (0 = empty), prev_[slot] the next slot + 1 in the chain.
+  /// Hash chains over every 8th base position (one slot each), bucketed by
+  /// the top bits of the 17-bit chunk hash: head_[hash >> head_shift_] is
+  /// the bucket's first slot + 1 (0 = empty), prev_[slot] the next slot + 1
+  /// in the bucket, in ascending position order. Only the first 4 slots of
+  /// each hash are linked, the most a probe tries. head_ has the smallest
+  /// power of two >= 4 x slots entries, at most 2^17 (then head_shift_ is 0
+  /// and a bucket is one hash), and is empty for a base under 8 bytes.
+  /// estimate() skips the slots of other hashes without counting them as
+  /// probes, so it tries the candidates a 2^17-entry table would.
   std::vector<std::uint32_t> head_;
   std::vector<std::uint32_t> prev_;
+  unsigned head_shift_ = 0;
 };
 
 /// Compute the delta that transforms `base` into `target` (one-shot: the

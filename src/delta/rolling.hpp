@@ -64,6 +64,9 @@ class FootprintTable {
     return pos == 0 ? npos : static_cast<std::size_t>(pos) - 1;
   }
 
+  /// Bytes of the slot array (fixed: kFootprintSlots entries).
+  std::size_t bytes() const { return pos_.size() * sizeof(std::uint32_t); }
+
  private:
   std::vector<std::uint32_t> pos_;  // base position + 1; 0 = empty slot
 };

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@ namespace {
 
 using util::Bytes;
 using util::as_view;
+using util::to_bytes;
 
 struct Rig {
   trace::SiteModel site;
@@ -263,6 +265,35 @@ TEST(DeltaServer, StorageStaysFarBelowClasslessStorage) {
     }
   }
   EXPECT_LT(rig.server.storage_bytes() * 3, rig.server.classless_storage_bytes());
+}
+
+TEST(DeltaServer, StorageCountsTheAnonymizingBaseOnce) {
+  // The class-creating request leaves two buffers: the working base, which
+  // the anonymization in progress aliases, and the selector's sample.
+  Rig rig(DeltaServerConfig{});
+  const auto resp = rig.request(1, 0, 0, 0);
+  ASSERT_TRUE(resp.class_created);
+  EXPECT_EQ(rig.server.storage_bytes(), 2 * resp.doc_size);
+}
+
+TEST(DeltaServer, IndexBytesCountsEveryIndex) {
+  // An 11,264-byte page: each estimator indexes 1,408 slots under an
+  // 8,192-entry head table; each encoder has the fixed 256 KB table.
+  constexpr std::size_t kEstimatorIndex = (8192 + 1408) * 4;
+  constexpr std::size_t kEncoderIndex = std::size_t{256} << 10;
+  const Bytes page = to_bytes(std::string(11264, 'p'));
+  for (const bool anonymize : {true, false}) {
+    auto config = Rig::fast_config();
+    config.anonymize = anonymize;
+    Rig rig(config);
+    rig.server.serve(1, rig.site.url_for(trace::DocRef{0, 0}), as_view(page), 0);
+    // Working estimator + selector sample, and either the anonymizer's
+    // encoder or the transmit encoder.
+    EXPECT_EQ(rig.server.index_bytes(), 2 * kEstimatorIndex + kEncoderIndex);
+    const auto* gauge = rig.server.obs().registry().find_gauge("cbde_server_index_bytes");
+    ASSERT_NE(gauge, nullptr);
+    EXPECT_EQ(gauge->value(), static_cast<std::int64_t>(2 * kEstimatorIndex + kEncoderIndex));
+  }
 }
 
 TEST(DeltaServerPool, ThreadedStressMatchesSerialTotals) {

@@ -410,6 +410,101 @@ TEST(Estimator, PinnedEstimatesOverSeededCorpus) {
   EXPECT_EQ(crc, 0x5fea862bu);
 }
 
+// golden_pairs() bases stay under ~12 KB. These span 12 KiB to 1.5 MiB, so
+// the estimator's head table takes every size from 2^13 entries up to its
+// 2^17 cap. Every third base is mostly a few 8-byte chunks repeated at
+// 8-byte alignment: each of their hashes covers hundreds to tens of
+// thousands of slots and shares its bucket with hashes of the letter runs
+// between them. The sum and crc were recorded from the fixed 2^17-entry
+// hash-chain index that predates the base-sized one.
+
+constexpr std::size_t kLargePairs = 30;
+
+std::vector<std::pair<Bytes, Bytes>> large_base_pairs() {
+  std::vector<std::pair<Bytes, Bytes>> pairs;
+  pairs.reserve(kLargePairs);
+  util::Rng rng(2016);
+  const auto letters = [&rng](Bytes& out, std::size_t n, std::size_t alphabet) {
+    for (std::size_t k = 0; k < n; ++k) {
+      out.push_back(static_cast<std::uint8_t>('a' + rng.next_below(alphabet)));
+    }
+  };
+  for (std::size_t i = 0; i < kLargePairs; ++i) {
+    const std::size_t scale = std::size_t{12} << (10 + i % 7);  // 12 KiB .. 768 KiB
+    const std::size_t base_len = scale + rng.next_below(scale + 1);
+    const std::size_t alphabet = 4 + rng.next_below(23);
+    const bool chunky = i % 3 == 0;
+    std::vector<Bytes> motifs(chunky ? 2 + rng.next_below(3) : 1);
+    for (auto& motif : motifs) letters(motif, chunky ? 8 : 8 + rng.next_below(120), alphabet);
+    const auto any_motif = [&] { return as_view(motifs[rng.next_below(motifs.size())]); };
+    Bytes base;
+    while (base.size() < base_len) {
+      if (chunky) {
+        if (rng.next_below(8) != 0) {
+          util::append(base, any_motif());
+        } else {
+          letters(base, 8 * (1 + rng.next_below(3)), alphabet);
+        }
+      } else if (rng.next_below(3) == 0) {
+        util::append(base, any_motif());
+      } else {
+        letters(base, 1 + rng.next_below(64), alphabet);
+      }
+    }
+    Bytes target;
+    const std::size_t target_len = base_len / 2 + rng.next_below(base_len);
+    while (target.size() < target_len) {
+      switch (rng.next_below(4)) {
+        case 0:
+        case 1: {  // a base segment
+          const std::size_t off = rng.next_below(base.size());
+          const std::size_t len =
+              std::min<std::size_t>(base.size() - off, 1 + rng.next_below(4096));
+          util::append(target, as_view(base).subspan(off, len));
+          break;
+        }
+        case 2:
+          letters(target, 1 + rng.next_below(96), alphabet);
+          break;
+        default:
+          util::append(target, any_motif());
+          break;
+      }
+    }
+    pairs.emplace_back(std::move(base), std::move(target));
+  }
+  return pairs;
+}
+
+TEST(Estimator, PinnedEstimatesOverLargeBases) {
+  std::uint32_t crc = 0;
+  std::uint64_t sum = 0;
+  for (const auto& [base, target] : large_base_pairs()) {
+    for (const auto& [from, to] : {std::pair{&base, &target}, std::pair{&target, &base}}) {
+      const std::uint64_t size = Estimator(*from).estimate(as_view(*to));
+      Bytes le(8);
+      for (int k = 0; k < 8; ++k) le[k] = static_cast<std::uint8_t>(size >> (8 * k));
+      crc = util::crc32(as_view(le), crc);
+      sum += size;
+    }
+  }
+  EXPECT_EQ(sum, 2499449u);
+  EXPECT_EQ(crc, 0x5ebd6348u);
+}
+
+TEST(Estimator, IndexSizedToBase) {
+  // Head entries: the smallest power of two >= 4 x slots, at most 2^17; one
+  // chain entry per 8th base position; 4 bytes each.
+  EXPECT_EQ(Estimator(random_bytes(1, 7)).index_bytes(), 0u);  // no slot, no head
+  EXPECT_EQ(Estimator(random_bytes(2, 8)).index_bytes(), (4u + 1u) * 4u);
+  EXPECT_EQ(Estimator(random_bytes(3, 11264)).index_bytes(), (8192u + 1408u) * 4u);
+  EXPECT_EQ(Estimator(random_bytes(4, std::size_t{1} << 20)).index_bytes(),
+            ((std::size_t{1} << 17) + (std::size_t{1} << 17)) * 4u);
+  // The encoder's footprint table does not scale with the base.
+  EXPECT_EQ(Encoder(random_bytes(5, 7)).index_bytes(), std::size_t{256} << 10);
+  EXPECT_EQ(Encoder(random_bytes(6, 11264)).index_bytes(), std::size_t{256} << 10);
+}
+
 // ------------------------------------------------------------ paper-scale behaviour
 
 TEST(Delta, TemporalSnapshotsProduceSmallDeltas) {
