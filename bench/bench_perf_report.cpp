@@ -4,7 +4,8 @@
 // measures the implementation itself and writes a machine-readable
 // BENCH_delta.json so perf changes are visible across commits:
 //   * micro: one-shot vs cached-index delta encode, size-only estimate,
-//     apply(), crc32 — throughput MB/s, ns/op, delta-size ratios;
+//     apply(), CBZ1 compress/decompress of the cross delta, crc32 —
+//     throughput MB/s, ns/op, delta-size ratios;
 //   * end-to-end: DeltaServer::serve() driven through a DeltaWorkerPool
 //     with 1 and 4 workers — ns/request and the multi-thread speedup.
 //
@@ -26,6 +27,7 @@
 
 #include "alloc_hook.hpp"
 #include "bench_common.hpp"
+#include "compress/compressor.hpp"
 #include "core/delta_server.hpp"
 #include "core/delta_worker_pool.hpp"
 #include "delta/delta.hpp"
@@ -257,6 +259,27 @@ int main(int argc, char** argv) {
     json.field("mbps", mbps(cross.size(), ns));
     json.close();
     std::printf("%-28s %12.0f ns   %8.2f MB/s\n", "apply", ns, mbps(cross.size(), ns));
+
+    // The same cross delta through the CBZ1 compressor, both ways.
+    util::Bytes wire;
+    const double compress_ns = time_op(3, iters, [&] {
+      wire = compress::compress(util::as_view(delta_bytes));
+    });
+    json.open("compress_cross");
+    json.field("ns_per_op", compress_ns);
+    json.field("delta_bytes", delta_bytes.size());
+    json.field("wire_bytes", wire.size());
+    json.close();
+    std::printf("%-28s %12.0f ns   delta %zu B -> wire %zu B\n", "compress_cross",
+                compress_ns, delta_bytes.size(), wire.size());
+    const double decompress_ns = time_op(3, iters, [&] {
+      (void)compress::decompress(util::as_view(wire));
+    });
+    json.open("decompress_cross");
+    json.field("ns_per_op", decompress_ns);
+    json.field("wire_bytes", wire.size());
+    json.close();
+    std::printf("%-28s %12.0f ns\n", "decompress_cross", decompress_ns);
   }
   {
     std::uint32_t sink = 0;
@@ -317,17 +340,15 @@ int main(int argc, char** argv) {
 
   // Observability overhead on the smoke encode loop: the same cached encode
   // bare, then wrapped with everything serve() adds per request (two clock
-  // reads, two histogram observes, a counter and a double-counter). Under a
-  // CBDE_OBS_OFF build the wrapped loop degenerates to the bare one (clock
-  // reads return 0, observes compile out), so comparing `overhead_pct`
-  // across the two build flavors in BENCH_delta.json captures the full
-  // instrumented-vs-compiled-out cost. Min-of-rounds damps scheduler noise.
+  // reads, two histogram observes and a counter). Under a CBDE_OBS_OFF build
+  // the wrapped loop degenerates to the bare one (clock reads return 0,
+  // observes compile out), so comparing `overhead_pct` across the two build
+  // flavors in BENCH_delta.json captures the full instrumented-vs-compiled-out
+  // cost. Min-of-rounds damps scheduler noise.
   {
     obs::Obs bench_obs;
     obs::Counter& reqs =
         bench_obs.registry().counter("cbde_bench_requests_total", "Benchmark ops");
-    obs::DoubleCounter& cpu = bench_obs.registry().double_counter(
-        "cbde_bench_cpu_microseconds_total", "Benchmark modeled CPU");
     obs::Histogram& lat = bench_obs.histogram("cbde_bench_encode_latency_microseconds",
                                               "Benchmark encode latency");
     obs::Histogram& sz =
@@ -352,7 +373,6 @@ int main(int argc, char** argv) {
         lat.observe(obs::now_us() - t0);
         sz.observe(sink);
         reqs.inc();
-        cpu.add(1.5);
       });
       bare_ns = round == 0 ? b : std::min(bare_ns, b);
       instr_ns = round == 0 ? in : std::min(instr_ns, in);

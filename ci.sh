@@ -66,8 +66,8 @@ BENCH_JSON="build/asan-ubsan/BENCH_delta.json"
 PROM_OUT="build/asan-ubsan/metrics.prom"
 ./build/asan-ubsan/bench/bench_perf_report --smoke --out "$BENCH_JSON" \
   --metrics-out "$PROM_OUT" --metrics-json "build/asan-ubsan/metrics.json"
-for key in encode_cached_cross speedup_4v1 hardware_concurrency overhead_pct \
-           allocs_per_request; do
+for key in encode_cached_cross compress_cross decompress_cross speedup_4v1 \
+           hardware_concurrency overhead_pct allocs_per_request; do
   grep -q "\"$key\"" "$BENCH_JSON" ||
     { echo "ci.sh: $BENCH_JSON missing key $key" >&2; exit 1; }
 done

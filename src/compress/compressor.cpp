@@ -63,9 +63,8 @@ std::vector<std::uint8_t> read_lengths_nibbles(BitReader& r, std::size_t count) 
 
 /// Emit one block. Falls back to a stored block if the Huffman encoding
 /// would be larger than the raw bytes.
-void emit_block(util::Bytes& out, util::BytesView block, bool final,
-                const CompressParams& params) {
-  const auto tokens = lz77_tokenize(block, Lz77Params{params.max_chain, params.good_enough});
+void emit_block(util::Bytes& out, util::BytesView block, bool final) {
+  const auto tokens = lz77_tokenize(block);
 
   // Stack-allocated frequency tables (2.5 KB): the old per-block vectors
   // were two heap allocations on every 256 KB of every compressed response.
@@ -119,7 +118,7 @@ void emit_block(util::Bytes& out, util::BytesView block, bool final,
 
 }  // namespace
 
-util::Bytes compress(util::BytesView input, const CompressParams& params) {
+util::Bytes compress(util::BytesView input) {
   // Anything larger could never round-trip through decompress()'s decode cap.
   CBDE_EXPECT(input.size() <= kMaxDecompressSize);
   util::Bytes out;
@@ -138,7 +137,7 @@ util::Bytes compress(util::BytesView input, const CompressParams& params) {
   while (pos < input.size()) {
     const std::size_t len = std::min(kBlockSize, input.size() - pos);
     const bool final = pos + len == input.size();
-    emit_block(out, input.subspan(pos, len), final, params);
+    emit_block(out, input.subspan(pos, len), final);
     pos += len;
   }
   // Header (magic + size varint + crc) plus at least one block byte.
@@ -215,8 +214,8 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
   CBDE_ENSURE(out.size() <= kMaxDecompressSize);
 }
 
-std::size_t compressed_size(util::BytesView input, const CompressParams& params) {
-  return compress(input, params).size();
+std::size_t compressed_size(util::BytesView input) {
+  return compress(input).size();
 }
 
 }  // namespace cbde::compress

@@ -30,14 +30,9 @@ class CorruptInput : public std::runtime_error {
 /// a multi-gigabyte output buffer. Mirrors delta::kMaxDecodeTargetSize.
 inline constexpr std::size_t kMaxDecompressSize = std::size_t{1} << 30;  // 1 GiB
 
-struct CompressParams {
-  std::size_t max_chain = 128;    ///< LZ77 search effort
-  std::size_t good_enough = 64;   ///< early-exit match length
-};
-
 /// Compress `input`. Never fails; incompressible data is emitted as stored
 /// blocks with a few bytes of framing overhead.
-util::Bytes compress(util::BytesView input, const CompressParams& params = {});
+util::Bytes compress(util::BytesView input);
 
 /// Decompress a buffer produced by compress(). Throws CorruptInput on any
 /// framing, entropy-coding or checksum error.
@@ -51,6 +46,6 @@ util::Bytes decompress(util::BytesView input);
 void decompress_into(util::BytesView input, util::Bytes& out);
 
 /// Convenience: size of compress(input) without keeping the output.
-std::size_t compressed_size(util::BytesView input, const CompressParams& params = {});
+std::size_t compressed_size(util::BytesView input);
 
 }  // namespace cbde::compress

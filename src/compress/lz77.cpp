@@ -9,6 +9,11 @@ namespace {
 
 constexpr std::size_t kHashBits = 15;
 constexpr std::size_t kHashSize = 1u << kHashBits;
+/// Max hash-chain positions probed per match attempt (DEFLATE levels run
+/// 8..4096). Fixed: CBZ1 output depends on it.
+constexpr std::size_t kMaxChain = 128;
+/// Stop probing once a match of at least this length is found.
+constexpr std::size_t kGoodEnough = 64;
 
 inline std::uint32_t hash3(const std::uint8_t* p) {
   // Multiplicative hash of 3 bytes.
@@ -44,7 +49,7 @@ ChainScratch& chain_scratch() {
 
 }  // namespace
 
-std::vector<Token> lz77_tokenize(util::BytesView input, const Lz77Params& params) {
+std::vector<Token> lz77_tokenize(util::BytesView input) {
   std::vector<Token> tokens;
   const std::size_t n = input.size();
   if (n == 0) return tokens;
@@ -80,7 +85,7 @@ std::vector<Token> lz77_tokenize(util::BytesView input, const Lz77Params& params
     if (pos + kMinMatch <= n) {
       const std::uint32_t h = hash3(data + pos);
       std::uint32_t cand = live_head(h);
-      std::size_t chain = params.max_chain;
+      std::size_t chain = kMaxChain;
       const std::size_t limit = std::min(kMaxMatch, n - pos);
       while (cand != 0 && chain-- > 0) {
         const std::size_t cpos = cand - 1;
@@ -89,7 +94,7 @@ std::vector<Token> lz77_tokenize(util::BytesView input, const Lz77Params& params
         if (len > best_len) {
           best_len = len;
           best_dist = pos - cpos;
-          if (len >= params.good_enough || len == limit) break;
+          if (len >= kGoodEnough || len == limit) break;
         }
         cand = prev[cpos % kWindowSize];
       }

@@ -22,17 +22,9 @@ struct Token {
   std::uint8_t literal = 0;
 };
 
-struct Lz77Params {
-  /// Max hash-chain positions probed per match attempt (higher = better
-  /// ratio, slower). DEFLATE levels roughly map 8..4096.
-  std::size_t max_chain = 128;
-  /// Stop probing once a match of at least this length is found.
-  std::size_t good_enough = 64;
-};
-
 /// Tokenize `input`. Deterministic; no allocation beyond the output vector
 /// and the hash-chain tables.
-std::vector<Token> lz77_tokenize(util::BytesView input, const Lz77Params& params = {});
+std::vector<Token> lz77_tokenize(util::BytesView input);
 
 /// Reconstruct the original bytes from a token stream (used by tests; the
 /// decompressor inlines the same logic while decoding).

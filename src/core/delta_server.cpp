@@ -46,8 +46,6 @@ DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
   instr_.delta_fallbacks = &reg.counter(
       "cbde_server_delta_fallbacks_total",
       "Deltas discarded for being no smaller than the document itself");
-  instr_.cpu_us = &reg.double_counter("cbde_server_cpu_microseconds_total",
-                                      "Modeled delta-server CPU (§VI-C)");
   instr_.classes = &reg.gauge("cbde_server_classes", "Live classes");
   instr_.storage =
       &reg.gauge("cbde_server_storage_bytes",
@@ -137,7 +135,7 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
   const http::UrlParts parts = rules_.partition(url);
   DeltaServerShard& shard =
       *shards_[route(parts.server_part, parts.hint_part, shards_.size())];
-  return shard.serve(user_id, parts, url, doc, now, std::move(trace));
+  return shard.serve(user_id, parts, doc, now, std::move(trace));
 }
 
 std::optional<PublishedBase> DeltaServer::published_base(ClassId id) const {
@@ -207,12 +205,6 @@ std::vector<ClassSummary> DeltaServer::class_summaries() const {
   std::sort(out.begin(), out.end(),
             [](const ClassSummary& a, const ClassSummary& b) { return a.id < b.id; });
   return out;
-}
-
-std::size_t DeltaServer::classless_storage_bytes() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->classless_storage_bytes();
-  return total;
 }
 
 std::size_t DeltaServer::num_classes() const {
@@ -301,8 +293,7 @@ void DeltaServerShard::record_publication(ClassId id, ClassState& cls,
 }
 
 ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
-                                       const http::UrlParts& parts,
-                                       const http::Url& url, util::BytesView doc,
+                                       const http::UrlParts& parts, util::BytesView doc,
                                        util::SimTime now,
                                        std::shared_ptr<obs::TraceContext> trace) {
   ServedResponse out;
@@ -325,32 +316,6 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
   {
     obs::Span group_span(tc, "group");
     const LockGuard lock(mu_);
-    instr_.requests->inc();
-    ++ledger_.requests;
-    instr_.direct_bytes->add(doc.size());
-    ledger_.direct_bytes += doc.size();
-
-    // Classless-storage bookkeeping: basic delta-encoding would store one
-    // base-file per (user, URL). The key chains fnv1a64 over the URL fields
-    // (FNV is byte-sequential, so chaining equals hashing the concatenation)
-    // — the old url.to_string() materialized a heap string under mu_ on
-    // every request just to hash it.
-    {
-      constexpr std::string_view kFieldSep{"\0", 1};
-      std::uint64_t key = util::fnv1a64(url.scheme, user_id ^ 0xABCDEF12345ull);
-      key = util::fnv1a64(kFieldSep, key);
-      key = util::fnv1a64(url.host, key);
-      key = util::fnv1a64(kFieldSep, key);
-      key = util::fnv1a64(url.path, key);
-      key = util::fnv1a64(kFieldSep, key);
-      key = util::fnv1a64(url.query, key);
-      auto [it, inserted] = classless_docs_.try_emplace(key, doc.size());
-      const std::size_t previous = inserted ? 0 : it->second;
-      classless_storage_bytes_ += doc.size();
-      classless_storage_bytes_ -= previous;
-      it->second = doc.size();
-    }
-
     // 1. Group the request into a class (the URL was already partitioned —
     // and routed — by the server). Probes run against the cached per-class
     // light estimators — no index is built here. The probe callback runs
@@ -416,27 +381,22 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
     const std::uint64_t encode_start = obs::now_us();
     auto encoded = transmit->encode(doc);
     instr_.encode_latency->observe(obs::now_us() - encode_start);
+    out.base_size = transmit->base().size();
     out.delta_size = encoded.delta.size();
     instr_.delta_size->observe(encoded.delta.size());
-    out.cpu_us += config_.cpu.cost(transmit->base().size(), doc.size(),
-                                   encoded.delta.size());
     large_delta = static_cast<double>(out.delta_size) >
                   config_.basic_rebase_ratio * static_cast<double>(doc.size());
     encode_span.tag("delta_bytes", std::to_string(encoded.delta.size()));
     encode_span.end();
     obs::Span compress_span(tc, "compress");
-    delta_wire = config_.compress_deltas
-                     ? compress::compress(util::as_view(encoded.delta),
-                                          config_.compress_params)
-                     : std::move(encoded.delta);
+    delta_wire = config_.compress_deltas ? compress::compress(util::as_view(encoded.delta))
+                                         : std::move(encoded.delta);
     compress_span.tag("wire_bytes", std::to_string(delta_wire.size()));
     // A delta larger than the document itself is useless; fall back.
     if (delta_wire.size() >= doc.size()) {
       serve_delta = false;
       instr_.delta_fallbacks->inc();
     }
-  } else {
-    out.cpu_us += config_.cpu.fixed_us;
   }
 
   // Materialize the response body before retaking the lock: the direct path
@@ -451,18 +411,23 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
     out.wire_body.assign(doc.begin(), doc.end());
   }
 
-  // Phase 3 — locked: commit the response, then the rebase decisions.
+  // Phase 3 — locked: commit the response, then the rebase decisions. Every
+  // ledger counter of this request is committed here, in one critical
+  // section, so a ledger() snapshot never sees a request half-counted.
   {
     obs::Span commit_span(tc, "commit");
     const LockGuard lock(mu_);
     ClassState& cls = *cls_ptr;
+    instr_.requests->inc();
+    ++ledger_.requests;
+    instr_.direct_bytes->add(doc.size());
+    ledger_.direct_bytes += doc.size();
     if (serve_delta) {
       out.base_version = snap_version;
       const auto key = std::make_pair(user_id, out.class_id);
       const auto it = client_versions_.find(key);
       if (it == client_versions_.end() || it->second != snap_version) {
         out.base_needed = true;
-        out.base_size = transmit->base().size();
         client_versions_[key] = snap_version;
       }
       instr_.delta_responses->inc();
@@ -480,8 +445,6 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
       instr_.base_wire_bytes->add(out.base_size);
       ledger_.base_wire_bytes += out.base_size;
     }
-    instr_.cpu_us->add(out.cpu_us);
-    ledger_.cpu_us_total += out.cpu_us;
 
     // 4. Basic-rebase: consecutive relatively-large deltas flush the class.
     if (cls.published_version > 0) {

@@ -46,22 +46,6 @@
 
 namespace cbde::core {
 
-/// CPU cost model for the delta-server's per-request work, used by the
-/// capacity experiment (§VI-C). Constants are calibrated so a 50-60 KB
-/// base-file costs 6-8 ms, matching the paper's measurement on a PIII-866.
-struct DeltaCpuModel {
-  double fixed_us = 500;          ///< request handling, class lookup
-  double encode_us_per_kb = 110;  ///< delta generation per KB of base+target
-  double compress_us_per_kb = 40; ///< gzip-like pass per KB of delta
-
-  double cost(std::size_t base_bytes, std::size_t target_bytes,
-              std::size_t delta_bytes) const {
-    return fixed_us +
-           encode_us_per_kb * static_cast<double>(base_bytes + target_bytes) / 1024.0 +
-           compress_us_per_kb * static_cast<double>(delta_bytes) / 1024.0;
-  }
-};
-
 struct DeltaServerConfig {
   GroupingConfig grouping;
   SelectorConfig selector;
@@ -70,7 +54,6 @@ struct DeltaServerConfig {
   /// classless-vs-class ablations use this).
   bool anonymize = true;
   bool compress_deltas = true;
-  compress::CompressParams compress_params = {};
   /// Uncompressed delta larger than this fraction of the document counts as
   /// "relatively large" for basic-rebase purposes.
   double basic_rebase_ratio = 0.7;
@@ -81,7 +64,6 @@ struct DeltaServerConfig {
   /// Published base-file versions kept available after a rebase, so clients
   /// holding (or currently fetching) an older version are not stranded.
   std::size_t published_history = 3;
-  DeltaCpuModel cpu;
   std::uint64_t seed = 7;
   /// Independent server shards. Requests route by
   /// crc32("server-part\0hint-part") % shards (DeltaServer::route), so all
@@ -113,7 +95,10 @@ struct ServedResponse {
   std::uint32_t base_version = 0;
   /// True if this client did not hold the current base and must fetch it.
   bool base_needed = false;
-  std::size_t base_size = 0;  ///< size of the published base (if base_needed)
+  /// Size of the published base the server encoded against; 0 when it did
+  /// not encode. Set for fallbacks too, which encoded and then sent the
+  /// document.
+  std::size_t base_size = 0;
 
   std::size_t doc_size = 0;    ///< full document size (the direct baseline)
   std::size_t delta_size = 0;  ///< uncompressed delta size (kDelta only)
@@ -122,7 +107,6 @@ struct ServedResponse {
 
   bool group_rebase = false;
   bool basic_rebase = false;
-  double cpu_us = 0;
 
   /// Shard that served the request (0 when unsharded). Lets callers (the
   /// worker pool's queue-wait attribution, capacity tooling) index per-shard
@@ -172,7 +156,6 @@ struct ServerInstruments {
   obs::Counter* anonymizations = nullptr;
   obs::Counter* classes_created = nullptr;
   obs::Counter* delta_fallbacks = nullptr;
-  obs::DoubleCounter* cpu_us = nullptr;
   obs::Gauge* classes = nullptr;
   obs::Gauge* storage = nullptr;
   obs::Gauge* index = nullptr;
@@ -215,7 +198,7 @@ class DeltaServerShard {
   /// encode+compress against an encoder snapshot, locked commit — except mu_
   /// now serializes only this shard's classes.
   ServedResponse serve(std::uint64_t user_id, const http::UrlParts& parts,
-                       const http::Url& url, util::BytesView doc, util::SimTime now,
+                       util::BytesView doc, util::SimTime now,
                        std::shared_ptr<obs::TraceContext> trace) EXCLUDES(mu_);
 
   std::optional<PublishedBase> published_base(ClassId id) const EXCLUDES(mu_);
@@ -235,10 +218,6 @@ class DeltaServerShard {
   void append_class_summaries(std::vector<ClassSummary>& out) const EXCLUDES(mu_);
   std::size_t storage_bytes() const EXCLUDES(mu_);
   std::size_t index_bytes() const EXCLUDES(mu_);
-  std::size_t classless_storage_bytes() const EXCLUDES(mu_) {
-    LockGuard lock(mu_);
-    return classless_storage_bytes_;
-  }
   std::size_t num_classes() const EXCLUDES(mu_) {
     LockGuard lock(mu_);
     return classes_.num_classes();
@@ -291,10 +270,6 @@ class DeltaServerShard {
   /// Base version each (client, class) currently holds.
   std::map<std::pair<std::uint64_t, ClassId>, std::uint32_t> client_versions_
       GUARDED_BY(mu_);
-  /// Distinct (user, url) -> last document size, for the classless-storage
-  /// comparison.
-  std::map<std::uint64_t, std::size_t> classless_docs_ GUARDED_BY(mu_);
-  std::size_t classless_storage_bytes_ GUARDED_BY(mu_) = 0;
   /// This shard's share of PipelineMetrics. Kept as a plain struct beside
   /// the atomic registry instruments so metrics() can take a per-shard-
   /// consistent snapshot without any cross-shard lock.
@@ -377,10 +352,6 @@ class DeltaServer {
 
   /// Merged operational snapshot of every class, ordered by class id.
   std::vector<ClassSummary> class_summaries() const;
-
-  /// What classless delta-encoding would store instead: one base-file per
-  /// distinct (user, URL) pair seen.
-  std::size_t classless_storage_bytes() const;
 
   std::size_t num_classes() const;
   std::size_t num_shards() const { return shards_.size(); }

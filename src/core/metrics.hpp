@@ -27,8 +27,6 @@ struct PipelineMetrics {
   std::uint64_t basic_rebases = 0;
   std::uint64_t anonymizations_completed = 0;
 
-  double cpu_us_total = 0;  ///< modeled delta-server CPU
-
   /// Fraction of outbound bytes saved vs. serving everything directly:
   /// 1 - sent/direct, where sent = wire_bytes + base_wire_bytes.
   ///
@@ -82,7 +80,6 @@ struct PipelineMetrics {
     group_rebases += other.group_rebases;
     basic_rebases += other.basic_rebases;
     anonymizations_completed += other.anonymizations_completed;
-    cpu_us_total += other.cpu_us_total;
   }
 };
 

@@ -99,6 +99,9 @@ class Pipeline {
   DeltaServer delta_server_;
   proxy::LruCache base_cache_;
   std::map<std::uint64_t, client::ClientAgent> clients_;
+  /// Distinct (user, URL) -> last document size, for the classless-storage
+  /// comparison.
+  std::map<std::uint64_t, std::size_t> classless_docs_;
   PipelineReport partial_;  // incrementally filled; server metrics copied on report()
   Instruments instr_;
 };

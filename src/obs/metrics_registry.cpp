@@ -29,7 +29,6 @@ bool valid_metric_name(std::string_view name) {
 std::string_view metric_kind_name(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter: return "counter";
-    case MetricKind::kDoubleCounter: return "counter";  // Prometheus type
     case MetricKind::kGauge: return "gauge";
     case MetricKind::kHistogram: return "histogram";
   }
@@ -105,14 +104,6 @@ Counter& MetricsRegistry::counter(std::string_view name, std::string_view help) 
   return *e.counter;
 }
 
-DoubleCounter& MetricsRegistry::double_counter(std::string_view name,
-                                               std::string_view help) {
-  const LockGuard lock(mu_);
-  Entry& e = entry_for(name, help, MetricKind::kDoubleCounter);
-  if (!e.double_counter) e.double_counter.reset(new DoubleCounter());
-  return *e.double_counter;
-}
-
 Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
   const LockGuard lock(mu_);
   Entry& e = entry_for(name, help, MetricKind::kGauge);
@@ -153,11 +144,6 @@ const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   return e ? e->counter.get() : nullptr;
 }
 
-const DoubleCounter* MetricsRegistry::find_double_counter(std::string_view name) const {
-  const Entry* e = find(name, MetricKind::kDoubleCounter);
-  return e ? e->double_counter.get() : nullptr;
-}
-
 const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
   const Entry* e = find(name, MetricKind::kGauge);
   return e ? e->gauge.get() : nullptr;
@@ -179,9 +165,6 @@ std::string MetricsRegistry::prometheus() const {
     switch (entry.kind) {
       case MetricKind::kCounter:
         out += name + " " + std::to_string(entry.counter->value()) + "\n";
-        break;
-      case MetricKind::kDoubleCounter:
-        out += name + " " + format_double(entry.double_counter->value()) + "\n";
         break;
       case MetricKind::kGauge:
         out += name + " " + std::to_string(entry.gauge->value()) + "\n";
@@ -238,9 +221,6 @@ std::string MetricsRegistry::json() const {
       case MetricKind::kCounter:
         out += "counter\", \"value\": " + std::to_string(entry.counter->value());
         break;
-      case MetricKind::kDoubleCounter:
-        out += "counter\", \"value\": " + format_double(entry.double_counter->value());
-        break;
       case MetricKind::kGauge:
         out += "gauge\", \"value\": " + std::to_string(entry.gauge->value());
         break;
@@ -285,9 +265,6 @@ std::map<std::string, MetricSample> MetricsRegistry::snapshot() const {
     switch (entry.kind) {
       case MetricKind::kCounter:
         sample.counter = entry.counter->value();
-        break;
-      case MetricKind::kDoubleCounter:
-        sample.double_counter = entry.double_counter->value();
         break;
       case MetricKind::kGauge:
         sample.gauge = entry.gauge->value();

@@ -21,8 +21,8 @@
 // the existing instrument; a kind or bucket mismatch throws.
 //
 // Compile-out (CBDE_OBS_OFF): Histogram::observe becomes a no-op. Counters
-// and gauges stay live in every build — they are the source of truth behind
-// core::PipelineMetrics, not optional telemetry.
+// and gauges stay live in every build: the server's counters mirror its
+// per-shard ledgers (the source of core::PipelineMetrics) for scrapes.
 #pragma once
 
 #include <array>
@@ -55,24 +55,12 @@ struct alignas(64) CounterCell {
   std::atomic<std::uint64_t> v{0};
 };
 
-struct alignas(64) DoubleCell {
-  std::atomic<double> v{0.0};
-};
-
 /// This thread's shard. Hash of the thread id, cached per thread.
 inline std::size_t shard_index() noexcept {
   static thread_local const std::size_t cached =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) &
       (kCounterShards - 1);
   return cached;
-}
-
-/// Relaxed add for atomic<double> via CAS (fetch_add on floating atomics is
-/// C++20 but not reliably lock-free everywhere; the CAS loop is).
-inline void relaxed_add(std::atomic<double>& a, double d) noexcept {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
-  }
 }
 
 /// Monotonic counter (uint64). add() is a relaxed atomic add on the calling
@@ -93,22 +81,6 @@ class Counter {
   friend class MetricsRegistry;
   Counter() = default;
   std::array<CounterCell, kCounterShards> shards_;
-};
-
-/// Monotonic counter accumulating doubles (modeled CPU microseconds).
-class DoubleCounter {
- public:
-  void add(double d) noexcept { relaxed_add(shards_[shard_index()].v, d); }
-  double value() const noexcept {
-    double total = 0;
-    for (const auto& cell : shards_) total += cell.v.load(std::memory_order_relaxed);
-    return total;
-  }
-
- private:
-  friend class MetricsRegistry;
-  DoubleCounter() = default;
-  std::array<DoubleCell, kCounterShards> shards_;
 };
 
 /// Point-in-time value. set() is last-writer-wins; prefer add() deltas when
@@ -200,7 +172,7 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-enum class MetricKind { kCounter, kDoubleCounter, kGauge, kHistogram };
+enum class MetricKind { kCounter, kGauge, kHistogram };
 std::string_view metric_kind_name(MetricKind kind);
 
 /// Point-in-time copy of one histogram, decoupled from the live instrument
@@ -223,7 +195,6 @@ struct HistogramSnapshot {
 struct MetricSample {
   MetricKind kind = MetricKind::kCounter;
   std::uint64_t counter = 0;
-  double double_counter = 0.0;
   std::int64_t gauge = 0;
   HistogramSnapshot histogram;
 };
@@ -247,8 +218,6 @@ class MetricsRegistry {
   /// histograms) a sub_buckets mismatch. sub_buckets must be a power of two
   /// in [1, 64].
   Counter& counter(std::string_view name, std::string_view help) EXCLUDES(mu_);
-  DoubleCounter& double_counter(std::string_view name, std::string_view help)
-      EXCLUDES(mu_);
   Gauge& gauge(std::string_view name, std::string_view help) EXCLUDES(mu_);
   /// `unit_scale` multiplies bucket bounds and the sum at export time (see
   /// Histogram::unit_scale); a mismatch with an existing registration
@@ -278,7 +247,6 @@ class MetricsRegistry {
   /// Look up an existing instrument; nullptr when `name` is unregistered or
   /// of a different kind (test/CI introspection — hot paths keep handles).
   const Counter* find_counter(std::string_view name) const EXCLUDES(mu_);
-  const DoubleCounter* find_double_counter(std::string_view name) const EXCLUDES(mu_);
   const Gauge* find_gauge(std::string_view name) const EXCLUDES(mu_);
   const Histogram* find_histogram(std::string_view name) const EXCLUDES(mu_);
 
@@ -287,7 +255,6 @@ class MetricsRegistry {
     MetricKind kind = MetricKind::kCounter;
     std::string help;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<DoubleCounter> double_counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };

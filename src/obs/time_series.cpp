@@ -212,19 +212,6 @@ TimeSeriesWindow TimeSeriesRecorder::build_window(
         w.counter_rate[name] = w.span_seconds > 0 ? delta / w.span_seconds : 0.0;
         break;
       }
-      case MetricKind::kDoubleCounter: {
-        const double prev_value = before != nullptr ? before->double_counter : 0.0;
-        double delta = 0.0;
-        if (sample.double_counter < prev_value) {
-          w.reset = true;
-          delta = sample.double_counter;
-        } else {
-          delta = sample.double_counter - prev_value;
-        }
-        w.counter_delta[name] = delta;
-        w.counter_rate[name] = w.span_seconds > 0 ? delta / w.span_seconds : 0.0;
-        break;
-      }
       case MetricKind::kGauge:
         w.gauge[name] = sample.gauge;
         break;

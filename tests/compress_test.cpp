@@ -2,11 +2,15 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "compress/bitio.hpp"
 #include "compress/compressor.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lz77.hpp"
+#include "delta/delta.hpp"
+#include "trace/document.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace cbde::compress {
@@ -259,18 +263,51 @@ TEST(Compressor, PayloadCorruptionDetected) {
   EXPECT_GT(rejected, 0);
 }
 
-TEST(Compressor, EffortParameterTradesRatio) {
-  std::string s;
-  util::Rng rng(3);
-  for (int i = 0; i < 3000; ++i) {
-    s += "item-";
-    s += std::to_string(rng.next_below(50));
-    s += " desc ";
+/// Seeded CBZ1 corpus: temporal and cross deltas and the documents they came
+/// from at page sizes of 1-60 KB, one input spanning two 256 KiB blocks, one
+/// incompressible input and the empty input.
+std::vector<Bytes> pinned_corpus() {
+  std::vector<Bytes> corpus;
+  Bytes large;
+  std::uint64_t seed = 1;
+  for (const std::size_t kb : {1, 3, 7, 11, 18, 26, 34, 45, 55, 60}) {
+    const std::size_t page = kb << 10;
+    trace::TemplateConfig config;
+    config.skeleton_bytes = page * 86 / 100;
+    config.doc_unique_bytes = page * 6 / 100;
+    config.volatile_bytes = page * 25 / 1000;
+    config.personal_bytes = page / 100;
+    const trace::DocumentTemplate tmpl(seed++, config);
+    const Bytes base = tmpl.generate(0, 1, 0);
+    const Bytes temporal = tmpl.generate(0, 1, 120 * util::kSecond);
+    const Bytes cross = tmpl.generate(3, 9, 120 * util::kSecond);
+    corpus.push_back(delta::encode(as_view(base), as_view(temporal)).delta);
+    corpus.push_back(delta::encode(as_view(base), as_view(cross)).delta);
+    corpus.push_back(base);
+    corpus.push_back(cross);
+    util::append(large, as_view(base));
+    util::append(large, as_view(cross));
   }
-  const Bytes input = to_bytes(s);
-  const std::size_t fast = compressed_size(as_view(input), CompressParams{4, 8});
-  const std::size_t thorough = compressed_size(as_view(input), CompressParams{1024, 258});
-  EXPECT_LE(thorough, fast);
+  EXPECT_GT(large.size(), std::size_t{256} << 10);
+  corpus.push_back(std::move(large));
+  util::Rng rng(1729);
+  Bytes noise(20000);
+  for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_below(256));
+  corpus.push_back(std::move(noise));
+  corpus.emplace_back();
+  return corpus;
+}
+
+TEST(Compressor, PinnedOutputOverSeededCorpus) {
+  std::uint32_t crc = 0;
+  std::uint64_t total = 0;
+  for (const Bytes& input : pinned_corpus()) {
+    const Bytes packed = compress(as_view(input));
+    crc = util::crc32(as_view(packed), crc);
+    total += packed.size();
+  }
+  EXPECT_EQ(total, 588734u);
+  EXPECT_EQ(crc, 0x62911f94u);
 }
 
 TEST(Compressor, RatioOnHtmlLikeContentIsAtLeastTwoX) {

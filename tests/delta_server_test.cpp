@@ -90,6 +90,8 @@ TEST(DeltaServer, PublishesAfterAnonymizationAndServesDeltas) {
   const auto again = rig.request(9, 0, 5, now);
   EXPECT_EQ(again.mode, ServedResponse::Mode::kDelta);
   EXPECT_FALSE(again.base_needed);
+  // base_size reports the base encoded against, needed or not.
+  EXPECT_EQ(again.base_size, resp.base_size);
 }
 
 TEST(DeltaServer, DeltaAppliesToPublishedBase) {
@@ -162,7 +164,6 @@ TEST(DeltaServer, MetricsAccumulateConsistently) {
   EXPECT_GT(m.direct_bytes, 0u);
   EXPECT_LE(m.wire_bytes, m.direct_bytes);
   EXPECT_GT(m.savings(), 0.0);
-  EXPECT_GT(m.cpu_us_total, 0.0);
 }
 
 TEST(DeltaServer, BasicRebaseAfterConsecutiveLargeDeltas) {
@@ -254,19 +255,6 @@ TEST(DeltaServer, PublishedHistoryServesRecentVersionsOnly) {
   EXPECT_FALSE(rig.server.fetch_base(9999, 1).has_value());
 }
 
-TEST(DeltaServer, StorageStaysFarBelowClasslessStorage) {
-  // The paper's scalability argument: one base per class vs one per
-  // (user, document).
-  Rig rig;
-  util::SimTime now = 0;
-  for (std::uint64_t user = 1; user <= 20; ++user) {
-    for (std::size_t d = 0; d < 5; ++d) {
-      rig.request(user, d % 2, d, now += util::kSecond);
-    }
-  }
-  EXPECT_LT(rig.server.storage_bytes() * 3, rig.server.classless_storage_bytes());
-}
-
 TEST(DeltaServer, StorageCountsTheAnonymizingBaseOnce) {
   // The class-creating request leaves two buffers: the working base, which
   // the anonymization in progress aliases, and the selector's sample.
@@ -320,6 +308,22 @@ TEST(DeltaServerPool, ThreadedStressMatchesSerialTotals) {
   };
   std::vector<Sent> sent;
   sent.reserve(kRequests);
+  // A reader snapshotting the ledger while requests are in flight: each
+  // request commits all of its ledger counters in one critical section, so
+  // every snapshot satisfies the per-shard identities.
+  std::atomic<bool> serving{true};
+  std::size_t snapshots = 0;
+  std::size_t inconsistent = 0;
+  std::thread reader([&] {
+    do {
+      const PipelineMetrics m = server.metrics();
+      ++snapshots;
+      if (m.requests != m.direct_responses + m.delta_responses ||
+          m.wire_bytes > m.direct_bytes) {
+        ++inconsistent;
+      }
+    } while (serving.load(std::memory_order_acquire));
+  });
   {
     DeltaWorkerPool pool(server, kWorkers, /*queue_capacity=*/16);
     EXPECT_EQ(pool.workers(), kWorkers);
@@ -334,6 +338,10 @@ TEST(DeltaServerPool, ThreadedStressMatchesSerialTotals) {
           Sent{doc_bytes, pool.submit(user, site.url_for(ref), std::move(doc), now)});
     }
   }  // pool destructor drains the queue and joins
+  serving.store(false, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(inconsistent, 0u) << "of " << snapshots << " snapshots";
 
   std::size_t direct = 0;
   std::size_t deltas = 0;
@@ -528,6 +536,7 @@ TEST(DeltaServer, FallsBackToDirectWhenDeltaUseless) {
   const auto resp = rig.server.serve(2, url, as_view(noise), util::kSecond);
   EXPECT_EQ(resp.mode, ServedResponse::Mode::kDirect);
   EXPECT_EQ(resp.wire_body, noise);
+  EXPECT_GT(resp.base_size, 0u);  // encoded against the base, then fell back
 }
 
 }  // namespace

@@ -185,6 +185,11 @@ TEST(EventPipeline, DeterministicAcrossRuns) {
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
   EXPECT_DOUBLE_EQ(a.latency_us.mean(), b.latency_us.mean());
+  // Pinned: the CPU stage charges the §VI-C delta-server model to every
+  // response, so these move if its arithmetic does. The mean is exact.
+  EXPECT_EQ(a.horizon, 14379222);
+  EXPECT_EQ(a.uplink_bytes, 2187642u);
+  EXPECT_EQ(a.latency_us.mean(), 111117.36333333333);
 }
 
 }  // namespace

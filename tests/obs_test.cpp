@@ -125,7 +125,6 @@ TEST(ObsRegistry, PrometheusExpositionGolden) {
   if (kCompiledOut) GTEST_SKIP() << "histogram samples compiled out";
   MetricsRegistry reg;
   reg.counter("cbde_golden_requests_total", "Total requests observed.").add(3);
-  reg.double_counter("cbde_golden_cpu_microseconds_total", "Modeled CPU.").add(2.5);
   reg.gauge("cbde_golden_queue_depth", "Depth.").set(7);
   Histogram& h =
       reg.histogram("cbde_golden_latency_microseconds", "Latency.", 4);
@@ -133,9 +132,6 @@ TEST(ObsRegistry, PrometheusExpositionGolden) {
   h.observe(5);
   h.observe(9);
   const std::string expected =
-      "# HELP cbde_golden_cpu_microseconds_total Modeled CPU.\n"
-      "# TYPE cbde_golden_cpu_microseconds_total counter\n"
-      "cbde_golden_cpu_microseconds_total 2.5\n"
       "# HELP cbde_golden_latency_microseconds Latency.\n"
       "# TYPE cbde_golden_latency_microseconds histogram\n"
       "cbde_golden_latency_microseconds_bucket{le=\"0\"} 1\n"
@@ -166,8 +162,6 @@ TEST(ObsRegistry, PrometheusExpositionGolden) {
 TEST(ObsConcurrency, ShardedInstrumentsSumExactlyUnderContention) {
   MetricsRegistry reg;
   Counter& c = reg.counter("cbde_test_contended_total", "contended adds");
-  DoubleCounter& d =
-      reg.double_counter("cbde_test_cpu_microseconds_total", "cpu");
   Gauge& g = reg.gauge("cbde_test_depth_gauge", "depth");
   Histogram& h = reg.histogram("cbde_test_wait_microseconds", "wait", 4);
   constexpr int kThreads = 4;
@@ -178,7 +172,6 @@ TEST(ObsConcurrency, ShardedInstrumentsSumExactlyUnderContention) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         c.inc();
-        d.add(0.25);
         g.add(1);
         h.observe(static_cast<std::uint64_t>(i % 64));
       }
@@ -186,7 +179,6 @@ TEST(ObsConcurrency, ShardedInstrumentsSumExactlyUnderContention) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(d.value(), 0.25 * kThreads * kPerThread);
   EXPECT_EQ(g.value(), static_cast<std::int64_t>(kThreads) * kPerThread);
   if (!kCompiledOut) {
     EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
@@ -409,9 +401,10 @@ TEST(ObsEvents, ServePathEmitsLifecycleEvents) {
 // ------------------------------------------------------------- parity
 
 TEST(ObsParity, PipelineMetricsEqualRegistryDerivedValues) {
-  // PipelineMetrics is derived FROM the registry counters; this pins the
-  // mapping name-by-name on a replayed workload so the two reports can
-  // never drift. Byte counters must match exactly (Table II is byte-exact).
+  // PipelineMetrics comes from the per-shard ledgers and the registry
+  // counters mirror them; this pins the mapping name-by-name on a replayed
+  // workload so the two reports can never drift. Byte counters must match
+  // exactly (Table II is byte-exact).
   Rig rig(/*sample_rate=*/0.25);
   util::SimTime now = rig.warm_up();
   for (std::uint64_t user = 1; user <= 6; ++user) {
@@ -442,10 +435,6 @@ TEST(ObsParity, PipelineMetricsEqualRegistryDerivedValues) {
   EXPECT_EQ(m.basic_rebases, counter_value("cbde_server_basic_rebases_total"));
   EXPECT_EQ(m.anonymizations_completed,
             counter_value("cbde_server_anonymizations_total"));
-  const DoubleCounter* cpu =
-      reg.find_double_counter("cbde_server_cpu_microseconds_total");
-  ASSERT_NE(cpu, nullptr);
-  EXPECT_DOUBLE_EQ(m.cpu_us_total, cpu->value());
   // Response accounting is complete: every request is direct or delta.
   EXPECT_EQ(m.requests, m.direct_responses + m.delta_responses);
   // The delta-size histogram saw at least the committed delta responses

@@ -118,7 +118,9 @@ TEST(Pipeline, ClassCountStaysSmall) {
   const auto report = pipeline.report();
   // 2 categories -> a handful of classes despite 30 documents x 25 users.
   EXPECT_LE(report.num_classes, 8u);
-  EXPECT_LT(report.storage_bytes, report.classless_storage_bytes);
+  // The paper's scalability argument: one base per class vs one per
+  // (user, document).
+  EXPECT_LT(report.storage_bytes * 3, report.classless_storage_bytes);
 }
 
 TEST(Pipeline, DeterministicAcrossRuns) {

@@ -177,13 +177,10 @@ TEST(ShardParity, TableTwoByteAccountingIdenticalAcrossShardCounts) {
   EXPECT_EQ(m1.requests, n);
   EXPECT_GT(m1.delta_responses, 0u);
   expect_byte_identical(m1, m4);
-  EXPECT_DOUBLE_EQ(m1.cpu_us_total, m4.cpu_us_total);
 
   // Derived views merge losslessly too.
   EXPECT_EQ(one.server.num_classes(), four.server.num_classes());
   EXPECT_EQ(one.server.storage_bytes(), four.server.storage_bytes());
-  EXPECT_EQ(one.server.classless_storage_bytes(),
-            four.server.classless_storage_bytes());
   const GroupingStats g1 = one.server.grouping_stats();
   const GroupingStats g4 = four.server.grouping_stats();
   EXPECT_EQ(g1.requests, g4.requests);

@@ -29,8 +29,8 @@ ci.sh over src/ tests/ bench/. Checks, each with a stable id:
                   banned outside tests/ and bench/: use CBDE_ASSERT so the
                   check participates in the contract-level scheme.
   obs-metric      every metric registered against the obs registry
-                  (counter/double_counter/gauge/histogram with a literal
-                  name) must follow the cbde_<layer>_<name>[_unit] naming
+                  (counter/gauge/histogram with a literal name) must
+                  follow the cbde_<layer>_<name>[_unit] naming
                   convention (lowercase snake_case, >= 3 segments) and be
                   registered at exactly one source location — one site per
                   name keeps the catalog in docs/OBSERVABILITY.md
@@ -126,18 +126,17 @@ BARE_ASSERT = re.compile(r"(?<![\w.])assert\s*\(")
 
 
 # A registration call with a literal metric name: .counter("..."),
-# .double_counter("..."), .gauge("..."), .histogram("..."). The [^\w]
-# look-behind keeps `find_counter(` and `double_counter(` from matching the
-# bare `counter` alternative.
+# .gauge("..."), .histogram("..."). The [^\w] look-behind keeps
+# `find_counter(` from matching the bare `counter` alternative.
 OBS_REGISTRATION = re.compile(
-    r"(?:^|[^\w])(counter|double_counter|gauge|histogram)\s*\(\s*\"([^\"]+)\"")
+    r"(?:^|[^\w])(counter|gauge|histogram)\s*\(\s*\"([^\"]+)\"")
 
 # A per-shard registration through the name helper: the literal is the base
 # name ("cbde_shard_requests_total"); the helper splices the shard index in
 # at runtime, so the catalog (and the one-site rule) track the family under
 # the `<k>` placeholder spelling (cbde_shard_<k>_requests_total).
 OBS_SHARD_REGISTRATION = re.compile(
-    r"(?:^|[^\w])(counter|double_counter|gauge|histogram)\s*\(\s*"
+    r"(?:^|[^\w])(counter|gauge|histogram)\s*\(\s*"
     r"(?:\w+::)*shard_metric_name\s*\(\s*\"([^\"]+)\"")
 
 # The timed-mutex instrument: Obs::lock_wait_profile registers (and owns)
@@ -355,7 +354,7 @@ def check_obs_metrics(sites: ObsSites, findings: list[Finding]) -> None:
                 f"metric '{name}' registered at {len(regs)} sites (also "
                 f"{where}); register once and share the handle"))
         for p, ln, kind in regs:
-            is_counter = kind in ("counter", "double_counter")
+            is_counter = kind == "counter"
             if is_counter and not name.endswith("_total"):
                 findings.append(Finding(
                     "obs-metric", p, ln,
