@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,24 +76,29 @@ struct EndToEndResult {
   /// operator-new calls per request over the timed region (serve proper plus
   /// the pool's submit/future machinery).
   double allocs_per_request = 0;
+  /// The run's time-series window (one tick covering the whole run) and the
+  /// server registry's exports once the pool has drained.
+  obs::TimeSeriesWindow window;
+  std::string prometheus;
+  std::string metrics_json;
 };
 
 /// Drive a fresh DeltaServer through a DeltaWorkerPool: one warmup pass
 /// creates the classes and publishes bases, then `requests` timed requests
 /// fan out over `workers` threads.
 EndToEndResult run_end_to_end(const trace::SiteModel& site, std::size_t workers,
-                              std::size_t requests,
-                              std::shared_ptr<obs::Obs> obs_instance = nullptr) {
+                              std::size_t requests, const obs::ObsConfig& obs_config) {
   core::DeltaServerConfig config;
   config.anonymize = false;  // steady state: every request is grouped+encoded
   config.selector.sample_prob = 0.05;
   config.rebase_timeout = 1000000 * util::kSecond;
   config.basic_rebase_after = 1 << 20;
-  config.obs_instance = std::move(obs_instance);
+  config.obs = obs_config;
 
   http::RuleBook rules;
   rules.add_rule(site.config().host, site.partition_rule());
   core::DeltaServer server(config, std::move(rules));
+  obs::TimeSeriesRecorder recorder(server.obs().registry(), obs::TimeSeriesConfig{});
 
   // Warmup: create one class per category and publish its base.
   const std::size_t cats = site.num_categories();
@@ -146,6 +150,9 @@ EndToEndResult run_end_to_end(const trace::SiteModel& site, std::size_t workers,
   result.delta_ratio = static_cast<double>(wire_bytes) / static_cast<double>(doc_bytes);
   result.allocs_per_request =
       static_cast<double>(allocs_after - allocs_before) / static_cast<double>(requests);
+  result.window = recorder.tick();
+  result.prometheus = server.obs().registry().prometheus();
+  result.metrics_json = server.obs().registry().json();
   return result;
 }
 
@@ -404,18 +411,20 @@ int main(int argc, char** argv) {
   obs::ObsConfig e2e_obs_config;
   e2e_obs_config.sample_rate = 0.01;
   e2e_obs_config.lock_profile = true;  // lock_wait_share in the windows below
-  auto e2e_obs = std::make_shared<obs::Obs>(e2e_obs_config);
 
-  // One time-series window per worker-count run (manual ticks): the
-  // `time_series` section perf_gate.py bands in BENCH_delta.json.
-  obs::TimeSeriesRecorder e2e_recorder(e2e_obs->registry(), obs::TimeSeriesConfig{});
+  // One time-series window per worker-count run: the `time_series` section
+  // perf_gate.py bands in BENCH_delta.json. Each run's server owns its
+  // registry; the --metrics-* dumps export the 4-worker run's.
+  std::vector<obs::TimeSeriesWindow> e2e_windows;
+  EndToEndResult dumped;
 
   json.open("end_to_end");
   double ns_1 = 0;
   double allocs_1 = 0, allocs_4 = 0;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    const EndToEndResult r = run_end_to_end(site, workers, e2e_requests, e2e_obs);
-    e2e_recorder.tick();
+    EndToEndResult r = run_end_to_end(site, workers, e2e_requests, e2e_obs_config);
+    r.window.tick = e2e_windows.size() + 1;
+    e2e_windows.push_back(r.window);
     const std::string key = "workers_" + std::to_string(workers);
     json.open(key);
     json.field("ns_per_request", r.ns_per_request);
@@ -436,11 +445,11 @@ int main(int argc, char** argv) {
         json.field("speedup_4v1", ns_1 / r.ns_per_request);
         std::printf("%-28s %12.2fx\n", "speedup_4v1", ns_1 / r.ns_per_request);
       }
+      dumped = std::move(r);
     }
   }
   json.close();  // end_to_end
-  json.field_raw("time_series",
-                 bench::time_series_summary_json(e2e_recorder.windows()));
+  json.field_raw("time_series", bench::time_series_summary_json(e2e_windows));
 
   // Measured allocations per request through the worker pool;
   // tools/obs/perf_gate.py bands them with allocs_per_request_max in
@@ -458,7 +467,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
       return 1;
     }
-    prom << e2e_obs->registry().prometheus();
+    prom << dumped.prometheus;
     std::printf("wrote %s\n", metrics_out.c_str());
   }
   if (!metrics_json.empty()) {
@@ -467,7 +476,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", metrics_json.c_str());
       return 1;
     }
-    mjson << e2e_obs->registry().json() << "\n";
+    mjson << dumped.metrics_json << "\n";
     std::printf("wrote %s\n", metrics_json.c_str());
   }
 

@@ -16,14 +16,12 @@ BaseFileSelector::BaseFileSelector(SelectorConfig config, std::uint64_t seed)
 
 void BaseFileSelector::observe(util::BytesView doc) {
   ++stats_.observed;
-  if (instr_.observed != nullptr) instr_.observed->inc();
   if (!rng_.bernoulli(config_.sample_prob)) return;
   admit(doc);
 }
 
 void BaseFileSelector::admit(util::BytesView doc) {
   ++stats_.sampled;
-  if (instr_.sampled != nullptr) instr_.sampled->inc();
   // One copy of the sampled document, shared by the reference set and the
   // candidate estimator — the kTwoSet policy used to materialize it twice.
   auto snapshot = std::make_shared<const util::Bytes>(doc.begin(), doc.end());
@@ -102,7 +100,6 @@ std::size_t BaseFileSelector::best_index() const {
 
 void BaseFileSelector::evict_candidate() {
   ++stats_.evictions;
-  if (instr_.evictions != nullptr) instr_.evictions->inc();
   const bool random_turn =
       config_.eviction == SelectorConfig::Eviction::kPeriodicRandom &&
       stats_.evictions % config_.random_evict_period == 0;

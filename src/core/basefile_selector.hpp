@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "delta/delta.hpp"
-#include "obs/metrics_registry.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -44,15 +43,6 @@ struct SelectorStats {
   std::uint64_t sampled = 0;
   std::uint64_t evictions = 0;
   std::uint64_t random_evictions = 0;
-};
-
-/// Shared registry counters a selector mirrors its stats into. Selectors
-/// are per-class; the owning DeltaServer hands every class the same handles
-/// so the counters aggregate across classes. All-null (default) = no-op.
-struct SelectorInstruments {
-  obs::Counter* observed = nullptr;
-  obs::Counter* sampled = nullptr;
-  obs::Counter* evictions = nullptr;
 };
 
 class BaseFileSelector {
@@ -83,8 +73,6 @@ class BaseFileSelector {
   std::size_t index_bytes() const;
   const SelectorStats& stats() const { return stats_; }
 
-  void set_instruments(const SelectorInstruments& instr) { instr_ = instr; }
-
  private:
   void insert_candidate(std::shared_ptr<const util::Bytes> doc);
   void insert_reference(std::shared_ptr<const util::Bytes> doc);  // kTwoSet only
@@ -112,7 +100,6 @@ class BaseFileSelector {
   /// alive. stored_bytes() counts each distinct buffer once.
   std::vector<std::shared_ptr<const util::Bytes>> references_;
   SelectorStats stats_;
-  SelectorInstruments instr_;
 };
 
 /// Common interface for the Table III base-file policies: each observes the

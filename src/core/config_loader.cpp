@@ -174,7 +174,7 @@ LoadedConfig load_config(std::istream& in) {
           fail(line_no, std::string("bad partition regex: ") + e.what());
         }
       } else if (key == "manual-class") {
-        out.manual_classes.emplace_back(site_host, value);
+        out.server.manual_classes.emplace_back(site_host, value);
       } else {
         fail(line_no, "unknown site key '" + key + "'");
       }

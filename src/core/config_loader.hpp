@@ -32,7 +32,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/delta_server.hpp"
 #include "http/partition.hpp"
@@ -47,8 +46,6 @@ class ConfigError : public std::runtime_error {
 struct LoadedConfig {
   DeltaServerConfig server;
   http::RuleBook rules;
-  /// (host, hint) pairs to pin via ClassManager::add_manual_class.
-  std::vector<std::pair<std::string, std::string>> manual_classes;
   /// Set when "base-store = disk:<path>" was given; server.store_factory
   /// then builds the shards' disk stores under it.
   std::optional<std::filesystem::path> disk_store;

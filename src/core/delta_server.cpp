@@ -6,52 +6,34 @@
 #include "util/hash.hpp"
 
 namespace cbde::core {
+namespace {
+
+/// Slots of the metrics the server's collector fills from shard state;
+/// cbde_shard_<k>_requests_total takes kShardRequests + k.
+enum CollectedSlot : std::size_t {
+  kRequests, kDirectResponses, kDeltaResponses, kDirectBytes, kWireBytes,
+  kBaseWireBytes, kGroupRebases, kBasicRebases, kAnonymizations, kClassesCreated,
+  kClasses, kSelectorObserved, kSelectorSampled, kSelectorEvictions, kStorageBytes,
+  kIndexBytes, kShardRequests
+};
+
+}  // namespace
 
 DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
     : config_(std::move(config)),
       rules_(std::move(rules)),
-      obs_(config_.obs_instance ? config_.obs_instance
-                                : std::make_shared<obs::Obs>(config_.obs)) {
+      obs_(std::make_unique<obs::Obs>(config_.obs)) {
   CBDE_EXPECT(config_.shards >= 1);
 
-  // Registry instruments are the scrape-side mirror of the per-shard ledgers
-  // (metrics() itself merges the ledgers), registered once here and shared
-  // by every shard — the registry is name-keyed with no labels, so a
+  // Instruments the serve path writes, registered once here and shared by
+  // every shard — the registry is name-keyed with no labels, so a
   // per-shard registration would collide. Names follow
   // cbde_<layer>_<name>[_unit] — tools/lint/cbde_lint.py enforces the shape,
   // docs/OBSERVABILITY.md holds the catalog.
   auto& reg = obs_->registry();
-  instr_.requests =
-      &reg.counter("cbde_server_requests_total", "Requests served");
-  instr_.direct_responses = &reg.counter("cbde_server_direct_responses_total",
-                                         "Responses sent as the full document");
-  instr_.delta_responses = &reg.counter("cbde_server_delta_responses_total",
-                                        "Responses sent as a compressed delta");
-  instr_.direct_bytes =
-      &reg.counter("cbde_server_direct_bytes_total",
-                   "Bytes a full-transfer server would have sent (Direct KB)");
-  instr_.wire_bytes = &reg.counter("cbde_server_wire_bytes_total",
-                                   "Response bytes actually sent (Delta KB)");
-  instr_.base_wire_bytes =
-      &reg.counter("cbde_server_base_wire_bytes_total",
-                   "Base-file distribution bytes charged to the server");
-  instr_.group_rebases =
-      &reg.counter("cbde_server_group_rebases_total", "Group-rebases (§IV)");
-  instr_.basic_rebases =
-      &reg.counter("cbde_server_basic_rebases_total", "Basic-rebases (§IV)");
-  instr_.anonymizations = &reg.counter("cbde_server_anonymizations_total",
-                                       "Anonymization processes completed (§V)");
-  instr_.classes_created =
-      &reg.counter("cbde_server_classes_created_total", "Classes created");
   instr_.delta_fallbacks = &reg.counter(
       "cbde_server_delta_fallbacks_total",
       "Deltas discarded for being no smaller than the document itself");
-  instr_.classes = &reg.gauge("cbde_server_classes", "Live classes");
-  instr_.storage =
-      &reg.gauge("cbde_server_storage_bytes",
-                 "Server-side footprint as of the last storage_bytes() audit");
-  instr_.index = &reg.gauge("cbde_server_index_bytes",
-                            "Match-index bytes as of the last index_bytes() audit");
   instr_.encode_latency =
       &obs_->histogram("cbde_server_encode_latency_microseconds",
                        "Wall time of one delta encode against the published base");
@@ -59,28 +41,50 @@ DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
                                        "Uncompressed delta size per delta response");
   instr_.doc_size = &obs_->histogram("cbde_server_doc_size_bytes",
                                      "Full document size per request");
-  instr_.selector.observed =
-      &reg.counter("cbde_selector_observed_total",
-                   "Documents shown to the base-file selectors (§IV)");
-  instr_.selector.sampled = &reg.counter("cbde_selector_sampled_total",
-                                         "Documents admitted as base candidates");
-  instr_.selector.evictions =
-      &reg.counter("cbde_selector_evictions_total", "Candidate evictions");
   instr_.anonymizer.begins = &reg.counter("cbde_anonymizer_begins_total",
                                           "Anonymization processes started (§V)");
   instr_.anonymizer.docs_observed =
       &reg.counter("cbde_anonymizer_docs_observed_total",
                    "Documents counted toward an anonymization's N");
 
+  // Metrics with a count in shard state: the collector reads them from the
+  // shards on every scrape (collect()), so each has one source.
+  obs::Collector collected;
+  collected.counter("cbde_server_requests_total", "Requests served", kRequests);
+  collected.counter("cbde_server_direct_responses_total",
+                    "Responses sent as the full document", kDirectResponses);
+  collected.counter("cbde_server_delta_responses_total",
+                    "Responses sent as a compressed delta", kDeltaResponses);
+  collected.counter("cbde_server_direct_bytes_total",
+                    "Bytes a full-transfer server would have sent (Direct KB)", kDirectBytes);
+  collected.counter("cbde_server_wire_bytes_total",
+                    "Response bytes actually sent (Delta KB)", kWireBytes);
+  collected.counter("cbde_server_base_wire_bytes_total",
+                    "Base-file distribution bytes charged to the server", kBaseWireBytes);
+  collected.counter("cbde_server_group_rebases_total", "Group-rebases (§IV)", kGroupRebases);
+  collected.counter("cbde_server_basic_rebases_total", "Basic-rebases (§IV)", kBasicRebases);
+  collected.counter("cbde_server_anonymizations_total",
+                    "Anonymization processes completed (§V)", kAnonymizations);
+  collected.counter("cbde_server_classes_created_total", "Classes created", kClassesCreated);
+  collected.gauge("cbde_server_classes", "Live classes", kClasses);
+  collected.gauge("cbde_server_storage_bytes",
+                  "Working and published bases plus selector samples", kStorageBytes);
+  collected.gauge("cbde_server_index_bytes", "Match-index bytes over those bases",
+                  kIndexBytes);
+  collected.counter("cbde_selector_observed_total",
+                    "Documents shown to the base-file selectors (§IV)", kSelectorObserved);
+  collected.counter("cbde_selector_sampled_total", "Documents admitted as base candidates",
+                    kSelectorSampled);
+  collected.counter("cbde_selector_evictions_total", "Candidate evictions",
+                    kSelectorEvictions);
+
   // Per-shard series: the registry is label-free, so the shard index becomes
   // a name segment (obs::shard_metric_name). Registered here — once, at a
-  // single site — and indexed by the shards on the serve path.
-  instr_.shard_requests.reserve(config_.shards);
+  // single site.
   instr_.shard_serve.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    instr_.shard_requests.push_back(
-        &reg.counter(obs::shard_metric_name("cbde_shard_requests_total", i),
-                     "Requests served by this shard"));
+    collected.counter(obs::shard_metric_name("cbde_shard_requests_total", i),
+                      "Requests served by this shard", kShardRequests + i);
     instr_.shard_serve.push_back(
         &obs_->histogram(obs::shard_metric_name("cbde_shard_serve_microseconds", i),
                          "Wall time of one serve() on this shard"));
@@ -101,6 +105,10 @@ DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
         config_, i, /*id_stride=*/config_.shards, std::move(shard_store), *obs_,
         instr_));
   }
+  // Same convention as metrics(): one shard mutex at a time, ascending.
+  reg.set_collector(std::move(collected), [this](std::span<std::uint64_t> values) {
+    for (const auto& shard : shards_) shard->collect(values);
+  });
 }
 
 std::size_t DeltaServer::route(std::string_view server_part, std::string_view hint_part,
@@ -184,16 +192,12 @@ GroupingStats DeltaServer::grouping_stats() const {
 std::size_t DeltaServer::storage_bytes() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->storage_bytes();
-  // The gauge mirrors the last audit; per-request maintenance would cost a
-  // full class walk on the hot path for a number only scrapes care about.
-  instr_.storage->set(static_cast<std::int64_t>(total));
   return total;
 }
 
 std::size_t DeltaServer::index_bytes() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->index_bytes();
-  instr_.index->set(static_cast<std::int64_t>(total));
   return total;
 }
 
@@ -225,6 +229,10 @@ DeltaServerShard::DeltaServerShard(const DeltaServerConfig& config, std::size_t 
                /*id_first=*/static_cast<ClassId>(index) + 1, id_stride) {
   CBDE_EXPECT(index_ < id_stride);  // id_stride is the server's shard count
   CBDE_EXPECT(store_ != nullptr);
+  for (const auto& [server_part, hint_part] : config_.manual_classes) {
+    if (DeltaServer::route(server_part, hint_part, id_stride) != index_) continue;
+    classes_.add_manual_class(server_part, hint_part);
+  }
   // Opt-in lock-wait profiling: all shard mutexes share one cell (the
   // "server_shard" site), wired before any request can contend the mutex.
   if (instr_.shard_lock != nullptr) mu_.attach_wait_profile(instr_.shard_lock);
@@ -238,7 +246,6 @@ DeltaServerShard::ClassState& DeltaServerShard::state_of(ClassId id) {
     // sampling decisions for the same class at any shard count.
     auto created = std::make_unique<ClassState>(config_, classes_.class_seed(id));
     it = states_.emplace(id, std::move(created)).first;
-    it->second->selector.set_instruments(instr_.selector);
     it->second->anonymizer.set_instruments(instr_.anonymizer);
   }
   return *it->second;
@@ -273,7 +280,6 @@ void DeltaServerShard::maybe_complete_publication(ClassId id, ClassState& cls,
   ++cls.published_version;
   record_publication(id, cls, now);
   cls.last_group_rebase = now;
-  instr_.anonymizations->inc();
   ++ledger_.anonymizations_completed;
   obs_.emit(obs::EventKind::kAnonymizationComplete, now, id,
             {{"version", std::to_string(cls.published_version)}});
@@ -304,7 +310,6 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
   obs::TraceContext* tc = trace.get();
   obs::Span serve_span(tc, "serve");
   instr_.doc_size->observe(doc.size());
-  instr_.shard_requests[index_]->inc();
 
   // Phase 1 — locked: bookkeeping, grouping, selector/anonymizer feeding,
   // publication progress; ends by snapshotting the class's published-base
@@ -335,10 +340,6 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
     group_span.tag("created", decision.created ? "true" : "false");
     group_span.tag("tries", std::to_string(decision.tries));
     if (decision.created) {
-      instr_.classes_created->inc();
-      // add(), not set(): the gauge is shared by all shards (classes are
-      // never destroyed, so creations == live classes).
-      instr_.classes->add(1);
       obs_.emit(obs::EventKind::kClassCreated, now, decision.id,
                 {{"user", std::to_string(user_id)},
                  {"tries", std::to_string(decision.tries)}});
@@ -418,9 +419,7 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
     obs::Span commit_span(tc, "commit");
     const LockGuard lock(mu_);
     ClassState& cls = *cls_ptr;
-    instr_.requests->inc();
     ++ledger_.requests;
-    instr_.direct_bytes->add(doc.size());
     ledger_.direct_bytes += doc.size();
     if (serve_delta) {
       out.base_version = snap_version;
@@ -430,21 +429,15 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
         out.base_needed = true;
         client_versions_[key] = snap_version;
       }
-      instr_.delta_responses->inc();
       ++ledger_.delta_responses;
     } else {
-      instr_.direct_responses->inc();
       ++ledger_.direct_responses;
     }
     // A delta response is only worth sending if it beats the document.
     CBDE_ASSERT_INVARIANT(out.mode == ServedResponse::Mode::kDirect ||
                           out.wire_body.size() < out.doc_size);
-    instr_.wire_bytes->add(out.wire_body.size());
     ledger_.wire_bytes += out.wire_body.size();
-    if (out.base_needed) {
-      instr_.base_wire_bytes->add(out.base_size);
-      ledger_.base_wire_bytes += out.base_size;
-    }
+    if (out.base_needed) ledger_.base_wire_bytes += out.base_size;
 
     // 4. Basic-rebase: consecutive relatively-large deltas flush the class.
     if (cls.published_version > 0) {
@@ -457,7 +450,6 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
         cls.selector.admit(doc);
         start_publication(out.class_id, cls, now);
         out.basic_rebase = true;
-        instr_.basic_rebases->inc();
         ++ledger_.basic_rebases;
         obs_.emit(obs::EventKind::kBasicRebase, now, out.class_id,
                   {{"delta_size", std::to_string(out.delta_size)},
@@ -474,7 +466,6 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
         cls.working_owner = user_id;  // conservatively exclude the requester
         start_publication(out.class_id, cls, now);
         out.group_rebase = true;
-        instr_.group_rebases->inc();
         ++ledger_.group_rebases;
         obs_.emit(obs::EventKind::kGroupRebase, now, out.class_id,
                   {{"base_size", std::to_string(best->size())}});
@@ -547,8 +538,30 @@ void DeltaServerShard::append_class_summaries(std::vector<ClassSummary>& out) co
   }
 }
 
-std::size_t DeltaServerShard::storage_bytes() const {
+void DeltaServerShard::collect(std::span<std::uint64_t> values) const {
   const LockGuard lock(mu_);
+  values[kRequests] += ledger_.requests;
+  values[kDirectResponses] += ledger_.direct_responses;
+  values[kDeltaResponses] += ledger_.delta_responses;
+  values[kDirectBytes] += ledger_.direct_bytes;
+  values[kWireBytes] += ledger_.wire_bytes;
+  values[kBaseWireBytes] += ledger_.base_wire_bytes;
+  values[kGroupRebases] += ledger_.group_rebases;
+  values[kBasicRebases] += ledger_.basic_rebases;
+  values[kAnonymizations] += ledger_.anonymizations_completed;
+  values[kShardRequests + index_] = ledger_.requests;
+  values[kClassesCreated] += classes_.stats().classes_created;
+  values[kClasses] += classes_.num_classes();
+  for (const auto& [id, cls] : states_) {
+    values[kSelectorObserved] += cls->selector.stats().observed;
+    values[kSelectorSampled] += cls->selector.stats().sampled;
+    values[kSelectorEvictions] += cls->selector.stats().evictions;
+  }
+  values[kStorageBytes] += storage_bytes_locked();
+  values[kIndexBytes] += index_bytes_locked();
+}
+
+std::size_t DeltaServerShard::storage_bytes_locked() const {
   // Retained published versions live in the base store (the in-memory copy
   // of each current base is a cache, not extra footprint).
   std::size_t total = store_->bytes_stored();
@@ -565,8 +578,7 @@ std::size_t DeltaServerShard::storage_bytes() const {
   return total;
 }
 
-std::size_t DeltaServerShard::index_bytes() const {
-  const LockGuard lock(mu_);
+std::size_t DeltaServerShard::index_bytes_locked() const {
   std::size_t total = 0;
   for (const auto& [id, cls] : states_) {
     total += cls->working_estimator ? cls->working_estimator->index_bytes() : 0;

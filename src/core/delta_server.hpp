@@ -30,6 +30,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -74,13 +76,13 @@ struct DeltaServerConfig {
   /// Base store built for each shard; null = one MemoryBaseStore per shard.
   /// (A DiskBaseStore factory should hand each shard its own directory.)
   std::function<std::unique_ptr<BaseStore>(std::size_t shard_index)> store_factory;
-  /// Observability domain settings (sampling rate, histogram resolution,
-  /// event-log sink); used only when `obs_instance` is null.
+  /// (server-part, hint-part) pairs the administrator pins to manual
+  /// classes (§III, the `manual-class` config key). Each pair is pinned on
+  /// the shard route() sends it to.
+  std::vector<std::pair<std::string, std::string>> manual_classes;
+  /// Settings of the Obs the server owns (sampling rate, histogram
+  /// resolution, event-log sink).
   obs::ObsConfig obs;
-  /// Share one telemetry domain across a serving stack (server + worker
-  /// pool + proxy cache): the pipeline sets this so every layer registers
-  /// into the same registry. Null = the server creates its own from `obs`.
-  std::shared_ptr<obs::Obs> obs_instance;
 };
 
 struct ServedResponse {
@@ -138,45 +140,25 @@ struct ClassSummary {
   bool anonymizing = false;
 };
 
-/// Handles into the obs registry backing PipelineMetrics plus the serve
-/// latency/size distributions. Registered once by the DeltaServer (the
-/// registry is name-keyed and label-free) and shared by every shard:
-/// the instruments themselves are atomic, so cross-shard increments are
-/// safe; snapshot *consistency* comes from the per-shard ledgers, not from
-/// these (see PipelineMetrics::merge for the convention).
+/// Handles into the obs registry for the instruments the serve path writes,
+/// registered once by the DeltaServer (the registry is name-keyed and
+/// label-free) and shared by every shard; the instruments are atomic.
+/// Metrics counted in shard state have no handle: the server's collector
+/// reads them at scrape time (DeltaServerShard::collect).
 struct ServerInstruments {
-  obs::Counter* requests = nullptr;
-  obs::Counter* direct_responses = nullptr;
-  obs::Counter* delta_responses = nullptr;
-  obs::Counter* direct_bytes = nullptr;
-  obs::Counter* wire_bytes = nullptr;
-  obs::Counter* base_wire_bytes = nullptr;
-  obs::Counter* group_rebases = nullptr;
-  obs::Counter* basic_rebases = nullptr;
-  obs::Counter* anonymizations = nullptr;
-  obs::Counter* classes_created = nullptr;
   obs::Counter* delta_fallbacks = nullptr;
-  obs::Gauge* classes = nullptr;
-  obs::Gauge* storage = nullptr;
-  obs::Gauge* index = nullptr;
   obs::Histogram* encode_latency = nullptr;
   obs::Histogram* delta_size = nullptr;
   obs::Histogram* doc_size = nullptr;
-  /// Per-shard series (index == shard index), named via
-  /// obs::shard_metric_name: cbde_shard_<k>_requests_total and
-  /// cbde_shard_<k>_serve_microseconds. Sized to the shard count at
-  /// construction so the serve path indexes without a lookup or allocation.
-  /// The TimeSeriesRecorder derives shard rates and the imbalance
-  /// coefficient from these.
-  std::vector<obs::Counter*> shard_requests;
+  /// cbde_shard_<k>_serve_microseconds (index == shard index), named via
+  /// obs::shard_metric_name and sized to the shard count at construction so
+  /// the serve path indexes without a lookup or allocation.
   std::vector<obs::Histogram*> shard_serve;
   /// Lock-wait profiling cell shared by every shard mutex (one "site");
   /// null unless ObsConfig::lock_profile is set. Feeds
   /// cbde_lock_wait_seconds_server_shard.
   util::LockWaitCell* shard_lock = nullptr;
-  /// Handed to every per-class selector/anonymizer, so their counts
-  /// aggregate across classes.
-  SelectorInstruments selector;
+  /// Handed to every per-class anonymizer, so the counts aggregate.
   AnonymizerInstruments anonymizer;
 };
 
@@ -189,6 +171,7 @@ class DeltaServerShard {
   /// `config` and `instr` are owned by the DeltaServer and must outlive the
   /// shard. `id_stride` is the server's shard count, so class ids satisfy
   /// (id - 1) % id_stride == index and route back here without a lookup.
+  /// Pins the config's manual classes that route here.
   DeltaServerShard(const DeltaServerConfig& config, std::size_t index,
                    ClassId id_stride, std::unique_ptr<BaseStore> store,
                    obs::Obs& obs, const ServerInstruments& instr);
@@ -216,8 +199,18 @@ class DeltaServerShard {
     return classes_.stats();
   }
   void append_class_summaries(std::vector<ClassSummary>& out) const EXCLUDES(mu_);
-  std::size_t storage_bytes() const EXCLUDES(mu_);
-  std::size_t index_bytes() const EXCLUDES(mu_);
+  std::size_t storage_bytes() const EXCLUDES(mu_) {
+    LockGuard lock(mu_);
+    return storage_bytes_locked();
+  }
+  std::size_t index_bytes() const EXCLUDES(mu_) {
+    LockGuard lock(mu_);
+    return index_bytes_locked();
+  }
+  /// Adds this shard's share of every metric the server's obs::Collector
+  /// declared to `values` (indexed by slot), all read in one critical
+  /// section.
+  void collect(std::span<std::uint64_t> values) const EXCLUDES(mu_);
   std::size_t num_classes() const EXCLUDES(mu_) {
     LockGuard lock(mu_);
     return classes_.num_classes();
@@ -249,6 +242,8 @@ class DeltaServerShard {
   };
 
   ClassState& state_of(ClassId id) REQUIRES(mu_);
+  std::size_t storage_bytes_locked() const REQUIRES(mu_);
+  std::size_t index_bytes_locked() const REQUIRES(mu_);
   std::shared_ptr<const delta::Estimator> make_working_estimator(util::BytesView doc) const;
   void start_publication(ClassId id, ClassState& cls, util::SimTime now) REQUIRES(mu_);
   void maybe_complete_publication(ClassId id, ClassState& cls, util::SimTime now)
@@ -270,9 +265,8 @@ class DeltaServerShard {
   /// Base version each (client, class) currently holds.
   std::map<std::pair<std::uint64_t, ClassId>, std::uint32_t> client_versions_
       GUARDED_BY(mu_);
-  /// This shard's share of PipelineMetrics. Kept as a plain struct beside
-  /// the atomic registry instruments so metrics() can take a per-shard-
-  /// consistent snapshot without any cross-shard lock.
+  /// This shard's share of PipelineMetrics, the only count of these facts:
+  /// metrics() and registry scrapes read it under mu_.
   PipelineMetrics ledger_ GUARDED_BY(mu_);
   mutable Mutex mu_;
 };
@@ -285,6 +279,9 @@ class DeltaServer {
   /// Each shard's retained published base-file versions live in the store
   /// DeltaServerConfig::store_factory builds (in memory by default).
   DeltaServer(DeltaServerConfig config, http::RuleBook rules);
+  /// The shards and the registry's collector point back into the server.
+  DeltaServer(const DeltaServer&) = delete;
+  DeltaServer& operator=(const DeltaServer&) = delete;
 
   /// Process one request: `doc` is the current snapshot obtained from the
   /// web-server. Advances all class machinery and returns the response.
@@ -323,17 +320,16 @@ class DeltaServer {
   /// ledgers, visited in ascending shard order, each read under its own
   /// shard mutex. Every increment commits under a shard mutex, so each
   /// addend — and therefore the merge — satisfies the conservation
-  /// identities; see PipelineMetrics::merge for the exact convention. The
-  /// registry instruments carry the same totals for scrapes (parity is
-  /// pinned by tests), so the two reports cannot drift.
+  /// identities; see PipelineMetrics::merge for the exact convention. A
+  /// registry scrape reads the same ledgers the same way, so the two
+  /// reports cannot drift.
   PipelineMetrics metrics() const;
   /// One shard's ledger (consistent under that shard's mutex).
   PipelineMetrics shard_metrics(std::size_t shard) const;
 
-  /// The telemetry domain this server records into (shared with the worker
-  /// pool / pipeline when DeltaServerConfig::obs_instance was set).
+  /// The telemetry domain this server owns and records into; the worker
+  /// pool and proxy cache of its serving stack register here too.
   obs::Obs& obs() const { return *obs_; }
-  std::shared_ptr<obs::Obs> obs_ptr() const { return obs_; }
   /// Merged grouping statistics (§III instrumentation); same ascending
   /// shard-order snapshot convention as metrics().
   GroupingStats grouping_stats() const;
@@ -341,13 +337,13 @@ class DeltaServer {
 
   /// Server-side storage the scheme requires: working + published bases and
   /// selector samples across all classes of all shards (the paper's
-  /// scalability metric).
+  /// scalability metric). cbde_server_storage_bytes reports the same sum.
   std::size_t storage_bytes() const;
 
   /// Bytes of the match indexes built over those bases, across all shards:
   /// working and selector estimators, transmit encoders and the encoders of
   /// anonymizations in progress. storage_bytes() counts the bases; this
-  /// counts only the tables.
+  /// counts only the tables. cbde_server_index_bytes reports the same sum.
   std::size_t index_bytes() const;
 
   /// Merged operational snapshot of every class, ordered by class id.
@@ -369,7 +365,8 @@ class DeltaServer {
  private:
   DeltaServerConfig config_;  // immutable after construction
   http::RuleBook rules_;      // immutable after construction
-  std::shared_ptr<obs::Obs> obs_;  // immutable after construction
+  /// Owned, so no registry outlives the shard ledgers its collector reads.
+  std::unique_ptr<obs::Obs> obs_;  // immutable after construction
   ServerInstruments instr_;        // immutable after construction
   /// Construction order matters: shards_ must outlive nothing above (they
   /// hold references to config_ and instr_), so it is declared last and

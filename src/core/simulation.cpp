@@ -27,11 +27,9 @@ Pipeline::Pipeline(const server::OriginServer& origin, PipelineConfig config,
 }
 
 void Pipeline::process(std::uint64_t user_id, const http::Url& url, util::SimTime now) {
-  ++partial_.requests;
   instr_.requests->inc();
   const auto doc = origin_.document(url, user_id, now);
   if (!doc) {
-    ++partial_.not_found;
     instr_.not_found->inc();
     return;
   }
@@ -85,10 +83,8 @@ void Pipeline::process(std::uint64_t user_id, const http::Url& url, util::SimTim
         agent.reconstruct(client::BaseRef{resp.class_id, resp.base_version},
                           util::as_view(resp.wire_body), resp.wire_compressed);
     if (rebuilt == *doc) {
-      ++partial_.verified;
       instr_.verified->inc();
     } else {
-      ++partial_.verify_failures;
       instr_.verify_failures->inc();
       delta_server_.obs().emit(
           obs::EventKind::kDecodeFailure, now, resp.class_id,
@@ -120,6 +116,10 @@ void Pipeline::process_all(const std::vector<trace::Request>& requests) {
 
 PipelineReport Pipeline::report() const {
   PipelineReport out = partial_;
+  out.requests = instr_.requests->value();
+  out.not_found = instr_.not_found->value();
+  out.verified = instr_.verified->value();
+  out.verify_failures = instr_.verify_failures->value();
   out.server = delta_server_.metrics();
   out.proxy = base_cache_.stats();
   out.storage_bytes = delta_server_.storage_bytes();

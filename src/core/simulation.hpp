@@ -102,7 +102,7 @@ class Pipeline {
   /// Distinct (user, URL) -> last document size, for the classless-storage
   /// comparison.
   std::map<std::uint64_t, std::size_t> classless_docs_;
-  PipelineReport partial_;  // incrementally filled; server metrics copied on report()
+  PipelineReport partial_;  // incrementally filled; report() adds the counts
   Instruments instr_;
 };
 

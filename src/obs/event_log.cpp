@@ -31,7 +31,6 @@ void EventLog::emit(Event event) {
   (void)event;
 #else
   const LockGuard lock(mu_);
-  ++emitted_;
   if (sink_.is_open()) sink_ << to_jsonl(event) << '\n';
   ring_.push_back(std::move(event));
   while (ring_.size() > capacity_) ring_.pop_front();
@@ -41,11 +40,6 @@ void EventLog::emit(Event event) {
 std::vector<Event> EventLog::recent() const {
   const LockGuard lock(mu_);
   return std::vector<Event>(ring_.begin(), ring_.end());
-}
-
-std::uint64_t EventLog::emitted() const {
-  const LockGuard lock(mu_);
-  return emitted_;
 }
 
 void EventLog::flush() {

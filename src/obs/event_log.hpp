@@ -57,8 +57,6 @@ class EventLog {
 
   /// Copy of the ring, oldest first.
   std::vector<Event> recent() const EXCLUDES(mu_);
-  /// Events emitted since construction (ring evictions included).
-  std::uint64_t emitted() const EXCLUDES(mu_);
 
   void flush() EXCLUDES(mu_);
 
@@ -69,7 +67,6 @@ class EventLog {
   const std::size_t capacity_;
   mutable Mutex mu_;
   std::deque<Event> ring_ GUARDED_BY(mu_);
-  std::uint64_t emitted_ GUARDED_BY(mu_) = 0;
   std::ofstream sink_ GUARDED_BY(mu_);
 };
 

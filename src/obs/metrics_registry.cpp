@@ -24,6 +24,41 @@ bool valid_metric_name(std::string_view name) {
   throw std::invalid_argument("obs: metric '" + std::string(name) + "': " + why);
 }
 
+HistogramSnapshot snapshot_of(const Histogram& h) {
+  HistogramSnapshot snap;
+  snap.sub_buckets = h.sub_buckets();
+  snap.unit_scale = h.unit_scale();
+  snap.sum = h.sum();
+  const std::size_t overflow = h.num_buckets() - 1;
+  for (std::size_t i = 0; i < overflow; ++i) {
+    if (const std::uint64_t n = h.bucket_count(i); n > 0) {
+      snap.counts.resize(i + 1);
+      snap.counts[i] = n;
+      snap.count += n;
+    }
+  }
+  snap.overflow = h.bucket_count(overflow);
+  snap.count += snap.overflow;
+  return snap;
+}
+
+std::string scalar_text(const MetricSample& sample) {
+  return sample.kind == MetricKind::kCounter ? std::to_string(sample.counter)
+                                             : std::to_string(sample.gauge);
+}
+
+/// Scaled histograms (seconds families) export a scaled sum; the unscaled
+/// ones keep the exact integer form.
+std::string sum_text(const HistogramSnapshot& h) {
+  return h.unit_scale == 1.0
+             ? std::to_string(h.sum)
+             : format_double(static_cast<double>(h.sum) * h.unit_scale);
+}
+
+std::string le_text(const HistogramSnapshot& h, std::size_t i) {
+  return format_double(Histogram::upper_bound_for(h.sub_buckets, i) * h.unit_scale);
+}
+
 }  // namespace
 
 std::string_view metric_kind_name(MetricKind kind) {
@@ -89,6 +124,7 @@ MetricsRegistry::Entry& MetricsRegistry::entry_for(std::string_view name,
     if (it->second.kind != kind) {
       bad_registration(name, "already registered as a different kind");
     }
+    if (it->second.slot) bad_registration(name, "already registered as collected");
     return it->second;
   }
   Entry entry;
@@ -144,167 +180,121 @@ const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   return e ? e->counter.get() : nullptr;
 }
 
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-  const Entry* e = find(name, MetricKind::kGauge);
-  return e ? e->gauge.get() : nullptr;
-}
-
 const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
   const Entry* e = find(name, MetricKind::kHistogram);
   return e ? e->histogram.get() : nullptr;
 }
 
-std::string MetricsRegistry::prometheus() const {
+void MetricsRegistry::set_collector(Collector collector, Collector::Fill fill) {
+  // Validate into a side map first, so a throw leaves the registry as it
+  // was. Distinct slots below the declaration count leave no slot unfilled.
+  std::map<std::string, Entry, std::less<>> added;
+  std::vector<bool> taken(collector.declared.size());
+  for (Collector::Declaration& d : collector.declared) {
+    if (!valid_metric_name(d.name)) bad_registration(d.name, "invalid metric name");
+    if (d.slot >= taken.size() || taken[d.slot]) bad_registration(d.name, "bad slot");
+    taken[d.slot] = true;
+    const auto [it, fresh] = added.try_emplace(d.name);
+    if (!fresh) bad_registration(d.name, "declared twice");
+    it->second.kind = d.kind;
+    it->second.help = std::move(d.help);
+    it->second.slot = d.slot;
+  }
   const LockGuard lock(mu_);
-  std::string out;
-  for (const auto& [name, entry] : entries_) {
-    out += "# HELP " + name + " " + entry.help + "\n";
-    out += "# TYPE " + name + " ";
-    out += metric_kind_name(entry.kind);
-    out += "\n";
-    switch (entry.kind) {
-      case MetricKind::kCounter:
-        out += name + " " + std::to_string(entry.counter->value()) + "\n";
-        break;
-      case MetricKind::kGauge:
-        out += name + " " + std::to_string(entry.gauge->value()) + "\n";
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        // Trim: emit up to the highest non-empty finite bucket (cumulative
-        // counts stay valid under any le subset), then the mandatory +Inf.
-        std::size_t last = 0;
-        bool any = false;
-        for (std::size_t i = 0; i + 1 < h.num_buckets(); ++i) {
-          if (h.bucket_count(i) > 0) {
-            last = i;
-            any = true;
-          }
-        }
-        std::uint64_t cumulative = 0;
-        if (any) {
-          for (std::size_t i = 0; i <= last; ++i) {
-            cumulative += h.bucket_count(i);
-            out += name + "_bucket{le=\"" +
-                   format_double(h.upper_bound(i) * h.unit_scale()) + "\"} " +
-                   std::to_string(cumulative) + "\n";
-          }
-        }
-        const std::uint64_t total = h.count();
-        out += name + "_bucket{le=\"+Inf\"} " + std::to_string(total) + "\n";
-        // Scaled histograms (seconds families) export a scaled sum; the
-        // unscaled ones keep the exact integer form.
-        out += name + "_sum " +
-               (h.unit_scale() == 1.0
-                    ? std::to_string(h.sum())
-                    : format_double(static_cast<double>(h.sum()) * h.unit_scale())) +
-               "\n";
-        out += name + "_count " + std::to_string(total) + "\n";
-        break;
+  if (fill_) throw std::invalid_argument("obs: the registry already has a collector");
+  for (const auto& [name, entry] : added) {
+    if (entries_.contains(name)) bad_registration(name, "already registered");
+  }
+  entries_.merge(added);
+  slots_ = taken.size();
+  fill_ = std::move(fill);
+}
+
+std::map<std::string, MetricSample> MetricsRegistry::snapshot() const {
+  std::map<std::string, MetricSample> out;
+  std::vector<MetricSample*> collected;
+  Collector::Fill fill;
+  {
+    const LockGuard lock(mu_);
+    collected.resize(slots_);
+    fill = fill_;
+    for (const auto& [name, entry] : entries_) {
+      MetricSample& sample = out.emplace_hint(out.end(), name, MetricSample{})->second;
+      sample.kind = entry.kind;
+      sample.help = entry.help;
+      if (entry.slot) {
+        collected[*entry.slot] = &sample;
+        continue;
+      }
+      switch (entry.kind) {
+        case MetricKind::kCounter: sample.counter = entry.counter->value(); break;
+        case MetricKind::kGauge: sample.gauge = entry.gauge->value(); break;
+        case MetricKind::kHistogram: sample.histogram = snapshot_of(*entry.histogram); break;
       }
     }
+  }
+  if (fill) {
+    std::vector<std::uint64_t> values(collected.size(), 0);
+    fill(values);
+    for (std::size_t slot = 0; slot < collected.size(); ++slot) {
+      MetricSample& sample = *collected[slot];
+      if (sample.kind == MetricKind::kCounter) {
+        sample.counter = values[slot];
+      } else {
+        sample.gauge = static_cast<std::int64_t>(values[slot]);
+      }
+    }
+  }
+  return out;
+}
+
+std::string MetricsRegistry::prometheus() const {
+  std::string out;
+  for (const auto& [name, sample] : snapshot()) {
+    out += "# HELP " + name + " " + sample.help + "\n";
+    out += "# TYPE " + name + " " + std::string(metric_kind_name(sample.kind)) + "\n";
+    if (sample.kind != MetricKind::kHistogram) {
+      out += name + " " + scalar_text(sample) + "\n";
+      continue;
+    }
+    const HistogramSnapshot& h = sample.histogram;
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < h.counts.size(); ++i) {
+      cumulative += h.counts[i];
+      out += name + "_bucket{le=\"" + le_text(h, i) + "\"} " + std::to_string(cumulative) +
+             "\n";
+    }
+    out += name + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
+    out += name + "_sum " + sum_text(h) + "\n";
+    out += name + "_count " + std::to_string(h.count) + "\n";
   }
   return out;
 }
 
 std::string MetricsRegistry::json() const {
-  const LockGuard lock(mu_);
   std::string out = "{";
   bool first = true;
-  for (const auto& [name, entry] : entries_) {
-    if (!first) out += ",";
+  for (const auto& [name, sample] : snapshot()) {
+    out += first ? "\n  " : ",\n  ";
     first = false;
-    out += "\n  ";
     append_json_string(out, name);
-    out += ": {\"kind\": \"";
-    switch (entry.kind) {
-      case MetricKind::kCounter:
-        out += "counter\", \"value\": " + std::to_string(entry.counter->value());
-        break;
-      case MetricKind::kGauge:
-        out += "gauge\", \"value\": " + std::to_string(entry.gauge->value());
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        out += "histogram\", \"count\": " + std::to_string(h.count()) + ", \"sum\": " +
-               (h.unit_scale() == 1.0
-                    ? std::to_string(h.sum())
-                    : format_double(static_cast<double>(h.sum()) * h.unit_scale())) +
-               ", \"buckets\": [";
-        std::size_t last = 0;
-        bool any = false;
-        for (std::size_t i = 0; i + 1 < h.num_buckets(); ++i) {
-          if (h.bucket_count(i) > 0) {
-            last = i;
-            any = true;
-          }
-        }
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; any && i <= last; ++i) {
-          cumulative += h.bucket_count(i);
-          if (i > 0) out += ", ";
-          out += "{\"le\": " + format_double(h.upper_bound(i) * h.unit_scale()) +
-                 ", \"count\": " + std::to_string(cumulative) + "}";
-        }
-        out += "]";
-        break;
-      }
+    out += ": {\"kind\": \"" + std::string(metric_kind_name(sample.kind)) + "\", ";
+    if (sample.kind != MetricKind::kHistogram) {
+      out += "\"value\": " + scalar_text(sample) + "}";
+      continue;
     }
-    out += "}";
+    const HistogramSnapshot& h = sample.histogram;
+    out += "\"count\": " + std::to_string(h.count) + ", \"sum\": " + sum_text(h) +
+           ", \"buckets\": [";
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < h.counts.size(); ++i) {
+      cumulative += h.counts[i];
+      out += std::string(i > 0 ? ", " : "") + "{\"le\": " + le_text(h, i) +
+             ", \"count\": " + std::to_string(cumulative) + "}";
+    }
+    out += "]}";
   }
   out += "\n}\n";
-  return out;
-}
-
-std::map<std::string, MetricSample> MetricsRegistry::snapshot() const {
-  const LockGuard lock(mu_);
-  std::map<std::string, MetricSample> out;
-  for (const auto& [name, entry] : entries_) {
-    MetricSample sample;
-    sample.kind = entry.kind;
-    switch (entry.kind) {
-      case MetricKind::kCounter:
-        sample.counter = entry.counter->value();
-        break;
-      case MetricKind::kGauge:
-        sample.gauge = entry.gauge->value();
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        HistogramSnapshot& snap = sample.histogram;
-        snap.sub_buckets = h.sub_buckets();
-        snap.unit_scale = h.unit_scale();
-        snap.sum = h.sum();
-        std::size_t last = 0;
-        bool any = false;
-        for (std::size_t i = 0; i + 1 < h.num_buckets(); ++i) {
-          if (h.bucket_count(i) > 0) {
-            last = i;
-            any = true;
-          }
-        }
-        if (any) {
-          snap.counts.resize(last + 1);
-          for (std::size_t i = 0; i <= last; ++i) {
-            snap.counts[i] = h.bucket_count(i);
-            snap.count += snap.counts[i];
-          }
-        }
-        snap.overflow = h.bucket_count(h.num_buckets() - 1);
-        snap.count += snap.overflow;
-        break;
-      }
-    }
-    out.emplace(name, std::move(sample));
-  }
-  return out;
-}
-
-std::vector<std::string> MetricsRegistry::names() const {
-  const LockGuard lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
   return out;
 }
 

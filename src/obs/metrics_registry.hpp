@@ -9,28 +9,31 @@
 //     relaxed atomic operation on registry-owned storage — no lock, and
 //     counters are sharded across cache lines so concurrent writers from
 //     different threads do not bounce one line;
-//   * snapshots (value(), prometheus(), json()) sum the shards with relaxed
-//     loads. A snapshot taken while writers are running is per-metric
-//     atomic but not cross-metric consistent; callers that need a
-//     consistent multi-metric view (DeltaServer::metrics()) serialize with
-//     the writers' own lock.
+//   * snapshot() reads those instruments with relaxed loads (per-metric
+//     atomic, not cross-metric consistent), then runs the registry's
+//     collector, which fills the collected counters and gauges from the
+//     state that owns them under that state's own locks (the delta-server's
+//     shard ledgers, consistent per shard). prometheus() and json() render
+//     snapshot().
 //
 // Handles returned by the registry are stable for the registry's lifetime
 // (node-based storage); components keep the reference and never look the
 // name up again. Registration is idempotent: the same (name, kind) returns
 // the existing instrument; a kind or bucket mismatch throws.
 //
-// Compile-out (CBDE_OBS_OFF): Histogram::observe becomes a no-op. Counters
-// and gauges stay live in every build: the server's counters mirror its
-// per-shard ledgers (the source of core::PipelineMetrics) for scrapes.
+// Compile-out (CBDE_OBS_OFF): Histogram::observe becomes a no-op. Counters,
+// gauges and the collector stay live in every build.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -194,6 +197,7 @@ struct HistogramSnapshot {
 /// meaningful; the rest keep their zero defaults.
 struct MetricSample {
   MetricKind kind = MetricKind::kCounter;
+  std::string help;
   std::uint64_t counter = 0;
   std::int64_t gauge = 0;
   HistogramSnapshot histogram;
@@ -206,6 +210,27 @@ struct MetricSample {
 /// otherwise. tools/lint/cbde_lint.py resolves registrations routed through
 /// this helper against the catalog as `cbde_shard_<k>_...`.
 std::string shard_metric_name(std::string_view base, std::size_t shard);
+
+/// The metrics a registry's collector fills (MetricsRegistry::set_collector):
+/// each declares its name, kind and help once, as an owned registration
+/// does, plus the slot of its non-negative value in the span that `Fill`
+/// receives on every snapshot().
+struct Collector {
+  using Fill = std::function<void(std::span<std::uint64_t> values)>;
+  struct Declaration {
+    std::string name, help;
+    MetricKind kind = MetricKind::kCounter;
+    std::size_t slot = 0;
+  };
+  void counter(std::string_view name, std::string_view help, std::size_t slot) {
+    declared.push_back({std::string(name), std::string(help), MetricKind::kCounter, slot});
+  }
+  void gauge(std::string_view name, std::string_view help, std::size_t slot) {
+    declared.push_back({std::string(name), std::string(help), MetricKind::kGauge, slot});
+  }
+
+  std::vector<Declaration> declared;
+};
 
 class MetricsRegistry {
  public:
@@ -226,28 +251,29 @@ class MetricsRegistry {
                        std::size_t sub_buckets = 4, double unit_scale = 1.0)
       EXCLUDES(mu_);
 
-  /// Prometheus text exposition format (v0.0.4). Families sorted by name;
-  /// histogram buckets are emitted cumulatively up to the highest non-empty
-  /// bound plus the mandatory +Inf bucket.
+  /// Install the registry's one collector: its names join the registry
+  /// without stored values, and snapshot() calls `fill` with zeroed values
+  /// after releasing mu_, so `fill` may take the locks guarding what it
+  /// reads. Throws std::invalid_argument on a bad or taken name or slot.
+  void set_collector(Collector collector, Collector::Fill fill) EXCLUDES(mu_);
+
+  /// Prometheus text exposition format (v0.0.4) of snapshot(). Families
+  /// sorted by name; histogram buckets are emitted cumulatively up to the
+  /// highest non-empty bound plus the mandatory +Inf bucket.
   std::string prometheus() const EXCLUDES(mu_);
 
   /// JSON object keyed by metric name (docs/OBSERVABILITY.md gives the
-  /// schema). Same trimming as the Prometheus export.
+  /// schema), rendered from snapshot() like prometheus().
   std::string json() const EXCLUDES(mu_);
 
-  /// Registered names, sorted (test/CI introspection).
-  std::vector<std::string> names() const EXCLUDES(mu_);
-
-  /// Structured point-in-time copy of every instrument, name-keyed and
-  /// sorted. Per-metric atomic, not cross-metric consistent (same caveat as
-  /// prometheus()); the TimeSeriesRecorder diffs consecutive snapshots into
-  /// windows, so any skew is bounded by one window.
+  /// Point-in-time copy of every metric, owned and collected, name-keyed
+  /// and sorted: the one export walk. The TimeSeriesRecorder diffs
+  /// consecutive snapshots into windows.
   std::map<std::string, MetricSample> snapshot() const EXCLUDES(mu_);
 
-  /// Look up an existing instrument; nullptr when `name` is unregistered or
-  /// of a different kind (test/CI introspection — hot paths keep handles).
+  /// Look up an existing instrument; nullptr when `name` is unregistered, of
+  /// a different kind or collected (read values through snapshot()).
   const Counter* find_counter(std::string_view name) const EXCLUDES(mu_);
-  const Gauge* find_gauge(std::string_view name) const EXCLUDES(mu_);
   const Histogram* find_histogram(std::string_view name) const EXCLUDES(mu_);
 
  private:
@@ -257,6 +283,7 @@ class MetricsRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
+    std::optional<std::size_t> slot;  ///< set for a collected metric
   };
 
   Entry& entry_for(std::string_view name, std::string_view help, MetricKind kind)
@@ -267,6 +294,8 @@ class MetricsRegistry {
   /// Node-based map: handles stay valid as the registry grows; iteration is
   /// name-sorted, which makes every export deterministic.
   std::map<std::string, Entry, std::less<>> entries_ GUARDED_BY(mu_);
+  std::size_t slots_ GUARDED_BY(mu_) = 0;
+  Collector::Fill fill_ GUARDED_BY(mu_);
 };
 
 }  // namespace cbde::obs

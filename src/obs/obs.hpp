@@ -1,13 +1,12 @@
 // cbde::obs — the observability substrate (metrics registry + per-request
 // trace spans + structured event log) behind the CBDE pipeline. One Obs
-// instance is one telemetry domain: a DeltaServer creates its own by
-// default, and a pipeline (core::Pipeline, core::EventPipeline, benches)
-// shares a single instance across the server, worker pool and proxy cache
-// by setting DeltaServerConfig::obs_instance.
+// instance is one telemetry domain: each DeltaServer owns one, and the rest
+// of its serving stack (worker pool, proxy cache, core::Pipeline) registers
+// into it through DeltaServer::obs().
 //
-// Sharing note: two DeltaServers pointed at one Obs aggregate into the same
-// counters, and each server's metrics() then reports the aggregate — share
-// an instance across *one* serving stack, not across independent servers.
+// Sharing note: the server's registry collector reads that server's shard
+// ledgers, so an Obs lives exactly as long as the one server it describes;
+// independent servers never share a registry.
 //
 // See docs/OBSERVABILITY.md for the metric catalog, span taxonomy and
 // event-log schema.

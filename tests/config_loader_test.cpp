@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "core/config_loader.hpp"
+#include "http/url.hpp"
 
 namespace cbde::core {
 namespace {
@@ -25,9 +26,28 @@ TEST(ConfigLoader, ExampleConfigParses) {
   EXPECT_EQ(config.server.anonymizer.required_docs, 5u);
   EXPECT_FALSE(config.disk_store.has_value());
   EXPECT_TRUE(config.rules.has_rule("www.foo.com"));
-  ASSERT_EQ(config.manual_classes.size(), 1u);
-  EXPECT_EQ(config.manual_classes[0].first, "www.adhoc.example");
-  EXPECT_EQ(config.manual_classes[0].second, "specials");
+  ASSERT_EQ(config.server.manual_classes.size(), 1u);
+  EXPECT_EQ(config.server.manual_classes[0].first, "www.adhoc.example");
+  EXPECT_EQ(config.server.manual_classes[0].second, "specials");
+}
+
+TEST(ConfigLoader, ExampleManualClassPinsRequestsOnEveryShardCount) {
+  // The example pins www.adhoc.example's "specials" hint to a manual class:
+  // unrelated pages under it join that class with no content test.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    LoadedConfig config = parse(example_config());
+    config.server.shards = shards;
+    DeltaServer server(config.server, config.rules);
+    const auto first = server.serve(1, http::parse_url("http://www.adhoc.example/specials"),
+                                    util::as_view(util::to_bytes(std::string(600, 'a'))), 0);
+    const auto second =
+        server.serve(2, http::parse_url("http://www.adhoc.example/specials?week=2"),
+                     util::as_view(util::to_bytes(std::string(900, 'z'))), util::kSecond);
+    EXPECT_FALSE(first.class_created);
+    EXPECT_EQ(first.class_id, second.class_id);
+    EXPECT_EQ(server.grouping_stats().manual_hits, 2u);
+    EXPECT_EQ(server.grouping_stats().classes_created, 0u);
+  }
 }
 
 TEST(ConfigLoader, CommentsAndBlankLinesIgnored) {

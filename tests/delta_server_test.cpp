@@ -278,9 +278,44 @@ TEST(DeltaServer, IndexBytesCountsEveryIndex) {
     // Working estimator + selector sample, and either the anonymizer's
     // encoder or the transmit encoder.
     EXPECT_EQ(rig.server.index_bytes(), 2 * kEstimatorIndex + kEncoderIndex);
-    const auto* gauge = rig.server.obs().registry().find_gauge("cbde_server_index_bytes");
-    ASSERT_NE(gauge, nullptr);
-    EXPECT_EQ(gauge->value(), static_cast<std::int64_t>(2 * kEstimatorIndex + kEncoderIndex));
+    EXPECT_EQ(rig.server.obs().registry().snapshot().at("cbde_server_index_bytes").gauge,
+              static_cast<std::int64_t>(2 * kEstimatorIndex + kEncoderIndex));
+  }
+}
+
+TEST(DeltaServer, ScrapeReadsStorageAndClassStateWithoutAnAudit) {
+  // The collected gauges and counts come from the shards at scrape time:
+  // a snapshot taken before any accessor runs already carries them.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    auto config = Rig::fast_config();
+    config.shards = shards;
+    Rig rig(config);
+    util::SimTime now = 0;
+    for (std::uint64_t user = 1; user <= 6; ++user) {
+      for (std::size_t cat = 0; cat < 2; ++cat) {
+        rig.request(user, cat, user % 4, now);
+        now += util::kSecond;
+      }
+    }
+    const auto scrape = rig.server.obs().registry().snapshot();
+    const auto gauge_of = [&scrape](const char* name) { return scrape.at(name).gauge; };
+    const auto count_of = [&scrape](const char* name) { return scrape.at(name).counter; };
+    const std::int64_t storage = gauge_of("cbde_server_storage_bytes");
+    const std::int64_t index = gauge_of("cbde_server_index_bytes");
+    EXPECT_GT(storage, 0);
+    EXPECT_EQ(storage, static_cast<std::int64_t>(rig.server.storage_bytes()));
+    EXPECT_GT(index, 0);
+    EXPECT_EQ(index, static_cast<std::int64_t>(rig.server.index_bytes()));
+    EXPECT_EQ(gauge_of("cbde_server_classes"),
+              static_cast<std::int64_t>(rig.server.num_classes()));
+    EXPECT_EQ(count_of("cbde_server_classes_created_total"),
+              rig.server.grouping_stats().classes_created);
+    std::size_t samples = 0;
+    for (const ClassSummary& summary : rig.server.class_summaries()) {
+      samples += summary.selector_samples;
+    }
+    EXPECT_GE(count_of("cbde_selector_sampled_total"), samples);
+    EXPECT_GT(count_of("cbde_selector_observed_total"), 0u);
   }
 }
 
@@ -308,12 +343,14 @@ TEST(DeltaServerPool, ThreadedStressMatchesSerialTotals) {
   };
   std::vector<Sent> sent;
   sent.reserve(kRequests);
-  // A reader snapshotting the ledger while requests are in flight: each
-  // request commits all of its ledger counters in one critical section, so
-  // every snapshot satisfies the per-shard identities.
+  // A reader snapshotting the ledger and scraping the registry while
+  // requests are in flight: each request commits all of its ledger counters
+  // in one critical section, and a scrape reads each shard's ledger in one
+  // critical section, so every snapshot satisfies the per-shard identities.
   std::atomic<bool> serving{true};
   std::size_t snapshots = 0;
   std::size_t inconsistent = 0;
+  std::size_t scrapes_inconsistent = 0;
   std::thread reader([&] {
     do {
       const PipelineMetrics m = server.metrics();
@@ -321,6 +358,14 @@ TEST(DeltaServerPool, ThreadedStressMatchesSerialTotals) {
       if (m.requests != m.direct_responses + m.delta_responses ||
           m.wire_bytes > m.direct_bytes) {
         ++inconsistent;
+      }
+      const auto scrape = server.obs().registry().snapshot();
+      const auto value = [&scrape](const char* name) { return scrape.at(name).counter; };
+      if (value("cbde_server_requests_total") !=
+              value("cbde_server_direct_responses_total") +
+                  value("cbde_server_delta_responses_total") ||
+          value("cbde_server_wire_bytes_total") > value("cbde_server_direct_bytes_total")) {
+        ++scrapes_inconsistent;
       }
     } while (serving.load(std::memory_order_acquire));
   });
@@ -342,6 +387,7 @@ TEST(DeltaServerPool, ThreadedStressMatchesSerialTotals) {
   reader.join();
   EXPECT_GT(snapshots, 0u);
   EXPECT_EQ(inconsistent, 0u) << "of " << snapshots << " snapshots";
+  EXPECT_EQ(scrapes_inconsistent, 0u) << "of " << snapshots << " scrapes";
 
   std::size_t direct = 0;
   std::size_t deltas = 0;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -118,7 +119,7 @@ TEST(ObsRegistry, RegistrationIdempotentKindChecked) {
                std::invalid_argument);
   EXPECT_EQ(reg.find_counter("cbde_test_requests_total"), &c1);
   EXPECT_EQ(reg.find_counter("cbde_test_never_registered_total"), nullptr);
-  EXPECT_EQ(reg.find_gauge("cbde_test_requests_total"), nullptr);
+  EXPECT_EQ(reg.find_histogram("cbde_test_requests_total"), nullptr);
 }
 
 TEST(ObsRegistry, PrometheusExpositionGolden) {
@@ -159,6 +160,65 @@ TEST(ObsRegistry, PrometheusExpositionGolden) {
   EXPECT_NE(json.find("\"count\": 3"), std::string::npos);
 }
 
+TEST(ObsRegistry, CollectorFillsItsMetricsOnEverySnapshot) {
+  MetricsRegistry reg;
+  reg.counter("cbde_test_owned_total", "owned").add(2);
+  Collector collector;
+  collector.gauge("cbde_test_collected_bytes", "collected gauge", 1);
+  collector.counter("cbde_test_collected_total", "collected counter", 0);
+  std::uint64_t scrapes = 0;
+  reg.set_collector(std::move(collector), [&scrapes](std::span<std::uint64_t> values) {
+    ASSERT_EQ(values.size(), 2u);
+    values[0] = ++scrapes;
+    values[1] = 4096;
+  });
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap.at("cbde_test_collected_total").kind, MetricKind::kCounter);
+  EXPECT_EQ(snap.at("cbde_test_collected_total").counter, 1u);
+  EXPECT_EQ(snap.at("cbde_test_collected_bytes").kind, MetricKind::kGauge);
+  EXPECT_EQ(snap.at("cbde_test_collected_bytes").gauge, 4096);
+  EXPECT_EQ(snap.at("cbde_test_owned_total").counter, 2u);
+  EXPECT_NE(reg.prometheus().find("# HELP cbde_test_collected_total collected counter\n"
+                                  "# TYPE cbde_test_collected_total counter\n"
+                                  "cbde_test_collected_total 2\n"),
+            std::string::npos);
+  EXPECT_NE(reg.json().find("\"cbde_test_collected_bytes\": {\"kind\": \"gauge\", "
+                            "\"value\": 4096}"),
+            std::string::npos);
+  // A collected name holds no instrument to hand out or re-register.
+  EXPECT_EQ(reg.find_counter("cbde_test_collected_total"), nullptr);
+  EXPECT_THROW(reg.counter("cbde_test_collected_total", "clash"),  // lint: obs-ok validation test
+               std::invalid_argument);
+  Collector second;
+  second.counter("cbde_test_second_total", "second", 0);  // lint: obs-ok validation test
+  EXPECT_THROW(reg.set_collector(std::move(second), [](std::span<std::uint64_t>) {}),
+               std::invalid_argument);
+}
+
+TEST(ObsRegistry, RejectedCollectorLeavesTheRegistryUnchanged) {
+  const auto rejects = [](Collector collector) {
+    MetricsRegistry reg;
+    EXPECT_THROW(reg.set_collector(std::move(collector), [](std::span<std::uint64_t>) {}),
+                 std::invalid_argument);
+    EXPECT_TRUE(reg.snapshot().empty());
+  };
+  Collector repeated_slot;
+  repeated_slot.counter("cbde_test_a_total", "a", 0);  // lint: obs-ok validation test
+  repeated_slot.counter("cbde_test_b_total", "b", 0);  // lint: obs-ok validation test
+  rejects(std::move(repeated_slot));
+  Collector slot_out_of_range;
+  slot_out_of_range.counter("cbde_test_a_total", "a", 1);  // lint: obs-ok validation test
+  rejects(std::move(slot_out_of_range));
+  Collector repeated_name;
+  repeated_name.counter("cbde_test_a_total", "a", 0);  // lint: obs-ok validation test
+  repeated_name.gauge("cbde_test_a_total", "a", 1);  // lint: obs-ok validation test
+  rejects(std::move(repeated_name));
+  Collector bad_name;
+  bad_name.counter("0bad name", "invalid", 0);  // lint: obs-ok validation test
+  rejects(std::move(bad_name));
+}
+
 TEST(ObsConcurrency, ShardedInstrumentsSumExactlyUnderContention) {
   MetricsRegistry reg;
   Counter& c = reg.counter("cbde_test_contended_total", "contended adds");
@@ -189,15 +249,14 @@ TEST(ObsConcurrency, ShardedInstrumentsSumExactlyUnderContention) {
 
 TEST(ObsEvents, RingEvictsOldestAndCountsAllEmitted) {
   if (kCompiledOut) GTEST_SKIP() << "emit() compiled out";
-  EventLog log(3);
-  for (int i = 0; i < 5; ++i) {
-    Event e;
-    e.kind = EventKind::kClassCreated;
-    e.class_id = static_cast<std::uint64_t>(i);
-    log.emit(std::move(e));
-  }
-  EXPECT_EQ(log.emitted(), 5u);
-  const auto recent = log.recent();
+  ObsConfig config;
+  config.event_ring_capacity = 3;
+  Obs obs(config);
+  for (std::uint64_t i = 0; i < 5; ++i) obs.emit(EventKind::kClassCreated, -1, i);
+  const Counter* emitted = obs.registry().find_counter("cbde_obs_events_emitted_total");
+  ASSERT_NE(emitted, nullptr);
+  EXPECT_EQ(emitted->value(), 5u);
+  const auto recent = obs.events().recent();
   ASSERT_EQ(recent.size(), 3u);
   EXPECT_EQ(recent.front().class_id, 2u);  // 0 and 1 evicted
   EXPECT_EQ(recent.back().class_id, 4u);
@@ -401,10 +460,10 @@ TEST(ObsEvents, ServePathEmitsLifecycleEvents) {
 // ------------------------------------------------------------- parity
 
 TEST(ObsParity, PipelineMetricsEqualRegistryDerivedValues) {
-  // PipelineMetrics comes from the per-shard ledgers and the registry
-  // counters mirror them; this pins the mapping name-by-name on a replayed
-  // workload so the two reports can never drift. Byte counters must match
-  // exactly (Table II is byte-exact).
+  // PipelineMetrics comes from the per-shard ledgers, and a registry
+  // snapshot reads the same ledgers through the server's collector; this
+  // pins the mapping name-by-name on a replayed workload. Byte counters
+  // must match exactly (Table II is byte-exact).
   Rig rig(/*sample_rate=*/0.25);
   util::SimTime now = rig.warm_up();
   for (std::uint64_t user = 1; user <= 6; ++user) {
@@ -415,10 +474,11 @@ TEST(ObsParity, PipelineMetricsEqualRegistryDerivedValues) {
   }
   const core::PipelineMetrics m = rig.server.metrics();
   const MetricsRegistry& reg = rig.server.obs().registry();
-  const auto counter_value = [&](std::string_view name) {
-    const Counter* c = reg.find_counter(name);
-    EXPECT_NE(c, nullptr) << name;
-    return c == nullptr ? 0 : c->value();
+  const auto snapshot = reg.snapshot();
+  const auto counter_value = [&](const std::string& name) -> std::uint64_t {
+    const auto it = snapshot.find(name);
+    EXPECT_NE(it, snapshot.end()) << name;
+    return it == snapshot.end() ? 0 : it->second.counter;
   };
   EXPECT_GT(m.requests, 0u);
   EXPECT_GT(m.delta_responses, 0u);

@@ -207,9 +207,9 @@ TEST(ShardParity, TableTwoByteAccountingIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardParity, LedgerSumMatchesRegistryAndPerShardLedgersAreConsistent) {
-  // metrics() is the sum of per-shard ledgers; the registry instruments are
-  // the scrape-side mirror. Quiesced, the three views must agree exactly —
-  // per shard, merged, and registry.
+  // metrics() is the sum of per-shard ledgers, and a registry snapshot sums
+  // the same ledgers through the server's collector. The three views must
+  // agree exactly — per shard, merged, and registry.
   ShardRig rig(3);
   rig.replay(150);
 
@@ -228,11 +228,11 @@ TEST(ShardParity, LedgerSumMatchesRegistryAndPerShardLedgersAreConsistent) {
     EXPECT_LT(rig.server.shard_metrics(s).requests, merged.requests);
   }
 
-  const obs::MetricsRegistry& reg = rig.server.obs().registry();
-  const auto counter_value = [&](std::string_view name) {
-    const obs::Counter* c = reg.find_counter(name);
-    EXPECT_NE(c, nullptr) << name;
-    return c == nullptr ? 0 : c->value();
+  const auto snapshot = rig.server.obs().registry().snapshot();
+  const auto counter_value = [&](const std::string& name) -> std::uint64_t {
+    const auto it = snapshot.find(name);
+    EXPECT_NE(it, snapshot.end()) << name;
+    return it == snapshot.end() ? 0 : it->second.counter;
   };
   EXPECT_EQ(merged.requests, counter_value("cbde_server_requests_total"));
   EXPECT_EQ(merged.direct_responses,
@@ -247,6 +247,10 @@ TEST(ShardParity, LedgerSumMatchesRegistryAndPerShardLedgersAreConsistent) {
   EXPECT_EQ(merged.basic_rebases, counter_value("cbde_server_basic_rebases_total"));
   EXPECT_EQ(merged.anonymizations_completed,
             counter_value("cbde_server_anonymizations_total"));
+  for (std::size_t s = 0; s < rig.server.num_shards(); ++s) {
+    EXPECT_EQ(rig.server.shard_metrics(s).requests,
+              counter_value(obs::shard_metric_name("cbde_shard_requests_total", s)));
+  }
 }
 
 TEST(ShardParity, RoutedAccessorsFindEveryClass) {
