@@ -166,37 +166,42 @@ ShardRunResult run_sharded_replay(const trace::SiteModel& site, std::size_t shar
   // wall-clock based, so every window holds real per-shard serve counts —
   // the >= 8 populated windows the telemetry gate asserts hold even on a
   // fast smoke run.
+  //
+  // Request i belongs to category i % cats, so it is submitted only after
+  // request i - cats has completed: one future slot per category. Requests
+  // of one class then reach its shard lock in stream order at every worker
+  // count, and the class's selector samples the same documents; requests of
+  // different classes still run in parallel.
   constexpr std::size_t kWindows = 10;
   ShardRunResult result;
   result.shards = shards;
-  std::vector<std::future<core::ServedResponse>> futures;
-  futures.reserve(requests / kWindows + 1);
+  result.windows.reserve(kWindows);
+  std::vector<std::future<core::ServedResponse>> in_flight(cats);
+  const auto complete = [&result](std::future<core::ServedResponse>& slot) {
+    if (!slot.valid()) return;
+    const core::ServedResponse resp = slot.get();
+    if (resp.trace != nullptr) result.profile.add(*resp.trace);
+  };
   const auto t0 = std::chrono::steady_clock::now();
   {
     // workers=0: recommended sizing — max(shards, cores) — so encode
     // parallelism composes with shard parallelism.
     core::DeltaWorkerPool pool(server, 0);
     result.workers = pool.workers();
-    obs::TimeSeriesConfig ts_config;
-    ts_config.ring_capacity = kWindows;  // manual ticks, no JSONL sink here
-    obs::TimeSeriesRecorder recorder(server.obs().registry(), ts_config);
+    obs::TimeSeriesRecorder recorder(server.obs().registry());
     std::size_t next = 0;
     for (std::size_t w = 1; w <= kWindows; ++w) {
       const std::size_t chunk_end = requests * w / kWindows;
-      futures.clear();
       for (; next < chunk_end; ++next) {
         Req& req = stream[next];
-        futures.push_back(
-            pool.submit(req.user, std::move(req.url), std::move(req.doc), req.now));
+        std::future<core::ServedResponse>& slot = in_flight[next % cats];
+        complete(slot);
+        slot = pool.submit(req.user, std::move(req.url), std::move(req.doc), req.now);
       }
-      for (auto& f : futures) {
-        const core::ServedResponse resp = f.get();
-        if (resp.trace != nullptr) result.profile.add(*resp.trace);
-      }
-      recorder.tick();
+      for (auto& slot : in_flight) complete(slot);
+      result.windows.push_back(recorder.tick());
     }
     pool.shutdown();
-    result.windows = recorder.windows();
   }
   const auto t1 = std::chrono::steady_clock::now();
   result.total_ns = std::chrono::duration<double, std::nano>(t1 - t0).count();

@@ -98,7 +98,7 @@ EndToEndResult run_end_to_end(const trace::SiteModel& site, std::size_t workers,
   http::RuleBook rules;
   rules.add_rule(site.config().host, site.partition_rule());
   core::DeltaServer server(config, std::move(rules));
-  obs::TimeSeriesRecorder recorder(server.obs().registry(), obs::TimeSeriesConfig{});
+  obs::TimeSeriesRecorder recorder(server.obs().registry());
 
   // Warmup: create one class per category and publish its base.
   const std::size_t cats = site.num_categories();
@@ -347,11 +347,8 @@ int main(int argc, char** argv) {
 
   // Observability overhead on the smoke encode loop: the same cached encode
   // bare, then wrapped with everything serve() adds per request (two clock
-  // reads, two histogram observes and a counter). Under a CBDE_OBS_OFF build
-  // the wrapped loop degenerates to the bare one (clock reads return 0,
-  // observes compile out), so comparing `overhead_pct` across the two build
-  // flavors in BENCH_delta.json captures the full instrumented-vs-compiled-out
-  // cost. Min-of-rounds damps scheduler noise.
+  // reads, two histogram observes and a counter). Min-of-rounds damps
+  // scheduler noise.
   {
     obs::Obs bench_obs;
     obs::Counter& reqs =
@@ -360,14 +357,6 @@ int main(int argc, char** argv) {
                                               "Benchmark encode latency");
     obs::Histogram& sz =
         bench_obs.histogram("cbde_bench_delta_size_bytes", "Benchmark delta size");
-    // The overhead number is measured with a live TimeSeriesRecorder
-    // snapshotting this registry in the background (the deployment shape:
-    // telemetry windows closing while requests are served), so the <3% CI
-    // gate covers the recorder's registry-snapshot cost too.
-    obs::TimeSeriesConfig ts_config;
-    ts_config.interval_us = 2000;
-    obs::TimeSeriesRecorder recorder(bench_obs.registry(), ts_config);
-    recorder.start();
     std::size_t sink = 0;
     double bare_ns = 0, instr_ns = 0;
     for (int round = 0; round < 3; ++round) {
@@ -384,17 +373,12 @@ int main(int argc, char** argv) {
       bare_ns = round == 0 ? b : std::min(bare_ns, b);
       instr_ns = round == 0 ? in : std::min(instr_ns, in);
     }
-    recorder.stop();
     const double overhead_pct =
         bare_ns <= 0 ? 0.0 : (instr_ns - bare_ns) / bare_ns * 100.0;
     json.open("obs");
-    json.field("compiled_out", static_cast<std::size_t>(obs::kCompiledOut ? 1 : 0));
     json.field("encode_bare_ns", bare_ns);
     json.field("encode_instrumented_ns", instr_ns);
     json.field("overhead_pct", overhead_pct);
-    // Windows the background recorder closed while the loops above ran
-    // (0 under CBDE_OBS_OFF, where start() refuses to spawn the thread).
-    json.field("recorder_windows", static_cast<std::size_t>(recorder.ticks()));
     json.close();
     std::printf("%-28s %12.2f%%  (bare %.0f ns, instrumented %.0f ns, sink %zu)\n",
                 "obs_overhead", overhead_pct, bare_ns, instr_ns, sink);

@@ -160,18 +160,6 @@ const BaseStore& DeltaServer::base_store(std::size_t shard) const {
   return shards_[shard]->store();
 }
 
-std::size_t DeltaServer::store_entries() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->store().entries();
-  return total;
-}
-
-std::size_t DeltaServer::store_bytes() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->store().bytes_stored();
-  return total;
-}
-
 PipelineMetrics DeltaServer::metrics() const {
   PipelineMetrics merged;
   for (const auto& shard : shards_) merged.merge(shard->ledger());

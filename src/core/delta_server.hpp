@@ -312,9 +312,6 @@ class DeltaServer {
   /// unsharded). Stores are internally synchronized, so direct inspection
   /// is safe even while workers are serving.
   const BaseStore& base_store(std::size_t shard = 0) const;
-  /// Aggregates across every shard's store.
-  std::size_t store_entries() const;
-  std::size_t store_bytes() const;
 
   /// Merged snapshot of the pipeline counters: the sum of the per-shard
   /// ledgers, visited in ascending shard order, each read under its own

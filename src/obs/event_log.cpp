@@ -27,14 +27,10 @@ bool EventLog::open(const std::filesystem::path& path) {
 }
 
 void EventLog::emit(Event event) {
-#if defined(CBDE_OBS_OFF)
-  (void)event;
-#else
   const LockGuard lock(mu_);
   if (sink_.is_open()) sink_ << to_jsonl(event) << '\n';
   ring_.push_back(std::move(event));
   while (ring_.size() > capacity_) ring_.pop_front();
-#endif
 }
 
 std::vector<Event> EventLog::recent() const {

@@ -9,8 +9,7 @@
 //     via the `obs-event-log` config key. Schema in docs/OBSERVABILITY.md.
 //
 // emit() is thread-safe (internally locked); events are rare by contract,
-// so a plain mutex is the right cost. Compile-out (CBDE_OBS_OFF) turns
-// emit() into a no-op.
+// so a plain mutex is the right cost.
 #pragma once
 
 #include <cstdint>

@@ -6,9 +6,7 @@
 // Concurrency model — "lock-cheap":
 //   * registration (rare) takes the registry Mutex;
 //   * the hot path (Counter::add, Gauge::set, Histogram::observe) is a
-//     relaxed atomic operation on registry-owned storage — no lock, and
-//     counters are sharded across cache lines so concurrent writers from
-//     different threads do not bounce one line;
+//     relaxed atomic operation on registry-owned storage — no lock;
 //   * snapshot() reads those instruments with relaxed loads (per-metric
 //     atomic, not cross-metric consistent), then runs the registry's
 //     collector, which fills the collected counters and gauges from the
@@ -20,12 +18,8 @@
 // (node-based storage); components keep the reference and never look the
 // name up again. Registration is idempotent: the same (name, kind) returns
 // the existing instrument; a kind or bucket mismatch throws.
-//
-// Compile-out (CBDE_OBS_OFF): Histogram::observe becomes a no-op. Counters,
-// gauges and the collector stay live in every build.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -36,54 +30,23 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "util/thread_annotations.hpp"
 
 namespace cbde::obs {
 
-#if defined(CBDE_OBS_OFF)
-inline constexpr bool kCompiledOut = true;
-#else
-inline constexpr bool kCompiledOut = false;
-#endif
-
-/// Shards per counter; power of two. 8 cache lines per counter buys
-/// contention-free adds from up to 8 concurrent threads (worker-pool scale).
-inline constexpr std::size_t kCounterShards = 8;
-
-/// Cache-line-sized cell so shards never share a line.
-struct alignas(64) CounterCell {
-  std::atomic<std::uint64_t> v{0};
-};
-
-/// This thread's shard. Hash of the thread id, cached per thread.
-inline std::size_t shard_index() noexcept {
-  static thread_local const std::size_t cached =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) &
-      (kCounterShards - 1);
-  return cached;
-}
-
-/// Monotonic counter (uint64). add() is a relaxed atomic add on the calling
-/// thread's shard; value() sums the shards.
+/// Monotonic counter (uint64): one relaxed atomic add per add().
 class Counter {
  public:
-  void add(std::uint64_t d) noexcept {
-    shards_[shard_index()].v.fetch_add(d, std::memory_order_relaxed);
-  }
+  void add(std::uint64_t d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
   void inc() noexcept { add(1); }
-  std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& cell : shards_) total += cell.v.load(std::memory_order_relaxed);
-    return total;
-  }
+  std::uint64_t value() const noexcept { return v_.load(std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
   Counter() = default;
-  std::array<CounterCell, kCounterShards> shards_;
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Point-in-time value. set() is last-writer-wins; prefer add() deltas when
@@ -118,12 +81,8 @@ class Histogram {
   static constexpr unsigned kMaxExponent = 40;
 
   void observe(std::uint64_t value) noexcept {
-#if !defined(CBDE_OBS_OFF)
     counts_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   std::size_t bucket_index(std::uint64_t value) const noexcept {

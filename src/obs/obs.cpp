@@ -28,7 +28,7 @@ Obs::Obs(ObsConfig config)
 }
 
 std::shared_ptr<TraceContext> Obs::maybe_trace() {
-  if (kCompiledOut || sample_period_ == 0) return nullptr;
+  if (sample_period_ == 0) return nullptr;
   const std::uint64_t seq = sample_seq_.fetch_add(1, std::memory_order_relaxed);
   if (seq % sample_period_ != 0) return nullptr;
   traces_sampled_->inc();
@@ -57,7 +57,6 @@ util::LockWaitCell& Obs::lock_wait_profile(std::string_view name,
 
 void Obs::emit(EventKind kind, std::int64_t sim_time_us, std::uint64_t class_id,
                std::vector<std::pair<std::string, std::string>> fields) {
-  if (kCompiledOut) return;
   events_emitted_->inc();
   Event event;
   event.kind = kind;

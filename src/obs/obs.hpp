@@ -60,7 +60,7 @@ class Obs {
 
   /// Sampling decision for one request: a fresh TraceContext when this
   /// request is sampled, nullptr otherwise (and always nullptr when
-  /// tracing is off or compiled out).
+  /// tracing is off).
   std::shared_ptr<TraceContext> maybe_trace();
 
   /// Histogram with this instance's configured sub-bucket resolution.

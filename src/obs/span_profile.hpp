@@ -17,8 +17,7 @@
 // Self time is a span's duration minus its closed children's durations,
 // clamped at zero (clock jitter can make children sum past the parent).
 // Open spans (end_us == 0) contribute no self time but still anchor their
-// children's paths. Under CBDE_OBS_OFF every span is zero-width and the
-// profile stays empty.
+// children's paths.
 //
 // Not thread-safe: fold on one thread (benches fold after the replay ends).
 #pragma once

@@ -99,86 +99,22 @@ bool parse_shard_series(std::string_view name, std::string_view suffix,
   return true;
 }
 
-TimeSeriesRecorder::TimeSeriesRecorder(MetricsRegistry& registry,
-                                       TimeSeriesConfig config)
-    : registry_(registry), config_(std::move(config)) {
-  if (!config_.jsonl_path.empty()) {
-    sink_.open(config_.jsonl_path, std::ios::trunc);
-    sink_open_ = sink_.is_open();
-  }
+TimeSeriesRecorder::TimeSeriesRecorder(MetricsRegistry& registry)
+    : registry_(registry) {
   prev_ = registry_.snapshot();
   prev_wall_us_ = now_us();
 }
 
-TimeSeriesRecorder::~TimeSeriesRecorder() { stop(); }
-
 TimeSeriesWindow TimeSeriesRecorder::tick() {
   // Snapshot before taking mu_, so the registry lock and the recorder lock
-  // never nest (and a slow snapshot never blocks windows()).
+  // never nest.
   std::map<std::string, MetricSample> cur = registry_.snapshot();
   const std::uint64_t wall = now_us();
-  TimeSeriesWindow window;
-  {
-    const LockGuard lock(mu_);
-    window = build_window(prev_, cur, prev_wall_us_, wall, next_tick_++);
-    prev_ = std::move(cur);
-    prev_wall_us_ = wall;
-    ring_.push_back(window);
-    const std::size_t cap = std::max<std::size_t>(1, config_.ring_capacity);
-    while (ring_.size() > cap) ring_.pop_front();
-  }
-  if (sink_open_) {
-    const std::string line = to_jsonl(window);
-    const LockGuard io(io_mu_);
-    sink_ << line;
-    sink_.flush();
-  }
+  const LockGuard lock(mu_);
+  TimeSeriesWindow window = build_window(prev_, cur, prev_wall_us_, wall, next_tick_++);
+  prev_ = std::move(cur);
+  prev_wall_us_ = wall;
   return window;
-}
-
-void TimeSeriesRecorder::start() {
-  if (kCompiledOut || config_.interval_us == 0) return;
-  const LockGuard lock(mu_);
-  if (thread_running_) return;
-  stop_requested_ = false;
-  thread_running_ = true;
-  // sema: ok(run() executes on the spawned thread after this critical section ends, not inside it; the lambda only captures `this`)
-  thread_ = std::thread([this] { run(); });
-}
-
-void TimeSeriesRecorder::stop() {
-  std::thread to_join;
-  {
-    const LockGuard lock(mu_);
-    if (!thread_running_) return;
-    stop_requested_ = true;
-    thread_running_ = false;
-    to_join = std::move(thread_);
-  }
-  wake_.notify_all();
-  if (to_join.joinable()) to_join.join();
-}
-
-void TimeSeriesRecorder::run() {
-  for (;;) {
-    {
-      const LockGuard lock(mu_);
-      if (stop_requested_) return;
-      wake_.wait_for_us(mu_, config_.interval_us);
-      if (stop_requested_) return;
-    }
-    tick();
-  }
-}
-
-std::vector<TimeSeriesWindow> TimeSeriesRecorder::windows() const {
-  const LockGuard lock(mu_);
-  return std::vector<TimeSeriesWindow>(ring_.begin(), ring_.end());
-}
-
-std::uint64_t TimeSeriesRecorder::ticks() const {
-  const LockGuard lock(mu_);
-  return next_tick_ - 1;
 }
 
 TimeSeriesWindow TimeSeriesRecorder::build_window(

@@ -4,12 +4,12 @@
 // Cumulative counters and one-shot histograms answer "how much, ever"; the
 // capacity questions of §VI-C need "how much, per window": per-shard request
 // rates, latency quantiles that drift over a replay, lock-wait share. The
-// TimeSeriesRecorder snapshots the registry at each tick(), diffs the
+// TimeSeriesRecorder snapshots the registry at each tick() and diffs the
 // snapshot against the previous one into a TimeSeriesWindow — counter
 // deltas/rates, gauge values, histogram-diff quantiles (the log-linear
-// buckets merge and therefore also *diff* bucket-by-bucket) — keeps a
-// bounded ring of windows, and optionally appends one JSONL line per window
-// keyed by a monotonic tick.
+// buckets merge and therefore also *diff* bucket-by-bucket) — keyed by a
+// monotonic tick. The caller decides when a window closes and keeps the
+// windows it wants; to_jsonl() renders one as a JSONL line.
 //
 // Derived per-window statistics (all computed from the diffed buckets, no
 // extra instrumentation):
@@ -24,40 +24,20 @@
 //                       over Δ seconds of serve work. Can exceed 1 when many
 //                       workers pile on one lock.
 //
-// Concurrency: tick() may be called manually (benches, tests) or by the
-// background snapshot thread (start()/stop(), interval_us > 0); ticks
-// serialize on the recorder's own mu_. The JSONL append happens strictly
-// after mu_ is released, under the dedicated io_mu_ — the recorder never
-// holds a registry, shard or pool mutex while writing.
-//
-// Compile-out (CBDE_OBS_OFF): counters and gauges stay live, so tick()
-// still produces counter deltas; but now_us() is 0 (all rates and spans
-// read 0), histograms never populate, and start() refuses to spawn the
-// snapshot thread.
+// Concurrency: ticks serialize on the recorder's own mu_, which is never
+// held while the registry is snapshotted, so it nests with no other mutex.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <fstream>
 #include <map>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace cbde::obs {
-
-struct TimeSeriesConfig {
-  /// Most recent windows retained in memory.
-  std::size_t ring_capacity = 64;
-  /// JSONL sink, one line per window; empty = ring only.
-  std::string jsonl_path;
-  /// Background snapshot cadence for start(); 0 = manual tick() only.
-  std::uint64_t interval_us = 0;
-};
 
 /// One histogram's contribution to a window: observations that happened
 /// inside the window, summarized. Quantities are scaled by the histogram's
@@ -116,60 +96,33 @@ class TimeSeriesRecorder {
  public:
   /// Takes the epoch snapshot immediately, so the first tick() covers
   /// activity since construction. `registry` must outlive the recorder.
-  /// Truncates `config.jsonl_path` if set.
-  TimeSeriesRecorder(MetricsRegistry& registry, TimeSeriesConfig config);
-  /// Stops the background thread (if running) and flushes the sink.
-  ~TimeSeriesRecorder();
+  explicit TimeSeriesRecorder(MetricsRegistry& registry);
 
   TimeSeriesRecorder(const TimeSeriesRecorder&) = delete;
   TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
 
-  /// Close the current window: snapshot, diff, ring-append, JSONL-append.
-  /// Serializes with concurrent ticks; safe alongside live writers (the
-  /// snapshot is per-metric atomic — cross-metric skew is bounded by one
-  /// window).
-  TimeSeriesWindow tick() EXCLUDES(mu_, io_mu_);
-
-  /// Spawn the background snapshot thread (one tick per interval_us).
-  /// No-op when interval_us == 0, under CBDE_OBS_OFF, or when already
-  /// running. stop() is idempotent and also run by the destructor.
-  void start() EXCLUDES(mu_);
-  void stop() EXCLUDES(mu_);
-
-  /// Ring contents, oldest first.
-  std::vector<TimeSeriesWindow> windows() const EXCLUDES(mu_);
-  /// Ticks taken so far.
-  std::uint64_t ticks() const EXCLUDES(mu_);
+  /// Close the current window: snapshot the registry and diff it against
+  /// the previous snapshot. Serializes with concurrent ticks; safe
+  /// alongside live writers (the snapshot is per-metric atomic —
+  /// cross-metric skew is bounded by one window).
+  TimeSeriesWindow tick() EXCLUDES(mu_);
 
   /// One JSONL line (newline included) — the export schema
   /// (docs/OBSERVABILITY.md, "Time-series schema").
   static std::string to_jsonl(const TimeSeriesWindow& w);
 
  private:
-  void run() EXCLUDES(mu_);
   TimeSeriesWindow build_window(const std::map<std::string, MetricSample>& prev,
                                 const std::map<std::string, MetricSample>& cur,
                                 std::uint64_t prev_wall_us, std::uint64_t wall_us,
                                 std::uint64_t tick) const;
 
   MetricsRegistry& registry_;
-  const TimeSeriesConfig config_;
 
-  mutable Mutex mu_;
-  CondVar wake_;
-  bool stop_requested_ GUARDED_BY(mu_) = false;
-  bool thread_running_ GUARDED_BY(mu_) = false;
-  std::thread thread_ GUARDED_BY(mu_);
+  Mutex mu_;
   std::uint64_t next_tick_ GUARDED_BY(mu_) = 1;
   std::uint64_t prev_wall_us_ GUARDED_BY(mu_) = 0;
   std::map<std::string, MetricSample> prev_ GUARDED_BY(mu_);
-  std::deque<TimeSeriesWindow> ring_ GUARDED_BY(mu_);
-
-  /// Serializes only the JSONL append; never nested with mu_ (released
-  /// first) or any registry/shard/pool mutex.
-  Mutex io_mu_;
-  std::ofstream sink_ GUARDED_BY(io_mu_);
-  bool sink_open_ = false;  ///< set in the constructor, immutable after
 };
 
 }  // namespace cbde::obs

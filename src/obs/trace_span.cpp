@@ -10,10 +10,6 @@ TraceContext::TraceContext(std::uint64_t trace_id)
     : trace_id_(trace_id), epoch_us_(now_us()) {}
 
 SpanId TraceContext::begin(std::string_view name) {
-#if defined(CBDE_OBS_OFF)
-  (void)name;
-  return 0;
-#else
   SpanRecord record;
   record.id = static_cast<SpanId>(spans_.size() + 1);
   record.parent = open_.empty() ? 0 : open_.back();
@@ -22,13 +18,9 @@ SpanId TraceContext::begin(std::string_view name) {
   spans_.push_back(std::move(record));
   open_.push_back(spans_.back().id);
   return spans_.back().id;
-#endif
 }
 
 void TraceContext::end(SpanId id) {
-#if defined(CBDE_OBS_OFF)
-  (void)id;
-#else
   if (id == 0 || id > spans_.size()) return;
   const std::uint64_t t = now_us() - epoch_us_;
   // Spans strictly nest: closing an outer span closes any child left open.
@@ -42,18 +34,11 @@ void TraceContext::end(SpanId id) {
   // `id` was not on the stack (already closed); just make sure it has an end.
   SpanRecord& record = spans_[id - 1];
   if (record.end_us == 0) record.end_us = t;
-#endif
 }
 
 void TraceContext::tag(SpanId id, std::string_view key, std::string value) {
-#if defined(CBDE_OBS_OFF)
-  (void)id;
-  (void)key;
-  (void)value;
-#else
   if (id == 0 || id > spans_.size()) return;
   spans_[id - 1].tags.emplace_back(std::string(key), std::move(value));
-#endif
 }
 
 std::string TraceContext::to_json() const {

@@ -9,9 +9,6 @@
 // thread at a time. A handoff between threads (submitter -> pool worker)
 // must establish happens-before; the worker pool's queue mutex does. It is
 // NOT safe to record into one context from two threads concurrently.
-//
-// Compile-out (CBDE_OBS_OFF): recording compiles to nothing; spans() stays
-// empty. now_us() returns 0 so no clock syscalls remain on the hot path.
 #pragma once
 
 #include <chrono>
@@ -23,16 +20,12 @@
 
 namespace cbde::obs {
 
-/// Wall-clock microseconds on the monotonic clock (0 when compiled out).
+/// Wall-clock microseconds on the monotonic clock.
 inline std::uint64_t now_us() noexcept {
-#if defined(CBDE_OBS_OFF)
-  return 0;
-#else
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-#endif
 }
 
 /// 1-based index into TraceContext::spans(); 0 = invalid/none.

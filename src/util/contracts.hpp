@@ -6,17 +6,15 @@
 // (`contracts-form`) keeps the asserted expressions side-effect free — a
 // contract expression is *always* safe to evaluate or to elide.
 //
-// Three check levels, selected by CBDE_CONTRACTS_LEVEL (CMake cache variable
-// CBDE_CONTRACTS = off | default | audit; see docs/ANALYSIS.md):
+// Two check levels, selected by CBDE_CONTRACTS_LEVEL (CMake cache variable
+// CBDE_CONTRACTS = default | audit; see docs/ANALYSIS.md):
 //
-//   level 0 (`off`)      every macro compiles to an assume-style hint:
-//                        `if (!(cond)) __builtin_unreachable()`. The
-//                        optimizer may exploit the condition; nothing throws.
 //   level 1 (`default`)  CBDE_EXPECT and CBDE_ASSERT are live checks (the
 //                        historical behavior of util/expect.hpp — this
 //                        library is a research artifact and silent corruption
 //                        is worse than a few branches). CBDE_ENSURE and
-//                        CBDE_ASSERT_INVARIANT compile to assume hints.
+//                        CBDE_ASSERT_INVARIANT compile to assume hints:
+//                        `if (!(cond)) __builtin_unreachable()`.
 //   level 2 (`audit`)    everything is a live check. The `contracts` CMake
 //                        preset builds this flavor; ci.sh runs the full test
 //                        suite under it.
@@ -33,9 +31,9 @@
 //                                the end of a mutating member function;
 //                                violation throws std::logic_error.
 //
-// Contract expressions must be side-effect free (enforced by lint): at level
-// 0 they are still *evaluated* on the non-assumed path the compiler keeps,
-// and a contract that mutates state would make the three levels diverge.
+// Contract expressions must be side-effect free (enforced by lint): an
+// assumed condition may or may not be evaluated, so a contract that mutates
+// state would make the two levels diverge.
 #pragma once
 
 #include <stdexcept>
@@ -76,13 +74,8 @@ namespace cbde::util {
     if (!(cond)) ::cbde::util::handler(#cond, __FILE__, __LINE__); \
   } while (false)
 
-#if CBDE_CONTRACTS_LEVEL >= 1
 #define CBDE_EXPECT(cond) CBDE_CONTRACT_CHECK__(cond, fail_expect)
 #define CBDE_ASSERT(cond) CBDE_CONTRACT_CHECK__(cond, fail_assert)
-#else
-#define CBDE_EXPECT(cond) CBDE_CONTRACT_ASSUME__(cond)
-#define CBDE_ASSERT(cond) CBDE_CONTRACT_ASSUME__(cond)
-#endif
 
 #if CBDE_CONTRACTS_LEVEL >= 2
 #define CBDE_ENSURE(cond) CBDE_CONTRACT_CHECK__(cond, fail_ensure)

@@ -6,13 +6,10 @@
 // cell per *mutex site* (all shard mutexes of one server share a cell, the
 // worker pool's queue mutex gets its own), wires `observe`/`target` at a
 // histogram, and attaches the cell to each Mutex before any profiled thread
-// starts. The counters are monotonic relaxed atomics read by snapshots.
-//
-// Compiled out together with the rest of the timed path under CBDE_OBS_OFF
-// (the attach call becomes a no-op, so the cell never receives a write).
+// starts. The histogram is the cell's only record: it counts acquisitions
+// and sums their waits.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace cbde::util {
@@ -22,10 +19,6 @@ struct LockWaitCell {
   /// (0 when the fast-path try_lock succeeded). Set during single-threaded
   /// wiring, before the first profiled thread starts, and never changed.
   using ObserveFn = void (*)(void* target, std::uint64_t wait_us);
-
-  std::atomic<std::uint64_t> acquisitions{0};
-  std::atomic<std::uint64_t> contended{0};
-  std::atomic<std::uint64_t> wait_ns{0};
 
   ObserveFn observe = nullptr;
   void* target = nullptr;

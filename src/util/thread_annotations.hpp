@@ -19,8 +19,10 @@
 //     ci.sh keep it that way).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 
 #include "util/lock_wait.hpp"
@@ -67,9 +69,9 @@ namespace cbde {
 ///
 /// Opt-in lock-wait profiling (docs/OBSERVABILITY.md): attach_wait_profile()
 /// points the mutex at a util::LockWaitCell; subsequent lock() calls take a
-/// timed path that counts acquisitions, times contended waits and feeds the
-/// cell's observe callback. Unprofiled mutexes pay one relaxed load per
-/// lock(); under CBDE_OBS_OFF the whole path compiles out.
+/// timed path that times contended waits and feeds every acquisition's wait
+/// to the cell's observe callback. Unprofiled mutexes pay one acquire load
+/// per lock().
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -77,13 +79,11 @@ class CAPABILITY("mutex") Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void lock() ACQUIRE() {
-#if !defined(CBDE_OBS_OFF)
     util::LockWaitCell* cell = profile_.load(std::memory_order_acquire);
     if (cell != nullptr) {
       lock_profiled(*cell);
       return;
     }
-#endif
     mu_.lock();
   }
   void unlock() RELEASE() { mu_.unlock(); }
@@ -93,15 +93,10 @@ class CAPABILITY("mutex") Mutex {
   /// while the mutex is not yet contended (construction time); the cell must
   /// outlive the mutex.
   void attach_wait_profile(util::LockWaitCell* cell) noexcept {
-#if !defined(CBDE_OBS_OFF)
     profile_.store(cell, std::memory_order_release);
-#else
-    (void)cell;
-#endif
   }
 
  private:
-#if !defined(CBDE_OBS_OFF)
   void lock_profiled(util::LockWaitCell& cell) {
     // Fast path: an uncontended acquisition costs one try_lock and no clock
     // read. Only a failed try pays for two steady_clock calls.
@@ -109,14 +104,11 @@ class CAPABILITY("mutex") Mutex {
     if (!mu_.try_lock()) {
       const auto t0 = std::chrono::steady_clock::now();
       mu_.lock();
-      const auto waited = std::chrono::steady_clock::now() - t0;
-      const auto ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count());
-      cell.contended.fetch_add(1, std::memory_order_relaxed);
-      cell.wait_ns.fetch_add(ns, std::memory_order_relaxed);
-      wait_us = ns / 1000;
+      wait_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
     }
-    cell.acquisitions.fetch_add(1, std::memory_order_relaxed);
     if (cell.observe != nullptr) cell.observe(cell.target, wait_us);
   }
 
@@ -124,7 +116,6 @@ class CAPABILITY("mutex") Mutex {
   /// (release), read on every lock (acquire) so the attaching thread's cell
   /// initialization is visible to lockers.
   std::atomic<util::LockWaitCell*> profile_{nullptr};
-#endif
   std::mutex mu_;
 };
 
@@ -155,19 +146,9 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   // The body hands the mutex to the std primitive, which unlocks/relocks it
-  // outside the analysis's view; suppressing analysis *inside* these two
-  // wrappers is the only sanctioned NO_THREAD_SAFETY_ANALYSIS use in the
-  // tree.
+  // outside the analysis's view; suppressing analysis *inside* this wrapper
+  // is the only sanctioned NO_THREAD_SAFETY_ANALYSIS use in the tree.
   void wait(Mutex& mu) REQUIRES(mu) NO_THREAD_SAFETY_ANALYSIS { cv_.wait(mu); }
-
-  /// Timed wait: returns false on timeout, true when notified (or on a
-  /// spurious wakeup — callers re-check their predicate either way). Same
-  /// capability contract as wait().
-  bool wait_for_us(Mutex& mu, std::uint64_t timeout_us) REQUIRES(mu)
-      NO_THREAD_SAFETY_ANALYSIS {
-    return cv_.wait_for(mu, std::chrono::microseconds(timeout_us)) ==
-           std::cv_status::no_timeout;
-  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

@@ -146,11 +146,9 @@ TEST(Partition, PercentEncodedHintGroupsWithPlainForm) {
   EXPECT_EQ(encoded.hint_part, "laptops");
 }
 
-#if CBDE_CONTRACTS_LEVEL >= 1
 TEST(Partition, EmptyPatternRejectedAtConstruction) {
   EXPECT_THROW(PartitionRule(""), std::invalid_argument);
 }
-#endif
 
 TEST(Partition, BareRootHasEmptyHint) {
   const UrlParts parts = default_partition(parse_url("www.foo.com"));

@@ -1,12 +1,10 @@
 // cbde::obs: registry semantics, histogram bucket math, Prometheus golden
 // exposition, trace-span nesting through the real serve path, event log,
 // config keys, and the PipelineMetrics == registry parity invariant.
-//
-// Tests that depend on histogram samples, spans or events skip themselves
-// under CBDE_OBS_OFF (observe/emit compile to no-ops there); counters and
-// gauges are live in every build flavor, so the parity test always runs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -77,7 +75,6 @@ TEST(ObsHistogram, OverflowBucketIsPlusInf) {
 }
 
 TEST(ObsHistogram, EqualResolutionHistogramsMergeBucketByBucket) {
-  if (kCompiledOut) GTEST_SKIP() << "observe() compiled out (CBDE_OBS_OFF)";
   // Boundaries depend only on sub_buckets, so two histograms with equal s
   // merge by adding counts bucket-wise; the merge must equal a histogram
   // that observed the union of the samples.
@@ -123,7 +120,6 @@ TEST(ObsRegistry, RegistrationIdempotentKindChecked) {
 }
 
 TEST(ObsRegistry, PrometheusExpositionGolden) {
-  if (kCompiledOut) GTEST_SKIP() << "histogram samples compiled out";
   MetricsRegistry reg;
   reg.counter("cbde_golden_requests_total", "Total requests observed.").add(3);
   reg.gauge("cbde_golden_queue_depth", "Depth.").set(7);
@@ -240,15 +236,64 @@ TEST(ObsConcurrency, ShardedInstrumentsSumExactlyUnderContention) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(g.value(), static_cast<std::int64_t>(kThreads) * kPerThread);
-  if (!kCompiledOut) {
-    EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(ObsConcurrency, ProfiledMutexCountsEveryAcquisitionAndTimesContention) {
+  Obs obs;
+  util::LockWaitCell& cell =
+      obs.lock_wait_profile("cbde_lock_wait_seconds_test_mutex", "profiled test mutex");
+  const Histogram* site =
+      obs.registry().find_histogram("cbde_lock_wait_seconds_test_mutex");
+  ASSERT_NE(site, nullptr);
+  Mutex mu;
+  mu.attach_wait_profile(&cell);
+
+  // A contended acquisition records a nonzero wait: the holder keeps the
+  // lock while a waiter blocks on it. Whether the waiter reaches lock()
+  // before the holder lets go is up to the scheduler, so each round holds
+  // twice as long as the last until a wait is recorded.
+  std::uint64_t acquisitions = 0;
+  for (int hold_ms = 1; site->sum() == 0 && hold_ms <= 4096; hold_ms *= 2) {
+    std::atomic<bool> waiting{false};
+    std::thread waiter;
+    {
+      const LockGuard hold(mu);
+      waiter = std::thread([&mu, &waiting] {
+        waiting.store(true);
+        const LockGuard wait(mu);
+      });
+      while (!waiting.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(hold_ms));
+    }
+    waiter.join();
+    acquisitions += 2;
+    EXPECT_EQ(site->count(), acquisitions);
   }
+  EXPECT_GT(site->sum(), 0u);  // microseconds
+
+  // Every acquisition lands in the histogram, contended or not.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1000;
+  int guarded = 0;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&mu, &guarded] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const LockGuard lock(mu);
+        ++guarded;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(guarded, kThreads * kPerThread);
+  EXPECT_EQ(site->count(), acquisitions + kThreads * kPerThread);
 }
 
 // ------------------------------------------------------------ events
 
 TEST(ObsEvents, RingEvictsOldestAndCountsAllEmitted) {
-  if (kCompiledOut) GTEST_SKIP() << "emit() compiled out";
   ObsConfig config;
   config.event_ring_capacity = 3;
   Obs obs(config);
@@ -263,7 +308,6 @@ TEST(ObsEvents, RingEvictsOldestAndCountsAllEmitted) {
 }
 
 TEST(ObsEvents, JsonlSchemaGoldenAndSinkAppends) {
-  if (kCompiledOut) GTEST_SKIP() << "emit() compiled out";
   Event e;
   e.kind = EventKind::kGroupRebase;
   e.sim_time_us = 1500000;
@@ -351,7 +395,6 @@ const SpanRecord* find_span(const std::vector<SpanRecord>& spans,
 }
 
 TEST(ObsTrace, SpansNestThroughFullServe) {
-  if (kCompiledOut) GTEST_SKIP() << "spans compiled out";
   Rig rig(/*sample_rate=*/1.0);
   const util::SimTime now = rig.warm_up();
   const auto resp = rig.request(9, 0, 5, now);
@@ -385,7 +428,6 @@ TEST(ObsTrace, SpansNestThroughFullServe) {
 }
 
 TEST(ObsTrace, DirectResponseHasNoEncodeSpan) {
-  if (kCompiledOut) GTEST_SKIP() << "spans compiled out";
   Rig rig(/*sample_rate=*/1.0);
   const auto resp = rig.request(1, 0, 0, 0);  // first request: direct
   ASSERT_EQ(resp.mode, core::ServedResponse::Mode::kDirect);
@@ -395,7 +437,6 @@ TEST(ObsTrace, DirectResponseHasNoEncodeSpan) {
 }
 
 TEST(ObsTrace, QueueSpanJoinsTheServeTraceAcrossThePool) {
-  if (kCompiledOut) GTEST_SKIP() << "spans compiled out";
   Rig rig(/*sample_rate=*/1.0);
   const util::SimTime now = rig.warm_up();
   core::DeltaWorkerPool pool(rig.server, /*workers=*/2);
@@ -425,7 +466,6 @@ TEST(ObsTrace, SamplingRateZeroMeansNoTraces) {
 }
 
 TEST(ObsTrace, SamplingPeriodIsDeterministic) {
-  if (kCompiledOut) GTEST_SKIP() << "tracing compiled out";
   ObsConfig config;
   config.sample_rate = 0.5;
   Obs obs(config);
@@ -441,7 +481,6 @@ TEST(ObsTrace, SamplingPeriodIsDeterministic) {
 }
 
 TEST(ObsEvents, ServePathEmitsLifecycleEvents) {
-  if (kCompiledOut) GTEST_SKIP() << "events compiled out";
   Rig rig(/*sample_rate=*/0.0);
   rig.warm_up();
   bool saw_class_created = false;
@@ -499,16 +538,12 @@ TEST(ObsParity, PipelineMetricsEqualRegistryDerivedValues) {
   EXPECT_EQ(m.requests, m.direct_responses + m.delta_responses);
   // The delta-size histogram saw at least the committed delta responses
   // (fallbacks observe too, so >=).
-  if (!kCompiledOut) {
-    const Histogram* delta_size =
-        reg.find_histogram("cbde_server_delta_size_bytes");
-    ASSERT_NE(delta_size, nullptr);
-    EXPECT_GE(delta_size->count(), m.delta_responses);
-    const Histogram* doc_size =
-        reg.find_histogram("cbde_server_doc_size_bytes");
-    ASSERT_NE(doc_size, nullptr);
-    EXPECT_EQ(doc_size->count(), m.requests);
-  }
+  const Histogram* delta_size = reg.find_histogram("cbde_server_delta_size_bytes");
+  ASSERT_NE(delta_size, nullptr);
+  EXPECT_GE(delta_size->count(), m.delta_responses);
+  const Histogram* doc_size = reg.find_histogram("cbde_server_doc_size_bytes");
+  ASSERT_NE(doc_size, nullptr);
+  EXPECT_EQ(doc_size->count(), m.requests);
 }
 
 TEST(ObsParity, SavingsAndReductionFactorShareZeroConventions) {

@@ -1,7 +1,6 @@
 // Flame-profile folding (src/obs/span_profile.hpp): self-time arithmetic,
 // collapsed-stack export, and the speedscope document. SpanRecord vectors are
-// built with fixed timestamps, so every test is deterministic and runs
-// identically with and without CBDE_OBS_OFF.
+// built with fixed timestamps, so every test is deterministic.
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,7 @@
 // Windowed time-series: histogram diffing, window quantiles, shard-series
-// parsing, and the TimeSeriesRecorder ring/JSONL mechanics
+// parsing, and the TimeSeriesRecorder's window diffing and JSONL export
 // (src/obs/time_series.hpp). The diff/quantile tests build HistogramSnapshot
-// values by hand so they run identically with and without CBDE_OBS_OFF;
-// tests that need live histogram samples skip under kCompiledOut.
+// values by hand.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +9,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,7 +194,6 @@ TEST(TimeSeriesQuantile, QuantilesAreMonotonicInQ) {
 }
 
 TEST(TimeSeriesQuantile, MergeThenDiffEquivalence) {
-  if (kCompiledOut) GTEST_SKIP() << "observe() compiled out (CBDE_OBS_OFF)";
   // Property (seeded): diffing a series across a window equals a histogram
   // that observed only the window's samples. Exercises the finite buckets
   // and the overflow path (values past 2^kMaxExponent).
@@ -267,13 +262,11 @@ TEST(TimeSeriesParse, ShardMetricNameRoundTrips) {
                std::invalid_argument);
 }
 
-TEST(TimeSeriesRecorderTest, ManualTicksDiffCountersAndBoundTheRing) {
+TEST(TimeSeriesRecorderTest, ManualTicksDiffCountersAndNumberTheWindows) {
   MetricsRegistry reg;
   Counter& c = reg.counter("cbde_test_ts_ticks_total", "tick deltas");  // lint: obs-ok validation test
   Gauge& g = reg.gauge("cbde_test_ts_depth", "gauge passthrough");  // lint: obs-ok validation test
-  TimeSeriesConfig config;
-  config.ring_capacity = 2;
-  TimeSeriesRecorder recorder(reg, config);
+  TimeSeriesRecorder recorder(reg);
 
   c.add(5);
   g.set(7);
@@ -290,51 +283,11 @@ TEST(TimeSeriesRecorderTest, ManualTicksDiffCountersAndBoundTheRing) {
   EXPECT_DOUBLE_EQ(w2.counter_delta.at("cbde_test_ts_ticks_total"), 3.0);
 
   const TimeSeriesWindow w3 = recorder.tick();
+  EXPECT_EQ(w3.tick, 3u);
   EXPECT_DOUBLE_EQ(w3.counter_delta.at("cbde_test_ts_ticks_total"), 0.0);
-
-  EXPECT_EQ(recorder.ticks(), 3u);
-  const std::vector<TimeSeriesWindow> ring = recorder.windows();
-  ASSERT_EQ(ring.size(), 2u);  // ring_capacity bounds retention
-  EXPECT_EQ(ring.front().tick, 2u);
-  EXPECT_EQ(ring.back().tick, 3u);
-}
-
-TEST(TimeSeriesRecorderTest, JsonlSinkAppendsOneLinePerWindow) {
-  const std::string path = "time_series_test_sink.jsonl";
-  MetricsRegistry reg;
-  Counter& c = reg.counter("cbde_test_ts_sink_total", "sink lines");  // lint: obs-ok validation test
-  {
-    TimeSeriesConfig config;
-    config.jsonl_path = path;
-    TimeSeriesRecorder recorder(reg, config);
-    c.add(4);
-    recorder.tick();
-    c.add(6);
-    recorder.tick();
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  in.close();
-  std::remove(path.c_str());
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"tick\":1"), std::string::npos);
-  EXPECT_NE(lines[0].find("\"cbde_test_ts_sink_total\":4"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"tick\":2"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"cbde_test_ts_sink_total\":6"), std::string::npos);
-  for (const std::string& line : lines) {
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"counter_delta\""), std::string::npos);
-    EXPECT_NE(line.find("\"imbalance\""), std::string::npos);
-  }
 }
 
 TEST(TimeSeriesRecorderTest, DerivedShardStatsFromRegisteredFamilies) {
-  if (kCompiledOut) {
-    GTEST_SKIP() << "rates need now_us(); histograms compiled out";
-  }
   MetricsRegistry reg;
   Counter& shard0 = reg.counter(
       shard_metric_name("cbde_shard_requests_total", 0), "s0");  // lint: obs-ok validation test
@@ -347,7 +300,7 @@ TEST(TimeSeriesRecorderTest, DerivedShardStatsFromRegisteredFamilies) {
   Histogram& wait =  // lint: obs-ok validation test
       reg.histogram("cbde_lock_wait_seconds_test_site", "wait", 8, 1e-6);
 
-  TimeSeriesRecorder recorder(reg, TimeSeriesConfig{});
+  TimeSeriesRecorder recorder(reg);
   shard0.add(30);
   shard1.add(10);
   for (int i = 0; i < 30; ++i) serve0.observe(100);
@@ -409,45 +362,46 @@ TEST(TimeSeriesRecorderTest, ToJsonlSchemaFields) {
   }
 }
 
-// Suite name matters: ci.sh's TSan stage runs -R 'ObsConcurrency', so this
-// races the background snapshot thread against live writers under TSan.
+// Ticks from the test thread while four writers add and observe: under the
+// ci.sh TSan stage this races every snapshot against live writers.
 TEST(ObsConcurrency, RecorderTicksRaceWithWriters) {
   MetricsRegistry reg;
   Counter& c = reg.counter("cbde_test_ts_race_total", "racing adds");  // lint: obs-ok validation test
   Histogram& h =  // lint: obs-ok validation test
       reg.histogram("cbde_test_ts_race_microseconds", "racing observes", 4);
-  TimeSeriesConfig config;
-  config.interval_us = 500;
-  TimeSeriesRecorder recorder(reg, config);
-  recorder.start();  // no-op under CBDE_OBS_OFF; manual ticks still work
+  TimeSeriesRecorder recorder(reg);
 
   constexpr int kThreads = 4;
   constexpr int kAddsPerThread = 2000;
+  std::atomic<int> finished{0};
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&c, &h] {
+    writers.emplace_back([&c, &h, &finished] {
       for (int i = 0; i < kAddsPerThread; ++i) {
         c.add(1);
         h.observe(static_cast<std::uint64_t>(i % 64));
       }
+      finished.fetch_add(1);
     });
   }
-  recorder.tick();
+  std::vector<TimeSeriesWindow> windows;
+  do {
+    windows.push_back(recorder.tick());
+  } while (finished.load() < kThreads);
   for (auto& w : writers) w.join();
-  recorder.stop();
-  recorder.tick();  // final window closes over everything the writers did
+  windows.push_back(recorder.tick());  // closes over everything the writers did
 
-  EXPECT_GE(recorder.ticks(), 2u);
   double total_delta = 0.0;
-  for (const TimeSeriesWindow& w : recorder.windows()) {
-    auto it = w.counter_delta.find("cbde_test_ts_race_total");
-    if (it != w.counter_delta.end()) total_delta += it->second;
+  std::uint64_t observed = 0;
+  for (const TimeSeriesWindow& w : windows) {
+    EXPECT_FALSE(w.reset) << "tick " << w.tick;
+    total_delta += w.counter_delta.at("cbde_test_ts_race_total");
+    observed += w.histogram.at("cbde_test_ts_race_microseconds").count;
   }
-  // Every add lands in exactly one window (the default ring holds 64, far
-  // more than this test can tick).
-  EXPECT_DOUBLE_EQ(total_delta,
-                   static_cast<double>(kThreads) * kAddsPerThread);
+  // Every add and every observation lands in exactly one window.
+  EXPECT_DOUBLE_EQ(total_delta, static_cast<double>(kThreads) * kAddsPerThread);
+  EXPECT_EQ(observed, static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
 }
 
 }  // namespace

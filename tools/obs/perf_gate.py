@@ -26,13 +26,9 @@ creeping past its budget) without flaking on slower CI hosts:
     byte_parity           must be 1 (bit-exact Table II accounting)
 
   delta (BENCH_delta.json):
-    overhead_pct_max      instrumented-vs-bare encode overhead (skipped and
-                          reported when the build compiled observability
-                          out); this is the <3% observability budget
+    overhead_pct_max      instrumented-vs-bare encode overhead; this is the
+                          <3% observability budget
     min_windows           populated end-to-end time-series windows
-    recorder_min_windows  background recorder windows closed during the
-                          overhead measurement (proves the recorder thread
-                          ran while the gate number was taken)
     lock_wait_share_max   mean share over the end-to-end windows
     allocs_per_request_max
                           operator-new calls per request at 1 and 4 workers
@@ -121,24 +117,13 @@ def gate_capacity(doc: dict, bands: dict, findings: list[str]) -> None:
 
 
 def gate_delta(doc: dict, bands: dict, findings: list[str]) -> None:
-    obs = doc.get("obs", {})
-    compiled_out = obs.get("compiled_out", 0) == 1
-    if compiled_out:
-        print("perf_gate: delta obs section compiled out -- overhead and "
-              "recorder bands skipped by design")
-    else:
-        overhead = obs.get("overhead_pct")
-        if overhead is None:
-            findings.append("delta: obs.overhead_pct missing")
-        elif overhead > bands["overhead_pct_max"]:
-            findings.append(
-                f"delta: obs overhead {overhead:.2f}% > band "
-                f"{bands['overhead_pct_max']}% (measured with the recorder live)")
-        if obs.get("recorder_windows", 0) < bands["recorder_min_windows"]:
-            findings.append(
-                f"delta: recorder closed {obs.get('recorder_windows', 0)} "
-                f"window(s) during the overhead loop, need >= "
-                f"{bands['recorder_min_windows']}")
+    overhead = doc.get("obs", {}).get("overhead_pct")
+    if overhead is None:
+        findings.append("delta: obs.overhead_pct missing")
+    elif overhead > bands["overhead_pct_max"]:
+        findings.append(
+            f"delta: obs overhead {overhead:.2f}% > band "
+            f"{bands['overhead_pct_max']}%")
     speedup = doc.get("end_to_end", {}).get("speedup_4v1")
     if speedup is not None:
         cores = int(doc.get("config", {}).get("hardware_concurrency", 0))
@@ -150,7 +135,7 @@ def gate_delta(doc: dict, bands: dict, findings: list[str]) -> None:
         findings.append("delta: missing time_series section")
         return
     pop = populated(windows)
-    if len(pop) < bands["min_windows"] and not compiled_out:
+    if len(pop) < bands["min_windows"]:
         findings.append(
             f"delta: {len(pop)} populated end-to-end window(s), need >= "
             f"{bands['min_windows']}")
