@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "compress/bitio.hpp"
 #include "compress/huffman.hpp"
@@ -38,82 +41,138 @@ constexpr std::array<std::uint8_t, 30> kDistExtra = {0, 0, 0,  0,  1,  1,  2,  2
                                                      4, 4, 5,  5,  6,  6,  7,  7,  8,  8,
                                                      9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
 
-std::size_t length_code(std::size_t len) {
-  CBDE_ASSERT(len >= kMinMatch && len <= kMaxMatch);
-  // Last code whose base <= len.
-  auto it = std::upper_bound(kLenBase.begin(), kLenBase.end(), len);
-  return static_cast<std::size_t>(it - kLenBase.begin()) - 1;
-}
-
-std::size_t distance_code(std::size_t dist) {
-  CBDE_ASSERT(dist >= 1 && dist <= kWindowSize);
-  auto it = std::upper_bound(kDistBase.begin(), kDistBase.end(), dist);
-  return static_cast<std::size_t>(it - kDistBase.begin()) - 1;
-}
-
-void write_lengths_nibbles(BitWriter& w, const std::vector<std::uint8_t>& lengths) {
-  for (auto len : lengths) w.write_bits(len, 4);
-}
-
-std::vector<std::uint8_t> read_lengths_nibbles(BitReader& r, std::size_t count) {
-  std::vector<std::uint8_t> lengths(count);
-  for (auto& len : lengths) len = static_cast<std::uint8_t>(r.read_bits(4));
-  return lengths;
-}
-
-/// Emit one block. Falls back to a stored block if the Huffman encoding
-/// would be larger than the raw bytes.
-void emit_block(util::Bytes& out, util::BytesView block, bool final) {
-  const auto tokens = lz77_tokenize(block);
-
-  // Stack-allocated frequency tables (2.5 KB): the old per-block vectors
-  // were two heap allocations on every 256 KB of every compressed response.
-  std::array<std::uint64_t, kNumLitLen> lit_freq{};
-  std::array<std::uint64_t, kNumDist> dist_freq{};
-  lit_freq[kEob] = 1;
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      ++lit_freq[t.literal];
-    } else {
-      ++lit_freq[257 + length_code(t.length)];
-      ++dist_freq[distance_code(t.distance)];
+// zlib's _length_code: the length code of every match length.
+constexpr std::array<std::uint8_t, kMaxMatch + 1> kLengthCode = [] {
+  std::array<std::uint8_t, kMaxMatch + 1> table{};
+  for (std::size_t code = 0; code < kLenBase.size(); ++code) {
+    const std::size_t end =
+        code + 1 < kLenBase.size() ? kLenBase[code + 1] : kMaxMatch + 1;
+    for (std::size_t len = kLenBase[code]; len < end; ++len) {
+      table[len] = static_cast<std::uint8_t>(code);
     }
   }
-  const auto lit_lengths = build_code_lengths(lit_freq);
-  const auto dist_lengths = build_code_lengths(dist_freq);
+  return table;
+}();
 
-  util::Bytes coded;
-  coded.reserve(block.size() / 2 + (kNumLitLen + kNumDist) / 2 + 16);
-  {
-    BitWriter w(coded);
-    write_lengths_nibbles(w, lit_lengths);
-    write_lengths_nibbles(w, dist_lengths);
-    HuffmanEncoder lit_enc(lit_lengths);
-    HuffmanEncoder dist_enc(dist_lengths);
-    for (const Token& t : tokens) {
+// zlib's _dist_code: distances 1..256 index the first half directly, longer
+// ones by (distance - 1) >> 7 in the second half (every code from 257 on
+// starts one past a multiple of 128).
+constexpr std::array<std::uint8_t, 512> kDistCode = [] {
+  std::array<std::uint8_t, 512> table{};
+  for (std::size_t code = 0; code < kDistBase.size(); ++code) {
+    const std::size_t end = kDistBase[code] + (std::size_t{1} << kDistExtra[code]);
+    for (std::size_t dist = kDistBase[code]; dist < end; ++dist) {
+      table[dist <= 256 ? dist - 1 : 256 + ((dist - 1) >> 7)] = static_cast<std::uint8_t>(code);
+    }
+  }
+  return table;
+}();
+
+inline std::size_t length_code(std::size_t len) { return kLengthCode[len]; }
+
+inline std::size_t distance_code(std::size_t dist) {
+  return kDistCode[dist <= 256 ? dist - 1 : 256 + ((dist - 1) >> 7)];
+}
+
+/// A Huffman block costs at least its 316 nibbles of code lengths (158
+/// bytes) plus the end-of-block code, so a block this short is never
+/// smaller coded than stored and is stored without tokenizing it.
+constexpr std::size_t kMaxAlwaysStored = (kNumLitLen + kNumDist) / 2 + 1;
+
+/// Every input byte after the header decodes to at most this many output
+/// bytes: a match costs at least two bits (one-bit length and distance
+/// codes) for at most kMaxMatch bytes.
+constexpr std::size_t kMaxExpansion = 8 / 2 * kMaxMatch;
+
+/// Writes one block at a time. Per thread, like lz77's chain tables: the
+/// token buffer keeps its capacity (at most one block's worth of tokens),
+/// so steady-state compress() allocates only its output.
+class BlockCoder {
+ public:
+  /// Tokenize `block` and choose its encoding; returns its wire size.
+  std::size_t plan(util::BytesView block) {
+    block_ = block;
+    coded_bytes_ = 0;
+    if (block.size() > kMaxAlwaysStored) plan_huffman();
+    return coded_bytes_ != 0 ? 1 + coded_bytes_
+                             : 1 + util::uvarint_size(block.size()) + block.size();
+  }
+
+  /// Append the planned block to `out`.
+  void write(util::Bytes& out, bool final) const {
+    if (coded_bytes_ == 0) {
+      out.push_back(static_cast<std::uint8_t>(final ? kFlagFinal : 0));
+      util::put_uvarint(out, block_.size());
+      util::append(out, block_);
+      return;
+    }
+    out.push_back(static_cast<std::uint8_t>((final ? kFlagFinal : 0) | kFlagHuffman));
+    const std::size_t start = out.size();
+    BitWriter w(out);
+    for (const auto len : lit_lengths_) w.write_bits(len, 4);
+    for (const auto len : dist_lengths_) w.write_bits(len, 4);
+    const HuffmanEncoder lit(lit_lengths_);
+    const HuffmanEncoder dist(dist_lengths_);
+    for (const Token& t : tokens_) {
       if (t.length == 0) {
-        lit_enc.encode(w, t.literal);
+        lit.encode(w, t.literal);
+        continue;
+      }
+      // Code and extra bits go out as one write each (at most 20 and 28
+      // bits): the same MSB-first bit sequence as separate writes.
+      const std::size_t lc = length_code(t.length);
+      const int len_extra = kLenExtra[lc];
+      w.write_bits(static_cast<std::uint32_t>(lit.code_of(257 + lc)) << len_extra |
+                       static_cast<std::uint32_t>(t.length - kLenBase[lc]),
+                   lit.length_of(257 + lc) + len_extra);
+      const std::size_t dc = distance_code(t.distance);
+      const int dist_extra = kDistExtra[dc];
+      w.write_bits(static_cast<std::uint32_t>(dist.code_of(dc)) << dist_extra |
+                       static_cast<std::uint32_t>(t.distance - kDistBase[dc]),
+                   dist.length_of(dc) + dist_extra);
+    }
+    lit.encode(w, kEob);
+    w.align_to_byte();
+    CBDE_ENSURE(out.size() - start == coded_bytes_);
+  }
+
+ private:
+  void plan_huffman() {
+    lz77_tokenize(block_, tokens_);
+    std::array<std::uint64_t, kNumLitLen> lit_freq{};
+    std::array<std::uint64_t, kNumDist> dist_freq{};
+    lit_freq[kEob] = 1;
+    for (const Token& t : tokens_) {
+      if (t.length == 0) {
+        ++lit_freq[t.literal];
       } else {
-        const std::size_t lc = length_code(t.length);
-        lit_enc.encode(w, 257 + lc);
-        w.write_bits(static_cast<std::uint32_t>(t.length - kLenBase[lc]), kLenExtra[lc]);
-        const std::size_t dc = distance_code(t.distance);
-        dist_enc.encode(w, dc);
-        w.write_bits(static_cast<std::uint32_t>(t.distance - kDistBase[dc]), kDistExtra[dc]);
+        ++lit_freq[257 + length_code(t.length)];
+        ++dist_freq[distance_code(t.distance)];
       }
     }
-    lit_enc.encode(w, kEob);
-    w.align_to_byte();
+    build_code_lengths(lit_freq, lit_lengths_);
+    build_code_lengths(dist_freq, dist_lengths_);
+    // The coded size follows from the frequencies: no trial encode.
+    std::uint64_t bits = 4 * (kNumLitLen + kNumDist);
+    for (std::size_t s = 0; s < kNumLitLen; ++s) bits += lit_freq[s] * lit_lengths_[s];
+    for (std::size_t lc = 0; lc < kLenExtra.size(); ++lc) bits += lit_freq[257 + lc] * kLenExtra[lc];
+    for (std::size_t dc = 0; dc < kNumDist; ++dc) {
+      bits += dist_freq[dc] * (dist_lengths_[dc] + kDistExtra[dc]);
+    }
+    const std::size_t coded = static_cast<std::size_t>((bits + 7) / 8);
+    if (coded < block_.size()) coded_bytes_ = coded;
   }
 
-  if (coded.size() < block.size()) {
-    out.push_back(static_cast<std::uint8_t>((final ? kFlagFinal : 0) | kFlagHuffman));
-    util::append(out, util::as_view(coded));
-  } else {
-    out.push_back(static_cast<std::uint8_t>(final ? kFlagFinal : 0));
-    util::put_uvarint(out, block.size());
-    util::append(out, block);
-  }
+  util::BytesView block_;
+  std::size_t coded_bytes_ = 0;  // 0: the block goes out stored
+  std::vector<Token> tokens_;
+  std::array<std::uint8_t, kNumLitLen> lit_lengths_{};
+  std::array<std::uint8_t, kNumDist> dist_lengths_{};
+};
+
+BlockCoder& block_coder() {
+  thread_local BlockCoder coder;
+  return coder;
 }
 
 }  // namespace
@@ -121,25 +180,23 @@ void emit_block(util::Bytes& out, util::BytesView block, bool final) {
 util::Bytes compress(util::BytesView input) {
   // Anything larger could never round-trip through decompress()'s decode cap.
   CBDE_EXPECT(input.size() <= kMaxDecompressSize);
+  BlockCoder& coder = block_coder();
   util::Bytes out;
-  out.reserve(input.size() / 3 + 32);
-  util::append(out, std::string_view("CBZ1"));
-  util::put_uvarint(out, input.size());
-  const std::uint32_t crc = util::crc32(input);
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-
-  if (input.empty()) {
-    out.push_back(kFlagFinal);  // stored, zero-length final block
-    util::put_uvarint(out, 0);
-    return out;
-  }
   std::size_t pos = 0;
-  while (pos < input.size()) {
+  do {  // the empty input is one stored, zero-length final block
     const std::size_t len = std::min(kBlockSize, input.size() - pos);
-    const bool final = pos + len == input.size();
-    emit_block(out, input.subspan(pos, len), final);
+    const std::size_t wire = coder.plan(input.subspan(pos, len));
+    if (pos == 0) {
+      // Sized once the first block is planned: exact for single-block input.
+      out.reserve(4 + util::uvarint_size(input.size()) + 4 + wire);
+      util::append(out, std::string_view("CBZ1"));
+      util::put_uvarint(out, input.size());
+      const std::uint32_t crc = util::crc32(input);
+      for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    }
     pos += len;
-  }
+    coder.write(out, pos == input.size());
+  } while (pos < input.size());
   // Header (magic + size varint + crc) plus at least one block byte.
   CBDE_ENSURE(out.size() > 9);
   return out;
@@ -157,15 +214,24 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
     throw CorruptInput("cbz: bad magic");
   }
   pos = 4;
-  const auto size = util::get_uvarint(input, pos);
-  if (!size) throw CorruptInput("cbz: bad size varint");
-  if (*size > kMaxDecompressSize) throw CorruptInput("cbz: claimed size exceeds decode cap");
+  const auto claimed = util::get_uvarint(input, pos);
+  if (!claimed) throw CorruptInput("cbz: bad size varint");
+  if (*claimed > kMaxDecompressSize) throw CorruptInput("cbz: claimed size exceeds decode cap");
   if (pos + 4 > input.size()) throw CorruptInput("cbz: truncated header");
   std::uint32_t crc = 0;
   for (int i = 0; i < 4; ++i) crc |= static_cast<std::uint32_t>(input[pos++]) << (8 * i);
+  // Checked before sizing `out`: a few framing bytes must not make a reused
+  // buffer keep a claimed gigabyte of capacity.
+  if (*claimed > (input.size() - pos) * kMaxExpansion) {
+    throw CorruptInput("cbz: claimed size exceeds what the blocks can hold");
+  }
+  const auto size = static_cast<std::size_t>(*claimed);
 
-  out.clear();
-  out.reserve(static_cast<std::size_t>(*size));
+  // Sized up front and filled through a cursor; every write below is
+  // checked against the claimed size first.
+  out.resize(size);
+  std::uint8_t* const dst = out.data();
+  std::size_t written = 0;
   bool final = false;
   while (!final) {
     if (pos >= input.size()) throw CorruptInput("cbz: missing block");
@@ -175,33 +241,42 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
       const auto len = util::get_uvarint(input, pos);
       // Subtraction-form bound: `pos + *len` wraps for 64-bit length claims.
       if (!len || *len > input.size() - pos) throw CorruptInput("cbz: bad stored block");
-      util::append(out, input.subspan(pos, static_cast<std::size_t>(*len)));
+      if (*len > size - written) throw CorruptInput("cbz: output exceeds declared size");
+      std::copy_n(input.data() + pos, static_cast<std::size_t>(*len), dst + written);
+      written += static_cast<std::size_t>(*len);
       pos += static_cast<std::size_t>(*len);
       continue;
     }
     BitReader r(input.subspan(pos));
     try {
-      const auto lit_lengths = read_lengths_nibbles(r, kNumLitLen);
-      const auto dist_lengths = read_lengths_nibbles(r, kNumDist);
-      HuffmanDecoder lit_dec(lit_lengths);
-      HuffmanDecoder dist_dec(dist_lengths);
+      std::array<std::uint8_t, kNumLitLen + kNumDist> lengths{};
+      for (auto& len : lengths) len = static_cast<std::uint8_t>(r.read_bits(4));
+      const HuffmanDecoder lit_dec{std::span(lengths).first(kNumLitLen)};
+      const HuffmanDecoder dist_dec{std::span(lengths).subspan(kNumLitLen)};
       while (true) {
         const std::size_t sym = lit_dec.decode(r);
-        if (sym == kEob) break;
         if (sym < 256) {
-          out.push_back(static_cast<std::uint8_t>(sym));
+          if (written == size) throw CorruptInput("cbz: output exceeds declared size");
+          dst[written++] = static_cast<std::uint8_t>(sym);
           continue;
         }
+        if (sym == kEob) break;
         const std::size_t lc = sym - 257;
         if (lc >= kLenBase.size()) throw CorruptInput("cbz: bad length code");
         const std::size_t len = kLenBase[lc] + r.read_bits(kLenExtra[lc]);
         const std::size_t dc = dist_dec.decode(r);
         if (dc >= kDistBase.size()) throw CorruptInput("cbz: bad distance code");
         const std::size_t dist = kDistBase[dc] + r.read_bits(kDistExtra[dc]);
-        if (dist == 0 || dist > out.size()) throw CorruptInput("cbz: distance out of range");
-        const std::size_t start = out.size() - dist;
-        for (std::size_t i = 0; i < len; ++i) out.push_back(out[start + i]);
-        if (out.size() > *size) throw CorruptInput("cbz: output exceeds declared size");
+        if (dist == 0 || dist > written) throw CorruptInput("cbz: distance out of range");
+        if (len > size - written) throw CorruptInput("cbz: output exceeds declared size");
+        std::uint8_t* const to = dst + written;
+        const std::uint8_t* const from = to - dist;
+        if (dist >= len) {
+          std::memcpy(to, from, len);
+        } else {
+          for (std::size_t i = 0; i < len; ++i) to[i] = from[i];  // overlapping run
+        }
+        written += len;
       }
     } catch (const std::invalid_argument& e) {
       throw CorruptInput(std::string("cbz: ") + e.what());
@@ -209,7 +284,7 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
     r.align_to_byte();
     pos += r.position();
   }
-  if (out.size() != *size) throw CorruptInput("cbz: size mismatch");
+  if (written != size) throw CorruptInput("cbz: size mismatch");
   if (util::crc32(util::as_view(out)) != crc) throw CorruptInput("cbz: checksum mismatch");
   CBDE_ENSURE(out.size() <= kMaxDecompressSize);
 }

@@ -1,8 +1,10 @@
 #include "compress/lz77.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/contracts.hpp"
+#include "util/match.hpp"
 
 namespace cbde::compress {
 namespace {
@@ -23,23 +25,18 @@ inline std::uint32_t hash3(const std::uint8_t* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-inline std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
-                                std::size_t limit) {
-  std::size_t n = 0;
-  while (n < limit && a[n] == b[n]) ++n;
-  return n;
-}
-
-/// Reusable per-thread hash-chain tables (the same epoch-stamp idiom as the
-/// delta encoder's SelfScratch): the 256 KB head/prev pair used to be two
-/// heap allocations plus a 128 KB zeroing on *every* tokenize call — one per
-/// 256 KB block of every compressed response. A head entry is live only if
-/// its stamp matches the current epoch, so reuse costs nothing per call.
+/// Reusable per-thread hash-chain tables: allocated once per thread, never
+/// zeroed per call. head[h] holds base + pos + 1 for the latest position
+/// with hash h; values at or below `base` were stored by earlier calls and
+/// read as empty, so a call starts by moving `base` past everything stored
+/// so far. prev[i % window] holds the distance from position i back to the
+/// previous position with the same hash, or 0 when there is none within the
+/// window (16 bits suffice, which keeps the chain walk in L1 for typical
+/// deltas).
 struct ChainScratch {
   std::vector<std::uint32_t> head;
-  std::vector<std::uint32_t> stamp;
-  std::vector<std::uint32_t> prev;
-  std::uint32_t epoch = 0;
+  std::vector<std::uint16_t> prev;
+  std::uint32_t end = 0;  // largest value stored in head so far
 };
 
 ChainScratch& chain_scratch() {
@@ -49,32 +46,36 @@ ChainScratch& chain_scratch() {
 
 }  // namespace
 
-std::vector<Token> lz77_tokenize(util::BytesView input) {
-  std::vector<Token> tokens;
+void lz77_tokenize(util::BytesView input, std::vector<Token>& tokens) {
+  tokens.clear();
   const std::size_t n = input.size();
-  if (n == 0) return tokens;
-  tokens.reserve(n / 4);
+  if (n == 0) return;
+  tokens.reserve(n);
 
-  // head[h] = most recent position with hash h (+1; 0 = none, i.e. a stale
-  // stamp). prev[i % window] = previous position with the same hash as i
-  // (+1); only values taken from a live head entry are ever stored, so prev
-  // needs no stamps of its own.
   ChainScratch& scratch = chain_scratch();
   if (scratch.head.empty()) {
     scratch.head.assign(kHashSize, 0);
-    scratch.stamp.assign(kHashSize, 0);
     scratch.prev.assign(kWindowSize, 0);
   }
-  if (++scratch.epoch == 0) {  // stamp wrap: invalidate everything once
-    std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0u);
-    scratch.epoch = 1;
+  if (n >= UINT32_MAX - scratch.end) {  // head values would wrap: start over
+    std::fill(scratch.head.begin(), scratch.head.end(), 0u);
+    scratch.end = 0;
   }
-  const std::uint32_t epoch = scratch.epoch;
+  const std::uint32_t base = scratch.end;
+  scratch.end = base + static_cast<std::uint32_t>(n);
   std::uint32_t* const head = scratch.head.data();
-  std::uint32_t* const stamp = scratch.stamp.data();
-  std::uint32_t* const prev = scratch.prev.data();
-  const auto live_head = [&](std::uint32_t h) -> std::uint32_t {
-    return stamp[h] == epoch ? head[h] : 0;
+  std::uint16_t* const prev = scratch.prev.data();
+  // Distance from `pos` back to the latest earlier position with hash `h`,
+  // or 0 if there is none within the window.
+  const auto nearest = [&](std::uint32_t h, std::size_t pos) -> std::size_t {
+    const std::uint32_t v = head[h];
+    if (v <= base) return 0;
+    const std::size_t dist = pos + 1 + base - v;
+    return dist > kWindowSize ? 0 : dist;
+  };
+  const auto insert = [&](std::uint32_t h, std::size_t pos, std::size_t dist) {
+    prev[pos % kWindowSize] = static_cast<std::uint16_t>(dist);
+    head[h] = base + static_cast<std::uint32_t>(pos + 1);
   };
 
   const std::uint8_t* data = input.data();
@@ -84,23 +85,25 @@ std::vector<Token> lz77_tokenize(util::BytesView input) {
     std::size_t best_dist = 0;
     if (pos + kMinMatch <= n) {
       const std::uint32_t h = hash3(data + pos);
-      std::uint32_t cand = live_head(h);
+      const std::size_t first = nearest(h, pos);
       std::size_t chain = kMaxChain;
       const std::size_t limit = std::min(kMaxMatch, n - pos);
-      while (cand != 0 && chain-- > 0) {
-        const std::size_t cpos = cand - 1;
-        if (pos - cpos > kWindowSize) break;
-        const std::size_t len = match_length(data + cpos, data + pos, limit);
-        if (len > best_len) {
-          best_len = len;
-          best_dist = pos - cpos;
-          if (len >= kGoodEnough || len == limit) break;
+      for (std::size_t dist = first; dist != 0 && chain-- > 0;) {
+        const std::size_t cpos = pos - dist;
+        // zlib's scan-end test: a candidate that differs at offset best_len
+        // cannot beat the current match, so skipping it changes no token.
+        if (data[cpos + best_len] == data[pos + best_len]) {
+          const std::size_t len = util::forward_match(data + cpos, data + pos, limit);
+          if (len > best_len) {
+            best_len = len;
+            best_dist = dist;
+            if (len >= kGoodEnough || len == limit) break;
+          }
         }
-        cand = prev[cpos % kWindowSize];
+        const std::size_t step = prev[cpos % kWindowSize];
+        dist = step == 0 || dist + step > kWindowSize ? 0 : dist + step;
       }
-      prev[pos % kWindowSize] = live_head(h);
-      head[h] = static_cast<std::uint32_t>(pos + 1);
-      stamp[h] = epoch;
+      insert(h, pos, first);
     }
 
     if (best_len >= kMinMatch) {
@@ -111,9 +114,7 @@ std::vector<Token> lz77_tokenize(util::BytesView input) {
       const std::size_t end = std::min(pos + best_len, n >= kMinMatch ? n - kMinMatch + 1 : 0);
       for (std::size_t i = pos + 1; i < end; ++i) {
         const std::uint32_t h2 = hash3(data + i);
-        prev[i % kWindowSize] = live_head(h2);
-        head[h2] = static_cast<std::uint32_t>(i + 1);
-        stamp[h2] = epoch;
+        insert(h2, i, nearest(h2, i));
       }
       pos += best_len;
     } else {
@@ -121,6 +122,11 @@ std::vector<Token> lz77_tokenize(util::BytesView input) {
       ++pos;
     }
   }
+}
+
+std::vector<Token> lz77_tokenize(util::BytesView input) {
+  std::vector<Token> tokens;
+  lz77_tokenize(input, tokens);
   return tokens;
 }
 

@@ -22,8 +22,12 @@ struct Token {
   std::uint8_t literal = 0;
 };
 
-/// Tokenize `input`. Deterministic; no allocation beyond the output vector
-/// and the hash-chain tables.
+/// Tokenize `input` into `tokens` (cleared first; its capacity is reused).
+/// Deterministic; allocates nothing once `tokens` and this thread's
+/// hash-chain tables have grown to the input.
+void lz77_tokenize(util::BytesView input, std::vector<Token>& tokens);
+
+/// Allocating form of the above.
 std::vector<Token> lz77_tokenize(util::BytesView input);
 
 /// Reconstruct the original bytes from a token stream (used by tests; the

@@ -7,6 +7,7 @@
 #include "delta/rolling.hpp"
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
+#include "util/match.hpp"
 #include "util/varint.hpp"
 
 namespace cbde::delta {
@@ -120,7 +121,7 @@ std::size_t Estimator::estimate(util::BytesView target) const {
       // A candidate can only beat the incumbent if it also matches at the
       // incumbent's length — one byte-compare rejects most of the chain.
       if (best_len != 0 && base[bpos + best_len] != tdata[pos + best_len]) continue;
-      const std::size_t len = rolling::forward_match(base.data() + bpos, tdata + pos, limit);
+      const std::size_t len = util::forward_match(base.data() + bpos, tdata + pos, limit);
       if (len >= kLightKey && len > best_len) {
         best_pos = bpos;
         best_len = len;

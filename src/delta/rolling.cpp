@@ -5,6 +5,7 @@
 
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
+#include "util/match.hpp"
 #include "util/varint.hpp"
 
 namespace cbde::delta::rolling {
@@ -98,7 +99,7 @@ std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView
     if (cand != FootprintTable::npos &&
         std::memcmp(base.data() + cand, tdata + pos, kWindow) == 0) {
       const std::size_t limit = std::min(target.size() - pos, base.size() - cand);
-      len = kWindow + forward_match(base.data() + cand + kWindow, tdata + pos + kWindow,
+      len = kWindow + util::forward_match(base.data() + cand + kWindow, tdata + pos + kWindow,
                                     limit - kWindow);
     }
     if (len >= kMinMatch) {

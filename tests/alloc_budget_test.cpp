@@ -84,11 +84,11 @@ double measured_allocs_per_request(std::size_t shards) {
 
 TEST(AllocBudget, HookIsLinked) { EXPECT_TRUE(bench::alloc_hook_active()); }
 
-// Measured steady state is 24.55 allocations/request at shards=1 and 4 on
-// libstdc++, the same in the plain, asan-ubsan and contracts builds. Lower
-// the budget when the serve path sheds an allocation; raising it needs a
-// reason in the commit message.
-constexpr double kBudgetPerRequest = 25.0;
+// Measured steady state is 10.72 allocations/request at shards=1 and 10.71
+// at shards=4 on libstdc++ (CBZ1 compress allocates only its output). The
+// budget is the ceiling of the larger. Lower it when the serve path sheds
+// an allocation; raising it needs a reason in the commit message.
+constexpr double kBudgetPerRequest = 11.0;
 
 TEST(AllocBudget, SingleShardServeStaysUnderBudget) {
   const double per_request = measured_allocs_per_request(1);

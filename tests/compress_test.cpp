@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compress/bitio.hpp"
@@ -12,6 +15,7 @@
 #include "trace/document.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/varint.hpp"
 
 namespace cbde::compress {
 namespace {
@@ -142,6 +146,159 @@ TEST(Huffman, EncodeDecodeRoundTrip) {
 TEST(Huffman, DecoderRejectsExcessiveLengths) {
   std::vector<std::uint8_t> lengths{16};
   EXPECT_THROW(HuffmanDecoder dec(lengths), std::invalid_argument);
+}
+
+/// Deepest leaf of an unconstrained Huffman tree over `freqs` (a plain
+/// min-heap reference, independent of build_code_lengths).
+int unlimited_depth(const std::vector<std::uint64_t>& freqs) {
+  using Entry = std::pair<std::uint64_t, int>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  std::vector<int> parent;
+  for (const std::uint64_t f : freqs) {
+    if (f == 0) continue;
+    heap.emplace(f, static_cast<int>(parent.size()));
+    parent.push_back(-1);
+  }
+  const int leaves = static_cast<int>(parent.size());
+  while (heap.size() > 1) {
+    const auto [fa, a] = heap.top();
+    heap.pop();
+    const auto [fb, b] = heap.top();
+    heap.pop();
+    const int node = static_cast<int>(parent.size());
+    parent.push_back(-1);
+    parent[static_cast<std::size_t>(a)] = node;
+    parent[static_cast<std::size_t>(b)] = node;
+    heap.emplace(fa + fb, node);
+  }
+  int deepest = 0;
+  for (int leaf = 0; leaf < leaves; ++leaf) {
+    int depth = 0;
+    for (int n = leaf; parent[static_cast<std::size_t>(n)] >= 0;
+         n = parent[static_cast<std::size_t>(n)]) {
+      ++depth;
+    }
+    deepest = std::max(deepest, depth);
+  }
+  return deepest;
+}
+
+TEST(Huffman, PinnedCodeLengthsOverSeededFrequencies) {
+  // Every tree shape the block coder can meet, and the 15-bit repair path
+  // the CBZ1 corpus pin alone never reaches.
+  util::Rng rng(2002);
+  std::vector<std::vector<std::uint64_t>> corpus;
+  for (const std::size_t n : {30, 286, 300}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<std::uint64_t> freqs(n);
+      for (auto& f : freqs) f = rng.next_below(3) == 0 ? 0 : rng.next_below(5000);
+      corpus.push_back(std::move(freqs));
+    }
+    std::vector<std::uint64_t> ties(n);
+    for (auto& f : ties) f = 1 + rng.next_below(3);
+    corpus.push_back(std::move(ties));
+    corpus.emplace_back(n, 7);
+    std::vector<std::uint64_t> single(n, 0);
+    single[rng.next_below(n)] = 42;
+    corpus.push_back(std::move(single));
+  }
+  std::vector<std::vector<std::uint64_t>> deep;
+  std::vector<std::uint64_t> geometric(40);
+  for (std::size_t i = 0; i < geometric.size(); ++i) geometric[i] = std::uint64_t{1} << i;
+  deep.push_back(geometric);
+  std::vector<std::uint64_t> fibonacci(286, 0);
+  std::uint64_t a = 1;
+  std::uint64_t b = 1;
+  for (std::size_t i = 0; i < 40; ++i) {
+    fibonacci[(i * 7) % fibonacci.size()] = a;
+    a = std::exchange(b, a + b);
+  }
+  deep.push_back(fibonacci);
+  std::vector<std::uint64_t> skewed(300);
+  for (std::size_t i = 0; i < skewed.size(); ++i) {
+    skewed[i] = i < 30 ? std::uint64_t{1} << (i + 10) : 1 + rng.next_below(3);
+  }
+  deep.push_back(skewed);
+  for (const auto& freqs : deep) {
+    EXPECT_GT(unlimited_depth(freqs), kMaxCodeLen);  // limit_lengths must repair
+    corpus.push_back(freqs);
+  }
+
+  std::uint32_t crc = 0;
+  std::size_t deep_seen = 0;
+  for (const auto& freqs : corpus) {
+    const auto lengths = build_code_lengths(freqs);
+    ASSERT_EQ(lengths.size(), freqs.size());
+    double kraft = 0;
+    for (const auto len : lengths) {
+      ASSERT_LE(len, kMaxCodeLen);
+      if (len) kraft += std::pow(2.0, -static_cast<double>(len));
+    }
+    EXPECT_LE(kraft, 1.0 + 1e-12);
+    if (*std::max_element(lengths.begin(), lengths.end()) == kMaxCodeLen) ++deep_seen;
+    crc = util::crc32(util::BytesView(lengths.data(), lengths.size()), crc);
+  }
+  EXPECT_GE(deep_seen, deep.size());
+  EXPECT_EQ(corpus.size(), 30u);
+  EXPECT_EQ(crc, 0x039108d2u);
+}
+
+TEST(Huffman, DecodesCodesLongerThanPrimaryTable) {
+  std::vector<std::uint64_t> freqs(20);
+  for (std::size_t i = 0; i < freqs.size(); ++i) freqs[i] = std::uint64_t{1} << i;
+  const auto lengths = build_code_lengths(freqs);
+  EXPECT_EQ(*std::max_element(lengths.begin(), lengths.end()), kMaxCodeLen);
+  HuffmanEncoder enc(lengths);
+  HuffmanDecoder dec(lengths);
+  Bytes buf;
+  {
+    BitWriter w(buf);
+    for (std::size_t s = 0; s < freqs.size(); ++s) enc.encode(w, s);
+    for (std::size_t s = 0; s < freqs.size(); ++s) enc.encode(w, freqs.size() - 1 - s);
+    w.align_to_byte();
+  }
+  BitReader r(as_view(buf));
+  for (std::size_t s = 0; s < freqs.size(); ++s) EXPECT_EQ(dec.decode(r), s);
+  for (std::size_t s = 0; s < freqs.size(); ++s) EXPECT_EQ(dec.decode(r), freqs.size() - 1 - s);
+}
+
+TEST(Huffman, StreamEndingInsideACodeThrows) {
+  // Codes 0, 10, 110, 111: six 1-bit codes, then "11" and the end of input.
+  const std::vector<std::uint8_t> lengths{1, 2, 3, 3};
+  const HuffmanDecoder dec(lengths);
+  const Bytes buf{0x03};
+  BitReader r(as_view(buf));
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(dec.decode(r), 0u);
+  EXPECT_THROW(dec.decode(r), std::invalid_argument);
+
+  // A 15-bit code cut after its first byte.
+  std::vector<std::uint64_t> freqs(20);
+  for (std::size_t i = 0; i < freqs.size(); ++i) freqs[i] = std::uint64_t{1} << i;
+  const auto deep = build_code_lengths(freqs);
+  ASSERT_EQ(deep[0], kMaxCodeLen);
+  Bytes coded;
+  {
+    BitWriter w(coded);
+    HuffmanEncoder(deep).encode(w, 0);
+    w.align_to_byte();
+  }
+  ASSERT_EQ(coded.size(), 2u);
+  coded.pop_back();
+  BitReader cut(as_view(coded));
+  EXPECT_THROW(HuffmanDecoder(deep).decode(cut), std::invalid_argument);
+}
+
+TEST(Huffman, IncompleteCodeRejectsTheUnusedBit) {
+  // A lone symbol gets the 1-bit code "0"; "1" starts no code.
+  const std::vector<std::uint8_t> lengths{0, 1, 0};
+  const HuffmanDecoder dec(lengths);
+  const Bytes one_byte{0x40};  // 0, then the unused 1
+  BitReader r(as_view(one_byte));
+  EXPECT_EQ(dec.decode(r), 1u);
+  EXPECT_THROW(dec.decode(r), std::invalid_argument);
+  const Bytes two_bytes{0x80, 0x00};  // the unused 1 with 15 bits to read
+  BitReader r2(as_view(two_bytes));
+  EXPECT_THROW(dec.decode(r2), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- lz77
@@ -308,6 +465,97 @@ TEST(Compressor, PinnedOutputOverSeededCorpus) {
   }
   EXPECT_EQ(total, 588734u);
   EXPECT_EQ(crc, 0x62911f94u);
+}
+
+TEST(Compressor, PinnedOutputOverShortInputs) {
+  // Every length across the stored/Huffman boundary (a Huffman block costs
+  // at least 159 bytes): markup-like text, noise and a single-byte run.
+  static constexpr std::string_view kVocab[] = {"<td>", "</td>", "price", " class=",
+                                                "$1", "widget", "\n", "<tr>"};
+  util::Rng rng(160);
+  std::string text;
+  while (text.size() < 400) text += kVocab[rng.next_below(8)];
+  std::uint32_t crc = 0;
+  std::uint64_t total = 0;
+  for (std::size_t len = 0; len <= 400; ++len) {
+    Bytes noise(len);
+    for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_below(256));
+    for (const Bytes& input : {Bytes(text.begin(), text.begin() + static_cast<std::ptrdiff_t>(len)),
+                               noise, Bytes(len, 'a')}) {
+      const Bytes packed = compress(as_view(input));
+      ASSERT_EQ(decompress(as_view(packed)), input);
+      crc = util::crc32(as_view(packed), crc);
+      total += packed.size();
+    }
+  }
+  EXPECT_EQ(total, 213511u);
+  EXPECT_EQ(crc, 0xc75d5e62u);
+}
+
+/// A one-block CBZ1 stream with hand-chosen literal/length code lengths and
+/// no distance codes; `symbols` are coded with the canonical codes of
+/// `lit_lengths`, whatever their Kraft sum.
+Bytes crafted_stream(const std::vector<std::uint8_t>& lit_lengths,
+                     const std::vector<std::size_t>& symbols, std::string_view plain) {
+  Bytes stream = to_bytes("CBZ1");
+  util::put_uvarint(stream, plain.size());
+  const std::uint32_t crc = util::crc32(as_view(to_bytes(plain)));
+  for (int i = 0; i < 4; ++i) stream.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+  stream.push_back(0x03);  // final, Huffman
+  // Canonical codes by hand: HuffmanEncoder would reject nothing here, but
+  // the point is to pin what the decoder does with any length vector.
+  std::uint32_t count[kMaxCodeLen + 1] = {};
+  for (const auto len : lit_lengths) count[len] += len ? 1 : 0;
+  std::uint32_t next[kMaxCodeLen + 1] = {};
+  std::uint32_t code = 0;
+  for (int len = 1; len <= kMaxCodeLen; ++len) {
+    code = (code + count[len - 1]) << 1;
+    next[len] = code;
+  }
+  std::vector<std::uint32_t> codes(lit_lengths.size());
+  for (std::size_t s = 0; s < lit_lengths.size(); ++s) {
+    if (lit_lengths[s]) codes[s] = next[lit_lengths[s]]++;
+  }
+  BitWriter w(stream);
+  for (std::size_t s = 0; s < 286; ++s) w.write_bits(s < lit_lengths.size() ? lit_lengths[s] : 0, 4);
+  for (std::size_t s = 0; s < 30; ++s) w.write_bits(0, 4);
+  for (const std::size_t s : symbols) w.write_bits(codes[s], lit_lengths[s]);
+  w.align_to_byte();
+  return stream;
+}
+
+TEST(Compressor, OverSubscribedLengthsDecodeLikeTheCanonicalLoop) {
+  // End-of-block "0", then 'a' "10", 'b' "11" and 'c' at code 4 of length
+  // 2, which no 2-bit input reaches (Kraft sum 5/4).
+  std::vector<std::uint8_t> lengths(257, 0);
+  lengths[256] = 1;
+  lengths['a'] = 2;
+  lengths['b'] = 2;
+  lengths['c'] = 2;
+  EXPECT_EQ(decompress(as_view(crafted_stream(lengths, {'a', 'b', 'b', 256}, "abb"))),
+            to_bytes("abb"));
+  // Over-subscribed past the 9-bit primary table: after "0" and "10", the
+  // 284 codes of length 10 start at 768, so the last 27 are unreachable.
+  std::vector<std::uint8_t> wide(286, 10);
+  wide[256] = 1;
+  wide['x'] = 2;
+  const std::string_view plain("\x00\xff\x07", 3);
+  EXPECT_EQ(decompress(as_view(crafted_stream(wide, {0, 255, 7, 256}, plain))), to_bytes(plain));
+  // A block whose bits end inside a code is rejected.
+  Bytes cut = crafted_stream(wide, {0, 255, 7, 256}, plain);
+  cut.pop_back();
+  EXPECT_THROW(decompress(as_view(cut)), CorruptInput);
+}
+
+TEST(Compressor, OversizedClaimRejectedBeforeReserving) {
+  // 13 bytes claiming 1 GiB: no block can decode to that much.
+  Bytes stream = to_bytes("CBZ1");
+  util::put_uvarint(stream, std::uint64_t{1} << 30);
+  for (int i = 0; i < 4; ++i) stream.push_back(0);
+  ASSERT_EQ(stream.size(), 13u);
+  Bytes out;
+  EXPECT_THROW(decompress_into(as_view(stream), out), CorruptInput);
+  EXPECT_LT(out.capacity(), std::size_t{1} << 20);
 }
 
 TEST(Compressor, RatioOnHtmlLikeContentIsAtLeastTwoX) {
