@@ -47,7 +47,7 @@ class BitWriter {
   void flush_word() {
     nbuffered_ -= 32;
     const auto word = static_cast<std::uint32_t>(buffer_ >> nbuffered_);
-    // lint: growth-ok bytes land in the caller's output buffer, which compress() reserves per block plan
+    // lint: growth-ok the caller's output; compress() reserves it exactly only for single-block input
     out_.push_back(static_cast<std::uint8_t>(word >> 24));
     out_.push_back(static_cast<std::uint8_t>(word >> 16));
     out_.push_back(static_cast<std::uint8_t>(word >> 8));

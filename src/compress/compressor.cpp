@@ -74,11 +74,6 @@ inline std::size_t distance_code(std::size_t dist) {
   return kDistCode[dist <= 256 ? dist - 1 : 256 + ((dist - 1) >> 7)];
 }
 
-/// A Huffman block costs at least its 316 nibbles of code lengths (158
-/// bytes) plus the end-of-block code, so a block this short is never
-/// smaller coded than stored and is stored without tokenizing it.
-constexpr std::size_t kMaxAlwaysStored = (kNumLitLen + kNumDist) / 2 + 1;
-
 /// Every input byte after the header decodes to at most this many output
 /// bytes: a match costs at least two bits (one-bit length and distance
 /// codes) for at most kMaxMatch bytes.
@@ -93,7 +88,7 @@ class BlockCoder {
   std::size_t plan(util::BytesView block) {
     block_ = block;
     coded_bytes_ = 0;
-    if (block.size() > kMaxAlwaysStored) plan_huffman();
+    plan_huffman();
     return coded_bytes_ != 0 ? 1 + coded_bytes_
                              : 1 + util::uvarint_size(block.size()) + block.size();
   }
@@ -220,18 +215,18 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
   if (pos + 4 > input.size()) throw CorruptInput("cbz: truncated header");
   std::uint32_t crc = 0;
   for (int i = 0; i < 4; ++i) crc |= static_cast<std::uint32_t>(input[pos++]) << (8 * i);
-  // Checked before sizing `out`: a few framing bytes must not make a reused
+  // Checked before reserving `out`: a few framing bytes must not make a reused
   // buffer keep a claimed gigabyte of capacity.
   if (*claimed > (input.size() - pos) * kMaxExpansion) {
     throw CorruptInput("cbz: claimed size exceeds what the blocks can hold");
   }
   const auto size = static_cast<std::size_t>(*claimed);
 
-  // Sized up front and filled through a cursor; every write below is
-  // checked against the claimed size first.
-  out.resize(size);
-  std::uint8_t* const dst = out.data();
-  std::size_t written = 0;
+  // Reserved, not resized: memory is touched only as bytes are decoded, and
+  // every write below is checked against the claimed size first, so `out`
+  // never reallocates.
+  out.clear();
+  out.reserve(size);
   bool final = false;
   while (!final) {
     if (pos >= input.size()) throw CorruptInput("cbz: missing block");
@@ -241,9 +236,8 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
       const auto len = util::get_uvarint(input, pos);
       // Subtraction-form bound: `pos + *len` wraps for 64-bit length claims.
       if (!len || *len > input.size() - pos) throw CorruptInput("cbz: bad stored block");
-      if (*len > size - written) throw CorruptInput("cbz: output exceeds declared size");
-      std::copy_n(input.data() + pos, static_cast<std::size_t>(*len), dst + written);
-      written += static_cast<std::size_t>(*len);
+      if (*len > size - out.size()) throw CorruptInput("cbz: output exceeds declared size");
+      util::append(out, input.subspan(pos, static_cast<std::size_t>(*len)));
       pos += static_cast<std::size_t>(*len);
       continue;
     }
@@ -256,8 +250,8 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
       while (true) {
         const std::size_t sym = lit_dec.decode(r);
         if (sym < 256) {
-          if (written == size) throw CorruptInput("cbz: output exceeds declared size");
-          dst[written++] = static_cast<std::uint8_t>(sym);
+          if (out.size() == size) throw CorruptInput("cbz: output exceeds declared size");
+          out.push_back(static_cast<std::uint8_t>(sym));
           continue;
         }
         if (sym == kEob) break;
@@ -267,16 +261,17 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
         const std::size_t dc = dist_dec.decode(r);
         if (dc >= kDistBase.size()) throw CorruptInput("cbz: bad distance code");
         const std::size_t dist = kDistBase[dc] + r.read_bits(kDistExtra[dc]);
+        const std::size_t written = out.size();
         if (dist == 0 || dist > written) throw CorruptInput("cbz: distance out of range");
         if (len > size - written) throw CorruptInput("cbz: output exceeds declared size");
-        std::uint8_t* const to = dst + written;
+        out.resize(written + len);
+        std::uint8_t* const to = out.data() + written;
         const std::uint8_t* const from = to - dist;
         if (dist >= len) {
           std::memcpy(to, from, len);
         } else {
           for (std::size_t i = 0; i < len; ++i) to[i] = from[i];  // overlapping run
         }
-        written += len;
       }
     } catch (const std::invalid_argument& e) {
       throw CorruptInput(std::string("cbz: ") + e.what());
@@ -284,7 +279,7 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
     r.align_to_byte();
     pos += r.position();
   }
-  if (written != size) throw CorruptInput("cbz: size mismatch");
+  if (out.size() != size) throw CorruptInput("cbz: size mismatch");
   if (util::crc32(util::as_view(out)) != crc) throw CorruptInput("cbz: checksum mismatch");
   CBDE_ENSURE(out.size() <= kMaxDecompressSize);
 }

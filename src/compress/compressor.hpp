@@ -14,13 +14,12 @@
 //
 // Cost model. compress() tokenizes each 256 KiB block with lz77 (per-thread
 // hash-chain tables), sizes the Huffman encoding from the symbol counts
-// and writes it only if it beats the stored form; blocks of 159 bytes or
-// fewer are always stored (the code-length tables alone take 158 bytes).
-// The tokens live in a per-thread buffer that keeps one block's worth of
-// capacity, so a steady-state call allocates only its output. decompress()
-// decodes with 9-bit primary lookup tables (huffman.hpp) straight into an
-// output buffer sized once from the header and copies each match with one
-// memcpy unless it overlaps itself; it allocates only the output.
+// and writes it only if it beats the stored form. The tokens live in a
+// per-thread buffer that keeps one block's worth of capacity, so a
+// steady-state call allocates only its output. decompress() decodes with
+// 9-bit primary lookup tables (huffman.hpp) straight into an output buffer
+// reserved once from the header and copies each match with one memcpy
+// unless it overlaps itself; it allocates only the output.
 #pragma once
 
 #include <stdexcept>
@@ -50,12 +49,12 @@ util::Bytes decompress(util::BytesView input);
 
 /// Zero-copy variant of decompress(): decodes into `out`, reusing the
 /// caller's buffer capacity (per-worker scratch amortizes the decode
-/// allocation across requests). `out` is resized to the claimed size, and
-/// only after the claim is checked against what the input could decode to
-/// (at most 1,032 bytes per input byte), so a forged header cannot leave a
-/// reused buffer holding a huge capacity. On throw its contents are
-/// unspecified. Same validation contract as decompress(); fuzzed
-/// differentially against it.
+/// allocation across requests). `out` reserves the claimed size only after
+/// the claim is checked against what the input could decode to (at most
+/// 1,032 bytes per input byte), so a forged header cannot leave a reused
+/// buffer holding a huge capacity; it grows only as bytes are decoded. On
+/// throw its contents are unspecified. Same validation contract as
+/// decompress(); fuzzed differentially against it.
 void decompress_into(util::BytesView input, util::Bytes& out);
 
 /// Convenience: size of compress(input) without keeping the output.

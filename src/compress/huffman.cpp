@@ -97,12 +97,6 @@ void build_code_lengths(std::span<const std::uint64_t> freqs, std::span<std::uin
   limit_lengths(lengths);
 }
 
-std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freqs) {
-  std::vector<std::uint8_t> lengths(freqs.size(), 0);
-  build_code_lengths(freqs, lengths);
-  return lengths;
-}
-
 HuffmanEncoder::HuffmanEncoder(std::span<const std::uint8_t> lengths) : size_(lengths.size()) {
   CBDE_EXPECT(lengths.size() <= kMaxSymbols);
   // Canonical assignment: count codes per length, compute first code per

@@ -14,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "compress/bitio.hpp"
 
@@ -30,9 +29,6 @@ inline constexpr std::size_t kMaxSymbols = 512;
 /// fewer than two symbols occur, the occurring symbol gets length 1 so the
 /// code is still decodable.
 void build_code_lengths(std::span<const std::uint64_t> freqs, std::span<std::uint8_t> lengths);
-
-/// Allocating form of the above.
-std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freqs);
 
 /// Canonical Huffman encoder: maps symbol -> (code, length).
 class HuffmanEncoder {

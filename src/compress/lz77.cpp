@@ -124,12 +124,6 @@ void lz77_tokenize(util::BytesView input, std::vector<Token>& tokens) {
   }
 }
 
-std::vector<Token> lz77_tokenize(util::BytesView input) {
-  std::vector<Token> tokens;
-  lz77_tokenize(input, tokens);
-  return tokens;
-}
-
 util::Bytes lz77_reconstruct(const std::vector<Token>& tokens) {
   util::Bytes out;
   std::size_t total = 0;

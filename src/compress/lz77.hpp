@@ -27,9 +27,6 @@ struct Token {
 /// hash-chain tables have grown to the input.
 void lz77_tokenize(util::BytesView input, std::vector<Token>& tokens);
 
-/// Allocating form of the above.
-std::vector<Token> lz77_tokenize(util::BytesView input);
-
 /// Reconstruct the original bytes from a token stream (used by tests; the
 /// decompressor inlines the same logic while decoding).
 util::Bytes lz77_reconstruct(const std::vector<Token>& tokens);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,18 @@ namespace {
 using util::Bytes;
 using util::as_view;
 using util::to_bytes;
+
+std::vector<std::uint8_t> code_lengths(std::span<const std::uint64_t> freqs) {
+  std::vector<std::uint8_t> lengths(freqs.size());
+  build_code_lengths(freqs, lengths);
+  return lengths;
+}
+
+std::vector<Token> tokenize(util::BytesView input) {
+  std::vector<Token> tokens;
+  lz77_tokenize(input, tokens);
+  return tokens;
+}
 
 // ---------------------------------------------------------------- bit I/O
 
@@ -84,7 +97,7 @@ TEST(Huffman, SkewedFrequenciesGiveShortCodesToCommonSymbols) {
   freqs[1] = 10;
   freqs[2] = 10;
   freqs[3] = 1;
-  const auto lengths = build_code_lengths(freqs);
+  const auto lengths = code_lengths(freqs);
   EXPECT_LE(lengths[0], lengths[1]);
   EXPECT_LE(lengths[1], lengths[3]);
   for (auto len : lengths) EXPECT_GT(len, 0);
@@ -93,7 +106,7 @@ TEST(Huffman, SkewedFrequenciesGiveShortCodesToCommonSymbols) {
 TEST(Huffman, SingleSymbolGetsLengthOne) {
   std::vector<std::uint64_t> freqs(10, 0);
   freqs[7] = 5;
-  const auto lengths = build_code_lengths(freqs);
+  const auto lengths = code_lengths(freqs);
   EXPECT_EQ(lengths[7], 1);
   for (std::size_t s = 0; s < 10; ++s) {
     if (s != 7) {
@@ -103,7 +116,7 @@ TEST(Huffman, SingleSymbolGetsLengthOne) {
 }
 
 TEST(Huffman, AllZeroFrequenciesGiveEmptyCode) {
-  const auto lengths = build_code_lengths(std::vector<std::uint64_t>(8, 0));
+  const auto lengths = code_lengths(std::vector<std::uint64_t>(8, 0));
   for (auto len : lengths) EXPECT_EQ(len, 0);
 }
 
@@ -112,7 +125,7 @@ TEST(Huffman, KraftInequalityHolds) {
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<std::uint64_t> freqs(300);
     for (auto& f : freqs) f = rng.next_below(10000);
-    const auto lengths = build_code_lengths(freqs);
+    const auto lengths = code_lengths(freqs);
     double kraft = 0;
     for (auto len : lengths) {
       ASSERT_LE(len, kMaxCodeLen);
@@ -126,7 +139,7 @@ TEST(Huffman, EncodeDecodeRoundTrip) {
   std::vector<std::uint64_t> freqs(64, 0);
   util::Rng rng(5);
   for (auto& f : freqs) f = 1 + rng.next_below(500);
-  const auto lengths = build_code_lengths(freqs);
+  const auto lengths = code_lengths(freqs);
   HuffmanEncoder enc(lengths);
   HuffmanDecoder dec(lengths);
 
@@ -227,7 +240,7 @@ TEST(Huffman, PinnedCodeLengthsOverSeededFrequencies) {
   std::uint32_t crc = 0;
   std::size_t deep_seen = 0;
   for (const auto& freqs : corpus) {
-    const auto lengths = build_code_lengths(freqs);
+    const auto lengths = code_lengths(freqs);
     ASSERT_EQ(lengths.size(), freqs.size());
     double kraft = 0;
     for (const auto len : lengths) {
@@ -246,7 +259,7 @@ TEST(Huffman, PinnedCodeLengthsOverSeededFrequencies) {
 TEST(Huffman, DecodesCodesLongerThanPrimaryTable) {
   std::vector<std::uint64_t> freqs(20);
   for (std::size_t i = 0; i < freqs.size(); ++i) freqs[i] = std::uint64_t{1} << i;
-  const auto lengths = build_code_lengths(freqs);
+  const auto lengths = code_lengths(freqs);
   EXPECT_EQ(*std::max_element(lengths.begin(), lengths.end()), kMaxCodeLen);
   HuffmanEncoder enc(lengths);
   HuffmanDecoder dec(lengths);
@@ -274,7 +287,7 @@ TEST(Huffman, StreamEndingInsideACodeThrows) {
   // A 15-bit code cut after its first byte.
   std::vector<std::uint64_t> freqs(20);
   for (std::size_t i = 0; i < freqs.size(); ++i) freqs[i] = std::uint64_t{1} << i;
-  const auto deep = build_code_lengths(freqs);
+  const auto deep = code_lengths(freqs);
   ASSERT_EQ(deep[0], kMaxCodeLen);
   Bytes coded;
   {
@@ -307,7 +320,7 @@ TEST(Lz77, RoundTripRepetitiveInput) {
   std::string s;
   for (int i = 0; i < 200; ++i) s += "abcabcabc-";
   const Bytes input = to_bytes(s);
-  const auto tokens = lz77_tokenize(as_view(input));
+  const auto tokens = tokenize(as_view(input));
   EXPECT_LT(tokens.size(), input.size() / 3);  // matches found
   EXPECT_EQ(lz77_reconstruct(tokens), input);
 }
@@ -315,15 +328,17 @@ TEST(Lz77, RoundTripRepetitiveInput) {
 TEST(Lz77, HandlesOverlappingMatches) {
   // "aaaa..." forces distance-1 overlapping copies.
   const Bytes input(500, 'a');
-  const auto tokens = lz77_tokenize(as_view(input));
+  const auto tokens = tokenize(as_view(input));
   EXPECT_EQ(lz77_reconstruct(tokens), input);
   EXPECT_LT(tokens.size(), 10u);
 }
 
 TEST(Lz77, EmptyAndTinyInputs) {
-  EXPECT_TRUE(lz77_tokenize({}).empty());
+  std::vector<Token> tokens(5);
+  lz77_tokenize({}, tokens);  // clears a reused buffer
+  EXPECT_TRUE(tokens.empty());
   const Bytes two = to_bytes("ab");
-  const auto tokens = lz77_tokenize(as_view(two));
+  lz77_tokenize(as_view(two), tokens);
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[0].length, 0);
   EXPECT_EQ(lz77_reconstruct(tokens), two);
@@ -333,13 +348,13 @@ TEST(Lz77, RandomDataMostlyLiterals) {
   util::Rng rng(123);
   Bytes input(4096);
   for (auto& b : input) b = static_cast<std::uint8_t>(rng.next_below(256));
-  const auto tokens = lz77_tokenize(as_view(input));
+  const auto tokens = tokenize(as_view(input));
   EXPECT_EQ(lz77_reconstruct(tokens), input);
 }
 
 TEST(Lz77, MatchLengthNeverExceedsMax) {
   const Bytes input(5000, 'x');
-  for (const auto& t : lz77_tokenize(as_view(input))) {
+  for (const auto& t : tokenize(as_view(input))) {
     EXPECT_LE(t.length, kMaxMatch);
   }
 }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,12 +138,14 @@ struct TargetStats {
 /// Drive `decode` over `iters` mutations of `corpus`. `decode(bytes)` must
 /// return true (decoded) or false (rejected via the decoder's own typed
 /// error, caught inside the callback). Any exception escaping the callback
-/// fails the target with a reproducer line. Every tenth input is raw noise
-/// rather than a mutated corpus entry, so the cold path (bad magic, absurd
-/// header) stays covered too.
+/// fails the target with a reproducer line and returns nothing; otherwise
+/// the verdict counts are printed and returned. Every tenth input is raw
+/// noise rather than a mutated corpus entry, so the cold path (bad magic,
+/// absurd header) stays covered too.
 template <typename DecodeFn>
-bool run_target(const char* name, std::uint64_t seed, std::size_t iters,
-                const std::vector<util::Bytes>& corpus, DecodeFn&& decode) {
+std::optional<TargetStats> run_target(const char* name, std::uint64_t seed, std::size_t iters,
+                                      const std::vector<util::Bytes>& corpus,
+                                      DecodeFn&& decode) {
   Mutator mut(seed);
   TargetStats stats;
   for (std::size_t i = 0; i < iters; ++i) {
@@ -170,12 +173,12 @@ bool run_target(const char* name, std::uint64_t seed, std::size_t iters,
         std::fprintf(stderr, " %02x", input[b]);
       }
       std::fprintf(stderr, "\n");
-      return false;
+      return std::nullopt;
     }
   }
   std::printf("fuzz %-12s %8zu iterations: %zu accepted, %zu rejected\n", name, iters,
               stats.accepted, stats.rejected);
-  return true;
+  return stats;
 }
 
 }  // namespace cbde::fuzz

@@ -9,14 +9,18 @@
 // failure via std::optional, must simply never throw). See run_target in
 // fuzz_common.hpp for the harness semantics and failure reproducers.
 //
-// Usage: cbde_fuzz [target] [iterations] [seed]
+// Usage: cbde_fuzz [target] [iterations] [seed] [--expect ACCEPTED/REJECTED]
 //   target      one of cbd1|compress|access_log|http|config|all
 //               (default all)
 //   iterations  mutations per target (default 10000)
 //   seed        RNG seed (default 0xCBDE)
+//   --expect    fail (exit 1) unless the one named target accepts and
+//               rejects exactly these many inputs: pins a decoder's verdicts
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -188,7 +192,7 @@ std::vector<Bytes> make_config_corpus() {
 
 // ------------------------------------------------------------------ targets
 
-bool fuzz_cbd1(std::uint64_t seed, std::size_t iters) {
+std::optional<TargetStats> fuzz_cbd1(std::uint64_t seed, std::size_t iters) {
   const DeltaCorpus c = make_cbd1_corpus(seed);
   const Bytes wrong_base = to_bytes(page(99, 9));
   std::size_t calls = 0;
@@ -219,7 +223,7 @@ bool fuzz_cbd1(std::uint64_t seed, std::size_t iters) {
   });
 }
 
-bool fuzz_compress(std::uint64_t seed, std::size_t iters) {
+std::optional<TargetStats> fuzz_compress(std::uint64_t seed, std::size_t iters) {
   // Reused buffer: compress::decompress_into must behave identically no
   // matter what the previous iteration left in it.
   Bytes reused;
@@ -239,7 +243,7 @@ bool fuzz_compress(std::uint64_t seed, std::size_t iters) {
                     });
 }
 
-bool fuzz_access_log(std::uint64_t seed, std::size_t iters) {
+std::optional<TargetStats> fuzz_access_log(std::uint64_t seed, std::size_t iters) {
   return run_target(
       "access_log", seed, iters, make_access_log_corpus(), [&](BytesView input) {
         // parse_clf reports malformed lines via nullopt and must never
@@ -277,7 +281,7 @@ bool fuzz_access_log(std::uint64_t seed, std::size_t iters) {
       });
 }
 
-bool fuzz_http(std::uint64_t seed, std::size_t iters) {
+std::optional<TargetStats> fuzz_http(std::uint64_t seed, std::size_t iters) {
   return run_target("http", seed, iters, make_http_corpus(), [&](BytesView input) {
     bool decoded = false;
     try {
@@ -294,7 +298,7 @@ bool fuzz_http(std::uint64_t seed, std::size_t iters) {
   });
 }
 
-bool fuzz_config(std::uint64_t seed, std::size_t iters) {
+std::optional<TargetStats> fuzz_config(std::uint64_t seed, std::size_t iters) {
   return run_target("config", seed, iters, make_config_corpus(), [&](BytesView input) {
     std::istringstream in(std::string(util::as_string_view(input)));
     try {
@@ -310,16 +314,40 @@ bool fuzz_config(std::uint64_t seed, std::size_t iters) {
 }  // namespace cbde::fuzz
 
 int main(int argc, char** argv) {
-  const std::string target = argc > 1 ? argv[1] : "all";
-  const std::size_t iters = argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 10'000;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 0) : 0xCBDE;
+  std::vector<std::string> args;
+  const char* expect = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--expect") == 0 && i + 1 < argc) {
+      expect = argv[++i];
+    } else {
+      args.emplace_back(argv[i]);
+    }
+  }
+  const std::string target = args.size() > 0 ? args[0] : "all";
+  const std::size_t iters = args.size() > 1 ? std::strtoull(args[1].c_str(), nullptr, 0) : 10'000;
+  const std::uint64_t seed = args.size() > 2 ? std::strtoull(args[2].c_str(), nullptr, 0) : 0xCBDE;
+  std::size_t want_accepted = 0;
+  std::size_t want_rejected = 0;
+  if (expect != nullptr &&
+      (target == "all" || std::sscanf(expect, "%zu/%zu", &want_accepted, &want_rejected) != 2)) {
+    std::fprintf(stderr, "--expect takes ACCEPTED/REJECTED and one named target\n");
+    return 2;
+  }
 
   bool ok = true;
   bool matched = false;
-  auto run = [&](const char* name, bool (*fn)(std::uint64_t, std::size_t)) {
-    if (target == "all" || target == name) {
-      matched = true;
-      ok = fn(seed, iters) && ok;
+  auto run = [&](const char* name,
+                 std::optional<cbde::fuzz::TargetStats> (*fn)(std::uint64_t, std::size_t)) {
+    if (target != "all" && target != name) return;
+    matched = true;
+    const auto stats = fn(seed, iters);
+    if (!stats) {
+      ok = false;
+    } else if (expect != nullptr &&
+               (stats->accepted != want_accepted || stats->rejected != want_rejected)) {
+      std::fprintf(stderr, "FUZZ VERDICTS target=%s: expected %zu accepted, %zu rejected\n",
+                   name, want_accepted, want_rejected);
+      ok = false;
     }
   };
   run("cbd1", cbde::fuzz::fuzz_cbd1);
