@@ -285,7 +285,17 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
 }
 
 std::size_t compressed_size(util::BytesView input) {
-  return compress(input).size();
+  CBDE_EXPECT(input.size() <= kMaxDecompressSize);
+  BlockCoder& coder = block_coder();
+  // Magic, size varint and crc, then each block's planned wire size.
+  std::size_t size = 8 + util::uvarint_size(input.size());
+  std::size_t pos = 0;
+  do {
+    const std::size_t len = std::min(kBlockSize, input.size() - pos);
+    size += coder.plan(input.subspan(pos, len));
+    pos += len;
+  } while (pos < input.size());
+  return size;
 }
 
 }  // namespace cbde::compress

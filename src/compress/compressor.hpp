@@ -57,7 +57,8 @@ util::Bytes decompress(util::BytesView input);
 /// decompress(); fuzzed differentially against it.
 void decompress_into(util::BytesView input, util::Bytes& out);
 
-/// Convenience: size of compress(input) without keeping the output.
+/// compress(input).size(), from the block plans alone: no stream is
+/// written, no crc computed and nothing allocated beyond the block tokens.
 std::size_t compressed_size(util::BytesView input);
 
 }  // namespace cbde::compress

@@ -52,8 +52,7 @@ std::size_t ClasslessDeltaBaseline::wire_cost(std::uint64_t user_id, const http:
     return cost;
   }
   const auto delta = delta::encode(util::as_view(it->second), util::as_view(doc)).delta;
-  const auto wire = compress::compress(util::as_view(delta));
-  cost = std::min(wire.size(), doc.size());
+  cost = std::min(compress::compressed_size(util::as_view(delta)), doc.size());
   storage_ += doc.size();
   storage_ -= it->second.size();
   it->second = doc;

@@ -350,7 +350,7 @@ class DeltaServer {
   std::size_t num_shards() const { return shards_.size(); }
 
   /// Shard index for a partition pair: crc32 over server-part, one NUL
-  /// separator, hint-part — the in-tree slice-by-8, zlib-compatible crc32,
+  /// separator, hint-part — the in-tree, zlib-compatible crc32,
   /// so the assignment is identical across runs, platforms and standard
   /// libraries (std::hash<std::string> guarantees none of that). Exposed
   /// static for tests and capacity tooling.

@@ -65,10 +65,14 @@ struct RollInst {
 };
 
 void mark_chunks(std::vector<bool>& chunk_used, std::size_t addr, std::size_t len) {
-  // Mark chunks fully contained in [addr, addr + len).
+  // Mark chunks fully contained in [addr, addr + len). One fill: libstdc++
+  // writes a vector<bool> range as whole words, not one bit at a time.
   const std::size_t first = (addr + kAnonChunkSize - 1) / kAnonChunkSize;
-  const std::size_t end = (addr + len) / kAnonChunkSize;
-  for (std::size_t c = first; c < end && c < chunk_used.size(); ++c) chunk_used[c] = true;
+  const std::size_t end = std::min((addr + len) / kAnonChunkSize, chunk_used.size());
+  if (first >= end) return;
+  const auto begin = chunk_used.begin();
+  std::fill(begin + static_cast<std::ptrdiff_t>(first), begin + static_cast<std::ptrdiff_t>(end),
+            true);
 }
 
 /// The matcher: one rolling scan of the target, returning the instruction

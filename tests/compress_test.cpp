@@ -584,5 +584,25 @@ TEST(Compressor, RatioOnHtmlLikeContentIsAtLeastTwoX) {
   EXPECT_LT(compressed_size(as_view(input)) * 2, input.size());
 }
 
+TEST(Compressor, CompressedSizeMatchesCompress) {
+  // compressed_size() adds up block plans without writing a stream: it must
+  // agree with compress() on both sides of the stored/Huffman boundary and
+  // across the pinned corpus, multi-block input included.
+  util::Rng rng(400);
+  std::string text;
+  while (text.size() < 400) text += "<td class=\"p\">$" + std::to_string(rng.next_below(99)) + "</td>";
+  for (std::size_t len = 0; len <= 400; ++len) {
+    Bytes noise(len);
+    for (auto& b : noise) b = static_cast<std::uint8_t>(rng.next_below(256));
+    for (const Bytes& input : {Bytes(text.begin(), text.begin() + static_cast<std::ptrdiff_t>(len)),
+                               noise, Bytes(len, 'a')}) {
+      ASSERT_EQ(compressed_size(as_view(input)), compress(as_view(input)).size()) << len;
+    }
+  }
+  for (const Bytes& input : pinned_corpus()) {
+    EXPECT_EQ(compressed_size(as_view(input)), compress(as_view(input)).size()) << input.size();
+  }
+}
+
 }  // namespace
 }  // namespace cbde::compress

@@ -2,6 +2,8 @@
 // configurations, seeds and adversarial inputs.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "compress/compressor.hpp"
 #include "core/simulation.hpp"
 #include "delta/delta.hpp"
@@ -24,6 +26,15 @@ struct PipelineCase {
   bool compress;
   bool proxy;
 };
+
+// Names each case by its fields in gtest and ctest output. gtest's fallback
+// prints the struct's raw bytes, uninitialised padding included, so the
+// same case had a different ctest name in each build.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " requests=" << c.requests << " users=" << c.users
+      << (c.anonymize ? " anon" : "") << (c.compress ? " compress" : "")
+      << (c.proxy ? " proxy" : "");
+}
 
 class PipelineInvariants : public ::testing::TestWithParam<PipelineCase> {};
 

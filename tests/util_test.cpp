@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
@@ -14,6 +15,12 @@
 #include "util/strings.hpp"
 #include "util/varint.hpp"
 #include "util/zipf.hpp"
+
+namespace cbde::util::detail {
+// Internal to util/hash.cpp: the slice-by-8 path that crc32() uses below 64
+// bytes and on hosts without PCLMULQDQ, callable here on any input length.
+std::uint32_t crc32_slice8(BytesView data, std::uint32_t seed);
+}  // namespace cbde::util::detail
 
 namespace cbde::util {
 namespace {
@@ -95,15 +102,29 @@ TEST(Crc32, MatchesIeeeReferenceVector) {
 TEST(Crc32, EmptyInputIsZero) { EXPECT_EQ(crc32(BytesView{}), 0u); }
 
 TEST(Crc32, MatchesZlibOnRandomBuffers) {
-  // External validation: our table-driven CRC-32 must agree with zlib's
-  // implementation bit-for-bit on arbitrary data.
+  // External validation: crc32() (the folding kernel from 64 bytes on when
+  // the host has it) and the slice-by-8 path must both agree with zlib
+  // bit-for-bit at every length across the 64-byte threshold and every
+  // 16-byte remainder, at every alignment, from nonzero seeds, and must
+  // chain like zlib: crc32(b, crc32(a)) == crc32(a + b).
   Rng rng(2025);
-  for (int trial = 0; trial < 50; ++trial) {
-    Bytes data(rng.next_below(5000));
-    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(256));
-    const auto zlib_crc = static_cast<std::uint32_t>(
-        ::crc32(0L, data.data(), static_cast<uInt>(data.size())));
-    EXPECT_EQ(crc32(as_view(data)), zlib_crc);
+  Bytes data(70'016);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_below(256));
+  std::vector<std::size_t> lengths(1101);
+  for (std::size_t len = 0; len < lengths.size(); ++len) lengths[len] = len;
+  lengths.insert(lengths.end(), {4'096, 40'973, 70'000});
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (const std::size_t len : lengths) {
+      const BytesView in(data.data() + offset, len);
+      const auto seed = static_cast<std::uint32_t>(rng.next_below(0xFFFFFFFFu) + 1);
+      const auto want =
+          static_cast<std::uint32_t>(::crc32(seed, in.data(), static_cast<uInt>(len)));
+      ASSERT_EQ(crc32(in, seed), want) << "offset " << offset << " len " << len;
+      ASSERT_EQ(detail::crc32_slice8(in, seed), want) << "offset " << offset << " len " << len;
+      const std::size_t cut = rng.next_below(len + 1);
+      ASSERT_EQ(crc32(in.subspan(cut), crc32(in.first(cut), seed)), want)
+          << "offset " << offset << " len " << len << " cut " << cut;
+    }
   }
 }
 
