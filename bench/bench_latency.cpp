@@ -70,8 +70,7 @@ int main() {
   http::RuleBook rules;
   rules.add_rule(sconfig.host, site.partition_rule());
 
-  core::PipelineConfig config;
-  config.client_link = modem;
+  core::PipelineConfig config;  // the pipeline charges latency to modem clients
   trace::WorkloadConfig wconfig;
   wconfig.num_requests = 3000;
   wconfig.num_users = 150;

@@ -1,6 +1,7 @@
 #include "core/config_loader.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <regex>
@@ -19,6 +20,9 @@ double parse_double(std::string_view value, std::size_t line) {
     std::size_t consumed = 0;
     const double v = std::stod(std::string(value), &consumed);
     if (consumed != value.size()) fail(line, "trailing junk in number '" + std::string(value) + "'");
+    // stod reads "nan" and "inf"; every comparison against a NaN is false,
+    // so a range check downstream would pass it.
+    if (!std::isfinite(v)) fail(line, "number must be finite, got '" + std::string(value) + "'");
     return v;
   } catch (const ConfigError&) {
     throw;
@@ -42,6 +46,20 @@ std::uint64_t parse_u64_at_most(std::string_view value, std::size_t line,
                                 std::uint64_t max, const std::string& key) {
   const std::uint64_t v = parse_u64(value, line);
   if (v > max) fail(line, key + " must be <= " + std::to_string(max));
+  return v;
+}
+
+/// parse_u64 for a count the server needs at least one of.
+std::uint64_t parse_positive(std::string_view value, std::size_t line, const std::string& key) {
+  const std::uint64_t v = parse_u64(value, line);
+  if (v == 0) fail(line, key + " must be >= 1");
+  return v;
+}
+
+/// parse_double for a probability or share: outside [0, 1] fails.
+double parse_fraction(std::string_view value, std::size_t line, const std::string& key) {
+  const double v = parse_double(value, line);
+  if (v < 0.0 || v > 1.0) fail(line, key + " must be in [0, 1]");
   return v;
 }
 
@@ -106,15 +124,16 @@ LoadedConfig load_config(std::istream& in) {
       } else if (key == "compress") {
         server.compress_deltas = parse_bool(value, line_no);
       } else if (key == "sample-prob") {
-        server.selector.sample_prob = parse_double(value, line_no);
+        server.selector.sample_prob = parse_fraction(value, line_no, key);
       } else if (key == "max-samples") {
-        server.selector.max_samples = parse_u64(value, line_no);
+        server.selector.max_samples = parse_positive(value, line_no, key);
       } else if (key == "max-tries") {
-        server.grouping.max_tries = parse_u64(value, line_no);
+        server.grouping.max_tries = parse_positive(value, line_no, key);
       } else if (key == "popular-fraction") {
-        server.grouping.popular_fraction = parse_double(value, line_no);
+        server.grouping.popular_fraction = parse_fraction(value, line_no, key);
       } else if (key == "match-threshold") {
         server.grouping.match_threshold = parse_double(value, line_no);
+        if (server.grouping.match_threshold <= 0.0) fail(line_no, key + " must be > 0");
       } else if (key == "rebase-timeout-s") {
         constexpr auto kMaxSeconds =
             std::numeric_limits<util::SimTime>::max() / util::kSecond;
@@ -124,24 +143,18 @@ LoadedConfig load_config(std::istream& in) {
       } else if (key == "anonymizer-m") {
         server.anonymizer.min_common = parse_u64(value, line_no);
       } else if (key == "anonymizer-n") {
-        server.anonymizer.required_docs = parse_u64(value, line_no);
+        server.anonymizer.required_docs = parse_positive(value, line_no, key);
       } else if (key == "basic-rebase-ratio") {
         server.basic_rebase_ratio = parse_double(value, line_no);
       } else if (key == "basic-rebase-after") {
         server.basic_rebase_after = static_cast<int>(
             parse_u64_at_most(value, line_no, std::numeric_limits<int>::max(), key));
-      } else if (key == "published-history") {
-        server.published_history = parse_u64(value, line_no);
       } else if (key == "seed") {
         server.seed = parse_u64(value, line_no);
       } else if (key == "server-shards") {
-        server.shards = parse_u64(value, line_no);
-        if (server.shards < 1) fail(line_no, "server-shards must be >= 1");
+        server.shards = parse_positive(value, line_no, key);
       } else if (key == "obs-sample-rate") {
-        server.obs.sample_rate = parse_double(value, line_no);
-        if (server.obs.sample_rate < 0.0 || server.obs.sample_rate > 1.0) {
-          fail(line_no, "obs-sample-rate must be in [0, 1]");
-        }
+        server.obs.sample_rate = parse_fraction(value, line_no, key);
       } else if (key == "obs-histogram-buckets") {
         server.obs.histogram_sub_buckets = parse_u64(value, line_no);
         const std::size_t s = server.obs.histogram_sub_buckets;

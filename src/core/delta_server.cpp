@@ -17,6 +17,10 @@ enum CollectedSlot : std::size_t {
   kIndexBytes, kShardRequests
 };
 
+/// Published base-file versions the store keeps, so clients holding (or
+/// currently fetching) an older version are not stranded by a rebase.
+constexpr std::uint32_t kPublishedHistory = 3;
+
 }  // namespace
 
 DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
@@ -276,10 +280,10 @@ void DeltaServerShard::maybe_complete_publication(ClassId id, ClassState& cls,
 void DeltaServerShard::record_publication(ClassId id, ClassState& cls,
                                           util::SimTime now) {
   store_->put(id, cls.published_version, util::as_view(cls.transmit_encoder->base()));
-  cls.retained_versions.push_back(cls.published_version);
-  while (cls.retained_versions.size() > config_.published_history) {
-    store_->erase(id, cls.retained_versions.front());
-    cls.retained_versions.erase(cls.retained_versions.begin());
+  // Versions are published 1, 2, 3, ..., so publishing v drops
+  // v - kPublishedHistory.
+  if (cls.published_version > kPublishedHistory) {
+    store_->erase(id, cls.published_version - kPublishedHistory);
   }
   obs_.emit(obs::EventKind::kBasePublished, now, id,
             {{"version", std::to_string(cls.published_version)},

@@ -63,9 +63,6 @@ struct DeltaServerConfig {
   int basic_rebase_after = 3;
   /// Minimum simulated time between group-rebases of one class.
   util::SimTime rebase_timeout = 120 * util::kSecond;
-  /// Published base-file versions kept available after a rebase, so clients
-  /// holding (or currently fetching) an older version are not stranded.
-  std::size_t published_history = 3;
   std::uint64_t seed = 7;
   /// Independent server shards. Requests route by
   /// crc32("server-part\0hint-part") % shards (DeltaServer::route), so all
@@ -230,8 +227,6 @@ class DeltaServerShard {
     /// the hot copy.
     std::shared_ptr<const delta::Encoder> transmit_encoder;
     std::uint32_t published_version = 0;
-    /// Versions currently retained in the base store, oldest first.
-    std::vector<std::uint32_t> retained_versions;
     BaseFileSelector selector;
     Anonymizer anonymizer;
     util::SimTime last_group_rebase = 0;

@@ -3,10 +3,21 @@
 #include <map>
 #include <set>
 
+#include "netsim/event.hpp"
+#include "netsim/tcp_model.hpp"
 #include "util/contracts.hpp"
 
 namespace cbde::core {
 namespace {
+
+// The origin's CPU to generate one dynamic page: request parsing, routing
+// and dispatch, plus template rendering per KB of output.
+constexpr double kOriginFixedUs = 2000;
+constexpr double kOriginUsPerKb = 60;
+
+// The web-site's shared access link.
+constexpr double kUplinkBps = 10e6;
+constexpr util::SimTime kUplinkPropagation = 10 * util::kMillisecond;
 
 // The delta-server's CPU per request (§VI-C), calibrated so a 50-60 KB
 // base-file costs 6-8 ms, as the paper measured on a PIII-866.
@@ -25,7 +36,7 @@ double delta_server_cpu_us(const ServedResponse& served) {
 
 EventPipeline::EventPipeline(const server::OriginServer& origin,
                              EventPipelineConfig config, http::RuleBook rules)
-    : origin_(origin), config_(config), delta_server_(config.server, std::move(rules)) {
+    : origin_(origin), config_(config), delta_server_(DeltaServerConfig{}, std::move(rules)) {
   auto& reg = delta_server_.obs().registry();
   instr_.completed = &reg.counter("cbde_netsim_completed_total",
                                   "Requests fully delivered to their client");
@@ -40,13 +51,17 @@ EventPipelineResult EventPipeline::run(const std::vector<trace::Request>& reques
   EventPipelineResult result;
 
   netsim::EventQueue events;
-  netsim::PooledResource cpu(config_.cpu_workers);
-  netsim::BitPipe uplink(config_.uplink_bps, config_.uplink_propagation);
-  // Each client has a private last-mile link.
+  netsim::FifoResource cpu;
+  netsim::BitPipe uplink(kUplinkBps, kUplinkPropagation);
+  // Each client has a private last-mile link. Clients are on broadband, so
+  // the shared uplink is the contested resource under study (per-client
+  // modem queues would mask it).
+  const netsim::LinkProfile client_link = netsim::LinkProfile::broadband();
   std::map<std::uint64_t, netsim::BitPipe> client_links;
-  const util::SimTime client_propagation = config_.client_link.rtt / 2;
-  // (class, version) pairs already pulled through the uplink once; proxies
-  // serve later fetches.
+  const util::SimTime client_propagation = client_link.rtt / 2;
+  // Base-file distribution is proxy-cachable (§VI-B): only the first fetch
+  // of each (class, version) crosses the site uplink; repeats are served by
+  // proxies and traverse only the client's own link.
   std::set<std::pair<ClassId, std::uint32_t>> bases_through_uplink;
 
   for (const trace::Request& request : requests) {
@@ -56,7 +71,8 @@ EventPipelineResult EventPipeline::run(const std::vector<trace::Request>& reques
       if (!doc) return;
 
       // CPU stage: dynamic generation, plus the delta-server's work.
-      double cpu_us = config_.origin_cpu.generation_cost(doc->size());
+      double cpu_us =
+          kOriginFixedUs + kOriginUsPerKb * static_cast<double>(doc->size()) / 1024.0;
       std::size_t response_bytes;
       std::size_t base_bytes = 0;
       bool base_from_proxy = false;
@@ -67,11 +83,8 @@ EventPipelineResult EventPipeline::run(const std::vector<trace::Request>& reques
         response_bytes = served.wire_body.size();
         if (served.base_needed) {
           base_bytes = served.base_size;
-          if (config_.proxy_absorbs_bases) {
-            base_from_proxy =
-                !bases_through_uplink.emplace(served.class_id, served.base_version)
-                     .second;
-          }
+          base_from_proxy =
+              !bases_through_uplink.emplace(served.class_id, served.base_version).second;
         }
       } else {
         response_bytes = doc->size();
@@ -89,7 +102,7 @@ EventPipelineResult EventPipeline::run(const std::vector<trace::Request>& reques
         uplink_done = uplink.transmit(uplink_done, base_bytes);
       }
       auto [it, inserted] = client_links.try_emplace(
-          request.user_id, config_.client_link.bandwidth_bps, client_propagation);
+          request.user_id, client_link.bandwidth_bps, client_propagation);
       util::SimTime done = it->second.transmit(uplink_done, response_bytes);
       if (base_bytes > 0) done = it->second.transmit(done, base_bytes);
 
@@ -105,13 +118,9 @@ EventPipelineResult EventPipeline::run(const std::vector<trace::Request>& reques
   result.uplink_bytes = uplink.bytes_carried();
   instr_.uplink_bytes->add(result.uplink_bytes);
   result.uplink_utilization = uplink.utilization(result.horizon);
-  // Utilization of the whole pool: busy time over horizon * workers.
-  result.cpu_utilization =
-      result.horizon <= 0
-          ? 0.0
-          : static_cast<double>(cpu.busy_time()) /
-                (static_cast<double>(result.horizon) *
-                 static_cast<double>(cpu.servers()));
+  result.cpu_utilization = result.horizon <= 0 ? 0.0
+                                               : static_cast<double>(cpu.busy_time()) /
+                                                     static_cast<double>(result.horizon);
   result.goodput_rps = result.horizon <= 0
                            ? 0.0
                            : static_cast<double>(result.completed) /

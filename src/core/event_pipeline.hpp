@@ -3,16 +3,15 @@
 // §VI-C closes with the observation that "in practice it is very common
 // that the bottleneck resource at a web-server is the access link out of
 // the web-site and not the CPU". This pipeline models exactly that contested
-// resource: every response serializes through a shared server uplink
-// (BitPipe, FIFO), then through the requesting client's private last-mile
-// link; the server CPU (generation + delta work) is a FIFO resource too.
+// resource: every response serializes through a shared 10 Mb/s server
+// uplink (BitPipe, FIFO), then through the requesting client's private
+// broadband last-mile link; the server CPU (generation + delta work) is a
+// FIFO resource too. The delta-server runs DeltaServerConfig's defaults.
 // Running the same request stream in direct mode vs CBDE mode shows the
 // uplink saturating ~20-30x earlier without delta-encoding.
 #pragma once
 
 #include "core/delta_server.hpp"
-#include "netsim/event.hpp"
-#include "netsim/tcp_model.hpp"
 #include "server/origin.hpp"
 #include "trace/workload.hpp"
 #include "util/stats.hpp"
@@ -20,21 +19,7 @@
 namespace cbde::core {
 
 struct EventPipelineConfig {
-  bool use_cbde = true;
-  DeltaServerConfig server;
-  server::CpuModel origin_cpu;
-  /// Parallel CPU workers at the server (the DeltaWorkerPool analogue in
-  /// the simulation): requests queue FIFO for the earliest-free worker.
-  std::size_t cpu_workers = 1;
-  double uplink_bps = 10e6;  ///< the web-site's shared access link
-  util::SimTime uplink_propagation = 10 * util::kMillisecond;
-  /// Clients default to broadband so the *shared uplink* is the contested
-  /// resource under study (per-client modem queues would mask it).
-  netsim::LinkProfile client_link = netsim::LinkProfile::broadband();
-  /// Base-file distribution is proxy-cachable (§VI-B): only the first fetch
-  /// of each (class, version) crosses the site uplink; repeats are served
-  /// by proxies and traverse only the client's own link.
-  bool proxy_absorbs_bases = true;
+  bool use_cbde = true;  ///< false replays the same stream as direct service
 };
 
 struct EventPipelineResult {

@@ -1,5 +1,6 @@
 #include "core/simulation.hpp"
 
+#include "netsim/tcp_model.hpp"
 #include "util/contracts.hpp"
 #include "util/hash.hpp"
 
@@ -78,7 +79,7 @@ void Pipeline::process(std::uint64_t user_id, const http::Url& url, util::SimTim
     agent.store_base(client::BaseRef{resp.class_id, resp.base_version}, *published);
   }
 
-  if (resp.mode == ServedResponse::Mode::kDelta && config_.verify_reconstruction) {
+  if (resp.mode == ServedResponse::Mode::kDelta) {
     const util::Bytes rebuilt =
         agent.reconstruct(client::BaseRef{resp.class_id, resp.base_version},
                           util::as_view(resp.wire_body), resp.wire_compressed);
@@ -96,13 +97,14 @@ void Pipeline::process(std::uint64_t user_id, const http::Url& url, util::SimTim
   }
 
   if (config_.measure_latency) {
+    const netsim::LinkProfile modem = netsim::LinkProfile::modem();
     partial_.latency_direct_us.add(static_cast<double>(
-        netsim::transfer_latency(doc->size(), config_.client_link).total()));
+        netsim::transfer_latency(doc->size(), modem).total()));
     double actual = static_cast<double>(
-        netsim::transfer_latency(resp.wire_body.size(), config_.client_link).total());
+        netsim::transfer_latency(resp.wire_body.size(), modem).total());
     if (base_transfer > 0) {
       actual += static_cast<double>(
-          netsim::transfer_latency(base_transfer, config_.client_link).total());
+          netsim::transfer_latency(base_transfer, modem).total());
     }
     partial_.latency_actual_us.add(actual);
   }

@@ -3,9 +3,9 @@
 // A minimal but strict event queue: events fire in (time, insertion order),
 // callbacks may schedule further events, and time never runs backwards.
 // Everything is deterministic — no wall clock. EventQueue, FifoResource and
-// BitPipe are single-threaded by design; PooledResource (which models the
-// delta-server's encode worker pool and is the one resource a threaded
-// harness shares) is internally synchronized with an annotated mutex.
+// BitPipe are single-threaded by design. Both §VI-C simulators run on this
+// engine: the closed-loop capacity harness (server/load) and the uplink
+// queueing network (core/event_pipeline).
 #pragma once
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 
 #include "util/clock.hpp"
 #include "util/contracts.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace cbde::netsim {
 
@@ -90,56 +89,6 @@ class FifoResource {
   std::uint64_t jobs_ = 0;
 };
 
-/// c-server FIFO resource (an M/G/c-style worker pool): jobs are taken in
-/// arrival order and each runs on the earliest-available of `servers`
-/// identical servers. With servers == 1 this degenerates to FifoResource.
-/// Models the delta-server's encode worker pool in the capacity experiment.
-///
-/// Unlike the rest of this header, PooledResource is thread-safe: a
-/// threaded capacity harness charges CPU time to one shared pool from
-/// several workers. Single-threaded callers pay one uncontended lock per
-/// job, which is noise next to the min-scan.
-class PooledResource {
- public:
-  explicit PooledResource(std::size_t servers) : busy_until_(servers, 0) {
-    CBDE_EXPECT(servers >= 1);
-  }
-
-  /// A job arriving at `now` needing `service` time: returns its completion
-  /// time (start = max(now, earliest server free time)).
-  util::SimTime submit(util::SimTime now, util::SimTime service) EXCLUDES(mu_) {
-    CBDE_EXPECT(service >= 0);
-    const LockGuard lock(mu_);
-    const auto it = std::min_element(busy_until_.begin(), busy_until_.end());
-    const util::SimTime start = std::max(now, *it);
-    *it = start + service;
-    busy_time_ += service;
-    ++jobs_;
-    return *it;
-  }
-
-  std::size_t servers() const EXCLUDES(mu_) {
-    const LockGuard lock(mu_);
-    return busy_until_.size();
-  }
-  /// Total service time performed across all servers; utilization of the
-  /// pool over a horizon H is busy_time / (H * servers).
-  util::SimTime busy_time() const EXCLUDES(mu_) {
-    const LockGuard lock(mu_);
-    return busy_time_;
-  }
-  std::uint64_t jobs() const EXCLUDES(mu_) {
-    const LockGuard lock(mu_);
-    return jobs_;
-  }
-
- private:
-  mutable Mutex mu_;
-  std::vector<util::SimTime> busy_until_ GUARDED_BY(mu_);
-  util::SimTime busy_time_ GUARDED_BY(mu_) = 0;
-  std::uint64_t jobs_ GUARDED_BY(mu_) = 0;
-};
-
 /// A transmission link of fixed capacity: messages serialize through it in
 /// FIFO order (bytes / capacity each), then propagate for `latency`.
 class BitPipe {
@@ -155,7 +104,7 @@ class BitPipe {
   util::SimTime transmit(util::SimTime now, std::size_t bytes) {
     const auto tx =
         static_cast<util::SimTime>(static_cast<double>(bytes) * 8.0 / bps_ * 1e6);
-    const util::SimTime done = pipe_.submit(now, tx) ;
+    const util::SimTime done = pipe_.submit(now, tx);
     bytes_carried_ += bytes;
     return done + propagation_;
   }

@@ -5,8 +5,9 @@
 // transfer, hard slot limit 255) versus the delta-server + web-server
 // system (the delta-server front-end holds the client connection cheaply,
 // the web-server slot is held only while the CPU works; delta generation
-// adds CPU cost). A discrete-event simulation with a single CPU resource
-// measures sustained requests/second, peak concurrency and refusal rates.
+// adds CPU cost). A discrete-event simulation on netsim::EventQueue with a
+// single FIFO CPU measures sustained requests/second, peak concurrency and
+// refusal rates over a 60 s run.
 #pragma once
 
 #include <cstdint>
@@ -24,15 +25,11 @@ enum class PipelineMode {
 struct LoadConfig {
   PipelineMode mode = PipelineMode::kPlain;
   std::size_t num_clients = 300;  ///< closed-loop client population
-  util::SimTime duration = 60 * util::kSecond;
   /// Total server CPU per request. For kDelta this should include the delta
   /// generation cost (the paper measures 6-8 ms for a 50-60 KB base-file).
   double cpu_us_per_request = 5600;
   std::size_t response_bytes = 30 * 1024;  ///< bytes sent to the client
   netsim::LinkProfile client_link = netsim::LinkProfile::broadband();
-  std::size_t web_server_slots = 255;   ///< Apache MaxClients-style limit
-  std::size_t front_end_slots = 2000;   ///< delta-server connection capacity
-  util::SimTime retry_backoff = 500 * util::kMillisecond;  ///< after refusal
 };
 
 struct LoadResult {

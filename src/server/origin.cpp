@@ -9,27 +9,6 @@ void OriginServer::add_site(const trace::SiteModel& site) {
   CBDE_EXPECT(inserted && "duplicate virtual host");
 }
 
-OriginResult OriginServer::serve(const http::Url& url, std::uint64_t user_id,
-                                 util::SimTime now) const {
-  OriginResult out;
-  auto doc = document(url, user_id, now);
-  if (!doc) {
-    out.response.status = 404;
-    out.response.reason = std::string(http::reason_phrase(404));
-    out.response.headers.set("Content-Type", "text/html");
-    out.response.body = util::to_bytes("<html><body>Not Found</body></html>\n");
-    out.cpu_us = cpu_.fixed_us;
-    return out;
-  }
-  out.response.status = 200;
-  out.response.reason = std::string(http::reason_phrase(200));
-  out.response.headers.set("Content-Type", "text/html");
-  out.response.headers.set("Cache-Control", "no-cache");
-  out.response.body = std::move(*doc);
-  out.cpu_us = cpu_.generation_cost(out.response.body.size());
-  return out;
-}
-
 std::optional<util::Bytes> OriginServer::document(const http::Url& url, std::uint64_t user_id,
                                                   util::SimTime now) const {
   const auto it = sites_.find(url.host);

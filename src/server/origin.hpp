@@ -1,54 +1,30 @@
 // Simulated origin web-server: the "web-server" box of Fig. 2.
 //
 // Routes a URL to the current snapshot of the corresponding dynamic
-// document, generated on the fly (like a CGI/app server), and models the
-// CPU cost of doing so. Multiple virtual hosts (SiteModels) are supported
-// so one delta-server can front several sites, as in Table II.
+// document, generated on the fly (like a CGI/app server). Multiple virtual
+// hosts (SiteModels) are supported so one delta-server can front several
+// sites, as in Table II.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 
-#include "http/message.hpp"
 #include "http/url.hpp"
 #include "trace/site.hpp"
 #include "util/clock.hpp"
 
 namespace cbde::server {
 
-/// CPU cost model for dynamic document generation, in microseconds.
-struct CpuModel {
-  double fixed_us = 2000;      ///< request parsing, routing, app dispatch
-  double per_kb_us = 60;       ///< template rendering per KB of output
-
-  double generation_cost(std::size_t bytes) const {
-    return fixed_us + per_kb_us * static_cast<double>(bytes) / 1024.0;
-  }
-};
-
-struct OriginResult {
-  http::HttpResponse response;
-  double cpu_us = 0;  ///< modeled CPU spent generating this response
-};
-
 class OriginServer {
  public:
-  explicit OriginServer(CpuModel cpu = {}) : cpu_(cpu) {}
-
   /// Register a virtual host. The server keeps a reference; the site must
   /// outlive the server.
   void add_site(const trace::SiteModel& site);
 
-  /// Serve a URL for a given user at simulated time `now`. Returns 404 for
-  /// unknown hosts or documents. Dynamic responses carry
-  /// "Cache-Control: no-cache" — they are the traditionally uncachable
-  /// traffic the paper targets.
-  OriginResult serve(const http::Url& url, std::uint64_t user_id, util::SimTime now) const;
-
-  /// Convenience: document bytes only; nullopt on 404.
+  /// The document `url` names, generated for `user_id` at simulated time
+  /// `now`; nullopt for unknown hosts or documents (a 404).
   std::optional<util::Bytes> document(const http::Url& url, std::uint64_t user_id,
                                       util::SimTime now) const;
 
@@ -56,7 +32,6 @@ class OriginServer {
   const trace::SiteModel* site(const std::string& host) const;
 
  private:
-  CpuModel cpu_;
   std::map<std::string, const trace::SiteModel*> sites_;
 };
 

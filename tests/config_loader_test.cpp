@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/config_loader.hpp"
@@ -142,6 +143,35 @@ TEST(ConfigLoader, MalformedInputsRejected) {
                           "rebase-timeout-s = 9223372036854\n");
   EXPECT_EQ(edge.server.basic_rebase_after, 2147483647);
   EXPECT_EQ(edge.server.rebase_timeout, 9223372036854 * util::kSecond);
+}
+
+TEST(ConfigLoader, OutOfRangeValuesRejectedWithLineNumber) {
+  // Each of these used to load: the server then threw std::invalid_argument
+  // from its constructor or from the first request that created a class,
+  // or (a non-finite ratio) silently switched basic-rebase off.
+  for (const char* lines :
+       {"max-samples = 0", "sample-prob = 1.5", "sample-prob = nan",
+        "anonymizer-m = 0\nanonymizer-n = 0", "max-tries = 0", "popular-fraction = 2",
+        "match-threshold = 0", "basic-rebase-ratio = nan", "basic-rebase-ratio = inf"}) {
+    const std::string text = std::string("[delta-server]\n") + lines + "\n";
+    const std::string bad_line =
+        "line " + std::to_string(std::count(text.begin(), text.end(), '\n'));
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted: " << lines;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad_line), std::string::npos) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a ConfigError for '" << lines << "': " << e.what();
+    }
+  }
+  // The ends of each range still load.
+  const auto edge = parse(
+      "[delta-server]\nmax-samples = 1\nsample-prob = 1\nmax-tries = 1\n"
+      "popular-fraction = 0\nanonymizer-m = 1\nanonymizer-n = 1\n");
+  EXPECT_EQ(edge.server.selector.max_samples, 1u);
+  EXPECT_DOUBLE_EQ(edge.server.selector.sample_prob, 1.0);
+  EXPECT_EQ(edge.server.anonymizer.required_docs, 1u);
 }
 
 TEST(ConfigLoader, CrossFieldValidation) {

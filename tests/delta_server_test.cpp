@@ -232,26 +232,26 @@ TEST(DeltaServer, PublishedHistoryServesRecentVersionsOnly) {
   config.anonymize = false;
   config.rebase_timeout = 0;
   config.selector.sample_prob = 1.0;
-  config.published_history = 2;
   Rig rig(config);
   util::SimTime now = 0;
   // Drive rebases by cycling documents.
-  std::uint32_t max_version = 0;
   ClassId cls = 0;
   for (int i = 0; i < 20; ++i) {
     const auto resp = rig.request(1 + static_cast<std::uint64_t>(i) % 4, 0,
                                   static_cast<std::size_t>(i) % 10, now += util::kSecond);
-    if (resp.base_version > 0) {
-      max_version = std::max(max_version, resp.base_version);
-      cls = resp.class_id;
-    }
+    if (resp.base_version > 0) cls = resp.class_id;
   }
-  ASSERT_GT(max_version, 2u);  // rebases happened
-  // Current and previous versions are retained; ancient ones are gone.
-  EXPECT_TRUE(rig.server.fetch_base(cls, max_version).has_value());
-  EXPECT_TRUE(rig.server.fetch_base(cls, max_version - 1).has_value());
+  const auto published = rig.server.published_base(cls);
+  ASSERT_TRUE(published.has_value());
+  const std::uint32_t newest = published->version;
+  ASSERT_GT(newest, 3u);  // rebases published more versions than are kept
+  // The three newest versions are retained; older ones are gone.
+  EXPECT_TRUE(rig.server.fetch_base(cls, newest).has_value());
+  EXPECT_TRUE(rig.server.fetch_base(cls, newest - 1).has_value());
+  EXPECT_TRUE(rig.server.fetch_base(cls, newest - 2).has_value());
+  EXPECT_FALSE(rig.server.fetch_base(cls, newest - 3).has_value());
   EXPECT_FALSE(rig.server.fetch_base(cls, 1).has_value());
-  EXPECT_FALSE(rig.server.fetch_base(cls, max_version + 5).has_value());
+  EXPECT_FALSE(rig.server.fetch_base(cls, newest + 5).has_value());
   EXPECT_FALSE(rig.server.fetch_base(9999, 1).has_value());
 }
 

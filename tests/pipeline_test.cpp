@@ -88,9 +88,7 @@ TEST(Pipeline, NoProxyChargesOriginForEveryBase) {
 
 TEST(Pipeline, LatencyImprovesOnModemLinks) {
   SimRig rig;
-  auto config = SimRig::pipeline_config();
-  config.client_link = netsim::LinkProfile::modem();
-  Pipeline pipeline(rig.origin, config, rig.rules());
+  Pipeline pipeline(rig.origin, SimRig::pipeline_config(), rig.rules());
   pipeline.process_all(rig.workload(400));
   const auto report = pipeline.report();
   // "the latency perceived by most users by a factor of 10 on average" —
