@@ -2,8 +2,8 @@
 //
 // Loads a cbde.conf (writing the documented example if the file does not
 // exist), builds the delta-server front-end from it — partition rules,
-// manual classes, anonymization parameters, disk-or-memory base store —
-// and drives a short browsing session through it over serialized HTTP.
+// manual classes, anonymization parameters, shard count — and drives a
+// short browsing session through it over serialized HTTP.
 //
 //   $ ./configured_frontend [cbde.conf]
 #include <cstdio>
@@ -29,12 +29,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-  std::printf("loaded %s: anonymize=%s compress=%s K=%zu p=%.2f N=%zu store=%s\n",
+  std::printf("loaded %s: anonymize=%s compress=%s K=%zu p=%.2f N=%zu\n",
               path.c_str(), config.server.anonymize ? "yes" : "no",
               config.server.compress_deltas ? "yes" : "no",
               config.server.selector.max_samples, config.server.selector.sample_prob,
-              config.server.grouping.max_tries,
-              config.disk_store ? config.disk_store->string().c_str() : "memory");
+              config.server.grouping.max_tries);
 
   // A site matching the example config's www.foo.com partition rule.
   trace::SiteConfig sconfig;
@@ -79,10 +78,8 @@ int main(int argc, char** argv) {
               static_cast<double>(wire_bytes) / 1024.0,
               100.0 * (1.0 - static_cast<double>(wire_bytes) /
                                  static_cast<double>(direct_bytes)));
-  std::printf("classes: %zu, base store entries: %zu (%.0f KB)\n",
+  std::printf("classes: %zu, server storage: %.0f KB\n",
               frontend.delta_server().num_classes(),
-              frontend.delta_server().base_store().entries(),
-              static_cast<double>(frontend.delta_server().base_store().bytes_stored()) /
-                  1024.0);
+              static_cast<double>(frontend.delta_server().storage_bytes()) / 1024.0);
   return 0;
 }

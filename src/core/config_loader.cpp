@@ -11,6 +11,11 @@
 namespace cbde::core {
 namespace {
 
+/// Most server shards a config may ask for. The server builds one shard per
+/// count and the worker pool sizes itself to it, so an unbounded value would
+/// ask for that many of each; 64 is 8x the most bench_capacity runs.
+constexpr std::uint64_t kMaxServerShards = 64;
+
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw ConfigError("config line " + std::to_string(line) + ": " + what);
 }
@@ -153,6 +158,9 @@ LoadedConfig load_config(std::istream& in) {
         server.seed = parse_u64(value, line_no);
       } else if (key == "server-shards") {
         server.shards = parse_positive(value, line_no, key);
+        if (server.shards > kMaxServerShards) {
+          fail(line_no, key + " must be <= " + std::to_string(kMaxServerShards));
+        }
       } else if (key == "obs-sample-rate") {
         server.obs.sample_rate = parse_fraction(value, line_no, key);
       } else if (key == "obs-histogram-buckets") {
@@ -165,14 +173,6 @@ LoadedConfig load_config(std::istream& in) {
         server.obs.event_log_path = value;
       } else if (key == "obs-lock-profile") {
         server.obs.lock_profile = parse_bool(value, line_no);
-      } else if (key == "base-store") {
-        if (value == "memory") {
-          out.disk_store.reset();
-        } else if (value.starts_with("disk:")) {
-          out.disk_store = std::filesystem::path(value.substr(5));
-        } else {
-          fail(line_no, "base-store must be 'memory' or 'disk:<path>'");
-        }
       } else {
         fail(line_no, "unknown delta-server key '" + key + "'");
       }
@@ -201,17 +201,6 @@ LoadedConfig load_config(std::istream& in) {
   if (out.server.anonymizer.min_common > out.server.anonymizer.required_docs) {
     throw ConfigError("config: anonymizer-m must be <= anonymizer-n");
   }
-  // A sharded server needs one store per shard; a disk config hands each
-  // shard its own subdirectory (one DiskBaseStore must own its directory —
-  // two indices over one directory would double-count on restart recovery).
-  if (out.disk_store) {
-    const std::filesystem::path dir = *out.disk_store;
-    const std::size_t shards = out.server.shards;
-    out.server.store_factory = [dir, shards](std::size_t i) -> std::unique_ptr<BaseStore> {
-      return std::make_unique<DiskBaseStore>(
-          shards == 1 ? dir : dir / ("shard-" + std::to_string(i)));
-    };
-  }
   return out;
 }
 
@@ -234,8 +223,7 @@ match-threshold  = 0.5     # light-delta/document ratio counting as a match
 rebase-timeout-s = 120     # minimum seconds between group-rebases
 anonymizer-m     = 2       # M: chunk kept if common with >= M documents
 anonymizer-n     = 5       # N: documents observed before publication
-base-store       = memory  # or disk:/var/lib/cbde/bases
-server-shards    = 1       # independent delta-server shards (SVI-C capacity)
+server-shards    = 1       # independent delta-server shards, at most 64 (SVI-C)
 
 # Observability (docs/OBSERVABILITY.md): per-request trace sampling rate,
 # histogram resolution (log-linear sub-buckets per octave, power of two),

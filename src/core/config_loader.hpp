@@ -18,7 +18,7 @@
 //   rebase-timeout-s = 120
 //   anonymizer-m     = 2        # M  (SV)
 //   anonymizer-n     = 5        # N  (SV)
-//   base-store       = disk:/var/lib/cbde/bases   # or "memory"
+//   server-shards    = 1        # at most 64
 //
 //   [site www.foo.com]
 //   partition    = ^/([^/?]+)\?(.*)$
@@ -29,7 +29,6 @@
 
 #include <filesystem>
 #include <istream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -46,9 +45,6 @@ class ConfigError : public std::runtime_error {
 struct LoadedConfig {
   DeltaServerConfig server;
   http::RuleBook rules;
-  /// Set when "base-store = disk:<path>" was given; server.store_factory
-  /// then builds the shards' disk stores under it.
-  std::optional<std::filesystem::path> disk_store;
 };
 
 /// Parse a config stream. Throws ConfigError with a line number on any

@@ -17,10 +17,6 @@ enum CollectedSlot : std::size_t {
   kIndexBytes, kShardRequests
 };
 
-/// Published base-file versions the store keeps, so clients holding (or
-/// currently fetching) an older version are not stranded by a rebase.
-constexpr std::uint32_t kPublishedHistory = 3;
-
 }  // namespace
 
 DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
@@ -101,13 +97,8 @@ DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
 
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    std::unique_ptr<BaseStore> shard_store = config_.store_factory
-                                                 ? config_.store_factory(i)
-                                                 : std::make_unique<MemoryBaseStore>();
-    CBDE_EXPECT(shard_store != nullptr);
     shards_.push_back(std::make_unique<DeltaServerShard>(
-        config_, i, /*id_stride=*/config_.shards, std::move(shard_store), *obs_,
-        instr_));
+        config_, i, /*id_stride=*/config_.shards, *obs_, instr_));
   }
   // Same convention as metrics(): one shard mutex at a time, ascending.
   reg.set_collector(std::move(collected), [this](std::span<std::uint64_t> values) {
@@ -159,11 +150,6 @@ std::optional<util::Bytes> DeltaServer::fetch_base(ClassId id,
   return shards_[shard_of_class(id)]->fetch_base(id, version);
 }
 
-const BaseStore& DeltaServer::base_store(std::size_t shard) const {
-  CBDE_EXPECT(shard < shards_.size());
-  return shards_[shard]->store();
-}
-
 PipelineMetrics DeltaServer::metrics() const {
   PipelineMetrics merged;
   for (const auto& shard : shards_) merged.merge(shard->ledger());
@@ -210,17 +196,15 @@ std::size_t DeltaServer::num_classes() const {
 }
 
 DeltaServerShard::DeltaServerShard(const DeltaServerConfig& config, std::size_t index,
-                                   ClassId id_stride, std::unique_ptr<BaseStore> store,
-                                   obs::Obs& obs, const ServerInstruments& instr)
+                                   ClassId id_stride, obs::Obs& obs,
+                                   const ServerInstruments& instr)
     : config_(config),
       index_(index),
-      store_(std::move(store)),
       obs_(obs),
       instr_(instr),
       classes_(config.grouping, config.seed ^ 0x9E3779B97F4A7C15ull,
                /*id_first=*/static_cast<ClassId>(index) + 1, id_stride) {
   CBDE_EXPECT(index_ < id_stride);  // id_stride is the server's shard count
-  CBDE_EXPECT(store_ != nullptr);
   for (const auto& [server_part, hint_part] : config_.manual_classes) {
     if (DeltaServer::route(server_part, hint_part, id_stride) != index_) continue;
     classes_.add_manual_class(server_part, hint_part);
@@ -279,12 +263,10 @@ void DeltaServerShard::maybe_complete_publication(ClassId id, ClassState& cls,
 
 void DeltaServerShard::record_publication(ClassId id, ClassState& cls,
                                           util::SimTime now) {
-  store_->put(id, cls.published_version, util::as_view(cls.transmit_encoder->base()));
-  // Versions are published 1, 2, 3, ..., so publishing v drops
-  // v - kPublishedHistory.
-  if (cls.published_version > kPublishedHistory) {
-    store_->erase(id, cls.published_version - kPublishedHistory);
-  }
+  // Versions are published 1, 2, 3, ..., so version v takes the slot of
+  // v - kPublishedHistory. The slot shares the encoder's buffer: no copy.
+  cls.published[(cls.published_version - 1) % kPublishedHistory] =
+      cls.transmit_encoder->shared_base();
   obs_.emit(obs::EventKind::kBasePublished, now, id,
             {{"version", std::to_string(cls.published_version)},
              {"size", std::to_string(cls.transmit_encoder->base().size())}});
@@ -494,22 +476,23 @@ std::optional<PublishedBase> DeltaServerShard::published_base(ClassId id) const 
 
 std::optional<util::Bytes> DeltaServerShard::fetch_base(ClassId id,
                                                         std::uint32_t version) const {
-  // Hot path: the current version is cached in memory. Snapshot the shared
-  // base handle under the lock (a refcount bump); the caller's owning copy
-  // is materialized — and the store fallback runs (BaseStore is internally
-  // synchronized) — after mu_ drops. The full-buffer copy used to happen
-  // inside the critical section.
-  std::shared_ptr<const util::Bytes> cached;
+  // Snapshot the shared base handle under the lock (a refcount bump); the
+  // caller's owning copy is materialized after mu_ drops.
+  std::shared_ptr<const util::Bytes> base;
   {
     const LockGuard lock(mu_);
     const auto it = states_.find(id);
-    if (it != states_.end() && it->second->published_version == version &&
-        version != 0) {
-      cached = it->second->transmit_encoder->shared_base();
+    if (it == states_.end()) return std::nullopt;
+    const std::uint32_t newest = it->second->published_version;
+    // Only the window (newest - kPublishedHistory, newest] is held; any
+    // other version would alias a slot that holds a different one.
+    if (version == 0 || version > newest || newest - version >= kPublishedHistory) {
+      return std::nullopt;
     }
+    base = it->second->published[(version - 1) % kPublishedHistory];
   }
-  if (cached != nullptr) return *cached;
-  return store_->get(id, version);
+  CBDE_ASSERT_INVARIANT(base != nullptr);
+  return *base;
 }
 
 void DeltaServerShard::append_class_summaries(std::vector<ClassSummary>& out) const {
@@ -554,10 +537,11 @@ void DeltaServerShard::collect(std::span<std::uint64_t> values) const {
 }
 
 std::size_t DeltaServerShard::storage_bytes_locked() const {
-  // Retained published versions live in the base store (the in-memory copy
-  // of each current base is a cache, not extra footprint).
-  std::size_t total = store_->bytes_stored();
+  std::size_t total = 0;
   for (const auto& [id, cls] : states_) {
+    // Each retained published version counts once; the transmit encoder
+    // shares the newest one's buffer.
+    for (const auto& base : cls->published) total += base ? base->size() : 0;
     // An anonymization in progress aliases the working base: every site that
     // replaces the working estimator calls start_publication(), which hands
     // the anonymizer shared_base(). So its pending base is no extra buffer.

@@ -19,14 +19,15 @@
 // Scaling (the paper's whole pitch): the server is SHARDED. Classes are
 // partitioned over `DeltaServerConfig::shards` independent DeltaServerShard
 // instances by a stable crc32 of the request's (server-part, hint-part);
-// each shard owns its own mutex, ClassManager, class states, base store and
-// byte ledger, so requests to different shards never contend. There is no
-// global lock anywhere in the serve path — DeltaServer itself is a stateless
-// router plus a merger for the read-side accessors.
+// each shard owns its own mutex, ClassManager, class states (each holding
+// its last kPublishedHistory published bases) and byte ledger, so requests
+// to different shards never contend. There is no global lock anywhere in
+// the serve path — DeltaServer itself is a stateless router plus a merger
+// for the read-side accessors.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "core/anonymizer.hpp"
-#include "core/base_store.hpp"
 #include "core/basefile_selector.hpp"
 #include "core/class_manager.hpp"
 #include "core/metrics.hpp"
@@ -70,9 +70,6 @@ struct DeltaServerConfig {
   /// classes never span pairs — live on exactly one shard. 1 = the
   /// unsharded behavior, byte-for-byte identical to the historical server.
   std::size_t shards = 1;
-  /// Base store built for each shard; null = one MemoryBaseStore per shard.
-  /// (A DiskBaseStore factory should hand each shard its own directory.)
-  std::function<std::unique_ptr<BaseStore>(std::size_t shard_index)> store_factory;
   /// (server-part, hint-part) pairs the administrator pins to manual
   /// classes (§III, the `manual-class` config key). Each pair is pinned on
   /// the shard route() sends it to.
@@ -170,8 +167,7 @@ class DeltaServerShard {
   /// (id - 1) % id_stride == index and route back here without a lookup.
   /// Pins the config's manual classes that route here.
   DeltaServerShard(const DeltaServerConfig& config, std::size_t index,
-                   ClassId id_stride, std::unique_ptr<BaseStore> store,
-                   obs::Obs& obs, const ServerInstruments& instr);
+                   ClassId id_stride, obs::Obs& obs, const ServerInstruments& instr);
 
   /// One request, already partitioned and routed here. Same three-phase
   /// shape the unsharded server had — locked bookkeeping/grouping, unlocked
@@ -212,9 +208,12 @@ class DeltaServerShard {
     LockGuard lock(mu_);
     return classes_.num_classes();
   }
-  const BaseStore& store() const { return *store_; }
 
  private:
+  /// Published versions each class retains, so clients holding (or
+  /// currently fetching) an older version are not stranded by a rebase.
+  static constexpr std::uint32_t kPublishedHistory = 3;
+
   struct ClassState {
     /// Working base (raw) + its prebuilt light index: the grouping and
     /// rebase-comparison reference. Rebuilt on create and on either rebase.
@@ -223,10 +222,13 @@ class DeltaServerShard {
     /// Published (anonymized) base + its prebuilt footprint table: what
     /// per-request deltas are computed against. Held shared so serve() can
     /// encode outside the lock against a snapshot that a concurrent rebase
-    /// cannot invalidate. The bytes also live in the base store; this is
-    /// the hot copy.
+    /// cannot invalidate.
     std::shared_ptr<const delta::Encoder> transmit_encoder;
     std::uint32_t published_version = 0;
+    /// The last kPublishedHistory published bases: version v sits in slot
+    /// (v - 1) % kPublishedHistory, sharing its buffer with the encoder that
+    /// published it. Empty until that many versions have been published.
+    std::array<std::shared_ptr<const util::Bytes>, kPublishedHistory> published;
     BaseFileSelector selector;
     Anonymizer anonymizer;
     util::SimTime last_group_rebase = 0;
@@ -247,9 +249,6 @@ class DeltaServerShard {
 
   const DeltaServerConfig& config_;  // owned by the server, immutable
   const std::size_t index_;          ///< this shard's position in the server
-  /// The pointer is immutable after construction; the store itself is
-  /// internally synchronized (see BaseStore), so it carries no GUARDED_BY.
-  std::unique_ptr<BaseStore> store_;
   obs::Obs& obs_;                    // internally synchronized
   const ServerInstruments& instr_;   // owned by the server, atomic handles
   ClassManager classes_ GUARDED_BY(mu_);
@@ -271,8 +270,6 @@ class DeltaServerShard {
 /// own — and therefore no lock.
 class DeltaServer {
  public:
-  /// Each shard's retained published base-file versions live in the store
-  /// DeltaServerConfig::store_factory builds (in memory by default).
   DeltaServer(DeltaServerConfig config, http::RuleBook rules);
   /// The shards and the registry's collector point back into the server.
   DeltaServer(const DeltaServer&) = delete;
@@ -298,15 +295,10 @@ class DeltaServer {
   /// owning shard.
   std::optional<PublishedBase> published_base(ClassId id) const;
 
-  /// A specific retained version (current or recent history) from the
-  /// owning shard's base store; nullopt if the class is unknown or the
-  /// version has aged out.
+  /// A specific retained version (the current one or one of the two before
+  /// it) from the owning shard; nullopt if the class is unknown, the version
+  /// was never published or it has aged out.
   std::optional<util::Bytes> fetch_base(ClassId id, std::uint32_t version) const;
-
-  /// One shard's base store (shard 0 by default, the whole store when
-  /// unsharded). Stores are internally synchronized, so direct inspection
-  /// is safe even while workers are serving.
-  const BaseStore& base_store(std::size_t shard = 0) const;
 
   /// Merged snapshot of the pipeline counters: the sum of the per-shard
   /// ledgers, visited in ascending shard order, each read under its own

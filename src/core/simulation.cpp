@@ -65,14 +65,8 @@ void Pipeline::process(std::uint64_t user_id, const http::Url& url, util::SimTim
     CBDE_ASSERT(published.has_value());
     const std::string cache_key = url.host + "#class" + std::to_string(resp.class_id) +
                                   "#v" + std::to_string(resp.base_version);
-    bool from_proxy = false;
-    if (config_.use_proxy) {
-      if (base_cache_.get(cache_key)) {
-        from_proxy = true;
-      } else {
-        base_cache_.put(cache_key, *published);
-      }
-    }
+    const bool from_proxy = base_cache_.get(cache_key).has_value();
+    if (!from_proxy) base_cache_.put(cache_key, *published);
     (from_proxy ? partial_.proxy_base_bytes : partial_.origin_base_bytes) +=
         published->size();
     base_transfer = published->size();

@@ -25,7 +25,6 @@ TEST(ConfigLoader, ExampleConfigParses) {
   EXPECT_EQ(config.server.rebase_timeout, 120 * util::kSecond);
   EXPECT_EQ(config.server.anonymizer.min_common, 2u);
   EXPECT_EQ(config.server.anonymizer.required_docs, 5u);
-  EXPECT_FALSE(config.disk_store.has_value());
   EXPECT_TRUE(config.rules.has_rule("www.foo.com"));
   ASSERT_EQ(config.server.manual_classes.size(), 1u);
   EXPECT_EQ(config.server.manual_classes[0].first, "www.adhoc.example");
@@ -61,34 +60,11 @@ TEST(ConfigLoader, CommentsAndBlankLinesIgnored) {
   EXPECT_EQ(config.server.grouping.max_tries, 3u);
 }
 
-TEST(ConfigLoader, DiskStoreParsed) {
-  const auto config = parse("[delta-server]\nbase-store = disk:/tmp/cbde-bases\n");
-  ASSERT_TRUE(config.disk_store.has_value());
-  EXPECT_EQ(config.disk_store->string(), "/tmp/cbde-bases");
-}
-
 TEST(ConfigLoader, ServerShardsParsed) {
   const auto config = parse("[delta-server]\nserver-shards = 4\n");
   EXPECT_EQ(config.server.shards, 4u);
   EXPECT_EQ(parse("[delta-server]\nmax-tries = 3\n").server.shards, 1u);  // default
   EXPECT_THROW(parse("[delta-server]\nserver-shards = 0\n"), ConfigError);
-}
-
-TEST(ConfigLoader, ShardedDiskStoreGetsPerShardDirectories) {
-  const auto config = parse(
-      "[delta-server]\n"
-      "server-shards = 2\n"
-      "base-store = disk:/tmp/cbde-shard-test\n");
-  ASSERT_TRUE(static_cast<bool>(config.server.store_factory));
-  // Each shard must own a distinct directory (one DiskBaseStore per dir).
-  const auto s0 = config.server.store_factory(0);
-  const auto s1 = config.server.store_factory(1);
-  const auto* d0 = dynamic_cast<const DiskBaseStore*>(s0.get());
-  const auto* d1 = dynamic_cast<const DiskBaseStore*>(s1.get());
-  ASSERT_NE(d0, nullptr);
-  ASSERT_NE(d1, nullptr);
-  EXPECT_NE(d0->directory(), d1->directory());
-  std::filesystem::remove_all("/tmp/cbde-shard-test");
 }
 
 TEST(ConfigLoader, PartitionRuleActuallyWorks) {
@@ -119,7 +95,6 @@ TEST(ConfigLoader, MalformedInputsRejected) {
   EXPECT_THROW(parse("[delta-server]\nmax-tries = eight\n"), ConfigError);
   EXPECT_THROW(parse("[delta-server]\nanonymize = maybe\n"), ConfigError);
   EXPECT_THROW(parse("[delta-server]\nsample-prob = 0.2x\n"), ConfigError);
-  EXPECT_THROW(parse("[delta-server]\nbase-store = ftp:/x\n"), ConfigError);
   EXPECT_THROW(parse("[site www.x.com]\npartition = ([unclosed\n"), ConfigError);
   // Empty pattern must fail with the loader's typed error, not trip
   // PartitionRule's precondition mid-construction.
@@ -148,11 +123,14 @@ TEST(ConfigLoader, MalformedInputsRejected) {
 TEST(ConfigLoader, OutOfRangeValuesRejectedWithLineNumber) {
   // Each of these used to load: the server then threw std::invalid_argument
   // from its constructor or from the first request that created a class,
-  // or (a non-finite ratio) silently switched basic-rebase off.
+  // or (a non-finite ratio) silently switched basic-rebase off, or (a shard
+  // count) had the server and its worker pool build that many shards and
+  // threads.
   for (const char* lines :
        {"max-samples = 0", "sample-prob = 1.5", "sample-prob = nan",
         "anonymizer-m = 0\nanonymizer-n = 0", "max-tries = 0", "popular-fraction = 2",
-        "match-threshold = 0", "basic-rebase-ratio = nan", "basic-rebase-ratio = inf"}) {
+        "match-threshold = 0", "basic-rebase-ratio = nan", "basic-rebase-ratio = inf",
+        "server-shards = 65", "server-shards = 1000000000000"}) {
     const std::string text = std::string("[delta-server]\n") + lines + "\n";
     const std::string bad_line =
         "line " + std::to_string(std::count(text.begin(), text.end(), '\n'));
@@ -168,10 +146,11 @@ TEST(ConfigLoader, OutOfRangeValuesRejectedWithLineNumber) {
   // The ends of each range still load.
   const auto edge = parse(
       "[delta-server]\nmax-samples = 1\nsample-prob = 1\nmax-tries = 1\n"
-      "popular-fraction = 0\nanonymizer-m = 1\nanonymizer-n = 1\n");
+      "popular-fraction = 0\nanonymizer-m = 1\nanonymizer-n = 1\nserver-shards = 64\n");
   EXPECT_EQ(edge.server.selector.max_samples, 1u);
   EXPECT_DOUBLE_EQ(edge.server.selector.sample_prob, 1.0);
   EXPECT_EQ(edge.server.anonymizer.required_docs, 1u);
+  EXPECT_EQ(edge.server.shards, 64u);
 }
 
 TEST(ConfigLoader, CrossFieldValidation) {
@@ -192,6 +171,20 @@ TEST(ConfigLoader, RemovedDeltaKeysAreRejected) {
       EXPECT_NE(std::string(e.what()).find("unknown delta-server key"), std::string::npos);
       EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
     }
+  }
+}
+
+TEST(ConfigLoader, RemovedStoreKeyIsRejected) {
+  // Each class keeps its published bases in memory; there is no store to
+  // choose, so a config that still names one fails at load time.
+  try {
+    parse("[delta-server]\nanonymize = true\nbase-store = memory\n");
+    FAIL() << "base-store accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown delta-server key 'base-store'"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
   }
 }
 

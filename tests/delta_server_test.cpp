@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -234,21 +235,39 @@ TEST(DeltaServer, PublishedHistoryServesRecentVersionsOnly) {
   config.selector.sample_prob = 1.0;
   Rig rig(config);
   util::SimTime now = 0;
-  // Drive rebases by cycling documents.
+  // Every base the class published, by version. Unanonymized, a request
+  // publishes at most one version, so the window is checked after each
+  // publication: after the first and the second too, while slots are empty.
+  std::map<std::uint32_t, Bytes> published;
   ClassId cls = 0;
+  // Drive rebases by cycling documents.
   for (int i = 0; i < 20; ++i) {
     const auto resp = rig.request(1 + static_cast<std::uint64_t>(i) % 4, 0,
                                   static_cast<std::size_t>(i) % 10, now += util::kSecond);
-    if (resp.base_version > 0) cls = resp.class_id;
+    if (i == 0) cls = resp.class_id;
+    ASSERT_EQ(resp.class_id, cls);
+    const auto base = rig.server.published_base(cls);
+    ASSERT_TRUE(base.has_value());
+    const std::uint32_t newest = base->version;
+    published.emplace(newest, Bytes(base->bytes.begin(), base->bytes.end()));
+    // The three newest versions are retained, each as published. Version 0,
+    // aged-out versions and versions not yet published are absent, including
+    // those that would share a slot with a retained one.
+    for (std::uint32_t v = 0; v <= newest + 3; ++v) {
+      const auto fetched = rig.server.fetch_base(cls, v);
+      if (v >= 1 && v <= newest && newest - v < 3) {
+        ASSERT_TRUE(fetched.has_value()) << "v" << v << " of " << newest;
+        EXPECT_EQ(*fetched, published.at(v)) << "v" << v << " of " << newest;
+      } else {
+        EXPECT_FALSE(fetched.has_value()) << "v" << v << " of " << newest;
+      }
+    }
   }
-  const auto published = rig.server.published_base(cls);
-  ASSERT_TRUE(published.has_value());
-  const std::uint32_t newest = published->version;
-  ASSERT_GT(newest, 3u);  // rebases published more versions than are kept
-  // The three newest versions are retained; older ones are gone.
-  EXPECT_TRUE(rig.server.fetch_base(cls, newest).has_value());
-  EXPECT_TRUE(rig.server.fetch_base(cls, newest - 1).has_value());
-  EXPECT_TRUE(rig.server.fetch_base(cls, newest - 2).has_value());
+  // The class passed through one and two published versions, and rebases
+  // published more versions than are kept.
+  ASSERT_TRUE(published.contains(1) && published.contains(2));
+  const std::uint32_t newest = published.rbegin()->first;
+  ASSERT_GT(newest, 3u);
   EXPECT_FALSE(rig.server.fetch_base(cls, newest - 3).has_value());
   EXPECT_FALSE(rig.server.fetch_base(cls, 1).has_value());
   EXPECT_FALSE(rig.server.fetch_base(cls, newest + 5).has_value());

@@ -1,7 +1,7 @@
 // Decoder robustness fuzzing: CBD1 deltas, CBZ1 compressed
 // blocks, Apache CLF access-log lines and streams (trace::parse_clf +
 // trace::read_access_log, checked differentially), HTTP/1.1 messages, and
-// cbde.conf files.
+// cbde.conf files (each accepted one must also build a server that serves).
 //
 // Every byte stream a delta-server deployment decodes crosses a trust
 // boundary, so each decoder must satisfy one contract on arbitrary input:
@@ -30,6 +30,7 @@
 #include "core/config_loader.hpp"
 #include "delta/delta.hpp"
 #include "http/message.hpp"
+#include "http/url.hpp"
 #include "fuzz_common.hpp"
 #include "trace/access_log.hpp"
 #include "util/bytes.hpp"
@@ -183,7 +184,6 @@ std::vector<Bytes> make_config_corpus() {
   std::vector<Bytes> corpus;
   corpus.push_back(to_bytes(core::example_config()));
   corpus.push_back(to_bytes(std::string("[delta-server]\nanonymize = false\n"
-                                        "base-store = memory\n"
                                         "[site shop.example]\n"
                                         "partition = ^/([a-z]+)/(.*)$\n"
                                         "manual-class = specials\n")));
@@ -299,14 +299,25 @@ std::optional<TargetStats> fuzz_http(std::uint64_t seed, std::size_t iters) {
 }
 
 std::optional<TargetStats> fuzz_config(std::uint64_t seed, std::size_t iters) {
+  const Bytes doc = to_bytes(page(1, 2));
+  const http::Url url = http::parse_url("http://www.foo.com/laptops?id=1");
   return run_target("config", seed, iters, make_config_corpus(), [&](BytesView input) {
     std::istringstream in(std::string(util::as_string_view(input)));
+    core::LoadedConfig config;
     try {
-      (void)core::load_config(in);
-      return true;
+      config = core::load_config(in);
     } catch (const core::ConfigError&) {
       return false;
     }
+    // A config that loads must also build a server that serves: any throw
+    // from here on fails the target. The event log is the one setting that
+    // reaches the filesystem, so the fuzzer writes none.
+    config.server.obs.event_log_path.clear();
+    core::DeltaServer server(std::move(config.server), std::move(config.rules));
+    for (std::uint64_t user = 1; user <= 2; ++user) {
+      (void)server.serve(user, url, as_view(doc), static_cast<util::SimTime>(user));
+    }
+    return true;
   });
 }
 

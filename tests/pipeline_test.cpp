@@ -71,21 +71,6 @@ TEST(Pipeline, ProxyAbsorbsRepeatBaseFetches) {
   EXPECT_GT(report.proxy_base_bytes, report.origin_base_bytes);
 }
 
-TEST(Pipeline, NoProxyChargesOriginForEveryBase) {
-  SimRig rig;
-  auto with_proxy_config = SimRig::pipeline_config();
-  auto no_proxy_config = with_proxy_config;
-  no_proxy_config.use_proxy = false;
-  Pipeline with_proxy(rig.origin, with_proxy_config, rig.rules());
-  Pipeline no_proxy(rig.origin, no_proxy_config, rig.rules());
-  const auto reqs = rig.workload(400);
-  with_proxy.process_all(reqs);
-  no_proxy.process_all(reqs);
-  EXPECT_EQ(no_proxy.report().proxy_base_bytes, 0u);
-  EXPECT_GE(no_proxy.report().origin_base_bytes,
-            with_proxy.report().origin_base_bytes);
-}
-
 TEST(Pipeline, LatencyImprovesOnModemLinks) {
   SimRig rig;
   Pipeline pipeline(rig.origin, SimRig::pipeline_config(), rig.rules());

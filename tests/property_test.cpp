@@ -24,7 +24,6 @@ struct PipelineCase {
   std::size_t users;
   bool anonymize;
   bool compress;
-  bool proxy;
 };
 
 // Names each case by its fields in gtest and ctest output. gtest's fallback
@@ -32,8 +31,7 @@ struct PipelineCase {
 // same case had a different ctest name in each build.
 void PrintTo(const PipelineCase& c, std::ostream* os) {
   *os << "seed=" << c.seed << " requests=" << c.requests << " users=" << c.users
-      << (c.anonymize ? " anon" : "") << (c.compress ? " compress" : "")
-      << (c.proxy ? " proxy" : "");
+      << (c.anonymize ? " anon" : "") << (c.compress ? " compress" : "");
 }
 
 class PipelineInvariants : public ::testing::TestWithParam<PipelineCase> {};
@@ -56,7 +54,6 @@ TEST_P(PipelineInvariants, HoldAcrossConfigurations) {
   config.server.compress_deltas = param.compress;
   config.server.anonymizer.required_docs = 3;
   config.server.anonymizer.min_common = 1;
-  config.use_proxy = param.proxy;
 
   trace::WorkloadConfig wconfig;
   wconfig.num_requests = param.requests;
@@ -76,15 +73,10 @@ TEST_P(PipelineInvariants, HoldAcrossConfigurations) {
             report.server.direct_responses + report.server.delta_responses);
   EXPECT_LE(report.server.wire_bytes, report.server.direct_bytes);
 
-  // Invariant 3: base traffic is split exactly between origin and proxy.
-  if (!param.proxy) {
-    EXPECT_EQ(report.proxy_base_bytes, 0u);
-  }
-
-  // Invariant 4: the scheme's storage never exceeds the classless scheme's.
+  // Invariant 3: the scheme's storage never exceeds the classless scheme's.
   EXPECT_LE(report.storage_bytes, report.classless_storage_bytes);
 
-  // Invariant 5: savings are real whenever any delta was served.
+  // Invariant 4: savings are real whenever any delta was served.
   if (report.server.delta_responses > report.server.requests / 2) {
     EXPECT_GT(report.origin_savings(), 0.3);
   }
@@ -92,12 +84,12 @@ TEST_P(PipelineInvariants, HoldAcrossConfigurations) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PipelineInvariants,
-    ::testing::Values(PipelineCase{1, 200, 10, true, true, true},
-                      PipelineCase{2, 200, 10, false, true, true},
-                      PipelineCase{3, 200, 10, true, false, true},
-                      PipelineCase{4, 200, 10, true, true, false},
-                      PipelineCase{5, 300, 40, false, false, false},
-                      PipelineCase{6, 300, 3, true, true, true}));
+    ::testing::Values(PipelineCase{1, 200, 10, true, true},
+                      PipelineCase{2, 200, 10, false, true},
+                      PipelineCase{3, 200, 10, true, false},
+                      PipelineCase{4, 200, 10, true, true},
+                      PipelineCase{5, 300, 40, false, false},
+                      PipelineCase{6, 300, 3, true, true}));
 
 // ------------------------------------------------------------ codecs
 

@@ -285,7 +285,7 @@ MEMBER_RE = re.compile(
 
 
 def unwrap_type(type_text):
-    """'std::unique_ptr<core::BaseStore>' -> 'BaseStore'; strip cv/ref/ptr."""
+    """'std::unique_ptr<obs::EventLog>' -> 'EventLog'; strip cv/ref/ptr."""
     t = type_text.strip()
     m = re.match(r"(?:std::)?(?:unique_ptr|shared_ptr|optional|weak_ptr)\s*<(.*)>\s*$", t)
     if m:
@@ -654,8 +654,8 @@ REPO_ENTRY_POINTS = [
     ("src/trace/access_log.cpp", "read_access_log"),
     ("src/core/delta_server.cpp", "DeltaServer::serve"),
     ("src/core/delta_worker_pool.cpp", "DeltaWorkerPool::submit"),
-    ("src/core/base_store.cpp", "MemoryBaseStore::put"),
-    ("src/core/base_store.cpp", "DiskBaseStore::put"),
+    # Class and version come straight from the /.cbde/base?class=&v= query.
+    ("src/core/delta_server.cpp", "DeltaServer::fetch_base"),
 ]
 
 CONTRACT_MACRO_RE = re.compile(r"\bCBDE_(EXPECT|ENSURE|ASSERT|ASSERT_INVARIANT)\s*\(")
