@@ -12,16 +12,17 @@
 // same workload shape, then run the closed-loop capacity harness with the
 // paper's CPU magnitudes to reproduce the throughput and concurrency rows.
 //
-// --shards replay mode (the sharded-DeltaServer scaling curve): replay one
-// identical pre-generated request stream through a real DeltaServer at each
-// shard count, measure wall-clock req/s, assert the Table II byte totals
-// are bit-exact across shard counts, and write BENCH_capacity.json.
+// --workers replay mode (the DeltaWorkerPool scaling curve): replay one
+// identical pre-generated request stream through a real DeltaServer behind
+// a worker pool of each size, measure wall-clock req/s, assert the Table II
+// byte totals are bit-exact across worker counts, and write
+// BENCH_capacity.json.
 //
 // Flags:
-//   --shards LIST   comma-separated shard counts (e.g. 1,2,4) — enables
-//                   replay mode; without this flag the legacy closed-loop
-//                   harness above runs unchanged
-//   --requests N    requests per shard-count run (default 512, smoke 96)
+//   --workers LIST  comma-separated worker counts (e.g. 1,2,4) — enables
+//                   replay mode; without this flag the closed-loop harness
+//                   above runs unchanged
+//   --requests N    requests per worker-count run (default 512, smoke 96)
 //   --out PATH      where to write the JSON (default: BENCH_capacity.json)
 //   --smoke         tiny corpus (CI sanity run)
 #include <chrono>
@@ -94,41 +95,39 @@ void capacity_row(const char* label, const server::LoadConfig& config,
 }
 
 // ---------------------------------------------------------------------------
-// --shards replay mode: the SVI-C capacity question asked of our own server.
+// --workers replay mode: the SVI-C capacity question asked of our own server.
 // ---------------------------------------------------------------------------
 
-struct ShardRunResult {
-  std::size_t shards = 0;
+struct ReplayResult {
   std::size_t workers = 0;
   double total_ns = 0;
   double requests_per_sec = 0;
   core::PipelineMetrics metrics;
   std::size_t storage_bytes = 0;
   std::size_t num_classes = 0;
-  /// One time-series window per replay chunk (per-shard rates, serve
-  /// quantiles, imbalance, lock-wait share) — the telemetry the CI
-  /// perf-regression gate bands.
+  /// One time-series window per replay chunk (serve quantiles, lock-wait
+  /// share) — the telemetry the CI perf-regression gate bands.
   std::vector<obs::TimeSeriesWindow> windows;
   /// Flame profile folded from the sampled request traces of this run:
-  /// where serve time goes at this shard count.
+  /// where serve time goes at this worker count.
   obs::SpanProfile profile;
 };
 
-/// Replay `requests` identical requests against a fresh DeltaServer built
-/// with `shards` shards. The request stream is regenerated deterministically
-/// per call (same seeds, same order), so every shard count sees the same
-/// bytes; document generation happens before the clock starts.
-ShardRunResult run_sharded_replay(const trace::SiteModel& site, std::size_t shards,
-                                  std::size_t requests) {
+/// Replay `requests` identical requests against a fresh DeltaServer behind
+/// a pool of `workers` workers. The request stream is regenerated
+/// deterministically per call (same seeds, same order), so every worker
+/// count sees the same bytes; document generation happens before the clock
+/// starts.
+ReplayResult run_replay(const trace::SiteModel& site, std::size_t workers,
+                        std::size_t requests) {
   core::DeltaServerConfig config;
-  config.shards = shards;
   config.anonymize = false;  // steady state: every request is grouped+encoded
   config.selector.sample_prob = 0.05;
   config.rebase_timeout = 1000000 * util::kSecond;
   config.basic_rebase_after = 1 << 20;
   // Telemetry for the scaling curve: trace every 16th request into the
   // flame profile and time mutex acquisition, so the windows below carry a
-  // real lock_wait_share. Identical settings at every shard count keep the
+  // real lock_wait_share. Identical settings at every worker count keep the
   // req/s numbers comparable across the curve (the byte ledger is
   // obs-independent, so parity is unaffected either way).
   config.obs.sample_rate = 1.0 / 16.0;
@@ -163,18 +162,18 @@ ShardRunResult run_sharded_replay(const trace::SiteModel& site, std::size_t shar
 
   // Replay in kWindows chunks: submit a chunk, drain it, close a
   // time-series window. Window boundaries are request-count based, not
-  // wall-clock based, so every window holds real per-shard serve counts —
-  // the >= 8 populated windows the telemetry gate asserts hold even on a
-  // fast smoke run.
+  // wall-clock based, so every window holds real serve counts — the >= 8
+  // populated windows the telemetry gate asserts hold even on a fast smoke
+  // run.
   //
   // Request i belongs to category i % cats, so it is submitted only after
   // request i - cats has completed: one future slot per category. Requests
-  // of one class then reach its shard lock in stream order at every worker
+  // of one class then reach the server lock in stream order at every worker
   // count, and the class's selector samples the same documents; requests of
   // different classes still run in parallel.
   constexpr std::size_t kWindows = 10;
-  ShardRunResult result;
-  result.shards = shards;
+  ReplayResult result;
+  result.workers = workers;
   result.windows.reserve(kWindows);
   std::vector<std::future<core::ServedResponse>> in_flight(cats);
   const auto complete = [&result](std::future<core::ServedResponse>& slot) {
@@ -184,10 +183,7 @@ ShardRunResult run_sharded_replay(const trace::SiteModel& site, std::size_t shar
   };
   const auto t0 = std::chrono::steady_clock::now();
   {
-    // workers=0: recommended sizing — max(shards, cores) — so encode
-    // parallelism composes with shard parallelism.
-    core::DeltaWorkerPool pool(server, 0);
-    result.workers = pool.workers();
+    core::DeltaWorkerPool pool(server, workers);
     obs::TimeSeriesRecorder recorder(server.obs().registry());
     std::size_t next = 0;
     for (std::size_t w = 1; w <= kWindows; ++w) {
@@ -213,18 +209,18 @@ ShardRunResult run_sharded_replay(const trace::SiteModel& site, std::size_t shar
 }
 
 /// Bit-exact Table II parity against the reference run; any divergence is a
-/// determinism bug in the sharding layer, so the bench itself fails.
-bool check_byte_parity(const ShardRunResult& reference, const ShardRunResult& run) {
+/// determinism bug in the concurrent serve path, so the bench itself fails.
+bool check_byte_parity(const ReplayResult& reference, const ReplayResult& run) {
   const auto& a = reference.metrics;
   const auto& b = run.metrics;
   bool ok = true;
   const auto expect_eq = [&](const char* name, std::uint64_t lhs, std::uint64_t rhs) {
     if (lhs != rhs) {
       std::fprintf(stderr,
-                   "byte-parity violation: %s differs (shards=%zu: %llu, shards=%zu: "
+                   "byte-parity violation: %s differs (workers=%zu: %llu, workers=%zu: "
                    "%llu)\n",
-                   name, reference.shards, static_cast<unsigned long long>(lhs),
-                   run.shards, static_cast<unsigned long long>(rhs));
+                   name, reference.workers, static_cast<unsigned long long>(lhs),
+                   run.workers, static_cast<unsigned long long>(rhs));
       ok = false;
     }
   };
@@ -241,14 +237,14 @@ bool check_byte_parity(const ShardRunResult& reference, const ShardRunResult& ru
   return ok;
 }
 
-int run_shards_mode(const std::vector<std::size_t>& shard_counts,
-                    std::size_t requests, bool smoke, const std::string& out_path) {
+int run_workers_mode(const std::vector<std::size_t>& worker_counts,
+                     std::size_t requests, bool smoke, const std::string& out_path) {
   using cbde::bench::print_title;
   using cbde::bench::print_rule;
 
   print_title(
-      "SVI-C capacity -- sharded DeltaServer scaling curve\n"
-      "(identical replay per shard count; Table II bytes must be bit-exact)");
+      "SVI-C capacity -- DeltaWorkerPool scaling curve\n"
+      "(identical replay per worker count; Table II bytes must be bit-exact)");
 
   trace::SiteConfig sconfig;
   sconfig.categories = {"c0", "c1", "c2", "c3", "c4", "c5", "c6", "c7"};
@@ -260,7 +256,7 @@ int run_shards_mode(const std::vector<std::size_t>& shard_counts,
   const std::size_t cores = std::thread::hardware_concurrency();
   std::printf("requests/run: %zu   hardware_concurrency: %zu\n", requests, cores);
   if (cores <= 1) {
-    std::printf("NOTICE: 1-core host -- this curve measures sharding OVERHEAD, "
+    std::printf("NOTICE: 1-core host -- this curve measures pool OVERHEAD, "
                 "not parallel speedup (byte parity is still asserted)\n");
   }
 
@@ -271,28 +267,26 @@ int run_shards_mode(const std::vector<std::size_t>& shard_counts,
   json.field("hardware_concurrency", cores);
   json.close();
 
-  std::vector<ShardRunResult> runs;
-  for (const std::size_t shards : shard_counts) {
-    runs.push_back(run_sharded_replay(site, shards, requests));
-    const ShardRunResult& r = runs.back();
-    std::printf("  shards=%-2zu workers=%-2zu  %10.0f req/s   wire %llu B   "
-                "deltas %llu/%llu\n",
-                r.shards, r.workers, r.requests_per_sec,
+  std::vector<ReplayResult> runs;
+  for (const std::size_t workers : worker_counts) {
+    runs.push_back(run_replay(site, workers, requests));
+    const ReplayResult& r = runs.back();
+    std::printf("  workers=%-2zu  %10.0f req/s   wire %llu B   deltas %llu/%llu\n",
+                r.workers, r.requests_per_sec,
                 static_cast<unsigned long long>(r.metrics.wire_bytes),
                 static_cast<unsigned long long>(r.metrics.delta_responses),
                 static_cast<unsigned long long>(r.metrics.requests));
   }
 
   bool parity = true;
-  for (const ShardRunResult& r : runs) parity = check_byte_parity(runs.front(), r) && parity;
+  for (const ReplayResult& r : runs) parity = check_byte_parity(runs.front(), r) && parity;
 
-  const ShardRunResult* baseline = nullptr;
-  for (const ShardRunResult& r : runs)
-    if (r.shards == 1) baseline = &r;
+  const ReplayResult* baseline = nullptr;
+  for (const ReplayResult& r : runs)
+    if (r.workers == 1) baseline = &r;
 
-  for (const ShardRunResult& r : runs) {
-    json.open("shards_" + std::to_string(r.shards));
-    json.field("shards", r.shards);
+  for (const ReplayResult& r : runs) {
+    json.open("workers_" + std::to_string(r.workers));
     json.field("workers", r.workers);
     json.field("requests_per_sec", r.requests_per_sec);
     json.field("ns_per_request", r.total_ns / static_cast<double>(requests));
@@ -304,7 +298,7 @@ int run_shards_mode(const std::vector<std::size_t>& shard_counts,
     json.field("storage_bytes", r.storage_bytes);
     json.field("num_classes", r.num_classes);
     if (baseline != nullptr && baseline != &r && baseline->requests_per_sec > 0) {
-      json.field("speedup_vs_shards_1", r.requests_per_sec / baseline->requests_per_sec);
+      json.field("speedup_vs_workers_1", r.requests_per_sec / baseline->requests_per_sec);
     }
     json.field_raw("time_series", bench::time_series_summary_json(r.windows));
     json.close();
@@ -321,7 +315,7 @@ int run_shards_mode(const std::vector<std::size_t>& shard_counts,
 
   // Telemetry sidecars next to the JSON: the full per-window records as
   // JSONL (one line per window, every run concatenated) and one speedscope
-  // document holding a flame profile per shard count.
+  // document holding a flame profile per worker count.
   std::string stem = out_path;
   if (stem.size() > 5 && stem.compare(stem.size() - 5, 5, ".json") == 0) {
     stem.resize(stem.size() - 5);
@@ -330,7 +324,7 @@ int run_shards_mode(const std::vector<std::size_t>& shard_counts,
   const std::string profile_path = stem + "_profile.json";
   {
     std::ofstream ts(ts_path);
-    for (const ShardRunResult& r : runs) {
+    for (const ReplayResult& r : runs) {
       for (const obs::TimeSeriesWindow& w : r.windows) {
         ts << obs::TimeSeriesRecorder::to_jsonl(w);
       }
@@ -339,20 +333,20 @@ int run_shards_mode(const std::vector<std::size_t>& shard_counts,
   {
     std::vector<std::pair<std::string, const obs::SpanProfile*>> profiles;
     profiles.reserve(runs.size());
-    for (const ShardRunResult& r : runs) {
-      profiles.emplace_back("shards_" + std::to_string(r.shards), &r.profile);
+    for (const ReplayResult& r : runs) {
+      profiles.emplace_back("workers_" + std::to_string(r.workers), &r.profile);
     }
     std::ofstream prof(profile_path);
     prof << obs::SpanProfile::speedscope_document(profiles) << "\n";
   }
   std::printf("wrote %s and %s\n", ts_path.c_str(), profile_path.c_str());
 
-  // Where serve time goes per shard count (self time folded from the
+  // Where serve time goes per worker count (self time folded from the
   // sampled traces; open https://speedscope.app on the profile for the
   // interactive view).
-  for (const ShardRunResult& r : runs) {
-    std::printf("  serve-time profile, shards=%zu (%zu sampled traces, %llu us):\n",
-                r.shards, r.profile.traces(),
+  for (const ReplayResult& r : runs) {
+    std::printf("  serve-time profile, workers=%zu (%zu sampled traces, %llu us):\n",
+                r.workers, r.profile.traces(),
                 static_cast<unsigned long long>(r.profile.total_us()));
     const std::string collapsed = r.profile.collapsed();
     std::size_t begin = 0;
@@ -366,14 +360,14 @@ int run_shards_mode(const std::vector<std::size_t>& shard_counts,
 
   print_rule();
   if (!parity) {
-    std::fprintf(stderr, "FAIL: Table II byte accounting diverged across shard "
+    std::fprintf(stderr, "FAIL: Table II byte accounting diverged across worker "
                          "counts (see violations above)\n");
     return 1;
   }
   std::printf("byte parity: OK -- Table II accounting is bit-exact across "
-              "shard counts {");
-  for (std::size_t i = 0; i < shard_counts.size(); ++i)
-    std::printf("%s%zu", i ? "," : "", shard_counts[i]);
+              "worker counts {");
+  for (std::size_t i = 0; i < worker_counts.size(); ++i)
+    std::printf("%s%zu", i ? "," : "", worker_counts[i]);
   std::printf("}\n");
   return 0;
 }
@@ -383,17 +377,19 @@ int run_shards_mode(const std::vector<std::size_t>& shard_counts,
 int main(int argc, char** argv) {
   using cbde::bench::print_title;
   using cbde::bench::print_rule;
+  // A --workers entry starts that many threads; refuse absurd counts.
+  constexpr unsigned long kMaxWorkers = 64;
 
   bool smoke = false;
-  bool shards_mode = false;
-  std::vector<std::size_t> shard_counts;
+  bool workers_mode = false;
+  std::vector<std::size_t> worker_counts;
   std::size_t requests = 0;
   std::string out_path = "BENCH_capacity.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards_mode = true;
+    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
+      workers_mode = true;
       const std::string list = argv[++i];
       std::size_t pos = 0;
       while (pos < list.size()) {
@@ -401,11 +397,11 @@ int main(int argc, char** argv) {
         const std::string item =
             list.substr(pos, comma == std::string::npos ? comma : comma - pos);
         const unsigned long parsed = std::strtoul(item.c_str(), nullptr, 10);
-        if (parsed == 0) {
-          std::fprintf(stderr, "bad --shards entry: '%s'\n", item.c_str());
+        if (parsed == 0 || parsed > kMaxWorkers) {
+          std::fprintf(stderr, "bad --workers entry: '%s'\n", item.c_str());
           return 2;
         }
-        shard_counts.push_back(parsed);
+        worker_counts.push_back(parsed);
         if (comma == std::string::npos) break;
         pos = comma + 1;
       }
@@ -415,16 +411,16 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--shards LIST] [--requests N] [--out PATH] [--smoke]\n",
+                   "usage: %s [--workers LIST] [--requests N] [--out PATH] [--smoke]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  if (shards_mode) {
-    if (shard_counts.empty()) shard_counts = {1, 2, 4};
+  if (workers_mode) {
+    if (worker_counts.empty()) worker_counts = {1, 2, 4};
     if (requests == 0) requests = smoke ? 96 : 512;
-    return run_shards_mode(shard_counts, requests, smoke, out_path);
+    return run_workers_mode(worker_counts, requests, smoke, out_path);
   }
 
   print_title(

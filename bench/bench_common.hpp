@@ -97,14 +97,8 @@ inline std::string time_series_summary_json(
     out += ",\"serve_p50_us\":" + obs::format_double(w.serve_p50_us);
     out += ",\"serve_p95_us\":" + obs::format_double(w.serve_p95_us);
     out += ",\"serve_p99_us\":" + obs::format_double(w.serve_p99_us);
-    out += ",\"imbalance\":" + obs::format_double(w.imbalance);
     out += ",\"lock_wait_share\":" + obs::format_double(w.lock_wait_share);
-    out += ",\"shard_rate\":[";
-    for (std::size_t k = 0; k < w.shard_rate.size(); ++k) {
-      if (k > 0) out += ",";
-      out += obs::format_double(w.shard_rate[k]);
-    }
-    out += "]}";
+    out += "}";
   }
   out += "]";
   return out;

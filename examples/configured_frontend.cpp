@@ -2,8 +2,8 @@
 //
 // Loads a cbde.conf (writing the documented example if the file does not
 // exist), builds the delta-server front-end from it — partition rules,
-// manual classes, anonymization parameters, shard count — and drives a
-// short browsing session through it over serialized HTTP.
+// manual classes, anonymization parameters — and drives a short browsing
+// session through it over serialized HTTP.
 //
 //   $ ./configured_frontend [cbde.conf]
 #include <cstdio>

@@ -11,7 +11,6 @@ BaseFileSelector::BaseFileSelector(SelectorConfig config, std::uint64_t seed)
     : config_(config), rng_(seed) {
   CBDE_EXPECT(config_.sample_prob >= 0.0 && config_.sample_prob <= 1.0);
   CBDE_EXPECT(config_.max_samples >= 1);
-  CBDE_EXPECT(config_.random_evict_period >= 1);
 }
 
 void BaseFileSelector::observe(util::BytesView doc) {
@@ -102,7 +101,7 @@ void BaseFileSelector::evict_candidate() {
   ++stats_.evictions;
   const bool random_turn =
       config_.eviction == SelectorConfig::Eviction::kPeriodicRandom &&
-      stats_.evictions % config_.random_evict_period == 0;
+      stats_.evictions % SelectorConfig::kRandomEvictPeriod == 0;
   if (random_turn && candidates_.size() > 1) {
     // Random eviction, "excluding the current base-file" (the best sample).
     ++stats_.random_evictions;

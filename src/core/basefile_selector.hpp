@@ -34,8 +34,8 @@ struct SelectorConfig {
 
   enum class Eviction { kWorst, kPeriodicRandom, kTwoSet };
   Eviction eviction = Eviction::kWorst;
-  /// For kPeriodicRandom: every `random_evict_period`-th eviction is random.
-  std::size_t random_evict_period = 8;
+  /// For kPeriodicRandom: every kRandomEvictPeriod-th eviction is random.
+  static constexpr std::size_t kRandomEvictPeriod = 8;
 };
 
 struct SelectorStats {

@@ -7,13 +7,11 @@
 
 namespace cbde::core {
 
-ClassManager::ClassManager(GroupingConfig config, std::uint64_t seed, ClassId id_first,
-                           ClassId id_stride)
-    : config_(config), seed_(seed), next_id_(id_first), id_stride_(id_stride) {
+ClassManager::ClassManager(GroupingConfig config, std::uint64_t seed)
+    : config_(config), seed_(seed) {
   CBDE_EXPECT(config_.max_tries >= 1);
   CBDE_EXPECT(config_.popular_fraction >= 0.0 && config_.popular_fraction <= 1.0);
   CBDE_EXPECT(config_.match_threshold > 0.0);
-  CBDE_EXPECT(id_first >= 1 && id_stride >= 1);
 }
 
 ClassManager::Decision ClassManager::group(
@@ -63,8 +61,7 @@ ClassId ClassManager::add_manual_class(const std::string& server_part,
                                        const std::string& hint_part) {
   const auto key = std::make_pair(server_part, hint_part);
   if (const auto it = manual_.find(key); it != manual_.end()) return it->second;
-  const ClassId id = next_id_;
-  next_id_ += id_stride_;
+  const ClassId id = next_id_++;
   members_.emplace(id, 0);
   seeds_.emplace(id, pair_seed(server_part, hint_part, creation_ordinals_[key]++));
   manual_.emplace(key, id);
@@ -95,8 +92,7 @@ std::uint64_t ClassManager::pair_seed(const std::string& server_part,
 }
 
 ClassId ClassManager::create_class(const http::UrlParts& parts) {
-  const ClassId id = next_id_;
-  next_id_ += id_stride_;
+  const ClassId id = next_id_++;
   members_.emplace(id, 0);
   const auto key = std::make_pair(parts.server_part, parts.hint_part);
   seeds_.emplace(id, pair_seed(parts.server_part, parts.hint_part,
@@ -141,8 +137,7 @@ std::vector<ClassId> ClassManager::candidates(const std::string& server_part,
   // Seed the shuffle per (server-part, hint-part, request ordinal) instead of
   // drawing from one manager-wide stream: the draw a request sees then does
   // not depend on which other pairs' requests ran through this manager
-  // before it, so a sharded server makes the same random picks as an
-  // unsharded one (shard routing is by (server-part, hint-part)).
+  // before it. The derivation fixes the random picks behind Tables II-IV.
   util::Rng shuffle_rng(pair_seed(
       server_part, hint_part,
       0x5A5A5A5A00000000ull ^ shuffle_ordinals_[{server_part, hint_part}]++));

@@ -44,24 +44,12 @@ struct GroupingStats {
   std::uint64_t classes_created = 0;
   std::uint64_t manual_hits = 0;
   util::Histogram tries{16};  ///< probes needed per grouped request
-
-  /// Lossless aggregation of per-shard grouping statistics.
-  void merge(const GroupingStats& other) {
-    requests += other.requests;
-    classes_created += other.classes_created;
-    manual_hits += other.manual_hits;
-    tries.merge(other.tries);
-  }
 };
 
 class ClassManager {
  public:
-  /// `id_first`/`id_stride` partition the class-id space across sharded
-  /// managers: ids are id_first, id_first + id_stride, ... so a sharded
-  /// DeltaServer can recover the owning shard as (id - 1) % num_shards
-  /// while the unsharded default (1, 1) keeps the historical ids 1, 2, 3...
-  ClassManager(GroupingConfig config, std::uint64_t seed, ClassId id_first = 1,
-               ClassId id_stride = 1);
+  /// Class ids are handed out 1, 2, 3, ... in creation order.
+  ClassManager(GroupingConfig config, std::uint64_t seed);
 
   struct Decision {
     ClassId id = 0;
@@ -88,10 +76,9 @@ class ClassManager {
 
   /// Deterministic per-class seed assigned at creation, derived from the
   /// manager seed, the class's (server-part, hint-part) and its creation
-  /// ordinal within that pair — never from a shared RNG stream. Because all
-  /// requests of one (server-part, hint-part) land on one shard, the same
-  /// logical class gets the same seed at any shard count, which is what
-  /// keeps Table II byte accounting bit-exact across shard counts.
+  /// ordinal within that pair — never from a shared RNG stream. These seeds
+  /// fix the selector draws behind the published Tables II-IV, so changing
+  /// the derivation changes those results.
   std::uint64_t class_seed(ClassId id) const;
 
  private:
@@ -114,8 +101,7 @@ class ClassManager {
 
   GroupingConfig config_;
   std::uint64_t seed_;
-  ClassId next_id_;
-  ClassId id_stride_;
+  ClassId next_id_ = 1;
   /// server-part -> classes created under it.
   std::map<std::string, std::vector<ClassInfo>> by_server_;
   std::map<ClassId, std::uint64_t> members_;
@@ -123,8 +109,8 @@ class ClassManager {
   std::map<std::pair<std::string, std::string>, ClassId> manual_;
   /// Per-(server-part, hint-part) counters driving the candidate shuffle and
   /// class seeds; keyed by the pair (not globally) so the sequence a given
-  /// pair observes is independent of how other pairs interleave — i.e. of
-  /// how classes are partitioned across shards.
+  /// pair observes is independent of how other pairs' requests interleave
+  /// with it. They fix the RNG draws behind Tables II-IV.
   std::map<std::pair<std::string, std::string>, std::uint64_t> shuffle_ordinals_;
   std::map<std::pair<std::string, std::string>, std::uint64_t> creation_ordinals_;
   GroupingStats stats_;

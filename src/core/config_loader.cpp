@@ -11,11 +11,6 @@
 namespace cbde::core {
 namespace {
 
-/// Most server shards a config may ask for. The server builds one shard per
-/// count and the worker pool sizes itself to it, so an unbounded value would
-/// ask for that many of each; 64 is 8x the most bench_capacity runs.
-constexpr std::uint64_t kMaxServerShards = 64;
-
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw ConfigError("config line " + std::to_string(line) + ": " + what);
 }
@@ -151,16 +146,13 @@ LoadedConfig load_config(std::istream& in) {
         server.anonymizer.required_docs = parse_positive(value, line_no, key);
       } else if (key == "basic-rebase-ratio") {
         server.basic_rebase_ratio = parse_double(value, line_no);
+        if (server.basic_rebase_ratio <= 0.0) fail(line_no, key + " must be > 0");
       } else if (key == "basic-rebase-after") {
         server.basic_rebase_after = static_cast<int>(
             parse_u64_at_most(value, line_no, std::numeric_limits<int>::max(), key));
+        if (server.basic_rebase_after < 1) fail(line_no, key + " must be >= 1");
       } else if (key == "seed") {
         server.seed = parse_u64(value, line_no);
-      } else if (key == "server-shards") {
-        server.shards = parse_positive(value, line_no, key);
-        if (server.shards > kMaxServerShards) {
-          fail(line_no, key + " must be <= " + std::to_string(kMaxServerShards));
-        }
       } else if (key == "obs-sample-rate") {
         server.obs.sample_rate = parse_fraction(value, line_no, key);
       } else if (key == "obs-histogram-buckets") {
@@ -223,7 +215,6 @@ match-threshold  = 0.5     # light-delta/document ratio counting as a match
 rebase-timeout-s = 120     # minimum seconds between group-rebases
 anonymizer-m     = 2       # M: chunk kept if common with >= M documents
 anonymizer-n     = 5       # N: documents observed before publication
-server-shards    = 1       # independent delta-server shards, at most 64 (SVI-C)
 
 # Observability (docs/OBSERVABILITY.md): per-request trace sampling rate,
 # histogram resolution (log-linear sub-buckets per octave, power of two),

@@ -18,7 +18,6 @@
 //   rebase-timeout-s = 120
 //   anonymizer-m     = 2        # M  (SV)
 //   anonymizer-n     = 5        # N  (SV)
-//   server-shards    = 1        # at most 64
 //
 //   [site www.foo.com]
 //   partition    = ^/([^/?]+)\?(.*)$

@@ -1,20 +1,16 @@
 #include "core/delta_server.hpp"
 
-#include <algorithm>
-
 #include "util/contracts.hpp"
-#include "util/hash.hpp"
 
 namespace cbde::core {
 namespace {
 
-/// Slots of the metrics the server's collector fills from shard state;
-/// cbde_shard_<k>_requests_total takes kShardRequests + k.
+/// Slots of the metrics the server's collector fills from server state.
 enum CollectedSlot : std::size_t {
   kRequests, kDirectResponses, kDeltaResponses, kDirectBytes, kWireBytes,
   kBaseWireBytes, kGroupRebases, kBasicRebases, kAnonymizations, kClassesCreated,
   kClasses, kSelectorObserved, kSelectorSampled, kSelectorEvictions, kStorageBytes,
-  kIndexBytes, kShardRequests
+  kIndexBytes
 };
 
 }  // namespace
@@ -22,12 +18,12 @@ enum CollectedSlot : std::size_t {
 DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
     : config_(std::move(config)),
       rules_(std::move(rules)),
-      obs_(std::make_unique<obs::Obs>(config_.obs)) {
-  CBDE_EXPECT(config_.shards >= 1);
+      obs_(std::make_unique<obs::Obs>(config_.obs)),
+      classes_(config_.grouping, config_.seed ^ 0x9E3779B97F4A7C15ull) {
+  CBDE_EXPECT(config_.basic_rebase_ratio > 0.0);
+  CBDE_EXPECT(config_.basic_rebase_after >= 1);
 
-  // Instruments the serve path writes, registered once here and shared by
-  // every shard — the registry is name-keyed with no labels, so a
-  // per-shard registration would collide. Names follow
+  // Instruments the serve path writes, registered once here. Names follow
   // cbde_<layer>_<name>[_unit] — tools/lint/cbde_lint.py enforces the shape,
   // docs/OBSERVABILITY.md holds the catalog.
   auto& reg = obs_->registry();
@@ -41,14 +37,16 @@ DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
                                        "Uncompressed delta size per delta response");
   instr_.doc_size = &obs_->histogram("cbde_server_doc_size_bytes",
                                      "Full document size per request");
+  instr_.serve_latency = &obs_->histogram("cbde_server_serve_microseconds",
+                                          "Wall time of one serve()");
   instr_.anonymizer.begins = &reg.counter("cbde_anonymizer_begins_total",
                                           "Anonymization processes started (§V)");
   instr_.anonymizer.docs_observed =
       &reg.counter("cbde_anonymizer_docs_observed_total",
                    "Documents counted toward an anonymization's N");
 
-  // Metrics with a count in shard state: the collector reads them from the
-  // shards on every scrape (collect()), so each has one source.
+  // Metrics with a count in server state: the collector reads them under
+  // mu_ on every scrape (collect()), so each has one source.
   obs::Collector collected;
   collected.counter("cbde_server_requests_total", "Requests served", kRequests);
   collected.counter("cbde_server_direct_responses_total",
@@ -78,148 +76,27 @@ DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
   collected.counter("cbde_selector_evictions_total", "Candidate evictions",
                     kSelectorEvictions);
 
-  // Per-shard series: the registry is label-free, so the shard index becomes
-  // a name segment (obs::shard_metric_name). Registered here — once, at a
-  // single site.
-  instr_.shard_serve.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    collected.counter(obs::shard_metric_name("cbde_shard_requests_total", i),
-                      "Requests served by this shard", kShardRequests + i);
-    instr_.shard_serve.push_back(
-        &obs_->histogram(obs::shard_metric_name("cbde_shard_serve_microseconds", i),
-                         "Wall time of one serve() on this shard"));
-  }
-  if (obs_->config().lock_profile) {
-    instr_.shard_lock = &obs_->lock_wait_profile(
-        "cbde_lock_wait_seconds_server_shard",
-        "Wait to acquire a shard mutex (one site shared by all shards)");
-  }
+  reg.set_collector(std::move(collected),
+                    [this](std::span<std::uint64_t> values) { collect(values); });
 
-  shards_.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<DeltaServerShard>(
-        config_, i, /*id_stride=*/config_.shards, *obs_, instr_));
-  }
-  // Same convention as metrics(): one shard mutex at a time, ascending.
-  reg.set_collector(std::move(collected), [this](std::span<std::uint64_t> values) {
-    for (const auto& shard : shards_) shard->collect(values);
-  });
-}
-
-std::size_t DeltaServer::route(std::string_view server_part, std::string_view hint_part,
-                               std::size_t num_shards) {
-  CBDE_EXPECT(num_shards >= 1);
-  if (num_shards == 1) return 0;
-  const auto as_bytes = [](std::string_view s) {
-    return util::BytesView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-  };
-  // crc32 chains like zlib's: crc32(b, crc32(a)) == crc32(a + b). The NUL
-  // separator keeps ("ab", "c") and ("a", "bc") independent.
-  static constexpr std::uint8_t kSep = 0;
-  std::uint32_t h = util::crc32(as_bytes(server_part));
-  h = util::crc32(util::BytesView(&kSep, 1), h);
-  h = util::crc32(as_bytes(hint_part), h);
-  return h % num_shards;
-}
-
-std::size_t DeltaServer::shard_of_class(ClassId id) const {
-  // Ids start at 1 and stripe as index + 1 + k * shards; map the "no class"
-  // id 0 to shard 0 so lookups on it fall through to a clean miss there.
-  return id == 0 ? 0 : static_cast<std::size_t>((id - 1) % shards_.size());
-}
-
-ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
-                                  util::BytesView doc, util::SimTime now,
-                                  std::shared_ptr<obs::TraceContext> trace) {
-  CBDE_EXPECT(!url.host.empty());
-  CBDE_EXPECT(now >= 0);
-  // Partitioning is pure (the RuleBook is immutable), so it runs before any
-  // lock; the same parts then both pick the shard and feed grouping.
-  const http::UrlParts parts = rules_.partition(url);
-  DeltaServerShard& shard =
-      *shards_[route(parts.server_part, parts.hint_part, shards_.size())];
-  return shard.serve(user_id, parts, doc, now, std::move(trace));
-}
-
-std::optional<PublishedBase> DeltaServer::published_base(ClassId id) const {
-  return shards_[shard_of_class(id)]->published_base(id);
-}
-
-std::optional<util::Bytes> DeltaServer::fetch_base(ClassId id,
-                                                   std::uint32_t version) const {
-  return shards_[shard_of_class(id)]->fetch_base(id, version);
-}
-
-PipelineMetrics DeltaServer::metrics() const {
-  PipelineMetrics merged;
-  for (const auto& shard : shards_) merged.merge(shard->ledger());
-  return merged;
-}
-
-PipelineMetrics DeltaServer::shard_metrics(std::size_t shard) const {
-  CBDE_EXPECT(shard < shards_.size());
-  return shards_[shard]->ledger();
-}
-
-GroupingStats DeltaServer::grouping_stats() const {
-  GroupingStats merged;
-  for (const auto& shard : shards_) merged.merge(shard->grouping_stats());
-  return merged;
-}
-
-std::size_t DeltaServer::storage_bytes() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->storage_bytes();
-  return total;
-}
-
-std::size_t DeltaServer::index_bytes() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->index_bytes();
-  return total;
-}
-
-std::vector<ClassSummary> DeltaServer::class_summaries() const {
-  std::vector<ClassSummary> out;
-  for (const auto& shard : shards_) shard->append_class_summaries(out);
-  // Shards stripe the id space, so per-shard output interleaves; present one
-  // id-ordered view regardless of shard count.
-  std::sort(out.begin(), out.end(),
-            [](const ClassSummary& a, const ClassSummary& b) { return a.id < b.id; });
-  return out;
-}
-
-std::size_t DeltaServer::num_classes() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->num_classes();
-  return total;
-}
-
-DeltaServerShard::DeltaServerShard(const DeltaServerConfig& config, std::size_t index,
-                                   ClassId id_stride, obs::Obs& obs,
-                                   const ServerInstruments& instr)
-    : config_(config),
-      index_(index),
-      obs_(obs),
-      instr_(instr),
-      classes_(config.grouping, config.seed ^ 0x9E3779B97F4A7C15ull,
-               /*id_first=*/static_cast<ClassId>(index) + 1, id_stride) {
-  CBDE_EXPECT(index_ < id_stride);  // id_stride is the server's shard count
   for (const auto& [server_part, hint_part] : config_.manual_classes) {
-    if (DeltaServer::route(server_part, hint_part, id_stride) != index_) continue;
     classes_.add_manual_class(server_part, hint_part);
   }
-  // Opt-in lock-wait profiling: all shard mutexes share one cell (the
-  // "server_shard" site), wired before any request can contend the mutex.
-  if (instr_.shard_lock != nullptr) mu_.attach_wait_profile(instr_.shard_lock);
+  // Opt-in lock-wait profiling, wired before any request can contend mu_.
+  // The site keeps its historical name: dashboards and the perfbench lock
+  // share read it.
+  if (obs_->config().lock_profile) {
+    mu_.attach_wait_profile(&obs_->lock_wait_profile(
+        "cbde_lock_wait_seconds_server_shard", "Wait to acquire the delta-server mutex"));
+  }
 }
 
-DeltaServerShard::ClassState& DeltaServerShard::state_of(ClassId id) {
+DeltaServer::ClassState& DeltaServer::state_of(ClassId id) {
   auto it = states_.find(id);
   if (it == states_.end()) {
     // The seed comes from the class's identity (ClassManager::class_seed),
-    // not from a shard-local RNG stream, so the selector draws the same
-    // sampling decisions for the same class at any shard count.
+    // not from a server-wide RNG stream, so a class's selector draws do not
+    // depend on how other classes' requests interleave with its own.
     auto created = std::make_unique<ClassState>(config_, classes_.class_seed(id));
     it = states_.emplace(id, std::move(created)).first;
     it->second->anonymizer.set_instruments(instr_.anonymizer);
@@ -227,12 +104,12 @@ DeltaServerShard::ClassState& DeltaServerShard::state_of(ClassId id) {
   return *it->second;
 }
 
-std::shared_ptr<const delta::Estimator> DeltaServerShard::make_working_estimator(
+std::shared_ptr<const delta::Estimator> DeltaServer::make_working_estimator(
     util::BytesView doc) const {
   return std::make_shared<const delta::Estimator>(util::Bytes(doc.begin(), doc.end()));
 }
 
-void DeltaServerShard::start_publication(ClassId id, ClassState& cls,
+void DeltaServer::start_publication(ClassId id, ClassState& cls,
                                          util::SimTime now) {
   if (!config_.anonymize) {
     // No privacy requirement: publish the working base immediately. The
@@ -249,7 +126,7 @@ void DeltaServerShard::start_publication(ClassId id, ClassState& cls,
   cls.anonymizer.begin(cls.working_estimator->shared_base(), cls.working_owner);
 }
 
-void DeltaServerShard::maybe_complete_publication(ClassId id, ClassState& cls,
+void DeltaServer::maybe_complete_publication(ClassId id, ClassState& cls,
                                                   util::SimTime now) {
   if (!cls.anonymizer.ready()) return;
   cls.transmit_encoder = std::make_shared<const delta::Encoder>(cls.anonymizer.finalize());
@@ -257,46 +134,48 @@ void DeltaServerShard::maybe_complete_publication(ClassId id, ClassState& cls,
   record_publication(id, cls, now);
   cls.last_group_rebase = now;
   ++ledger_.anonymizations_completed;
-  obs_.emit(obs::EventKind::kAnonymizationComplete, now, id,
+  obs_->emit(obs::EventKind::kAnonymizationComplete, now, id,
             {{"version", std::to_string(cls.published_version)}});
 }
 
-void DeltaServerShard::record_publication(ClassId id, ClassState& cls,
+void DeltaServer::record_publication(ClassId id, ClassState& cls,
                                           util::SimTime now) {
   // Versions are published 1, 2, 3, ..., so version v takes the slot of
   // v - kPublishedHistory. The slot shares the encoder's buffer: no copy.
   cls.published[(cls.published_version - 1) % kPublishedHistory] =
       cls.transmit_encoder->shared_base();
-  obs_.emit(obs::EventKind::kBasePublished, now, id,
+  obs_->emit(obs::EventKind::kBasePublished, now, id,
             {{"version", std::to_string(cls.published_version)},
              {"size", std::to_string(cls.transmit_encoder->base().size())}});
 }
 
-ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
-                                       const http::UrlParts& parts, util::BytesView doc,
-                                       util::SimTime now,
-                                       std::shared_ptr<obs::TraceContext> trace) {
+ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
+                                  util::BytesView doc, util::SimTime now,
+                                  std::shared_ptr<obs::TraceContext> trace) {
+  CBDE_EXPECT(!url.host.empty());
+  CBDE_EXPECT(now >= 0);
+  // Partitioning is pure (the RuleBook is immutable), so it runs before the
+  // lock.
+  const http::UrlParts parts = rules_.partition(url);
   ServedResponse out;
   out.doc_size = doc.size();
-  out.shard = index_;
   const std::uint64_t serve_start = obs::now_us();
-  if (trace == nullptr) trace = obs_.maybe_trace();
+  if (trace == nullptr) trace = obs_->maybe_trace();
   obs::TraceContext* tc = trace.get();
   obs::Span serve_span(tc, "serve");
   instr_.doc_size->observe(doc.size());
 
   // Phase 1 — locked: bookkeeping, grouping, selector/anonymizer feeding,
   // publication progress; ends by snapshotting the class's published-base
-  // encoder so the expensive encode can run outside the lock. The lock is
-  // this shard's — requests routed to other shards never wait here.
+  // encoder so the expensive encode can run outside the lock.
   ClassState* cls_ptr = nullptr;
   std::shared_ptr<const delta::Encoder> transmit;
   std::uint32_t snap_version = 0;
   {
     obs::Span group_span(tc, "group");
     const LockGuard lock(mu_);
-    // 1. Group the request into a class (the URL was already partitioned —
-    // and routed — by the server). Probes run against the cached per-class
+    // 1. Group the request into a class (the URL was already partitioned
+    // above). Probes run against the cached per-class
     // light estimators — no index is built here. The probe callback runs
     // synchronously inside group() with mu_ held and ClassManager never
     // stores it, but the analysis cannot see into the lambda, so it reaches
@@ -314,7 +193,7 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
     group_span.tag("created", decision.created ? "true" : "false");
     group_span.tag("tries", std::to_string(decision.tries));
     if (decision.created) {
-      obs_.emit(obs::EventKind::kClassCreated, now, decision.id,
+      obs_->emit(obs::EventKind::kClassCreated, now, decision.id,
                 {{"user", std::to_string(user_id)},
                  {"tries", std::to_string(decision.tries)}});
     }
@@ -425,7 +304,7 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
         start_publication(out.class_id, cls, now);
         out.basic_rebase = true;
         ++ledger_.basic_rebases;
-        obs_.emit(obs::EventKind::kBasicRebase, now, out.class_id,
+        obs_->emit(obs::EventKind::kBasicRebase, now, out.class_id,
                   {{"delta_size", std::to_string(out.delta_size)},
                    {"doc_size", std::to_string(out.doc_size)}});
       }
@@ -441,7 +320,7 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
         start_publication(out.class_id, cls, now);
         out.group_rebase = true;
         ++ledger_.group_rebases;
-        obs_.emit(obs::EventKind::kGroupRebase, now, out.class_id,
+        obs_->emit(obs::EventKind::kGroupRebase, now, out.class_id,
                   {{"base_size", std::to_string(best->size())}});
         // Avoid immediate re-trigger while the new base awaits anonymization.
         cls.last_group_rebase = now;
@@ -457,12 +336,12 @@ ServedResponse DeltaServerShard::serve(std::uint64_t user_id,
   serve_span.tag("bytes_out", std::to_string(out.wire_body.size()));
   if (out.base_needed) serve_span.tag("base_bytes", std::to_string(out.base_size));
   serve_span.end();
-  instr_.shard_serve[index_]->observe(obs::now_us() - serve_start);
+  instr_.serve_latency->observe(obs::now_us() - serve_start);
   out.trace = std::move(trace);
   return out;
 }
 
-std::optional<PublishedBase> DeltaServerShard::published_base(ClassId id) const {
+std::optional<PublishedBase> DeltaServer::published_base(ClassId id) const {
   const LockGuard lock(mu_);
   const auto it = states_.find(id);
   if (it == states_.end() || it->second->published_version == 0) return std::nullopt;
@@ -474,7 +353,7 @@ std::optional<PublishedBase> DeltaServerShard::published_base(ClassId id) const 
                        std::move(keep)};
 }
 
-std::optional<util::Bytes> DeltaServerShard::fetch_base(ClassId id,
+std::optional<util::Bytes> DeltaServer::fetch_base(ClassId id,
                                                         std::uint32_t version) const {
   // Snapshot the shared base handle under the lock (a refcount bump); the
   // caller's owning copy is materialized after mu_ drops.
@@ -495,9 +374,10 @@ std::optional<util::Bytes> DeltaServerShard::fetch_base(ClassId id,
   return *base;
 }
 
-void DeltaServerShard::append_class_summaries(std::vector<ClassSummary>& out) const {
+std::vector<ClassSummary> DeltaServer::class_summaries() const {
+  std::vector<ClassSummary> out;
   const LockGuard lock(mu_);
-  out.reserve(out.size() + states_.size());
+  out.reserve(states_.size());
   for (const auto& [id, cls] : states_) {
     ClassSummary summary;
     summary.id = id;
@@ -511,32 +391,32 @@ void DeltaServerShard::append_class_summaries(std::vector<ClassSummary>& out) co
     summary.anonymizing = cls->anonymizer.in_progress();
     out.push_back(summary);
   }
+  return out;
 }
 
-void DeltaServerShard::collect(std::span<std::uint64_t> values) const {
+void DeltaServer::collect(std::span<std::uint64_t> values) const {
   const LockGuard lock(mu_);
-  values[kRequests] += ledger_.requests;
-  values[kDirectResponses] += ledger_.direct_responses;
-  values[kDeltaResponses] += ledger_.delta_responses;
-  values[kDirectBytes] += ledger_.direct_bytes;
-  values[kWireBytes] += ledger_.wire_bytes;
-  values[kBaseWireBytes] += ledger_.base_wire_bytes;
-  values[kGroupRebases] += ledger_.group_rebases;
-  values[kBasicRebases] += ledger_.basic_rebases;
-  values[kAnonymizations] += ledger_.anonymizations_completed;
-  values[kShardRequests + index_] = ledger_.requests;
-  values[kClassesCreated] += classes_.stats().classes_created;
-  values[kClasses] += classes_.num_classes();
+  values[kRequests] = ledger_.requests;
+  values[kDirectResponses] = ledger_.direct_responses;
+  values[kDeltaResponses] = ledger_.delta_responses;
+  values[kDirectBytes] = ledger_.direct_bytes;
+  values[kWireBytes] = ledger_.wire_bytes;
+  values[kBaseWireBytes] = ledger_.base_wire_bytes;
+  values[kGroupRebases] = ledger_.group_rebases;
+  values[kBasicRebases] = ledger_.basic_rebases;
+  values[kAnonymizations] = ledger_.anonymizations_completed;
+  values[kClassesCreated] = classes_.stats().classes_created;
+  values[kClasses] = classes_.num_classes();
   for (const auto& [id, cls] : states_) {
     values[kSelectorObserved] += cls->selector.stats().observed;
     values[kSelectorSampled] += cls->selector.stats().sampled;
     values[kSelectorEvictions] += cls->selector.stats().evictions;
   }
-  values[kStorageBytes] += storage_bytes_locked();
-  values[kIndexBytes] += index_bytes_locked();
+  values[kStorageBytes] = storage_bytes_locked();
+  values[kIndexBytes] = index_bytes_locked();
 }
 
-std::size_t DeltaServerShard::storage_bytes_locked() const {
+std::size_t DeltaServer::storage_bytes_locked() const {
   std::size_t total = 0;
   for (const auto& [id, cls] : states_) {
     // Each retained published version counts once; the transmit encoder
@@ -554,7 +434,7 @@ std::size_t DeltaServerShard::storage_bytes_locked() const {
   return total;
 }
 
-std::size_t DeltaServerShard::index_bytes_locked() const {
+std::size_t DeltaServer::index_bytes_locked() const {
   std::size_t total = 0;
   for (const auto& [id, cls] : states_) {
     total += cls->working_estimator ? cls->working_estimator->index_bytes() : 0;

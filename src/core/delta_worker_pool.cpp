@@ -6,17 +6,21 @@
 #include "util/contracts.hpp"
 
 namespace cbde::core {
+namespace {
 
-std::size_t DeltaWorkerPool::recommended_workers(const DeltaServer& server) {
-  const std::size_t cores = std::thread::hardware_concurrency();  // may be 0
-  return std::max({server.num_shards(), cores, std::size_t{1}});
+std::size_t worker_count_for(std::size_t workers) {
+  if (workers != 0) return workers;
+  // One worker per core; hardware_concurrency() reports 0 when unknown.
+  return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
 }
+
+}  // namespace
 
 DeltaWorkerPool::DeltaWorkerPool(DeltaServer& server, std::size_t workers,
                                  std::size_t queue_capacity)
     : server_(server),
       capacity_(queue_capacity),
-      worker_count_(workers == 0 ? recommended_workers(server) : workers) {
+      worker_count_(worker_count_for(workers)) {
   CBDE_EXPECT(queue_capacity >= 1);
   auto& reg = server_.obs().registry();
   instr_.jobs = &reg.counter("cbde_pool_jobs_total", "Requests accepted by the pool");
@@ -27,12 +31,6 @@ DeltaWorkerPool::DeltaWorkerPool(DeltaServer& server, std::size_t workers,
   instr_.queue_wait =
       &server_.obs().histogram("cbde_pool_queue_wait_microseconds",
                                "Wall time a job spent queued before a worker took it");
-  instr_.shard_queue_wait.reserve(server_.num_shards());
-  for (std::size_t i = 0; i < server_.num_shards(); ++i) {
-    instr_.shard_queue_wait.push_back(&server_.obs().histogram(
-        obs::shard_metric_name("cbde_shard_queue_wait_microseconds", i),
-        "Queue wait of jobs served by this shard"));
-  }
   if (server_.obs().config().lock_profile) {
     // Wired before the workers spawn, so no locker can miss the cell.
     mu_.attach_wait_profile(&server_.obs().lock_wait_profile(
@@ -95,15 +93,11 @@ void DeltaWorkerPool::worker_loop() {
       instr_.queue_depth->set(static_cast<std::int64_t>(queue_.size()));
     }
     not_full_.notify_one();
-    const std::uint64_t wait_us = obs::now_us() - job.enqueue_us;
-    instr_.queue_wait->observe(wait_us);
+    instr_.queue_wait->observe(obs::now_us() - job.enqueue_us);
     if (job.trace != nullptr) job.trace->end(job.queue_span);
     try {
-      ServedResponse resp = server_.serve(job.user_id, job.url, util::as_view(job.doc),
-                                          job.now, std::move(job.trace));
-      // Attribute the wait to the shard that served the job (known only now).
-      instr_.shard_queue_wait[resp.shard]->observe(wait_us);
-      job.promise.set_value(std::move(resp));
+      job.promise.set_value(server_.serve(job.user_id, job.url, util::as_view(job.doc),
+                                          job.now, std::move(job.trace)));
     } catch (...) {
       job.promise.set_exception(std::current_exception());
     }

@@ -35,15 +35,10 @@ namespace cbde::core {
 class DeltaWorkerPool {
  public:
   /// `server` must outlive the pool. `queue_capacity` >= 1. `workers` == 0
-  /// picks recommended_workers(server); otherwise the exact count is used.
+  /// picks one worker per core (max(hardware_concurrency, 1)), so phase-2
+  /// encodes overlap on every core; otherwise the exact count is used.
   DeltaWorkerPool(DeltaServer& server, std::size_t workers,
                   std::size_t queue_capacity = 128);
-
-  /// Worker count that composes encode parallelism with shard parallelism:
-  /// at least one worker per server shard (fewer would leave shards idle by
-  /// construction), and at least the host's core count (so single-shard
-  /// servers still overlap phase-2 encodes the way they always have).
-  static std::size_t recommended_workers(const DeltaServer& server);
 
   /// Joins the workers; pending requests are still served first.
   ~DeltaWorkerPool();
@@ -85,11 +80,6 @@ class DeltaWorkerPool {
     obs::Counter* saturation = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Histogram* queue_wait = nullptr;
-    /// Queue wait attributed to the shard that ultimately served the job
-    /// (cbde_shard_<k>_queue_wait_microseconds, index == shard index): a
-    /// single hot shard shows up as one deep per-shard wait distribution,
-    /// which the aggregate queue_wait above averages away.
-    std::vector<obs::Histogram*> shard_queue_wait;
   };
 
   void worker_loop() EXCLUDES(mu_);

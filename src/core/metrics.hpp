@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "util/stats.hpp"
-
 namespace cbde::core {
 
 struct PipelineMetrics {
@@ -56,30 +54,6 @@ struct PipelineMetrics {
       return direct_bytes == 0 ? 1.0 : std::numeric_limits<double>::infinity();
     }
     return static_cast<double>(direct_bytes) / static_cast<double>(sent);
-  }
-
-  /// Field-wise sum, used to aggregate per-shard ledgers.
-  ///
-  /// Cross-shard consistency convention (the sharded-server analogue of the
-  /// zero-denominator convention above): every counter of one request is
-  /// committed under a single shard's mutex, so a per-shard snapshot taken
-  /// under that mutex satisfies all conservation identities (requests ==
-  /// direct + delta responses, wire <= direct, ...). A merged snapshot is a
-  /// sum of such per-shard-consistent snapshots taken one shard at a time in
-  /// ascending shard order — requests that commit on an already-visited
-  /// shard during the walk are simply not in this snapshot. Every identity
-  /// that holds per shard therefore holds for the merge; what is NOT
-  /// guaranteed is that the merge corresponds to one global instant.
-  void merge(const PipelineMetrics& other) {
-    requests += other.requests;
-    direct_responses += other.direct_responses;
-    delta_responses += other.delta_responses;
-    direct_bytes += other.direct_bytes;
-    wire_bytes += other.wire_bytes;
-    base_wire_bytes += other.base_wire_bytes;
-    group_rebases += other.group_rebases;
-    basic_rebases += other.basic_rebases;
-    anonymizations_completed += other.anonymizations_completed;
   }
 };
 

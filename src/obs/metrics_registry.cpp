@@ -94,19 +94,6 @@ double Histogram::upper_bound_for(std::size_t sub_buckets, std::size_t i) noexce
   return static_cast<double>((std::uint64_t{1} << e) + (sub + 1) * width - 1);
 }
 
-std::string shard_metric_name(std::string_view base, std::size_t shard) {
-  constexpr std::string_view kPrefix = "cbde_shard_";
-  if (base.substr(0, kPrefix.size()) != kPrefix) {
-    throw std::invalid_argument("obs: shard_metric_name base '" + std::string(base) +
-                                "' must start with cbde_shard_");
-  }
-  std::string out(kPrefix);
-  out += std::to_string(shard);
-  out += '_';
-  out += base.substr(kPrefix.size());
-  return out;
-}
-
 std::uint64_t Histogram::count() const noexcept {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i <= value_buckets_; ++i) {

@@ -10,8 +10,8 @@
 //   * snapshot() reads those instruments with relaxed loads (per-metric
 //     atomic, not cross-metric consistent), then runs the registry's
 //     collector, which fills the collected counters and gauges from the
-//     state that owns them under that state's own locks (the delta-server's
-//     shard ledgers, consistent per shard). prometheus() and json() render
+//     state that owns them under that state's own lock (the delta-server's
+//     ledger, read in one critical section). prometheus() and json() render
 //     snapshot().
 //
 // Handles returned by the registry are stable for the registry's lifetime
@@ -161,14 +161,6 @@ struct MetricSample {
   std::int64_t gauge = 0;
   HistogramSnapshot histogram;
 };
-
-/// "cbde_shard_requests_total", 3 -> "cbde_shard_3_requests_total": the
-/// per-shard metric family convention (the registry is label-free, so the
-/// shard index becomes a name segment right after the cbde_shard prefix).
-/// `base` must start with "cbde_shard_"; throws std::invalid_argument
-/// otherwise. tools/lint/cbde_lint.py resolves registrations routed through
-/// this helper against the catalog as `cbde_shard_<k>_...`.
-std::string shard_metric_name(std::string_view base, std::size_t shard);
 
 /// The metrics a registry's collector fills (MetricsRegistry::set_collector):
 /// each declares its name, kind and help once, as an owned registration

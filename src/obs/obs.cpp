@@ -16,7 +16,6 @@ std::uint64_t period_from_rate(double rate) {
 
 Obs::Obs(ObsConfig config)
     : config_(std::move(config)),
-      events_(config_.event_ring_capacity),
       sample_period_(period_from_rate(config_.sample_rate)) {
   if (!config_.event_log_path.empty()) {
     events_.open(config_.event_log_path);

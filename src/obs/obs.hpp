@@ -4,8 +4,8 @@
 // of its serving stack (worker pool, proxy cache, core::Pipeline) registers
 // into it through DeltaServer::obs().
 //
-// Sharing note: the server's registry collector reads that server's shard
-// ledgers, so an Obs lives exactly as long as the one server it describes;
+// Sharing note: the server's registry collector reads that server's
+// ledger, so an Obs lives exactly as long as the one server it describes;
 // independent servers never share a registry.
 //
 // See docs/OBSERVABILITY.md for the metric catalog, span taxonomy and
@@ -36,10 +36,9 @@ struct ObsConfig {
   /// this instance registers (power of two in [1, 64]; 4 => <= 25% relative
   /// error, 16 => <= 6.25%).
   std::size_t histogram_sub_buckets = 4;
-  /// JSONL sink for the event log; empty = in-memory ring only.
+  /// JSONL sink for the event log; empty = in-memory ring only (the ring
+  /// keeps the most recent 1,024 events, EventLog's default).
   std::string event_log_path;
-  /// Most recent events retained in memory.
-  std::size_t event_ring_capacity = 1024;
   /// Opt-in lock-wait profiling: when true, components attach timed
   /// acquisition cells (Obs::lock_wait_profile) to their contended mutexes
   /// and per-site `cbde_lock_wait_seconds_*` histograms populate. Off by
@@ -72,11 +71,11 @@ class Obs {
   void emit(EventKind kind, std::int64_t sim_time_us, std::uint64_t class_id,
             std::vector<std::pair<std::string, std::string>> fields = {});
 
-  /// One lock-wait profiling cell per mutex *site* (all shard mutexes of a
-  /// server share the "server_shard" site; the pool queue mutex is its own
-  /// site). Registers `name` as a seconds-scaled histogram (observations
-  /// are microseconds, exported bounds are seconds), wires the cell's
-  /// observe callback at it, and returns the cell for
+  /// One lock-wait profiling cell per mutex *site* (the delta-server's
+  /// mutex is one site, the pool queue mutex another). Registers `name` as
+  /// a seconds-scaled histogram (observations are microseconds, exported
+  /// bounds are seconds), wires the cell's observe callback at it, and
+  /// returns the cell for
   /// Mutex::attach_wait_profile. Idempotent per name; the cell outlives
   /// every attached mutex because this Obs owns both. `name` must be a
   /// `cbde_lock_wait_seconds_<site>` literal at the call site — the lint

@@ -4,7 +4,7 @@
 // A TraceContext records one request's span tree (serve -> group/encode/
 // compress/commit, plus the pool's queue span). One tree answers "where did
 // THIS request go"; a capacity question needs the aggregate: where does
-// serve time go across a whole replay, per shard count. SpanProfile folds
+// serve time go across a whole replay, per worker count. SpanProfile folds
 // many trees into stack -> self-microseconds totals and exports them two
 // ways:
 //   * collapsed() — Brendan Gregg collapsed-stack lines
@@ -12,7 +12,7 @@
 //     profile tooling;
 //   * speedscope_json()/speedscope_document() — a speedscope "sampled"
 //     profile (https://www.speedscope.app/file-format-schema.json), one
-//     profile per run so shard counts sit side by side in one document.
+//     profile per run so worker counts sit side by side in one document.
 //
 // Self time is a span's duration minus its closed children's durations,
 // clamped at zero (clock jitter can make children sum past the parent).

@@ -1,6 +1,5 @@
 #include "obs/time_series.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -82,23 +81,6 @@ HistogramWindow summarize_histogram_window(const HistogramSnapshot& window) {
   return out;
 }
 
-bool parse_shard_series(std::string_view name, std::string_view suffix,
-                        std::size_t* shard) {
-  constexpr std::string_view kPrefix = "cbde_shard_";
-  if (name.substr(0, kPrefix.size()) != kPrefix) return false;
-  const std::string_view rest = name.substr(kPrefix.size());
-  std::size_t index = 0;
-  std::size_t digits = 0;
-  while (digits < rest.size() && rest[digits] >= '0' && rest[digits] <= '9') {
-    index = index * 10 + static_cast<std::size_t>(rest[digits] - '0');
-    ++digits;
-  }
-  if (digits == 0 || digits >= rest.size() || rest[digits] != '_') return false;
-  if (rest.substr(digits + 1) != suffix) return false;
-  if (shard != nullptr) *shard = index;
-  return true;
-}
-
 TimeSeriesRecorder::TimeSeriesRecorder(MetricsRegistry& registry)
     : registry_(registry) {
   prev_ = registry_.snapshot();
@@ -127,9 +109,8 @@ TimeSeriesWindow TimeSeriesRecorder::build_window(
   w.span_seconds =
       wall_us > prev_wall_us ? static_cast<double>(wall_us - prev_wall_us) / 1e6 : 0.0;
 
-  // Diffed histogram windows, kept until the derived statistics below are
-  // computed (they need the buckets, not just the quantiles).
-  std::map<std::string, HistogramSnapshot> diffed;
+  // Derived statistics read the diffed buckets, not just the quantiles.
+  double lock_wait_seconds = 0.0;
   for (const auto& [name, sample] : cur) {
     const auto pit = prev.find(name);
     const MetricSample* before =
@@ -153,86 +134,29 @@ TimeSeriesWindow TimeSeriesRecorder::build_window(
         break;
       case MetricKind::kHistogram: {
         bool reset = false;
-        HistogramSnapshot d = diff_histogram(
+        const HistogramSnapshot d = diff_histogram(
             before != nullptr ? before->histogram : HistogramSnapshot{},
             sample.histogram, &reset);
         if (reset) w.reset = true;
         HistogramWindow hw = summarize_histogram_window(d);
         hw.reset = reset;
         w.histogram.emplace(name, hw);
-        diffed.emplace(name, std::move(d));
+        if (name == "cbde_server_serve_microseconds") {
+          w.serve_requests = d.count;
+          w.serve_p50_us = hw.p50;
+          w.serve_p95_us = hw.p95;
+          w.serve_p99_us = hw.p99;
+        } else if (name.rfind("cbde_lock_wait_seconds", 0) == 0) {
+          lock_wait_seconds += hw.sum;
+        }
         break;
       }
     }
   }
-
-  // Per-shard request rates and the imbalance coefficient.
-  std::size_t max_shard = 0;
-  bool any_shard = false;
-  for (const auto& [name, delta] : w.counter_delta) {
-    std::size_t shard = 0;
-    if (parse_shard_series(name, "requests_total", &shard)) {
-      any_shard = true;
-      max_shard = std::max(max_shard, shard);
-    }
-  }
-  if (any_shard) {
-    w.shard_rate.assign(max_shard + 1, 0.0);
-    std::vector<double> shard_requests(max_shard + 1, 0.0);
-    for (const auto& [name, delta] : w.counter_delta) {
-      std::size_t shard = 0;
-      if (parse_shard_series(name, "requests_total", &shard)) {
-        shard_requests[shard] = delta;
-        w.shard_rate[shard] = w.counter_rate.at(name);
-      }
-    }
-    // From the window's exact request counts, not the rates: the span
-    // cancels in max/mean, but dividing by it first rounds (30/20 could
-    // print as 1.4999999999999998).
-    double sum = 0.0;
-    double peak = 0.0;
-    for (const double requests : shard_requests) {
-      sum += requests;
-      peak = std::max(peak, requests);
-    }
-    const double mean = sum / static_cast<double>(shard_requests.size());
-    w.imbalance = mean > 0 ? peak / mean : 0.0;
-  }
-
-  // Serve quantiles merged across shards (equal resolution by construction:
-  // one Obs instance registers every shard histogram), and the lock-wait
-  // share of that serve time.
-  HistogramSnapshot merged;
-  bool merged_any = false;
-  double lock_wait_seconds = 0.0;
-  for (const auto& [name, d] : diffed) {
-    std::size_t shard = 0;
-    if (parse_shard_series(name, "serve_microseconds", &shard)) {
-      if (!merged_any) {
-        merged = d;
-        merged_any = true;
-      } else if (merged.sub_buckets == d.sub_buckets) {
-        if (d.counts.size() > merged.counts.size()) {
-          merged.counts.resize(d.counts.size(), 0);
-        }
-        for (std::size_t i = 0; i < d.counts.size(); ++i) {
-          merged.counts[i] += d.counts[i];
-        }
-        merged.overflow += d.overflow;
-        merged.count += d.count;
-        merged.sum += d.sum;
-      }
-    } else if (name.rfind("cbde_lock_wait_seconds", 0) == 0) {
-      lock_wait_seconds += static_cast<double>(d.sum) * d.unit_scale;
-    }
-  }
-  if (merged_any) {
-    w.serve_requests = merged.count;
-    w.serve_p50_us = histogram_window_quantile(merged, 0.50);
-    w.serve_p95_us = histogram_window_quantile(merged, 0.95);
-    w.serve_p99_us = histogram_window_quantile(merged, 0.99);
-    const double serve_seconds =
-        static_cast<double>(merged.sum) * merged.unit_scale / 1e6;
+  // The lock-wait share of the window's serve time.
+  if (const auto it = w.histogram.find("cbde_server_serve_microseconds");
+      it != w.histogram.end()) {
+    const double serve_seconds = it->second.sum / 1e6;
     w.lock_wait_share = serve_seconds > 0 ? lock_wait_seconds / serve_seconds : 0.0;
   }
   return w;
@@ -283,13 +207,7 @@ std::string TimeSeriesRecorder::to_jsonl(const TimeSeriesWindow& w) {
     out += hw.reset ? "true" : "false";
     out += "}";
   }
-  out += "},\"shard_rate\":[";
-  for (std::size_t i = 0; i < w.shard_rate.size(); ++i) {
-    if (i > 0) out += ",";
-    out += format_double(w.shard_rate[i]);
-  }
-  out += "],\"imbalance\":" + format_double(w.imbalance);
-  out += ",\"serve_requests\":" + std::to_string(w.serve_requests);
+  out += "},\"serve_requests\":" + std::to_string(w.serve_requests);
   out += ",\"serve_p50_us\":" + format_double(w.serve_p50_us);
   out += ",\"serve_p95_us\":" + format_double(w.serve_p95_us);
   out += ",\"serve_p99_us\":" + format_double(w.serve_p99_us);

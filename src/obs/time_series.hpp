@@ -2,8 +2,8 @@
 // "Time-series recorder").
 //
 // Cumulative counters and one-shot histograms answer "how much, ever"; the
-// capacity questions of §VI-C need "how much, per window": per-shard request
-// rates, latency quantiles that drift over a replay, lock-wait share. The
+// capacity questions of §VI-C need "how much, per window": request rates,
+// latency quantiles that drift over a replay, lock-wait share. The
 // TimeSeriesRecorder snapshots the registry at each tick() and diffs the
 // snapshot against the previous one into a TimeSeriesWindow — counter
 // deltas/rates, gauge values, histogram-diff quantiles (the log-linear
@@ -13,13 +13,8 @@
 //
 // Derived per-window statistics (all computed from the diffed buckets, no
 // extra instrumentation):
-//   * shard_rate[k]   — Δ cbde_shard_<k>_requests_total / window seconds;
-//   * imbalance       — max / mean of the per-shard request counts in the
-//                       window (the span-free form of max(shard_rate) /
-//                       mean(shard_rate)), 1.0 = perfectly balanced, 0 when
-//                       the window saw no shard traffic;
-//   * serve quantiles — p50/p95/p99 of the per-shard serve histograms
-//                       merged across shards (µs);
+//   * serve quantiles — count and p50/p95/p99 of
+//                       cbde_server_serve_microseconds (µs);
 //   * lock_wait_share — Δ seconds spent waiting in cbde_lock_wait_seconds_*
 //                       over Δ seconds of serve work. Can exceed 1 when many
 //                       workers pile on one lock.
@@ -31,8 +26,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "obs/metrics_registry.hpp"
 #include "util/thread_annotations.hpp"
@@ -60,10 +53,8 @@ struct TimeSeriesWindow {
   std::map<std::string, double> counter_rate;  ///< delta / span_seconds
   std::map<std::string, std::int64_t> gauge;
   std::map<std::string, HistogramWindow> histogram;
-  // Derived shard statistics (empty/zero when the registry carries no
-  // per-shard series).
-  std::vector<double> shard_rate;
-  double imbalance = 0.0;
+  // Derived serve statistics (zero when the registry carries no serve
+  // histogram).
   std::uint64_t serve_requests = 0;
   double serve_p50_us = 0.0;
   double serve_p95_us = 0.0;
@@ -86,11 +77,6 @@ double histogram_window_quantile(const HistogramSnapshot& window, double q);
 
 /// count/sum/p50/p95/p99 of one diffed window (scaled by unit_scale).
 HistogramWindow summarize_histogram_window(const HistogramSnapshot& window);
-
-/// Parse "cbde_shard_<k>_<suffix>" → shard index; false when `name` is not
-/// that family. Exposed for the bench/tooling side.
-bool parse_shard_series(std::string_view name, std::string_view suffix,
-                        std::size_t* shard);
 
 class TimeSeriesRecorder {
  public:

@@ -3,8 +3,8 @@
 //
 // cbde::Mutex lives in src/util and must not depend on cbde::obs, so the
 // mutex only knows about this plain struct. The obs layer allocates one
-// cell per *mutex site* (all shard mutexes of one server share a cell, the
-// worker pool's queue mutex gets its own), wires `observe`/`target` at a
+// cell per *mutex site* (the delta-server's mutex has one, the worker
+// pool's queue mutex another), wires `observe`/`target` at a
 // histogram, and attaches the cell to each Mutex before any profiled thread
 // starts. The histogram is the cell's only record: it counts acquisitions
 // and sums their waits.

@@ -79,9 +79,4 @@ std::uint64_t Histogram::total() const {
   return std::accumulate(counts_.begin(), counts_.end(), std::uint64_t{0});
 }
 
-void Histogram::merge(const Histogram& other) {
-  CBDE_EXPECT(counts_.size() == other.counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-}
-
 }  // namespace cbde::util

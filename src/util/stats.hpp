@@ -61,11 +61,6 @@ class Histogram {
   std::uint64_t total() const;
   std::size_t buckets() const { return counts_.size() - 1; }
 
-  /// Bucket-wise sum with another histogram of the same shape (lossless:
-  /// merged.bucket(i) == a.bucket(i) + b.bucket(i) for every i including
-  /// the overflow bin). Used to aggregate per-shard statistics.
-  void merge(const Histogram& other);
-
  private:
   std::vector<std::uint64_t> counts_;
 };

@@ -1,11 +1,10 @@
 // Per-request allocation budget for DeltaServer::serve.
 //
 // This test links bench/alloc_hook.cpp — a counting global operator new —
-// and pins the steady-state allocations-per-request of DeltaServer::serve
-// at shards=1 and shards=4. The budget sits just above the measured figure,
-// so a single extra allocation per request fails: a reintroduced
-// per-request document copy, a new node insert, or an unreserved growth
-// loop on the serve path.
+// and pins the steady-state allocations-per-request of DeltaServer::serve.
+// The budget sits just above the measured figure, so a single extra
+// allocation per request fails: a reintroduced per-request document copy, a
+// new node insert, or an unreserved growth loop on the serve path.
 //
 // Built as its own executable: the hook replaces the global allocator,
 // which cbde_tests must not inherit.
@@ -27,14 +26,13 @@ constexpr std::size_t kMeasuredRequests = 256;
 
 /// Steady-state allocations per serve() call on a small generated site:
 /// warm up until classes exist and bases are published, then measure.
-double measured_allocs_per_request(std::size_t shards) {
+double measured_allocs_per_request() {
   trace::SiteConfig sconfig;
   sconfig.categories = {"c0", "c1", "c2", "c3"};
   sconfig.docs_per_category = 8;
   const trace::SiteModel site(sconfig);
 
   core::DeltaServerConfig config;
-  config.shards = shards;
   config.anonymize = false;  // steady state: every request grouped + encoded
   config.selector.sample_prob = 0.05;
   config.rebase_timeout = 1000000 * util::kSecond;
@@ -84,30 +82,19 @@ double measured_allocs_per_request(std::size_t shards) {
 
 TEST(AllocBudget, HookIsLinked) { EXPECT_TRUE(bench::alloc_hook_active()); }
 
-// Measured steady state is 10.72 allocations/request at shards=1 and 10.71
-// at shards=4 on libstdc++ (CBZ1 compress allocates only its output). The
-// budget is the ceiling of the larger. Lower it when the serve path sheds
-// an allocation; raising it needs a reason in the commit message.
+// Measured steady state is 10.72 allocations/request on libstdc++ (CBZ1
+// compress allocates only its output). Lower the budget when the serve path
+// sheds an allocation; raising it needs a reason in the commit message.
 constexpr double kBudgetPerRequest = 11.0;
 
-TEST(AllocBudget, SingleShardServeStaysUnderBudget) {
-  const double per_request = measured_allocs_per_request(1);
+TEST(AllocBudget, ServeStaysUnderBudget) {
+  const double per_request = measured_allocs_per_request();
   RecordProperty("allocs_per_request", std::to_string(per_request));
   EXPECT_GT(per_request, 0.0);  // the hook actually counted something
   EXPECT_LE(per_request, kBudgetPerRequest)
-      << "serve() allocation regression at shards=1: " << per_request
+      << "serve() allocation regression: " << per_request
       << " allocs/request against a budget of " << kBudgetPerRequest
       << " — find the new allocation on the serve path";
-}
-
-TEST(AllocBudget, FourShardServeStaysUnderBudget) {
-  const double per_request = measured_allocs_per_request(4);
-  RecordProperty("allocs_per_request", std::to_string(per_request));
-  EXPECT_GT(per_request, 0.0);
-  EXPECT_LE(per_request, kBudgetPerRequest)
-      << "serve() allocation regression at shards=4: " << per_request
-      << " allocs/request against a budget of " << kBudgetPerRequest
-      << " — sharding must not add per-request allocations";
 }
 
 }  // namespace

@@ -120,6 +120,21 @@ TEST(ClassManager, HintNarrowsTheSearch) {
   EXPECT_EQ(again.tries, 1u);
 }
 
+TEST(ClassManager, UnseenHintFallsBackToEveryClassOfItsServer) {
+  // §III: with no class under the request's hint-part yet, every class of
+  // its server-part is eligible, so a laptop page filed under a new hint
+  // joins the laptops class instead of opening one of its own.
+  Grouper g;
+  Corpus c;
+  g.group(parts("www.foo.com", "desktops", "1"), c.desktop(1));
+  const auto lap = g.group(parts("www.foo.com", "laptops", "1"), c.laptop(1));
+  const auto promo = g.group(parts("www.foo.com", "promotions", "7"), c.laptop(7));
+  EXPECT_FALSE(promo.created);
+  EXPECT_EQ(promo.id, lap.id);
+  EXPECT_GE(promo.tries, 1u);
+  EXPECT_EQ(g.manager.num_classes(), 2u);
+}
+
 TEST(ClassManager, TriesAreBoundedByN) {
   GroupingConfig config;
   config.max_tries = 3;

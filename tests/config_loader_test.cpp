@@ -31,23 +31,20 @@ TEST(ConfigLoader, ExampleConfigParses) {
   EXPECT_EQ(config.server.manual_classes[0].second, "specials");
 }
 
-TEST(ConfigLoader, ExampleManualClassPinsRequestsOnEveryShardCount) {
+TEST(ConfigLoader, ExampleManualClassPinsRequests) {
   // The example pins www.adhoc.example's "specials" hint to a manual class:
   // unrelated pages under it join that class with no content test.
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    LoadedConfig config = parse(example_config());
-    config.server.shards = shards;
-    DeltaServer server(config.server, config.rules);
-    const auto first = server.serve(1, http::parse_url("http://www.adhoc.example/specials"),
-                                    util::as_view(util::to_bytes(std::string(600, 'a'))), 0);
-    const auto second =
-        server.serve(2, http::parse_url("http://www.adhoc.example/specials?week=2"),
-                     util::as_view(util::to_bytes(std::string(900, 'z'))), util::kSecond);
-    EXPECT_FALSE(first.class_created);
-    EXPECT_EQ(first.class_id, second.class_id);
-    EXPECT_EQ(server.grouping_stats().manual_hits, 2u);
-    EXPECT_EQ(server.grouping_stats().classes_created, 0u);
-  }
+  const LoadedConfig config = parse(example_config());
+  DeltaServer server(config.server, config.rules);
+  const auto first = server.serve(1, http::parse_url("http://www.adhoc.example/specials"),
+                                  util::as_view(util::to_bytes(std::string(600, 'a'))), 0);
+  const auto second =
+      server.serve(2, http::parse_url("http://www.adhoc.example/specials?week=2"),
+                   util::as_view(util::to_bytes(std::string(900, 'z'))), util::kSecond);
+  EXPECT_FALSE(first.class_created);
+  EXPECT_EQ(first.class_id, second.class_id);
+  EXPECT_EQ(server.grouping_stats().manual_hits, 2u);
+  EXPECT_EQ(server.grouping_stats().classes_created, 0u);
 }
 
 TEST(ConfigLoader, CommentsAndBlankLinesIgnored) {
@@ -58,13 +55,6 @@ TEST(ConfigLoader, CommentsAndBlankLinesIgnored) {
       "   # indented comment\n"
       "max-tries = 3\n");
   EXPECT_EQ(config.server.grouping.max_tries, 3u);
-}
-
-TEST(ConfigLoader, ServerShardsParsed) {
-  const auto config = parse("[delta-server]\nserver-shards = 4\n");
-  EXPECT_EQ(config.server.shards, 4u);
-  EXPECT_EQ(parse("[delta-server]\nmax-tries = 3\n").server.shards, 1u);  // default
-  EXPECT_THROW(parse("[delta-server]\nserver-shards = 0\n"), ConfigError);
 }
 
 TEST(ConfigLoader, PartitionRuleActuallyWorks) {
@@ -123,14 +113,14 @@ TEST(ConfigLoader, MalformedInputsRejected) {
 TEST(ConfigLoader, OutOfRangeValuesRejectedWithLineNumber) {
   // Each of these used to load: the server then threw std::invalid_argument
   // from its constructor or from the first request that created a class,
-  // or (a non-finite ratio) silently switched basic-rebase off, or (a shard
-  // count) had the server and its worker pool build that many shards and
-  // threads.
+  // or (a non-finite ratio) silently switched basic-rebase off, or (a zero
+  // count or a ratio <= 0) made every published class basic-rebase over and
+  // over.
   for (const char* lines :
        {"max-samples = 0", "sample-prob = 1.5", "sample-prob = nan",
         "anonymizer-m = 0\nanonymizer-n = 0", "max-tries = 0", "popular-fraction = 2",
         "match-threshold = 0", "basic-rebase-ratio = nan", "basic-rebase-ratio = inf",
-        "server-shards = 65", "server-shards = 1000000000000"}) {
+        "basic-rebase-ratio = 0", "basic-rebase-ratio = -1", "basic-rebase-after = 0"}) {
     const std::string text = std::string("[delta-server]\n") + lines + "\n";
     const std::string bad_line =
         "line " + std::to_string(std::count(text.begin(), text.end(), '\n'));
@@ -146,11 +136,13 @@ TEST(ConfigLoader, OutOfRangeValuesRejectedWithLineNumber) {
   // The ends of each range still load.
   const auto edge = parse(
       "[delta-server]\nmax-samples = 1\nsample-prob = 1\nmax-tries = 1\n"
-      "popular-fraction = 0\nanonymizer-m = 1\nanonymizer-n = 1\nserver-shards = 64\n");
+      "popular-fraction = 0\nanonymizer-m = 1\nanonymizer-n = 1\n"
+      "basic-rebase-after = 1\nbasic-rebase-ratio = 0.001\n");
   EXPECT_EQ(edge.server.selector.max_samples, 1u);
   EXPECT_DOUBLE_EQ(edge.server.selector.sample_prob, 1.0);
   EXPECT_EQ(edge.server.anonymizer.required_docs, 1u);
-  EXPECT_EQ(edge.server.shards, 64u);
+  EXPECT_EQ(edge.server.basic_rebase_after, 1);
+  EXPECT_DOUBLE_EQ(edge.server.basic_rebase_ratio, 0.001);
 }
 
 TEST(ConfigLoader, CrossFieldValidation) {
@@ -160,10 +152,12 @@ TEST(ConfigLoader, CrossFieldValidation) {
 
 TEST(ConfigLoader, RemovedDeltaKeysAreRejected) {
   // The encoder and the light estimator each have one fixed
-  // parameterization, so the old transmit-tuning keys are unknown keys: a
-  // config that still sets one fails at load time with the line number.
+  // parameterization, and the server is one server with one lock, so the
+  // old transmit-tuning keys and the shard count are unknown keys: a config
+  // that still sets one fails at load time with the line number.
   for (const char* line : {"delta-key-len = 4", "delta-index-step = 1",
-                           "delta-max-chain = 32", "delta-min-match = 32"}) {
+                           "delta-max-chain = 32", "delta-min-match = 32",
+                           "server-shards = 1"}) {
     try {
       parse(std::string("[delta-server]\n") + line + "\n");
       ADD_FAILURE() << "accepted: " << line;

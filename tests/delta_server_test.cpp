@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -11,6 +12,8 @@
 
 #include "core/delta_server.hpp"
 #include "core/delta_worker_pool.hpp"
+#include "http/url.hpp"
+#include "trace/document.hpp"
 #include "trace/site.hpp"
 
 namespace cbde::core {
@@ -303,39 +306,107 @@ TEST(DeltaServer, IndexBytesCountsEveryIndex) {
 }
 
 TEST(DeltaServer, ScrapeReadsStorageAndClassStateWithoutAnAudit) {
-  // The collected gauges and counts come from the shards at scrape time:
+  // The collected gauges and counts come from server state at scrape time:
   // a snapshot taken before any accessor runs already carries them.
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    auto config = Rig::fast_config();
-    config.shards = shards;
-    Rig rig(config);
-    util::SimTime now = 0;
-    for (std::uint64_t user = 1; user <= 6; ++user) {
-      for (std::size_t cat = 0; cat < 2; ++cat) {
-        rig.request(user, cat, user % 4, now);
-        now += util::kSecond;
-      }
+  Rig rig;
+  util::SimTime now = 0;
+  for (std::uint64_t user = 1; user <= 6; ++user) {
+    for (std::size_t cat = 0; cat < 2; ++cat) {
+      rig.request(user, cat, user % 4, now);
+      now += util::kSecond;
     }
-    const auto scrape = rig.server.obs().registry().snapshot();
-    const auto gauge_of = [&scrape](const char* name) { return scrape.at(name).gauge; };
-    const auto count_of = [&scrape](const char* name) { return scrape.at(name).counter; };
-    const std::int64_t storage = gauge_of("cbde_server_storage_bytes");
-    const std::int64_t index = gauge_of("cbde_server_index_bytes");
-    EXPECT_GT(storage, 0);
-    EXPECT_EQ(storage, static_cast<std::int64_t>(rig.server.storage_bytes()));
-    EXPECT_GT(index, 0);
-    EXPECT_EQ(index, static_cast<std::int64_t>(rig.server.index_bytes()));
-    EXPECT_EQ(gauge_of("cbde_server_classes"),
-              static_cast<std::int64_t>(rig.server.num_classes()));
-    EXPECT_EQ(count_of("cbde_server_classes_created_total"),
-              rig.server.grouping_stats().classes_created);
-    std::size_t samples = 0;
-    for (const ClassSummary& summary : rig.server.class_summaries()) {
-      samples += summary.selector_samples;
-    }
-    EXPECT_GE(count_of("cbde_selector_sampled_total"), samples);
-    EXPECT_GT(count_of("cbde_selector_observed_total"), 0u);
   }
+  const auto scrape = rig.server.obs().registry().snapshot();
+  const auto gauge_of = [&scrape](const char* name) { return scrape.at(name).gauge; };
+  const auto count_of = [&scrape](const char* name) { return scrape.at(name).counter; };
+  const std::int64_t storage = gauge_of("cbde_server_storage_bytes");
+  const std::int64_t index = gauge_of("cbde_server_index_bytes");
+  EXPECT_GT(storage, 0);
+  EXPECT_EQ(storage, static_cast<std::int64_t>(rig.server.storage_bytes()));
+  EXPECT_GT(index, 0);
+  EXPECT_EQ(index, static_cast<std::int64_t>(rig.server.index_bytes()));
+  EXPECT_EQ(gauge_of("cbde_server_classes"),
+            static_cast<std::int64_t>(rig.server.num_classes()));
+  EXPECT_EQ(count_of("cbde_server_classes_created_total"),
+            rig.server.grouping_stats().classes_created);
+  std::size_t samples = 0;
+  for (const ClassSummary& summary : rig.server.class_summaries()) {
+    samples += summary.selector_samples;
+  }
+  EXPECT_GE(count_of("cbde_selector_sampled_total"), samples);
+  EXPECT_GT(count_of("cbde_selector_observed_total"), 0u);
+}
+
+TEST(DeltaServer, ClassIdsAreDenseFromOne) {
+  Rig rig;
+  util::SimTime now = 0;
+  const std::size_t cats = rig.site.num_categories();
+  for (std::size_t i = 0; i < 30; ++i) {
+    now += util::kSecond;
+    rig.request(1 + i % 7, i % cats, (i * 7) % rig.site.config().docs_per_category, now);
+  }
+  const auto summaries = rig.server.class_summaries();
+  ASSERT_GT(summaries.size(), 1u);
+  for (std::size_t i = 0; i < summaries.size(); ++i) {
+    EXPECT_EQ(summaries[i].id, i + 1);  // 1, 2, 3, ... in creation order
+  }
+}
+
+/// Serves 40 pages of one template under www.foo.com, alternating the
+/// hint-parts in `hints`; returns the responses.
+std::vector<ServedResponse> serve_one_template(DeltaServer& server,
+                                               const std::vector<std::string>& hints) {
+  trace::TemplateConfig tconfig;
+  tconfig.skeleton_bytes = 20000;
+  tconfig.doc_unique_bytes = 800;
+  const trace::DocumentTemplate tmpl(42, tconfig);
+  std::vector<ServedResponse> out;
+  for (std::size_t i = 0; i < 40; ++i) {
+    const std::uint64_t doc = i % 5;
+    const std::uint64_t user = 2 + i % 7;
+    const util::SimTime now = static_cast<util::SimTime>(i) * util::kSecond;
+    const auto url = http::parse_url("www.foo.com/" + hints[i % hints.size()] +
+                                     "?id=" + std::to_string(doc));
+    const Bytes body = tmpl.generate(doc, user, now);
+    out.push_back(server.serve(user, url, as_view(body), now));
+  }
+  return out;
+}
+
+DeltaServer one_template_server() {
+  DeltaServerConfig config;
+  config.anonymize = false;
+  http::RuleBook rules;
+  rules.add_rule("www.foo.com", http::PartitionRule(R"(^/([^/?]+)\?(.*)$)"));
+  return DeltaServer(config, std::move(rules));
+}
+
+TEST(DeltaServer, HintsOfOneTemplateShareOneClass) {
+  // §III's fallback: a request whose hint-part has no class yet is grouped
+  // against every class of its server-part. Two hints serving one template
+  // therefore end in one class, and their deltas name one published base.
+  DeltaServer two_hints = one_template_server();
+  const auto responses = serve_one_template(two_hints, {"laptops", "desktops"});
+  EXPECT_EQ(two_hints.num_classes(), 1u);
+  const ClassId cls = responses.front().class_id;
+  EXPECT_FALSE(responses[1].class_created);
+  EXPECT_GE(responses[1].grouping_tries, 1u);  // probed the laptops class
+  std::size_t deltas = 0;
+  for (const ServedResponse& resp : responses) {
+    EXPECT_EQ(resp.class_id, cls);
+    if (resp.mode != ServedResponse::Mode::kDelta) continue;
+    ++deltas;
+    EXPECT_EQ(resp.base_version, 1u);
+  }
+  EXPECT_EQ(deltas, responses.size() - 1);
+
+  // The server stores what one hint alone would have made it store: one
+  // class's bases and samples, not one per hint.
+  DeltaServer one_hint = one_template_server();
+  serve_one_template(one_hint, {"laptops"});
+  EXPECT_EQ(two_hints.storage_bytes(), one_hint.storage_bytes());
+  EXPECT_EQ(two_hints.metrics().wire_bytes, one_hint.metrics().wire_bytes);
+  EXPECT_EQ(two_hints.metrics().base_wire_bytes, one_hint.metrics().base_wire_bytes);
 }
 
 TEST(DeltaServerPool, ThreadedStressMatchesSerialTotals) {
@@ -364,8 +435,8 @@ TEST(DeltaServerPool, ThreadedStressMatchesSerialTotals) {
   sent.reserve(kRequests);
   // A reader snapshotting the ledger and scraping the registry while
   // requests are in flight: each request commits all of its ledger counters
-  // in one critical section, and a scrape reads each shard's ledger in one
-  // critical section, so every snapshot satisfies the per-shard identities.
+  // in one critical section, and a scrape reads the ledger in one critical
+  // section, so every snapshot satisfies the conservation identities.
   std::atomic<bool> serving{true};
   std::size_t snapshots = 0;
   std::size_t inconsistent = 0;
@@ -445,6 +516,13 @@ TEST(DeltaServerPool, ThreadedStressMatchesSerialTotals) {
   EXPECT_EQ(m.wire_bytes, wire_bytes_total);
   EXPECT_EQ(m.base_wire_bytes, base_wire_total);
   EXPECT_GT(deltas, kRequests / 2);  // steady state actually reached
+}
+
+TEST(DeltaServerPool, ZeroWorkersMeansOnePerCore) {
+  Rig rig;
+  DeltaWorkerPool pool(rig.server, /*workers=*/0);
+  EXPECT_EQ(pool.workers(),
+            std::max<std::size_t>(std::thread::hardware_concurrency(), 1));
 }
 
 TEST(DeltaServerPool, SubmitAfterShutdownThrows) {

@@ -294,17 +294,24 @@ TEST(ObsConcurrency, ProfiledMutexCountsEveryAcquisitionAndTimesContention) {
 // ------------------------------------------------------------ events
 
 TEST(ObsEvents, RingEvictsOldestAndCountsAllEmitted) {
-  ObsConfig config;
-  config.event_ring_capacity = 3;
-  Obs obs(config);
+  EventLog ring(3);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    Event e;
+    e.kind = EventKind::kClassCreated;
+    e.class_id = i;
+    ring.emit(e);
+  }
+  const auto recent = ring.recent();
+  ASSERT_EQ(recent.size(), 3u);
+  EXPECT_EQ(recent.front().class_id, 2u);  // 0 and 1 evicted
+  EXPECT_EQ(recent.back().class_id, 4u);
+
+  Obs obs;
   for (std::uint64_t i = 0; i < 5; ++i) obs.emit(EventKind::kClassCreated, -1, i);
   const Counter* emitted = obs.registry().find_counter("cbde_obs_events_emitted_total");
   ASSERT_NE(emitted, nullptr);
   EXPECT_EQ(emitted->value(), 5u);
-  const auto recent = obs.events().recent();
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_EQ(recent.front().class_id, 2u);  // 0 and 1 evicted
-  EXPECT_EQ(recent.back().class_id, 4u);
+  EXPECT_EQ(obs.events().recent().size(), 5u);
 }
 
 TEST(ObsEvents, JsonlSchemaGoldenAndSinkAppends) {
@@ -499,8 +506,8 @@ TEST(ObsEvents, ServePathEmitsLifecycleEvents) {
 // ------------------------------------------------------------- parity
 
 TEST(ObsParity, PipelineMetricsEqualRegistryDerivedValues) {
-  // PipelineMetrics comes from the per-shard ledgers, and a registry
-  // snapshot reads the same ledgers through the server's collector; this
+  // PipelineMetrics comes from the server's ledger, and a registry
+  // snapshot reads the same ledger through the server's collector; this
   // pins the mapping name-by-name on a replayed workload. Byte counters
   // must match exactly (Table II is byte-exact).
   Rig rig(/*sample_rate=*/0.25);

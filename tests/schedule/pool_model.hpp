@@ -167,84 +167,4 @@ class SnapshotModel {
   std::size_t current_ = 0;
 };
 
-/// Two-shard DeltaServer model: each shard owns a mutex and a byte ledger,
-/// serve() runs the three-phase shape against one shard only, and merge()
-/// models DeltaServer::metrics(). kPerShardSnapshot selects between the
-/// shipped convention — snapshot one shard at a time, never holding two
-/// shard mutexes — and a hypothetical "global instant" merger that holds
-/// every shard mutex at once. The latter has a cross-shard lock-order edge:
-/// two such mergers walking the shards in different orders deadlock, which
-/// the explorer's lock-cycle detector must find. The shipped convention has
-/// no edge at all (no task ever holds two shard locks), so it explores
-/// clean and exhausts.
-template <bool kPerShardSnapshot>
-class TwoShardModel {
- public:
-  explicit TwoShardModel(Scheduler& sched) : sched_(sched), mu0_(sched), mu1_(sched) {}
-
-  /// One request routed to `shard`: locked bookkeeping, unlocked encode,
-  /// locked commit — all against that shard's mutex only.
-  void serve(std::size_t shard) {
-    {
-      SchedLockGuard lock(mu(shard));
-      ++ledgers_[shard].requests;
-    }
-    sched_.point();  // phase 2: encode against the snapshot, no lock held
-    {
-      SchedLockGuard lock(mu(shard));
-      ++ledgers_[shard].responses;
-    }
-  }
-
-  /// DeltaServer::metrics(). `ascending` only matters for the broken
-  /// global-snapshot variant, where it decides the lock acquisition order.
-  void merge(bool ascending) {
-    Ledger sum;
-    if (kPerShardSnapshot) {
-      // Shipped convention: per-shard-consistent snapshots, one mutex at a
-      // time, ascending. At no point are two shard mutexes held.
-      for (std::size_t s = 0; s < 2; ++s) {
-        SchedLockGuard lock(mu(s));
-        check_shard_consistent(s);
-        sum.requests += ledgers_[s].requests;
-        sum.responses += ledgers_[s].responses;
-      }
-    } else {
-      // Hypothetical global-instant merger: both locks held simultaneously
-      // so the merge is one cut of global time — and a lock-order cycle
-      // with any merger walking the other way.
-      SchedLockGuard first(ascending ? mu0_ : mu1_);
-      sched_.point();
-      SchedLockGuard second(ascending ? mu1_ : mu0_);
-      for (std::size_t s = 0; s < 2; ++s) {
-        check_shard_consistent(s);
-        sum.requests += ledgers_[s].requests;
-        sum.responses += ledgers_[s].responses;
-      }
-    }
-    // Sum of per-shard-consistent snapshots stays consistent (the
-    // PipelineMetrics::merge convention).
-    sched_.check(sum.responses <= sum.requests,
-                 "merged snapshot violated conservation");
-  }
-
- private:
-  struct Ledger {
-    int requests = 0;
-    int responses = 0;
-  };
-
-  SchedMutex& mu(std::size_t shard) { return shard == 0 ? mu0_ : mu1_; }
-
-  void check_shard_consistent(std::size_t s) {
-    sched_.check(ledgers_[s].responses <= ledgers_[s].requests,
-                 "per-shard snapshot violated conservation");
-  }
-
-  Scheduler& sched_;
-  SchedMutex mu0_;
-  SchedMutex mu1_;
-  Ledger ledgers_[2];
-};
-
 }  // namespace cbde::sched

@@ -1,5 +1,5 @@
-// Deterministic interleaving explorer (docs/ANALYSIS.md, "Shard-readiness
-// analysis"): a cooperative scheduler that runs N task bodies on real
+// Deterministic interleaving explorer (docs/ANALYSIS.md, "The interleaving
+// explorer"): a cooperative scheduler that runs N task bodies on real
 // threads but lets exactly one run at a time, switching only at explicit
 // scheduling points (lock acquire, condvar wait/notify, point(); unlock is
 // deliberately not one — put a point() after it where the gap matters).

@@ -154,46 +154,5 @@ TEST(ScheduleExplorer, KeepaliveSnapshotRunsClean) {
       << result.schedules_run << " schedules without exhausting the space";
 }
 
-// A "global instant" metrics merger would hold every shard mutex at once;
-// two such mergers walking the shards in different orders are a lock-order
-// cycle the explorer's deadlock detector must find. This is the edge the
-// sharded DeltaServer deliberately avoids.
-TEST(ScheduleExplorer, FindsCrossShardLockOrderEdgeInGlobalSnapshotMerger) {
-  const auto setup = [](Scheduler& sched) {
-    auto model = std::make_shared<TwoShardModel<false>>(sched);
-    sched.spawn([model] { model->merge(/*ascending=*/true); });
-    sched.spawn([model] { model->merge(/*ascending=*/false); });
-  };
-  const ExploreResult result = explore(setup, nullptr, schedule_budget());
-  ASSERT_TRUE(result.failure_found)
-      << "explored " << result.schedules_run << " schedules without finding the cycle";
-  EXPECT_NE(result.failure.find("deadlock"), std::string::npos) << result.failure;
-  EXPECT_EQ(replay(setup, result.failing_decisions), result.failure);
-}
-
-// The shipped convention (DeltaServer::metrics(): per-shard snapshots taken
-// one mutex at a time, ascending) has no cross-shard lock-order edge at all
-// — no task ever holds two shard mutexes — and every explored interleaving
-// of serves and concurrent mergers keeps both the per-shard and the merged
-// conservation identities.
-TEST(ScheduleExplorer, PerShardSnapshotMergeHasNoCrossShardLockEdge) {
-  const auto setup = [](Scheduler& sched) {
-    auto model = std::make_shared<TwoShardModel<true>>(sched);
-    // One server task touching both shards keeps the space exhaustible
-    // while still interleaving commits on shard 1 with merges mid-walk.
-    sched.spawn([model] {
-      model->serve(0);
-      model->serve(1);
-    });
-    sched.spawn([model] { model->merge(/*ascending=*/true); });
-    sched.spawn([model] { model->merge(/*ascending=*/true); });
-  };
-  const ExploreResult result = explore(setup, nullptr, schedule_budget());
-  EXPECT_FALSE(result.failure_found) << result.failure;
-  EXPECT_TRUE(result.exhausted)
-      << "budget " << schedule_budget() << " too small: ran "
-      << result.schedules_run << " schedules without exhausting the space";
-}
-
 }  // namespace
 }  // namespace cbde::sched

@@ -155,7 +155,6 @@ TEST_P(SelectorEvictionPolicies, AllPoliciesTrackAGoodBase) {
   config.sample_prob = 1.0;
   config.max_samples = 6;
   config.eviction = GetParam();
-  config.random_evict_period = 3;
   BaseFileSelector sel(config, 8);
   auto docs = graded_docs(24, 4, 256);
   util::Rng rng(17);
@@ -179,11 +178,15 @@ TEST(Selector, PeriodicRandomEvictionHappens) {
   config.sample_prob = 1.0;
   config.max_samples = 3;
   config.eviction = SelectorConfig::Eviction::kPeriodicRandom;
-  config.random_evict_period = 2;
   BaseFileSelector sel(config, 9);
-  for (const auto& doc : graded_docs(16, 1, 64)) sel.observe(as_view(doc));
-  EXPECT_GT(sel.stats().random_evictions, 0u);
-  EXPECT_LT(sel.stats().random_evictions, sel.stats().evictions);
+  // Enough documents for three random turns: every kRandomEvictPeriod-th
+  // eviction.
+  constexpr std::size_t kPeriod = SelectorConfig::kRandomEvictPeriod;
+  for (const auto& doc : graded_docs(config.max_samples + 3 * kPeriod, 1, 64)) {
+    sel.observe(as_view(doc));
+  }
+  EXPECT_EQ(sel.stats().evictions, 3 * kPeriod);
+  EXPECT_EQ(sel.stats().random_evictions, 3u);
 }
 
 TEST(Selector, InvalidConfigRejected) {

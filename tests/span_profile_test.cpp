@@ -103,7 +103,7 @@ TEST(SpanProfileTest, SpeedscopeSingleProfileDocument) {
   SpanProfile p;
   p.add({span(1, 0, "serve", 0, 100), span(2, 1, "encode", 10, 40),
          span(3, 1, "compress", 40, 90)});
-  const std::string doc = p.speedscope_json("shards_1");
+  const std::string doc = p.speedscope_json("workers_1");
   // Frame table interns each distinct component once, first-seen in
   // stack-sorted order: serve, compress, encode.
   EXPECT_NE(
@@ -117,7 +117,7 @@ TEST(SpanProfileTest, SpeedscopeSingleProfileDocument) {
   EXPECT_NE(doc.find("\"endValue\":100"), std::string::npos);
   EXPECT_NE(doc.find("\"startValue\":0"), std::string::npos);
   EXPECT_NE(doc.find("\"unit\":\"microseconds\""), std::string::npos);
-  EXPECT_NE(doc.find("\"name\":\"shards_1\""), std::string::npos);
+  EXPECT_NE(doc.find("\"name\":\"workers_1\""), std::string::npos);
   EXPECT_NE(doc.find("\"exporter\":\"cbde\""), std::string::npos);
   EXPECT_NE(doc.find("\"activeProfileIndex\":0"), std::string::npos);
 }
@@ -128,7 +128,7 @@ TEST(SpanProfileTest, SpeedscopeDocumentSharesFrameTableAcrossProfiles) {
   SpanProfile two;
   two.add({span(1, 0, "serve", 0, 200), span(2, 1, "compress", 0, 50)});
   const std::string doc =
-      SpanProfile::speedscope_document({{"shards_1", &one}, {"shards_2", &two}});
+      SpanProfile::speedscope_document({{"workers_1", &one}, {"workers_2", &two}});
   // "serve" appears in both profiles but is interned exactly once.
   std::size_t serve_frames = 0;
   for (std::size_t at = doc.find("{\"name\":\"serve\"}");
@@ -136,8 +136,8 @@ TEST(SpanProfileTest, SpeedscopeDocumentSharesFrameTableAcrossProfiles) {
     ++serve_frames;
   }
   EXPECT_EQ(serve_frames, 1u);
-  EXPECT_NE(doc.find("\"name\":\"shards_1\""), std::string::npos);
-  EXPECT_NE(doc.find("\"name\":\"shards_2\""), std::string::npos);
+  EXPECT_NE(doc.find("\"name\":\"workers_1\""), std::string::npos);
+  EXPECT_NE(doc.find("\"name\":\"workers_2\""), std::string::npos);
   EXPECT_NE(doc.find("\"endValue\":100"), std::string::npos);
   EXPECT_NE(doc.find("\"endValue\":200"), std::string::npos);
   // Both profiles' samples resolve against the shared table: profile two's

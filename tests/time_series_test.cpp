@@ -1,16 +1,13 @@
-// Windowed time-series: histogram diffing, window quantiles, shard-series
-// parsing, and the TimeSeriesRecorder's window diffing and JSONL export
+// Windowed time-series: histogram diffing, window quantiles, and the
+// TimeSeriesRecorder's window diffing, derived serve statistics and JSONL export
 // (src/obs/time_series.hpp). The diff/quantile tests build HistogramSnapshot
 // values by hand.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
@@ -230,38 +227,6 @@ TEST(TimeSeriesQuantile, MergeThenDiffEquivalence) {
   EXPECT_DOUBLE_EQ(a.p99, b.p99);
 }
 
-TEST(TimeSeriesParse, ShardSeriesNames) {
-  std::size_t shard = 999;
-  EXPECT_TRUE(parse_shard_series("cbde_shard_0_requests_total",
-                                 "requests_total", &shard));
-  EXPECT_EQ(shard, 0u);
-  EXPECT_TRUE(parse_shard_series("cbde_shard_12_serve_microseconds",
-                                 "serve_microseconds", &shard));
-  EXPECT_EQ(shard, 12u);
-  // Rejections: no digits, digits without the separating underscore, a
-  // different suffix, and names outside the family.
-  EXPECT_FALSE(parse_shard_series("cbde_shard__requests_total",
-                                  "requests_total", &shard));
-  EXPECT_FALSE(parse_shard_series("cbde_shard_3requests_total",
-                                  "requests_total", &shard));
-  EXPECT_FALSE(parse_shard_series("cbde_shard_3_requests_total",
-                                  "serve_microseconds", &shard));
-  EXPECT_FALSE(parse_shard_series("cbde_other_3_requests_total",
-                                  "requests_total", &shard));
-  EXPECT_FALSE(parse_shard_series("cbde_shard_3_requests_total_more",
-                                  "requests_total", &shard));
-}
-
-TEST(TimeSeriesParse, ShardMetricNameRoundTrips) {
-  const std::string name = shard_metric_name("cbde_shard_requests_total", 3);
-  EXPECT_EQ(name, "cbde_shard_3_requests_total");
-  std::size_t shard = 0;
-  EXPECT_TRUE(parse_shard_series(name, "requests_total", &shard));
-  EXPECT_EQ(shard, 3u);
-  EXPECT_THROW(shard_metric_name("cbde_other_requests_total", 0),
-               std::invalid_argument);
-}
-
 TEST(TimeSeriesRecorderTest, ManualTicksDiffCountersAndNumberTheWindows) {
   MetricsRegistry reg;
   Counter& c = reg.counter("cbde_test_ts_ticks_total", "tick deltas");  // lint: obs-ok validation test
@@ -287,46 +252,27 @@ TEST(TimeSeriesRecorderTest, ManualTicksDiffCountersAndNumberTheWindows) {
   EXPECT_DOUBLE_EQ(w3.counter_delta.at("cbde_test_ts_ticks_total"), 0.0);
 }
 
-TEST(TimeSeriesRecorderTest, DerivedShardStatsFromRegisteredFamilies) {
+TEST(TimeSeriesRecorderTest, DerivedServeStatsFromServeHistogram) {
   MetricsRegistry reg;
-  Counter& shard0 = reg.counter(
-      shard_metric_name("cbde_shard_requests_total", 0), "s0");  // lint: obs-ok validation test
-  Counter& shard1 = reg.counter(
-      shard_metric_name("cbde_shard_requests_total", 1), "s1");  // lint: obs-ok validation test
-  Histogram& serve0 = reg.histogram(
-      shard_metric_name("cbde_shard_serve_microseconds", 0), "s0", 8);  // lint: obs-ok validation test
-  Histogram& serve1 = reg.histogram(
-      shard_metric_name("cbde_shard_serve_microseconds", 1), "s1", 8);  // lint: obs-ok validation test
+  Histogram& serve = reg.histogram("cbde_server_serve_microseconds", "serve", 8);  // lint: obs-ok validation test
   Histogram& wait =  // lint: obs-ok validation test
       reg.histogram("cbde_lock_wait_seconds_test_site", "wait", 8, 1e-6);
 
   TimeSeriesRecorder recorder(reg);
-  shard0.add(30);
-  shard1.add(10);
-  for (int i = 0; i < 30; ++i) serve0.observe(100);
-  for (int i = 0; i < 10; ++i) serve1.observe(300);
+  for (int i = 0; i < 30; ++i) serve.observe(100);
+  for (int i = 0; i < 10; ++i) serve.observe(300);
   wait.observe(50);
-  // The window needs nonzero wall span for rates; 2ms is comfortably above
-  // the clock's granularity.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   const TimeSeriesWindow w = recorder.tick();
 
-  ASSERT_EQ(w.shard_rate.size(), 2u);
-  EXPECT_GT(w.shard_rate[0], w.shard_rate[1]);
-  // The imbalance coefficient comes from the window's request counts, so it
-  // is span-free and exact: max(30,10)/mean(30,10) = 1.5.
-  EXPECT_EQ(w.imbalance, 1.5);
   EXPECT_EQ(w.serve_requests, 40u);
   EXPECT_GT(w.serve_p50_us, 0.0);
-  EXPECT_LE(w.serve_p50_us, w.serve_p99_us);
-  EXPECT_GT(w.lock_wait_share, 0.0);
+  EXPECT_LT(w.serve_p50_us, w.serve_p99_us);  // the 300 us tail
+  EXPECT_EQ(w.serve_p50_us, w.histogram.at("cbde_server_serve_microseconds").p50);
+  // 50 us of lock wait over 6,000 us of serve time (histogram sums are
+  // exact, unlike their bucket bounds).
+  EXPECT_NEAR(w.lock_wait_share, 50.0 / 6000.0, 1e-12);
 
   const std::string line = TimeSeriesRecorder::to_jsonl(w);
-  EXPECT_NE(line.find("\"shard_rate\":["), std::string::npos);
-  // Parse the exported number instead of matching its text.
-  const std::size_t at = line.find("\"imbalance\":");
-  ASSERT_NE(at, std::string::npos);
-  EXPECT_EQ(std::strtod(line.c_str() + at + std::strlen("\"imbalance\":"), nullptr), 1.5);
   EXPECT_NE(line.find("\"serve_requests\":40"), std::string::npos);
   EXPECT_EQ(line.back(), '\n');
 }
@@ -347,8 +293,6 @@ TEST(TimeSeriesRecorderTest, ToJsonlSchemaFields) {
   h.p95 = 8.0;
   h.p99 = 8.0;
   w.histogram["cbde_h_microseconds"] = h;
-  w.shard_rate = {8.0};
-  w.imbalance = 1.0;
   w.serve_requests = 2;
   w.lock_wait_share = 0.25;
   const std::string line = TimeSeriesRecorder::to_jsonl(w);
@@ -356,8 +300,7 @@ TEST(TimeSeriesRecorderTest, ToJsonlSchemaFields) {
        {"\"tick\":3", "\"wall_us\":123456", "\"span_seconds\":0.5",
         "\"reset\":true", "\"cbde_x_total\":4", "\"counter_rate\"",
         "\"cbde_depth\":-2", "\"cbde_h_microseconds\"", "\"count\":2",
-        "\"p99\":8", "\"shard_rate\":[8]", "\"imbalance\":1",
-        "\"serve_requests\":2", "\"lock_wait_share\":0.25"}) {
+        "\"p99\":8", "\"serve_requests\":2", "\"lock_wait_share\":0.25"}) {
     EXPECT_NE(line.find(needle), std::string::npos) << "missing " << needle;
   }
 }

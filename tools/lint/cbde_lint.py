@@ -35,12 +35,9 @@ ci.sh over src/ tests/ bench/. Checks, each with a stable id:
                   registered at exactly one source location — one site per
                   name keeps the catalog in docs/OBSERVABILITY.md
                   unambiguous. Components share handles, they do not
-                  re-register. Per-shard series registered through
-                  obs::shard_metric_name("cbde_shard_...", i) are collected
-                  under the catalog spelling cbde_shard_<k>_..., and the
-                  timed-mutex instrument Obs::lock_wait_profile("...") is a
-                  histogram registration — both obey the same naming and
-                  one-site rules. Tests that exercise registry validation
+                  re-register. The timed-mutex instrument
+                  Obs::lock_wait_profile("...") is a histogram registration
+                  and obeys the same naming and one-site rules. Tests that exercise registry validation
                   itself annotate the line `// lint: obs-ok <reason>`.
 
 Usage:
@@ -131,14 +128,6 @@ BARE_ASSERT = re.compile(r"(?<![\w.])assert\s*\(")
 OBS_REGISTRATION = re.compile(
     r"(?:^|[^\w])(counter|gauge|histogram)\s*\(\s*\"([^\"]+)\"")
 
-# A per-shard registration through the name helper: the literal is the base
-# name ("cbde_shard_requests_total"); the helper splices the shard index in
-# at runtime, so the catalog (and the one-site rule) track the family under
-# the `<k>` placeholder spelling (cbde_shard_<k>_requests_total).
-OBS_SHARD_REGISTRATION = re.compile(
-    r"(?:^|[^\w])(counter|gauge|histogram)\s*\(\s*"
-    r"(?:\w+::)*shard_metric_name\s*\(\s*\"([^\"]+)\"")
-
 # The timed-mutex instrument: Obs::lock_wait_profile registers (and owns)
 # a lock-wait histogram per site name; one source site per name keeps the
 # "which mutex is this" question answerable from the catalog alone.
@@ -146,8 +135,7 @@ OBS_LOCK_WAIT_REGISTRATION = re.compile(
     r"\block_wait_profile\s*\(\s*\"([^\"]+)\"")
 
 # cbde_<layer>_<name>[_unit]: lowercase snake_case, at least three segments
-# (the cbde prefix, a layer, and a name). Shard families are validated with
-# their `<k>` placeholder removed.
+# (the cbde prefix, a layer, and a name).
 OBS_METRIC_NAME = re.compile(r"^cbde_[a-z][a-z0-9]*(?:_[a-z0-9]+)+$")
 
 
@@ -330,10 +318,6 @@ def collect_obs_registrations(path: Path, lines: list[str], sites: ObsSites) -> 
     for m in OBS_REGISTRATION.finditer(stripped):
         line_no = stripped.count("\n", 0, m.start()) + 1
         sites.setdefault(m.group(2), []).append((path, line_no, m.group(1)))
-    for m in OBS_SHARD_REGISTRATION.finditer(stripped):
-        line_no = stripped.count("\n", 0, m.start()) + 1
-        name = m.group(2).replace("cbde_shard_", "cbde_shard_<k>_", 1)
-        sites.setdefault(name, []).append((path, line_no, m.group(1)))
     for m in OBS_LOCK_WAIT_REGISTRATION.finditer(stripped):
         line_no = stripped.count("\n", 0, m.start()) + 1
         sites.setdefault(m.group(1), []).append((path, line_no, "histogram"))
@@ -342,7 +326,7 @@ def collect_obs_registrations(path: Path, lines: list[str], sites: ObsSites) -> 
 def check_obs_metrics(sites: ObsSites, findings: list[Finding]) -> None:
     for name, regs in sorted(sites.items()):
         path, line, _kind = regs[0]
-        if not OBS_METRIC_NAME.match(name.replace("<k>_", "")):
+        if not OBS_METRIC_NAME.match(name):
             findings.append(Finding(
                 "obs-metric", path, line,
                 f"metric name '{name}' violates cbde_<layer>_<name>[_unit] "
@@ -492,17 +476,14 @@ SEEDED_VIOLATIONS = {
                       "  CBDE_ENSURE(v.erase(v.begin()) != v.end());\n"
                       "  assert(!v.empty());\n"
                       "}\n",
-    # Five distinct obs-metric violations: bad casing, duplicate
-    # registration, a counter without the _total suffix, a shard family
-    # with bad casing (checked with the <k> placeholder stripped), and a
-    # timed-mutex instrument registered at two sites.
+    # Four distinct obs-metric violations: bad casing, duplicate
+    # registration, a counter without the _total suffix, and a timed-mutex
+    # instrument registered at two sites.
     "obs-metric": "void wire(cbde::obs::MetricsRegistry& reg, cbde::obs::Obs& obs) {\n"
                   '  reg.counter("BadName_total", "not snake_case");\n'
                   '  reg.counter("cbde_seed_dup_total", "first site");\n'
                   '  reg.counter("cbde_seed_dup_total", "second site");\n'
                   '  reg.counter("cbde_seed_requests", "missing _total");\n'
-                  '  reg.counter(obs::shard_metric_name("cbde_shard_BadSeed_total", i),\n'
-                  '              "shard family, bad casing");\n'
                   '  obs.lock_wait_profile("cbde_seed_dupwait_seconds", "first site");\n'
                   '  obs.lock_wait_profile("cbde_seed_dupwait_seconds", "second site");\n'
                   "}\n",
@@ -537,8 +518,6 @@ SEEDED_CLEAN = (
     '  reg.counter("cbde_seed_requests_total", "well-formed, one site");\n'
     '  reg.gauge(\n      "cbde_seed_queue_depth", "wrapped call still collected");\n'
     '  auto* c = reg.find_counter("cbde_seed_requests_total");  // lookup, not a site\n'
-    '  reg.counter(obs::shard_metric_name("cbde_shard_seed_total", i),\n'
-    '              "per-shard family, one site, catalogued as cbde_shard_<k>_seed_total");\n'
     '  obs.lock_wait_profile("cbde_seed_wait_seconds", "timed-mutex site, once");\n'
     "}\n"
 )

@@ -5,20 +5,15 @@ Reads the `time_series` sections the bench binaries embed in their JSON
 artifacts (BENCH_delta.json, BENCH_capacity.json) and compares the derived
 statistics against the checked-in tolerance bands in perf_baseline.json.
 The bands are deliberately host-independent — ratios and shares, not
-absolute nanoseconds — so the gate catches structural regressions (a shard
-going cold, lock waits eating the serve time, instrumentation overhead
-creeping past its budget) without flaking on slower CI hosts:
+absolute nanoseconds — so the gate catches structural regressions (lock
+waits eating the serve time, a serve tail blowing up, instrumentation
+overhead creeping past its budget) without flaking on slower CI hosts:
 
-  capacity (per shards_N run):
+  capacity (per workers_N run):
     min_windows_per_run   populated windows (serve_requests > 0) required;
                           the replay closes one window per request chunk, so
-                          fewer means the recorder or the per-shard series
+                          fewer means the recorder or the serve histogram
                           broke
-    shard_rate arity      every window must carry one rate per shard
-    imbalance_max         mean imbalance coefficient (max/mean shard request
-                          rate) over populated windows; 1.0 is perfect
-                          balance, the crc32 route should stay well under
-                          the band
     lock_wait_share_max   mean fraction of serve time spent waiting on the
                           profiled mutex sites
     p99_over_p50_max      median per-window serve p99/p50 ratio — the
@@ -38,7 +33,7 @@ creeping past its budget) without flaking on slower CI hosts:
                           count does not depend on host speed
 
     The end-to-end 4-worker vs 1-worker speedup is printed, not banded: with
-    encode cheap the shard lock's share of serve time grows, and a 32-request
+    encode cheap the server lock's share of serve time grows, and a 32-request
     smoke run cannot separate that from host noise.
 
 Usage:
@@ -74,16 +69,14 @@ def mean(values: list[float]) -> float:
 
 def gate_capacity(doc: dict, bands: dict, findings: list[str]) -> None:
     runs = {k: v for k, v in doc.items()
-            if k.startswith("shards_") and isinstance(v, dict)}
+            if k.startswith("workers_") and isinstance(v, dict)}
     if not runs:
-        findings.append("capacity: no shards_N sections in the artifact")
+        findings.append("capacity: no workers_N sections in the artifact")
         return
     if doc.get("byte_parity") != 1:
         findings.append("capacity: byte_parity != 1 (Table II accounting diverged)")
     for key in sorted(runs, key=lambda k: int(k.split("_")[1])):
-        run = runs[key]
-        shards = int(run.get("shards", 0))
-        windows = run.get("time_series")
+        windows = runs[key].get("time_series")
         if not isinstance(windows, list):
             findings.append(f"capacity {key}: missing time_series section")
             continue
@@ -92,17 +85,6 @@ def gate_capacity(doc: dict, bands: dict, findings: list[str]) -> None:
         if len(pop) < need:
             findings.append(
                 f"capacity {key}: {len(pop)} populated window(s), need >= {need}")
-        for w in pop:
-            if len(w.get("shard_rate", [])) != shards:
-                findings.append(
-                    f"capacity {key} tick {w.get('tick')}: shard_rate has "
-                    f"{len(w.get('shard_rate', []))} entries, expected {shards}")
-                break
-        imb = mean([w["imbalance"] for w in pop if "imbalance" in w])
-        if imb > bands["imbalance_max"]:
-            findings.append(
-                f"capacity {key}: mean imbalance {imb:.3f} > band "
-                f"{bands['imbalance_max']} (a shard went cold or the route skewed)")
         share = mean([w.get("lock_wait_share", 0.0) for w in pop])
         if share > bands["lock_wait_share_max"]:
             findings.append(

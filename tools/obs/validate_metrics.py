@@ -20,19 +20,16 @@ Two independent checks, either or both selected by flags:
                          against every registration site found under the
                          given source dirs — extraction is shared with
                          tools/lint/cbde_lint.py, so the catalog, the lint,
-                         and the code cannot drift apart silently. Per-shard
-                         series registered through obs::shard_metric_name
-                         appear under their catalog spelling with a `<k>`
-                         placeholder (cbde_shard_<k>_requests_total).
+                         and the code cannot drift apart silently.
   --timeseries FILE      validate a TimeSeriesRecorder JSONL export: every
                          line a JSON object with the full window schema
                          (tick, wall_us, span_seconds, reset, counter_delta,
-                         counter_rate, gauge, histogram, shard_rate,
-                         imbalance, serve stats, lock_wait_share), counter
-                         deltas non-negative, quantiles ordered.
+                         counter_rate, gauge, histogram, serve stats,
+                         lock_wait_share), counter deltas non-negative,
+                         quantiles ordered.
   --min-windows N        with --timeseries: require at least N populated
-                         windows (serve_requests > 0 with shard rates) —
-                         the bench-replay acceptance bar.
+                         windows (serve_requests > 0) — the bench-replay
+                         acceptance bar.
   --speedscope FILE      validate a speedscope document produced by
                          obs::SpanProfile: frame-table indices in range,
                          weights aligned with samples, endValue consistent.
@@ -59,7 +56,7 @@ TYPE_RE = re.compile(rf"^# TYPE ({METRIC_NAME}) (counter|gauge|histogram|summary
 SAMPLE_RE = re.compile(rf"^({METRIC_NAME})(\{{[^}}]*\}})? ({VALUE})$")
 LE_RE = re.compile(r'le="([^"]*)"')
 
-CATALOG_ROW = re.compile(r"^\|\s*`(cbde_[a-z0-9_<>]+)`\s*\|")
+CATALOG_ROW = re.compile(r"^\|\s*`(cbde_[a-z0-9_]+)`\s*\|")
 
 
 def parse_value(text: str) -> float:
@@ -215,8 +212,6 @@ WINDOW_SCHEMA: dict[str, type | tuple[type, ...]] = {
     "counter_rate": dict,
     "gauge": dict,
     "histogram": dict,
-    "shard_rate": list,
-    "imbalance": (int, float),
     "serve_requests": int,
     "serve_p50_us": (int, float),
     "serve_p95_us": (int, float),
@@ -276,16 +271,13 @@ def validate_timeseries(path: Path, min_windows: int) -> list[str]:
             if not h["reset"] and not (h["p50"] <= h["p95"] <= h["p99"]):
                 errors.append(
                     f"{path}:{i}: histogram[{name}] quantiles out of order")
-        if not all(isinstance(r, (int, float)) and r >= 0
-                   for r in w["shard_rate"]):
-            errors.append(f"{path}:{i}: shard_rate entries must be numbers >= 0")
-        if w["serve_requests"] > 0 and w["shard_rate"]:
+        if w["serve_requests"] > 0:
             populated += 1
 
     if populated < min_windows:
         errors.append(
             f"{path}: only {populated} populated window(s) "
-            f"(serve_requests > 0 with shard rates); need >= {min_windows}")
+            f"(serve_requests > 0); need >= {min_windows}")
     return errors
 
 
