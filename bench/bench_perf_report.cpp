@@ -3,8 +3,9 @@
 // Unlike the experiment benches (which reproduce paper tables), this binary
 // measures the implementation itself and writes a machine-readable
 // BENCH_delta.json so perf changes are visible across commits:
-//   * micro: one-shot vs cached-index delta encode, size-only estimate,
-//     apply(), CBZ1 compress/decompress of the cross delta, crc32 —
+//   * micro: one-shot vs cached-index delta encode, the footprint-table
+//     build, size-only estimate, apply(), CBZ1 compress/decompress of the
+//     cross delta, crc32 —
 //     throughput MB/s, ns/op, delta-size ratios;
 //   * end-to-end: DeltaServer::serve() driven through a DeltaWorkerPool
 //     with 1 and 4 workers — ns/request and the multi-thread speedup.
@@ -30,6 +31,7 @@
 #include "core/delta_server.hpp"
 #include "core/delta_worker_pool.hpp"
 #include "delta/delta.hpp"
+#include "delta/rolling.hpp"
 #include "obs/obs.hpp"
 #include "obs/time_series.hpp"
 #include "trace/site.hpp"
@@ -235,6 +237,19 @@ int main(int argc, char** argv) {
   bench_encode("encode_cached_temporal", temporal, true);
   bench_encode("encode_cached_cross", cross, true);
 
+  {
+    // The table every publication, anonymization and one-shot encode builds.
+    std::size_t bytes = 0;
+    const double ns = time_op(3, iters, [&] {
+      bytes = delta::rolling::FootprintTable(util::as_view(base)).bytes();
+    });
+    json.open("footprint_build");
+    json.field("ns_per_op", ns);
+    json.field("mbps", mbps(base.size(), ns));
+    json.close();
+    std::printf("%-28s %12.0f ns   %8.2f MB/s   (table %zu B)\n", "footprint_build", ns,
+                mbps(base.size(), ns), bytes);
+  }
   {
     std::size_t size = 0;
     const double ns = time_op(3, iters, [&] {

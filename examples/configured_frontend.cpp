@@ -18,7 +18,13 @@ int main(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : "cbde.conf";
 
   if (!std::ifstream(path)) {
-    std::ofstream(path) << core::example_config();
+    std::ofstream out(path);
+    out << core::example_config();
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "config: cannot write example configuration to %s\n", path.c_str());
+      return 1;
+    }
     std::printf("wrote example configuration to %s\n", path.c_str());
   }
 

@@ -109,8 +109,9 @@ std::shared_ptr<const delta::Estimator> DeltaServer::make_working_estimator(
   return std::make_shared<const delta::Estimator>(util::Bytes(doc.begin(), doc.end()));
 }
 
-void DeltaServer::start_publication(ClassId id, ClassState& cls,
-                                         util::SimTime now) {
+void DeltaServer::start_publication(ClassId id, ClassState& cls, util::SimTime now,
+                                    obs::TraceContext* tc) {
+  const obs::Span publish_span(tc, "publish");
   if (!config_.anonymize) {
     // No privacy requirement: publish the working base immediately. The
     // transmit encoder aliases the working estimator's base (shared_base is
@@ -126,9 +127,10 @@ void DeltaServer::start_publication(ClassId id, ClassState& cls,
   cls.anonymizer.begin(cls.working_estimator->shared_base(), cls.working_owner);
 }
 
-void DeltaServer::maybe_complete_publication(ClassId id, ClassState& cls,
-                                                  util::SimTime now) {
+void DeltaServer::maybe_complete_publication(ClassId id, ClassState& cls, util::SimTime now,
+                                             obs::TraceContext* tc) {
   if (!cls.anonymizer.ready()) return;
+  const obs::Span publish_span(tc, "publish");
   cls.transmit_encoder = std::make_shared<const delta::Encoder>(cls.anonymizer.finalize());
   ++cls.published_version;
   record_publication(id, cls, now);
@@ -173,7 +175,9 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
   std::uint32_t snap_version = 0;
   {
     obs::Span group_span(tc, "group");
+    obs::Span wait_span(tc, "lock_wait");
     const LockGuard lock(mu_);
+    wait_span.end();
     // 1. Group the request into a class (the URL was already partitioned
     // above). Probes run against the cached per-class
     // light estimators — no index is built here. The probe callback runs
@@ -181,11 +185,13 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
     // stores it, but the analysis cannot see into the lambda, so it reaches
     // the class table through a local alias established under the lock.
     const auto& states = states_;
+    obs::Span probe_span(tc, "probe");
     const auto decision =
         classes_.group(parts, doc, [&states](ClassId id) -> const delta::Estimator* {
           const auto it = states.find(id);
           return it == states.end() ? nullptr : it->second->working_estimator.get();
         });
+    probe_span.end();
     out.class_id = decision.id;
     out.class_created = decision.created;
     out.grouping_tries = decision.tries;
@@ -207,13 +213,22 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
     if (creating) {
       cls.working_estimator = make_working_estimator(doc);
       cls.working_owner = user_id;
-      cls.selector.admit(doc);
-      start_publication(decision.id, cls, now);
+      {
+        const obs::Span select_span(tc, "select");
+        cls.selector.admit(doc);
+      }
+      start_publication(decision.id, cls, now, tc);
     } else {
       // 2. Feed the selector and any in-progress anonymization.
-      cls.selector.observe(doc);
-      cls.anonymizer.observe(user_id, doc);
-      maybe_complete_publication(decision.id, cls, now);
+      {
+        const obs::Span select_span(tc, "select");
+        cls.selector.observe(doc);
+      }
+      {
+        const obs::Span anonymize_span(tc, "anonymize");
+        cls.anonymizer.observe(user_id, doc);
+      }
+      maybe_complete_publication(decision.id, cls, now, tc);
     }
 
     // 3. Decide the response. The request that creates a class is always
@@ -270,7 +285,9 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
   // section, so a ledger() snapshot never sees a request half-counted.
   {
     obs::Span commit_span(tc, "commit");
+    obs::Span wait_span(tc, "lock_wait");
     const LockGuard lock(mu_);
+    wait_span.end();
     ClassState& cls = *cls_ptr;
     ++ledger_.requests;
     ledger_.direct_bytes += doc.size();
@@ -299,9 +316,12 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
         cls.consecutive_large_deltas = 0;
         cls.working_estimator = make_working_estimator(doc);
         cls.working_owner = user_id;
-        cls.selector.flush();  // "all K stored documents are flushed"
-        cls.selector.admit(doc);
-        start_publication(out.class_id, cls, now);
+        {
+          const obs::Span select_span(tc, "select");
+          cls.selector.flush();  // "all K stored documents are flushed"
+          cls.selector.admit(doc);
+        }
+        start_publication(out.class_id, cls, now, tc);
         out.basic_rebase = true;
         ++ledger_.basic_rebases;
         obs_->emit(obs::EventKind::kBasicRebase, now, out.class_id,
@@ -317,7 +337,7 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
           best != nullptr && *best != cls.working_estimator->base()) {
         cls.working_estimator = make_working_estimator(util::as_view(*best));
         cls.working_owner = user_id;  // conservatively exclude the requester
-        start_publication(out.class_id, cls, now);
+        start_publication(out.class_id, cls, now, tc);
         out.group_rebase = true;
         ++ledger_.group_rebases;
         obs_->emit(obs::EventKind::kGroupRebase, now, out.class_id,
@@ -419,15 +439,19 @@ void DeltaServer::collect(std::span<std::uint64_t> values) const {
 std::size_t DeltaServer::storage_bytes_locked() const {
   std::size_t total = 0;
   for (const auto& [id, cls] : states_) {
-    // Each retained published version counts once; the transmit encoder
-    // shares the newest one's buffer.
-    for (const auto& base : cls->published) total += base ? base->size() : 0;
-    // An anonymization in progress aliases the working base: every site that
-    // replaces the working estimator calls start_publication(), which hands
-    // the anonymizer shared_base(). So its pending base is no extra buffer.
+    // Each distinct buffer counts once. Every site that replaces the working
+    // estimator calls start_publication(), which hands its shared_base() to
+    // the anonymizer, or, with anonymization off, to the transmit encoder:
+    // so a pending anonymization, or the newest published slot, is the
+    // working base itself. The transmit encoder shares that newest slot.
+    const util::Bytes* working =
+        cls->working_estimator ? &cls->working_estimator->base() : nullptr;
     CBDE_ASSERT_INVARIANT(!cls->anonymizer.in_progress() ||
-                          &cls->anonymizer.pending_base() == &cls->working_estimator->base());
-    total += cls->working_estimator ? cls->working_estimator->base().size() : 0;
+                          &cls->anonymizer.pending_base() == working);
+    for (const auto& base : cls->published) {
+      if (base != nullptr && base.get() != working) total += base->size();
+    }
+    total += working != nullptr ? working->size() : 0;
     // Selector samples are part of the server-side footprint too.
     total += cls->selector.stored_bytes();
   }

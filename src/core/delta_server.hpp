@@ -249,9 +249,12 @@ class DeltaServer {
   /// (indexed by slot), all read in one critical section.
   void collect(std::span<std::uint64_t> values) const EXCLUDES(mu_);
   std::shared_ptr<const delta::Estimator> make_working_estimator(util::BytesView doc) const;
-  void start_publication(ClassId id, ClassState& cls, util::SimTime now) REQUIRES(mu_);
-  void maybe_complete_publication(ClassId id, ClassState& cls, util::SimTime now)
-      REQUIRES(mu_);
+  /// Both record a `publish` span into `tc` (null-safe) around the table
+  /// build they start.
+  void start_publication(ClassId id, ClassState& cls, util::SimTime now,
+                         obs::TraceContext* tc) REQUIRES(mu_);
+  void maybe_complete_publication(ClassId id, ClassState& cls, util::SimTime now,
+                                  obs::TraceContext* tc) REQUIRES(mu_);
   void record_publication(ClassId id, ClassState& cls, util::SimTime now) REQUIRES(mu_);
 
   DeltaServerConfig config_;  // immutable after construction

@@ -1,6 +1,7 @@
 #include "delta/rolling.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "util/contracts.hpp"
@@ -31,15 +32,19 @@ inline std::uint64_t mod_add(std::uint64_t a, std::uint64_t b) {
   return r;
 }
 
-inline std::uint64_t mod_sub(std::uint64_t a, std::uint64_t b) {
-  return a >= b ? a - b : a + kPrime - b;
-}
-
 /// kMultiplier^(kWindow-1) mod p: the weight of the outgoing byte when rolling.
 constexpr std::uint64_t kLead = [] {
   std::uint64_t r = 1;
   for (std::size_t i = 1; i < kWindow; ++i) r = mod_mul(r, kMultiplier);
   return r;
+}();
+
+/// kOut[b] = p - (b * kLead mod p), in (0, p]: adding it to a residue
+/// removes the outgoing byte's weight with no borrow to test.
+constexpr std::array<std::uint64_t, 256> kOut = [] {
+  std::array<std::uint64_t, 256> out{};
+  for (std::size_t b = 0; b < out.size(); ++b) out[b] = kPrime - mod_mul(b, kLead);
+  return out;
 }();
 
 std::uint64_t fingerprint(const std::uint8_t* p) {
@@ -48,9 +53,33 @@ std::uint64_t fingerprint(const std::uint8_t* p) {
   return h;
 }
 
-/// Slide the window one byte: drop `out`, append `in`.
+/// Slide the window one byte: drop `out`, append `in`. Works on a partly
+/// reduced residue h < 2p: h + kOut[out] < 3p < 2^63, its product with 263 is
+/// below 2^72, and one fold (2^61 = 1 mod p) leaves less than 2^61 + 2^11,
+/// so with `in` added the result is again below 2p. The roll chain never
+/// waits on a full reduction; canonical() gives the residue the table uses.
 inline std::uint64_t roll(std::uint64_t h, std::uint8_t out, std::uint8_t in) {
-  return mod_add(mod_mul(mod_sub(h, mod_mul(out, kLead)), kMultiplier), in);
+  const unsigned __int128 t = static_cast<unsigned __int128>(h + kOut[out]) * kMultiplier;
+  const auto lo = static_cast<std::uint64_t>(t);
+  const auto hi = static_cast<std::uint64_t>(t >> 64);
+  return (lo & kPrime) + ((lo >> 61) | (hi << 3)) + in;
+}
+
+/// The canonical residue of a partly reduced h < 2p: one masked subtraction.
+inline std::uint64_t canonical(std::uint64_t h) {
+  return h - (kPrime & (std::uint64_t{0} - static_cast<std::uint64_t>(h >= kPrime)));
+}
+
+/// How far fingerprints run ahead of the slot access that uses them (the
+/// scan's probe, the build's store): each slot is prefetched when its
+/// fingerprint is rolled, so it has had 16 positions' time to arrive. A power
+/// of two: the ring of pending fingerprints is indexed by position modulo it.
+constexpr std::size_t kLookahead = 16;
+
+std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
 /// One emitted instruction; together they tile [0, target.size()).
@@ -87,24 +116,41 @@ std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView
   }
   insts.reserve(16 + target.size() / (kMinMatch * 4));
 
+  static_assert(kWindow == 16, "the window compare is two 8-byte loads");
   const std::uint8_t* const tdata = target.data();
+  const std::uint8_t* const bdata = base.data();
+  const std::size_t last = target.size() - kWindow;  // last window start
+  std::array<std::uint64_t, kLookahead> ring{};  // fingerprints of [pos, ahead)
   std::size_t pos = 0;
   std::size_t lit_start = 0;
-  std::uint64_t hash = fingerprint(tdata);
-  bool hash_fresh = true;  // hash covers [pos, pos + kWindow)
+  std::size_t ahead = 0;   // first position not fingerprinted yet
+  std::uint64_t hash = 0;  // fingerprint of ahead - 1, partly reduced
 
-  while (pos + kWindow <= target.size()) {
-    if (!hash_fresh) {
+  while (pos <= last) {
+    if (ahead == pos) {  // the start, or just past a COPY
       hash = fingerprint(tdata + pos);
-      hash_fresh = true;
+      ring[pos % kLookahead] = hash;
+      table.prefetch(hash);
+      ahead = pos + 1;
     }
-    const std::size_t cand = table.probe(hash);
+    for (const std::size_t stop = std::min(pos + kLookahead, last + 1); ahead < stop; ++ahead) {
+      hash = roll(hash, tdata[ahead - 1], tdata[ahead - 1 + kWindow]);
+      const std::uint64_t fp = canonical(hash);
+      ring[ahead % kLookahead] = fp;
+      table.prefetch(fp);
+    }
+    // An empty slot reads base offset 0 (base.size() >= kWindow) and the
+    // hit test masks it out: a probe takes one branch, on a verified seed.
+    const std::uint32_t slot = table.slot(ring[pos % kLookahead]);
+    const std::size_t cand = slot - static_cast<std::uint32_t>(slot != 0);
+    const std::uint64_t diff = (load64(bdata + cand) ^ load64(tdata + pos)) |
+                               (load64(bdata + cand + 8) ^ load64(tdata + pos + 8)) |
+                               static_cast<std::uint64_t>(slot == 0);
     std::size_t len = 0;
-    if (cand != FootprintTable::npos &&
-        std::memcmp(base.data() + cand, tdata + pos, kWindow) == 0) {
+    if (diff == 0) {
       const std::size_t limit = std::min(target.size() - pos, base.size() - cand);
-      len = kWindow + util::forward_match(base.data() + cand + kWindow, tdata + pos + kWindow,
-                                    limit - kWindow);
+      len = kWindow + util::forward_match(bdata + cand + kWindow, tdata + pos + kWindow,
+                                          limit - kWindow);
     }
     if (len >= kMinMatch) {
       // Retro-correction: a seed found mid-match can reach backwards into
@@ -131,11 +177,8 @@ std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView
       insts.push_back(RollInst{true, cand - back, cut, len + back});
       pos += len;
       lit_start = pos;
-      hash_fresh = false;  // recompute at the new position next iteration
+      ahead = pos;  // drop the lookahead; re-fingerprint at the new position
       continue;
-    }
-    if (pos + kWindow < target.size()) {
-      hash = roll(hash, tdata[pos], tdata[pos + kWindow]);
     }
     ++pos;
   }
@@ -152,15 +195,28 @@ FootprintTable::FootprintTable(util::BytesView base) : pos_(kFootprintSlots, 0) 
   // servable document far below that.
   CBDE_EXPECT(base.size() <= kMaxDecodeTargetSize);
   if (base.size() < kWindow) return;
+  // The store of each position trails its fingerprint by kLookahead
+  // positions, so its slot, prefetched for writing, has arrived and the
+  // stores overlap the roll chain instead of stalling it. First-come-wins,
+  // still in position order: earlier base positions keep their slot, so
+  // probes are deterministic and biased toward small COPY addresses. A
+  // select, not a branch: whether a slot is taken is random.
+  std::array<std::uint64_t, kLookahead> ring{};
+  std::uint32_t* const slots = pos_.data();
+  const auto store = [&](std::size_t p) {
+    std::uint32_t& slot = slots[index(ring[p % kLookahead])];
+    slot = slot != 0 ? slot : static_cast<std::uint32_t>(p + 1);
+  };
+  const std::size_t count = base.size() - kWindow + 1;  // window starts
   std::uint64_t h = fingerprint(base.data());
-  for (std::size_t p = 0;; ++p) {
-    // First-come-wins: earlier base positions keep their slot, so probes are
-    // deterministic and biased toward small COPY addresses.
-    std::uint32_t& slot = pos_[static_cast<std::size_t>(h) & (kFootprintSlots - 1)];
-    if (slot == 0) slot = static_cast<std::uint32_t>(p + 1);
-    if (p + kWindow >= base.size()) break;
-    h = roll(h, base[p], base[p + kWindow]);
+  for (std::size_t p = 0; p < count; ++p) {
+    if (p >= kLookahead) store(p - kLookahead);
+    const std::uint64_t fp = canonical(h);
+    ring[p % kLookahead] = fp;
+    __builtin_prefetch(slots + index(fp), 1);
+    if (p + 1 < count) h = roll(h, base[p], base[p + kWindow]);
   }
+  for (std::size_t p = count - std::min(count, kLookahead); p < count; ++p) store(p);
 }
 
 EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,

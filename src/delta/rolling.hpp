@@ -58,14 +58,24 @@ class FootprintTable {
   /// npos. The hit shares a slot only: the caller must verify the window
   /// bytes, which also rejects a different fingerprint in the same slot.
   std::size_t probe(std::uint64_t fp) const {
-    const std::uint32_t pos = pos_[static_cast<std::size_t>(fp) & (kFootprintSlots - 1)];
+    const std::uint32_t pos = slot(fp);
     return pos == 0 ? npos : static_cast<std::size_t>(pos) - 1;
   }
+
+  /// The raw slot `fp` falls into: that base position + 1, or 0 when empty.
+  std::uint32_t slot(std::uint64_t fp) const { return pos_[index(fp)]; }
+
+  /// Starts loading `fp`'s slot into cache ahead of its slot() read.
+  void prefetch(std::uint64_t fp) const { __builtin_prefetch(pos_.data() + index(fp)); }
 
   /// Bytes of the slot array (fixed: kFootprintSlots entries).
   std::size_t bytes() const { return pos_.size() * sizeof(std::uint32_t); }
 
  private:
+  static std::size_t index(std::uint64_t fp) {
+    return static_cast<std::size_t>(fp) & (kFootprintSlots - 1);
+  }
+
   std::vector<std::uint32_t> pos_;  // base position + 1; 0 = empty slot
 };
 

@@ -278,12 +278,17 @@ TEST(DeltaServer, PublishedHistoryServesRecentVersionsOnly) {
 }
 
 TEST(DeltaServer, StorageCountsTheAnonymizingBaseOnce) {
-  // The class-creating request leaves two buffers: the working base, which
-  // the anonymization in progress aliases, and the selector's sample.
-  Rig rig(DeltaServerConfig{});
-  const auto resp = rig.request(1, 0, 0, 0);
-  ASSERT_TRUE(resp.class_created);
-  EXPECT_EQ(rig.server.storage_bytes(), 2 * resp.doc_size);
+  // The class-creating request leaves two buffers: the working base and the
+  // selector's sample. The anonymization in progress aliases the working
+  // base; with anonymization off, the published base is that same buffer.
+  for (const bool anonymize : {true, false}) {
+    DeltaServerConfig config;
+    config.anonymize = anonymize;
+    Rig rig(config);
+    const auto resp = rig.request(1, 0, 0, 0);
+    ASSERT_TRUE(resp.class_created);
+    EXPECT_EQ(rig.server.storage_bytes(), 2 * resp.doc_size) << "anonymize " << anonymize;
+  }
 }
 
 TEST(DeltaServer, IndexBytesCountsEveryIndex) {

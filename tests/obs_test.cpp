@@ -8,8 +8,10 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <span>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -432,6 +434,50 @@ TEST(ObsTrace, SpansNestThroughFullServe) {
   const std::string json = resp.trace->to_json();
   EXPECT_NE(json.find("\"name\": \"serve\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"encode\""), std::string::npos);
+}
+
+TEST(ObsTrace, SelfTimesConserveServeTime) {
+  // Every span of a traced serve lies inside its parent and no two siblings
+  // overlap, so each self time (duration minus the children's) is
+  // non-negative and the self times sum to serve's duration: the children
+  // of `group` and `commit` split their parents without losing or double
+  // counting a microsecond.
+  Rig rig(/*sample_rate=*/1.0);
+  std::set<std::string> seen;
+  util::SimTime now = 0;
+  for (std::uint64_t user = 1; user <= 40; ++user) {
+    const auto resp = rig.request(user, 0, user % 10, now);
+    now += util::kSecond;
+    ASSERT_NE(resp.trace, nullptr);
+    const auto& spans = resp.trace->spans();
+    ASSERT_FALSE(spans.empty());
+    const SpanRecord& serve = spans.front();
+    ASSERT_EQ(serve.name, "serve");
+    std::int64_t self_sum = 0;
+    for (const SpanRecord& s : spans) {
+      seen.insert(s.name);
+      ASSERT_GE(s.end_us, s.start_us) << s.name << " left open";
+      std::int64_t self = static_cast<std::int64_t>(s.end_us - s.start_us);
+      std::uint64_t sibling_end = s.start_us;
+      for (const SpanRecord& c : spans) {  // children, in start order
+        if (c.parent != s.id) continue;
+        EXPECT_GE(c.start_us, sibling_end) << c.name << " overlaps a sibling in " << s.name;
+        EXPECT_LE(c.end_us, s.end_us) << c.name << " outlives " << s.name;
+        sibling_end = c.end_us;
+        self -= static_cast<std::int64_t>(c.end_us - c.start_us);
+      }
+      EXPECT_GE(self, 0) << s.name;
+      if (&s != &serve) {
+        EXPECT_NE(s.parent, 0u) << s.name << " is a second root";
+      }
+      self_sum += self;
+    }
+    EXPECT_EQ(self_sum, static_cast<std::int64_t>(serve.end_us - serve.start_us));
+  }
+  for (const char* name : {"group", "lock_wait", "probe", "select", "anonymize", "publish",
+                           "encode", "compress", "commit"}) {
+    EXPECT_EQ(seen.count(name), 1u) << name;
+  }
 }
 
 TEST(ObsTrace, DirectResponseHasNoEncodeSpan) {

@@ -92,6 +92,40 @@ TEST(Rolling, EmptyAndTinyInputs) {
   const auto r3 = encode({}, as_view(base));  // empty base
   EXPECT_EQ(apply({}, as_view(r3.delta)), base);
   EXPECT_EQ(r3.copy_bytes, 0u);
+
+  // Targets of one to three windows: the target's end cuts the scan's
+  // lookahead short, and only a whole-target match of kMinMatch bytes or
+  // more becomes a COPY.
+  const Bytes wide = random_bytes(16, 4096);
+  const Encoder enc(wide);
+  for (std::size_t len = rolling::kWindow; len <= 3 * rolling::kWindow; ++len) {
+    const util::BytesView field = as_view(wide).subspan(700, len);
+    const Bytes target(field.begin(), field.end());
+    const auto r = enc.encode(as_view(target));
+    EXPECT_EQ(apply(as_view(wide), as_view(r.delta)), target) << len;
+    EXPECT_EQ(r.copy_bytes, len >= rolling::kMinMatch ? len : 0u) << len;
+    EXPECT_EQ(enc.encode_size(as_view(target)), r.delta.size()) << len;
+  }
+
+  // A COPY that ends 1..kWindow+1 bytes before the target end: the scan
+  // resumes with fewer than a window, or just one or two windows, left.
+  for (std::size_t tail = 1; tail <= rolling::kWindow + 1; ++tail) {
+    Bytes target;
+    util::append(target, as_view(wide).subspan(1000, 40));
+    Bytes rest = random_bytes(100 + tail, tail);
+    rest[0] = static_cast<std::uint8_t>(wide[1040] + 1);  // the copy stops at 40 bytes
+    util::append(target, as_view(rest));
+    const auto r = enc.encode(as_view(target));
+    EXPECT_EQ(apply(as_view(wide), as_view(r.delta)), target) << tail;
+    EXPECT_EQ(enc.encode_size(as_view(target)), r.delta.size()) << tail;
+    const std::vector<WireInst> insts = read_cbd1(r.delta);
+    ASSERT_EQ(insts.size(), 2u) << tail;
+    EXPECT_TRUE(insts[0].is_copy);
+    EXPECT_EQ(insts[0].addr, 1000u);
+    EXPECT_EQ(insts[0].len, 40u);
+    EXPECT_FALSE(insts[1].is_copy);
+    EXPECT_EQ(insts[1].len, tail);
+  }
 }
 
 TEST(Rolling, RandomPairsRoundTrip) {
@@ -223,6 +257,96 @@ TEST(Rolling, FootprintTableProbeContract) {
   // A base shorter than the window yields only misses.
   const rolling::FootprintTable empty(as_view(to_bytes("short")));
   EXPECT_EQ(empty.probe(12345), rolling::FootprintTable::npos);
+}
+
+// ------------------------------------------------------- pinned large bases
+//
+// Encoder.PinnedDeltasAndCoverageOverSeededCorpus stops at 6,000-byte bases,
+// which never fill the 2^16-slot footprint table. These bases run from 20 to
+// 256 KiB, so up to four windows compete for each slot and first-come-wins
+// drops the later ones. Targets are template-like: the base's fields in
+// order with some dropped, rewritten or inserted. The values were recorded
+// from the matcher that probed without a lookahead and rolled with mod_sub.
+
+constexpr std::size_t kLargeTemplatePairs = 12;
+
+std::vector<std::pair<Bytes, Bytes>> large_template_pairs() {
+  std::vector<std::pair<Bytes, Bytes>> pairs;
+  pairs.reserve(kLargeTemplatePairs);
+  util::Rng rng(2025);
+  for (std::size_t i = 0; i < kLargeTemplatePairs; ++i) {
+    const std::size_t base_len = (20u << 10) + rng.next_below((236u << 10) + 1);
+    const std::size_t alphabet = 4 + rng.next_below(23);
+    const auto field = [&rng, alphabet](Bytes& out, std::size_t n) {
+      for (std::size_t k = 0; k < n; ++k) {
+        out.push_back(static_cast<std::uint8_t>('a' + rng.next_below(alphabet)));
+      }
+    };
+    std::vector<Bytes> markup(3 + rng.next_below(6));
+    for (Bytes& m : markup) field(m, 6 + rng.next_below(40));
+    Bytes base;
+    std::vector<std::size_t> bounds{0};
+    while (base.size() < base_len) {
+      util::append(base, as_view(markup[rng.next_below(markup.size())]));
+      field(base, 1 + rng.next_below(300));
+      bounds.push_back(base.size());
+    }
+    Bytes target;
+    for (std::size_t f = 0; f + 1 < bounds.size(); ++f) {
+      switch (rng.next_below(10)) {
+        case 0:  // field dropped
+          break;
+        case 1:  // field rewritten
+          util::append(target, as_view(markup[rng.next_below(markup.size())]));
+          field(target, 1 + rng.next_below(300));
+          break;
+        case 2:  // field inserted before the kept one
+          field(target, 1 + rng.next_below(120));
+          [[fallthrough]];
+        default:
+          util::append(target, as_view(base).subspan(bounds[f], bounds[f + 1] - bounds[f]));
+          break;
+      }
+    }
+    pairs.emplace_back(std::move(base), std::move(target));
+  }
+  return pairs;
+}
+
+TEST(Rolling, PinnedTablesAndDeltasOverLargeBases) {
+  std::vector<std::uint32_t> table_crcs;
+  std::uint32_t crc = 0;
+  std::uint64_t delta_bytes = 0;
+  std::uint64_t size_total = 0;
+  for (const auto& [base, target] : large_template_pairs()) {
+    const rolling::FootprintTable table(as_view(base));
+    Bytes slots;
+    slots.reserve(rolling::kFootprintSlots * 4);
+    for (std::uint64_t k = 0; k < rolling::kFootprintSlots; ++k) {
+      const auto pos = static_cast<std::uint32_t>(table.probe(k));  // npos reads 0xffffffff
+      for (int b = 0; b < 4; ++b) slots.push_back(static_cast<std::uint8_t>(pos >> (8 * b)));
+    }
+    table_crcs.push_back(util::crc32(as_view(slots)));
+
+    const Encoder encoder(base);
+    const EncodeResult r = encoder.encode(as_view(target));
+    ASSERT_EQ(apply(as_view(base), as_view(r.delta)), target);
+    crc = util::crc32(as_view(r.delta), crc);
+    delta_bytes += r.delta.size();
+    Bytes bits((r.chunk_used.size() + 7) / 8, 0);
+    for (std::size_t c = 0; c < r.chunk_used.size(); ++c) {
+      if (r.chunk_used[c]) bits[c / 8] |= static_cast<std::uint8_t>(1u << (c % 8));
+    }
+    crc = util::crc32(as_view(bits), crc);
+    size_total += encoder.encode_size(as_view(target)) + encoder.encode_size(as_view(base));
+  }
+  const std::vector<std::uint32_t> expected_tables{
+      0x7e88734eu, 0xb19d0e4cu, 0x1353e06cu, 0x6a3f281fu, 0xc7d2ff6du, 0xd0210aa3u,
+      0x251e9a05u, 0x460a615fu, 0x55d51cd7u, 0x48f61179u, 0x06295cdbu, 0x35032e34u};
+  EXPECT_EQ(table_crcs, expected_tables);
+  EXPECT_EQ(delta_bytes, 236032u);
+  EXPECT_EQ(size_total, 236296u);
+  EXPECT_EQ(crc, 0x12e15dd8u);
 }
 
 TEST(Rolling, WireFormatIsPlainCbd1) {

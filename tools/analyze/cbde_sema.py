@@ -285,12 +285,14 @@ MEMBER_RE = re.compile(
 
 
 def unwrap_type(type_text):
-    """'std::unique_ptr<obs::EventLog>' -> 'EventLog'; strip cv/ref/ptr."""
-    t = type_text.strip()
+    """'const std::unique_ptr<obs::EventLog>' -> 'EventLog'; strip cv/ref/ptr.
+
+    cv-qualifiers go first, so a const smart-pointer member still unwraps."""
+    t = re.sub(r"\b(?:const|volatile)\b", " ", type_text).strip()
     m = re.match(r"(?:std::)?(?:unique_ptr|shared_ptr|optional|weak_ptr)\s*<(.*)>\s*$", t)
     if m:
         t = m.group(1).strip()
-    t = t.replace("const", " ").replace("*", " ").replace("&", " ").strip()
+    t = t.replace("*", " ").replace("&", " ").strip()
     t = t.split("<", 1)[0].strip()
     return t.rsplit("::", 1)[-1] if t else ""
 
@@ -878,6 +880,34 @@ void Beta::bar() {
 }  // namespace cbde::fix
 """
 
+# A call through a const smart-pointer member under a mutex: the edge
+# Alpha::mu_ -> Beta::mu_ must be found through `const std::unique_ptr`.
+FIXTURE_LOCK_CONST_MEMBER = """\
+#include "util/thread_annotations.hpp"
+namespace cbde::fix {
+class Beta {
+ public:
+  void bar();
+ private:
+  mutable Mutex mu_;
+};
+class Alpha {
+ public:
+  void foo();
+ private:
+  mutable Mutex mu_;
+  const std::unique_ptr<Beta> peer_;
+};
+void Alpha::foo() {
+  const LockGuard lock(mu_);
+  peer_->bar();
+}
+void Beta::bar() {
+  const LockGuard lock(mu_);
+}
+}  // namespace cbde::fix
+"""
+
 FIXTURE_CONTRACTS_BAD = """\
 #include "util/contracts.hpp"
 namespace cbde::fix {
@@ -905,11 +935,11 @@ util::Bytes apply_widget(util::BytesView base, util::BytesView delta) {
 def self_test():
     failures = []
 
-    def run_fixture(name, source, entry_points):
+    def run_fixture(name, source, entry_points, graph_out=None):
         with tempfile.TemporaryDirectory() as td:
             f = Path(td) / f"{name}.cpp"
             f.write_text(source, encoding="utf-8")
-            return analyze([td], entry_points=entry_points)
+            return analyze([td], entry_points=entry_points, graph_out=graph_out)
 
     def expect(name, findings, check, want):
         hits = [f for f in findings if f.check == check]
@@ -929,6 +959,11 @@ def self_test():
            "sema-lock-order", want=True)
     expect("lock-clean", run_fixture("lock_clean", FIXTURE_LOCK_CLEAN, []),
            "sema-lock-order", want=False)
+    graph = {}
+    run_fixture("lock_const_member", FIXTURE_LOCK_CONST_MEMBER, [], graph)
+    if ("Alpha::mu_", "Beta::mu_") not in graph:
+        failures.append("lock-const-member: expected the edge Alpha::mu_ -> Beta::mu_, got "
+                        + (", ".join(f"{a} -> {b}" for a, b in sorted(graph)) or "none"))
     entry = [("contracts.cpp", "apply_widget")]
     expect("contracts-bad",
            run_fixture("contracts", FIXTURE_CONTRACTS_BAD, entry),
