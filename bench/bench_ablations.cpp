@@ -14,8 +14,6 @@
 #include "core/anonymizer.hpp"
 #include "core/class_manager.hpp"
 #include "core/simulation.hpp"
-#include "proxy/gd_cache.hpp"
-#include "util/zipf.hpp"
 
 namespace {
 
@@ -192,30 +190,6 @@ void ablation_popular_fraction() {
   }
 }
 
-void ablation_proxy_policy() {
-  std::printf("\nF. proxy replacement policy for cachable objects (paper cites\n"
-              "   greedy-dual caching [11])\n");
-  util::Rng rng(515);
-  const util::ZipfSampler zipf(500, 1.0);
-  std::vector<std::size_t> sizes(500);
-  for (auto& s : sizes) s = 1024 + rng.next_below(80 * 1024);
-
-  proxy::LruCache lru(512 * 1024);
-  proxy::GreedyDualCache gdsf(512 * 1024);
-  for (int i = 0; i < 30000; ++i) {
-    const std::size_t obj = zipf.sample(rng);
-    const std::string key = "o" + std::to_string(obj);
-    if (!lru.get(key)) lru.put(key, Bytes(sizes[obj], 'l'));
-    if (!gdsf.get(key)) gdsf.put(key, Bytes(sizes[obj], 'g'));
-  }
-  std::printf("  LRU : hit rate %.1f%%  bytes served %.1f MB\n",
-              lru.stats().hit_rate() * 100.0,
-              static_cast<double>(lru.stats().bytes_served) / 1e6);
-  std::printf("  GDSF: hit rate %.1f%%  bytes served %.1f MB\n",
-              gdsf.stats().hit_rate() * 100.0,
-              static_cast<double>(gdsf.stats().bytes_served) / 1e6);
-}
-
 }  // namespace
 
 int main() {
@@ -225,6 +199,5 @@ int main() {
   ablation_rebase_timeout();
   ablation_anonymization_m();
   ablation_popular_fraction();
-  ablation_proxy_policy();
   return 0;
 }

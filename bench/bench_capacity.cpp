@@ -14,17 +14,18 @@
 //
 // --workers replay mode (the DeltaWorkerPool scaling curve): replay one
 // identical pre-generated request stream through a real DeltaServer behind
-// a worker pool of each size, measure wall-clock req/s, assert the Table II
-// byte totals are bit-exact across worker counts, and write
-// BENCH_capacity.json.
+// a worker pool of each size, kReplays times per size, assert the Table II
+// byte totals are bit-exact on every replay, and write the median req/s of
+// each size to BENCH_capacity.json.
 //
 // Flags:
 //   --workers LIST  comma-separated worker counts (e.g. 1,2,4) — enables
 //                   replay mode; without this flag the closed-loop harness
 //                   above runs unchanged
-//   --requests N    requests per worker-count run (default 512, smoke 96)
+//   --requests N    requests per replay (default 512, smoke 96)
 //   --out PATH      where to write the JSON (default: BENCH_capacity.json)
 //   --smoke         tiny corpus (CI sanity run)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -97,6 +98,12 @@ void capacity_row(const char* label, const server::LoadConfig& config,
 // ---------------------------------------------------------------------------
 // --workers replay mode: the SVI-C capacity question asked of our own server.
 // ---------------------------------------------------------------------------
+
+/// Replays per worker count. A single replay of a few hundred requests
+/// lasts under a second, and on a shared host one replay's req/s can be a
+/// third off the next one's, so each size is replayed this many times and
+/// the median replay is reported.
+constexpr std::size_t kReplays = 5;
 
 struct ReplayResult {
   std::size_t workers = 0;
@@ -265,30 +272,48 @@ int run_workers_mode(const std::vector<std::size_t>& worker_counts,
   json.field("requests", requests);
   json.field("smoke", static_cast<std::size_t>(smoke ? 1 : 0));
   json.field("hardware_concurrency", cores);
+  json.field("replays", kReplays);
   json.close();
 
+  // The median replay of each worker count, and the slowest and fastest
+  // replay's req/s beside it. Every replay is checked against the first one.
   std::vector<ReplayResult> runs;
+  std::vector<std::pair<double, double>> spread;
+  bool parity = true;
   for (const std::size_t workers : worker_counts) {
-    runs.push_back(run_replay(site, workers, requests));
+    std::vector<ReplayResult> replays;
+    replays.reserve(kReplays);
+    for (std::size_t k = 0; k < kReplays; ++k) {
+      replays.push_back(run_replay(site, workers, requests));
+      const ReplayResult& reference = runs.empty() ? replays.front() : runs.front();
+      parity = check_byte_parity(reference, replays.back()) && parity;
+    }
+    std::sort(replays.begin(), replays.end(),
+              [](const ReplayResult& a, const ReplayResult& b) {
+                return a.requests_per_sec < b.requests_per_sec;
+              });
+    spread.emplace_back(replays.front().requests_per_sec, replays.back().requests_per_sec);
+    runs.push_back(std::move(replays[kReplays / 2]));
     const ReplayResult& r = runs.back();
-    std::printf("  workers=%-2zu  %10.0f req/s   wire %llu B   deltas %llu/%llu\n",
-                r.workers, r.requests_per_sec,
-                static_cast<unsigned long long>(r.metrics.wire_bytes),
+    std::printf("  workers=%-2zu  %10.0f req/s (%.0f-%.0f over %zu replays)   wire %llu B"
+                "   deltas %llu/%llu\n",
+                r.workers, r.requests_per_sec, spread.back().first, spread.back().second,
+                kReplays, static_cast<unsigned long long>(r.metrics.wire_bytes),
                 static_cast<unsigned long long>(r.metrics.delta_responses),
                 static_cast<unsigned long long>(r.metrics.requests));
   }
-
-  bool parity = true;
-  for (const ReplayResult& r : runs) parity = check_byte_parity(runs.front(), r) && parity;
 
   const ReplayResult* baseline = nullptr;
   for (const ReplayResult& r : runs)
     if (r.workers == 1) baseline = &r;
 
-  for (const ReplayResult& r : runs) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const ReplayResult& r = runs[i];
     json.open("workers_" + std::to_string(r.workers));
     json.field("workers", r.workers);
     json.field("requests_per_sec", r.requests_per_sec);
+    json.field("requests_per_sec_min", spread[i].first);
+    json.field("requests_per_sec_max", spread[i].second);
     json.field("ns_per_request", r.total_ns / static_cast<double>(requests));
     json.field("wire_bytes", static_cast<std::size_t>(r.metrics.wire_bytes));
     json.field("base_wire_bytes", static_cast<std::size_t>(r.metrics.base_wire_bytes));

@@ -215,27 +215,4 @@ const util::Bytes* OnlineOptimalPolicy::current_base() const {
   return docs_.empty() ? nullptr : &docs_[best_]->base();
 }
 
-std::size_t offline_optimal_index(const std::vector<util::Bytes>& docs) {
-  CBDE_EXPECT(!docs.empty());
-  std::size_t best = 0;
-  double best_score = std::numeric_limits<double>::max();
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    // One index build per base, then size-only scans against every target.
-    // Non-owning alias of the caller's buffer (the estimator dies inside
-    // this scope) — passing docs[i] by value copied every document once.
-    const delta::Estimator estimator(
-        std::shared_ptr<const util::Bytes>(std::shared_ptr<void>(), &docs[i]));
-    double total = 0.0;
-    for (std::size_t j = 0; j < docs.size(); ++j) {
-      if (i == j) continue;
-      total += static_cast<double>(estimator.estimate(util::as_view(docs[j])));
-    }
-    if (total < best_score) {
-      best_score = total;
-      best = i;
-    }
-  }
-  return best;
-}
-
 }  // namespace cbde::core

@@ -155,9 +155,4 @@ class OnlineOptimalPolicy : public BasePolicy {
   std::size_t best_ = 0;
 };
 
-/// Offline reference: given the whole sequence, the document minimizing the
-/// total light-estimated delta cost (used by tests to sanity-check the online
-/// algorithms).
-std::size_t offline_optimal_index(const std::vector<util::Bytes>& docs);
-
 }  // namespace cbde::core

@@ -227,12 +227,6 @@ DeltaInfo inspect(util::BytesView delta) {
 }
 
 util::Bytes apply(util::BytesView base, util::BytesView delta) {
-  util::Bytes out;
-  apply_into(base, delta, out);
-  return out;
-}
-
-void apply_into(util::BytesView base, util::BytesView delta, util::Bytes& out) {
   // The base comes from the trusted side (our own store); only the delta is
   // untrusted. A base above the decode cap can never match a valid header.
   CBDE_EXPECT(base.size() <= kMaxDecodeTargetSize);
@@ -241,7 +235,7 @@ void apply_into(util::BytesView base, util::BytesView delta, util::Bytes& out) {
   if (info.base_size != base.size() || info.base_crc != util::crc32(base)) {
     throw CorruptDelta("delta: base-file mismatch");
   }
-  out.clear();
+  util::Bytes out;
   out.reserve(info.target_size);
   while (pos < delta.size()) {
     const auto tag = util::get_uvarint(delta, pos);
@@ -285,6 +279,7 @@ void apply_into(util::BytesView base, util::BytesView delta, util::Bytes& out) {
     throw CorruptDelta("delta: target checksum mismatch");
   }
   CBDE_ENSURE(out.size() == info.target_size);
+  return out;
 }
 
 }  // namespace cbde::delta

@@ -158,13 +158,6 @@ std::size_t estimate_delta_size(util::BytesView base, util::BytesView target);
 /// matches the recorded target checksum. Throws CorruptDelta otherwise.
 util::Bytes apply(util::BytesView base, util::BytesView delta);
 
-/// Zero-copy variant of apply(): decodes into `out`, reusing whatever
-/// capacity the caller's buffer already has (a per-worker scratch buffer
-/// amortizes the decode allocation across requests). `out` is cleared
-/// first; on throw its contents are unspecified. Same validation contract
-/// as apply(); fuzzed differentially against it.
-void apply_into(util::BytesView base, util::BytesView delta, util::Bytes& out);
-
 /// Parsed header of a delta, for inspection without applying it.
 struct DeltaInfo {
   std::size_t base_size = 0;

@@ -32,10 +32,8 @@ struct CacheStats {
   }
 };
 
-/// Registry handles a cache mirrors its CacheStats into. Both replacement
-/// policies (LruCache, GreedyDualCache) report through the same
-/// cbde_proxy_* family — attach() is the single registration site, so the
-/// catalog has one entry per metric no matter which policy a pipeline uses.
+/// Registry handles an LruCache mirrors its CacheStats into, as the
+/// cbde_proxy_* family — attach() is the single registration site.
 /// Attaching two live caches to one Obs aggregates them. All-null
 /// (default) = no-op.
 struct CacheInstruments {

@@ -1,10 +1,8 @@
 // Enforced contracts: preconditions, postconditions, and invariants.
 //
 // Every public entry point of the decoder and serving subsystems states its
-// contract with these macros; tools/analyze/cbde_sema.py statically verifies
-// that the configured entry points do so, and tools/lint/cbde_lint.py
-// (`contracts-form`) keeps the asserted expressions side-effect free — a
-// contract expression is *always* safe to evaluate or to elide.
+// contract with these macros; tools/lint/cbde_lint.py (`entry-contract`)
+// checks that the entry points it lists do so.
 //
 // Two check levels, selected by CBDE_CONTRACTS_LEVEL (CMake cache variable
 // CBDE_CONTRACTS = default | audit; see docs/ANALYSIS.md):
@@ -31,9 +29,8 @@
 //                                the end of a mutating member function;
 //                                violation throws std::logic_error.
 //
-// Contract expressions must be side-effect free (enforced by lint): an
-// assumed condition may or may not be evaluated, so a contract that mutates
-// state would make the two levels diverge.
+// Keep contract conditions side-effect free. The assume form is still an
+// `if`, so both levels evaluate a condition and run any effect in it alike.
 #pragma once
 
 #include <stdexcept>

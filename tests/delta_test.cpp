@@ -522,9 +522,9 @@ TEST(Delta, TemporalSnapshotsProduceSmallDeltas) {
 //
 // The CBD1 superstring convention (COPY addresses >= base_size read the
 // target's own already-decoded prefix, overlapping spans decode byte-wise
-// forward) has one consumer, apply_into, the only CBD1 decoder. The encoder
+// forward) has one consumer, apply, the only CBD1 decoder. The encoder
 // never emits a self-copy, so these goldens pin the semantics against a
-// byte-at-a-time reference decoder: a future "optimization" of apply_into's
+// byte-at-a-time reference decoder: a future "optimization" of apply's
 // bulk-memcpy path cannot silently change them.
 
 /// COPY/ADD spec for hand-assembling a CBD1 stream.
@@ -580,9 +580,7 @@ void expect_golden(util::BytesView base, const std::vector<GoldenInst>& insts,
   const Bytes target = reference_decode(base, insts);
   ASSERT_EQ(util::as_string_view(as_view(target)), expected);
   const Bytes delta = assemble_cbd1(base, insts, target);
-  Bytes out;
-  apply_into(base, as_view(delta), out);  // the bulk path under test
-  EXPECT_EQ(out, target);
+  EXPECT_EQ(apply(base, as_view(delta)), target);  // the bulk path under test
 }
 
 TEST(Delta, GoldenSelfCopyAtExactBaseBoundary) {
@@ -630,9 +628,6 @@ TEST(Delta, GoldenMixedBaseAndSelfCopiesMatchReference) {
   };
   const Bytes target = reference_decode(as_view(base), insts);
   const Bytes delta = assemble_cbd1(as_view(base), insts, target);
-  Bytes out;
-  apply_into(as_view(base), as_view(delta), out);
-  EXPECT_EQ(out, target);
   EXPECT_EQ(apply(as_view(base), as_view(delta)), target);
 }
 
@@ -645,22 +640,17 @@ TEST(Delta, GoldenSelfCopyPastFrontierRejected) {
   Bytes forged;  // target claim is arbitrary: decode must fail before checksum
   forged.assign(5, 'z');
   const Bytes delta = assemble_cbd1(as_view(base), insts, forged);
-  Bytes out;
-  EXPECT_THROW(apply_into(as_view(base), as_view(delta), out), CorruptDelta);
+  EXPECT_THROW(apply(as_view(base), as_view(delta)), CorruptDelta);
 }
 
 TEST(Delta, OverlappingSelfCopyRoundTrips) {
-  // Period-3 run: a self-copy whose distance is smaller than its length,
-  // through both decoder entry points.
+  // Period-3 run: a self-copy whose distance is smaller than its length.
   const Bytes base = to_bytes("zz");
   const std::vector<GoldenInst> insts = {GoldenInst{false, 0, "abc", 0},
                                          GoldenInst{true, base.size(), "", 4997}};
   const Bytes target = reference_decode(as_view(base), insts);
   const Bytes delta = assemble_cbd1(as_view(base), insts, target);
   EXPECT_EQ(apply(as_view(base), as_view(delta)), target);
-  Bytes out;
-  apply_into(as_view(base), as_view(delta), out);
-  EXPECT_EQ(out, target);
 }
 
 TEST(Delta, SelfReferenceWorksWithEmptyBase) {

@@ -1,8 +1,8 @@
 // Deterministic interleaving exploration (docs/ANALYSIS.md): the scheduler
 // itself, the DeltaWorkerPool double-join regression on the reverted-fix
-// fixture, and the DeltaServer publish/rebase snapshot protocol. The
-// iteration budget honors CBDE_SCHED_BUDGET so CI can pin it.
-#include <cstdlib>
+// fixture, and the DeltaServer publish/rebase snapshot protocol. Every
+// exploration runs under one fixed iteration budget, so a run is the same
+// on every machine.
 #include <string>
 #include <vector>
 
@@ -14,13 +14,7 @@
 namespace cbde::sched {
 namespace {
 
-std::size_t schedule_budget() {
-  if (const char* env = std::getenv("CBDE_SCHED_BUDGET")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-  }
-  return 20000;
-}
+constexpr std::size_t kScheduleBudget = 20000;
 
 TEST(Scheduler, RunsEveryTaskToCompletion) {
   Scheduler sched({}, /*preemption_bound=*/3);
@@ -75,7 +69,7 @@ TEST(Scheduler, DetectsLockOrderDeadlock) {
       SchedLockGuard second(*a);
     });
   };
-  const ExploreResult result = explore(setup, nullptr, schedule_budget());
+  const ExploreResult result = explore(setup, nullptr, kScheduleBudget);
   ASSERT_TRUE(result.failure_found);
   EXPECT_NE(result.failure.find("deadlock"), std::string::npos) << result.failure;
   EXPECT_EQ(replay(setup, result.failing_decisions), result.failure);
@@ -94,7 +88,7 @@ TEST(ScheduleExplorer, RefindsDoubleJoinRaceOnRevertedFixture) {
     });
     sched.spawn([pool] { pool->shutdown(); });
   };
-  const ExploreResult result = explore(setup, nullptr, schedule_budget());
+  const ExploreResult result = explore(setup, nullptr, kScheduleBudget);
   ASSERT_TRUE(result.failure_found)
       << "explored " << result.schedules_run << " schedules without refinding the race";
   EXPECT_NE(result.failure.find("shutdown returned while a worker"), std::string::npos)
@@ -115,10 +109,10 @@ TEST(ScheduleExplorer, FixedShutdownHandshakeRunsClean) {
     });
     sched.spawn([pool] { pool->shutdown(); });
   };
-  const ExploreResult result = explore(setup, nullptr, schedule_budget());
+  const ExploreResult result = explore(setup, nullptr, kScheduleBudget);
   EXPECT_FALSE(result.failure_found) << result.failure;
   EXPECT_TRUE(result.exhausted)
-      << "budget " << schedule_budget() << " too small: ran "
+      << "budget " << kScheduleBudget << " too small: ran "
       << result.schedules_run << " schedules without exhausting the space";
 }
 
@@ -130,7 +124,7 @@ TEST(ScheduleExplorer, FindsDanglingSnapshotWithoutKeepalive) {
     sched.spawn([model] { model->read_published(); });
     sched.spawn([model] { model->rebase(); });
   };
-  const ExploreResult result = explore(setup, nullptr, schedule_budget());
+  const ExploreResult result = explore(setup, nullptr, kScheduleBudget);
   ASSERT_TRUE(result.failure_found)
       << "explored " << result.schedules_run << " schedules without finding the dangle";
   EXPECT_NE(result.failure.find("dangling base snapshot"), std::string::npos)
@@ -147,10 +141,10 @@ TEST(ScheduleExplorer, KeepaliveSnapshotRunsClean) {
     sched.spawn([model] { model->rebase(); });
     sched.spawn([model] { model->rebase(); });
   };
-  const ExploreResult result = explore(setup, nullptr, schedule_budget());
+  const ExploreResult result = explore(setup, nullptr, kScheduleBudget);
   EXPECT_FALSE(result.failure_found) << result.failure;
   EXPECT_TRUE(result.exhausted)
-      << "budget " << schedule_budget() << " too small: ran "
+      << "budget " << kScheduleBudget << " too small: ran "
       << result.schedules_run << " schedules without exhausting the space";
 }
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <string>
 
 #include "core/basefile_selector.hpp"
+#include "delta/delta.hpp"
 #include "trace/document.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 
 namespace cbde::core {
@@ -12,6 +16,31 @@ namespace {
 using util::Bytes;
 using util::as_view;
 using util::to_bytes;
+
+/// Offline reference: given the whole sequence, the document minimizing the
+/// total light-estimated delta cost, to sanity-check the online algorithms.
+std::size_t offline_optimal_index(const std::vector<util::Bytes>& docs) {
+  CBDE_EXPECT(!docs.empty());
+  std::size_t best = 0;
+  double best_score = std::numeric_limits<double>::max();
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    // One index build per base, then size-only scans against every target.
+    // Non-owning alias of the caller's buffer (the estimator dies inside
+    // this scope) — passing docs[i] by value copied every document once.
+    const delta::Estimator estimator(
+        std::shared_ptr<const util::Bytes>(std::shared_ptr<void>(), &docs[i]));
+    double total = 0.0;
+    for (std::size_t j = 0; j < docs.size(); ++j) {
+      if (i == j) continue;
+      total += static_cast<double>(estimator.estimate(util::as_view(docs[j])));
+    }
+    if (total < best_score) {
+      best_score = total;
+      best = i;
+    }
+  }
+  return best;
+}
 
 /// Documents built around a common core with graded coverage: doc k shares
 /// `common` and carries (n - k) * `extra` bytes of content unique to it.

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """cbde_lint: repo-specific static checks clang-tidy cannot express.
 
-Registered as ctest `lint.cbde` (and `lint.cbde_selftest`); also run by
-ci.sh over src/ tests/ bench/. Checks, each with a stable id:
+Registered as ctest `lint.cbde` (and `lint.cbde_selftest`) over src/ tests/
+bench/. Each check guards a property no other gate in this repo fails on
+(docs/ANALYSIS.md lists the seeded fault behind each). Checks, each with a
+stable id:
 
   raw-sync        std synchronization primitives (std mutexes, lock guards,
                   condition variables and their headers) are banned outside
@@ -17,17 +19,18 @@ ci.sh over src/ tests/ bench/. Checks, each with a stable id:
   catch-swallow   `catch (...)` blocks must rethrow, forward the exception
                   (set_exception), or visibly report (log/fprintf/abort);
                   silent swallowing hides decoder-contract violations.
-  fuzz-coverage   every public decoder entry point must be exercised by a
+  entry-contract  every entry point in ENTRY_POINTS must state at least one
+                  contract: a CBDE_EXPECT/CBDE_ENSURE/CBDE_ASSERT macro, or
+                  an early validated reject (`if (...) throw` / `return
+                  std::nullopt`), directly or in a same-file callee.
+  fuzz-coverage   every decoder in ENTRY_POINTS must be exercised by its
                   registered fuzz target: the target name must appear in
                   tests/fuzz/CMakeLists.txt and the entry-point symbol in
                   tests/fuzz/fuzz_main.cpp.
-  contracts-form  CBDE_EXPECT / CBDE_ENSURE / CBDE_ASSERT /
-                  CBDE_ASSERT_INVARIANT conditions must be pure — no ++/--,
-                  assignment, container mutation, or new/delete — so the
-                  configured contract level (see src/util/contracts.hpp)
-                  can never change program behavior. Bare assert() is
-                  banned outside tests/ and bench/: use CBDE_ASSERT so the
-                  check participates in the contract-level scheme.
+  bare-assert     assert() is banned outside tests/ and bench/: every
+                  build CI runs is RelWithDebInfo, which defines NDEBUG,
+                  so it would check nothing there; use CBDE_ASSERT from
+                  util/contracts.hpp.
   obs-metric      every metric registered against the obs registry
                   (counter/gauge/histogram with a literal name) must
                   follow the cbde_<layer>_<name>[_unit] naming
@@ -82,21 +85,32 @@ CATCH_OK = re.compile(
     r"ADD_FAILURE|lint:\s*swallow-ok"
 )
 
-# decoder entry point -> fuzz target that must cover it. The symbol must
-# appear in fuzz_main.cpp; the target name must be registered in the
-# tests/fuzz CMake foreach list so ctest actually runs it.
-FUZZ_REQUIRED = {
-    "delta::apply": "cbd1",
-    "delta::apply_into": "cbd1",
-    "delta::inspect": "cbd1",
-    "compress::decompress": "compress",
-    "compress::decompress_into": "compress",
-    "http::HttpRequest::parse": "http",
-    "http::HttpResponse::parse": "http",
-    "trace::parse_clf": "access_log",
-    "trace::read_access_log": "access_log",
-    "core::load_config": "config",
-}
+# The entry points that take bytes or requests from outside the process:
+# (defining file, symbol as callers name it, fuzz target or None). Each
+# must state a contract (entry-contract). Each decoder names the fuzz
+# target that must cover it: the symbol must appear in fuzz_main.cpp and
+# the target in the tests/fuzz CMake foreach list (fuzz-coverage).
+ENTRY_POINTS = [
+    ("src/delta/delta.cpp", "delta::apply", "cbd1"),
+    ("src/delta/delta.cpp", "delta::inspect", "cbd1"),
+    ("src/compress/compressor.cpp", "compress::compress", None),
+    ("src/compress/compressor.cpp", "compress::decompress", "compress"),
+    ("src/compress/compressor.cpp", "compress::decompress_into", "compress"),
+    ("src/http/message.cpp", "http::HttpRequest::parse", "http"),
+    ("src/http/message.cpp", "http::HttpRequest::serialize", None),
+    ("src/http/message.cpp", "http::HttpResponse::parse", "http"),
+    ("src/http/message.cpp", "http::HttpResponse::serialize", None),
+    ("src/http/url.cpp", "http::parse_url", None),
+    ("src/http/url.cpp", "http::percent_decode", None),
+    ("src/http/partition.cpp", "http::RuleBook::partition", None),
+    ("src/trace/access_log.cpp", "trace::parse_clf", "access_log"),
+    ("src/trace/access_log.cpp", "trace::read_access_log", "access_log"),
+    ("src/core/config_loader.cpp", "core::load_config", "config"),
+    ("src/core/delta_server.cpp", "core::DeltaServer::serve", None),
+    # Class and version come straight from the /.cbde/base?class=&v= query.
+    ("src/core/delta_server.cpp", "core::DeltaServer::fetch_base", None),
+    ("src/core/delta_worker_pool.cpp", "core::DeltaWorkerPool::submit", None),
+]
 
 # Unreserved growth in the byte-pipeline layers: push_back / emplace_back /
 # append inside a loop in src/delta or src/compress without a preceding
@@ -112,14 +126,26 @@ GROWTH_CALL = re.compile(
 GROWTH_OK = re.compile(r"lint:\s*growth-ok")
 LOOP_HEAD = re.compile(r"\b(?:for|while)\s*\(")
 
-# Side effects that must never appear inside a contract condition: the
-# lookbehind/lookahead on `=` spare the comparison operators.
-CONTRACT_MACRO = re.compile(r"\bCBDE_(?:EXPECT|ENSURE|ASSERT|ASSERT_INVARIANT)\s*\(")
-CONTRACT_SIDE_EFFECT = re.compile(
-    r"\+\+|--|(?<![=!<>+\-*/%&|^])=(?!=)|\bnew\b|\bdelete\b|"
-    r"\.(?:push_back|pop_back|emplace|emplace_back|insert|erase|clear|"
-    r"reset|release|resize|reserve|assign)\s*\(")
 BARE_ASSERT = re.compile(r"(?<![\w.])assert\s*\(")
+
+# What counts as a stated contract in an entry point's body: a contract
+# macro, or an `if` that throws or rejects within a few lines.
+CONTRACT_EVIDENCE = re.compile(
+    r"\bCBDE_(?:EXPECT|ENSURE|ASSERT|ASSERT_INVARIANT)\s*\("
+    r"|\bif\s*\(.{0,240}?(?:\bthrow\b|return\s+std::nullopt)", re.S)
+
+# A function definition header: (qualified) name, balanced-enough params,
+# trailing qualifiers / initializers, then the opening brace.
+FUNC_DEF = re.compile(
+    r"(?P<name>(?:[A-Za-z_]\w*::)*~?[A-Za-z_]\w*)"
+    r"\s*\((?P<params>[^;{}]*?)\)"
+    r"(?:[^;{}()]|\([^()]*\))*?\{")
+NOT_FUNCTIONS = {
+    "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
+    "decltype", "noexcept", "constexpr", "static_assert", "do", "else",
+    "new", "delete", "throw", "case", "default", "assert",
+}
+CALL = re.compile(r"(?:(?<![\w.>:])|(?:\.|->)\s*)([A-Za-z_]\w*)\s*\(")
 
 
 # A registration call with a literal metric name: .counter("..."),
@@ -250,35 +276,15 @@ def check_catch_swallow(path: Path, text: str, findings: list[Finding]) -> None:
                 "or log (or annotate `// lint: swallow-ok <reason>`)"))
 
 
-def check_contracts_form(path: Path, lines: list[str], findings: list[Finding]) -> None:
-    stripped = "\n".join(strip_code_noise(line) for line in lines)
-    for m in CONTRACT_MACRO.finditer(stripped):
-        depth, j = 1, stripped.index("(", m.end() - 1) + 1
-        start = j
-        while j < len(stripped) and depth:
-            if stripped[j] == "(":
-                depth += 1
-            elif stripped[j] == ")":
-                depth -= 1
-            j += 1
-        cond = stripped[start:j - 1]
-        se = CONTRACT_SIDE_EFFECT.search(cond)
-        if se:
-            line_no = stripped.count("\n", 0, m.start()) + 1
-            findings.append(Finding(
-                "contracts-form", path, line_no,
-                f"contract condition contains a side effect (`{se.group(0).strip()}`); "
-                "conditions must be pure so the contract level cannot change "
-                "program behavior"))
-    rel = rel_posix(path)
-    if rel.startswith(("tests/", "bench/")):
+def check_bare_assert(path: Path, lines: list[str], findings: list[Finding]) -> None:
+    if rel_posix(path).startswith(("tests/", "bench/")):
         return
     for i, line in enumerate(lines, 1):
         if BARE_ASSERT.search(strip_code_noise(line)):
             findings.append(Finding(
-                "contracts-form", path, i,
-                "bare assert(); use CBDE_ASSERT from util/contracts.hpp so the "
-                "check participates in the contract-level scheme"))
+                "bare-assert", path, i,
+                "bare assert() checks nothing under NDEBUG; use CBDE_ASSERT "
+                "from util/contracts.hpp"))
 
 
 def strip_comment(line: str) -> str:
@@ -408,6 +414,72 @@ def check_hot_path_growth(path: Path, lines: list[str],
                 "or annotate `// lint: growth-ok <reason>`"))
 
 
+def function_bodies(text: str) -> list[tuple[str, int, str]]:
+    """(name as written, header line, body) of every function definition,
+    nested ones included. Comments, string contents and preprocessor lines
+    are blanked first so neither braces in literals nor `#if defined(...)`
+    read as code."""
+    stripped = "\n".join(
+        "" if line.lstrip().startswith("#") else strip_code_noise(line)
+        for line in text.splitlines())
+    out = []
+    pos = 0
+    while m := FUNC_DEF.search(stripped, pos):
+        pos = m.start() + 1
+        name = m.group("name")
+        params = m.group("params")
+        before = stripped[:m.start()].rstrip()
+        if (name.rsplit("::", 1)[-1] in NOT_FUNCTIONS
+                or (m.start() > 0 and not stripped[m.start() - 1].isspace())
+                or params.count("(") != params.count(")")
+                or before.endswith(("=", "(", ",", "!", "&&", "||", "return"))):
+            continue
+        depth, end = 0, m.end() - 1
+        while end < len(stripped):
+            depth += {"{": 1, "}": -1}.get(stripped[end], 0)
+            if depth == 0:
+                break
+            end += 1
+        out.append((name, stripped.count("\n", 0, m.start()) + 1,
+                    stripped[m.end():end]))
+        pos = m.end()
+    return out
+
+
+def states_contract(body: str, bodies: list[tuple[str, int, str]]) -> bool:
+    """The body carries contract evidence, or calls a same-file function
+    whose own body does."""
+    if CONTRACT_EVIDENCE.search(body):
+        return True
+    called = {c.group(1) for c in CALL.finditer(body)} - NOT_FUNCTIONS
+    return any(name.rsplit("::", 1)[-1] in called and CONTRACT_EVIDENCE.search(callee)
+               for name, _, callee in bodies)
+
+
+def check_entry_contracts(root: Path, findings: list[Finding],
+                          entry_points=ENTRY_POINTS) -> None:
+    for rel, symbol, _target in entry_points:
+        path = root / rel
+        if not path.is_file():
+            findings.append(Finding("entry-contract", path, 1,
+                                    f"{symbol}: {rel} not found"))
+            continue
+        name = symbol.split("::", 1)[1]
+        bodies = function_bodies(path.read_text(encoding="utf-8", errors="replace"))
+        defs = [(line, body) for n, line, body in bodies if n == name]
+        if not defs:
+            findings.append(Finding(
+                "entry-contract", path, 1,
+                f"entry point {symbol} not defined here (moved or renamed? "
+                "update ENTRY_POINTS)"))
+        for line, body in defs:
+            if not states_contract(body, bodies):
+                findings.append(Finding(
+                    "entry-contract", path, line,
+                    f"entry point {symbol} states no precondition (add "
+                    "CBDE_EXPECT or a validated early reject)"))
+
+
 def check_fuzz_coverage(root: Path, findings: list[Finding]) -> None:
     cmake = root / "tests/fuzz/CMakeLists.txt"
     main = root / "tests/fuzz/fuzz_main.cpp"
@@ -421,7 +493,9 @@ def check_fuzz_coverage(root: Path, findings: list[Finding]) -> None:
     if m:
         targets = set(m.group(1).split())
     main_text = main.read_text(encoding="utf-8")
-    for symbol, target in sorted(FUZZ_REQUIRED.items()):
+    for _rel, symbol, target in ENTRY_POINTS:
+        if target is None:
+            continue
         if target not in targets:
             findings.append(Finding(
                 "fuzz-coverage", cmake, 1,
@@ -451,10 +525,11 @@ def lint_paths(dirs: list[Path], root: Path) -> list[Finding]:
         check_nolint_form(path, lines, findings)
         check_banned_fn(path, lines, findings)
         check_catch_swallow(path, text, findings)
-        check_contracts_form(path, lines, findings)
+        check_bare_assert(path, lines, findings)
         check_hot_path_growth(path, lines, findings)
         collect_obs_registrations(path, lines, obs_sites)
     check_obs_metrics(obs_sites, findings)
+    check_entry_contracts(root, findings)
     check_fuzz_coverage(root, findings)
     return findings
 
@@ -469,13 +544,9 @@ SEEDED_VIOLATIONS = {
     "banned-fn": "int pick() { return rand() % 6; }\n"
                  "void copy(char* d, const char* s) { strcpy(d, s); }\n",
     "catch-swallow": "void f() { try { g(); } catch (...) { } }\n",
-    # Three distinct contracts-form violations: mutation inside a contract
-    # condition (two flavors) and a bare assert outside tests/.
-    "contracts-form": "void f(std::vector<int>& v, int counter) {\n"
-                      "  CBDE_EXPECT(!v.empty() && ++counter > 0);\n"
-                      "  CBDE_ENSURE(v.erase(v.begin()) != v.end());\n"
-                      "  assert(!v.empty());\n"
-                      "}\n",
+    "bare-assert": "void f(const std::vector<int>& v) {\n"
+                   "  assert(!v.empty());\n"
+                   "}\n",
     # Four distinct obs-metric violations: bad casing, duplicate
     # registration, a counter without the _total suffix, and a timed-mutex
     # instrument registered at two sites.
@@ -510,9 +581,7 @@ SEEDED_CLEAN = (
     "void f() { try { g(); } catch (...) { std::fprintf(stderr, \"x\\n\"); } }\n"
     "void h() { try { g(); } catch (...) { throw; } }\n"
     "void k(std::size_t version, const Doc& doc) {\n"
-    "  CBDE_EXPECT(version > 0 && !doc.empty());\n"
-    "  CBDE_ENSURE(doc.size() <= kMaxDoc);  // comparisons are not mutations\n"
-    "  CBDE_ASSERT_INVARIANT(doc.ok() == true);\n"
+    "  CBDE_EXPECT(version > 0 && !doc.empty());  // assert( in a comment is fine\n"
     "}\n"
     "void wire(cbde::obs::MetricsRegistry& reg, cbde::obs::Obs& obs) {\n"
     '  reg.counter("cbde_seed_requests_total", "well-formed, one site");\n'
@@ -540,6 +609,35 @@ GROWTH_CLEAN = (
     "  }\n"
     "}\n"
 )
+
+# CONTRACT_BAD states no contract in apply_widget and does not define
+# Widget::inspect: two findings. In CONTRACT_CLEAN one entry point
+# validates in its own body and the other delegates to a same-file helper
+# that rejects.
+CONTRACT_BAD = (
+    "util::Bytes apply_widget(util::BytesView base, util::BytesView delta) {\n"
+    "  util::Bytes out(base.begin(), base.end());\n"
+    "  out.insert(out.end(), delta.begin(), delta.end());\n"
+    "  return out;\n"
+    "}\n"
+)
+CONTRACT_CLEAN = (
+    "#if defined(__GNUC__)\n"
+    "#endif\n"
+    "std::size_t header_of(util::BytesView delta) {\n"
+    "  if (delta.size() < 4) throw CorruptWidget(\"short {\");\n"
+    "  return 4;\n"
+    "}\n"
+    "util::Bytes apply_widget(util::BytesView base, util::BytesView delta) {\n"
+    "  CBDE_EXPECT(!delta.empty());\n"
+    "  return util::Bytes(base.begin(), base.end());\n"
+    "}\n"
+    "std::size_t Widget::inspect(util::BytesView delta) const {\n"
+    "  return header_of(delta);\n"
+    "}\n"
+)
+CONTRACT_ENTRIES = [("src/widget.cpp", "fix::apply_widget", None),
+                    ("src/widget.cpp", "fix::Widget::inspect", None)]
 
 
 def self_test() -> int:
@@ -585,6 +683,17 @@ def self_test() -> int:
         if not any(x.check == "fuzz-coverage" for x in cov):
             print("self-test FAIL: seeded fuzz-coverage gap not detected")
             failures += 1
+        # entry-contract fires on the contract-free entry point only.
+        widget = tmpdir / "src/widget.cpp"
+        widget.parent.mkdir(parents=True, exist_ok=True)
+        for source, want in ((CONTRACT_BAD, 2), (CONTRACT_CLEAN, 0)):
+            widget.write_text(source, encoding="utf-8")
+            got: list[Finding] = []
+            check_entry_contracts(tmpdir, got, CONTRACT_ENTRIES)
+            if len(got) != want:
+                print(f"self-test FAIL: entry-contract gave {len(got)} finding(s), "
+                      f"expected {want}: " + "; ".join(map(str, got)))
+                failures += 1
     if failures:
         print(f"cbde_lint self-test: {failures} failure(s)")
         return 1

@@ -18,7 +18,9 @@ overhead creeping past its budget) without flaking on slower CI hosts:
                           profiled mutex sites
     p99_over_p50_max      median per-window serve p99/p50 ratio — the
                           host-independent tail-latency band
-    byte_parity           must be 1 (bit-exact Table II accounting)
+
+    Byte parity across worker counts is not read here: bench_capacity
+    itself exits nonzero when any replay's Table II ledger differs.
 
   delta (BENCH_delta.json):
     overhead_pct_max      instrumented-vs-bare encode overhead; this is the
@@ -73,8 +75,6 @@ def gate_capacity(doc: dict, bands: dict, findings: list[str]) -> None:
     if not runs:
         findings.append("capacity: no workers_N sections in the artifact")
         return
-    if doc.get("byte_parity") != 1:
-        findings.append("capacity: byte_parity != 1 (Table II accounting diverged)")
     for key in sorted(runs, key=lambda k: int(k.split("_")[1])):
         windows = runs[key].get("time_series")
         if not isinstance(windows, list):
