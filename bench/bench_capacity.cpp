@@ -111,6 +111,7 @@ struct ReplayResult {
   double requests_per_sec = 0;
   core::PipelineMetrics metrics;
   std::size_t storage_bytes = 0;
+  std::size_t index_bytes = 0;  ///< match indexes over those bases
   std::size_t num_classes = 0;
   /// One time-series window per replay chunk (serve quantiles, lock-wait
   /// share) — the telemetry the CI perf-regression gate bands.
@@ -211,6 +212,7 @@ ReplayResult run_replay(const trace::SiteModel& site, std::size_t workers,
   result.requests_per_sec = static_cast<double>(requests) / (result.total_ns / 1e9);
   result.metrics = server.metrics();
   result.storage_bytes = server.storage_bytes();
+  result.index_bytes = server.index_bytes();
   result.num_classes = server.num_classes();
   return result;
 }
@@ -240,6 +242,7 @@ bool check_byte_parity(const ReplayResult& reference, const ReplayResult& run) {
   expect_eq("group_rebases", a.group_rebases, b.group_rebases);
   expect_eq("basic_rebases", a.basic_rebases, b.basic_rebases);
   expect_eq("storage_bytes", reference.storage_bytes, run.storage_bytes);
+  expect_eq("index_bytes", reference.index_bytes, run.index_bytes);
   expect_eq("num_classes", reference.num_classes, run.num_classes);
   return ok;
 }
@@ -321,6 +324,7 @@ int run_workers_mode(const std::vector<std::size_t>& worker_counts,
     json.field("delta_responses", static_cast<std::size_t>(r.metrics.delta_responses));
     json.field("direct_responses", static_cast<std::size_t>(r.metrics.direct_responses));
     json.field("storage_bytes", r.storage_bytes);
+    json.field("index_bytes", r.index_bytes);
     json.field("num_classes", r.num_classes);
     if (baseline != nullptr && baseline != &r && baseline->requests_per_sec > 0) {
       json.field("speedup_vs_workers_1", r.requests_per_sec / baseline->requests_per_sec);

@@ -4,8 +4,9 @@
 // measures the implementation itself and writes a machine-readable
 // BENCH_delta.json so perf changes are visible across commits:
 //   * micro: one-shot vs cached-index delta encode, the footprint-table
-//     build, size-only estimate, apply(), CBZ1 compress/decompress of the
-//     cross delta, crc32 —
+//     build, encode and estimate cycling through 512 indexes (the served
+//     case, where the index is seldom in cache), size-only estimate,
+//     apply(), CBZ1 compress/decompress of the cross delta, crc32 —
 //     throughput MB/s, ns/op, delta-size ratios;
 //   * end-to-end: DeltaServer::serve() driven through a DeltaWorkerPool
 //     with 1 and 4 workers — ns/request and the multi-thread speedup.
@@ -21,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +73,11 @@ trace::TemplateConfig sized_template(std::size_t page_bytes) {
 }
 
 using bench::JsonWriter;
+
+/// Encoders and estimators the rotating rows cycle through (8 under
+/// --smoke): as flat 256 KB footprint tables, 512 came to 128 MB, more than
+/// a server CPU's last-level cache.
+constexpr std::size_t kRotatingIndexes = 512;
 
 struct EndToEndResult {
   double ns_per_request = 0;
@@ -249,6 +256,49 @@ int main(int argc, char** argv) {
     json.close();
     std::printf("%-28s %12.0f ns   %8.2f MB/s   (table %zu B)\n", "footprint_build", ns,
                 mbps(base.size(), ns), bytes);
+  }
+  {
+    // The served case: a server keeps an encoder and several estimators per
+    // class, and consecutive requests rarely reach the same class, so the
+    // index a request reads is seldom in cache. The rows above reuse one.
+    // These build kRotatingIndexes of each over distinct pages of one
+    // template sized as perfbench's many_classes sizes its pages, and cycle
+    // through them, each against one cross document.
+    const std::size_t indexes = smoke ? 8 : kRotatingIndexes;
+    const trace::DocumentTemplate small(11, sized_template(11 << 10));
+    const util::Bytes target = small.generate(2 * indexes, 7, 120 * util::kSecond);
+    std::vector<delta::Encoder> encoders;
+    std::vector<delta::Estimator> estimators;
+    encoders.reserve(indexes);
+    estimators.reserve(indexes);
+    for (std::size_t i = 0; i < indexes; ++i) {
+      auto page = std::make_shared<const util::Bytes>(small.generate(i, i + 1, 0));
+      estimators.emplace_back(page);
+      encoders.emplace_back(std::move(page));
+    }
+    const int rounds = smoke ? 2 : 4;
+    const auto bench_rotating = [&](const char* key, const auto& op) {
+      std::size_t bytes = 0;  // summed over one round, so no call is dead
+      const double ns = time_op(1, rounds, [&] {
+                          bytes = 0;
+                          for (std::size_t i = 0; i < indexes; ++i) bytes += op(i);
+                        }) /
+                        static_cast<double>(indexes);
+      json.open(key);
+      json.field("ns_per_op", ns);
+      json.field("mbps", mbps(target.size(), ns));
+      json.field("indexes", indexes);
+      json.field("delta_bytes_per_round", bytes);
+      json.close();
+      std::printf("%-28s %12.0f ns   %8.2f MB/s   (%zu indexes)\n", key, ns,
+                  mbps(target.size(), ns), indexes);
+    };
+    bench_rotating("encode_rotating_cross", [&](std::size_t i) {
+      return encoders[i].encode(util::as_view(target)).delta.size();
+    });
+    bench_rotating("estimate_rotating_cross", [&](std::size_t i) {
+      return estimators[i].estimate(util::as_view(target));
+    });
   }
   {
     std::size_t size = 0;

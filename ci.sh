@@ -47,8 +47,9 @@ cmake --build --preset asan-ubsan -j "$JOBS" --target bench_perf_report
 BENCH_JSON="build/asan-ubsan/BENCH_delta.json"
 ./build/asan-ubsan/bench/bench_perf_report --smoke --out "$BENCH_JSON"
 # Keys no later gate reads (perf_gate fails on a missing obs.overhead_pct).
-for key in encode_cached_cross compress_cross decompress_cross speedup_4v1 \
-           hardware_concurrency allocs_per_request; do
+for key in encode_cached_cross encode_rotating_cross estimate_rotating_cross \
+           compress_cross decompress_cross speedup_4v1 hardware_concurrency \
+           allocs_per_request; do
   grep -q "\"$key\"" "$BENCH_JSON" ||
     { echo "ci.sh: $BENCH_JSON missing key $key" >&2; exit 1; }
 done

@@ -22,10 +22,26 @@ constexpr std::size_t kLightMinMatch = 16;  ///< shortest match counted as a COP
 
 constexpr std::size_t kHashBits = 17;
 constexpr std::size_t kHashSize = 1u << kHashBits;
-/// Head-table entries per indexed slot, before rounding up to a power of
-/// two: a bucket then holds a quarter of a slot on average. At 2, walks met
-/// as many other-hash entries as real candidates.
-constexpr std::size_t kHeadsPerSlot = 4;
+/// Buckets per indexed slot, before rounding up to a power of two: a bucket
+/// then holds a quarter of a slot on average. At 2, walks met as many
+/// other-hash slots as real candidates.
+constexpr std::size_t kBucketsPerSlot = 4;
+
+/// The estimator build's scratch, kept per thread. kept[h] counts the slots
+/// of hash h kept so far and is all zero between builds; hashes[s] is slot
+/// s's hash (later its bucket's rank), or kDropped past its hash's first
+/// kLightChain slots; `occupied` is the bucket bitmap.
+struct IndexScratch {
+  std::vector<std::uint8_t> kept;
+  std::vector<std::uint32_t> hashes;
+  std::vector<std::uint64_t> occupied;
+};
+constexpr std::uint32_t kDropped = ~std::uint32_t{0};
+
+IndexScratch& index_scratch() {
+  thread_local IndexScratch scratch;
+  return scratch;
+}
 
 // Skip acceleration (zstd-style): while no acceptable match is found the
 // scan step grows with the miss streak, so incompressible runs are crossed
@@ -62,42 +78,72 @@ Estimator::Estimator(util::Bytes base)
 Estimator::Estimator(std::shared_ptr<const util::Bytes> base) : base_(std::move(base)) {
   CBDE_EXPECT(base_ != nullptr);
   const util::BytesView bytes = util::as_view(*base_);
-  if (bytes.size() < kLightKey) return;
-  const std::size_t slots = (bytes.size() - kLightKey) / kLightStep + 1;
-  const std::size_t buckets = std::min(std::bit_ceil(kHeadsPerSlot * slots), kHashSize);
-  head_shift_ = static_cast<unsigned>(kHashBits - std::countr_zero(buckets));
-  head_.assign(buckets, 0);
-  prev_.assign(slots, 0);
-  // Insert from the end so chains are walked front-to-back; earlier base
-  // positions are tried first, which biases COPY addresses low (slightly
-  // smaller varints) and is deterministic.
-  for (std::size_t s = slots; s-- > 0;) {
+  const std::size_t slots =
+      bytes.size() < kLightKey ? 0 : (bytes.size() - kLightKey) / kLightStep + 1;
+  const std::size_t buckets = std::min(std::bit_ceil(kBucketsPerSlot * slots), kHashSize);
+  bucket_shift_ = static_cast<unsigned>(kHashBits - std::countr_zero(buckets));
+  IndexScratch& scratch = index_scratch();
+  if (scratch.kept.empty()) scratch.kept.resize(kHashSize);
+  if (scratch.hashes.size() < slots) scratch.hashes.resize(slots);
+  scratch.occupied.assign((buckets + 63) / 64, 0);
+  std::uint32_t* const hashes = scratch.hashes.data();
+  // A probe tries at most the first kLightChain slots of its hash, so the
+  // later ones are dropped: a walk stays short even when one 8-byte chunk
+  // repeats through the whole base.
+  std::size_t kept = 0;
+  for (std::size_t s = 0; s < slots; ++s) {
     const std::uint32_t hash = chunk_hash(bytes.data() + s * kLightStep);
-    std::uint32_t& head = head_[hash >> head_shift_];
-    prev_[s] = head;
-    head = static_cast<std::uint32_t>(s + 1);
-    // A probe tries at most the first kLightChain slots of its hash, so
-    // unlink the one that s pushes past them. A bucket's chain then holds at
-    // most kLightChain slots per hash sharing it: a walk stays short even
-    // when one 8-byte chunk repeats through the whole base.
-    std::size_t seen = 0;
-    for (std::uint32_t* link = &prev_[s]; *link != 0; link = &prev_[*link - 1]) {
-      if (chunk_hash(bytes.data() + (*link - 1) * kLightStep) == hash && ++seen == kLightChain) {
-        *link = prev_[*link - 1];
-        break;
-      }
+    if (scratch.kept[hash] == kLightChain) {
+      hashes[s] = kDropped;
+      continue;
+    }
+    ++scratch.kept[hash];
+    hashes[s] = hash;
+    ++kept;
+    const std::size_t bucket = hash >> bucket_shift_;
+    scratch.occupied[bucket / 64] |= std::uint64_t{1} << (bucket % 64);
+  }
+  for (std::size_t s = 0; s < slots; ++s) {
+    if (hashes[s] != kDropped) scratch.kept[hashes[s]] = 0;
+  }
+  // Counting sort of the kept slots by bucket, each slot's hash replaced by
+  // the rank r of its bucket. offsets[r] counts the r-th non-empty bucket's
+  // slots, then (summed) ends its run, then starts it once the runs are
+  // filled from the back; offsets[count] ends the last run. Filled from the
+  // back, a run ascends: earlier base positions are tried first, which
+  // biases COPY addresses low (slightly smaller varints).
+  index_ = RankBitmap(scratch.occupied.data(), scratch.occupied.size(), 1 + kept);
+  std::uint32_t* const offsets = index_.entries();
+  std::uint32_t* const runs = offsets + index_.count() + 1;
+  std::fill(offsets, runs, 0u);
+  for (std::size_t s = 0; s < slots; ++s) {
+    if (hashes[s] == kDropped) continue;
+    hashes[s] = static_cast<std::uint32_t>(index_.rank(hashes[s] >> bucket_shift_));
+    ++offsets[hashes[s]];
+  }
+  for (std::size_t r = 1; r < index_.count(); ++r) offsets[r] += offsets[r - 1];
+  offsets[index_.count()] = static_cast<std::uint32_t>(kept);
+  for (std::size_t s = slots; s-- > 0;) {
+    if (hashes[s] != kDropped) {
+      runs[--offsets[hashes[s]]] = static_cast<std::uint32_t>(s * kLightStep);
     }
   }
 }
 
-std::size_t Estimator::index_bytes() const {
-  return (head_.size() + prev_.size()) * sizeof(std::uint32_t);
-}
+namespace {
 
-std::size_t Estimator::estimate(util::BytesView target) const {
+/// Estimator::estimate()'s scan. Always inlined into one of the two entry
+/// points below, so kPopcnt's instruction is compiled only where the target
+/// attribute allows it (as for the encoder's scan, rolling.cpp).
+template <bool kPopcnt>
+[[gnu::always_inline]] inline std::size_t light_estimate(util::BytesView base,
+                                                         const RankBitmap& index,
+                                                         unsigned bucket_shift,
+                                                         util::BytesView target) {
   // One forward scan taking the longest of up to kLightChain candidates at
   // each position, counting the bytes each instruction would take.
-  const util::BytesView base = util::as_view(*base_);
+  const std::uint32_t* const offsets = index.entries();
+  const std::uint32_t* const runs = offsets + index.count() + 1;
   std::size_t bytes = header_size(base.size(), target.size());
   std::size_t lit_start = 0;  // start of the uncounted literal run
   const std::uint8_t* const tdata = target.data();
@@ -108,12 +154,19 @@ std::size_t Estimator::estimate(util::BytesView target) const {
     std::size_t best_len = 0;
     const std::size_t fwd_limit = target.size() - pos;
     const std::uint32_t hash = chunk_hash(tdata + pos);
-    std::uint32_t slot = head_.empty() ? 0 : head_[hash >> head_shift_];
-    for (std::size_t probes = 0; slot != 0 && probes < kLightChain; slot = prev_[slot - 1]) {
-      const std::size_t bpos = (slot - 1) * kLightStep;
-      // The bucket also chains every other hash sharing its top bits. Those
-      // entries are skipped without counting as probes, so the candidates
-      // tried are exactly those of a full 2^17-entry table.
+    const std::size_t bucket = hash >> bucket_shift;
+    const std::uint32_t* run = runs;
+    const std::uint32_t* run_end = runs;
+    if (index.test(bucket)) {
+      const std::size_t r = index.rank<kPopcnt>(bucket);
+      run += offsets[r];
+      run_end += offsets[r + 1];
+    }
+    for (std::size_t probes = 0; run != run_end && probes < kLightChain; ++run) {
+      const std::size_t bpos = *run;
+      // The run also holds every other hash sharing the bucket. Those slots
+      // are skipped without counting as probes, so the candidates tried are
+      // exactly those of a full 2^17-bucket index.
       if (chunk_hash(base.data() + bpos) != hash) continue;
       ++probes;
       const std::size_t limit = std::min(fwd_limit, base.size() - bpos);
@@ -146,6 +199,37 @@ std::size_t Estimator::estimate(util::BytesView target) const {
   }
   return bytes;
 }
+
+#ifdef CBDE_POPCNT_KERNEL
+
+__attribute__((target("popcnt"))) std::size_t light_estimate_popcnt(util::BytesView base,
+                                                                     const RankBitmap& index,
+                                                                     unsigned bucket_shift,
+                                                                     util::BytesView target) {
+  return light_estimate<true>(base, index, bucket_shift, target);
+}
+
+#endif  // CBDE_POPCNT_KERNEL
+
+}  // namespace
+
+std::size_t Estimator::estimate(util::BytesView target) const {
+#ifdef CBDE_POPCNT_KERNEL
+  if (popcnt_supported()) {
+    return light_estimate_popcnt(util::as_view(*base_), index_, bucket_shift_, target);
+  }
+#endif
+  return light_estimate<false>(util::as_view(*base_), index_, bucket_shift_, target);
+}
+
+namespace detail {
+
+std::size_t estimate_portable(const Estimator& estimator, util::BytesView target) {
+  return light_estimate<false>(util::as_view(*estimator.base_), estimator.index_,
+                               estimator.bucket_shift_, target);
+}
+
+}  // namespace detail
 
 std::size_t estimate_delta_size(util::BytesView base, util::BytesView target) {
   return Estimator(util::Bytes(base.begin(), base.end())).estimate(target);

@@ -36,9 +36,20 @@
 #include <stdexcept>
 #include <vector>
 
+#include "delta/rank_bitmap.hpp"
 #include "util/bytes.hpp"
 
 namespace cbde::delta {
+
+class Estimator;
+
+namespace detail {
+
+/// Estimator::estimate() through the portable popcount whatever the host
+/// supports, so tests can hold it to the popcnt scan the host dispatches to.
+std::size_t estimate_portable(const Estimator& estimator, util::BytesView target);
+
+}  // namespace detail
 
 /// Anonymization granularity: the 4-byte chunks of §V.
 inline constexpr std::size_t kAnonChunkSize = 4;
@@ -67,9 +78,10 @@ struct EncodeResult {
 
 /// The transmit encoder: owns a base-file plus its footprint table, and
 /// encodes any number of targets against it. Building the table costs one
-/// rolling pass over the base and a 256 KB table fill; amortizing that across
-/// requests (the base changes only on rebase/anonymize) is the difference
-/// between a per-request and a per-rebase cost.
+/// rolling pass over the base and a pass over the 2^16 slot bits that packs
+/// the occupied slots; amortizing that across requests (the base changes
+/// only on rebase/anonymize) is the difference between a per-request and a
+/// per-rebase cost.
 ///
 /// encode()/encode_size() are const and safe to call concurrently.
 class Encoder {
@@ -92,8 +104,10 @@ class Encoder {
   const std::shared_ptr<const util::Bytes>& shared_base() const;
   /// crc32 of the base, computed once at construction.
   std::uint32_t base_crc() const;
-  /// Bytes of the footprint table: a fixed 256 KB whatever the base size.
-  /// The base itself is not counted.
+  /// Bytes of the footprint table, in one allocation: a 12 KB bitmap with
+  /// ranks over the 2^16 slots, and 4 per occupied slot plus 4 for a
+  /// sentinel, so at most 4 per base byte beyond the 12 KB. The base itself
+  /// is not counted.
   std::size_t index_bytes() const;
 
   /// Compute the delta that transforms the owned base into `target`.
@@ -110,7 +124,7 @@ class Encoder {
 };
 
 /// The light closeness estimator: owns a base-file plus its sparse
-/// hash-chain index. estimate() is const and safe to call concurrently.
+/// bucketed index. estimate() is const and safe to call concurrently.
 class Estimator {
  public:
   explicit Estimator(util::Bytes base);
@@ -125,25 +139,26 @@ class Estimator {
   /// owned base to `target`: the grouping-time closeness estimate.
   std::size_t estimate(util::BytesView target) const;
 
-  /// Bytes of the hash-chain index: the head table takes at most 4 per base
-  /// byte and at most 512 KB, the chains 0.5 per base byte. The base itself
-  /// is not counted.
-  std::size_t index_bytes() const;
+  /// Bytes of the index, in one allocation: the bucket bitmap and its ranks
+  /// (1.5 bits per bucket), one run offset per non-empty bucket plus one, and
+  /// 4 per kept slot. The base itself is not counted.
+  std::size_t index_bytes() const { return index_.bytes(); }
 
  private:
+  friend std::size_t detail::estimate_portable(const Estimator&, util::BytesView);
+
   std::shared_ptr<const util::Bytes> base_;
-  /// Hash chains over every 8th base position (one slot each), bucketed by
-  /// the top bits of the 17-bit chunk hash: head_[hash >> head_shift_] is
-  /// the bucket's first slot + 1 (0 = empty), prev_[slot] the next slot + 1
-  /// in the bucket, in ascending position order. Only the first 4 slots of
-  /// each hash are linked, the most a probe tries. head_ has the smallest
-  /// power of two >= 4 x slots entries, at most 2^17 (then head_shift_ is 0
-  /// and a bucket is one hash), and is empty for a base under 8 bytes.
-  /// estimate() skips the slots of other hashes without counting them as
-  /// probes, so it tries the candidates a 2^17-entry table would.
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> prev_;
-  unsigned head_shift_ = 0;
+  /// Every 8th base position is a slot. Only the first 4 slots of each
+  /// 17-bit chunk hash are kept, the most a probe tries. Buckets are the top
+  /// bits of the hash: the smallest power of two >= 4 x slots of them, at
+  /// most 2^17 (then bucket_shift_ is 0 and a bucket is one hash). Each
+  /// non-empty bucket keeps its slots' base positions as one run, in
+  /// ascending order: a rank bitmap over the buckets (rank_bitmap.hpp)
+  /// whose entries are the run offsets, then the runs. estimate() skips the
+  /// slots of other hashes without counting them as probes, so it tries the
+  /// candidates a 2^17-bucket index would.
+  RankBitmap index_;
+  unsigned bucket_shift_ = 0;
 };
 
 /// Compute the delta that transforms `base` into `target` (one-shot: the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "util/contracts.hpp"
@@ -71,9 +72,10 @@ inline std::uint64_t canonical(std::uint64_t h) {
 }
 
 /// How far fingerprints run ahead of the slot access that uses them (the
-/// scan's probe, the build's store): each slot is prefetched when its
-/// fingerprint is rolled, so it has had 16 positions' time to arrive. A power
-/// of two: the ring of pending fingerprints is indexed by position modulo it.
+/// scan's probe, the build's store): the scan locates each slot's packed
+/// entry when its fingerprint is rolled and prefetches it, the build
+/// prefetches the flat slot, so it has had 16 positions' time to arrive. A
+/// power of two: the ring of pending slots is indexed by position modulo it.
 constexpr std::size_t kLookahead = 16;
 
 std::uint64_t load64(const std::uint8_t* p) {
@@ -106,9 +108,13 @@ void mark_chunks(std::vector<bool>& chunk_used, std::size_t addr, std::size_t le
 
 /// The matcher: one rolling scan of the target, returning the instruction
 /// tiling. Verified matches extend forward, then backwards (bounded), and the
-/// already-emitted tail is rewritten to make room.
-std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView base,
-                                    util::BytesView target) {
+/// already-emitted tail is rewritten to make room. Always inlined into one
+/// of the two entry points below, so kPopcnt's instruction is compiled only
+/// where the target attribute allows it.
+template <bool kPopcnt>
+[[gnu::always_inline]] inline std::vector<RollInst> match_rolling(const FootprintTable& table,
+                                                                  util::BytesView base,
+                                                                  util::BytesView target) {
   std::vector<RollInst> insts;
   if (target.size() < kWindow || base.size() < kWindow) {
     if (!target.empty()) insts.push_back(RollInst{false, 0, 0, target.size()});
@@ -120,28 +126,31 @@ std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView
   const std::uint8_t* const tdata = target.data();
   const std::uint8_t* const bdata = base.data();
   const std::size_t last = target.size() - kWindow;  // last window start
-  std::array<std::uint64_t, kLookahead> ring{};  // fingerprints of [pos, ahead)
+  std::array<std::uint32_t, kLookahead> ring{};  // located slots of [pos, ahead)
   std::size_t pos = 0;
   std::size_t lit_start = 0;
   std::size_t ahead = 0;   // first position not fingerprinted yet
   std::uint64_t hash = 0;  // fingerprint of ahead - 1, partly reduced
+  // Fingerprint the next position, locate its slot's packed entry and start
+  // loading it. In the steady state each probe takes one step.
+  const auto roll_next = [&] {
+    hash = roll(hash, tdata[ahead - 1], tdata[ahead - 1 + kWindow]);
+    const std::uint32_t entry = table.locate<kPopcnt>(canonical(hash));
+    ring[ahead % kLookahead] = entry;
+    table.prefetch_entry(entry);
+    ++ahead;
+  };
 
   while (pos <= last) {
-    if (ahead == pos) {  // the start, or just past a COPY
+    if (ahead == pos) {  // the start, or just past a COPY: refill the ring
       hash = fingerprint(tdata + pos);
-      ring[pos % kLookahead] = hash;
-      table.prefetch(hash);
+      ring[pos % kLookahead] = table.locate<kPopcnt>(hash);
       ahead = pos + 1;
-    }
-    for (const std::size_t stop = std::min(pos + kLookahead, last + 1); ahead < stop; ++ahead) {
-      hash = roll(hash, tdata[ahead - 1], tdata[ahead - 1 + kWindow]);
-      const std::uint64_t fp = canonical(hash);
-      ring[ahead % kLookahead] = fp;
-      table.prefetch(fp);
+      while (ahead < std::min(pos + kLookahead, last + 1)) roll_next();
     }
     // An empty slot reads base offset 0 (base.size() >= kWindow) and the
     // hit test masks it out: a probe takes one branch, on a verified seed.
-    const std::uint32_t slot = table.slot(ring[pos % kLookahead]);
+    const std::uint32_t slot = table.entry(ring[pos % kLookahead]);
     const std::size_t cand = slot - static_cast<std::uint32_t>(slot != 0);
     const std::uint64_t diff = (load64(bdata + cand) ^ load64(tdata + pos)) |
                                (load64(bdata + cand + 8) ^ load64(tdata + pos + 8)) |
@@ -181,6 +190,7 @@ std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView
       continue;
     }
     ++pos;
+    if (ahead <= last) roll_next();
   }
   if (target.size() > lit_start) {
     insts.push_back(RollInst{false, 0, lit_start, target.size() - lit_start});
@@ -188,40 +198,97 @@ std::vector<RollInst> match_rolling(const FootprintTable& table, util::BytesView
   return insts;
 }
 
+#ifdef CBDE_POPCNT_KERNEL
+
+__attribute__((target("popcnt"))) std::vector<RollInst> match_popcnt(
+    const FootprintTable& table, util::BytesView base, util::BytesView target) {
+  return match_rolling<true>(table, base, target);
+}
+
+#endif  // CBDE_POPCNT_KERNEL
+
+std::vector<RollInst> match_portable(const FootprintTable& table, util::BytesView base,
+                                     util::BytesView target) {
+  return match_rolling<false>(table, base, target);
+}
+
+/// The scan with the popcnt instruction where the host has it: every
+/// lookup takes a popcount, and the portable one costs a dozen instructions
+/// more per scanned position.
+std::vector<RollInst> match(const FootprintTable& table, util::BytesView base,
+                            util::BytesView target) {
+#ifdef CBDE_POPCNT_KERNEL
+  if (popcnt_supported()) return match_popcnt(table, base, target);
+#endif
+  return match_portable(table, base, target);
+}
+
+/// The flat table a build fills before packing it, kept per thread: slot k
+/// holds base position + 1 where bit k of `taken` is set, and stale values
+/// elsewhere, so a build clears 8 KB of bits instead of 256 KB of slots. The
+/// spare slot past the table takes the stores that lose first-come-wins.
+struct SlotScratch {
+  std::vector<std::uint32_t> slots;
+  std::array<std::uint64_t, kFootprintSlots / 64> taken{};
+};
+
+SlotScratch& slot_scratch() {
+  thread_local SlotScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
-FootprintTable::FootprintTable(util::BytesView base) : pos_(kFootprintSlots, 0) {
+FootprintTable::FootprintTable(util::BytesView base) {
   // Positions are stored +1 in 32 bits; the decode cap already keeps every
   // servable document far below that.
   CBDE_EXPECT(base.size() <= kMaxDecodeTargetSize);
-  if (base.size() < kWindow) return;
-  // The store of each position trails its fingerprint by kLookahead
-  // positions, so its slot, prefetched for writing, has arrived and the
-  // stores overlap the roll chain instead of stalling it. First-come-wins,
-  // still in position order: earlier base positions keep their slot, so
-  // probes are deterministic and biased toward small COPY addresses. A
-  // select, not a branch: whether a slot is taken is random.
-  std::array<std::uint64_t, kLookahead> ring{};
-  std::uint32_t* const slots = pos_.data();
-  const auto store = [&](std::size_t p) {
-    std::uint32_t& slot = slots[index(ring[p % kLookahead])];
-    slot = slot != 0 ? slot : static_cast<std::uint32_t>(p + 1);
-  };
-  const std::size_t count = base.size() - kWindow + 1;  // window starts
-  std::uint64_t h = fingerprint(base.data());
-  for (std::size_t p = 0; p < count; ++p) {
-    if (p >= kLookahead) store(p - kLookahead);
-    const std::uint64_t fp = canonical(h);
-    ring[p % kLookahead] = fp;
-    __builtin_prefetch(slots + index(fp), 1);
-    if (p + 1 < count) h = roll(h, base[p], base[p + kWindow]);
+  SlotScratch& scratch = slot_scratch();
+  if (scratch.slots.empty()) scratch.slots.resize(kFootprintSlots + 1);
+  std::uint32_t* const slots = scratch.slots.data();
+  std::uint64_t* const taken = scratch.taken.data();
+  scratch.taken.fill(0);
+  if (base.size() >= kWindow) {
+    // The store of each position trails its fingerprint by kLookahead
+    // positions, so its slot, prefetched for writing, has arrived and the
+    // stores overlap the roll chain instead of stalling it. First-come-wins,
+    // still in position order: earlier base positions keep their slot, so
+    // probes are deterministic and biased toward small COPY addresses. A
+    // taken slot's store lands in the spare entry past the table: a select,
+    // not a branch, as whether a slot is taken is random.
+    std::array<std::uint64_t, kLookahead> ring{};
+    const auto store = [&](std::size_t p) {
+      const std::size_t k = key(ring[p % kLookahead]);
+      const std::uint64_t word = taken[k / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (k % 64);
+      slots[(word & bit) != 0 ? kFootprintSlots : k] = static_cast<std::uint32_t>(p + 1);
+      taken[k / 64] = word | bit;
+    };
+    const std::size_t count = base.size() - kWindow + 1;  // window starts
+    std::uint64_t h = fingerprint(base.data());
+    for (std::size_t p = 0; p < count; ++p) {
+      if (p >= kLookahead) store(p - kLookahead);
+      const std::uint64_t fp = canonical(h);
+      ring[p % kLookahead] = fp;
+      __builtin_prefetch(slots + key(fp), 1);
+      if (p + 1 < count) h = roll(h, base[p], base[p + kWindow]);
+    }
+    for (std::size_t p = count - std::min(count, kLookahead); p < count; ++p) store(p);
   }
-  for (std::size_t p = count - std::min(count, kLookahead); p < count; ++p) store(p);
+  // The sentinel, then the taken slots packed in slot order.
+  index_ = RankBitmap(taken, scratch.taken.size(), 1);
+  std::uint32_t* out = index_.entries();
+  *out++ = 0;
+  for (std::size_t w = 0; w < scratch.taken.size(); ++w) {
+    for (std::uint64_t bits = taken[w]; bits != 0; bits &= bits - 1) {
+      *out++ = slots[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+    }
+  }
 }
 
 EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
                             std::uint32_t base_crc, util::BytesView target) {
-  const std::vector<RollInst> insts = match_rolling(table, base, target);
+  const std::vector<RollInst> insts = match(table, base, target);
 
   EncodeResult result;
   result.chunk_used.assign((base.size() + kAnonChunkSize - 1) / kAnonChunkSize, false);
@@ -253,9 +320,10 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
   return result;
 }
 
-std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView base,
-                                util::BytesView target) {
-  const std::vector<RollInst> insts = match_rolling(table, base, target);
+namespace {
+
+std::size_t wire_size(const std::vector<RollInst>& insts, util::BytesView base,
+                      util::BytesView target) {
   std::size_t bytes = 4 + util::uvarint_size(base.size()) +
                       util::uvarint_size(target.size()) + 8;
   for (const RollInst& inst : insts) {
@@ -267,5 +335,21 @@ std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView bas
   }
   return bytes;
 }
+
+}  // namespace
+
+std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView base,
+                                util::BytesView target) {
+  return wire_size(match(table, base, target), base, target);
+}
+
+namespace detail {
+
+std::size_t encode_size_portable(const FootprintTable& table, util::BytesView base,
+                                 util::BytesView target) {
+  return wire_size(match_portable(table, base, target), base, target);
+}
+
+}  // namespace detail
 
 }  // namespace cbde::delta::rolling

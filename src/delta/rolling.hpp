@@ -8,8 +8,10 @@
 // it forward. When a match also extends backwards into already-encoded
 // output, the tail of the emitted instruction list is trimmed or replaced so
 // the longer copy wins (the paper's "corrections" applied to encoder commands
-// already issued). The look-back is capped, keeping the pass linear, and the
-// matcher state is O(1) in the input sizes: one table of 2^16 slots.
+// already issued). The look-back is capped, keeping the pass linear. The
+// table keeps a fixed 2^16 slots whatever the base size and stores only the
+// occupied ones: at most one 4-byte entry per base window, behind a fixed
+// 12 KB bitmap and ranks.
 //
 // Fingerprints are Karp-Rabin over the Mersenne prime 2^61 - 1 with
 // multiplier 263. Every table hit is verified byte-for-byte before a COPY is
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "delta/delta.hpp"
+#include "delta/rank_bitmap.hpp"
 #include "util/bytes.hpp"
 
 namespace cbde::delta::rolling {
@@ -36,8 +39,9 @@ inline constexpr std::size_t kWindow = 16;
 /// gzip pass needs.
 inline constexpr std::size_t kMinMatch = 32;
 
-/// Number of slots in the footprint table. Fixed: the O(1)-space guarantee
-/// is exactly that this does not scale with the base.
+/// Number of slots in the footprint table. Fixed whatever the base size: a
+/// table sized by its base would keep other positions, and deltas would
+/// change.
 inline constexpr std::size_t kFootprintSlots = std::size_t{1} << 16;
 
 /// Retro-correction look-back cap, in bytes. Keeps the backward extension
@@ -47,6 +51,12 @@ inline constexpr std::size_t kMaxCorrectionBack = 1024;
 /// The first base position of every window fingerprint slot. Immutable once
 /// built; safe to share across threads. Build cost is one rolling pass over
 /// the base.
+///
+/// Only the occupied slots are stored, packed in slot order behind a rank
+/// bitmap over all kFootprintSlots (rank_bitmap.hpp), after one 0 sentinel
+/// entry that every empty slot reads. A lookup is a bit test, a popcount and
+/// one packed read, in two steps a scan can prefetch between: locate() reads
+/// the bitmap word and rank, entry() the packed slot.
 class FootprintTable {
  public:
   static constexpr std::size_t npos = ~std::size_t{0};
@@ -58,25 +68,33 @@ class FootprintTable {
   /// npos. The hit shares a slot only: the caller must verify the window
   /// bytes, which also rejects a different fingerprint in the same slot.
   std::size_t probe(std::uint64_t fp) const {
-    const std::uint32_t pos = slot(fp);
+    const std::uint32_t pos = entry(locate(fp));
     return pos == 0 ? npos : static_cast<std::size_t>(pos) - 1;
   }
 
-  /// The raw slot `fp` falls into: that base position + 1, or 0 when empty.
-  std::uint32_t slot(std::uint64_t fp) const { return pos_[index(fp)]; }
+  /// The packed entry of `fp`'s slot, or the sentinel's. Branch-free.
+  /// kPopcnt as for popcount64().
+  template <bool kPopcnt = false>
+  std::uint32_t locate(std::uint64_t fp) const {
+    return static_cast<std::uint32_t>(index_.find<kPopcnt>(key(fp)));
+  }
 
-  /// Starts loading `fp`'s slot into cache ahead of its slot() read.
-  void prefetch(std::uint64_t fp) const { __builtin_prefetch(pos_.data() + index(fp)); }
+  /// Starts loading the packed entry that entry(at) reads.
+  void prefetch_entry(std::uint32_t at) const { __builtin_prefetch(index_.entries() + at); }
 
-  /// Bytes of the slot array (fixed: kFootprintSlots entries).
-  std::size_t bytes() const { return pos_.size() * sizeof(std::uint32_t); }
+  /// The slot at a located entry: base position + 1, or 0 when empty.
+  std::uint32_t entry(std::uint32_t at) const { return index_.entries()[at]; }
+
+  /// Bytes of the one allocation: the 8 KB bitmap, 4 KB of ranks and 4 per
+  /// occupied slot plus the sentinel's.
+  std::size_t bytes() const { return index_.bytes(); }
 
  private:
-  static std::size_t index(std::uint64_t fp) {
+  static std::size_t key(std::uint64_t fp) {
     return static_cast<std::size_t>(fp) & (kFootprintSlots - 1);
   }
 
-  std::vector<std::uint32_t> pos_;  // base position + 1; 0 = empty slot
+  RankBitmap index_;  // the 0 sentinel, then occupied slots: base position + 1
 };
 
 /// Encode `target` against `base` (`table` must have been built over
@@ -89,5 +107,14 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
 /// matcher rewrites its own tail, so sizes cannot stream).
 std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView base,
                                 util::BytesView target);
+
+namespace detail {
+
+/// encode_size_rolling() through the portable popcount whatever the host
+/// supports, so tests can hold it to the popcnt scan the host dispatches to.
+std::size_t encode_size_portable(const FootprintTable& table, util::BytesView base,
+                                 util::BytesView target);
+
+}  // namespace detail
 
 }  // namespace cbde::delta::rolling

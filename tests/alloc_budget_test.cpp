@@ -82,7 +82,7 @@ double measured_allocs_per_request() {
 
 TEST(AllocBudget, HookIsLinked) { EXPECT_TRUE(bench::alloc_hook_active()); }
 
-// Measured steady state is 10.72 allocations/request on libstdc++ (CBZ1
+// Measured steady state is 10.66 allocations/request on libstdc++ (CBZ1
 // compress allocates only its output). Lower the budget when the serve path
 // sheds an allocation; raising it needs a reason in the commit message.
 constexpr double kBudgetPerRequest = 11.0;

@@ -292,10 +292,13 @@ TEST(DeltaServer, StorageCountsTheAnonymizingBaseOnce) {
 }
 
 TEST(DeltaServer, IndexBytesCountsEveryIndex) {
-  // An 11,264-byte page: each estimator indexes 1,408 slots under an
-  // 8,192-entry head table; each encoder has the fixed 256 KB table.
-  constexpr std::size_t kEstimatorIndex = (8192 + 1408) * 4;
-  constexpr std::size_t kEncoderIndex = std::size_t{256} << 10;
+  // An 11,264-byte page of one repeated byte. Each estimator's 1,408 slots
+  // share one hash: 8,192 buckets (128 bitmap words and ranks, 12 bytes
+  // each), one non-empty (two run offsets) and 4 kept slots. Each encoder's
+  // windows share one fingerprint: the 12 KB bitmap with ranks, the
+  // sentinel and one occupied slot.
+  constexpr std::size_t kEstimatorIndex = 128 * 12 + 2 * 4 + 4 * 4;
+  constexpr std::size_t kEncoderIndex = 12288 + 2 * 4;
   const Bytes page = to_bytes(std::string(11264, 'p'));
   for (const bool anonymize : {true, false}) {
     auto config = Rig::fast_config();
@@ -308,6 +311,39 @@ TEST(DeltaServer, IndexBytesCountsEveryIndex) {
     EXPECT_EQ(rig.server.obs().registry().snapshot().at("cbde_server_index_bytes").gauge,
               static_cast<std::int64_t>(2 * kEstimatorIndex + kEncoderIndex));
   }
+}
+
+TEST(DeltaServer, IndexBoundedByStorage) {
+  // The paper's case for classes is one stored base per class (§IV). A site
+  // of many classes over small pages, anonymization on: the match indexes
+  // over the bases and samples may not outgrow them. Every class publishes
+  // (its creator and N = 5 other users) and serves two more requests.
+  trace::SiteConfig site_config;
+  site_config.categories.clear();
+  for (int c = 0; c < 64; ++c) site_config.categories.push_back("c" + std::to_string(c));
+  site_config.docs_per_category = 8;
+  constexpr std::size_t kPage = 11 * 1024;
+  site_config.doc_template.skeleton_bytes = kPage * 86 / 100;
+  site_config.doc_template.doc_unique_bytes = kPage * 6 / 100;
+  site_config.doc_template.volatile_bytes = kPage * 25 / 1000;
+  site_config.doc_template.personal_bytes = kPage / 100;
+  const trace::SiteModel site(site_config);
+  DeltaServer server(DeltaServerConfig{}, Rig::rules(site));
+  util::SimTime now = 0;
+  std::size_t deltas = 0;
+  for (std::uint64_t user = 1; user <= 8; ++user) {
+    for (std::size_t cat = 0; cat < site.num_categories(); ++cat) {
+      const trace::DocRef ref{cat, user % site_config.docs_per_category};
+      const Bytes body = site.generate(ref, user, now);
+      const auto resp = server.serve(user, site.url_for(ref), as_view(body), now);
+      deltas += resp.mode == ServedResponse::Mode::kDelta ? 1 : 0;
+      now += 50 * util::kMillisecond;
+    }
+  }
+  ASSERT_GE(server.num_classes(), site.num_categories());
+  EXPECT_GT(deltas, site.num_categories());  // the classes publish and serve
+  EXPECT_LE(server.index_bytes(), 2 * server.storage_bytes())
+      << "index " << server.index_bytes() << " B over " << server.storage_bytes() << " B";
 }
 
 TEST(DeltaServer, ScrapeReadsStorageAndClassStateWithoutAnAudit) {

@@ -411,8 +411,8 @@ TEST(Estimator, PinnedEstimatesOverSeededCorpus) {
 }
 
 // golden_pairs() bases stay under ~12 KB. These span 12 KiB to 1.5 MiB, so
-// the estimator's head table takes every size from 2^13 entries up to its
-// 2^17 cap. Every third base is mostly a few 8-byte chunks repeated at
+// the estimator's bucket count takes every size from 2^13 up to its 2^17
+// cap. Every third base is mostly a few 8-byte chunks repeated at
 // 8-byte alignment: each of their hashes covers hundreds to tens of
 // thousands of slots and shares its bucket with hashes of the letter runs
 // between them. The sum and crc were recorded from the fixed 2^17-entry
@@ -492,17 +492,47 @@ TEST(Estimator, PinnedEstimatesOverLargeBases) {
   EXPECT_EQ(crc, 0x5ebd6348u);
 }
 
+TEST(Estimator, PortableScanMatchesPopcntScan) {
+  // estimate() is compiled twice, and a host with the popcnt instruction
+  // takes that kernel. The portable one must give every estimate the same.
+  for (const auto& [base, target] : large_base_pairs()) {
+    const Estimator estimator(base);
+    for (const Bytes* to : {&target, &base}) {
+      EXPECT_EQ(detail::estimate_portable(estimator, as_view(*to)),
+                estimator.estimate(as_view(*to)));
+    }
+  }
+}
+
 TEST(Estimator, IndexSizedToBase) {
-  // Head entries: the smallest power of two >= 4 x slots, at most 2^17; one
-  // chain entry per 8th base position; 4 bytes each.
-  EXPECT_EQ(Estimator(random_bytes(1, 7)).index_bytes(), 0u);  // no slot, no head
-  EXPECT_EQ(Estimator(random_bytes(2, 8)).index_bytes(), (4u + 1u) * 4u);
-  EXPECT_EQ(Estimator(random_bytes(3, 11264)).index_bytes(), (8192u + 1408u) * 4u);
+  // One allocation: 12 bytes per 64 buckets (a bitmap word and its rank),
+  // one run offset per non-empty bucket plus one, and 4 bytes per kept
+  // slot. Buckets are the smallest power of two >= 4 x slots, at most 2^17;
+  // a slot is every 8th base position, and only the first 4 of each hash
+  // are kept. The non-empty and kept counts below were recomputed from the
+  // chunk hashes by a separate count, outside the library.
+  const auto bytes = [](std::size_t words, std::size_t non_empty, std::size_t kept) {
+    return 12 * words + 4 * (non_empty + 1) + 4 * kept;
+  };
+  EXPECT_EQ(Estimator(random_bytes(1, 7)).index_bytes(), bytes(1, 0, 0));  // 16: no slot
+  EXPECT_EQ(Estimator(random_bytes(2, 8)).index_bytes(), bytes(1, 1, 1));   // 24: 4 buckets
+  EXPECT_EQ(Estimator(random_bytes(7, 9)).index_bytes(), bytes(1, 1, 1));   // 24: still 1 slot
+  // One 8-byte chunk repeated: 100 slots of one hash, 4 kept, 512 buckets.
+  Bytes repeated;
+  for (int i = 0; i < 100; ++i) util::append(repeated, std::string_view("abcdefgh"));
+  EXPECT_EQ(Estimator(repeated).index_bytes(), bytes(8, 1, 4));  // 120
+  // An 11,264-byte page: 1,408 slots over 8,192 buckets, 1,289 non-empty.
+  EXPECT_EQ(Estimator(random_bytes(3, 11264)).index_bytes(), bytes(128, 1289, 1408));  // 12,328
+  // At the cap: 32,768 slots reach 2^17 buckets (one slot is a hash's fifth).
+  EXPECT_EQ(Estimator(random_bytes(8, std::size_t{1} << 18)).index_bytes(),
+            bytes(2048, 29105, 32767));  // 272,068
+  // Past it: 131,072 slots still over 2^17 buckets, one hash each.
   EXPECT_EQ(Estimator(random_bytes(4, std::size_t{1} << 20)).index_bytes(),
-            ((std::size_t{1} << 17) + (std::size_t{1} << 17)) * 4u);
-  // The encoder's footprint table does not scale with the base.
-  EXPECT_EQ(Encoder(random_bytes(5, 7)).index_bytes(), std::size_t{256} << 10);
-  EXPECT_EQ(Encoder(random_bytes(6, 11264)).index_bytes(), std::size_t{256} << 10);
+            bytes(2048, 82813, 130534));  // 877,968
+  // The encoder's footprint table: a 12 KB bitmap with ranks over its 2^16
+  // slots, a sentinel, and 4 bytes per occupied slot.
+  EXPECT_EQ(Encoder(random_bytes(5, 7)).index_bytes(), 12288u + 4u);  // no window
+  EXPECT_EQ(Encoder(random_bytes(6, 11264)).index_bytes(), 12288u + 4u * (1u + 10374u));
 }
 
 // ------------------------------------------------------------ paper-scale behaviour

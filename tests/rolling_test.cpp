@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
 #include "delta/delta.hpp"
+#include "delta/rank_bitmap.hpp"
 #include "delta/rolling.hpp"
+#include "trace/document.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/varint.hpp"
@@ -244,6 +247,98 @@ TEST(Rolling, DeltaSizeWithinFactorOfHashChain) {
   EXPECT_LE(corr.delta.size(), 3 * estimate_delta_size(as_view(base), as_view(target)));
 }
 
+// ------------------------------------------------- packed table vs flat
+
+/// A window's fingerprint, computed alone: Karp-Rabin over 2^61 - 1 with
+/// multiplier 263, as the encoder rolls it.
+std::uint64_t window_fingerprint(const std::uint8_t* window) {
+  constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
+  std::uint64_t h = 0;
+  for (std::size_t i = 0; i < rolling::kWindow; ++i) {
+    const unsigned __int128 t = static_cast<unsigned __int128>(h) * 263 + window[i];
+    h = static_cast<std::uint64_t>(t & kPrime) + static_cast<std::uint64_t>(t >> 61);
+    if (h >= kPrime) h -= kPrime;
+  }
+  return h;
+}
+
+/// The footprint table as a flat array of all 2^16 slots, the form the
+/// encoder stored before it packed the occupied ones: each slot holds the
+/// first base position whose window fingerprint falls in it, + 1, or 0.
+std::vector<std::uint32_t> flat_footprints(util::BytesView base) {
+  std::vector<std::uint32_t> slots(rolling::kFootprintSlots, 0);
+  for (std::size_t p = 0; p + rolling::kWindow <= base.size(); ++p) {
+    std::uint32_t& slot =
+        slots[window_fingerprint(base.data() + p) & (rolling::kFootprintSlots - 1)];
+    if (slot == 0) slot = static_cast<std::uint32_t>(p + 1);
+  }
+  return slots;
+}
+
+TEST(Rolling, PackedTableReadsAsTheFlatOne) {
+  // Bases around the window size, one byte repeated (every window shares one
+  // slot), a page, and a random MiB whose million windows leave no slot
+  // empty, so the last rank word is full.
+  trace::TemplateConfig page_config;
+  page_config.skeleton_bytes = 9000;
+  Bytes page = trace::DocumentTemplate(3, page_config).generate(1, 2, 0);
+  ASSERT_GE(page.size(), 11264u);
+  page.resize(11264);
+  const std::vector<std::pair<Bytes, std::size_t>> cases{
+      // base, occupied slots (0 when not pinned here)
+      {Bytes{}, 0},
+      {random_bytes(20, 15), 0},
+      {random_bytes(21, 16), 1},
+      {random_bytes(22, 17), 0},
+      {Bytes(4096, 'x'), 1},
+      {page, 0},
+      {random_bytes(23, std::size_t{1} << 20), rolling::kFootprintSlots},
+  };
+  for (const auto& [base, pinned] : cases) {
+    const rolling::FootprintTable table(as_view(base));
+    const std::vector<std::uint32_t> flat = flat_footprints(as_view(base));
+    std::size_t occupied = 0;
+    std::size_t differing = 0;
+    for (std::uint64_t k = 0; k < rolling::kFootprintSlots; ++k) {
+      const std::size_t want = flat[k] == 0 ? rolling::FootprintTable::npos : flat[k] - 1;
+      differing += table.probe(k) != want ? 1 : 0;
+      occupied += flat[k] != 0 ? 1 : 0;
+    }
+    EXPECT_EQ(differing, 0u) << base.size() << "-byte base";
+    if (pinned != 0 || base.size() < rolling::kWindow) {
+      EXPECT_EQ(occupied, pinned) << base.size() << "-byte base";
+    }
+    // The 12 KB bitmap with ranks, the sentinel and one entry per slot.
+    EXPECT_EQ(table.bytes(), 12288 + 4 * (1 + occupied)) << base.size() << "-byte base";
+  }
+}
+
+TEST(RankBitmap, PortablePopcountRanksAndFind) {
+  util::Rng rng(77);
+  for (const std::uint64_t x : {std::uint64_t{0}, ~std::uint64_t{0}, std::uint64_t{1} << 63,
+                                std::uint64_t{0x8000000000000001u}}) {
+    EXPECT_EQ(popcount64(x), static_cast<unsigned>(std::popcount(x)));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t x = rng.next_u64() & rng.next_u64();
+    EXPECT_EQ(popcount64(x), static_cast<unsigned>(std::popcount(x)));
+  }
+  // Four words: empty, full, sparse, the top bit alone.
+  const std::uint64_t words[] = {0, ~std::uint64_t{0}, rng.next_u64() & rng.next_u64(),
+                                 std::uint64_t{1} << 63};
+  const RankBitmap index(words, 4, 2);
+  std::size_t below = 0;
+  for (std::size_t k = 0; k < 256; ++k) {
+    const bool set = (words[k / 64] >> (k % 64) & 1) != 0;
+    EXPECT_EQ(index.test(k), set) << k;
+    EXPECT_EQ(index.rank(k), below) << k;
+    EXPECT_EQ(index.find(k), set ? below + 1 : 0) << k;
+    below += set ? 1 : 0;
+  }
+  EXPECT_EQ(index.count(), below);
+  EXPECT_EQ(index.bytes(), (3 * 4 + below + 2) * 4);
+}
+
 TEST(Rolling, FootprintTableProbeContract) {
   const Bytes base = random_bytes(14, 4096);
   const rolling::FootprintTable table(as_view(base));
@@ -347,6 +442,18 @@ TEST(Rolling, PinnedTablesAndDeltasOverLargeBases) {
   EXPECT_EQ(delta_bytes, 236032u);
   EXPECT_EQ(size_total, 236296u);
   EXPECT_EQ(crc, 0x12e15dd8u);
+}
+
+TEST(Rolling, PortableScanMatchesPopcntScan) {
+  // The scan is compiled twice, and a host with the popcnt instruction takes
+  // that kernel. The portable one must size every delta the same.
+  for (const auto& [base, target] : large_template_pairs()) {
+    const rolling::FootprintTable table(as_view(base));
+    for (const Bytes* to : {&target, &base}) {
+      EXPECT_EQ(rolling::detail::encode_size_portable(table, as_view(base), as_view(*to)),
+                rolling::encode_size_rolling(table, as_view(base), as_view(*to)));
+    }
+  }
 }
 
 TEST(Rolling, WireFormatIsPlainCbd1) {

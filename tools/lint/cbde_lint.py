@@ -26,7 +26,8 @@ stable id:
   fuzz-coverage   every decoder in ENTRY_POINTS must be exercised by its
                   registered fuzz target: the target name must appear in
                   tests/fuzz/CMakeLists.txt and the entry-point symbol in
-                  tests/fuzz/fuzz_main.cpp.
+                  the code of tests/fuzz/fuzz_main.cpp (not in a comment or
+                  a string).
   bare-assert     assert() is banned outside tests/ and bench/: every
                   build CI runs is RelWithDebInfo, which defines NDEBUG,
                   so it would check nothing there; use CBDE_ASSERT from
@@ -113,9 +114,9 @@ ENTRY_POINTS = [
 ]
 
 # Unreserved growth in the byte-pipeline layers: push_back / emplace_back /
-# append inside a loop in src/delta or src/compress without a preceding
-# reserve() on the same receiver re-allocates O(log n) times per call — on
-# the per-request encode/decode path that shows up in the measured
+# append inside a loop in src/delta or src/compress without a reserve() on
+# the same receiver earlier in the same function re-allocates O(log n) times
+# per call — on the per-request encode/decode path that shows up in the measured
 # allocations per request (tests/alloc_budget_test.cpp). The lint check is
 # the fast, always-on guard for those two directories;
 # `// lint: growth-ok <reason>` is the escape hatch.
@@ -361,7 +362,8 @@ def check_hot_path_growth(path: Path, lines: list[str],
     posix = path.resolve().as_posix()
     if not any(d in posix for d in GROWTH_DIRS):
         return
-    text = "\n".join(strip_code_noise(line) for line in lines)
+    text = code_text("\n".join(lines))
+    spans = function_spans(text)
     reported: set[int] = set()
     for head in LOOP_HEAD.finditer(text):
         # Walk the loop-head parens, then the braced body (or the single
@@ -393,12 +395,16 @@ def check_hot_path_growth(path: Path, lines: list[str],
             if semi < 0:
                 continue
             body_start, body_end = k, semi
+        # Only a reserve in the function that holds the loop sizes its
+        # container: the innermost definition around the loop head.
+        func_start = max((start for _, _, start, end in spans
+                          if start <= head.start() < end), default=0)
         for g in GROWTH_CALL.finditer(text, body_start, body_end):
             recv = g.group("recv")
-            # A reserve on the same receiver anywhere before the loop head
-            # (i.e. earlier in the file) sizes the container up front.
+            # A reserve on the same receiver earlier in the function, before
+            # the loop head, sizes the container up front.
             if re.search(rf"\b{re.escape(recv)}\s*(?:\.|->)\s*reserve\s*\(",
-                         text[:head.start()]):
+                         text[func_start:head.start()]):
                 continue
             line_no = text.count("\n", 0, g.start()) + 1
             if line_no in reported:
@@ -410,18 +416,22 @@ def check_hot_path_growth(path: Path, lines: list[str],
             findings.append(Finding(
                 "hot-path-growth", path, line_no,
                 f"{recv}.{g.group('op')} grows inside a loop with no "
-                f"preceding {recv}.reserve(); size the container up front "
-                "or annotate `// lint: growth-ok <reason>`"))
+                f"{recv}.reserve() before it in the same function; size the "
+                "container up front or annotate `// lint: growth-ok <reason>`"))
 
 
-def function_bodies(text: str) -> list[tuple[str, int, str]]:
-    """(name as written, header line, body) of every function definition,
-    nested ones included. Comments, string contents and preprocessor lines
-    are blanked first so neither braces in literals nor `#if defined(...)`
-    read as code."""
-    stripped = "\n".join(
+def code_text(text: str) -> str:
+    """The file with comments, string contents and preprocessor lines
+    blanked, line for line, so neither braces in literals nor `#if
+    defined(...)` read as code."""
+    return "\n".join(
         "" if line.lstrip().startswith("#") else strip_code_noise(line)
         for line in text.splitlines())
+
+
+def function_spans(stripped: str) -> list[tuple[str, int, int, int]]:
+    """(name as written, header line, body start, body end) of every
+    function definition in code_text() output, nested ones included."""
     out = []
     pos = 0
     while m := FUNC_DEF.search(stripped, pos):
@@ -440,10 +450,17 @@ def function_bodies(text: str) -> list[tuple[str, int, str]]:
             if depth == 0:
                 break
             end += 1
-        out.append((name, stripped.count("\n", 0, m.start()) + 1,
-                    stripped[m.end():end]))
+        out.append((name, stripped.count("\n", 0, m.start()) + 1, m.end(), end))
         pos = m.end()
     return out
+
+
+def function_bodies(text: str) -> list[tuple[str, int, str]]:
+    """(name as written, header line, body) of every function definition,
+    nested ones included."""
+    stripped = code_text(text)
+    return [(name, line, stripped[start:end])
+            for name, line, start, end in function_spans(stripped)]
 
 
 def states_contract(body: str, bodies: list[tuple[str, int, str]]) -> bool:
@@ -492,7 +509,8 @@ def check_fuzz_coverage(root: Path, findings: list[Finding]) -> None:
     m = re.search(r"foreach\s*\(\s*fuzz_target\s+([^)]*)\)", cmake_text)
     if m:
         targets = set(m.group(1).split())
-    main_text = main.read_text(encoding="utf-8")
+    # Code only: a comment or a string that names the symbol calls nothing.
+    main_text = code_text(main.read_text(encoding="utf-8"))
     for _rel, symbol, target in ENTRY_POINTS:
         if target is None:
             continue
@@ -592,6 +610,23 @@ SEEDED_CLEAN = (
 )
 
 
+# A reserve in another function sizes nothing here: `out` in decode() is
+# unreserved although encode() reserves its own `out` above it. The clean
+# twin reserves in the function that loops.
+GROWTH_OTHER_FUNCTION = (
+    "void encode(util::Bytes& out, util::BytesView in) {\n"
+    "  out.reserve(in.size());\n"
+    "  for (std::size_t i = 0; i < in.size(); ++i) out.push_back(in[i]);\n"
+    "}\n"
+    "void decode(util::Bytes& out, util::BytesView in) {\n"
+    "  for (std::size_t i = 0; i < in.size(); ++i) out.push_back(in[i]);\n"
+    "}\n"
+)
+GROWTH_OTHER_FUNCTION_CLEAN = GROWTH_OTHER_FUNCTION.replace(
+    "void decode(util::Bytes& out, util::BytesView in) {\n",
+    "void decode(util::Bytes& out, util::BytesView in) {\n"
+    "  out.reserve(in.size());\n")
+
 GROWTH_CLEAN = (
     "void pack(util::Bytes& out, util::BytesView in) {\n"
     "  out.reserve(in.size());\n"
@@ -671,18 +706,42 @@ def self_test() -> int:
         for x in extra:
             print(f"self-test FAIL: false positive: {x}")
             failures += 1
-        # fuzz-coverage must fire when a target is missing from the list.
+        # hot-path-growth reads reserves in the looping function only.
+        growth_other = tmpdir / "src/delta/other_function.cpp"
+        for source, want in ((GROWTH_OTHER_FUNCTION, 1), (GROWTH_OTHER_FUNCTION_CLEAN, 0)):
+            growth_other.write_text(source, encoding="utf-8")
+            got = [x for x in lint_paths([growth_other], REPO_ROOT)
+                   if x.check == "hot-path-growth"]
+            if len(got) != want:
+                print(f"self-test FAIL: hot-path-growth gave {len(got)} finding(s) for a "
+                      f"reserve in another function, expected {want}")
+                failures += 1
+        # fuzz-coverage must fire when a target is missing from the list,
+        # and when a symbol is named only in a comment or a string; with
+        # every symbol called and every target listed it stays silent.
         fake = tmpdir / "tests/fuzz"
         fake.mkdir(parents=True)
-        (fake / "CMakeLists.txt").write_text(
-            "foreach(fuzz_target cbd1 compress)\nendforeach()\n", encoding="utf-8")
-        (fake / "fuzz_main.cpp").write_text(
-            "// calls delta::apply only\n", encoding="utf-8")
-        cov: list[Finding] = []
-        check_fuzz_coverage(tmpdir, cov)
-        if not any(x.check == "fuzz-coverage" for x in cov):
-            print("self-test FAIL: seeded fuzz-coverage gap not detected")
-            failures += 1
+        targets = sorted({t for _, _, t in ENTRY_POINTS if t is not None})
+        symbols = [sym for _, sym, t in ENTRY_POINTS if t is not None]
+        calls = "".join(f"  (void){sym}(in);\n" for sym in symbols)
+        cases = (
+            ("foreach(fuzz_target cbd1 compress)\nendforeach()\n",
+             "// calls delta::apply only\n", True),
+            (f"foreach(fuzz_target {' '.join(targets)})\nendforeach()\n",
+             f"// {' '.join(symbols)}\nconst char* s = \"{symbols[0]}\";\n", True),
+            (f"foreach(fuzz_target {' '.join(targets)})\nendforeach()\n",
+             f"void run(const Bytes& in) {{\n{calls}}}\n", False),
+        )
+        for cmake_text, main_text, want in cases:
+            (fake / "CMakeLists.txt").write_text(cmake_text, encoding="utf-8")
+            (fake / "fuzz_main.cpp").write_text(main_text, encoding="utf-8")
+            cov: list[Finding] = []
+            check_fuzz_coverage(tmpdir, cov)
+            if bool(cov) != want:
+                print("self-test FAIL: fuzz-coverage "
+                      + ("missed a seeded gap" if want else "false positive: ")
+                      + "; ".join(map(str, cov)))
+                failures += 1
         # entry-contract fires on the contract-free entry point only.
         widget = tmpdir / "src/widget.cpp"
         widget.parent.mkdir(parents=True, exist_ok=True)
