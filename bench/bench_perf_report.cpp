@@ -8,6 +8,10 @@
 //     case, where the index is seldom in cache), size-only estimate,
 //     apply(), CBZ1 compress/decompress of the cross delta, crc32 —
 //     throughput MB/s, ns/op, delta-size ratios;
+//   * index sizes: the estimator's and the encoder's index bytes, and bytes
+//     per base byte, over a page under 64 KiB (perfbench's many_classes
+//     size), one over it and one over 512 KiB, so each index shows both its
+//     entry widths;
 //   * end-to-end: DeltaServer::serve() driven through a DeltaWorkerPool
 //     with 1 and 4 workers — ns/request and the multi-thread speedup.
 //
@@ -411,14 +415,42 @@ int main(int argc, char** argv) {
   }
   json.close();  // codecs
 
+  // Index bytes per class base: entries are 16-bit under 64 KiB of base for
+  // the encoder and under 512 KiB for the estimator, 32-bit above.
+  json.open("index_sizes");
+  for (const auto& [key, template_bytes] :
+       {std::pair{"page_under_64k", std::size_t{11} << 10},
+        std::pair{"page_over_64k", std::size_t{55} << 10},
+        std::pair{"page_over_512k", std::size_t{600} << 10}}) {
+    const util::Bytes page = trace::DocumentTemplate(13, sized_template(template_bytes))
+                                 .generate(0, 1, 0);
+    const auto per_byte = [&page](std::size_t bytes) {
+      return static_cast<double>(bytes) / static_cast<double>(page.size());
+    };
+    const std::size_t estimator_bytes = delta::Estimator(page).index_bytes();
+    const std::size_t encoder_bytes = delta::Encoder(page).index_bytes();
+    json.open(key);
+    json.field("base_bytes", page.size());
+    json.field("estimator_index_bytes", estimator_bytes);
+    json.field("estimator_index_per_base_byte", per_byte(estimator_bytes));
+    json.field("encoder_index_bytes", encoder_bytes);
+    json.field("encoder_index_per_base_byte", per_byte(encoder_bytes));
+    json.close();
+    std::printf("index %-22s %9zu B base   estimator %8zu B (%.3f/B)   encoder %8zu B (%.3f/B)\n",
+                key, page.size(), estimator_bytes, per_byte(estimator_bytes), encoder_bytes,
+                per_byte(encoder_bytes));
+  }
+  json.close();  // index_sizes
+
   // Observability overhead on the smoke encode loop: the same cached encode
   // bare and wrapped with everything serve() adds per request (two clock
-  // reads, two histogram observes and a counter). Each round times both
-  // loops back to back, alternating which goes first, and the overhead is
-  // the median of the per-round ratios: a slow patch of host time lands in
-  // a few rounds' pairs rather than in one loop. Slow patches can outlast
-  // several short rounds: over 20 Release --smoke runs each on a 4-core
-  // KVM guest, 9 rounds read up to 9.0% and 25 rounds at most 1.8%.
+  // reads, two histogram observes and a counter). Each pair times one bare
+  // and one instrumented encode back to back, alternating which goes first,
+  // and the overhead is the median of the per-pair ratios: a slow patch of
+  // host time or an interrupt lands in a few pairs rather than on one side.
+  // Over 10 RelWithDebInfo --smoke runs each on a 4-core KVM guest, 25
+  // rounds of two 20-encode loops read -4.31 to 1.78%, and 1,000 pairs of
+  // single encodes read -0.01 to 0.33%.
   {
     obs::Obs bench_obs;
     obs::Counter& reqs =
@@ -436,16 +468,16 @@ int main(int argc, char** argv) {
       sz.observe(sink);
       reqs.inc();
     };
-    constexpr int kRounds = 25;
+    constexpr int kPairs = 1000;
     util::Samples bare_ns, instr_ns, ratio;
-    for (int round = 0; round < kRounds; ++round) {
+    for (int pair = 0; pair < kPairs; ++pair) {
       double b = 0, in = 0;
-      if (round % 2 == 0) {
-        b = time_op(1, iters, bare);
-        in = time_op(1, iters, instrumented);
+      if (pair % 2 == 0) {
+        b = time_op(0, 1, bare);
+        in = time_op(0, 1, instrumented);
       } else {
-        in = time_op(1, iters, instrumented);
-        b = time_op(1, iters, bare);
+        in = time_op(0, 1, instrumented);
+        b = time_op(0, 1, bare);
       }
       bare_ns.add(b);
       instr_ns.add(in);

@@ -45,7 +45,7 @@ class Anonymizer {
 
   /// Shared-base overload: aliases the caller's buffer (a refcount bump)
   /// instead of copying it, so starting a publication round from the
-  /// working encoder's base costs no document copy.
+  /// working estimator's base costs no document copy.
   void begin(std::shared_ptr<const util::Bytes> base, std::uint64_t owner_user);
 
   /// True between begin() and finalize().

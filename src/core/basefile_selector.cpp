@@ -19,7 +19,7 @@ void BaseFileSelector::observe(util::BytesView doc) {
   admit(doc);
 }
 
-void BaseFileSelector::admit(util::BytesView doc) {
+std::shared_ptr<const delta::Estimator> BaseFileSelector::admit(util::BytesView doc) {
   ++stats_.sampled;
   // One copy of the sampled document, shared by the reference set and the
   // candidate estimator — the kTwoSet policy used to materialize it twice.
@@ -28,13 +28,14 @@ void BaseFileSelector::admit(util::BytesView doc) {
     insert_reference(snapshot);
   }
   insert_candidate(std::move(snapshot));
+  return candidates_.back();
 }
 
 void BaseFileSelector::insert_candidate(std::shared_ptr<const util::Bytes> doc) {
   if (candidates_.size() >= config_.max_samples) evict_candidate();
 
   const std::size_t idx = candidates_.size();
-  candidates_.push_back(std::make_unique<delta::Estimator>(std::move(doc)));
+  candidates_.push_back(std::make_shared<const delta::Estimator>(std::move(doc)));
   const delta::Estimator& fresh = *candidates_[idx];
 
   if (config_.eviction == SelectorConfig::Eviction::kTwoSet) {
@@ -136,9 +137,9 @@ void BaseFileSelector::remove_candidate(std::size_t idx) {
   }
 }
 
-const util::Bytes* BaseFileSelector::best() const {
+std::shared_ptr<const delta::Estimator> BaseFileSelector::best() const {
   if (candidates_.empty()) return nullptr;
-  return &candidates_[best_index()]->base();
+  return candidates_[best_index()];
 }
 
 double BaseFileSelector::best_score() const {
@@ -170,6 +171,18 @@ std::size_t BaseFileSelector::index_bytes() const {
   return total;
 }
 
+bool BaseFileSelector::is_candidate(const delta::Estimator* sample) const {
+  return std::any_of(candidates_.begin(), candidates_.end(),
+                     [sample](const auto& candidate) { return candidate.get() == sample; });
+}
+
+bool BaseFileSelector::holds(const util::Bytes* buffer) const {
+  return std::any_of(candidates_.begin(), candidates_.end(),
+                     [buffer](const auto& candidate) { return &candidate->base() == buffer; }) ||
+         std::any_of(references_.begin(), references_.end(),
+                     [buffer](const auto& doc) { return doc.get() == buffer; });
+}
+
 void BaseFileSelector::flush() {
   candidates_.clear();
   score_matrix_.clear();
@@ -196,7 +209,10 @@ void RandomizedPolicy::observe(util::BytesView doc) {
   selector_.observe(doc);
 }
 
-const util::Bytes* RandomizedPolicy::current_base() const { return selector_.best(); }
+const util::Bytes* RandomizedPolicy::current_base() const {
+  const auto best = selector_.best();
+  return best != nullptr ? &best->base() : nullptr;
+}
 
 void OnlineOptimalPolicy::observe(util::BytesView doc) {
   const std::size_t idx = docs_.size();

@@ -53,12 +53,14 @@ class BaseFileSelector {
   void observe(util::BytesView doc);
 
   /// Unconditionally admit a document as a candidate (used for the request
-  /// that creates a class, so a base-file exists immediately).
-  void admit(util::BytesView doc);
+  /// that creates a class, so a base-file exists immediately). Returns the
+  /// candidate's estimator: a class takes it as its working base, so the
+  /// document is held and indexed once.
+  std::shared_ptr<const delta::Estimator> admit(util::BytesView doc);
 
   /// Candidate with minimal sum of deltas to the other stored documents, or
-  /// nullptr if no candidates are stored.
-  const util::Bytes* best() const;
+  /// null if no candidates are stored.
+  std::shared_ptr<const delta::Estimator> best() const;
 
   /// Score (sum of delta sizes) of best(); 0 with fewer than 2 candidates.
   double best_score() const;
@@ -67,10 +69,16 @@ class BaseFileSelector {
   void flush();
 
   std::size_t stored() const { return candidates_.size(); }
-  /// Total bytes held by stored candidates (and references for kTwoSet).
+  /// Total bytes held by stored candidates (and references for kTwoSet),
+  /// each distinct buffer once.
   std::size_t stored_bytes() const;
   /// Bytes of the candidates' estimator indexes (references have none).
   std::size_t index_bytes() const;
+  /// Whether `sample` is a stored candidate, so index_bytes() counts it.
+  bool is_candidate(const delta::Estimator* sample) const;
+  /// Whether a candidate or a reference holds `buffer`, so stored_bytes()
+  /// counts it.
+  bool holds(const util::Bytes* buffer) const;
   const SelectorStats& stats() const { return stats_; }
 
  private:
@@ -87,8 +95,9 @@ class BaseFileSelector {
   /// to rank, which keeps the "calculation can be done offline" cost low —
   /// so its match index is built once on admission; scoring a newcomer
   /// against K incumbents then costs K index-free size-only scans instead of
-  /// K index builds.
-  std::vector<std::unique_ptr<delta::Estimator>> candidates_;
+  /// K index builds. Shared: the class's working base is one of them until
+  /// it is evicted or flushed.
+  std::vector<std::shared_ptr<const delta::Estimator>> candidates_;
   /// score_matrix_[i][j] = delta size with candidates_[i] as base and
   /// (candidates_ or references_)[j] as target, j != i for the one-set
   /// policies.

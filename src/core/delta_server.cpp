@@ -104,11 +104,6 @@ DeltaServer::ClassState& DeltaServer::state_of(ClassId id) {
   return *it->second;
 }
 
-std::shared_ptr<const delta::Estimator> DeltaServer::make_working_estimator(
-    util::BytesView doc) const {
-  return std::make_shared<const delta::Estimator>(util::Bytes(doc.begin(), doc.end()));
-}
-
 void DeltaServer::start_publication(ClassId id, ClassState& cls, util::SimTime now,
                                     obs::TraceContext* tc) {
   const obs::Span publish_span(tc, "publish");
@@ -211,12 +206,11 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
     cls_ptr = &cls;
     const bool creating = decision.created || cls.working_estimator == nullptr;
     if (creating) {
-      cls.working_estimator = make_working_estimator(doc);
-      cls.working_owner = user_id;
       {
         const obs::Span select_span(tc, "select");
-        cls.selector.admit(doc);
+        cls.working_estimator = cls.selector.admit(doc);
       }
+      cls.working_owner = user_id;
       start_publication(decision.id, cls, now, tc);
     } else {
       // 2. Feed the selector and any in-progress anonymization.
@@ -314,13 +308,12 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
       cls.consecutive_large_deltas = large_delta ? cls.consecutive_large_deltas + 1 : 0;
       if (cls.consecutive_large_deltas >= config_.basic_rebase_after) {
         cls.consecutive_large_deltas = 0;
-        cls.working_estimator = make_working_estimator(doc);
-        cls.working_owner = user_id;
         {
           const obs::Span select_span(tc, "select");
           cls.selector.flush();  // "all K stored documents are flushed"
-          cls.selector.admit(doc);
+          cls.working_estimator = cls.selector.admit(doc);
         }
+        cls.working_owner = user_id;
         start_publication(out.class_id, cls, now, tc);
         out.basic_rebase = true;
         ++ledger_.basic_rebases;
@@ -331,17 +324,20 @@ ServedResponse DeltaServer::serve(std::uint64_t user_id, const http::Url& url,
     }
 
     // 5. Group-rebase: a better candidate exists and the timeout has expired.
+    // The best sample is often the working base itself; another sample
+    // holding the same bytes is no better either.
     if (!out.basic_rebase && !cls.anonymizer.in_progress() &&
         now - cls.last_group_rebase >= config_.rebase_timeout) {
-      if (const util::Bytes* best = cls.selector.best();
-          best != nullptr && *best != cls.working_estimator->base()) {
-        cls.working_estimator = make_working_estimator(util::as_view(*best));
+      if (auto best = cls.selector.best();
+          best != nullptr && best != cls.working_estimator &&
+          best->base() != cls.working_estimator->base()) {
+        cls.working_estimator = std::move(best);
         cls.working_owner = user_id;  // conservatively exclude the requester
         start_publication(out.class_id, cls, now, tc);
         out.group_rebase = true;
         ++ledger_.group_rebases;
         obs_->emit(obs::EventKind::kGroupRebase, now, out.class_id,
-                  {{"base_size", std::to_string(best->size())}});
+                  {{"base_size", std::to_string(cls.working_estimator->base().size())}});
         // Avoid immediate re-trigger while the new base awaits anonymization.
         cls.last_group_rebase = now;
       }
@@ -407,6 +403,7 @@ std::vector<ClassSummary> DeltaServer::class_summaries() const {
         cls->transmit_encoder ? cls->transmit_encoder->base().size() : 0;
     summary.working_size =
         cls->working_estimator ? cls->working_estimator->base().size() : 0;
+    summary.working_is_sample = cls->selector.is_candidate(cls->working_estimator.get());
     summary.selector_samples = cls->selector.stored();
     summary.anonymizing = cls->anonymizer.in_progress();
     out.push_back(summary);
@@ -444,14 +441,18 @@ std::size_t DeltaServer::storage_bytes_locked() const {
     // the anonymizer, or, with anonymization off, to the transmit encoder:
     // so a pending anonymization, or the newest published slot, is the
     // working base itself. The transmit encoder shares that newest slot.
+    // The working base is a selector sample until evicted, and with
+    // anonymization off an older published slot can be one too.
     const util::Bytes* working =
         cls->working_estimator ? &cls->working_estimator->base() : nullptr;
     CBDE_ASSERT_INVARIANT(!cls->anonymizer.in_progress() ||
                           &cls->anonymizer.pending_base() == working);
     for (const auto& base : cls->published) {
-      if (base != nullptr && base.get() != working) total += base->size();
+      if (base != nullptr && base.get() != working && !cls->selector.holds(base.get())) {
+        total += base->size();
+      }
     }
-    total += working != nullptr ? working->size() : 0;
+    if (working != nullptr && !cls->selector.holds(working)) total += working->size();
     // Selector samples are part of the server-side footprint too.
     total += cls->selector.stored_bytes();
   }
@@ -461,7 +462,9 @@ std::size_t DeltaServer::storage_bytes_locked() const {
 std::size_t DeltaServer::index_bytes_locked() const {
   std::size_t total = 0;
   for (const auto& [id, cls] : states_) {
-    total += cls->working_estimator ? cls->working_estimator->index_bytes() : 0;
+    if (cls->working_estimator && !cls->selector.is_candidate(cls->working_estimator.get())) {
+      total += cls->working_estimator->index_bytes();
+    }
     total += cls->selector.index_bytes();
     total += cls->transmit_encoder ? cls->transmit_encoder->index_bytes() : 0;
     total += cls->anonymizer.index_bytes();

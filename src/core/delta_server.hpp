@@ -119,6 +119,9 @@ struct ClassSummary {
   std::uint32_t published_version = 0;
   std::size_t published_size = 0;
   std::size_t working_size = 0;
+  /// Whether the working base is one of the selector's samples, held and
+  /// indexed once; it stays one until the selector evicts or flushes it.
+  bool working_is_sample = false;
   std::size_t selector_samples = 0;
   bool anonymizing = false;
 };
@@ -175,17 +178,19 @@ class DeltaServer {
   const http::RuleBook& rules() const { return rules_; }
 
   /// Server-side storage the scheme requires: working + published bases and
-  /// selector samples across all classes (the paper's scalability metric).
-  /// cbde_server_storage_bytes reports the same sum.
+  /// selector samples across all classes (the paper's scalability metric),
+  /// each distinct buffer once: a working base that is a selector sample is
+  /// counted as the sample. cbde_server_storage_bytes reports the same sum.
   std::size_t storage_bytes() const EXCLUDES(mu_) {
     LockGuard lock(mu_);
     return storage_bytes_locked();
   }
 
-  /// Bytes of the match indexes built over those bases: working and
-  /// selector estimators, transmit encoders and the encoders of
-  /// anonymizations in progress. storage_bytes() counts the bases; this
-  /// counts only the tables. cbde_server_index_bytes reports the same sum.
+  /// Bytes of the match indexes built over those bases: selector estimators
+  /// (the working one among them while it is a sample), transmit encoders
+  /// and the encoders of anonymizations in progress. storage_bytes() counts
+  /// the bases; this counts only the tables. cbde_server_index_bytes reports
+  /// the same sum.
   std::size_t index_bytes() const EXCLUDES(mu_) {
     LockGuard lock(mu_);
     return index_bytes_locked();
@@ -220,7 +225,8 @@ class DeltaServer {
 
   struct ClassState {
     /// Working base (raw) + its prebuilt light index: the grouping and
-    /// rebase-comparison reference. Rebuilt on create and on either rebase.
+    /// rebase-comparison reference. On create and on either rebase it is the
+    /// selector sample admitted or chosen then, shared, not a copy.
     std::shared_ptr<const delta::Estimator> working_estimator;
     std::uint64_t working_owner = 0;
     /// Published (anonymized) base + its prebuilt footprint table: what
@@ -248,7 +254,6 @@ class DeltaServer {
   /// Adds every metric the registry's collector declared to `values`
   /// (indexed by slot), all read in one critical section.
   void collect(std::span<std::uint64_t> values) const EXCLUDES(mu_);
-  std::shared_ptr<const delta::Estimator> make_working_estimator(util::BytesView doc) const;
   /// Both record a `publish` span into `tc` (null-safe) around the table
   /// build they start.
   void start_publication(ClassId id, ClassState& cls, util::SimTime now,

@@ -43,6 +43,38 @@ IndexScratch& index_scratch() {
   return scratch;
 }
 
+/// The index over a filled scratch (`kept` of its `slots` kept): a counting
+/// sort of the kept slots by bucket, each slot's hash replaced by the rank r
+/// of its bucket. offsets[r] counts the r-th non-empty bucket's slots, then
+/// (summed) ends its run, then starts it once the runs are filled from the
+/// back; offsets[count] ends the last run. Filled from the back, a run
+/// ascends: earlier base positions are tried first, which biases COPY
+/// addresses low (slightly smaller varints). Runs hold slot indexes (base
+/// position / kLightStep), so every offset and index fits in an Entry when
+/// there are fewer slots than it has values.
+template <class Entry>
+RankBitmap<Entry> sort_into_runs(IndexScratch& scratch, std::size_t slots, std::size_t kept,
+                                 unsigned bucket_shift) {
+  std::uint32_t* const hashes = scratch.hashes.data();
+  RankBitmap<Entry> index(scratch.occupied.data(), scratch.occupied.size(), 1 + kept);
+  Entry* const offsets = index.entries();
+  Entry* const runs = offsets + index.count() + 1;
+  std::fill(offsets, runs, Entry{0});
+  for (std::size_t s = 0; s < slots; ++s) {
+    if (hashes[s] == kDropped) continue;
+    hashes[s] = static_cast<std::uint32_t>(index.rank(hashes[s] >> bucket_shift));
+    ++offsets[hashes[s]];
+  }
+  for (std::size_t r = 1; r < index.count(); ++r) {
+    offsets[r] = static_cast<Entry>(offsets[r] + offsets[r - 1]);
+  }
+  offsets[index.count()] = static_cast<Entry>(kept);
+  for (std::size_t s = slots; s-- > 0;) {
+    if (hashes[s] != kDropped) runs[--offsets[hashes[s]]] = static_cast<Entry>(s);
+  }
+  return index;
+}
+
 // Skip acceleration (zstd-style): while no acceptable match is found the
 // scan step grows with the miss streak, so incompressible runs are crossed
 // in O(n / step) probes instead of probing every byte. The step is capped so
@@ -106,44 +138,30 @@ Estimator::Estimator(std::shared_ptr<const util::Bytes> base) : base_(std::move(
   for (std::size_t s = 0; s < slots; ++s) {
     if (hashes[s] != kDropped) scratch.kept[hashes[s]] = 0;
   }
-  // Counting sort of the kept slots by bucket, each slot's hash replaced by
-  // the rank r of its bucket. offsets[r] counts the r-th non-empty bucket's
-  // slots, then (summed) ends its run, then starts it once the runs are
-  // filled from the back; offsets[count] ends the last run. Filled from the
-  // back, a run ascends: earlier base positions are tried first, which
-  // biases COPY addresses low (slightly smaller varints).
-  index_ = RankBitmap(scratch.occupied.data(), scratch.occupied.size(), 1 + kept);
-  std::uint32_t* const offsets = index_.entries();
-  std::uint32_t* const runs = offsets + index_.count() + 1;
-  std::fill(offsets, runs, 0u);
-  for (std::size_t s = 0; s < slots; ++s) {
-    if (hashes[s] == kDropped) continue;
-    hashes[s] = static_cast<std::uint32_t>(index_.rank(hashes[s] >> bucket_shift_));
-    ++offsets[hashes[s]];
-  }
-  for (std::size_t r = 1; r < index_.count(); ++r) offsets[r] += offsets[r - 1];
-  offsets[index_.count()] = static_cast<std::uint32_t>(kept);
-  for (std::size_t s = slots; s-- > 0;) {
-    if (hashes[s] != kDropped) {
-      runs[--offsets[hashes[s]]] = static_cast<std::uint32_t>(s * kLightStep);
-    }
+  // Under 2^16 slots (bases under 512 KiB) every offset, slot index and
+  // rank fits in 16 bits.
+  if (slots < (std::size_t{1} << 16)) {
+    index_ = sort_into_runs<std::uint16_t>(scratch, slots, kept, bucket_shift_);
+  } else {
+    index_ = sort_into_runs<std::uint32_t>(scratch, slots, kept, bucket_shift_);
   }
 }
 
 namespace {
 
-/// Estimator::estimate()'s scan. Always inlined into one of the two entry
-/// points below, so kPopcnt's instruction is compiled only where the target
-/// attribute allows it (as for the encoder's scan, rolling.cpp).
-template <bool kPopcnt>
+/// Estimator::estimate()'s scan over an index of Entry-wide offsets and slot
+/// indexes. Always inlined into one of the two entry points below, so
+/// kPopcnt's instruction is compiled only where the target attribute allows
+/// it (as for the encoder's scan, rolling.cpp).
+template <bool kPopcnt, class Entry>
 [[gnu::always_inline]] inline std::size_t light_estimate(util::BytesView base,
-                                                         const RankBitmap& index,
+                                                         const RankBitmap<Entry>& index,
                                                          unsigned bucket_shift,
                                                          util::BytesView target) {
   // One forward scan taking the longest of up to kLightChain candidates at
   // each position, counting the bytes each instruction would take.
-  const std::uint32_t* const offsets = index.entries();
-  const std::uint32_t* const runs = offsets + index.count() + 1;
+  const Entry* const offsets = index.entries();
+  const Entry* const runs = offsets + index.count() + 1;
   std::size_t bytes = header_size(base.size(), target.size());
   std::size_t lit_start = 0;  // start of the uncounted literal run
   const std::uint8_t* const tdata = target.data();
@@ -155,15 +173,15 @@ template <bool kPopcnt>
     const std::size_t fwd_limit = target.size() - pos;
     const std::uint32_t hash = chunk_hash(tdata + pos);
     const std::size_t bucket = hash >> bucket_shift;
-    const std::uint32_t* run = runs;
-    const std::uint32_t* run_end = runs;
+    const Entry* run = runs;
+    const Entry* run_end = runs;
     if (index.test(bucket)) {
-      const std::size_t r = index.rank<kPopcnt>(bucket);
+      const std::size_t r = index.template rank<kPopcnt>(bucket);
       run += offsets[r];
       run_end += offsets[r + 1];
     }
     for (std::size_t probes = 0; run != run_end && probes < kLightChain; ++run) {
-      const std::size_t bpos = *run;
+      const std::size_t bpos = std::size_t{*run} * kLightStep;
       // The run also holds every other hash sharing the bucket. Those slots
       // are skipped without counting as probes, so the candidates tried are
       // exactly those of a full 2^17-bucket index.
@@ -202,10 +220,10 @@ template <bool kPopcnt>
 
 #ifdef CBDE_POPCNT_KERNEL
 
-__attribute__((target("popcnt"))) std::size_t light_estimate_popcnt(util::BytesView base,
-                                                                     const RankBitmap& index,
-                                                                     unsigned bucket_shift,
-                                                                     util::BytesView target) {
+template <class Entry>
+__attribute__((target("popcnt"))) std::size_t light_estimate_popcnt(
+    util::BytesView base, const RankBitmap<Entry>& index, unsigned bucket_shift,
+    util::BytesView target) {
   return light_estimate<true>(base, index, bucket_shift, target);
 }
 
@@ -216,17 +234,25 @@ __attribute__((target("popcnt"))) std::size_t light_estimate_popcnt(util::BytesV
 std::size_t Estimator::estimate(util::BytesView target) const {
 #ifdef CBDE_POPCNT_KERNEL
   if (popcnt_supported()) {
-    return light_estimate_popcnt(util::as_view(*base_), index_, bucket_shift_, target);
+    return std::visit(
+        [&](const auto& index) {
+          return light_estimate_popcnt(util::as_view(*base_), index, bucket_shift_, target);
+        },
+        index_);
   }
 #endif
-  return light_estimate<false>(util::as_view(*base_), index_, bucket_shift_, target);
+  return detail::estimate_portable(*this, target);
 }
 
 namespace detail {
 
 std::size_t estimate_portable(const Estimator& estimator, util::BytesView target) {
-  return light_estimate<false>(util::as_view(*estimator.base_), estimator.index_,
-                               estimator.bucket_shift_, target);
+  return std::visit(
+      [&](const auto& index) {
+        return light_estimate<false>(util::as_view(*estimator.base_), index,
+                                     estimator.bucket_shift_, target);
+      },
+      estimator.index_);
 }
 
 }  // namespace detail

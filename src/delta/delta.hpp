@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "delta/rank_bitmap.hpp"
@@ -104,10 +105,11 @@ class Encoder {
   const std::shared_ptr<const util::Bytes>& shared_base() const;
   /// crc32 of the base, computed once at construction.
   std::uint32_t base_crc() const;
-  /// Bytes of the footprint table, in one allocation: a 12 KB bitmap with
-  /// ranks over the 2^16 slots, and 4 per occupied slot plus 4 for a
-  /// sentinel, so at most 4 per base byte beyond the 12 KB. The base itself
-  /// is not counted.
+  /// Bytes of the footprint table, in one allocation: an 8 KB bitmap over
+  /// the 2^16 slots, its ranks, and one entry per occupied slot plus one for
+  /// a sentinel. Ranks take 2 KB and entries 2 bytes each when the base is
+  /// under 64 KiB, else 4 KB and 4 bytes, so at most 2 or 4 per base byte
+  /// beyond the bitmap and ranks. The base itself is not counted.
   std::size_t index_bytes() const;
 
   /// Compute the delta that transforms the owned base into `target`.
@@ -139,10 +141,14 @@ class Estimator {
   /// owned base to `target`: the grouping-time closeness estimate.
   std::size_t estimate(util::BytesView target) const;
 
-  /// Bytes of the index, in one allocation: the bucket bitmap and its ranks
-  /// (1.5 bits per bucket), one run offset per non-empty bucket plus one, and
-  /// 4 per kept slot. The base itself is not counted.
-  std::size_t index_bytes() const { return index_.bytes(); }
+  /// Bytes of the index, in one allocation: the bucket bitmap and its ranks,
+  /// one run offset per non-empty bucket plus one, and one slot index per
+  /// kept slot. Ranks, offsets and indexes are 2 bytes each when the base is
+  /// under 512 KiB (fewer than 2^16 slots), else 4. The base itself is not
+  /// counted.
+  std::size_t index_bytes() const {
+    return std::visit([](const auto& index) { return index.bytes(); }, index_);
+  }
 
  private:
   friend std::size_t detail::estimate_portable(const Estimator&, util::BytesView);
@@ -152,12 +158,13 @@ class Estimator {
   /// 17-bit chunk hash are kept, the most a probe tries. Buckets are the top
   /// bits of the hash: the smallest power of two >= 4 x slots of them, at
   /// most 2^17 (then bucket_shift_ is 0 and a bucket is one hash). Each
-  /// non-empty bucket keeps its slots' base positions as one run, in
-  /// ascending order: a rank bitmap over the buckets (rank_bitmap.hpp)
-  /// whose entries are the run offsets, then the runs. estimate() skips the
-  /// slots of other hashes without counting them as probes, so it tries the
-  /// candidates a 2^17-bucket index would.
-  RankBitmap index_;
+  /// non-empty bucket keeps its slots as one run of slot indexes (base
+  /// position / 8), in ascending order: a rank bitmap over the buckets
+  /// (rank_bitmap.hpp) whose entries are the run offsets, then the runs, in
+  /// 16-bit units under 2^16 slots and 32-bit ones from there. estimate()
+  /// skips the slots of other hashes without counting them as probes, so it
+  /// tries the candidates a 2^17-bucket index would.
+  AnyRankBitmap index_;
   unsigned bucket_shift_ = 0;
 };
 

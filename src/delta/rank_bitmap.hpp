@@ -1,17 +1,26 @@
 // The storage both match indexes share: a bitmap over a power-of-two key
-// space, the count of set keys before each 64-bit word, and a u32 array that
-// those counts (ranks) index, all in one allocation.
+// space, the count of set keys before each 64-bit word, and an array of
+// entries that those counts (ranks) index, all in one allocation of one
+// unsigned unit, 16 or 32 bits wide.
 //
 // An index that keeps one entry per occupied key stores only the occupied
 // keys this way: key k's entry sits at rank(k), the number of set keys below
-// k. The bitmap and ranks cost 1.5 bits per key, so a sparsely occupied key
-// space costs little more than its entries (the footprint table's 2^16 slots,
-// the estimator's buckets).
+// k. The bitmap and ranks cost 1.25 bits per key with 16-bit units and 1.5
+// with 32-bit ones, so a sparsely occupied key space costs little more than
+// its entries (the footprint table's 2^16 slots, the estimator's buckets).
+// An index picks the narrow unit when its base is small enough that every
+// rank and entry fits in 16 bits, which halves the entries of a web page's
+// index.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <type_traits>
+#include <variant>
+
+#include "util/contracts.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
 #define CBDE_POPCNT_KERNEL 1
@@ -49,10 +58,16 @@ inline bool popcnt_supported() {
 #endif
 }
 
-/// One allocation of u32s: the bitmap words (two u32s each), one rank per
-/// word, then the entries. Move-only; immutable once its owner has filled the
+/// One allocation of Units (std::uint16_t or std::uint32_t): the 64-bit
+/// bitmap words, one rank per word, then the entries. Every rank and entry
+/// must fit in a Unit. Move-only; immutable once its owner has filled the
 /// entries.
+template <class Unit>
 class RankBitmap {
+  static_assert(std::is_same_v<Unit, std::uint16_t> || std::is_same_v<Unit, std::uint32_t>);
+  /// Units per bitmap word.
+  static constexpr std::size_t kWordUnits = sizeof(std::uint64_t) / sizeof(Unit);
+
  public:
   /// An empty index: no words, no entries. Only a moved-from or
   /// default-constructed owner holds one.
@@ -65,12 +80,13 @@ class RankBitmap {
       : words_(num_words) {
     for (std::size_t w = 0; w < num_words; ++w) count_ += popcount64(words[w]);
     entries_ = count_ + extra_entries;
-    data_ = std::make_unique_for_overwrite<std::uint32_t[]>(3 * num_words + entries_);
+    data_ = std::make_unique_for_overwrite<Unit[]>((kWordUnits + 1) * num_words + entries_);
     std::memcpy(data_.get(), words, num_words * sizeof(std::uint64_t));
-    std::uint32_t* const ranks = data_.get() + 2 * num_words;
-    std::uint32_t set = 0;
+    Unit* const ranks = data_.get() + kWordUnits * num_words;
+    std::size_t set = 0;
     for (std::size_t w = 0; w < num_words; ++w) {
-      ranks[w] = set;
+      CBDE_ASSERT(set <= std::numeric_limits<Unit>::max());
+      ranks[w] = static_cast<Unit>(set);
       set += popcount64(words[w]);
     }
   }
@@ -83,7 +99,8 @@ class RankBitmap {
   template <bool kPopcnt = false>
   std::size_t rank(std::size_t k) const {
     const std::uint64_t below = (std::uint64_t{1} << (k % 64)) - 1;
-    return data_[2 * words_ + k / 64] + popcount64<kPopcnt>(word(k / 64) & below);
+    return std::size_t{data_[kWordUnits * words_ + k / 64]} +
+           popcount64<kPopcnt>(word(k / 64) & below);
   }
 
   /// rank(k) + 1 when `k` is set, else 0: an index into entries whose first
@@ -92,7 +109,7 @@ class RankBitmap {
   template <bool kPopcnt = false>
   std::size_t find(std::size_t k) const {
     const std::uint64_t upto = word(k / 64) << (63 - k % 64);  // k's bit on top
-    return (data_[2 * words_ + k / 64] + popcount64<kPopcnt>(upto)) &
+    return (std::size_t{data_[kWordUnits * words_ + k / 64]} + popcount64<kPopcnt>(upto)) &
            (std::size_t{0} - (upto >> 63));
   }
 
@@ -100,24 +117,28 @@ class RankBitmap {
   std::size_t count() const { return count_; }
 
   /// The entries after the ranks: count() plus the extra ones.
-  std::uint32_t* entries() { return data_.get() + 3 * words_; }
-  const std::uint32_t* entries() const { return data_.get() + 3 * words_; }
+  Unit* entries() { return data_.get() + (kWordUnits + 1) * words_; }
+  const Unit* entries() const { return data_.get() + (kWordUnits + 1) * words_; }
 
   /// Bytes of the one allocation: words, ranks and entries.
-  std::size_t bytes() const { return (3 * words_ + entries_) * sizeof(std::uint32_t); }
+  std::size_t bytes() const { return ((kWordUnits + 1) * words_ + entries_) * sizeof(Unit); }
 
  private:
-  /// Word `w`, stored as two u32s so the allocation holds one type.
+  /// Word `w`, stored as Units so the allocation holds one type.
   std::uint64_t word(std::size_t w) const {
     std::uint64_t bits;
-    std::memcpy(&bits, data_.get() + 2 * w, sizeof bits);
+    std::memcpy(&bits, data_.get() + kWordUnits * w, sizeof bits);
     return bits;
   }
 
-  std::unique_ptr<std::uint32_t[]> data_;
+  std::unique_ptr<Unit[]> data_;
   std::size_t words_ = 0;
   std::size_t entries_ = 0;
   std::size_t count_ = 0;
 };
+
+/// An index's storage at the unit its base allows, picked when it is built.
+/// Scans visit it once and take the unit as a template parameter.
+using AnyRankBitmap = std::variant<RankBitmap<std::uint16_t>, RankBitmap<std::uint32_t>>;
 
 }  // namespace cbde::delta

@@ -106,13 +106,14 @@ void mark_chunks(std::vector<bool>& chunk_used, std::size_t addr, std::size_t le
             true);
 }
 
-/// The matcher: one rolling scan of the target, returning the instruction
-/// tiling. Verified matches extend forward, then backwards (bounded), and the
-/// already-emitted tail is rewritten to make room. Always inlined into one
-/// of the two entry points below, so kPopcnt's instruction is compiled only
-/// where the target attribute allows it.
-template <bool kPopcnt>
-[[gnu::always_inline]] inline std::vector<RollInst> match_rolling(const FootprintTable& table,
+/// The matcher: one rolling scan of the target over a footprint table's
+/// index, returning the instruction tiling. Verified matches extend forward,
+/// then backwards (bounded), and the already-emitted tail is rewritten to
+/// make room. Always inlined into one of the two entry points below, so
+/// kPopcnt's instruction is compiled only where the target attribute allows
+/// it. Entry is the index's unit, std::uint16_t or std::uint32_t.
+template <bool kPopcnt, class Entry>
+[[gnu::always_inline]] inline std::vector<RollInst> match_rolling(const RankBitmap<Entry>& index,
                                                                   util::BytesView base,
                                                                   util::BytesView target) {
   std::vector<RollInst> insts;
@@ -126,6 +127,11 @@ template <bool kPopcnt>
   const std::uint8_t* const tdata = target.data();
   const std::uint8_t* const bdata = base.data();
   const std::size_t last = target.size() - kWindow;  // last window start
+  const Entry* const entries = index.entries();
+  // The packed entry of fp's slot, or the sentinel's. Branch-free.
+  const auto locate = [&index](std::uint64_t fp) {
+    return static_cast<std::uint32_t>(index.template find<kPopcnt>(FootprintTable::key(fp)));
+  };
   std::array<std::uint32_t, kLookahead> ring{};  // located slots of [pos, ahead)
   std::size_t pos = 0;
   std::size_t lit_start = 0;
@@ -135,22 +141,22 @@ template <bool kPopcnt>
   // loading it. In the steady state each probe takes one step.
   const auto roll_next = [&] {
     hash = roll(hash, tdata[ahead - 1], tdata[ahead - 1 + kWindow]);
-    const std::uint32_t entry = table.locate<kPopcnt>(canonical(hash));
-    ring[ahead % kLookahead] = entry;
-    table.prefetch_entry(entry);
+    const std::uint32_t at = locate(canonical(hash));
+    ring[ahead % kLookahead] = at;
+    __builtin_prefetch(entries + at);
     ++ahead;
   };
 
   while (pos <= last) {
     if (ahead == pos) {  // the start, or just past a COPY: refill the ring
       hash = fingerprint(tdata + pos);
-      ring[pos % kLookahead] = table.locate<kPopcnt>(hash);
+      ring[pos % kLookahead] = locate(hash);
       ahead = pos + 1;
       while (ahead < std::min(pos + kLookahead, last + 1)) roll_next();
     }
     // An empty slot reads base offset 0 (base.size() >= kWindow) and the
     // hit test masks it out: a probe takes one branch, on a verified seed.
-    const std::uint32_t slot = table.entry(ring[pos % kLookahead]);
+    const std::uint32_t slot = entries[ring[pos % kLookahead]];
     const std::size_t cand = slot - static_cast<std::uint32_t>(slot != 0);
     const std::uint64_t diff = (load64(bdata + cand) ^ load64(tdata + pos)) |
                                (load64(bdata + cand + 8) ^ load64(tdata + pos + 8)) |
@@ -200,16 +206,18 @@ template <bool kPopcnt>
 
 #ifdef CBDE_POPCNT_KERNEL
 
+template <class Entry>
 __attribute__((target("popcnt"))) std::vector<RollInst> match_popcnt(
-    const FootprintTable& table, util::BytesView base, util::BytesView target) {
-  return match_rolling<true>(table, base, target);
+    const RankBitmap<Entry>& index, util::BytesView base, util::BytesView target) {
+  return match_rolling<true>(index, base, target);
 }
 
 #endif  // CBDE_POPCNT_KERNEL
 
 std::vector<RollInst> match_portable(const FootprintTable& table, util::BytesView base,
                                      util::BytesView target) {
-  return match_rolling<false>(table, base, target);
+  return table.visit(
+      [&](const auto& index) { return match_rolling<false>(index, base, target); });
 }
 
 /// The scan with the popcnt instruction where the host has it: every
@@ -218,9 +226,26 @@ std::vector<RollInst> match_portable(const FootprintTable& table, util::BytesVie
 std::vector<RollInst> match(const FootprintTable& table, util::BytesView base,
                             util::BytesView target) {
 #ifdef CBDE_POPCNT_KERNEL
-  if (popcnt_supported()) return match_popcnt(table, base, target);
+  if (popcnt_supported()) {
+    return table.visit([&](const auto& index) { return match_popcnt(index, base, target); });
+  }
 #endif
   return match_portable(table, base, target);
+}
+
+/// The exact CBD1 size of an instruction tiling.
+std::size_t wire_size(const std::vector<RollInst>& insts, util::BytesView base,
+                      util::BytesView target) {
+  std::size_t bytes = 4 + util::uvarint_size(base.size()) +
+                      util::uvarint_size(target.size()) + 8;
+  for (const RollInst& inst : insts) {
+    if (inst.is_copy) {
+      bytes += util::uvarint_size((inst.len << 1) | 1) + util::uvarint_size(inst.addr);
+    } else {
+      bytes += util::uvarint_size(inst.len << 1) + inst.len;
+    }
+  }
+  return bytes;
 }
 
 /// The flat table a build fills before packing it, kept per thread: slot k
@@ -237,11 +262,29 @@ SlotScratch& slot_scratch() {
   return scratch;
 }
 
+/// The sentinel, then the taken slots of a built scratch packed in slot
+/// order, as Entry (every slot's value must fit in one).
+template <class Entry>
+RankBitmap<Entry> pack_slots(const SlotScratch& scratch) {
+  const std::uint32_t* const slots = scratch.slots.data();
+  const std::uint64_t* const taken = scratch.taken.data();
+  RankBitmap<Entry> index(taken, scratch.taken.size(), 1);
+  Entry* out = index.entries();
+  *out++ = 0;
+  for (std::size_t w = 0; w < scratch.taken.size(); ++w) {
+    for (std::uint64_t bits = taken[w]; bits != 0; bits &= bits - 1) {
+      const auto k = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      *out++ = static_cast<Entry>(slots[k]);
+    }
+  }
+  return index;
+}
+
 }  // namespace
 
 FootprintTable::FootprintTable(util::BytesView base) {
-  // Positions are stored +1 in 32 bits; the decode cap already keeps every
-  // servable document far below that.
+  // Positions are stored +1 in at most 32 bits; the decode cap already keeps
+  // every servable document far below that.
   CBDE_EXPECT(base.size() <= kMaxDecodeTargetSize);
   SlotScratch& scratch = slot_scratch();
   if (scratch.slots.empty()) scratch.slots.resize(kFootprintSlots + 1);
@@ -275,14 +318,11 @@ FootprintTable::FootprintTable(util::BytesView base) {
     }
     for (std::size_t p = count - std::min(count, kLookahead); p < count; ++p) store(p);
   }
-  // The sentinel, then the taken slots packed in slot order.
-  index_ = RankBitmap(taken, scratch.taken.size(), 1);
-  std::uint32_t* out = index_.entries();
-  *out++ = 0;
-  for (std::size_t w = 0; w < scratch.taken.size(); ++w) {
-    for (std::uint64_t bits = taken[w]; bits != 0; bits &= bits - 1) {
-      *out++ = slots[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
-    }
+  // Under 64 KiB every position + 1 and every rank fits in 16 bits.
+  if (base.size() < (std::size_t{1} << 16)) {
+    index_ = pack_slots<std::uint16_t>(scratch);
+  } else {
+    index_ = pack_slots<std::uint32_t>(scratch);
   }
 }
 
@@ -293,9 +333,9 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
   EncodeResult result;
   result.chunk_used.assign((base.size() + kAnonChunkSize - 1) / kAnonChunkSize, false);
   util::Bytes& out = result.delta;
-  // One up-front reservation instead of log2(delta) growth reallocations on
-  // the per-request encode path.
-  out.reserve(64 + target.size() / 8);
+  // The exact size up front: the buffer is allocated once, not grown.
+  const std::size_t size = wire_size(insts, base, target);
+  out.reserve(size);
   util::append(out, std::string_view("CBD1"));
   util::put_uvarint(out, base.size());
   util::put_uvarint(out, target.size());
@@ -317,26 +357,9 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
     }
   }
   CBDE_ENSURE(result.copy_bytes + result.add_bytes == target.size());
+  CBDE_ENSURE(out.size() == size);
   return result;
 }
-
-namespace {
-
-std::size_t wire_size(const std::vector<RollInst>& insts, util::BytesView base,
-                      util::BytesView target) {
-  std::size_t bytes = 4 + util::uvarint_size(base.size()) +
-                      util::uvarint_size(target.size()) + 8;
-  for (const RollInst& inst : insts) {
-    if (inst.is_copy) {
-      bytes += util::uvarint_size((inst.len << 1) | 1) + util::uvarint_size(inst.addr);
-    } else {
-      bytes += util::uvarint_size(inst.len << 1) + inst.len;
-    }
-  }
-  return bytes;
-}
-
-}  // namespace
 
 std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView base,
                                 util::BytesView target) {

@@ -10,8 +10,9 @@
 // the longer copy wins (the paper's "corrections" applied to encoder commands
 // already issued). The look-back is capped, keeping the pass linear. The
 // table keeps a fixed 2^16 slots whatever the base size and stores only the
-// occupied ones: at most one 4-byte entry per base window, behind a fixed
-// 12 KB bitmap and ranks.
+// occupied ones: at most one entry per base window, 2 bytes wide behind a
+// 10 KB bitmap and ranks when the base is under 64 KiB, else 4 bytes wide
+// behind 12 KB.
 //
 // Fingerprints are Karp-Rabin over the Mersenne prime 2^61 - 1 with
 // multiplier 263. Every table hit is verified byte-for-byte before a COPY is
@@ -23,6 +24,8 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "delta/delta.hpp"
@@ -54,9 +57,11 @@ inline constexpr std::size_t kMaxCorrectionBack = 1024;
 ///
 /// Only the occupied slots are stored, packed in slot order behind a rank
 /// bitmap over all kFootprintSlots (rank_bitmap.hpp), after one 0 sentinel
-/// entry that every empty slot reads. A lookup is a bit test, a popcount and
-/// one packed read, in two steps a scan can prefetch between: locate() reads
-/// the bitmap word and rank, entry() the packed slot.
+/// entry that every empty slot reads. Entries are base position + 1 in 16
+/// bits when the base is under 64 KiB, else in 32. A lookup is a bit test, a
+/// popcount and one packed read, in two steps a scan can prefetch between:
+/// the index's find() reads the bitmap word and rank, its entries() the
+/// packed slot.
 class FootprintTable {
  public:
   static constexpr std::size_t npos = ~std::size_t{0};
@@ -64,37 +69,36 @@ class FootprintTable {
   /// Bases shorter than the window yield an empty table (every probe misses).
   explicit FootprintTable(util::BytesView base);
 
+  /// Calls `f` with the index as a RankBitmap of its unit, so a scan can take
+  /// the entry width as a template parameter.
+  template <class F>
+  decltype(auto) visit(F&& f) const {
+    return std::visit(std::forward<F>(f), index_);
+  }
+
   /// First base position whose window fingerprint fell into `fp`'s slot, or
   /// npos. The hit shares a slot only: the caller must verify the window
   /// bytes, which also rejects a different fingerprint in the same slot.
   std::size_t probe(std::uint64_t fp) const {
-    const std::uint32_t pos = entry(locate(fp));
-    return pos == 0 ? npos : static_cast<std::size_t>(pos) - 1;
+    return visit([fp](const auto& index) {
+      const std::size_t pos = index.entries()[index.find(key(fp))];
+      return pos == 0 ? npos : pos - 1;
+    });
   }
 
-  /// The packed entry of `fp`'s slot, or the sentinel's. Branch-free.
-  /// kPopcnt as for popcount64().
-  template <bool kPopcnt = false>
-  std::uint32_t locate(std::uint64_t fp) const {
-    return static_cast<std::uint32_t>(index_.find<kPopcnt>(key(fp)));
-  }
-
-  /// Starts loading the packed entry that entry(at) reads.
-  void prefetch_entry(std::uint32_t at) const { __builtin_prefetch(index_.entries() + at); }
-
-  /// The slot at a located entry: base position + 1, or 0 when empty.
-  std::uint32_t entry(std::uint32_t at) const { return index_.entries()[at]; }
-
-  /// Bytes of the one allocation: the 8 KB bitmap, 4 KB of ranks and 4 per
-  /// occupied slot plus the sentinel's.
-  std::size_t bytes() const { return index_.bytes(); }
-
- private:
+  /// The slot of fingerprint `fp`: its key in the index.
   static std::size_t key(std::uint64_t fp) {
     return static_cast<std::size_t>(fp) & (kFootprintSlots - 1);
   }
 
-  RankBitmap index_;  // the 0 sentinel, then occupied slots: base position + 1
+  /// Bytes of the one allocation: the 8 KB bitmap, its ranks (2 or 4 KB) and
+  /// 2 or 4 per occupied slot plus the sentinel's.
+  std::size_t bytes() const {
+    return visit([](const auto& index) { return index.bytes(); });
+  }
+
+ private:
+  AnyRankBitmap index_;  // the 0 sentinel, then occupied slots
 };
 
 /// Encode `target` against `base` (`table` must have been built over

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "delta/delta.hpp"
@@ -493,46 +494,75 @@ TEST(Estimator, PinnedEstimatesOverLargeBases) {
 }
 
 TEST(Estimator, PortableScanMatchesPopcntScan) {
-  // estimate() is compiled twice, and a host with the popcnt instruction
-  // takes that kernel. The portable one must give every estimate the same.
-  for (const auto& [base, target] : large_base_pairs()) {
+  // estimate() is compiled for each entry width, with and without the
+  // popcnt instruction, and a host that has it takes that kernel. The
+  // portable one must give every estimate the same. Besides the large pairs
+  // (12 KiB to 1.5 MiB), one base is cut to each side of 512 KiB, where the
+  // entries widen.
+  constexpr std::size_t kNarrowLimit = std::size_t{1} << 19;
+  std::vector<std::pair<Bytes, Bytes>> pairs = large_base_pairs();
+  const auto wide = std::find_if(pairs.begin(), pairs.end(), [](const auto& pair) {
+    return pair.first.size() > kNarrowLimit;
+  });
+  ASSERT_NE(wide, pairs.end());
+  const auto [wide_base, wide_target] = *wide;
+  for (const std::size_t size : {kNarrowLimit - 1, kNarrowLimit}) {
+    pairs.emplace_back(Bytes(wide_base.begin(), wide_base.begin() + size), wide_target);
+  }
+  std::size_t narrow_bases = 0;
+  for (const auto& [base, target] : pairs) {
     const Estimator estimator(base);
+    narrow_bases += base.size() < kNarrowLimit ? 1 : 0;
     for (const Bytes* to : {&target, &base}) {
       EXPECT_EQ(detail::estimate_portable(estimator, as_view(*to)),
                 estimator.estimate(as_view(*to)));
     }
   }
+  EXPECT_GE(narrow_bases, 2u);
+  EXPECT_GE(pairs.size() - narrow_bases, 2u);
 }
 
 TEST(Estimator, IndexSizedToBase) {
-  // One allocation: 12 bytes per 64 buckets (a bitmap word and its rank),
-  // one run offset per non-empty bucket plus one, and 4 bytes per kept
-  // slot. Buckets are the smallest power of two >= 4 x slots, at most 2^17;
-  // a slot is every 8th base position, and only the first 4 of each hash
-  // are kept. The non-empty and kept counts below were recomputed from the
-  // chunk hashes by a separate count, outside the library.
-  const auto bytes = [](std::size_t words, std::size_t non_empty, std::size_t kept) {
-    return 12 * words + 4 * (non_empty + 1) + 4 * kept;
+  // One allocation: an 8-byte bitmap word and one rank per 64 buckets, one
+  // run offset per non-empty bucket plus one, and one slot index per kept
+  // slot. Ranks, offsets and indexes take 2 bytes under 2^16 slots (bases
+  // under 512 KiB), else 4. Buckets are the smallest power of two >= 4 x
+  // slots, at most 2^17; a slot is every 8th base position, and only the
+  // first 4 of each hash are kept. The non-empty and kept counts below were
+  // recomputed from the chunk hashes by a separate count, outside the
+  // library.
+  const auto bytes = [](std::size_t width, std::size_t words, std::size_t non_empty,
+                        std::size_t kept) {
+    return 8 * words + width * (words + non_empty + 1 + kept);
   };
-  EXPECT_EQ(Estimator(random_bytes(1, 7)).index_bytes(), bytes(1, 0, 0));  // 16: no slot
-  EXPECT_EQ(Estimator(random_bytes(2, 8)).index_bytes(), bytes(1, 1, 1));   // 24: 4 buckets
-  EXPECT_EQ(Estimator(random_bytes(7, 9)).index_bytes(), bytes(1, 1, 1));   // 24: still 1 slot
+  EXPECT_EQ(Estimator(random_bytes(1, 7)).index_bytes(), bytes(2, 1, 0, 0));  // 12: no slot
+  EXPECT_EQ(Estimator(random_bytes(2, 8)).index_bytes(), bytes(2, 1, 1, 1));  // 16: 4 buckets
+  EXPECT_EQ(Estimator(random_bytes(7, 9)).index_bytes(), bytes(2, 1, 1, 1));  // 16: still 1 slot
   // One 8-byte chunk repeated: 100 slots of one hash, 4 kept, 512 buckets.
   Bytes repeated;
   for (int i = 0; i < 100; ++i) util::append(repeated, std::string_view("abcdefgh"));
-  EXPECT_EQ(Estimator(repeated).index_bytes(), bytes(8, 1, 4));  // 120
+  EXPECT_EQ(Estimator(repeated).index_bytes(), bytes(2, 8, 1, 4));  // 92
   // An 11,264-byte page: 1,408 slots over 8,192 buckets, 1,289 non-empty.
-  EXPECT_EQ(Estimator(random_bytes(3, 11264)).index_bytes(), bytes(128, 1289, 1408));  // 12,328
+  EXPECT_EQ(Estimator(random_bytes(3, 11264)).index_bytes(),
+            bytes(2, 128, 1289, 1408));  // 6,676
   // At the cap: 32,768 slots reach 2^17 buckets (one slot is a hash's fifth).
   EXPECT_EQ(Estimator(random_bytes(8, std::size_t{1} << 18)).index_bytes(),
-            bytes(2048, 29105, 32767));  // 272,068
+            bytes(2, 2048, 29105, 32767));  // 144,226
+  // Either side of 512 KiB: 65,535 slots are the most with 2-byte entries.
+  EXPECT_EQ(Estimator(random_bytes(9, (std::size_t{1} << 19) - 1)).index_bytes(),
+            bytes(2, 2048, 51585, 65502));  // 254,656
+  EXPECT_EQ(Estimator(random_bytes(10, std::size_t{1} << 19)).index_bytes(),
+            bytes(4, 2048, 51594, 65502));  // 492,964
   // Past it: 131,072 slots still over 2^17 buckets, one hash each.
   EXPECT_EQ(Estimator(random_bytes(4, std::size_t{1} << 20)).index_bytes(),
-            bytes(2048, 82813, 130534));  // 877,968
-  // The encoder's footprint table: a 12 KB bitmap with ranks over its 2^16
-  // slots, a sentinel, and 4 bytes per occupied slot.
-  EXPECT_EQ(Encoder(random_bytes(5, 7)).index_bytes(), 12288u + 4u);  // no window
-  EXPECT_EQ(Encoder(random_bytes(6, 11264)).index_bytes(), 12288u + 4u * (1u + 10374u));
+            bytes(4, 2048, 82813, 130534));  // 877,968
+  // The encoder's footprint table: an 8 KB bitmap over its 2^16 slots,
+  // 1,024 ranks, a sentinel, and one entry per occupied slot, 2 bytes each
+  // under 64 KiB of base (Rolling.PackedTableReadsAsTheFlatOne has both
+  // widths).
+  EXPECT_EQ(Encoder(random_bytes(5, 7)).index_bytes(), 8192u + 2u * (1024u + 1u));  // no window
+  EXPECT_EQ(Encoder(random_bytes(6, 11264)).index_bytes(),
+            8192u + 2u * (1024u + 1u + 10374u));  // 30,990
 }
 
 // ------------------------------------------------------------ paper-scale behaviour

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <string>
 #include <vector>
@@ -275,10 +276,17 @@ std::vector<std::uint32_t> flat_footprints(util::BytesView base) {
   return slots;
 }
 
+/// The width in bytes of a footprint table's entries.
+std::size_t entry_width(const rolling::FootprintTable& table) {
+  return table.visit([](const auto& index) { return sizeof(*index.entries()); });
+}
+
 TEST(Rolling, PackedTableReadsAsTheFlatOne) {
   // Bases around the window size, one byte repeated (every window shares one
-  // slot), a page, and a random MiB whose million windows leave no slot
-  // empty, so the last rank word is full.
+  // slot), a page, random bases on either side of 64 KiB (the largest with
+  // 16-bit entries and the smallest with 32-bit ones), and a random MiB
+  // whose million windows leave no slot empty, so the last rank word is
+  // full.
   trace::TemplateConfig page_config;
   page_config.skeleton_bytes = 9000;
   Bytes page = trace::DocumentTemplate(3, page_config).generate(1, 2, 0);
@@ -292,6 +300,8 @@ TEST(Rolling, PackedTableReadsAsTheFlatOne) {
       {random_bytes(22, 17), 0},
       {Bytes(4096, 'x'), 1},
       {page, 0},
+      {random_bytes(24, (std::size_t{1} << 16) - 1), 0},
+      {random_bytes(25, std::size_t{1} << 16), 0},
       {random_bytes(23, std::size_t{1} << 20), rolling::kFootprintSlots},
   };
   for (const auto& [base, pinned] : cases) {
@@ -308,9 +318,29 @@ TEST(Rolling, PackedTableReadsAsTheFlatOne) {
     if (pinned != 0 || base.size() < rolling::kWindow) {
       EXPECT_EQ(occupied, pinned) << base.size() << "-byte base";
     }
-    // The 12 KB bitmap with ranks, the sentinel and one entry per slot.
-    EXPECT_EQ(table.bytes(), 12288 + 4 * (1 + occupied)) << base.size() << "-byte base";
+    // The 8 KB bitmap, 1,024 ranks, the sentinel and one entry per slot:
+    // ranks and entries are 2 bytes under 64 KiB of base, else 4.
+    const std::size_t width = base.size() < (std::size_t{1} << 16) ? 2 : 4;
+    EXPECT_EQ(entry_width(table), width) << base.size() << "-byte base";
+    EXPECT_EQ(table.bytes(), 8192 + width * (1024 + 1 + occupied))
+        << base.size() << "-byte base";
   }
+}
+
+template <class Unit>
+void expect_ranks_and_find(const std::uint64_t (&words)[4]) {
+  const RankBitmap<Unit> index(words, 4, 2);
+  std::size_t below = 0;
+  for (std::size_t k = 0; k < 256; ++k) {
+    const bool set = (words[k / 64] >> (k % 64) & 1) != 0;
+    EXPECT_EQ(index.test(k), set) << k;
+    EXPECT_EQ(index.rank(k), below) << k;
+    EXPECT_EQ(index.find(k), set ? below + 1 : 0) << k;
+    below += set ? 1 : 0;
+  }
+  EXPECT_EQ(index.count(), below);
+  // Four 8-byte words, four ranks and the entries, in Units.
+  EXPECT_EQ(index.bytes(), 4 * 8 + (4 + below + 2) * sizeof(Unit));
 }
 
 TEST(RankBitmap, PortablePopcountRanksAndFind) {
@@ -326,17 +356,8 @@ TEST(RankBitmap, PortablePopcountRanksAndFind) {
   // Four words: empty, full, sparse, the top bit alone.
   const std::uint64_t words[] = {0, ~std::uint64_t{0}, rng.next_u64() & rng.next_u64(),
                                  std::uint64_t{1} << 63};
-  const RankBitmap index(words, 4, 2);
-  std::size_t below = 0;
-  for (std::size_t k = 0; k < 256; ++k) {
-    const bool set = (words[k / 64] >> (k % 64) & 1) != 0;
-    EXPECT_EQ(index.test(k), set) << k;
-    EXPECT_EQ(index.rank(k), below) << k;
-    EXPECT_EQ(index.find(k), set ? below + 1 : 0) << k;
-    below += set ? 1 : 0;
-  }
-  EXPECT_EQ(index.count(), below);
-  EXPECT_EQ(index.bytes(), (3 * 4 + below + 2) * 4);
+  expect_ranks_and_find<std::uint16_t>(words);
+  expect_ranks_and_find<std::uint32_t>(words);
 }
 
 TEST(Rolling, FootprintTableProbeContract) {
@@ -445,15 +466,31 @@ TEST(Rolling, PinnedTablesAndDeltasOverLargeBases) {
 }
 
 TEST(Rolling, PortableScanMatchesPopcntScan) {
-  // The scan is compiled twice, and a host with the popcnt instruction takes
-  // that kernel. The portable one must size every delta the same.
-  for (const auto& [base, target] : large_template_pairs()) {
+  // The scan is compiled for each entry width, with and without the popcnt
+  // instruction, and a host that has it takes that kernel. The portable one
+  // must size every delta the same. Besides the large pairs (20 to 256 KiB),
+  // one base is cut to each side of 64 KiB, where the entries widen.
+  std::vector<std::pair<Bytes, Bytes>> pairs = large_template_pairs();
+  const auto wide = std::find_if(pairs.begin(), pairs.end(), [](const auto& pair) {
+    return pair.first.size() > (std::size_t{1} << 16);
+  });
+  ASSERT_NE(wide, pairs.end());
+  const auto [wide_base, wide_target] = *wide;
+  for (const std::size_t size : {(std::size_t{1} << 16) - 1, std::size_t{1} << 16}) {
+    pairs.emplace_back(Bytes(wide_base.begin(), wide_base.begin() + size), wide_target);
+  }
+  std::size_t narrow_tables = 0;
+  std::size_t wide_tables = 0;
+  for (const auto& [base, target] : pairs) {
     const rolling::FootprintTable table(as_view(base));
+    (entry_width(table) == 2 ? narrow_tables : wide_tables) += 1;
     for (const Bytes* to : {&target, &base}) {
       EXPECT_EQ(rolling::detail::encode_size_portable(table, as_view(base), as_view(*to)),
                 rolling::encode_size_rolling(table, as_view(base), as_view(*to)));
     }
   }
+  EXPECT_GE(narrow_tables, 2u);
+  EXPECT_GE(wide_tables, 2u);
 }
 
 TEST(Rolling, WireFormatIsPlainCbd1) {

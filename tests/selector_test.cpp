@@ -135,7 +135,7 @@ TEST(Selector, BestMinimizesSumOfDeltas) {
   for (const auto& doc : docs) sel.observe(as_view(doc));
   const auto sorted = graded_docs(8);
   ASSERT_NE(sel.best(), nullptr);
-  EXPECT_EQ(*sel.best(), sorted[0]);
+  EXPECT_EQ(sel.best()->base(), sorted[0]);
 }
 
 TEST(Selector, WorstEvictionKeepsGoodCandidates) {
@@ -147,7 +147,7 @@ TEST(Selector, WorstEvictionKeepsGoodCandidates) {
   // Feed worst-first so the good ones arrive while the store is full.
   for (auto it = docs.rbegin(); it != docs.rend(); ++it) sel.observe(as_view(*it));
   ASSERT_NE(sel.best(), nullptr);
-  EXPECT_EQ(*sel.best(), docs[0]);
+  EXPECT_EQ(sel.best()->base(), docs[0]);
 }
 
 TEST(Selector, FlushDropsEverything) {
@@ -192,7 +192,7 @@ TEST_P(SelectorEvictionPolicies, AllPoliciesTrackAGoodBase) {
   ASSERT_NE(sel.best(), nullptr);
   // The chosen base must be among the better half of candidates.
   const auto sorted = graded_docs(24, 4, 256);
-  const auto pos = std::find(sorted.begin(), sorted.end(), *sel.best());
+  const auto pos = std::find(sorted.begin(), sorted.end(), sel.best()->base());
   ASSERT_NE(pos, sorted.end());
   EXPECT_LT(pos - sorted.begin(), 12);
 }
