@@ -20,7 +20,6 @@
 //   --out PATH           where to write the JSON (default: BENCH_delta.json)
 //   --metrics-out PATH   dump the end-to-end run's metrics registry in
 //                        Prometheus text exposition format
-//   --metrics-json PATH  same snapshot as JSON
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -94,7 +93,6 @@ struct EndToEndResult {
   /// server registry's exports once the pool has drained.
   obs::TimeSeriesWindow window;
   std::string prometheus;
-  std::string metrics_json;
 };
 
 /// Drive a fresh DeltaServer through a DeltaWorkerPool: one warmup pass
@@ -166,7 +164,6 @@ EndToEndResult run_end_to_end(const trace::SiteModel& site, std::size_t workers,
       static_cast<double>(allocs_after - allocs_before) / static_cast<double>(requests);
   result.window = recorder.tick();
   result.prometheus = server.obs().registry().prometheus();
-  result.metrics_json = server.obs().registry().json();
   return result;
 }
 
@@ -179,7 +176,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_delta.json";
   std::string metrics_out;
-  std::string metrics_json;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -187,12 +183,8 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
       metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
-      metrics_json = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--out PATH] [--metrics-out PATH]"
-                   " [--metrics-json PATH]\n",
+      std::fprintf(stderr, "usage: %s [--smoke] [--out PATH] [--metrics-out PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -452,13 +444,11 @@ int main(int argc, char** argv) {
   // rounds of two 20-encode loops read -4.31 to 1.78%, and 1,000 pairs of
   // single encodes read -0.01 to 0.33%.
   {
-    obs::Obs bench_obs;
-    obs::Counter& reqs =
-        bench_obs.registry().counter("cbde_bench_requests_total", "Benchmark ops");
-    obs::Histogram& lat = bench_obs.histogram("cbde_bench_encode_latency_microseconds",
-                                              "Benchmark encode latency");
-    obs::Histogram& sz =
-        bench_obs.histogram("cbde_bench_delta_size_bytes", "Benchmark delta size");
+    obs::MetricsRegistry reg;
+    obs::Counter& reqs = reg.counter("cbde_bench_requests_total", "Benchmark ops");
+    obs::Histogram& lat = reg.histogram("cbde_bench_encode_latency_microseconds",
+                                        "Benchmark encode latency");
+    obs::Histogram& sz = reg.histogram("cbde_bench_delta_size_bytes", "Benchmark delta size");
     std::size_t sink = 0;
     const auto bare = [&] { sink = cached.encode(util::as_view(cross)).delta.size(); };
     const auto instrumented = [&] {
@@ -562,15 +552,6 @@ int main(int argc, char** argv) {
     }
     prom << dumped.prometheus;
     std::printf("wrote %s\n", metrics_out.c_str());
-  }
-  if (!metrics_json.empty()) {
-    std::ofstream mjson(metrics_json);
-    if (!mjson) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_json.c_str());
-      return 1;
-    }
-    mjson << dumped.metrics_json << "\n";
-    std::printf("wrote %s\n", metrics_json.c_str());
   }
 
   std::ofstream out(out_path);

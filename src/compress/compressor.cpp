@@ -198,12 +198,6 @@ util::Bytes compress(util::BytesView input) {
 }
 
 util::Bytes decompress(util::BytesView input) {
-  util::Bytes out;
-  decompress_into(input, out);
-  return out;
-}
-
-void decompress_into(util::BytesView input, util::Bytes& out) {
   std::size_t pos = 0;
   if (input.size() < 9 || util::as_string_view(input.subspan(0, 4)) != "CBZ1") {
     throw CorruptInput("cbz: bad magic");
@@ -215,8 +209,8 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
   if (pos + 4 > input.size()) throw CorruptInput("cbz: truncated header");
   std::uint32_t crc = 0;
   for (int i = 0; i < 4; ++i) crc |= static_cast<std::uint32_t>(input[pos++]) << (8 * i);
-  // Checked before reserving `out`: a few framing bytes must not make a reused
-  // buffer keep a claimed gigabyte of capacity.
+  // Checked before reserving `out`: a few framing bytes must not reserve a
+  // claimed gigabyte.
   if (*claimed > (input.size() - pos) * kMaxExpansion) {
     throw CorruptInput("cbz: claimed size exceeds what the blocks can hold");
   }
@@ -225,7 +219,7 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
   // Reserved, not resized: memory is touched only as bytes are decoded, and
   // every write below is checked against the claimed size first, so `out`
   // never reallocates.
-  out.clear();
+  util::Bytes out;
   out.reserve(size);
   bool final = false;
   while (!final) {
@@ -282,6 +276,7 @@ void decompress_into(util::BytesView input, util::Bytes& out) {
   if (out.size() != size) throw CorruptInput("cbz: size mismatch");
   if (util::crc32(util::as_view(out)) != crc) throw CorruptInput("cbz: checksum mismatch");
   CBDE_ENSURE(out.size() <= kMaxDecompressSize);
+  return out;
 }
 
 std::size_t compressed_size(util::BytesView input) {

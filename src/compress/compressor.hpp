@@ -44,18 +44,11 @@ inline constexpr std::size_t kMaxDecompressSize = std::size_t{1} << 30;  // 1 Gi
 util::Bytes compress(util::BytesView input);
 
 /// Decompress a buffer produced by compress(). Throws CorruptInput on any
-/// framing, entropy-coding or checksum error.
+/// framing, entropy-coding or checksum error. The output reserves the
+/// claimed size only after the claim is checked against what the input
+/// could decode to (at most 1,032 bytes per input byte), so a forged header
+/// cannot reserve a huge buffer; it grows only as bytes are decoded.
 util::Bytes decompress(util::BytesView input);
-
-/// Zero-copy variant of decompress(): decodes into `out`, reusing the
-/// caller's buffer capacity (per-worker scratch amortizes the decode
-/// allocation across requests). `out` reserves the claimed size only after
-/// the claim is checked against what the input could decode to (at most
-/// 1,032 bytes per input byte), so a forged header cannot leave a reused
-/// buffer holding a huge capacity; it grows only as bytes are decoded. On
-/// throw its contents are unspecified. Same validation contract as
-/// decompress(); fuzzed differentially against it.
-void decompress_into(util::BytesView input, util::Bytes& out);
 
 /// compress(input).size(), from the block plans alone: no stream is
 /// written, no crc computed and nothing allocated beyond the block tokens.

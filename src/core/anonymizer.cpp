@@ -45,11 +45,6 @@ void Anonymizer::begin(std::shared_ptr<const util::Bytes> base,
   if (instr_.begins != nullptr) instr_.begins->inc();
 }
 
-const util::Bytes& Anonymizer::pending_base() const {
-  static const util::Bytes empty;
-  return encoder_ ? encoder_->base() : empty;
-}
-
 bool Anonymizer::observe(std::uint64_t user_id, util::BytesView doc) {
   if (!in_progress_ || ready()) return false;
   if (user_id == owner_ || users_.contains(user_id)) return false;

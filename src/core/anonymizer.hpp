@@ -65,9 +65,8 @@ class Anonymizer {
 
   std::size_t users_observed() const { return users_.size(); }
   void set_instruments(const AnonymizerInstruments& instr) { instr_ = instr; }
-  const util::Bytes& pending_base() const;
-  /// Bytes of the pending base's encoder index; 0 when not in progress.
-  std::size_t index_bytes() const { return encoder_ ? encoder_->index_bytes() : 0; }
+  /// The encoder over the base being anonymized; null when not in progress.
+  const delta::Encoder* pending() const { return encoder_.get(); }
   const std::vector<std::uint32_t>& counters() const { return counters_; }
   const AnonymizerConfig& config() const { return config_; }
 

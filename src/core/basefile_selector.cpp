@@ -147,42 +147,6 @@ double BaseFileSelector::best_score() const {
   return score(best_index());
 }
 
-std::size_t BaseFileSelector::stored_bytes() const {
-  std::size_t total = 0;
-  for (const auto& candidate : candidates_) total += candidate->base().size();
-  for (const auto& doc : references_) {
-    // A reference still sharing its buffer with a candidate estimator is one
-    // allocation, not two; count each distinct buffer once.
-    bool shared_with_candidate = false;
-    for (const auto& candidate : candidates_) {
-      if (candidate->shared_base().get() == doc.get()) {
-        shared_with_candidate = true;
-        break;
-      }
-    }
-    if (!shared_with_candidate) total += doc->size();
-  }
-  return total;
-}
-
-std::size_t BaseFileSelector::index_bytes() const {
-  std::size_t total = 0;
-  for (const auto& candidate : candidates_) total += candidate->index_bytes();
-  return total;
-}
-
-bool BaseFileSelector::is_candidate(const delta::Estimator* sample) const {
-  return std::any_of(candidates_.begin(), candidates_.end(),
-                     [sample](const auto& candidate) { return candidate.get() == sample; });
-}
-
-bool BaseFileSelector::holds(const util::Bytes* buffer) const {
-  return std::any_of(candidates_.begin(), candidates_.end(),
-                     [buffer](const auto& candidate) { return &candidate->base() == buffer; }) ||
-         std::any_of(references_.begin(), references_.end(),
-                     [buffer](const auto& doc) { return doc.get() == buffer; });
-}
-
 void BaseFileSelector::flush() {
   candidates_.clear();
   score_matrix_.clear();

@@ -69,16 +69,15 @@ class BaseFileSelector {
   void flush();
 
   std::size_t stored() const { return candidates_.size(); }
-  /// Total bytes held by stored candidates (and references for kTwoSet),
-  /// each distinct buffer once.
-  std::size_t stored_bytes() const;
-  /// Bytes of the candidates' estimator indexes (references have none).
-  std::size_t index_bytes() const;
-  /// Whether `sample` is a stored candidate, so index_bytes() counts it.
-  bool is_candidate(const delta::Estimator* sample) const;
-  /// Whether a candidate or a reference holds `buffer`, so stored_bytes()
-  /// counts it.
-  bool holds(const util::Bytes* buffer) const;
+  /// The stored candidates, each a sample with its estimator index.
+  const std::vector<std::shared_ptr<const delta::Estimator>>& candidates() const {
+    return candidates_;
+  }
+  /// kTwoSet's reference samples (empty for the other policies); each may
+  /// share its buffer with a candidate.
+  const std::vector<std::shared_ptr<const util::Bytes>>& references() const {
+    return references_;
+  }
   const SelectorStats& stats() const { return stats_; }
 
  private:
@@ -106,7 +105,7 @@ class BaseFileSelector {
   /// the reference set AND the candidate estimator as one shared buffer (the
   /// old per-set copies doubled the sampling footprint); the sets still
   /// evict independently — the shared_ptr keeps whichever side survives
-  /// alive. stored_bytes() counts each distinct buffer once.
+  /// alive.
   std::vector<std::shared_ptr<const util::Bytes>> references_;
   SelectorStats stats_;
 };

@@ -155,12 +155,6 @@ LoadedConfig load_config(std::istream& in) {
         server.seed = parse_u64(value, line_no);
       } else if (key == "obs-sample-rate") {
         server.obs.sample_rate = parse_fraction(value, line_no, key);
-      } else if (key == "obs-histogram-buckets") {
-        server.obs.histogram_sub_buckets = parse_u64(value, line_no);
-        const std::size_t s = server.obs.histogram_sub_buckets;
-        if (s == 0 || s > 64 || (s & (s - 1)) != 0) {
-          fail(line_no, "obs-histogram-buckets must be a power of two in [1, 64]");
-        }
       } else if (key == "obs-event-log") {
         server.obs.event_log_path = value;
       } else if (key == "obs-lock-profile") {
@@ -216,11 +210,9 @@ rebase-timeout-s = 120     # minimum seconds between group-rebases
 anonymizer-m     = 2       # M: chunk kept if common with >= M documents
 anonymizer-n     = 5       # N: documents observed before publication
 
-# Observability (docs/OBSERVABILITY.md): per-request trace sampling rate,
-# histogram resolution (log-linear sub-buckets per octave, power of two),
+# Observability (docs/OBSERVABILITY.md): per-request trace sampling rate
 # and an optional JSONL sink for the structured event log.
 obs-sample-rate       = 0.01
-obs-histogram-buckets = 4
 # obs-event-log       = /var/log/cbde/events.jsonl
 # obs-lock-profile    = true   # timed mutex acquisition -> cbde_lock_wait_seconds_*
 

@@ -1,5 +1,7 @@
 #include "core/delta_server.hpp"
 
+#include <algorithm>
+
 #include "util/contracts.hpp"
 
 namespace cbde::core {
@@ -31,14 +33,14 @@ DeltaServer::DeltaServer(DeltaServerConfig config, http::RuleBook rules)
       "cbde_server_delta_fallbacks_total",
       "Deltas discarded for being no smaller than the document itself");
   instr_.encode_latency =
-      &obs_->histogram("cbde_server_encode_latency_microseconds",
-                       "Wall time of one delta encode against the published base");
-  instr_.delta_size = &obs_->histogram("cbde_server_delta_size_bytes",
-                                       "Uncompressed delta size per delta response");
-  instr_.doc_size = &obs_->histogram("cbde_server_doc_size_bytes",
-                                     "Full document size per request");
-  instr_.serve_latency = &obs_->histogram("cbde_server_serve_microseconds",
-                                          "Wall time of one serve()");
+      &reg.histogram("cbde_server_encode_latency_microseconds",
+                     "Wall time of one delta encode against the published base");
+  instr_.delta_size = &reg.histogram("cbde_server_delta_size_bytes",
+                                     "Uncompressed delta size per delta response");
+  instr_.doc_size =
+      &reg.histogram("cbde_server_doc_size_bytes", "Full document size per request");
+  instr_.serve_latency =
+      &reg.histogram("cbde_server_serve_microseconds", "Wall time of one serve()");
   instr_.anonymizer.begins = &reg.counter("cbde_anonymizer_begins_total",
                                           "Anonymization processes started (§V)");
   instr_.anonymizer.docs_observed =
@@ -403,7 +405,9 @@ std::vector<ClassSummary> DeltaServer::class_summaries() const {
         cls->transmit_encoder ? cls->transmit_encoder->base().size() : 0;
     summary.working_size =
         cls->working_estimator ? cls->working_estimator->base().size() : 0;
-    summary.working_is_sample = cls->selector.is_candidate(cls->working_estimator.get());
+    const auto& samples = cls->selector.candidates();
+    summary.working_is_sample =
+        std::find(samples.begin(), samples.end(), cls->working_estimator) != samples.end();
     summary.selector_samples = cls->selector.stored();
     summary.anonymizing = cls->anonymizer.in_progress();
     out.push_back(summary);
@@ -429,45 +433,39 @@ void DeltaServer::collect(std::span<std::uint64_t> values) const {
     values[kSelectorSampled] += cls->selector.stats().sampled;
     values[kSelectorEvictions] += cls->selector.stats().evictions;
   }
-  values[kStorageBytes] = storage_bytes_locked();
-  values[kIndexBytes] = index_bytes_locked();
+  const Footprint footprint = footprint_locked();
+  values[kStorageBytes] = footprint.storage;
+  values[kIndexBytes] = footprint.index;
 }
 
-std::size_t DeltaServer::storage_bytes_locked() const {
-  std::size_t total = 0;
+DeltaServer::Footprint DeltaServer::footprint_locked() const {
+  // Within a class one buffer or index can have several holders (the working
+  // estimator is a selector sample, a published slot is the transmit
+  // encoder's base, a reference shares a candidate's buffer): each counts
+  // once, by address. Classes share nothing.
+  Footprint total;
+  std::vector<const void*> seen;
+  const auto once = [&seen](const void* holder) {
+    if (std::find(seen.begin(), seen.end(), holder) != seen.end()) return false;
+    seen.push_back(holder);
+    return true;
+  };
+  const auto buffer = [&](const util::Bytes* bytes) {
+    if (bytes != nullptr && once(bytes)) total.storage += bytes->size();
+  };
+  const auto indexed = [&](const auto* owner) {
+    if (owner == nullptr) return;
+    buffer(&owner->base());
+    if (once(owner)) total.index += owner->index_bytes();
+  };
   for (const auto& [id, cls] : states_) {
-    // Each distinct buffer counts once. Every site that replaces the working
-    // estimator calls start_publication(), which hands its shared_base() to
-    // the anonymizer, or, with anonymization off, to the transmit encoder:
-    // so a pending anonymization, or the newest published slot, is the
-    // working base itself. The transmit encoder shares that newest slot.
-    // The working base is a selector sample until evicted, and with
-    // anonymization off an older published slot can be one too.
-    const util::Bytes* working =
-        cls->working_estimator ? &cls->working_estimator->base() : nullptr;
-    CBDE_ASSERT_INVARIANT(!cls->anonymizer.in_progress() ||
-                          &cls->anonymizer.pending_base() == working);
-    for (const auto& base : cls->published) {
-      if (base != nullptr && base.get() != working && !cls->selector.holds(base.get())) {
-        total += base->size();
-      }
-    }
-    if (working != nullptr && !cls->selector.holds(working)) total += working->size();
-    // Selector samples are part of the server-side footprint too.
-    total += cls->selector.stored_bytes();
-  }
-  return total;
-}
-
-std::size_t DeltaServer::index_bytes_locked() const {
-  std::size_t total = 0;
-  for (const auto& [id, cls] : states_) {
-    if (cls->working_estimator && !cls->selector.is_candidate(cls->working_estimator.get())) {
-      total += cls->working_estimator->index_bytes();
-    }
-    total += cls->selector.index_bytes();
-    total += cls->transmit_encoder ? cls->transmit_encoder->index_bytes() : 0;
-    total += cls->anonymizer.index_bytes();
+    seen.clear();
+    indexed(cls->working_estimator.get());
+    for (const auto& sample : cls->selector.candidates()) indexed(sample.get());
+    for (const auto& doc : cls->selector.references()) buffer(doc.get());
+    for (const auto& base : cls->published) buffer(base.get());
+    indexed(cls->transmit_encoder.get());
+    indexed(cls->anonymizer.pending());
   }
   return total;
 }

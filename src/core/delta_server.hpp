@@ -183,7 +183,7 @@ class DeltaServer {
   /// counted as the sample. cbde_server_storage_bytes reports the same sum.
   std::size_t storage_bytes() const EXCLUDES(mu_) {
     LockGuard lock(mu_);
-    return storage_bytes_locked();
+    return footprint_locked().storage;
   }
 
   /// Bytes of the match indexes built over those bases: selector estimators
@@ -193,7 +193,7 @@ class DeltaServer {
   /// the same sum.
   std::size_t index_bytes() const EXCLUDES(mu_) {
     LockGuard lock(mu_);
-    return index_bytes_locked();
+    return footprint_locked().index;
   }
 
   /// Operational snapshot of every class, ordered by class id.
@@ -248,9 +248,14 @@ class DeltaServer {
         : selector(config.selector, seed), anonymizer(config.anonymizer) {}
   };
 
+  /// storage_bytes() and index_bytes(), from one walk over the classes.
+  struct Footprint {
+    std::size_t storage = 0;
+    std::size_t index = 0;
+  };
+
   ClassState& state_of(ClassId id) REQUIRES(mu_);
-  std::size_t storage_bytes_locked() const REQUIRES(mu_);
-  std::size_t index_bytes_locked() const REQUIRES(mu_);
+  Footprint footprint_locked() const REQUIRES(mu_);
   /// Adds every metric the registry's collector declared to `values`
   /// (indexed by slot), all read in one critical section.
   void collect(std::span<std::uint64_t> values) const EXCLUDES(mu_);

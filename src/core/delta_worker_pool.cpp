@@ -29,8 +29,8 @@ DeltaWorkerPool::DeltaWorkerPool(DeltaServer& server, std::size_t workers,
                    "Submits that blocked on a full queue (backpressure)");
   instr_.queue_depth = &reg.gauge("cbde_pool_queue_depth", "Jobs waiting in the queue");
   instr_.queue_wait =
-      &server_.obs().histogram("cbde_pool_queue_wait_microseconds",
-                               "Wall time a job spent queued before a worker took it");
+      &reg.histogram("cbde_pool_queue_wait_microseconds",
+                     "Wall time a job spent queued before a worker took it");
   if (server_.obs().config().lock_profile) {
     // Wired before the workers spawn, so no locker can miss the cell.
     mu_.attach_wait_profile(&server_.obs().lock_wait_profile(

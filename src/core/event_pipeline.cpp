@@ -42,9 +42,9 @@ EventPipeline::EventPipeline(const server::OriginServer& origin,
                                   "Requests fully delivered to their client");
   instr_.uplink_bytes = &reg.counter("cbde_netsim_uplink_bytes_total",
                                      "Bytes pushed through the shared site uplink");
-  instr_.latency = &delta_server_.obs().histogram(
-      "cbde_netsim_latency_microseconds",
-      "Simulated request-issued to last-byte-at-client latency");
+  instr_.latency =
+      &reg.histogram("cbde_netsim_latency_microseconds",
+                     "Simulated request-issued to last-byte-at-client latency");
 }
 
 EventPipelineResult EventPipeline::run(const std::vector<trace::Request>& requests) {

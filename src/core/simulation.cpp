@@ -5,13 +5,19 @@
 #include "util/hash.hpp"
 
 namespace cbde::core {
+namespace {
+
+/// Base-files are distributed through a proxy-cache of this size.
+constexpr std::size_t kProxyCapacityBytes = 64 * 1024 * 1024;
+
+}  // namespace
 
 Pipeline::Pipeline(const server::OriginServer& origin, PipelineConfig config,
                    http::RuleBook rules)
     : origin_(origin),
       config_(config),
       delta_server_(config.server, std::move(rules)),
-      base_cache_(config.proxy_capacity_bytes) {
+      base_cache_(kProxyCapacityBytes) {
   // One telemetry domain for the whole stack: the proxy cache and the
   // pipeline-level counters register into the delta-server's Obs.
   base_cache_.set_instruments(proxy::CacheInstruments::attach(delta_server_.obs()));

@@ -26,8 +26,6 @@ namespace cbde::core {
 
 struct PipelineConfig {
   DeltaServerConfig server;
-  /// Base-files are distributed through a proxy-cache of this size.
-  std::size_t proxy_capacity_bytes = 64 * 1024 * 1024;
   /// Record each response's transfer latency over a 56 kb/s modem link,
   /// with and without the scheme (§VI-A).
   bool measure_latency = true;

@@ -17,9 +17,6 @@ std::string_view event_kind_name(EventKind kind) {
   return "unknown";
 }
 
-EventLog::EventLog(std::size_t ring_capacity)
-    : capacity_(ring_capacity == 0 ? 1 : ring_capacity) {}
-
 bool EventLog::open(const std::filesystem::path& path) {
   const LockGuard lock(mu_);
   sink_.open(path, std::ios::out | std::ios::app);
@@ -30,7 +27,7 @@ void EventLog::emit(Event event) {
   const LockGuard lock(mu_);
   if (sink_.is_open()) sink_ << to_jsonl(event) << '\n';
   ring_.push_back(std::move(event));
-  while (ring_.size() > capacity_) ring_.pop_front();
+  if (ring_.size() > kRingCapacity) ring_.pop_front();
 }
 
 std::vector<Event> EventLog::recent() const {

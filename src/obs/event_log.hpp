@@ -46,7 +46,8 @@ struct Event {
 
 class EventLog {
  public:
-  explicit EventLog(std::size_t ring_capacity = 1024);
+  /// Events the in-memory ring keeps; older ones are evicted.
+  static constexpr std::size_t kRingCapacity = 1024;
 
   /// Open (append) the JSONL sink. Returns false if the file cannot be
   /// opened; the ring keeps working either way.
@@ -63,7 +64,6 @@ class EventLog {
   static std::string to_jsonl(const Event& event);
 
  private:
-  const std::size_t capacity_;
   mutable Mutex mu_;
   std::deque<Event> ring_ GUARDED_BY(mu_);
   std::ofstream sink_ GUARDED_BY(mu_);

@@ -26,37 +26,18 @@ bool valid_metric_name(std::string_view name) {
 
 HistogramSnapshot snapshot_of(const Histogram& h) {
   HistogramSnapshot snap;
-  snap.sub_buckets = h.sub_buckets();
   snap.unit_scale = h.unit_scale();
   snap.sum = h.sum();
-  const std::size_t overflow = h.num_buckets() - 1;
-  for (std::size_t i = 0; i < overflow; ++i) {
+  for (std::size_t i = 0; i < Histogram::kValueBuckets; ++i) {
     if (const std::uint64_t n = h.bucket_count(i); n > 0) {
       snap.counts.resize(i + 1);
       snap.counts[i] = n;
       snap.count += n;
     }
   }
-  snap.overflow = h.bucket_count(overflow);
+  snap.overflow = h.bucket_count(Histogram::kValueBuckets);
   snap.count += snap.overflow;
   return snap;
-}
-
-std::string scalar_text(const MetricSample& sample) {
-  return sample.kind == MetricKind::kCounter ? std::to_string(sample.counter)
-                                             : std::to_string(sample.gauge);
-}
-
-/// Scaled histograms (seconds families) export a scaled sum; the unscaled
-/// ones keep the exact integer form.
-std::string sum_text(const HistogramSnapshot& h) {
-  return h.unit_scale == 1.0
-             ? std::to_string(h.sum)
-             : format_double(static_cast<double>(h.sum) * h.unit_scale);
-}
-
-std::string le_text(const HistogramSnapshot& h, std::size_t i) {
-  return format_double(Histogram::upper_bound_for(h.sub_buckets, i) * h.unit_scale);
 }
 
 }  // namespace
@@ -70,35 +51,19 @@ std::string_view metric_kind_name(MetricKind kind) {
   return "untyped";
 }
 
-Histogram::Histogram(std::size_t sub_buckets, double unit_scale)
-    : sub_buckets_(sub_buckets),
-      log2_sub_(static_cast<unsigned>(std::countr_zero(sub_buckets))),
-      value_buckets_(sub_buckets + (kMaxExponent - log2_sub_) * sub_buckets),
-      unit_scale_(unit_scale),
-      counts_(new std::atomic<std::uint64_t>[value_buckets_ + 1]) {
-  for (std::size_t i = 0; i <= value_buckets_; ++i) {
-    counts_[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-double Histogram::upper_bound_for(std::size_t sub_buckets, std::size_t i) noexcept {
-  const unsigned log2_sub = static_cast<unsigned>(std::countr_zero(sub_buckets));
-  const std::size_t value_buckets =
-      sub_buckets + (kMaxExponent - log2_sub) * sub_buckets;
-  if (i >= value_buckets) return std::numeric_limits<double>::infinity();
-  if (i < sub_buckets) return static_cast<double>(i);
-  const std::size_t m = i - sub_buckets;
-  const unsigned e = log2_sub + static_cast<unsigned>(m / sub_buckets);
-  const std::uint64_t sub = m % sub_buckets;
-  const std::uint64_t width = std::uint64_t{1} << (e - log2_sub);
+double Histogram::upper_bound(std::size_t i) noexcept {
+  if (i >= kValueBuckets) return std::numeric_limits<double>::infinity();
+  if (i < kSubBuckets) return static_cast<double>(i);
+  const std::size_t m = i - kSubBuckets;
+  const unsigned e = kLog2SubBuckets + static_cast<unsigned>(m / kSubBuckets);
+  const std::uint64_t sub = m % kSubBuckets;
+  const std::uint64_t width = std::uint64_t{1} << (e - kLog2SubBuckets);
   return static_cast<double>((std::uint64_t{1} << e) + (sub + 1) * width - 1);
 }
 
 std::uint64_t Histogram::count() const noexcept {
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i <= value_buckets_; ++i) {
-    total += counts_[i].load(std::memory_order_relaxed);
-  }
+  for (const auto& bucket : counts_) total += bucket.load(std::memory_order_relaxed);
   return total;
 }
 
@@ -135,19 +100,14 @@ Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name, std::string_view help,
-                                      std::size_t sub_buckets, double unit_scale) {
-  if (sub_buckets == 0 || sub_buckets > 64 || !std::has_single_bit(sub_buckets)) {
-    bad_registration(name, "sub_buckets must be a power of two in [1, 64]");
-  }
+                                      double unit_scale) {
   if (!(unit_scale > 0.0)) {
     bad_registration(name, "unit_scale must be positive");
   }
   const LockGuard lock(mu_);
   Entry& e = entry_for(name, help, MetricKind::kHistogram);
   if (!e.histogram) {
-    e.histogram.reset(new Histogram(sub_buckets, unit_scale));
-  } else if (e.histogram->sub_buckets() != sub_buckets) {
-    bad_registration(name, "already registered with different sub_buckets");
+    e.histogram.reset(new Histogram(unit_scale));
   } else if (e.histogram->unit_scale() != unit_scale) {
     bad_registration(name, "already registered with a different unit_scale");
   }
@@ -241,47 +201,28 @@ std::string MetricsRegistry::prometheus() const {
     out += "# HELP " + name + " " + sample.help + "\n";
     out += "# TYPE " + name + " " + std::string(metric_kind_name(sample.kind)) + "\n";
     if (sample.kind != MetricKind::kHistogram) {
-      out += name + " " + scalar_text(sample) + "\n";
+      out += name + " " +
+             (sample.kind == MetricKind::kCounter ? std::to_string(sample.counter)
+                                                  : std::to_string(sample.gauge)) +
+             "\n";
       continue;
     }
     const HistogramSnapshot& h = sample.histogram;
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       cumulative += h.counts[i];
-      out += name + "_bucket{le=\"" + le_text(h, i) + "\"} " + std::to_string(cumulative) +
-             "\n";
+      out += name + "_bucket{le=\"" + format_double(Histogram::upper_bound(i) * h.unit_scale) +
+             "\"} " + std::to_string(cumulative) + "\n";
     }
     out += name + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
-    out += name + "_sum " + sum_text(h) + "\n";
+    // Scaled histograms (seconds families) export a scaled sum; the unscaled
+    // ones keep the exact integer form.
+    out += name + "_sum " +
+           (h.unit_scale == 1.0 ? std::to_string(h.sum)
+                                : format_double(static_cast<double>(h.sum) * h.unit_scale)) +
+           "\n";
     out += name + "_count " + std::to_string(h.count) + "\n";
   }
-  return out;
-}
-
-std::string MetricsRegistry::json() const {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, sample] : snapshot()) {
-    out += first ? "\n  " : ",\n  ";
-    first = false;
-    append_json_string(out, name);
-    out += ": {\"kind\": \"" + std::string(metric_kind_name(sample.kind)) + "\", ";
-    if (sample.kind != MetricKind::kHistogram) {
-      out += "\"value\": " + scalar_text(sample) + "}";
-      continue;
-    }
-    const HistogramSnapshot& h = sample.histogram;
-    out += "\"count\": " + std::to_string(h.count) + ", \"sum\": " + sum_text(h) +
-           ", \"buckets\": [";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      cumulative += h.counts[i];
-      out += std::string(i > 0 ? ", " : "") + "{\"le\": " + le_text(h, i) +
-             ", \"count\": " + std::to_string(cumulative) + "}";
-    }
-    out += "]}";
-  }
-  out += "\n}\n";
   return out;
 }
 

@@ -1,5 +1,5 @@
 // MetricsRegistry: named counters, gauges and log-linear histograms with
-// snapshot export to Prometheus text exposition format and JSON
+// snapshot export to Prometheus text exposition format
 // (docs/OBSERVABILITY.md holds the catalog and naming convention
 // `cbde_<layer>_<name>[_unit]`, enforced by tools/lint/cbde_lint.py).
 //
@@ -11,15 +11,16 @@
 //     atomic, not cross-metric consistent), then runs the registry's
 //     collector, which fills the collected counters and gauges from the
 //     state that owns them under that state's own lock (the delta-server's
-//     ledger, read in one critical section). prometheus() and json() render
+//     ledger, read in one critical section). prometheus() renders
 //     snapshot().
 //
 // Handles returned by the registry are stable for the registry's lifetime
 // (node-based storage); components keep the reference and never look the
 // name up again. Registration is idempotent: the same (name, kind) returns
-// the existing instrument; a kind or bucket mismatch throws.
+// the existing instrument; a kind or unit-scale mismatch throws.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -66,48 +67,46 @@ class Gauge {
 /// Log-linear-bucket histogram for non-negative integer observations
 /// (latencies in µs, sizes in bytes).
 ///
-/// Layout, with s = sub_buckets (power of two, k = log2 s):
+/// One layout for every histogram, with s = kSubBuckets = 4 (k = log2 s = 2):
 ///   * buckets 0..s-1 hold the exact values 0..s-1;
 ///   * each power-of-two octave [2^e, 2^(e+1)) for e in [k, kMaxExponent)
 ///     is split into s linear sub-buckets of width 2^(e-k);
 ///   * values >= 2^kMaxExponent land in the overflow (+Inf) bucket.
-/// Relative error is bounded by 1/s per octave; s=4 gives <= 25%, s=16
-/// <= 6.25%. Bucket boundaries depend only on s, so histograms with equal s
-/// merge bucket-by-bucket.
+/// Relative error is bounded by 1/s = 25% per octave. Every histogram has
+/// the same bucket boundaries, so any two merge (and diff) bucket-by-bucket.
 class Histogram {
  public:
   /// Values at or above 2^kMaxExponent (~1.1e12: ~12.7 days in µs, ~1 TiB
   /// in bytes) are overflow.
   static constexpr unsigned kMaxExponent = 40;
+  static constexpr unsigned kLog2SubBuckets = 2;
+  static constexpr std::size_t kSubBuckets = std::size_t{1} << kLog2SubBuckets;
+  /// Buckets before the overflow bucket.
+  static constexpr std::size_t kValueBuckets =
+      kSubBuckets + (kMaxExponent - kLog2SubBuckets) * kSubBuckets;
 
   void observe(std::uint64_t value) noexcept {
     counts_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
   }
 
-  std::size_t bucket_index(std::uint64_t value) const noexcept {
-    if (value < sub_buckets_) return static_cast<std::size_t>(value);
+  static std::size_t bucket_index(std::uint64_t value) noexcept {
+    if (value < kSubBuckets) return static_cast<std::size_t>(value);
     const unsigned e = static_cast<unsigned>(std::bit_width(value)) - 1;
-    if (e >= kMaxExponent) return value_buckets_;  // overflow bucket
-    const unsigned shift = e - log2_sub_;
+    if (e >= kMaxExponent) return kValueBuckets;  // overflow bucket
+    const unsigned shift = e - kLog2SubBuckets;
     const std::size_t sub =
         static_cast<std::size_t>((value - (std::uint64_t{1} << e)) >> shift);
-    return sub_buckets_ + (e - log2_sub_) * sub_buckets_ + sub;
+    return kSubBuckets + shift * kSubBuckets + sub;
   }
 
   /// Largest value belonging to bucket `i` (the Prometheus `le` bound,
-  /// inclusive); +infinity for the overflow bucket.
-  double upper_bound(std::size_t i) const noexcept {
-    return upper_bound_for(sub_buckets_, i);
-  }
-  /// Same, from the resolution alone — bucket boundaries depend only on
-  /// sub_buckets, so snapshots (HistogramSnapshot) can resolve bounds
-  /// without the live instrument.
-  static double upper_bound_for(std::size_t sub_buckets, std::size_t i) noexcept;
+  /// inclusive); +infinity for the overflow bucket. Static: snapshots
+  /// (HistogramSnapshot) resolve bounds without the live instrument.
+  static double upper_bound(std::size_t i) noexcept;
 
   /// Total buckets including the overflow bucket.
-  std::size_t num_buckets() const noexcept { return value_buckets_ + 1; }
-  std::size_t sub_buckets() const noexcept { return sub_buckets_; }
+  static constexpr std::size_t num_buckets() noexcept { return kValueBuckets + 1; }
 
   /// Multiplier applied to bucket bounds and the sum at export time (and
   /// nowhere else: observe() stays integer microseconds/bytes on the hot
@@ -124,13 +123,10 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  Histogram(std::size_t sub_buckets, double unit_scale);
+  explicit Histogram(double unit_scale) : unit_scale_(unit_scale) {}
 
-  std::size_t sub_buckets_;
-  unsigned log2_sub_;
-  std::size_t value_buckets_;  ///< buckets before the overflow bucket
   double unit_scale_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
+  std::array<std::atomic<std::uint64_t>, kValueBuckets + 1> counts_{};
   std::atomic<std::uint64_t> sum_{0};
 };
 
@@ -141,10 +137,9 @@ std::string_view metric_kind_name(MetricKind kind);
 /// so windowed consumers (TimeSeriesRecorder) can diff and quantile it
 /// offline. `counts` holds the finite buckets trimmed to the highest
 /// non-empty index (a missing tail is zero); the overflow (+Inf) bucket is
-/// carried separately. Bucket index i bounds via
-/// Histogram::upper_bound_for(sub_buckets, i), times unit_scale.
+/// carried separately. Bucket index i bounds via Histogram::upper_bound(i),
+/// times unit_scale.
 struct HistogramSnapshot {
-  std::size_t sub_buckets = 0;
   double unit_scale = 1.0;
   std::uint64_t sum = 0;    ///< raw (unscaled) sum of observations
   std::uint64_t count = 0;  ///< total observations incl. overflow
@@ -190,17 +185,14 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Register (or fetch) an instrument. Throws std::invalid_argument on an
-  /// invalid name, a kind mismatch with an existing registration, or (for
-  /// histograms) a sub_buckets mismatch. sub_buckets must be a power of two
-  /// in [1, 64].
+  /// invalid name or a kind mismatch with an existing registration.
   Counter& counter(std::string_view name, std::string_view help) EXCLUDES(mu_);
   Gauge& gauge(std::string_view name, std::string_view help) EXCLUDES(mu_);
   /// `unit_scale` multiplies bucket bounds and the sum at export time (see
-  /// Histogram::unit_scale); a mismatch with an existing registration
-  /// throws, same as a sub_buckets mismatch.
+  /// Histogram::unit_scale); it must be positive, and a mismatch with an
+  /// existing registration throws.
   Histogram& histogram(std::string_view name, std::string_view help,
-                       std::size_t sub_buckets = 4, double unit_scale = 1.0)
-      EXCLUDES(mu_);
+                       double unit_scale = 1.0) EXCLUDES(mu_);
 
   /// Install the registry's one collector: its names join the registry
   /// without stored values, and snapshot() calls `fill` with zeroed values
@@ -212,10 +204,6 @@ class MetricsRegistry {
   /// sorted by name; histogram buckets are emitted cumulatively up to the
   /// highest non-empty bound plus the mandatory +Inf bucket.
   std::string prometheus() const EXCLUDES(mu_);
-
-  /// JSON object keyed by metric name (docs/OBSERVABILITY.md gives the
-  /// schema), rendered from snapshot() like prometheus().
-  std::string json() const EXCLUDES(mu_);
 
   /// Point-in-time copy of every metric, owned and collected, name-keyed
   /// and sorted: the one export walk. The TimeSeriesRecorder diffs

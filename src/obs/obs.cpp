@@ -39,8 +39,7 @@ util::LockWaitCell& Obs::lock_wait_profile(std::string_view name,
                                            std::string_view help) {
   // Register (idempotently) outside cells_mu_ so the registry lock and the
   // cell-map lock never nest.
-  Histogram& hist = registry_.histogram(name, help, config_.histogram_sub_buckets,
-                                        /*unit_scale=*/1e-6);
+  Histogram& hist = registry_.histogram(name, help, /*unit_scale=*/1e-6);
   const LockGuard lock(cells_mu_);
   auto it = lock_cells_.find(name);
   if (it == lock_cells_.end()) {

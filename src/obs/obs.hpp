@@ -32,12 +32,8 @@ struct ObsConfig {
   /// request). Deterministic 1-in-round(1/rate) sampling, first request
   /// always sampled, so short smoke runs still produce a trace.
   double sample_rate = 0.0;
-  /// Log-linear sub-buckets per power-of-two octave for every histogram
-  /// this instance registers (power of two in [1, 64]; 4 => <= 25% relative
-  /// error, 16 => <= 6.25%).
-  std::size_t histogram_sub_buckets = 4;
   /// JSONL sink for the event log; empty = in-memory ring only (the ring
-  /// keeps the most recent 1,024 events, EventLog's default).
+  /// keeps the most recent EventLog::kRingCapacity events).
   std::string event_log_path;
   /// Opt-in lock-wait profiling: when true, components attach timed
   /// acquisition cells (Obs::lock_wait_profile) to their contended mutexes
@@ -61,11 +57,6 @@ class Obs {
   /// request is sampled, nullptr otherwise (and always nullptr when
   /// tracing is off).
   std::shared_ptr<TraceContext> maybe_trace();
-
-  /// Histogram with this instance's configured sub-bucket resolution.
-  Histogram& histogram(std::string_view name, std::string_view help) {
-    return registry_.histogram(name, help, config_.histogram_sub_buckets);
-  }
 
   /// Convenience event emission (counts into cbde_obs_events_emitted_total).
   void emit(EventKind kind, std::int64_t sim_time_us, std::uint64_t class_id,

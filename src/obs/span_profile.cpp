@@ -59,10 +59,6 @@ std::string SpanProfile::collapsed() const {
   return out;
 }
 
-std::string SpanProfile::speedscope_json(std::string_view profile_name) const {
-  return speedscope_document({{std::string(profile_name), this}});
-}
-
 std::string SpanProfile::speedscope_document(
     const std::vector<std::pair<std::string, const SpanProfile*>>& profiles) {
   // Shared frame table: every distinct path component across every profile,

@@ -10,9 +10,9 @@
 //   * collapsed() — Brendan Gregg collapsed-stack lines
 //     ("serve;encode 1234"), the lingua franca of flamegraph.pl and most
 //     profile tooling;
-//   * speedscope_json()/speedscope_document() — a speedscope "sampled"
-//     profile (https://www.speedscope.app/file-format-schema.json), one
-//     profile per run so worker counts sit side by side in one document.
+//   * speedscope_document() — a speedscope "sampled" profile
+//     (https://www.speedscope.app/file-format-schema.json) per named
+//     SpanProfile, so worker counts sit side by side in one document.
 //
 // Self time is a span's duration minus its closed children's durations,
 // clamped at zero (clock jitter can make children sum past the parent).
@@ -43,9 +43,6 @@ class SpanProfile {
   /// "name;name;... <self_us>\n". Zero-weight stacks are kept — they mark
   /// code paths that executed even when the clock read 0.
   std::string collapsed() const;
-
-  /// A complete single-profile speedscope document.
-  std::string speedscope_json(std::string_view profile_name) const;
 
   /// One speedscope document holding several named profiles (frame table
   /// shared and deduplicated); `profiles` order is preserved.

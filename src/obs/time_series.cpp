@@ -1,42 +1,23 @@
 #include "obs/time_series.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "obs/json.hpp"
 #include "obs/trace_span.hpp"
 
 namespace cbde::obs {
-namespace {
-
-/// Index of the largest finite bucket for a resolution (quantiles that land
-/// in the overflow bucket clamp here — see histogram_window_quantile).
-std::size_t last_finite_bucket(std::size_t sub_buckets) noexcept {
-  const unsigned log2_sub = static_cast<unsigned>(std::countr_zero(sub_buckets));
-  return sub_buckets + (Histogram::kMaxExponent - log2_sub) * sub_buckets - 1;
-}
-
-}  // namespace
 
 HistogramSnapshot diff_histogram(const HistogramSnapshot& prev,
                                  const HistogramSnapshot& cur, bool* reset) {
-  // A prev with sub_buckets 0 is "no previous sample" (the series appeared
-  // mid-flight): the whole current snapshot is the window, and that is not
-  // a reset.
-  if (prev.sub_buckets == 0) return cur;
   const auto fall_back_to_cur = [&]() {
     if (reset != nullptr) *reset = true;
     return cur;
   };
-  if (prev.sub_buckets != cur.sub_buckets || prev.unit_scale != cur.unit_scale) {
-    return fall_back_to_cur();
-  }
   if (cur.count < prev.count || cur.sum < prev.sum || cur.overflow < prev.overflow ||
       cur.counts.size() < prev.counts.size()) {
     return fall_back_to_cur();
   }
   HistogramSnapshot out;
-  out.sub_buckets = cur.sub_buckets;
   out.unit_scale = cur.unit_scale;
   out.counts.resize(cur.counts.size());
   for (std::size_t i = 0; i < cur.counts.size(); ++i) {
@@ -60,15 +41,11 @@ double histogram_window_quantile(const HistogramSnapshot& window, double q) {
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < window.counts.size(); ++i) {
     cumulative += window.counts[i];
-    if (cumulative >= rank) {
-      return Histogram::upper_bound_for(window.sub_buckets, i) * window.unit_scale;
-    }
+    if (cumulative >= rank) return Histogram::upper_bound(i) * window.unit_scale;
   }
   // The rank lands in the overflow bucket; clamp to the largest finite bound
   // so every export stays a finite JSON number.
-  return Histogram::upper_bound_for(window.sub_buckets,
-                                    last_finite_bucket(window.sub_buckets)) *
-         window.unit_scale;
+  return Histogram::upper_bound(Histogram::kValueBuckets - 1) * window.unit_scale;
 }
 
 HistogramWindow summarize_histogram_window(const HistogramSnapshot& window) {
@@ -133,10 +110,12 @@ TimeSeriesWindow TimeSeriesRecorder::build_window(
         w.gauge[name] = sample.gauge;
         break;
       case MetricKind::kHistogram: {
+        // A series registered since the previous snapshot is one whole
+        // window, not a reset.
         bool reset = false;
-        const HistogramSnapshot d = diff_histogram(
-            before != nullptr ? before->histogram : HistogramSnapshot{},
-            sample.histogram, &reset);
+        const HistogramSnapshot d =
+            before != nullptr ? diff_histogram(before->histogram, sample.histogram, &reset)
+                              : sample.histogram;
         if (reset) w.reset = true;
         HistogramWindow hw = summarize_histogram_window(d);
         hw.reset = reset;

@@ -62,11 +62,10 @@ struct TimeSeriesWindow {
   double lock_wait_share = 0.0;
 };
 
-/// Bucketwise `cur - prev`. A cumulative histogram only grows; any bucket,
-/// count or sum going backwards means the underlying series was reset (new
-/// process, wraparound) — then the window falls back to `cur` outright and
-/// `*reset` is set. Snapshots of different resolution also count as a
-/// reset.
+/// Bucketwise `cur - prev` of one series (so of one unit_scale). A
+/// cumulative histogram only grows; any bucket, count or sum going backwards
+/// means the underlying series was reset (new process, wraparound) — then
+/// the window falls back to `cur` outright and `*reset` is set.
 HistogramSnapshot diff_histogram(const HistogramSnapshot& prev,
                                  const HistogramSnapshot& cur, bool* reset);
 

@@ -152,12 +152,13 @@ TEST(ConfigLoader, CrossFieldValidation) {
 
 TEST(ConfigLoader, RemovedDeltaKeysAreRejected) {
   // The encoder and the light estimator each have one fixed
-  // parameterization, and the server is one server with one lock, so the
-  // old transmit-tuning keys and the shard count are unknown keys: a config
+  // parameterization, the server is one server with one lock, and every
+  // histogram has one bucket layout, so the old transmit-tuning keys, the
+  // shard count and the histogram resolution are unknown keys: a config
   // that still sets one fails at load time with the line number.
   for (const char* line : {"delta-key-len = 4", "delta-index-step = 1",
                            "delta-max-chain = 32", "delta-min-match = 32",
-                           "server-shards = 1"}) {
+                           "server-shards = 1", "obs-histogram-buckets = 4"}) {
     try {
       parse(std::string("[delta-server]\n") + line + "\n");
       ADD_FAILURE() << "accepted: " << line;

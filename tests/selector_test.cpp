@@ -151,19 +151,23 @@ TEST(Selector, WorstEvictionKeepsGoodCandidates) {
 }
 
 TEST(Selector, FlushDropsEverything) {
-  BaseFileSelector sel(SelectorConfig{}, 7);
+  SelectorConfig config;
+  config.eviction = SelectorConfig::Eviction::kTwoSet;  // both sets hold samples
+  BaseFileSelector sel(config, 7);
   sel.admit(as_view(to_bytes("a")));
   sel.admit(as_view(to_bytes("b")));
+  ASSERT_EQ(sel.references().size(), 2u);
   sel.flush();
   EXPECT_EQ(sel.stored(), 0u);
   EXPECT_EQ(sel.best(), nullptr);
-  EXPECT_EQ(sel.stored_bytes(), 0u);
+  EXPECT_TRUE(sel.candidates().empty());
+  EXPECT_TRUE(sel.references().empty());
 }
 
 // Regression: kTwoSet used to materialize each admitted document twice —
 // once into the reference set and once into the candidate encoder. Both
 // sides now share one immutable buffer, so admitting a doc while both sets
-// have room must cost its size once, not twice.
+// have room must hold it once, not twice.
 TEST(Selector, TwoSetAdmissionSharesOneBuffer) {
   SelectorConfig config;
   config.sample_prob = 1.0;
@@ -173,7 +177,10 @@ TEST(Selector, TwoSetAdmissionSharesOneBuffer) {
   const Bytes doc = to_bytes(trace::synth_prose(77, 4096));
   sel.admit(as_view(doc));
   EXPECT_EQ(sel.stored(), 1u);
-  EXPECT_EQ(sel.stored_bytes(), doc.size());
+  ASSERT_EQ(sel.candidates().size(), 1u);
+  ASSERT_EQ(sel.references().size(), 1u);
+  EXPECT_EQ(sel.references().front(), sel.candidates().front()->shared_base());
+  EXPECT_EQ(*sel.references().front(), doc);
 }
 
 class SelectorEvictionPolicies

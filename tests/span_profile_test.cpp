@@ -32,7 +32,7 @@ TEST(SpanProfileTest, EmptyProfile) {
   EXPECT_EQ(p.total_us(), 0u);
   EXPECT_EQ(p.stack_count(), 0u);
   EXPECT_EQ(p.collapsed(), "");
-  const std::string doc = p.speedscope_json("empty");
+  const std::string doc = SpanProfile::speedscope_document({{"empty", &p}});
   EXPECT_NE(doc.find("\"$schema\""), std::string::npos);
   EXPECT_NE(doc.find("\"endValue\":0"), std::string::npos);
   EXPECT_NE(doc.find("\"samples\":[]"), std::string::npos);
@@ -103,7 +103,7 @@ TEST(SpanProfileTest, SpeedscopeSingleProfileDocument) {
   SpanProfile p;
   p.add({span(1, 0, "serve", 0, 100), span(2, 1, "encode", 10, 40),
          span(3, 1, "compress", 40, 90)});
-  const std::string doc = p.speedscope_json("workers_1");
+  const std::string doc = SpanProfile::speedscope_document({{"workers_1", &p}});
   // Frame table interns each distinct component once, first-seen in
   // stack-sorted order: serve, compress, encode.
   EXPECT_NE(

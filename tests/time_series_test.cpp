@@ -20,11 +20,9 @@
 namespace cbde::obs {
 namespace {
 
-HistogramSnapshot make_snapshot(std::size_t sub_buckets, double unit_scale,
-                                std::vector<std::uint64_t> counts,
+HistogramSnapshot make_snapshot(double unit_scale, std::vector<std::uint64_t> counts,
                                 std::uint64_t overflow, std::uint64_t sum) {
   HistogramSnapshot s;
-  s.sub_buckets = sub_buckets;
   s.unit_scale = unit_scale;
   s.counts = std::move(counts);
   s.overflow = overflow;
@@ -35,7 +33,6 @@ HistogramSnapshot make_snapshot(std::size_t sub_buckets, double unit_scale,
 }
 
 void expect_snapshot_eq(const HistogramSnapshot& a, const HistogramSnapshot& b) {
-  EXPECT_EQ(a.sub_buckets, b.sub_buckets);
   EXPECT_EQ(a.unit_scale, b.unit_scale);
   EXPECT_EQ(a.count, b.count);
   EXPECT_EQ(a.sum, b.sum);
@@ -49,7 +46,7 @@ void expect_snapshot_eq(const HistogramSnapshot& a, const HistogramSnapshot& b) 
 }
 
 TEST(TimeSeriesDiff, IdenticalSnapshotsYieldEmptyWindow) {
-  const HistogramSnapshot s = make_snapshot(4, 1.0, {0, 3, 5, 0, 2}, 1, 90);
+  const HistogramSnapshot s = make_snapshot(1.0, {0, 3, 5, 0, 2}, 1, 90);
   bool reset = false;
   const HistogramSnapshot d = diff_histogram(s, s, &reset);
   EXPECT_FALSE(reset);
@@ -64,59 +61,46 @@ TEST(TimeSeriesDiff, IdenticalSnapshotsYieldEmptyWindow) {
 }
 
 TEST(TimeSeriesDiff, FreshSeriesIsWholeWindowNotReset) {
-  // prev.sub_buckets == 0 means "the series appeared mid-flight": the whole
-  // current snapshot is the window and no reset is flagged.
-  const HistogramSnapshot cur = make_snapshot(8, 1.0, {1, 2, 3}, 0, 12);
+  // Against an empty previous snapshot, the whole current one is the window
+  // and no reset is flagged.
+  const HistogramSnapshot cur = make_snapshot(1.0, {1, 2, 3}, 0, 12);
   bool reset = false;
   const HistogramSnapshot d = diff_histogram(HistogramSnapshot{}, cur, &reset);
   EXPECT_FALSE(reset);
   expect_snapshot_eq(d, cur);
 }
 
-TEST(TimeSeriesDiff, ResolutionOrScaleMismatchIsReset) {
-  const HistogramSnapshot prev = make_snapshot(4, 1.0, {1}, 0, 1);
-  const HistogramSnapshot cur8 = make_snapshot(8, 1.0, {5}, 0, 5);
-  bool reset = false;
-  expect_snapshot_eq(diff_histogram(prev, cur8, &reset), cur8);
-  EXPECT_TRUE(reset);
-
-  const HistogramSnapshot cur_scaled = make_snapshot(4, 1e-6, {5}, 0, 5);
-  reset = false;
-  expect_snapshot_eq(diff_histogram(prev, cur_scaled, &reset), cur_scaled);
-  EXPECT_TRUE(reset);
-}
-
 TEST(TimeSeriesDiff, BackwardsSeriesIsResetAndFallsBackToCur) {
   // A cumulative histogram only grows; any count/sum/overflow/bucket
   // decrease means the process restarted (or the counter wrapped) — the
   // window falls back to `cur` outright.
-  const HistogramSnapshot prev = make_snapshot(4, 1.0, {2, 4, 6}, 3, 200);
-  const HistogramSnapshot fewer = make_snapshot(4, 1.0, {1, 4, 6}, 3, 210);
+  const HistogramSnapshot prev = make_snapshot(1.0, {2, 4, 6}, 3, 200);
+  const HistogramSnapshot fewer = make_snapshot(1.0, {1, 4, 6}, 3, 210);
   bool reset = false;
   expect_snapshot_eq(diff_histogram(prev, fewer, &reset), fewer);
   EXPECT_TRUE(reset);
 
-  const HistogramSnapshot sum_back = make_snapshot(4, 1.0, {2, 4, 6}, 3, 199);
+  const HistogramSnapshot sum_back = make_snapshot(1.0, {2, 4, 6}, 3, 199);
   reset = false;
   expect_snapshot_eq(diff_histogram(prev, sum_back, &reset), sum_back);
   EXPECT_TRUE(reset);
 
-  const HistogramSnapshot overflow_back = make_snapshot(4, 1.0, {2, 4, 6}, 2, 200);
+  const HistogramSnapshot overflow_back = make_snapshot(1.0, {2, 4, 6}, 2, 200);
   reset = false;
   expect_snapshot_eq(diff_histogram(prev, overflow_back, &reset), overflow_back);
   EXPECT_TRUE(reset);
 
-  const HistogramSnapshot shrunk = make_snapshot(4, 1.0, {2, 4}, 3, 200);
+  const HistogramSnapshot shrunk = make_snapshot(1.0, {2, 4}, 3, 200);
   reset = false;
   expect_snapshot_eq(diff_histogram(prev, shrunk, &reset), shrunk);
   EXPECT_TRUE(reset);
 }
 
 TEST(TimeSeriesDiff, BucketwiseDeltaAgainstGrownSeries) {
-  const HistogramSnapshot prev = make_snapshot(4, 1.0, {1, 0, 2}, 1, 50);
+  const HistogramSnapshot prev = make_snapshot(1.0, {1, 0, 2}, 1, 50);
   // cur grew a trailing bucket prev never had; the diff treats the missing
   // prev bucket as zero.
-  const HistogramSnapshot cur = make_snapshot(4, 1.0, {3, 1, 2, 7}, 4, 260);
+  const HistogramSnapshot cur = make_snapshot(1.0, {3, 1, 2, 7}, 4, 260);
   bool reset = false;
   const HistogramSnapshot d = diff_histogram(prev, cur, &reset);
   EXPECT_FALSE(reset);
@@ -131,11 +115,11 @@ TEST(TimeSeriesDiff, BucketwiseDeltaAgainstGrownSeries) {
 }
 
 TEST(TimeSeriesQuantile, EmptyWindowIsZero) {
-  const HistogramSnapshot empty = make_snapshot(4, 1.0, {}, 0, 0);
+  const HistogramSnapshot empty = make_snapshot(1.0, {}, 0, 0);
   EXPECT_EQ(histogram_window_quantile(empty, 0.5), 0.0);
   EXPECT_EQ(histogram_window_quantile(empty, 0.99), 0.0);
   // q outside (0, 1] is rejected the same way.
-  const HistogramSnapshot one = make_snapshot(4, 1.0, {5}, 0, 0);
+  const HistogramSnapshot one = make_snapshot(1.0, {5}, 0, 0);
   EXPECT_EQ(histogram_window_quantile(one, 0.0), 0.0);
   EXPECT_EQ(histogram_window_quantile(one, -1.0), 0.0);
 }
@@ -143,12 +127,11 @@ TEST(TimeSeriesQuantile, EmptyWindowIsZero) {
 TEST(TimeSeriesQuantile, SingleBucketWindowPinsEveryQuantile) {
   // All mass in one bucket: every quantile reads that bucket's upper bound,
   // scaled by unit_scale.
-  const std::size_t sub = 8;
   const std::size_t bucket = 11;
   std::vector<std::uint64_t> counts(bucket + 1, 0);
   counts[bucket] = 42;
-  const HistogramSnapshot w = make_snapshot(sub, 1e-6, std::move(counts), 0, 0);
-  const double bound = Histogram::upper_bound_for(sub, bucket) * 1e-6;
+  const HistogramSnapshot w = make_snapshot(1e-6, std::move(counts), 0, 0);
+  const double bound = Histogram::upper_bound(bucket) * 1e-6;
   EXPECT_DOUBLE_EQ(histogram_window_quantile(w, 0.01), bound);
   EXPECT_DOUBLE_EQ(histogram_window_quantile(w, 0.50), bound);
   EXPECT_DOUBLE_EQ(histogram_window_quantile(w, 0.99), bound);
@@ -161,13 +144,9 @@ TEST(TimeSeriesQuantile, SingleBucketWindowPinsEveryQuantile) {
 
 TEST(TimeSeriesQuantile, OverflowRankClampsToLargestFiniteBound) {
   // A window that is pure overflow must still export a finite number: the
-  // quantile clamps to the largest finite bucket bound for the resolution.
-  const std::size_t sub = 4;
-  const HistogramSnapshot w = make_snapshot(sub, 1.0, {}, 9, 0);
-  const unsigned log2_sub = 2;
-  const std::size_t last_finite =
-      sub + (Histogram::kMaxExponent - log2_sub) * sub - 1;
-  const double expected = Histogram::upper_bound_for(sub, last_finite);
+  // quantile clamps to the largest finite bucket bound.
+  const HistogramSnapshot w = make_snapshot(1.0, {}, 9, 0);
+  const double expected = Histogram::upper_bound(Histogram::num_buckets() - 2);
   const double p99 = histogram_window_quantile(w, 0.99);
   EXPECT_TRUE(std::isfinite(p99));
   EXPECT_DOUBLE_EQ(p99, expected);
@@ -180,7 +159,7 @@ TEST(TimeSeriesQuantile, QuantilesAreMonotonicInQ) {
     std::vector<std::uint64_t> counts(24);
     for (auto& c : counts) c = rng() % 7;
     const HistogramSnapshot w =
-        make_snapshot(8, 1.0, std::move(counts), rng() % 3, 0);
+        make_snapshot(1.0, std::move(counts), rng() % 3, 0);
     if (w.count == 0) continue;
     const double p50 = histogram_window_quantile(w, 0.50);
     const double p95 = histogram_window_quantile(w, 0.95);
@@ -197,9 +176,9 @@ TEST(TimeSeriesQuantile, MergeThenDiffEquivalence) {
   std::mt19937_64 rng(0xCBDEu);
   MetricsRegistry reg;
   Histogram& cumulative =  // lint: obs-ok validation test
-      reg.histogram("cbde_test_ts_cumulative_bytes", "diff property", 8);
+      reg.histogram("cbde_test_ts_cumulative_bytes", "diff property");
   Histogram& window_only =  // lint: obs-ok validation test
-      reg.histogram("cbde_test_ts_window_bytes", "diff property", 8);
+      reg.histogram("cbde_test_ts_window_bytes", "diff property");
   const auto draw = [&]() -> std::uint64_t {
     if (rng() % 16 == 0) return (1ull << 45) + rng() % 1024;  // overflow bucket
     return rng() % (1ull << 20);
@@ -252,11 +231,37 @@ TEST(TimeSeriesRecorderTest, ManualTicksDiffCountersAndNumberTheWindows) {
   EXPECT_DOUBLE_EQ(w3.counter_delta.at("cbde_test_ts_ticks_total"), 0.0);
 }
 
+TEST(TimeSeriesRecorderTest, SeriesRegisteredBetweenTicksIsOneWholeWindow) {
+  // A seconds-scaled lock-wait site registered after the previous snapshot
+  // has nothing to diff against: its first window is everything it
+  // observed, and that is not a reset.
+  MetricsRegistry reg;
+  TimeSeriesRecorder recorder(reg);
+  EXPECT_TRUE(recorder.tick().histogram.empty());
+  Histogram& wait =  // lint: obs-ok validation test
+      reg.histogram("cbde_lock_wait_seconds_late_site", "late wait", 1e-6);
+  wait.observe(40);
+  wait.observe(2000);
+  const TimeSeriesWindow first = recorder.tick();
+  EXPECT_FALSE(first.reset);
+  const HistogramWindow& whole = first.histogram.at("cbde_lock_wait_seconds_late_site");
+  EXPECT_FALSE(whole.reset);
+  EXPECT_EQ(whole.count, 2u);
+  EXPECT_DOUBLE_EQ(whole.sum, 2040 * 1e-6);
+  EXPECT_DOUBLE_EQ(whole.p99, Histogram::upper_bound(Histogram::bucket_index(2000)) * 1e-6);
+
+  // From then on it diffs like any other series.
+  wait.observe(40);
+  const TimeSeriesWindow second = recorder.tick();
+  EXPECT_FALSE(second.reset);
+  EXPECT_EQ(second.histogram.at("cbde_lock_wait_seconds_late_site").count, 1u);
+}
+
 TEST(TimeSeriesRecorderTest, DerivedServeStatsFromServeHistogram) {
   MetricsRegistry reg;
-  Histogram& serve = reg.histogram("cbde_server_serve_microseconds", "serve", 8);  // lint: obs-ok validation test
+  Histogram& serve = reg.histogram("cbde_server_serve_microseconds", "serve");  // lint: obs-ok validation test
   Histogram& wait =  // lint: obs-ok validation test
-      reg.histogram("cbde_lock_wait_seconds_test_site", "wait", 8, 1e-6);
+      reg.histogram("cbde_lock_wait_seconds_test_site", "wait", 1e-6);
 
   TimeSeriesRecorder recorder(reg);
   for (int i = 0; i < 30; ++i) serve.observe(100);
@@ -311,7 +316,7 @@ TEST(ObsConcurrency, RecorderTicksRaceWithWriters) {
   MetricsRegistry reg;
   Counter& c = reg.counter("cbde_test_ts_race_total", "racing adds");  // lint: obs-ok validation test
   Histogram& h =  // lint: obs-ok validation test
-      reg.histogram("cbde_test_ts_race_microseconds", "racing observes", 4);
+      reg.histogram("cbde_test_ts_race_microseconds", "racing observes");
   TimeSeriesRecorder recorder(reg);
 
   constexpr int kThreads = 4;

@@ -96,7 +96,6 @@ ENTRY_POINTS = [
     ("src/delta/delta.cpp", "delta::inspect", "cbd1"),
     ("src/compress/compressor.cpp", "compress::compress", None),
     ("src/compress/compressor.cpp", "compress::decompress", "compress"),
-    ("src/compress/compressor.cpp", "compress::decompress_into", "compress"),
     ("src/http/message.cpp", "http::HttpRequest::parse", "http"),
     ("src/http/message.cpp", "http::HttpRequest::serialize", None),
     ("src/http/message.cpp", "http::HttpResponse::parse", "http"),
