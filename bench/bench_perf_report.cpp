@@ -5,8 +5,9 @@
 // BENCH_delta.json so perf changes are visible across commits:
 //   * micro: one-shot vs cached-index delta encode, the footprint-table
 //     build, encode and estimate cycling through 512 indexes (the served
-//     case, where the index is seldom in cache), size-only estimate,
-//     apply(), CBZ1 compress/decompress of the cross delta, crc32 —
+//     case, where the index is seldom in cache), size-only estimate, the
+//     grouping probe that joins and the one that does not, apply(), CBZ1
+//     compress/decompress of the cross delta, crc32 —
 //     throughput MB/s, ns/op, delta-size ratios;
 //   * index sizes: the estimator's and the encoder's index bytes, and bytes
 //     per base byte, over a page under 64 KiB (perfbench's many_classes
@@ -317,6 +318,38 @@ int main(int argc, char** argv) {
     json.field("delta_bytes", size);
     json.close();
     std::printf("%-28s %12.0f ns   (size %zu B)\n", "estimate_light", ns, size);
+  }
+  {
+    // Grouping probes (Estimator::within) against a prebuilt index, at the
+    // default match threshold: the cross page against its own template's
+    // base, which it joins, and against a base of another template, which
+    // it does not. Each scan stops at its verdict; the full estimate() of
+    // the same pair is timed beside it.
+    const std::size_t limit = cross.size() / 2;
+    const delta::Estimator same(base);
+    const delta::Estimator other(
+        trace::DocumentTemplate(8, sized_template(page)).generate(0, 1, 0));
+    for (const auto& [key, estimator] :
+         {std::pair{"probe_accept", &same}, std::pair{"probe_reject", &other}}) {
+      bool joins = false;
+      const double ns = time_op(3, iters, [&] {
+        joins = estimator->within(util::as_view(cross), limit);
+      });
+      std::size_t size = 0;
+      const double full_ns = time_op(3, iters, [&] {
+        size = estimator->estimate(util::as_view(cross));
+      });
+      json.open(key);
+      json.field("ns_per_op", ns);
+      json.field("mbps", mbps(cross.size(), ns));
+      json.field("joins", static_cast<std::size_t>(joins ? 1 : 0));
+      json.field("estimate_ns_per_op", full_ns);
+      json.field("estimate_bytes", size);
+      json.field("limit_bytes", limit);
+      json.close();
+      std::printf("%-28s %12.0f ns   %8.2f MB/s   (joins %d; estimate() %.0f ns, %zu of %zu B)\n",
+                  key, ns, mbps(cross.size(), ns), joins ? 1 : 0, full_ns, size, limit);
+    }
   }
   {
     const util::Bytes delta_bytes = cached.encode(util::as_view(cross)).delta;

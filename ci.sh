@@ -50,7 +50,7 @@ BENCH_JSON="build/asan-ubsan/BENCH_delta.json"
 for key in encode_cached_cross encode_rotating_cross estimate_rotating_cross \
            compress_cross decompress_cross speedup_4v1 hardware_concurrency \
            allocs_per_request page_under_64k page_over_64k page_over_512k \
-           estimator_index_bytes encoder_index_bytes; do
+           estimator_index_bytes encoder_index_bytes probe_accept probe_reject; do
   grep -q "\"$key\"" "$BENCH_JSON" ||
     { echo "ci.sh: $BENCH_JSON missing key $key" >&2; exit 1; }
 done

@@ -50,10 +50,10 @@ bool Anonymizer::observe(std::uint64_t user_id, util::BytesView doc) {
   if (user_id == owner_ || users_.contains(user_id)) return false;
   users_.insert(user_id);
   if (instr_.docs_observed != nullptr) instr_.docs_observed->inc();
-  const auto result = encoder_->encode(doc);
-  CBDE_ASSERT(result.chunk_used.size() == counters_.size());
+  const std::vector<bool> used = encoder_->coverage(doc);
+  CBDE_ASSERT(used.size() == counters_.size());
   for (std::size_t c = 0; c < counters_.size(); ++c) {
-    if (result.chunk_used[c]) ++counters_[c];
+    if (used[c]) ++counters_[c];
   }
   return true;
 }
@@ -75,9 +75,9 @@ util::Bytes anonymize_against(util::BytesView base, const std::vector<util::Byte
       (base.size() + delta::kAnonChunkSize - 1) / delta::kAnonChunkSize, 0);
   const delta::Encoder encoder(util::Bytes(base.begin(), base.end()));
   for (const auto& doc : docs) {
-    const auto result = encoder.encode(util::as_view(doc));
+    const std::vector<bool> used = encoder.coverage(util::as_view(doc));
     for (std::size_t c = 0; c < counters.size(); ++c) {
-      if (result.chunk_used[c]) ++counters[c];
+      if (used[c]) ++counters[c];
     }
   }
   return remove_uncommon_chunks(base, counters, min_common);

@@ -8,8 +8,8 @@
 // (M = 0 no privacy, M = 1 the basic scheme, rule of thumb N >= 2M).
 //
 // The chunk commonality signal comes straight from the transmit encoder's
-// COPY coverage (delta::EncodeResult::chunk_used): the same differ that
-// writes the class's deltas decides which base chunks are common.
+// COPY coverage (delta::Encoder::coverage): the same differ that writes the
+// class's deltas decides which base chunks are common.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +74,7 @@ class Anonymizer {
   AnonymizerConfig config_;
   bool in_progress_ = false;
   /// Owns the pending base and its prebuilt match index: begin() pays the
-  /// index build once, the N observe() encodes reuse it.
+  /// index build once, the N observe() matches reuse it.
   std::unique_ptr<delta::Encoder> encoder_;
   std::uint64_t owner_ = 0;
   std::vector<std::uint32_t> counters_;

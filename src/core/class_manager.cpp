@@ -6,6 +6,19 @@
 #include "util/hash.hpp"
 
 namespace cbde::core {
+namespace {
+
+/// The largest light estimate that matches a `size`-byte document: the floor
+/// of threshold × size, the product taken in doubles, saturated. An infinite
+/// threshold times an empty document is NaN, which matches nothing, and so
+/// does 0: an estimate is at least its header.
+std::size_t match_limit(double threshold, std::size_t size) {
+  const double bound = threshold * static_cast<double>(size);
+  if (bound >= 0x1p64) return SIZE_MAX;
+  return bound >= 0.0 ? static_cast<std::size_t>(bound) : 0;
+}
+
+}  // namespace
 
 ClassManager::ClassManager(GroupingConfig config, std::uint64_t seed)
     : config_(config), seed_(seed) {
@@ -18,67 +31,55 @@ ClassManager::Decision ClassManager::group(
     const http::UrlParts& parts, util::BytesView doc,
     const std::function<const delta::Estimator*(ClassId)>& estimator_of) {
   ++stats_.requests;
+  PairInfo& pair = pairs_[{parts.server_part, parts.hint_part}];
 
   // Manual grouping bypasses the content test entirely.
-  if (const auto it = manual_.find({parts.server_part, parts.hint_part});
-      it != manual_.end()) {
+  if (pair.manual != 0) {
     ++stats_.manual_hits;
-    bump_members(it->second);
+    ++classes_[pair.manual - 1].members;
     stats_.tries.add(0);
-    return Decision{it->second, false, 0};
+    return Decision{pair.manual, false, 0};
   }
 
   Decision decision;
-  const auto order = candidates(parts.server_part, parts.hint_part);
-  for (const ClassId id : order) {
-    const delta::Estimator* estimator = estimator_of(id);
+  // estimate <= threshold × size, exactly, without finishing the estimate.
+  const std::size_t limit = match_limit(config_.match_threshold, doc.size());
+  for (const Candidate& candidate : candidates(parts, pair)) {
+    const delta::Estimator* estimator = estimator_of(candidate.id);
     if (estimator == nullptr || estimator->base().empty()) continue;
     ++decision.tries;
-    const std::size_t estimate = estimator->estimate(doc);
-    if (static_cast<double>(estimate) <=
-        config_.match_threshold * static_cast<double>(doc.size())) {
-      decision.id = id;
-      bump_members(id);
+    if (estimator->within(doc, limit)) {
+      decision.id = candidate.id;
+      ++classes_[candidate.id - 1].members;
       stats_.tries.add(decision.tries);
       return decision;
     }
   }
 
-  decision.id = create_class(parts);
+  decision.id = create_class(parts.server_part, parts.hint_part, pair);
   decision.created = true;
-  bump_members(decision.id);
+  ++stats_.classes_created;
+  ++classes_[decision.id - 1].members;
   stats_.tries.add(decision.tries);
   return decision;
 }
 
-void ClassManager::bump_members(ClassId id) {
-  const auto it = members_.find(id);
-  CBDE_ASSERT(it != members_.end());  // registered when the class was created
-  ++it->second;
-}
-
 ClassId ClassManager::add_manual_class(const std::string& server_part,
                                        const std::string& hint_part) {
-  const auto key = std::make_pair(server_part, hint_part);
-  if (const auto it = manual_.find(key); it != manual_.end()) return it->second;
-  const ClassId id = next_id_++;
-  members_.emplace(id, 0);
-  seeds_.emplace(id, pair_seed(server_part, hint_part, creation_ordinals_[key]++));
-  manual_.emplace(key, id);
+  PairInfo& pair = pairs_[{server_part, hint_part}];
+  if (pair.manual != 0) return pair.manual;
   // Manual classes are also registered for the normal search so their
   // base-files participate in matching for other hints.
-  by_server_[server_part].push_back(ClassInfo{id, hint_part});
-  return id;
+  pair.manual = create_class(server_part, hint_part, pair);
+  return pair.manual;
 }
 
 std::uint64_t ClassManager::members_of(ClassId id) const {
-  const auto it = members_.find(id);
-  return it == members_.end() ? 0 : it->second;
+  return id >= 1 && id <= classes_.size() ? classes_[id - 1].members : 0;
 }
 
 std::uint64_t ClassManager::class_seed(ClassId id) const {
-  const auto it = seeds_.find(id);
-  return it == seeds_.end() ? seed_ : it->second;
+  return id >= 1 && id <= classes_.size() ? classes_[id - 1].seed : seed_;
 }
 
 std::uint64_t ClassManager::pair_seed(const std::string& server_part,
@@ -91,60 +92,51 @@ std::uint64_t ClassManager::pair_seed(const std::string& server_part,
   return util::splitmix64(state);
 }
 
-ClassId ClassManager::create_class(const http::UrlParts& parts) {
-  const ClassId id = next_id_++;
-  members_.emplace(id, 0);
-  const auto key = std::make_pair(parts.server_part, parts.hint_part);
-  seeds_.emplace(id, pair_seed(parts.server_part, parts.hint_part,
-                               creation_ordinals_[key]++));
-  by_server_[parts.server_part].push_back(ClassInfo{id, parts.hint_part});
-  ++stats_.classes_created;
+ClassId ClassManager::create_class(const std::string& server_part,
+                                   const std::string& hint_part, PairInfo& pair) {
+  classes_.push_back(ClassInfo{0, pair_seed(server_part, hint_part, pair.classes.size())});
+  const ClassId id = classes_.size();
+  pair.classes.push_back(id);
+  by_server_[server_part].push_back(id);
   return id;
 }
 
-std::vector<ClassId> ClassManager::candidates(const std::string& server_part,
-                                              const std::string& hint_part) {
-  const auto server_it = by_server_.find(server_part);
-  if (server_it == by_server_.end()) return {};  // new server-part: create class
-  const auto& classes = server_it->second;
-
+std::span<const ClassManager::Candidate> ClassManager::candidates(const http::UrlParts& parts,
+                                                                  PairInfo& pair) {
   // "If some classes have members whose hint-parts are the same with the
   // request's hint-part, the mechanism only considers those."
-  std::vector<ClassId> eligible;
-  eligible.reserve(classes.size());
-  for (const ClassInfo& info : classes) {
-    if (info.hint_part == hint_part) eligible.push_back(info.id);
-  }
-  if (eligible.empty()) {
-    for (const ClassInfo& info : classes) eligible.push_back(info.id);
+  const std::vector<ClassId>* eligible = &pair.classes;
+  if (eligible->empty()) {
+    const auto server_it = by_server_.find(parts.server_part);
+    if (server_it == by_server_.end()) return {};  // new server-part: create class
+    eligible = &server_it->second;
   }
 
-  // Popular classes first for the first a*N tries. members_of (a lookup)
-  // rather than members_[] so comparing an unseen id cannot insert a node.
-  std::stable_sort(eligible.begin(), eligible.end(), [this](ClassId a, ClassId b) {
-    return members_of(a) > members_of(b);
+  // Popular classes first for the first a*N tries: most members first, ties
+  // in creation (id) order, the order a stable sort of the creation-ordered
+  // list by members gives.
+  ranked_.clear();
+  for (const ClassId id : *eligible) ranked_.push_back(Candidate{classes_[id - 1].members, id});
+  std::sort(ranked_.begin(), ranked_.end(), [](const Candidate& a, const Candidate& b) {
+    return a.members != b.members ? a.members > b.members : a.id < b.id;
   });
   const std::size_t n_popular = std::min(
-      eligible.size(),
+      ranked_.size(),
       static_cast<std::size_t>(config_.popular_fraction *
                                static_cast<double>(config_.max_tries)));
 
   // "... and the last (1-a)*N consist of random selections among the rest."
   // The popular prefix stays put and the rest is shuffled in place: the
   // subrange shuffle draws exactly what shuffling a separate `rest` copy
-  // drew, so the order is unchanged but the two range copies per request
-  // are gone.
+  // drew.
   // Seed the shuffle per (server-part, hint-part, request ordinal) instead of
   // drawing from one manager-wide stream: the draw a request sees then does
   // not depend on which other pairs' requests ran through this manager
   // before it. The derivation fixes the random picks behind Tables II-IV.
-  util::Rng shuffle_rng(pair_seed(
-      server_part, hint_part,
-      0x5A5A5A5A00000000ull ^ shuffle_ordinals_[{server_part, hint_part}]++));
-  shuffle_rng.shuffle(eligible.begin() + static_cast<std::ptrdiff_t>(n_popular),
-                      eligible.end());
-  if (eligible.size() > config_.max_tries) eligible.resize(config_.max_tries);
-  return eligible;
+  util::Rng shuffle_rng(
+      pair_seed(parts.server_part, parts.hint_part, 0x5A5A5A5A00000000ull ^ pair.shuffles++));
+  shuffle_rng.shuffle(ranked_.begin() + static_cast<std::ptrdiff_t>(n_popular), ranked_.end());
+  return std::span<const Candidate>(ranked_).first(std::min(ranked_.size(), config_.max_tries));
 }
 
 }  // namespace cbde::core

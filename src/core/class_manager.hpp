@@ -17,7 +17,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "delta/delta.hpp"
@@ -61,8 +63,9 @@ class ClassManager {
   /// over a class's current working base-file (nullptr, or an estimator with
   /// an empty base, if it has none yet — the class is then skipped). The
   /// caller owns the estimators and rebuilds them on rebase; grouping itself
-  /// never builds an index, it only runs the size-only match scan.
-  /// Increments the chosen class's member count.
+  /// never builds an index, it only runs the size-only match scan, stopped
+  /// at its verdict (Estimator::within). Increments the chosen class's
+  /// member count.
   Decision group(const http::UrlParts& parts, util::BytesView doc,
                  const std::function<const delta::Estimator*(ClassId)>& estimator_of);
 
@@ -70,7 +73,7 @@ class ClassManager {
   /// are grouped into a dedicated class with no content test.
   ClassId add_manual_class(const std::string& server_part, const std::string& hint_part);
 
-  std::size_t num_classes() const { return members_.size(); }
+  std::size_t num_classes() const { return classes_.size(); }
   std::uint64_t members_of(ClassId id) const;
   const GroupingStats& stats() const { return stats_; }
 
@@ -83,17 +86,30 @@ class ClassManager {
 
  private:
   struct ClassInfo {
+    std::uint64_t members = 0;
+    std::uint64_t seed = 0;
+  };
+  /// What one (server-part, hint-part) pair has seen. Its class count is the
+  /// creation ordinal of its next class seed, and its shuffle count seeds its
+  /// next candidate shuffle; keyed by the pair (not globally) so the draws a
+  /// pair sees are independent of how other pairs' requests interleave with
+  /// it. They fix the RNG draws behind Tables II-IV.
+  struct PairInfo {
+    std::vector<ClassId> classes;  ///< created under the pair, in creation order
+    ClassId manual = 0;            ///< its administrator-pinned class, or 0
+    std::uint64_t shuffles = 0;
+  };
+  /// An eligible class and its member count when it was ranked.
+  struct Candidate {
+    std::uint64_t members;
     ClassId id;
-    std::string hint_part;
   };
 
-  ClassId create_class(const http::UrlParts& parts);
-  /// Increment the member count of a class that is known to exist (every
-  /// class is registered in members_ on creation, so no insert happens).
-  void bump_members(ClassId id);
-  /// Eligible candidates in probe order (popular first, then random fill).
-  std::vector<ClassId> candidates(const std::string& server_part,
-                                  const std::string& hint_part);
+  ClassId create_class(const std::string& server_part, const std::string& hint_part,
+                       PairInfo& pair);
+  /// Eligible candidates in probe order (popular first, then random fill),
+  /// valid until the next call.
+  std::span<const Candidate> candidates(const http::UrlParts& parts, PairInfo& pair);
   /// Stateless mix of the manager seed with a (server-part, hint-part) pair
   /// and a per-pair ordinal; the basis for class seeds and shuffle seeds.
   std::uint64_t pair_seed(const std::string& server_part, const std::string& hint_part,
@@ -101,18 +117,13 @@ class ClassManager {
 
   GroupingConfig config_;
   std::uint64_t seed_;
-  ClassId next_id_ = 1;
-  /// server-part -> classes created under it.
-  std::map<std::string, std::vector<ClassInfo>> by_server_;
-  std::map<ClassId, std::uint64_t> members_;
-  std::map<ClassId, std::uint64_t> seeds_;
-  std::map<std::pair<std::string, std::string>, ClassId> manual_;
-  /// Per-(server-part, hint-part) counters driving the candidate shuffle and
-  /// class seeds; keyed by the pair (not globally) so the sequence a given
-  /// pair observes is independent of how other pairs' requests interleave
-  /// with it. They fix the RNG draws behind Tables II-IV.
-  std::map<std::pair<std::string, std::string>, std::uint64_t> shuffle_ordinals_;
-  std::map<std::pair<std::string, std::string>, std::uint64_t> creation_ordinals_;
+  /// Class id i is classes_[i - 1]: ids are handed out densely.
+  std::vector<ClassInfo> classes_;
+  std::map<std::pair<std::string, std::string>, PairInfo> pairs_;
+  /// server-part -> classes created under it, in creation order.
+  std::map<std::string, std::vector<ClassId>> by_server_;
+  /// candidates()' ranking, kept so that a request allocates none.
+  std::vector<Candidate> ranked_;
   GroupingStats stats_;
 };
 

@@ -150,14 +150,19 @@ Estimator::Estimator(std::shared_ptr<const util::Bytes> base) : base_(std::move(
 namespace {
 
 /// Estimator::estimate()'s scan over an index of Entry-wide offsets and slot
-/// indexes. Always inlined into one of the two entry points below, so
-/// kPopcnt's instruction is compiled only where the target attribute allows
-/// it (as for the encoder's scan, rolling.cpp).
-template <bool kPopcnt, class Entry>
+/// indexes. With kBounded it is within()'s scan: it stops at its verdict on
+/// `limit`, returning a lower bound of the estimate above `limit` or an upper
+/// bound within it, so its result falls on the same side of `limit` as the
+/// estimate. estimate() compiles without those checks. Always inlined into
+/// one of the two entry points below, so kPopcnt's instruction is compiled
+/// only where the target attribute allows it (as for the encoder's scan,
+/// rolling.cpp).
+template <bool kPopcnt, bool kBounded, class Entry>
 [[gnu::always_inline]] inline std::size_t light_estimate(util::BytesView base,
                                                          const RankBitmap<Entry>& index,
                                                          unsigned bucket_shift,
-                                                         util::BytesView target) {
+                                                         util::BytesView target,
+                                                         std::size_t limit) {
   // One forward scan taking the longest of up to kLightChain candidates at
   // each position, counting the bytes each instruction would take.
   const Entry* const offsets = index.entries();
@@ -187,12 +192,12 @@ template <bool kPopcnt, class Entry>
       // exactly those of a full 2^17-bucket index.
       if (chunk_hash(base.data() + bpos) != hash) continue;
       ++probes;
-      const std::size_t limit = std::min(fwd_limit, base.size() - bpos);
-      if (limit <= best_len || limit < kLightKey) continue;
+      const std::size_t max_len = std::min(fwd_limit, base.size() - bpos);
+      if (max_len <= best_len || max_len < kLightKey) continue;
       // A candidate can only beat the incumbent if it also matches at the
       // incumbent's length — one byte-compare rejects most of the chain.
       if (best_len != 0 && base[bpos + best_len] != tdata[pos + best_len]) continue;
-      const std::size_t len = util::forward_match(base.data() + bpos, tdata + pos, limit);
+      const std::size_t len = util::forward_match(base.data() + bpos, tdata + pos, max_len);
       if (len >= kLightKey && len > best_len) {
         best_pos = bpos;
         best_len = len;
@@ -201,6 +206,11 @@ template <bool kPopcnt, class Entry>
     }
     if (best_len < kLightMinMatch) {
       pos += std::min<std::size_t>(1 + (miss_streak++ >> kSkipStreakLog), kMaxSkip);
+      if constexpr (kBounded) {
+        // Every byte since the last COPY goes out in a literal at least.
+        const std::size_t owed = bytes + std::min(pos, target.size()) - lit_start;
+        if (owed > limit) return owed;
+      }
       continue;
     }
     miss_streak = 0;
@@ -210,6 +220,14 @@ template <bool kPopcnt, class Entry>
     bytes += util::uvarint_size((best_len << 1) | 1) + util::uvarint_size(best_pos);
     pos += best_len;
     lit_start = pos;
+    if constexpr (kBounded) {
+      // The rest sent as one literal run: no estimate is larger, as each
+      // later COPY replaces at least kLightMinMatch literal bytes by fewer
+      // varint bytes (see light_scan).
+      const std::size_t rest = target.size() - pos;
+      const std::size_t most = bytes + util::uvarint_size(rest << 1) + rest;
+      if (most <= limit) return most;
+    }
   }
   if (target.size() > lit_start) {
     bytes += util::uvarint_size((target.size() - lit_start) << 1) +
@@ -220,39 +238,63 @@ template <bool kPopcnt, class Entry>
 
 #ifdef CBDE_POPCNT_KERNEL
 
-template <class Entry>
+template <bool kBounded, class Entry>
 __attribute__((target("popcnt"))) std::size_t light_estimate_popcnt(
     util::BytesView base, const RankBitmap<Entry>& index, unsigned bucket_shift,
-    util::BytesView target) {
-  return light_estimate<true>(base, index, bucket_shift, target);
+    util::BytesView target, std::size_t limit) {
+  return light_estimate<true, kBounded>(base, index, bucket_shift, target, limit);
 }
 
 #endif  // CBDE_POPCNT_KERNEL
 
+/// The scan over either entry width, through the popcnt kernel when `popcnt`
+/// is set and the host has one. The bounded scan's verdicts are exact while
+/// each COPY replaces at least 16 literal bytes by at most 15 bytes of
+/// varints (its length and address and the next literal's length), so
+/// while no size or address needs more than 5 varint bytes; larger inputs
+/// take the full scan.
+template <bool kBounded>
+std::size_t light_scan(util::BytesView base, const AnyRankBitmap& index,
+                       unsigned bucket_shift, util::BytesView target, std::size_t limit,
+                       bool popcnt) {
+  if constexpr (kBounded) {
+    if (base.size() > kMaxDecodeTargetSize || target.size() > kMaxDecodeTargetSize) {
+      return light_scan<false>(base, index, bucket_shift, target, limit, popcnt);
+    }
+  }
+  return std::visit(
+      [&](const auto& entries) {
+#ifdef CBDE_POPCNT_KERNEL
+        if (popcnt && popcnt_supported()) {
+          return light_estimate_popcnt<kBounded>(base, entries, bucket_shift, target, limit);
+        }
+#endif
+        return light_estimate<false, kBounded>(base, entries, bucket_shift, target, limit);
+      },
+      index);
+}
+
 }  // namespace
 
 std::size_t Estimator::estimate(util::BytesView target) const {
-#ifdef CBDE_POPCNT_KERNEL
-  if (popcnt_supported()) {
-    return std::visit(
-        [&](const auto& index) {
-          return light_estimate_popcnt(util::as_view(*base_), index, bucket_shift_, target);
-        },
-        index_);
-  }
-#endif
-  return detail::estimate_portable(*this, target);
+  return light_scan<false>(util::as_view(*base_), index_, bucket_shift_, target, 0, true);
+}
+
+bool Estimator::within(util::BytesView target, std::size_t limit) const {
+  return light_scan<true>(util::as_view(*base_), index_, bucket_shift_, target, limit, true) <=
+         limit;
 }
 
 namespace detail {
 
 std::size_t estimate_portable(const Estimator& estimator, util::BytesView target) {
-  return std::visit(
-      [&](const auto& index) {
-        return light_estimate<false>(util::as_view(*estimator.base_), index,
-                                     estimator.bucket_shift_, target);
-      },
-      estimator.index_);
+  return light_scan<false>(util::as_view(*estimator.base_), estimator.index_,
+                           estimator.bucket_shift_, target, 0, false);
+}
+
+bool within_portable(const Estimator& estimator, util::BytesView target, std::size_t limit) {
+  return light_scan<true>(util::as_view(*estimator.base_), estimator.index_,
+                          estimator.bucket_shift_, target, limit, false) <= limit;
 }
 
 }  // namespace detail
@@ -301,6 +343,11 @@ EncodeResult Encoder::encode(util::BytesView target) const {
 std::size_t Encoder::encode_size(util::BytesView target) const {
   return rolling::encode_size_rolling(impl_->footprints, util::as_view(*impl_->base_bytes),
                                       target);
+}
+
+std::vector<bool> Encoder::coverage(util::BytesView target) const {
+  return rolling::coverage_rolling(impl_->footprints, util::as_view(*impl_->base_bytes),
+                                   target);
 }
 
 EncodeResult encode(util::BytesView base, util::BytesView target) {

@@ -4,15 +4,17 @@
 //   Encoder    writes every delta the system sends. It is the Karp-Rabin
 //              correcting matcher of Ajtai, Burns, Fagin, Long & Stockmeyer
 //              (delta/rolling.hpp): a 16-byte rolling window, copies of at
-//              least 32 bytes, bounded backward correction. It also reports
-//              which 4-byte base chunks its COPYs covered — exactly the
-//              commonality signal the anonymization process (§V) counts
-//              across documents.
+//              least 32 bytes, bounded backward correction. Its coverage()
+//              reports which 4-byte base chunks the same COPYs cover —
+//              exactly the commonality signal the anonymization process (§V)
+//              counts across documents.
 //   Estimator  only estimates closeness, for class grouping (§III) and
 //              base-file selection (§IV): the Vdelta-style "light" differ
 //              that uses larger byte-chunks (8-byte keys over every 8th base
 //              position, 4 chain probes, 16-byte minimum match) and scans the
-//              target forward only. It returns a size and writes nothing.
+//              target forward only. It returns a size and writes nothing;
+//              within() stops the same scan once it knows whether the size
+//              passes a limit, which is all a grouping probe asks.
 //
 // Each has one fixed parameterization. The base-file of a class changes only
 // on rebase/anonymize but is delta'd against on every request, so both own
@@ -46,9 +48,11 @@ class Estimator;
 
 namespace detail {
 
-/// Estimator::estimate() through the portable popcount whatever the host
-/// supports, so tests can hold it to the popcnt scan the host dispatches to.
+/// Estimator::estimate() and within() through the portable popcount whatever
+/// the host supports, so tests can hold them to the popcnt scans the host
+/// dispatches to.
 std::size_t estimate_portable(const Estimator& estimator, util::BytesView target);
+bool within_portable(const Estimator& estimator, util::BytesView target, std::size_t limit);
 
 }  // namespace detail
 
@@ -70,9 +74,6 @@ class CorruptDelta : public std::runtime_error {
 
 struct EncodeResult {
   util::Bytes delta;
-  /// chunk_used[i] == true iff base chunk [4i, 4i+4) was fully contained in
-  /// some COPY instruction. Sized ceil(base_size / 4).
-  std::vector<bool> chunk_used;
   std::size_t copy_bytes = 0;  ///< target bytes produced by COPY
   std::size_t add_bytes = 0;   ///< target bytes produced by ADD
 };
@@ -120,6 +121,12 @@ class Encoder {
   /// materializing the wire bytes. Exactly encode(target).delta.size().
   std::size_t encode_size(util::BytesView target) const;
 
+  /// The base chunks encode(target)'s COPYs cover, without writing the delta
+  /// or its target crc: entry i is set iff base chunk [4i, 4i + 4) lies
+  /// wholly inside one COPY. Sized ceil(base size / 4). The anonymizer's
+  /// commonality signal (§V).
+  std::vector<bool> coverage(util::BytesView target) const;
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -141,6 +148,12 @@ class Estimator {
   /// owned base to `target`: the grouping-time closeness estimate.
   std::size_t estimate(util::BytesView target) const;
 
+  /// Exactly estimate(target) <= limit, by the same forward scan stopped at
+  /// its verdict: no once the literal bytes owed since the last COPY already
+  /// pass `limit`, yes once a COPY leaves the rest sendable as one literal
+  /// run within it (docs/PERFORMANCE.md has the bound). The grouping probe.
+  bool within(util::BytesView target, std::size_t limit) const;
+
   /// Bytes of the index, in one allocation: the bucket bitmap and its ranks,
   /// one run offset per non-empty bucket plus one, and one slot index per
   /// kept slot. Ranks, offsets and indexes are 2 bytes each when the base is
@@ -152,6 +165,7 @@ class Estimator {
 
  private:
   friend std::size_t detail::estimate_portable(const Estimator&, util::BytesView);
+  friend bool detail::within_portable(const Estimator&, util::BytesView, std::size_t);
 
   std::shared_ptr<const util::Bytes> base_;
   /// Every 8th base position is a slot. Only the first 4 slots of each

@@ -95,17 +95,6 @@ struct RollInst {
   std::size_t len = 0;
 };
 
-void mark_chunks(std::vector<bool>& chunk_used, std::size_t addr, std::size_t len) {
-  // Mark chunks fully contained in [addr, addr + len). One fill: libstdc++
-  // writes a vector<bool> range as whole words, not one bit at a time.
-  const std::size_t first = (addr + kAnonChunkSize - 1) / kAnonChunkSize;
-  const std::size_t end = std::min((addr + len) / kAnonChunkSize, chunk_used.size());
-  if (first >= end) return;
-  const auto begin = chunk_used.begin();
-  std::fill(begin + static_cast<std::ptrdiff_t>(first), begin + static_cast<std::ptrdiff_t>(end),
-            true);
-}
-
 /// The matcher: one rolling scan of the target over a footprint table's
 /// index, returning the instruction tiling. Verified matches extend forward,
 /// then backwards (bounded), and the already-emitted tail is rewritten to
@@ -331,12 +320,13 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
   const std::vector<RollInst> insts = match(table, base, target);
 
   EncodeResult result;
-  result.chunk_used.assign((base.size() + kAnonChunkSize - 1) / kAnonChunkSize, false);
   util::Bytes& out = result.delta;
   // The exact size up front: the buffer is allocated once, not grown.
   const std::size_t size = wire_size(insts, base, target);
   out.reserve(size);
-  util::append(out, std::string_view("CBD1"));
+  // assign, not append: GCC 12 warns (-Wstringop-overflow) that an insert
+  // into the freshly reserved buffer overflows it.
+  out.assign({'C', 'B', 'D', '1'});
   util::put_uvarint(out, base.size());
   util::put_uvarint(out, target.size());
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(base_crc >> (8 * i)));
@@ -349,7 +339,6 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
       util::put_uvarint(out, (inst.len << 1) | 1);
       util::put_uvarint(out, inst.addr);
       result.copy_bytes += inst.len;
-      mark_chunks(result.chunk_used, inst.addr, inst.len);
     } else {
       util::put_uvarint(out, inst.len << 1);
       util::append(out, target.subspan(inst.start, inst.len));
@@ -364,6 +353,23 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
 std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView base,
                                 util::BytesView target) {
   return wire_size(match(table, base, target), base, target);
+}
+
+std::vector<bool> coverage_rolling(const FootprintTable& table, util::BytesView base,
+                                   util::BytesView target) {
+  std::vector<bool> used((base.size() + kAnonChunkSize - 1) / kAnonChunkSize, false);
+  for (const RollInst& inst : match(table, base, target)) {
+    if (!inst.is_copy) continue;
+    // Mark chunks fully contained in [addr, addr + len). One fill: libstdc++
+    // writes a vector<bool> range as whole words, not one bit at a time.
+    const std::size_t first = (inst.addr + kAnonChunkSize - 1) / kAnonChunkSize;
+    const std::size_t end = std::min((inst.addr + inst.len) / kAnonChunkSize, used.size());
+    if (first < end) {
+      std::fill(used.begin() + static_cast<std::ptrdiff_t>(first),
+                used.begin() + static_cast<std::ptrdiff_t>(end), true);
+    }
+  }
+  return used;
 }
 
 namespace detail {

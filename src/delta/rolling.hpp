@@ -102,7 +102,7 @@ class FootprintTable {
 };
 
 /// Encode `target` against `base` (`table` must have been built over
-/// `base`). Emits CBD1 wire bytes plus COPY coverage of the base.
+/// `base`). Emits CBD1 wire bytes.
 EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
                             std::uint32_t base_crc, util::BytesView target);
 
@@ -111,6 +111,12 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
 /// matcher rewrites its own tail, so sizes cannot stream).
 std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView base,
                                 util::BytesView target);
+
+/// The base chunks encode_rolling()'s COPYs cover, by the same match: entry
+/// i is set iff chunk [4i, 4i + 4) lies wholly inside one COPY. Sized
+/// ceil(base.size() / 4).
+std::vector<bool> coverage_rolling(const FootprintTable& table, util::BytesView base,
+                                   util::BytesView target);
 
 namespace detail {
 

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/class_manager.hpp"
 #include "trace/document.hpp"
 #include "trace/site.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace cbde::core {
 namespace {
@@ -209,6 +215,153 @@ TEST(ClassManager, InvalidConfigRejected) {
   GroupingConfig bad3;
   bad3.match_threshold = 0.0;
   EXPECT_THROW(ClassManager(bad3, 1), std::invalid_argument);
+}
+
+/// The candidate order ClassManager kept before it indexed classes by
+/// (server-part, hint-part): a scan of every class of the server-part for
+/// the hint, a stable sort by member count, then the seeded shuffle of all
+/// but the popular prefix.
+class HostScanCandidates {
+ public:
+  HostScanCandidates(GroupingConfig config, std::uint64_t seed)
+      : config_(config), seed_(seed) {}
+
+  std::vector<ClassId> candidates(const std::string& server_part,
+                                  const std::string& hint_part) {
+    const auto server_it = by_server_.find(server_part);
+    if (server_it == by_server_.end()) return {};
+    std::vector<ClassId> eligible;
+    for (const auto& [id, hint] : server_it->second) {
+      if (hint == hint_part) eligible.push_back(id);
+    }
+    if (eligible.empty()) {
+      ++fallbacks;
+      for (const auto& [id, hint] : server_it->second) eligible.push_back(id);
+    }
+    std::stable_sort(eligible.begin(), eligible.end(),
+                     [this](ClassId a, ClassId b) { return members_[a] > members_[b]; });
+    const std::size_t n_popular = std::min(
+        eligible.size(), static_cast<std::size_t>(config_.popular_fraction *
+                                                  static_cast<double>(config_.max_tries)));
+    util::Rng shuffle_rng(pair_seed(
+        server_part, hint_part,
+        0x5A5A5A5A00000000ull ^ shuffle_ordinals_[{server_part, hint_part}]++));
+    shuffle_rng.shuffle(eligible.begin() + static_cast<std::ptrdiff_t>(n_popular),
+                        eligible.end());
+    if (eligible.size() > config_.max_tries) eligible.resize(config_.max_tries);
+    return eligible;
+  }
+
+  ClassId create(const std::string& server_part, const std::string& hint_part) {
+    const ClassId id = next_id_++;
+    members_[id] = 0;
+    seeds_[id] = pair_seed(server_part, hint_part, creations_[{server_part, hint_part}]++);
+    by_server_[server_part].emplace_back(id, hint_part);
+    return id;
+  }
+  ClassId add_manual(const std::string& server_part, const std::string& hint_part) {
+    const auto it = manual_.find({server_part, hint_part});
+    if (it != manual_.end()) return it->second;
+    return manual_[{server_part, hint_part}] = create(server_part, hint_part);
+  }
+  ClassId manual(const std::string& server_part, const std::string& hint_part) const {
+    const auto it = manual_.find({server_part, hint_part});
+    return it == manual_.end() ? 0 : it->second;
+  }
+  void bump(ClassId id) { ++members_[id]; }
+  const std::map<ClassId, std::uint64_t>& members() const { return members_; }
+  std::uint64_t seed_of(ClassId id) const { return seeds_.at(id); }
+
+  std::size_t fallbacks = 0;  ///< candidate lists taken from every class
+
+ private:
+  std::uint64_t pair_seed(const std::string& server_part, const std::string& hint_part,
+                          std::uint64_t ordinal) const {
+    std::uint64_t state =
+        seed_ ^ util::fnv1a64(hint_part, util::fnv1a64(server_part)) ^ ordinal;
+    return util::splitmix64(state);
+  }
+
+  GroupingConfig config_;
+  std::uint64_t seed_;
+  ClassId next_id_ = 1;
+  std::map<std::string, std::vector<std::pair<ClassId, std::string>>> by_server_;
+  std::map<ClassId, std::uint64_t> members_;
+  std::map<ClassId, std::uint64_t> seeds_;
+  std::map<std::pair<std::string, std::string>, ClassId> manual_;
+  std::map<std::pair<std::string, std::string>, std::uint64_t> shuffle_ordinals_;
+  std::map<std::pair<std::string, std::string>, std::uint64_t> creations_;
+};
+
+TEST(ClassManager, CandidateOrderMatchesTheHostScan) {
+  // A random mix of servers, hints (new ones keep arriving, so the
+  // every-class fallback runs often, over hundreds of classes) and manual
+  // classes. Each probe is skipped (no base yet), matches or misses at
+  // random. The classes probed, in order, must be a prefix of the host
+  // scan's candidates, ending at the match or covering them all, and every
+  // class's members and seed must agree.
+  const GroupingConfig config;
+  ClassManager manager(config, 77);
+  HostScanCandidates reference(config, 77);
+  util::Rng rng(2030);
+  Bytes doc(4096);
+  Bytes other(4096);
+  for (auto& b : doc) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (auto& b : other) b = static_cast<std::uint8_t>(rng.next_below(256));
+  const delta::Estimator matching(doc);  // a few bytes: within any limit
+  const delta::Estimator missing(other);  // about the document's size
+  const std::vector<std::string> servers{"www.a.com", "www.b.com", "shop.c.com"};
+  std::size_t manual_hits = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string& server = servers[rng.next_below(servers.size())];
+    const std::string hint = "h" + std::to_string(rng.next_below(1 + rng.next_below(400)));
+    if (rng.next_below(60) == 0) {
+      EXPECT_EQ(manager.add_manual_class(server, hint), reference.add_manual(server, hint));
+      continue;
+    }
+    std::vector<ClassId> probed;
+    std::size_t tries = 0;
+    const auto decision = manager.group(
+        parts(server, hint), as_view(doc), [&](ClassId id) -> const delta::Estimator* {
+          probed.push_back(id);
+          switch (rng.next_below(8)) {
+            case 0:
+              return nullptr;
+            case 1:
+              ++tries;
+              return &matching;
+            default:
+              ++tries;
+              return &missing;
+          }
+        });
+    EXPECT_EQ(decision.tries, tries);
+    if (const ClassId manual = reference.manual(server, hint); manual != 0) {
+      EXPECT_EQ(decision.id, manual);
+      EXPECT_TRUE(probed.empty());
+      reference.bump(manual);
+      ++manual_hits;
+      continue;
+    }
+    const std::vector<ClassId> order = reference.candidates(server, hint);
+    ASSERT_LE(probed.size(), order.size()) << "request " << i;
+    ASSERT_TRUE(std::equal(probed.begin(), probed.end(), order.begin())) << "request " << i;
+    if (decision.created) {
+      EXPECT_EQ(probed.size(), order.size());
+      EXPECT_EQ(decision.id, reference.create(server, hint));
+    } else {
+      EXPECT_EQ(decision.id, probed.back());
+    }
+    reference.bump(decision.id);
+  }
+  ASSERT_EQ(manager.num_classes(), reference.members().size());
+  for (const auto& [id, members] : reference.members()) {
+    EXPECT_EQ(manager.members_of(id), members) << "class " << id;
+    EXPECT_EQ(manager.class_seed(id), reference.seed_of(id)) << "class " << id;
+  }
+  EXPECT_GT(manager.num_classes(), 200u);
+  EXPECT_GT(reference.fallbacks, 100u);
+  EXPECT_GT(manual_hits, 10u);
 }
 
 TEST(ClassManager, ClassCountStaysFarBelowDocumentCount) {

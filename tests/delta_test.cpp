@@ -148,24 +148,24 @@ TEST(Delta, CoverageMarksSharedChunksOnly) {
   const std::string unique_part = "UNIQ" + std::string(4092, 'u');
   const Bytes base = to_bytes(shared + unique_part);
   const Bytes target = to_bytes("prefix " + shared + " suffix");
-  const auto result = encode(as_view(base), as_view(target));
-  EXPECT_EQ(apply(as_view(base), as_view(result.delta)), target);
+  const Encoder encoder(base);
+  EXPECT_EQ(apply(as_view(base), as_view(encoder.encode(as_view(target)).delta)), target);
+  const std::vector<bool> used = encoder.coverage(as_view(target));
 
   const std::size_t shared_chunks = shared.size() / kAnonChunkSize;
   std::size_t covered_shared = 0;
-  for (std::size_t c = 0; c < shared_chunks; ++c) covered_shared += result.chunk_used[c];
+  for (std::size_t c = 0; c < shared_chunks; ++c) covered_shared += used[c];
   EXPECT_GT(covered_shared, shared_chunks * 9 / 10);
 
   // Chunks wholly inside the unique half must not be marked.
-  for (std::size_t c = shared_chunks + 1; c < result.chunk_used.size() - 1; ++c) {
-    EXPECT_FALSE(result.chunk_used[c]) << "chunk " << c;
+  for (std::size_t c = shared_chunks + 1; c < used.size() - 1; ++c) {
+    EXPECT_FALSE(used[c]) << "chunk " << c;
   }
 }
 
 TEST(Delta, CoverageSizeMatchesBase) {
   const Bytes base = random_bytes(11, 1001);  // non-multiple of 4
-  const auto result = encode(as_view(base), as_view(base));
-  EXPECT_EQ(result.chunk_used.size(), (base.size() + 3) / 4);
+  EXPECT_EQ(Encoder(base).coverage(as_view(base)).size(), (base.size() + 3) / 4);
 }
 
 // ------------------------------------------------------------ base coverage
@@ -179,13 +179,12 @@ TEST(Delta, SelfCopiesDoNotPolluteBaseCoverage) {
   s += "unique ";
   for (int i = 0; i < 100; ++i) s += "selfselfself";
   const Bytes target = to_bytes(s);
-  const auto result = encode(as_view(base), as_view(target));
-  EXPECT_EQ(apply(as_view(base), as_view(result.delta)), target);
+  const Encoder encoder(base);
+  EXPECT_EQ(apply(as_view(base), as_view(encoder.encode(as_view(target)).delta)), target);
   // The trailing base chunks ("shared-tail-content") never matched.
+  const std::vector<bool> used = encoder.coverage(as_view(target));
   bool tail_marked = false;
-  for (std::size_t c = 1024; c < result.chunk_used.size(); ++c) {
-    tail_marked |= result.chunk_used[c];
-  }
+  for (std::size_t c = 1024; c < used.size(); ++c) tail_marked |= used[c];
   EXPECT_FALSE(tail_marked);
 }
 
@@ -281,7 +280,6 @@ TEST(Encoder, GoldenByteIdenticalToOneShotAndRoundTrips) {
     const Encoder cached(base);
     const auto from_cache = cached.encode(as_view(target));
     EXPECT_EQ(from_cache.delta, one_shot.delta);
-    EXPECT_EQ(from_cache.chunk_used, one_shot.chunk_used);
     EXPECT_EQ(from_cache.copy_bytes, one_shot.copy_bytes);
     EXPECT_EQ(from_cache.add_bytes, one_shot.add_bytes);
     EXPECT_EQ(cached.encode_size(as_view(target)), one_shot.delta.size());
@@ -383,9 +381,10 @@ TEST(Encoder, PinnedDeltasAndCoverageOverSeededCorpus) {
     const EncodeResult r = encode(as_view(base), as_view(target));
     crc = util::crc32(as_view(r.delta), crc);
     delta_bytes += r.delta.size();
-    Bytes bits((r.chunk_used.size() + 7) / 8, 0);
-    for (std::size_t c = 0; c < r.chunk_used.size(); ++c) {
-      if (r.chunk_used[c]) bits[c / 8] |= static_cast<std::uint8_t>(1u << (c % 8));
+    const std::vector<bool> used = Encoder(base).coverage(as_view(target));
+    Bytes bits((used.size() + 7) / 8, 0);
+    for (std::size_t c = 0; c < used.size(); ++c) {
+      if (used[c]) bits[c / 8] |= static_cast<std::uint8_t>(1u << (c % 8));
     }
     crc = util::crc32(as_view(bits), crc);
   }
@@ -520,6 +519,29 @@ TEST(Estimator, PortableScanMatchesPopcntScan) {
   }
   EXPECT_GE(narrow_bases, 2u);
   EXPECT_GE(pairs.size() - narrow_bases, 2u);
+}
+
+TEST(Estimator, WithinAgreesWithEstimate) {
+  // within() stops its scan at the verdict, and the verdict must be the
+  // full estimate's: at the estimate, a byte either side of it, the grouping
+  // probe's limit (half the target) and both extremes, in both directions of
+  // every pinned pair, through the popcnt and the portable kernels.
+  std::vector<std::pair<Bytes, Bytes>> pairs = golden_pairs();
+  for (auto& pair : large_base_pairs()) pairs.push_back(std::move(pair));
+  for (const auto& [base, target] : pairs) {
+    for (const auto& [from, to] : {std::pair{&base, &target}, std::pair{&target, &base}}) {
+      const Estimator estimator(*from);
+      const util::BytesView t = as_view(*to);
+      const std::size_t e = estimator.estimate(t);
+      for (const std::size_t limit :
+           {std::size_t{0}, e - 1, e, e + 1, t.size() / 2, SIZE_MAX}) {
+        EXPECT_EQ(estimator.within(t, limit), e <= limit)
+            << "estimate " << e << ", limit " << limit << ", target " << t.size();
+        EXPECT_EQ(detail::within_portable(estimator, t, limit), e <= limit)
+            << "estimate " << e << ", limit " << limit << ", target " << t.size();
+      }
+    }
+  }
 }
 
 TEST(Estimator, IndexSizedToBase) {

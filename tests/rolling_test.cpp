@@ -232,11 +232,11 @@ TEST(Rolling, EncoderClassMatchesFreeFunction) {
 
 TEST(Rolling, ChunkUsageReportedForAnonymization) {
   const auto [base, target] = template_pair(12);
-  const auto result = encode(as_view(base), as_view(target));
+  const std::vector<bool> coverage = Encoder(base).coverage(as_view(target));
   std::size_t used = 0;
-  for (const bool u : result.chunk_used) used += u ? 1 : 0;
+  for (const bool u : coverage) used += u ? 1 : 0;
   // Both shared blocks were copied, so most base chunks are marked.
-  EXPECT_GT(used, result.chunk_used.size() / 2);
+  EXPECT_GT(used, coverage.size() / 2);
 }
 
 TEST(Rolling, DeltaSizeWithinFactorOfHashChain) {
@@ -449,9 +449,10 @@ TEST(Rolling, PinnedTablesAndDeltasOverLargeBases) {
     ASSERT_EQ(apply(as_view(base), as_view(r.delta)), target);
     crc = util::crc32(as_view(r.delta), crc);
     delta_bytes += r.delta.size();
-    Bytes bits((r.chunk_used.size() + 7) / 8, 0);
-    for (std::size_t c = 0; c < r.chunk_used.size(); ++c) {
-      if (r.chunk_used[c]) bits[c / 8] |= static_cast<std::uint8_t>(1u << (c % 8));
+    const std::vector<bool> used = encoder.coverage(as_view(target));
+    Bytes bits((used.size() + 7) / 8, 0);
+    for (std::size_t c = 0; c < used.size(); ++c) {
+      if (used[c]) bits[c / 8] |= static_cast<std::uint8_t>(1u << (c % 8));
     }
     crc = util::crc32(as_view(bits), crc);
     size_total += encoder.encode_size(as_view(target)) + encoder.encode_size(as_view(base));
