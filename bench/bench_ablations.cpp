@@ -73,7 +73,7 @@ void ablation_light_vs_full() {
         const auto t0 = std::chrono::steady_clock::now();
         const std::size_t light = estimator.estimate(util::as_view(doc));
         const auto t1 = std::chrono::steady_clock::now();
-        const std::size_t full = encoder.encode_size(util::as_view(doc));
+        const std::size_t full = encoder.encode(util::as_view(doc)).delta.size();
         const auto t2 = std::chrono::steady_clock::now();
         light_s += secs(t0, t1);
         full_s += secs(t1, t2);

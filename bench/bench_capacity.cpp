@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <future>
 #include <string>
 #include <thread>
@@ -334,12 +333,7 @@ int run_workers_mode(const std::vector<std::size_t>& worker_counts,
   }
   json.field("byte_parity", static_cast<std::size_t>(parity ? 1 : 0));
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << json.finish();
+  if (!bench::write_file(out_path, json.finish())) return 1;
   std::printf("wrote %s\n", out_path.c_str());
 
   // Telemetry sidecars next to the JSON: the full per-window records as
@@ -351,22 +345,20 @@ int run_workers_mode(const std::vector<std::size_t>& worker_counts,
   }
   const std::string ts_path = stem + "_timeseries.jsonl";
   const std::string profile_path = stem + "_profile.json";
-  {
-    std::ofstream ts(ts_path);
-    for (const ReplayResult& r : runs) {
-      for (const obs::TimeSeriesWindow& w : r.windows) {
-        ts << obs::TimeSeriesRecorder::to_jsonl(w);
-      }
+  std::string windows;
+  for (const ReplayResult& r : runs) {
+    for (const obs::TimeSeriesWindow& w : r.windows) {
+      windows += obs::TimeSeriesRecorder::to_jsonl(w);
     }
   }
-  {
-    std::vector<std::pair<std::string, const obs::SpanProfile*>> profiles;
-    profiles.reserve(runs.size());
-    for (const ReplayResult& r : runs) {
-      profiles.emplace_back("workers_" + std::to_string(r.workers), &r.profile);
-    }
-    std::ofstream prof(profile_path);
-    prof << obs::SpanProfile::speedscope_document(profiles) << "\n";
+  std::vector<std::pair<std::string, const obs::SpanProfile*>> profiles;
+  profiles.reserve(runs.size());
+  for (const ReplayResult& r : runs) {
+    profiles.emplace_back("workers_" + std::to_string(r.workers), &r.profile);
+  }
+  if (!bench::write_file(ts_path, windows) ||
+      !bench::write_file(profile_path, obs::SpanProfile::speedscope_document(profiles) + "\n")) {
+    return 1;
   }
   std::printf("wrote %s and %s\n", ts_path.c_str(), profile_path.c_str());
 

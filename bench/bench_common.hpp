@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,17 @@ inline void print_title(const std::string& title) {
 }
 
 inline double to_kb(std::uint64_t bytes) { return static_cast<double>(bytes) / 1024.0; }
+
+/// Writes `text` to `path`. Prints "cannot write PATH" and returns false
+/// when the file cannot be opened, written or flushed (a full disk fails
+/// only at the flush, in close()).
+inline bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (!out) std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return static_cast<bool>(out);
+}
 
 /// Minimal nested-object JSON emitter for the BENCH_*.json artifacts
 /// (machine-readable perf numbers tracked across commits).

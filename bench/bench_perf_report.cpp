@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -300,17 +299,6 @@ int main(int argc, char** argv) {
   {
     std::size_t size = 0;
     const double ns = time_op(3, iters, [&] {
-      size = cached.encode_size(util::as_view(cross));
-    });
-    json.open("encode_size_cached_cross");
-    json.field("ns_per_op", ns);
-    json.field("delta_bytes", size);
-    json.close();
-    std::printf("%-28s %12.0f ns   (size %zu B)\n", "encode_size_cached_cross", ns, size);
-  }
-  {
-    std::size_t size = 0;
-    const double ns = time_op(3, iters, [&] {
       size = delta::estimate_delta_size(util::as_view(base), util::as_view(cross));
     });
     json.open("estimate_light");
@@ -578,21 +566,11 @@ int main(int argc, char** argv) {
   json.close();
 
   if (!metrics_out.empty()) {
-    std::ofstream prom(metrics_out);
-    if (!prom) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-      return 1;
-    }
-    prom << dumped.prometheus;
+    if (!bench::write_file(metrics_out, dumped.prometheus)) return 1;
     std::printf("wrote %s\n", metrics_out.c_str());
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << json.finish();
+  if (!bench::write_file(out_path, json.finish())) return 1;
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

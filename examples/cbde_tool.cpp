@@ -26,9 +26,10 @@ Bytes read_file(const std::string& path) {
 
 void write_file(const std::string& path, const Bytes& data) {
   std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot write " + path);
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
+  out.close();  // flushes: a full device fails here, not at the write
+  if (!out) throw std::runtime_error("cannot write " + path);
 }
 
 int usage() {

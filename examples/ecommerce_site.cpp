@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/baselines.hpp"
 #include "core/simulation.hpp"
 
 int main(int argc, char** argv) {
@@ -36,12 +37,18 @@ int main(int argc, char** argv) {
 
   core::PipelineConfig config;
   core::Pipeline pipeline(origin, config, rules);
+  // Basic delta-encoding over the same requests, for its storage: one base
+  // per (user, URL).
+  core::ClasslessDeltaBaseline classless(origin);
 
   trace::WorkloadConfig wconfig;
   wconfig.num_requests = num_requests;
   wconfig.num_users = 150;
   wconfig.zipf_alpha = 1.0;
-  pipeline.process_all(trace::WorkloadGenerator(shop, wconfig).generate());
+  for (const trace::Request& req : trace::WorkloadGenerator(shop, wconfig).generate()) {
+    pipeline.process(req.user_id, req.url, req.time);
+    classless.process(req.user_id, req.url, req.time);
+  }
 
   const auto report = pipeline.report();
   std::printf("requests processed      : %llu (every delta reconstruction verified)\n",
@@ -65,7 +72,7 @@ int main(int argc, char** argv) {
   std::printf("server-side storage     : %.0f KB (classless delta-encoding would "
               "need %.0f KB)\n",
               static_cast<double>(report.storage_bytes) / 1024.0,
-              static_cast<double>(report.classless_storage_bytes) / 1024.0);
+              static_cast<double>(classless.storage_bytes()) / 1024.0);
   std::printf("modem latency           : %.2f s -> %.2f s mean per page (%.1fx faster)\n",
               report.latency_direct_us.mean() / 1e6,
               report.latency_actual_us.mean() / 1e6, report.mean_latency_ratio());

@@ -33,6 +33,11 @@ int main(int argc, char** argv) {
     const auto requests = trace::WorkloadGenerator(site, wconfig).generate();
     std::ofstream out(path);
     trace::write_access_log(out, trace::to_records(requests, site));
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", path);
+      return 1;
+    }
     std::printf("wrote synthetic access log: %s (%zu requests)\n", path,
                 requests.size());
   }

@@ -2,7 +2,6 @@
 
 #include "netsim/tcp_model.hpp"
 #include "util/contracts.hpp"
-#include "util/hash.hpp"
 
 namespace cbde::core {
 namespace {
@@ -43,25 +42,6 @@ void Pipeline::process(std::uint64_t user_id, const http::Url& url, util::SimTim
 
   ServedResponse resp = delta_server_.serve(user_id, url, util::as_view(*doc), now);
   client::ClientAgent& agent = clients_[user_id];
-
-  // Classless-storage comparison (§I, §VI-B): basic delta-encoding would
-  // store one base-file per (user, URL). The key chains fnv1a64 over the URL
-  // fields; FNV is byte-sequential, so chaining equals hashing the
-  // concatenation without materializing it.
-  {
-    constexpr std::string_view kFieldSep{"\0", 1};
-    std::uint64_t key = util::fnv1a64(url.scheme, user_id ^ 0xABCDEF12345ull);
-    key = util::fnv1a64(kFieldSep, key);
-    key = util::fnv1a64(url.host, key);
-    key = util::fnv1a64(kFieldSep, key);
-    key = util::fnv1a64(url.path, key);
-    key = util::fnv1a64(kFieldSep, key);
-    key = util::fnv1a64(url.query, key);
-    std::size_t& stored = classless_docs_[key];
-    partial_.classless_storage_bytes += doc->size();
-    partial_.classless_storage_bytes -= stored;
-    stored = doc->size();
-  }
 
   std::size_t base_transfer = 0;
   if (resp.mode == ServedResponse::Mode::kDelta && resp.base_needed) {

@@ -46,8 +46,7 @@ struct PipelineReport {
   util::Samples latency_direct_us;  ///< per-request latency without the scheme
   util::Samples latency_actual_us;  ///< with class-based delta-encoding
 
-  std::size_t storage_bytes = 0;           ///< delta-server footprint
-  std::size_t classless_storage_bytes = 0; ///< basic delta-encoding footprint
+  std::size_t storage_bytes = 0;  ///< delta-server footprint
   std::size_t num_classes = 0;
 
   /// Outbound-traffic savings charged to the origin server (Table II):
@@ -96,9 +95,6 @@ class Pipeline {
   DeltaServer delta_server_;
   proxy::LruCache base_cache_;
   std::map<std::uint64_t, client::ClientAgent> clients_;
-  /// Distinct (user, URL) -> last document size, for the classless-storage
-  /// comparison.
-  std::map<std::uint64_t, std::size_t> classless_docs_;
   PipelineReport partial_;  // incrementally filled; report() adds the counts
   Instruments instr_;
 };

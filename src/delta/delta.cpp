@@ -149,20 +149,25 @@ Estimator::Estimator(std::shared_ptr<const util::Bytes> base) : base_(std::move(
 
 namespace {
 
-/// Estimator::estimate()'s scan over an index of Entry-wide offsets and slot
-/// indexes. With kBounded it is within()'s scan: it stops at its verdict on
-/// `limit`, returning a lower bound of the estimate above `limit` or an upper
-/// bound within it, so its result falls on the same side of `limit` as the
-/// estimate. estimate() compiles without those checks. Always inlined into
-/// one of the two entry points below, so kPopcnt's instruction is compiled
-/// only where the target attribute allows it (as for the encoder's scan,
-/// rolling.cpp).
-template <bool kPopcnt, bool kBounded, class Entry>
-[[gnu::always_inline]] inline std::size_t light_estimate(util::BytesView base,
-                                                         const RankBitmap<Entry>& index,
-                                                         unsigned bucket_shift,
-                                                         util::BytesView target,
-                                                         std::size_t limit) {
+/// Estimator::estimate()'s scan, as a scan policy for scan_index
+/// (rank_bitmap.hpp), over an index of Entry-wide offsets and slot indexes.
+/// With kBounded it is within()'s scan: it stops at its verdict on `limit`,
+/// returning a lower bound of the estimate above `limit` or an upper bound
+/// within it, so its result falls on the same side of `limit` as the
+/// estimate. estimate() compiles without those checks.
+template <bool kBounded>
+struct LightScan {
+  template <bool kPopcnt, class Entry>
+  [[gnu::always_inline]] static std::size_t run(const RankBitmap<Entry>& index,
+                                                util::BytesView base, unsigned bucket_shift,
+                                                util::BytesView target, std::size_t limit);
+};
+
+template <bool kBounded>
+template <bool kPopcnt, class Entry>
+inline std::size_t LightScan<kBounded>::run(const RankBitmap<Entry>& index,
+                                            util::BytesView base, unsigned bucket_shift,
+                                            util::BytesView target, std::size_t limit) {
   // One forward scan taking the longest of up to kLightChain candidates at
   // each position, counting the bytes each instruction would take.
   const Entry* const offsets = index.entries();
@@ -236,22 +241,11 @@ template <bool kPopcnt, bool kBounded, class Entry>
   return bytes;
 }
 
-#ifdef CBDE_POPCNT_KERNEL
-
-template <bool kBounded, class Entry>
-__attribute__((target("popcnt"))) std::size_t light_estimate_popcnt(
-    util::BytesView base, const RankBitmap<Entry>& index, unsigned bucket_shift,
-    util::BytesView target, std::size_t limit) {
-  return light_estimate<true, kBounded>(base, index, bucket_shift, target, limit);
-}
-
-#endif  // CBDE_POPCNT_KERNEL
-
-/// The scan over either entry width, through the popcnt kernel when `popcnt`
-/// is set and the host has one. The bounded scan's verdicts are exact while
-/// each COPY replaces at least 16 literal bytes by at most 15 bytes of
-/// varints (its length and address and the next literal's length), so
-/// while no size or address needs more than 5 varint bytes; larger inputs
+/// The scan over either entry width, with the popcnt instruction when
+/// `popcnt` is set and the host has it. The bounded scan's verdicts are
+/// exact while each COPY replaces at least 16 literal bytes by at most 15
+/// bytes of varints (its length and address and the next literal's length),
+/// so while no size or address needs more than 5 varint bytes; larger inputs
 /// take the full scan.
 template <bool kBounded>
 std::size_t light_scan(util::BytesView base, const AnyRankBitmap& index,
@@ -262,16 +256,7 @@ std::size_t light_scan(util::BytesView base, const AnyRankBitmap& index,
       return light_scan<false>(base, index, bucket_shift, target, limit, popcnt);
     }
   }
-  return std::visit(
-      [&](const auto& entries) {
-#ifdef CBDE_POPCNT_KERNEL
-        if (popcnt && popcnt_supported()) {
-          return light_estimate_popcnt<kBounded>(base, entries, bucket_shift, target, limit);
-        }
-#endif
-        return light_estimate<false, kBounded>(base, entries, bucket_shift, target, limit);
-      },
-      index);
+  return scan_index<LightScan<kBounded>>(index, popcnt, base, bucket_shift, target, limit);
 }
 
 }  // namespace
@@ -332,17 +317,11 @@ const util::Bytes& Encoder::base() const { return *impl_->base_bytes; }
 const std::shared_ptr<const util::Bytes>& Encoder::shared_base() const {
   return impl_->base_bytes;
 }
-std::uint32_t Encoder::base_crc() const { return impl_->crc; }
 std::size_t Encoder::index_bytes() const { return impl_->footprints.bytes(); }
 
 EncodeResult Encoder::encode(util::BytesView target) const {
   return rolling::encode_rolling(impl_->footprints, util::as_view(*impl_->base_bytes),
                                  impl_->crc, target);
-}
-
-std::size_t Encoder::encode_size(util::BytesView target) const {
-  return rolling::encode_size_rolling(impl_->footprints, util::as_view(*impl_->base_bytes),
-                                      target);
 }
 
 std::vector<bool> Encoder::coverage(util::BytesView target) const {
@@ -401,30 +380,14 @@ util::Bytes apply(util::BytesView base, util::BytesView delta) {
     if (out.size() + len > info.target_size) {
       throw CorruptDelta("delta: output exceeds target size");
     }
-    if ((*tag & 1) != 0) {  // COPY
+    if ((*tag & 1) != 0) {  // COPY of base bytes [addr, addr + len)
       const auto addr = util::get_uvarint(delta, pos);
       if (!addr) throw CorruptDelta("delta: bad copy address");
-      if (*addr >= base.size()) {
-        // Superstring address: copy from the target's own prefix.
-        const auto taddr = static_cast<std::size_t>(*addr) - base.size();
-        if (len > 0 && taddr >= out.size()) {
-          throw CorruptDelta("delta: self-copy past output frontier");
-        }
-        // The prefix up to the current frontier is non-overlapping: append
-        // it in one bulk copy. Only a genuinely overlapping (run-like) span
-        // needs the byte-wise loop. out was reserved to target_size and the
-        // bound above guarantees no reallocation, so self-memcpy is safe.
-        const std::size_t bulk = std::min(len, out.size() - taddr);
-        if (bulk > 0) {
-          const std::size_t old_size = out.size();
-          out.resize(old_size + bulk);
-          std::memcpy(out.data() + old_size, out.data() + taddr, bulk);
-        }
-        for (std::size_t i = bulk; i < len; ++i) out.push_back(out[taddr + i]);
-      } else {
-        if (*addr + len > base.size()) throw CorruptDelta("delta: copy out of range");
-        util::append(out, base.subspan(static_cast<std::size_t>(*addr), len));
+      // Subtraction form: addr + len would wrap for an address near 2^64.
+      if (*addr > base.size() || len > base.size() - *addr) {
+        throw CorruptDelta("delta: copy out of range");
       }
+      util::append(out, base.subspan(static_cast<std::size_t>(*addr), len));
     } else {  // ADD
       if (pos + len > delta.size()) throw CorruptDelta("delta: add out of range");
       util::append(out, delta.subspan(pos, len));

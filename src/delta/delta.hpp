@@ -28,9 +28,8 @@
 //   crc32(base) LE | crc32(target) LE |
 //   instruction*  where instruction = uvarint(len<<1 | is_copy) followed by
 //   uvarint base_addr for COPY or `len` raw bytes for ADD.
-// A COPY address >= base_size reads the target's own decoded prefix (the
-// VCDIFF "superstring" convention). The encoder never emits one, but the
-// decoder accepts it.
+// A COPY reads base bytes [base_addr, base_addr + len), which must lie inside
+// the base: there is no target self-copy.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +84,7 @@ struct EncodeResult {
 /// only on rebase/anonymize) is the difference between a per-request and a
 /// per-rebase cost.
 ///
-/// encode()/encode_size() are const and safe to call concurrently.
+/// encode()/coverage() are const and safe to call concurrently.
 class Encoder {
  public:
   explicit Encoder(util::Bytes base);
@@ -104,8 +103,6 @@ class Encoder {
   /// The owning handle for the base bytes. Never null; copying it is a
   /// refcount bump, not a buffer copy.
   const std::shared_ptr<const util::Bytes>& shared_base() const;
-  /// crc32 of the base, computed once at construction.
-  std::uint32_t base_crc() const;
   /// Bytes of the footprint table, in one allocation: an 8 KB bitmap over
   /// the 2^16 slots, its ranks, and one entry per occupied slot plus one for
   /// a sentinel. Ranks take 2 KB and entries 2 bytes each when the base is
@@ -116,10 +113,6 @@ class Encoder {
   /// Compute the delta that transforms the owned base into `target`.
   /// Byte-identical to the one-shot encode() free function.
   EncodeResult encode(util::BytesView target) const;
-
-  /// Size in bytes of the delta encode() would produce, without
-  /// materializing the wire bytes. Exactly encode(target).delta.size().
-  std::size_t encode_size(util::BytesView target) const;
 
   /// The base chunks encode(target)'s COPYs cover, without writing the delta
   /// or its target crc: entry i is set iff base chunk [4i, 4i + 4) lies

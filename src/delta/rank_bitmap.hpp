@@ -11,6 +11,10 @@
 // An index picks the narrow unit when its base is small enough that every
 // rank and entry fits in 16 bits, which halves the entries of a web page's
 // index.
+//
+// Both scans over such an index, the encoder's match and the estimator's,
+// take their popcounts through one dispatch, scan_index, which picks the
+// unit and whether the popcnt instruction may be used.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +35,7 @@ namespace cbde::delta {
 /// Set bits in `x`. The portable count is three mask-and-add steps and one
 /// multiply: the build names no -march, so std::popcount compiles to a libgcc
 /// call. kPopcnt counts with the popcnt instruction instead, and only a
-/// caller compiled for it (target("popcnt")) may ask for that.
+/// caller compiled for it (target("popcnt"), see scan_index) may ask for that.
 template <bool kPopcnt = false>
 [[gnu::always_inline]] inline unsigned popcount64(std::uint64_t x) {
   if constexpr (kPopcnt) {
@@ -42,20 +46,6 @@ template <bool kPopcnt = false>
     x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
     return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
   }
-}
-
-/// Whether the scans may take their popcnt kernels (target("popcnt")),
-/// chosen once per process from CPUID.
-inline bool popcnt_supported() {
-#ifdef CBDE_POPCNT_KERNEL
-  static const bool supported = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("popcnt");
-  }();
-  return supported;
-#else
-  return false;
-#endif
 }
 
 /// One allocation of Units (std::uint16_t or std::uint32_t): the 64-bit
@@ -140,5 +130,51 @@ class RankBitmap {
 /// An index's storage at the unit its base allows, picked when it is built.
 /// Scans visit it once and take the unit as a template parameter.
 using AnyRankBitmap = std::variant<RankBitmap<std::uint16_t>, RankBitmap<std::uint32_t>>;
+
+namespace detail {
+
+#ifdef CBDE_POPCNT_KERNEL
+
+/// Whether the host has the popcnt instruction, read once per process from
+/// CPUID.
+inline bool popcnt_supported() {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("popcnt");
+  }();
+  return supported;
+}
+
+/// The one function compiled for popcnt per scan and unit: Scan::run is
+/// always inlined into it, and with it every popcount64<true> it reaches.
+template <class Scan, class Unit, class... Args>
+__attribute__((target("popcnt"))) auto run_popcnt(const RankBitmap<Unit>& index,
+                                                  const Args&... args) {
+  return Scan::template run<true>(index, args...);
+}
+
+#endif  // CBDE_POPCNT_KERNEL
+
+}  // namespace detail
+
+/// Scan::run<kPopcnt>(index, args...) over `index` at its unit: with the
+/// popcnt instruction when `popcnt` is set and the host has it, else with
+/// the portable count. Every lookup of a scan takes a popcount, and the
+/// portable one costs a dozen instructions more per scanned position.
+/// Scan::run must be [[gnu::always_inline]], so the instruction is compiled
+/// only into run_popcnt, the one caller whose target attribute allows it.
+template <class Scan, class... Args>
+auto scan_index(const AnyRankBitmap& index, [[maybe_unused]] bool popcnt, const Args&... args) {
+  return std::visit(
+      [&](const auto& unit_index) {
+#ifdef CBDE_POPCNT_KERNEL
+        if (popcnt && detail::popcnt_supported()) {
+          return detail::run_popcnt<Scan>(unit_index, args...);
+        }
+#endif
+        return Scan::template run<false>(unit_index, args...);
+      },
+      index);
+}
 
 }  // namespace cbde::delta

@@ -95,16 +95,21 @@ struct RollInst {
   std::size_t len = 0;
 };
 
-/// The matcher: one rolling scan of the target over a footprint table's
-/// index, returning the instruction tiling. Verified matches extend forward,
-/// then backwards (bounded), and the already-emitted tail is rewritten to
-/// make room. Always inlined into one of the two entry points below, so
-/// kPopcnt's instruction is compiled only where the target attribute allows
-/// it. Entry is the index's unit, std::uint16_t or std::uint32_t.
+/// The matcher, as a scan policy for scan_index (rank_bitmap.hpp): one
+/// rolling scan of the target over a footprint table's index, returning the
+/// instruction tiling. Verified matches extend forward, then backwards
+/// (bounded), and the already-emitted tail is rewritten to make room. Entry
+/// is the index's unit, std::uint16_t or std::uint32_t.
+struct MatchScan {
+  template <bool kPopcnt, class Entry>
+  [[gnu::always_inline]] static std::vector<RollInst> run(const RankBitmap<Entry>& index,
+                                                          util::BytesView base,
+                                                          util::BytesView target);
+};
+
 template <bool kPopcnt, class Entry>
-[[gnu::always_inline]] inline std::vector<RollInst> match_rolling(const RankBitmap<Entry>& index,
-                                                                  util::BytesView base,
-                                                                  util::BytesView target) {
+inline std::vector<RollInst> MatchScan::run(const RankBitmap<Entry>& index,
+                                            util::BytesView base, util::BytesView target) {
   std::vector<RollInst> insts;
   if (target.size() < kWindow || base.size() < kWindow) {
     if (!target.empty()) insts.push_back(RollInst{false, 0, 0, target.size()});
@@ -193,33 +198,11 @@ template <bool kPopcnt, class Entry>
   return insts;
 }
 
-#ifdef CBDE_POPCNT_KERNEL
-
-template <class Entry>
-__attribute__((target("popcnt"))) std::vector<RollInst> match_popcnt(
-    const RankBitmap<Entry>& index, util::BytesView base, util::BytesView target) {
-  return match_rolling<true>(index, base, target);
-}
-
-#endif  // CBDE_POPCNT_KERNEL
-
-std::vector<RollInst> match_portable(const FootprintTable& table, util::BytesView base,
-                                     util::BytesView target) {
-  return table.visit(
-      [&](const auto& index) { return match_rolling<false>(index, base, target); });
-}
-
-/// The scan with the popcnt instruction where the host has it: every
-/// lookup takes a popcount, and the portable one costs a dozen instructions
-/// more per scanned position.
+/// The matcher's tiling of `target`, with the popcnt instruction when
+/// `popcnt` is set and the host has it.
 std::vector<RollInst> match(const FootprintTable& table, util::BytesView base,
-                            util::BytesView target) {
-#ifdef CBDE_POPCNT_KERNEL
-  if (popcnt_supported()) {
-    return table.visit([&](const auto& index) { return match_popcnt(index, base, target); });
-  }
-#endif
-  return match_portable(table, base, target);
+                            util::BytesView target, bool popcnt) {
+  return scan_index<MatchScan>(table.index(), popcnt, base, target);
 }
 
 /// The exact CBD1 size of an instruction tiling.
@@ -315,10 +298,11 @@ FootprintTable::FootprintTable(util::BytesView base) {
   }
 }
 
-EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
-                            std::uint32_t base_crc, util::BytesView target) {
-  const std::vector<RollInst> insts = match(table, base, target);
+namespace {
 
+/// The CBD1 delta of the matcher's tiling of `target`.
+EncodeResult write_delta(const std::vector<RollInst>& insts, util::BytesView base,
+                         std::uint32_t base_crc, util::BytesView target) {
   EncodeResult result;
   util::Bytes& out = result.delta;
   // The exact size up front: the buffer is allocated once, not grown.
@@ -350,15 +334,17 @@ EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
   return result;
 }
 
-std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView base,
-                                util::BytesView target) {
-  return wire_size(match(table, base, target), base, target);
+}  // namespace
+
+EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
+                            std::uint32_t base_crc, util::BytesView target) {
+  return write_delta(match(table, base, target, true), base, base_crc, target);
 }
 
 std::vector<bool> coverage_rolling(const FootprintTable& table, util::BytesView base,
                                    util::BytesView target) {
   std::vector<bool> used((base.size() + kAnonChunkSize - 1) / kAnonChunkSize, false);
-  for (const RollInst& inst : match(table, base, target)) {
+  for (const RollInst& inst : match(table, base, target, true)) {
     if (!inst.is_copy) continue;
     // Mark chunks fully contained in [addr, addr + len). One fill: libstdc++
     // writes a vector<bool> range as whole words, not one bit at a time.
@@ -374,9 +360,9 @@ std::vector<bool> coverage_rolling(const FootprintTable& table, util::BytesView 
 
 namespace detail {
 
-std::size_t encode_size_portable(const FootprintTable& table, util::BytesView base,
-                                 util::BytesView target) {
-  return wire_size(match_portable(table, base, target), base, target);
+EncodeResult encode_portable(const FootprintTable& table, util::BytesView base,
+                             std::uint32_t base_crc, util::BytesView target) {
+  return write_delta(match(table, base, target, false), base, base_crc, target);
 }
 
 }  // namespace detail

@@ -18,13 +18,11 @@
 // multiplier 263. Every table hit is verified byte-for-byte before a COPY is
 // emitted, so collisions cost probes, never correctness.
 //
-// The matcher never references the target itself, so its deltas contain only
-// ADDs and COPYs addressed below the base size: the decoder's superstring
-// (target self-copy) path is reached only by hand-built deltas.
+// The matcher never references the target itself: its deltas hold only ADDs
+// and COPYs of base bytes, the only instructions CBD1 has (delta.hpp).
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <variant>
 #include <vector>
 
@@ -69,21 +67,21 @@ class FootprintTable {
   /// Bases shorter than the window yield an empty table (every probe misses).
   explicit FootprintTable(util::BytesView base);
 
-  /// Calls `f` with the index as a RankBitmap of its unit, so a scan can take
-  /// the entry width as a template parameter.
-  template <class F>
-  decltype(auto) visit(F&& f) const {
-    return std::visit(std::forward<F>(f), index_);
-  }
+  /// The index, at the unit its base allowed: a scan hands it to
+  /// scan_index (rank_bitmap.hpp) and takes the entry width as a template
+  /// parameter.
+  const AnyRankBitmap& index() const { return index_; }
 
   /// First base position whose window fingerprint fell into `fp`'s slot, or
   /// npos. The hit shares a slot only: the caller must verify the window
   /// bytes, which also rejects a different fingerprint in the same slot.
   std::size_t probe(std::uint64_t fp) const {
-    return visit([fp](const auto& index) {
-      const std::size_t pos = index.entries()[index.find(key(fp))];
-      return pos == 0 ? npos : pos - 1;
-    });
+    return std::visit(
+        [fp](const auto& index) {
+          const std::size_t pos = index.entries()[index.find(key(fp))];
+          return pos == 0 ? npos : pos - 1;
+        },
+        index_);
   }
 
   /// The slot of fingerprint `fp`: its key in the index.
@@ -94,7 +92,7 @@ class FootprintTable {
   /// Bytes of the one allocation: the 8 KB bitmap, its ranks (2 or 4 KB) and
   /// 2 or 4 per occupied slot plus the sentinel's.
   std::size_t bytes() const {
-    return visit([](const auto& index) { return index.bytes(); });
+    return std::visit([](const auto& index) { return index.bytes(); }, index_);
   }
 
  private:
@@ -106,12 +104,6 @@ class FootprintTable {
 EncodeResult encode_rolling(const FootprintTable& table, util::BytesView base,
                             std::uint32_t base_crc, util::BytesView target);
 
-/// Exact size of the delta encode_rolling() would produce, without
-/// materializing the wire bytes (the instruction list is still built — the
-/// matcher rewrites its own tail, so sizes cannot stream).
-std::size_t encode_size_rolling(const FootprintTable& table, util::BytesView base,
-                                util::BytesView target);
-
 /// The base chunks encode_rolling()'s COPYs cover, by the same match: entry
 /// i is set iff chunk [4i, 4i + 4) lies wholly inside one COPY. Sized
 /// ceil(base.size() / 4).
@@ -120,10 +112,10 @@ std::vector<bool> coverage_rolling(const FootprintTable& table, util::BytesView 
 
 namespace detail {
 
-/// encode_size_rolling() through the portable popcount whatever the host
+/// encode_rolling() through the portable popcount whatever the host
 /// supports, so tests can hold it to the popcnt scan the host dispatches to.
-std::size_t encode_size_portable(const FootprintTable& table, util::BytesView base,
-                                 util::BytesView target);
+EncodeResult encode_portable(const FootprintTable& table, util::BytesView base,
+                             std::uint32_t base_crc, util::BytesView target);
 
 }  // namespace detail
 

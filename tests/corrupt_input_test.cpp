@@ -86,8 +86,8 @@ TEST(CorruptDelta, CopyPastSourceEnd) {
 TEST(CorruptDelta, SelfCopyPastOutputFrontier) {
   const Bytes base = to_bytes("0123456789abcdef0123456789abcdef");
   Bytes d = cbd1_header(as_view(base), 8, 0);
-  util::put_uvarint(d, (8u << 1) | 1);   // COPY len=8 in superstring space,
-  util::put_uvarint(d, base.size() + 4); // but nothing decoded yet
+  util::put_uvarint(d, (8u << 1) | 1);   // COPY len=8 past the base, where a
+  util::put_uvarint(d, base.size() + 4); // self-copy would find nothing decoded
   EXPECT_THROW((void)delta::apply(as_view(base), as_view(d)), delta::CorruptDelta);
 }
 

@@ -189,7 +189,8 @@ TEST(Delta, SelfCopiesDoNotPolluteBaseCoverage) {
 }
 
 TEST(Delta, MaliciousSelfCopyRejected) {
-  // Hand-craft a delta whose self-copy references the unwritten frontier.
+  // Hand-craft a delta whose COPY starts past the base, where a self-copy
+  // would read the unwritten frontier.
   const Bytes base = to_bytes("0123456789");
   util::Bytes delta;
   util::append(delta, std::string_view("CBD1"));
@@ -197,7 +198,7 @@ TEST(Delta, MaliciousSelfCopyRejected) {
   util::put_uvarint(delta, 100);  // claimed target size
   for (int i = 0; i < 8; ++i) delta.push_back(0);  // crcs (wrong, but later)
   util::put_uvarint(delta, (50u << 1) | 1);        // COPY len 50
-  util::put_uvarint(delta, base.size() + 5);       // self addr 5 > frontier 0
+  util::put_uvarint(delta, base.size() + 5);       // 5 past the base
   EXPECT_THROW(apply(as_view(base), as_view(delta)), CorruptDelta);
 }
 
@@ -272,9 +273,8 @@ std::vector<std::pair<Bytes, Bytes>> golden_corpus() {
 
 TEST(Encoder, GoldenByteIdenticalToOneShotAndRoundTrips) {
   // The cached-table encoder must be a pure amortization: for every corpus
-  // pair its output is byte-for-byte the one-shot encode() output,
-  // encode_size() is exact, and the delta applies back to the target
-  // bit-exactly.
+  // pair its output is byte-for-byte the one-shot encode() output, and the
+  // delta applies back to the target bit-exactly.
   for (const auto& [base, target] : golden_corpus()) {
     const auto one_shot = encode(as_view(base), as_view(target));
     const Encoder cached(base);
@@ -282,7 +282,6 @@ TEST(Encoder, GoldenByteIdenticalToOneShotAndRoundTrips) {
     EXPECT_EQ(from_cache.delta, one_shot.delta);
     EXPECT_EQ(from_cache.copy_bytes, one_shot.copy_bytes);
     EXPECT_EQ(from_cache.add_bytes, one_shot.add_bytes);
-    EXPECT_EQ(cached.encode_size(as_view(target)), one_shot.delta.size());
     EXPECT_EQ(apply(as_view(base), as_view(from_cache.delta)), target);
     // Deterministic: re-encoding through the same cached table cannot
     // change a byte.
@@ -294,20 +293,16 @@ TEST(Encoder, ReportsBaseAndCrc) {
   const Bytes base = random_bytes(77, 4096);
   const Encoder encoder(base);
   EXPECT_EQ(encoder.base(), base);
-  EXPECT_EQ(encoder.base_crc(), util::crc32(as_view(base)));
+  EXPECT_EQ(inspect(as_view(encoder.encode(as_view(base)).delta)).base_crc,
+            util::crc32(as_view(base)));
   const Estimator estimator(base);
   EXPECT_EQ(estimator.base(), base);
   EXPECT_EQ(estimator.shared_base().get(), &estimator.base());
 }
 
 TEST(Encoder, EstimateDeltaSizeMatchesEncodeExactly) {
-  // Both size-only paths are exact, not approximations: encode_size() is
-  // the materialized delta's size, and the one-shot estimate is the cached
-  // estimator's.
+  // The one-shot estimate is exactly the cached estimator's.
   for (const auto& [base, target] : golden_corpus()) {
-    const Encoder encoder(base);
-    EXPECT_EQ(encoder.encode_size(as_view(target)),
-              encode(as_view(base), as_view(target)).delta.size());
     EXPECT_EQ(estimate_delta_size(as_view(base), as_view(target)),
               Estimator(base).estimate(as_view(target)));
   }
@@ -600,19 +595,17 @@ TEST(Delta, TemporalSnapshotsProduceSmallDeltas) {
   EXPECT_LT(result.delta.size() * 5, snap2.size());
 }
 
-// ------------------------------------------- golden self-reference semantics
+// ------------------------------------------------- golden COPY/ADD semantics
 //
-// The CBD1 superstring convention (COPY addresses >= base_size read the
-// target's own already-decoded prefix, overlapping spans decode byte-wise
-// forward) has one consumer, apply, the only CBD1 decoder. The encoder
-// never emits a self-copy, so these goldens pin the semantics against a
-// byte-at-a-time reference decoder: a future "optimization" of apply's
-// bulk-memcpy path cannot silently change them.
+// apply is the only CBD1 decoder, and the encoder's deltas never reach some
+// of what the wire allows (empty instructions, a COPY ending at the base's
+// last byte), so these goldens pin apply against a byte-at-a-time reference
+// decoder on hand-assembled streams.
 
 /// COPY/ADD spec for hand-assembling a CBD1 stream.
 struct GoldenInst {
   bool is_copy = false;
-  std::size_t addr = 0;  // wire address (superstring convention)
+  std::size_t addr = 0;  // base address (COPY)
   std::string literal;   // ADD payload
   std::size_t len = 0;   // COPY length
 };
@@ -623,9 +616,6 @@ Bytes reference_decode(util::BytesView base, const std::vector<GoldenInst>& inst
   for (const GoldenInst& inst : insts) {
     if (!inst.is_copy) {
       for (const char c : inst.literal) out.push_back(static_cast<std::uint8_t>(c));
-    } else if (inst.addr >= base.size()) {
-      const std::size_t taddr = inst.addr - base.size();
-      for (std::size_t i = 0; i < inst.len; ++i) out.push_back(out[taddr + i]);
     } else {
       for (std::size_t i = 0; i < inst.len; ++i) out.push_back(base[inst.addr + i]);
     }
@@ -657,65 +647,96 @@ Bytes assemble_cbd1(util::BytesView base, const std::vector<GoldenInst>& insts,
   return delta;
 }
 
-void expect_golden(util::BytesView base, const std::vector<GoldenInst>& insts,
-                   const std::string& expected) {
-  const Bytes target = reference_decode(base, insts);
-  ASSERT_EQ(util::as_string_view(as_view(target)), expected);
-  const Bytes delta = assemble_cbd1(base, insts, target);
-  EXPECT_EQ(apply(base, as_view(delta)), target);  // the bulk path under test
+/// apply()'s verdict on a hand-built delta that claims `target`: "" when it
+/// decodes to that target, else the CorruptDelta message.
+std::string apply_verdict(util::BytesView base, const std::vector<GoldenInst>& insts,
+                          const Bytes& target) {
+  try {
+    return apply(base, as_view(assemble_cbd1(base, insts, target))) == target
+               ? ""
+               : "decoded another target";
+  } catch (const CorruptDelta& e) {
+    return e.what();
+  }
 }
 
-TEST(Delta, GoldenSelfCopyAtExactBaseBoundary) {
-  // addr == base_size is the first superstring address: target offset 0.
-  // One below it is the last base byte. The two must not alias.
-  const Bytes base = to_bytes("ABCDEFGH");
-  expect_golden(as_view(base),
-                {GoldenInst{false, 0, "xy", 0},
-                 GoldenInst{true, 8, "", 2},    // superstring: target[0, 2) = "xy"
-                 GoldenInst{true, 7, "", 1}},   // base: base[7] = "H"
-                "xyxyH");
-}
+TEST(Delta, CopiesReadOnlyTheBase) {
+  // A COPY address at or past base_size once read the target's own decoded
+  // prefix (the VCDIFF "superstring" convention), which the encoder never
+  // wrote. The first eight rows are self-copy goldens that decoder accepted:
+  // each delta claims the target it decoded to, with both checksums right,
+  // so only the COPY bound rejects them. The last two are the bound's
+  // edges: an address where addr + len wraps past 2^64 to 0, and copies of
+  // the last base byte, the whole base and nothing at base_size (a no-op),
+  // which decode as the reference decoder does.
+  const Bytes letters = to_bytes("ABCDEFGH");
+  const std::string row = "<item>repeated catalog row</item>\n";
+  std::string abc_run;
+  while (abc_run.size() < 5000) abc_run += "abc";
+  abc_run.resize(5000);
+  // A 1 KB block doubled by copies of the growing prefix, 16 times in all.
+  const Bytes block = random_bytes(91, 1024);
+  std::vector<GoldenInst> doubling = {
+      GoldenInst{false, 0, std::string(block.begin(), block.end()), 0}};
+  Bytes blocks;
+  for (std::size_t have = 1024; have < 16 * 1024; have *= 2) {
+    doubling.push_back(GoldenInst{true, 0, "", have});
+  }
+  for (int i = 0; i < 16; ++i) util::append(blocks, as_view(block));
 
-TEST(Delta, GoldenOverlappingSelfCopyActsAsRunGenerator) {
-  // len far beyond the decode frontier: each byte reads one the same COPY
-  // just produced (the run-like convention the bulk path must reproduce by
-  // splitting at the frontier).
-  const Bytes base = to_bytes("ABCDEFGH");
-  expect_golden(as_view(base), {GoldenInst{false, 0, "ab", 0}, GoldenInst{true, 8, "", 10}},
-                "abababababab");  // 2 seed + 10 amplified bytes
-  // Period-1: single seeded byte amplified.
-  expect_golden(as_view(base), {GoldenInst{false, 0, "q", 0}, GoldenInst{true, 8, "", 7}},
-                "qqqqqqqq");
-}
-
-TEST(Delta, GoldenNonOverlappingSelfCopyUsesDecodedPrefix) {
-  const Bytes base = to_bytes("ABCDEFGH");
-  expect_golden(as_view(base),
-                {GoldenInst{false, 0, "hello ", 0},
-                 GoldenInst{true, 8, "", 5},  // "hello" again, fully decoded
-                 GoldenInst{true, 0, "", 3}}, // then base "ABC"
-                "hello helloABC");
-}
-
-TEST(Delta, GoldenMixedBaseAndSelfCopiesMatchReference) {
-  // A denser program mixing every addressing flavour; compared wholesale
-  // against the byte-at-a-time reference rather than a pinned literal.
-  const Bytes base = to_bytes("The quick brown fox jumps over the lazy dog");
-  const std::vector<GoldenInst> insts = {
-      GoldenInst{true, 4, "", 6},                 // "quick "
-      GoldenInst{false, 0, "--", 0},              //
-      GoldenInst{true, base.size() + 0, "", 8},   // self: copies "quick --"
-      GoldenInst{true, base.size() + 2, "", 20},  // overlapping self-run
-      GoldenInst{true, 35, "", 8},                // "lazy dog"
+  const std::string kOutOfRange = "delta: copy out of range";
+  struct Row {
+    const char* name;
+    Bytes base;
+    std::vector<GoldenInst> insts;
+    Bytes target;
+    std::string verdict;
   };
-  const Bytes target = reference_decode(as_view(base), insts);
-  const Bytes delta = assemble_cbd1(as_view(base), insts, target);
-  EXPECT_EQ(apply(as_view(base), as_view(delta)), target);
+  const Row rows[] = {
+      {"self-copy at base_size", letters,
+       {GoldenInst{false, 0, "xy", 0}, GoldenInst{true, 8, "", 2}, GoldenInst{true, 7, "", 1}},
+       to_bytes("xyxyH"), kOutOfRange},
+      {"overlapping self-copy", letters,
+       {GoldenInst{false, 0, "ab", 0}, GoldenInst{true, 8, "", 10}},
+       to_bytes("abababababab"), kOutOfRange},
+      {"period-1 self-copy", letters,
+       {GoldenInst{false, 0, "q", 0}, GoldenInst{true, 8, "", 7}}, to_bytes("qqqqqqqq"),
+       kOutOfRange},
+      {"self-copy of the decoded prefix", letters,
+       {GoldenInst{false, 0, "hello ", 0}, GoldenInst{true, 8, "", 5},
+        GoldenInst{true, 0, "", 3}},
+       to_bytes("hello helloABC"), kOutOfRange},
+      {"base and self-copies mixed",
+       to_bytes("The quick brown fox jumps over the lazy dog"),
+       {GoldenInst{true, 4, "", 6}, GoldenInst{false, 0, "--", 0},
+        GoldenInst{true, 43, "", 8}, GoldenInst{true, 45, "", 20},
+        GoldenInst{true, 35, "", 8}},
+       to_bytes("quick --quick --ick --quick --ick --lazy dog"), kOutOfRange},
+      {"period-3 self-copy", to_bytes("zz"),
+       {GoldenInst{false, 0, "abc", 0}, GoldenInst{true, 2, "", 4997}}, to_bytes(abc_run),
+       kOutOfRange},
+      {"self-copy over an empty base", Bytes{},
+       {GoldenInst{false, 0, row, 0}, GoldenInst{true, 0, "", row.size() * 2}},
+       to_bytes(row + row + row), kOutOfRange},
+      {"non-overlapping self-copies", Bytes{}, doubling, blocks, kOutOfRange},
+      {"address 2^64 - 1", letters, {GoldenInst{true, SIZE_MAX, "", 1}}, to_bytes("A"),
+       kOutOfRange},
+      {"copies up to base_size", letters,
+       {GoldenInst{true, 7, "", 1}, GoldenInst{false, 0, "xy", 0}, GoldenInst{true, 0, "", 8},
+        GoldenInst{true, 8, "", 0}, GoldenInst{true, 3, "", 2}},
+       to_bytes("HxyABCDEFGHDE"), ""},
+  };
+  for (const Row& r : rows) {
+    if (r.verdict.empty()) {
+      EXPECT_EQ(reference_decode(as_view(r.base), r.insts), r.target) << r.name;
+    }
+    EXPECT_EQ(apply_verdict(as_view(r.base), r.insts, r.target), r.verdict) << r.name;
+  }
 }
 
 TEST(Delta, GoldenSelfCopyPastFrontierRejected) {
-  // A self-copy may start at most at the frontier; one past it reads a byte
-  // that does not exist yet in any decode order.
+  // An address past base_size, here one that once read a byte past the
+  // decoded prefix.
   const Bytes base = to_bytes("ABCDEFGH");
   const std::vector<GoldenInst> insts = {GoldenInst{false, 0, "xy", 0},
                                          GoldenInst{true, 8 + 2, "", 3}};
@@ -723,41 +744,6 @@ TEST(Delta, GoldenSelfCopyPastFrontierRejected) {
   forged.assign(5, 'z');
   const Bytes delta = assemble_cbd1(as_view(base), insts, forged);
   EXPECT_THROW(apply(as_view(base), as_view(delta)), CorruptDelta);
-}
-
-TEST(Delta, OverlappingSelfCopyRoundTrips) {
-  // Period-3 run: a self-copy whose distance is smaller than its length.
-  const Bytes base = to_bytes("zz");
-  const std::vector<GoldenInst> insts = {GoldenInst{false, 0, "abc", 0},
-                                         GoldenInst{true, base.size(), "", 4997}};
-  const Bytes target = reference_decode(as_view(base), insts);
-  const Bytes delta = assemble_cbd1(as_view(base), insts, target);
-  EXPECT_EQ(apply(as_view(base), as_view(delta)), target);
-}
-
-TEST(Delta, SelfReferenceWorksWithEmptyBase) {
-  // With an empty base every COPY address is a superstring address: 0 is
-  // the target's first byte.
-  const std::string row = "<item>repeated catalog row</item>\n";
-  expect_golden({}, {GoldenInst{false, 0, row, 0}, GoldenInst{true, 0, "", row.size() * 2}},
-                row + row + row);
-}
-
-TEST(Delta, NonOverlappingSelfCopyBulkPathRoundTrips) {
-  // Self-copies whose source span is entirely behind the frontier: apply()
-  // takes the bulk memcpy path. A 1 KB block repeated by copies of the
-  // growing prefix, so every copy is long and strictly non-overlapping.
-  const Bytes block = random_bytes(91, 1024);
-  std::vector<GoldenInst> insts = {
-      GoldenInst{false, 0, std::string(block.begin(), block.end()), 0}};
-  for (std::size_t have = 1024; have < 16 * 1024; have *= 2) {
-    insts.push_back(GoldenInst{true, 0, "", have});
-  }
-  const Bytes target = reference_decode({}, insts);
-  Bytes expected;
-  for (int i = 0; i < 16; ++i) util::append(expected, as_view(block));
-  ASSERT_EQ(target, expected);
-  EXPECT_EQ(apply({}, as_view(assemble_cbd1({}, insts, target))), target);
 }
 
 TEST(Delta, ZeroLengthAddsAreAccepted) {

@@ -16,7 +16,6 @@
 //   seed        RNG seed (default 0xCBDE)
 //   --expect    fail (exit 1) unless the one named target accepts and
 //               rejects exactly these many inputs: pins a decoder's verdicts
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,9 +33,7 @@
 #include "fuzz_common.hpp"
 #include "trace/access_log.hpp"
 #include "util/bytes.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
-#include "util/varint.hpp"
 
 namespace cbde::fuzz {
 namespace {
@@ -74,36 +71,6 @@ struct DeltaCorpus {
   std::vector<Bytes> deltas;
 };
 
-/// Hand-assembled CBD1 delta against `base` whose target repeats the base
-/// head through superstring COPYs: one bulk (non-overlapping) self-copy and
-/// one run-like overlapping one. The encoder never emits self-copies, so
-/// without these seeds only mutation would reach apply's self-copy
-/// branch.
-Bytes self_copy_delta(const Bytes& base) {
-  const std::size_t head = std::min<std::size_t>(base.size(), 64);
-  Bytes target(base.begin(), base.begin() + static_cast<std::ptrdiff_t>(head));
-  util::append(target, BytesView(target.data(), head));         // bulk self-copy
-  for (int i = 0; i < 40; ++i) target.push_back(target.back());  // period-1 run
-  Bytes d = to_bytes("CBD1");
-  util::put_uvarint(d, base.size());
-  util::put_uvarint(d, target.size());
-  for (const std::uint32_t crc : {util::crc32(as_view(base)), util::crc32(as_view(target))}) {
-    for (int i = 0; i < 4; ++i) d.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
-  const std::pair<std::size_t, std::size_t> copies[] = {
-      {0, head},                               // base head
-      {base.size(), head},                     // target[0, head)
-      {base.size() + 2 * head - 1, 40}};       // target's last byte, overlapping
-  for (const auto& [addr, len] : copies) {
-    util::put_uvarint(d, (len << 1) | 1);
-    util::put_uvarint(d, addr);
-  }
-  if (delta::apply(as_view(base), as_view(d)) != target) {
-    throw std::logic_error("self-copy seed does not decode to its target");
-  }
-  return d;
-}
-
 DeltaCorpus make_cbd1_corpus(std::uint64_t seed) {
   util::Rng rng(seed);
   DeltaCorpus c;
@@ -116,7 +83,6 @@ DeltaCorpus make_cbd1_corpus(std::uint64_t seed) {
   for (const Bytes* t : {&close_target, &far_target, &noise_target, &empty_target, &run_doc}) {
     c.deltas.push_back(delta::encode(as_view(c.base), as_view(*t)).delta);
   }
-  c.deltas.push_back(self_copy_delta(c.base));
   return c;
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/baselines.hpp"
 #include "core/simulation.hpp"
 
 namespace cbde::core {
@@ -97,13 +98,17 @@ TEST(Pipeline, UnknownUrlsCountedNotFatal) {
 TEST(Pipeline, ClassCountStaysSmall) {
   SimRig rig;
   Pipeline pipeline(rig.origin, SimRig::pipeline_config(), rig.rules());
-  pipeline.process_all(rig.workload(500));
+  ClasslessDeltaBaseline classless(rig.origin);
+  for (const trace::Request& req : rig.workload(500)) {
+    pipeline.process(req.user_id, req.url, req.time);
+    classless.process(req.user_id, req.url, req.time);
+  }
   const auto report = pipeline.report();
   // 2 categories -> a handful of classes despite 30 documents x 25 users.
   EXPECT_LE(report.num_classes, 8u);
   // The paper's scalability argument: one base per class vs one per
   // (user, document).
-  EXPECT_LT(report.storage_bytes * 3, report.classless_storage_bytes);
+  EXPECT_LT(report.storage_bytes * 3, classless.storage_bytes());
 }
 
 TEST(Pipeline, DeterministicAcrossRuns) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "delta/delta.hpp"
@@ -108,7 +109,6 @@ TEST(Rolling, EmptyAndTinyInputs) {
     const auto r = enc.encode(as_view(target));
     EXPECT_EQ(apply(as_view(wide), as_view(r.delta)), target) << len;
     EXPECT_EQ(r.copy_bytes, len >= rolling::kMinMatch ? len : 0u) << len;
-    EXPECT_EQ(enc.encode_size(as_view(target)), r.delta.size()) << len;
   }
 
   // A COPY that ends 1..kWindow+1 bytes before the target end: the scan
@@ -121,7 +121,6 @@ TEST(Rolling, EmptyAndTinyInputs) {
     util::append(target, as_view(rest));
     const auto r = enc.encode(as_view(target));
     EXPECT_EQ(apply(as_view(wide), as_view(r.delta)), target) << tail;
-    EXPECT_EQ(enc.encode_size(as_view(target)), r.delta.size()) << tail;
     const std::vector<WireInst> insts = read_cbd1(r.delta);
     ASSERT_EQ(insts.size(), 2u) << tail;
     EXPECT_TRUE(insts[0].is_copy);
@@ -215,9 +214,20 @@ TEST(Rolling, CorrectingTrimsAlreadyEmittedInstructions) {
 // ----------------------------------------------------------- infrastructure
 
 TEST(Rolling, EncodeSizeMatchesEncode) {
+  // encode() sums the exact wire size of its instructions and reserves it
+  // before writing, so the delta buffer is allocated once: a size too small
+  // would regrow the buffer, one too large would leave spare capacity.
   const auto [base, target] = template_pair(9);
-  EXPECT_EQ(Encoder(base).encode_size(as_view(target)),
-            encode(as_view(base), as_view(target)).delta.size());
+  for (const auto& [from, to] : {std::pair{&base, &target}, std::pair{&target, &base}}) {
+    const EncodeResult r = Encoder(*from).encode(as_view(*to));
+    EXPECT_EQ(r.delta.capacity(), r.delta.size());
+  }
+  for (const Bytes& small : {Bytes{}, to_bytes("tiny")}) {  // below the window
+    const EncodeResult r = Encoder(small).encode(as_view(target));
+    EXPECT_EQ(r.delta.capacity(), r.delta.size());
+    const EncodeResult back = Encoder(base).encode(as_view(small));
+    EXPECT_EQ(back.delta.capacity(), back.delta.size());
+  }
 }
 
 TEST(Rolling, EncoderClassMatchesFreeFunction) {
@@ -227,7 +237,6 @@ TEST(Rolling, EncoderClassMatchesFreeFunction) {
   const auto via_free = encode(as_view(base), as_view(target));
   EXPECT_EQ(via_class.delta, via_free.delta);
   EXPECT_EQ(via_class.copy_bytes, via_free.copy_bytes);
-  EXPECT_EQ(enc.encode_size(as_view(target)), via_free.delta.size());
 }
 
 TEST(Rolling, ChunkUsageReportedForAnonymization) {
@@ -278,7 +287,7 @@ std::vector<std::uint32_t> flat_footprints(util::BytesView base) {
 
 /// The width in bytes of a footprint table's entries.
 std::size_t entry_width(const rolling::FootprintTable& table) {
-  return table.visit([](const auto& index) { return sizeof(*index.entries()); });
+  return std::visit([](const auto& index) { return sizeof(*index.entries()); }, table.index());
 }
 
 TEST(Rolling, PackedTableReadsAsTheFlatOne) {
@@ -455,7 +464,8 @@ TEST(Rolling, PinnedTablesAndDeltasOverLargeBases) {
       if (used[c]) bits[c / 8] |= static_cast<std::uint8_t>(1u << (c % 8));
     }
     crc = util::crc32(as_view(bits), crc);
-    size_total += encoder.encode_size(as_view(target)) + encoder.encode_size(as_view(base));
+    size_total += encoder.encode(as_view(target)).delta.size() +
+                  encoder.encode(as_view(base)).delta.size();
   }
   const std::vector<std::uint32_t> expected_tables{
       0x7e88734eu, 0xb19d0e4cu, 0x1353e06cu, 0x6a3f281fu, 0xc7d2ff6du, 0xd0210aa3u,
@@ -469,7 +479,7 @@ TEST(Rolling, PinnedTablesAndDeltasOverLargeBases) {
 TEST(Rolling, PortableScanMatchesPopcntScan) {
   // The scan is compiled for each entry width, with and without the popcnt
   // instruction, and a host that has it takes that kernel. The portable one
-  // must size every delta the same. Besides the large pairs (20 to 256 KiB),
+  // must write every delta the same. Besides the large pairs (20 to 256 KiB),
   // one base is cut to each side of 64 KiB, where the entries widen.
   std::vector<std::pair<Bytes, Bytes>> pairs = large_template_pairs();
   const auto wide = std::find_if(pairs.begin(), pairs.end(), [](const auto& pair) {
@@ -484,10 +494,11 @@ TEST(Rolling, PortableScanMatchesPopcntScan) {
   std::size_t wide_tables = 0;
   for (const auto& [base, target] : pairs) {
     const rolling::FootprintTable table(as_view(base));
+    const std::uint32_t crc = util::crc32(as_view(base));
     (entry_width(table) == 2 ? narrow_tables : wide_tables) += 1;
     for (const Bytes* to : {&target, &base}) {
-      EXPECT_EQ(rolling::detail::encode_size_portable(table, as_view(base), as_view(*to)),
-                rolling::encode_size_rolling(table, as_view(base), as_view(*to)));
+      EXPECT_EQ(rolling::detail::encode_portable(table, as_view(base), crc, as_view(*to)).delta,
+                rolling::encode_rolling(table, as_view(base), crc, as_view(*to)).delta);
     }
   }
   EXPECT_GE(narrow_tables, 2u);
@@ -507,8 +518,8 @@ TEST(Rolling, WireFormatIsPlainCbd1) {
 // The DeltaIr name dates from when the delta IR's lifter also parsed CBD1;
 // the check now reads the wire directly.
 TEST(DeltaIr, RollingCodecsLiftToBaseOnlyPrograms) {
-  // The matcher never references the target itself: every COPY reads the
-  // base, so no address lands in the superstring (self-copy) range.
+  // The matcher never references the target itself: every COPY lies inside
+  // the base, the only source apply accepts.
   const auto [base, target] = template_pair(81);
   const auto result = encode(as_view(base), as_view(target));
   ASSERT_EQ(apply(as_view(base), as_view(result.delta)), target);
