@@ -660,77 +660,114 @@ std::string apply_verdict(util::BytesView base, const std::vector<GoldenInst>& i
   }
 }
 
-TEST(Delta, CopiesReadOnlyTheBase) {
-  // A COPY address at or past base_size once read the target's own decoded
-  // prefix (the VCDIFF "superstring" convention), which the encoder never
-  // wrote. The first eight rows are self-copy goldens that decoder accepted:
-  // each delta claims the target it decoded to, with both checksums right,
-  // so only the COPY bound rejects them. The last two are the bound's
-  // edges: an address where addr + len wraps past 2^64 to 0, and copies of
-  // the last base byte, the whole base and nothing at base_size (a no-op),
-  // which decode as the reference decoder does.
-  const Bytes letters = to_bytes("ABCDEFGH");
-  const std::string row = "<item>repeated catalog row</item>\n";
+// Seven goldens once pinned the VCDIFF "superstring" convention: a COPY
+// address at or past base_size read the target's own decoded prefix, which
+// the encoder never wrote. Each keeps its stream and the target it decoded
+// to, with both checksums right, so only the COPY bound rejects it now.
+
+void expect_out_of_range(util::BytesView base, const std::vector<GoldenInst>& insts,
+                         const Bytes& once_decoded) {
+  EXPECT_EQ(apply_verdict(base, insts, once_decoded), "delta: copy out of range");
+}
+
+TEST(Delta, GoldenSelfCopyAtExactBaseBoundary) {
+  // addr == base_size once read target offset 0; one below it is the last
+  // base byte.
+  const Bytes base = to_bytes("ABCDEFGH");
+  expect_out_of_range(as_view(base),
+                      {GoldenInst{false, 0, "xy", 0}, GoldenInst{true, 8, "", 2},
+                       GoldenInst{true, 7, "", 1}},
+                      to_bytes("xyxyH"));
+}
+
+TEST(Delta, GoldenOverlappingSelfCopyActsAsRunGenerator) {
+  // A self-copy longer than its distance once generated a run: period 2,
+  // then period 1.
+  const Bytes base = to_bytes("ABCDEFGH");
+  expect_out_of_range(as_view(base), {GoldenInst{false, 0, "ab", 0}, GoldenInst{true, 8, "", 10}},
+                      to_bytes("abababababab"));
+  expect_out_of_range(as_view(base), {GoldenInst{false, 0, "q", 0}, GoldenInst{true, 8, "", 7}},
+                      to_bytes("qqqqqqqq"));
+}
+
+TEST(Delta, GoldenNonOverlappingSelfCopyUsesDecodedPrefix) {
+  const Bytes base = to_bytes("ABCDEFGH");
+  expect_out_of_range(as_view(base),
+                      {GoldenInst{false, 0, "hello ", 0}, GoldenInst{true, 8, "", 5},
+                       GoldenInst{true, 0, "", 3}},
+                      to_bytes("hello helloABC"));
+}
+
+TEST(Delta, GoldenMixedBaseAndSelfCopiesMatchReference) {
+  // Base copies, an ADD, a self-copy and an overlapping self-run; without
+  // the two self-copies the program decodes as the reference decoder does.
+  const Bytes base = to_bytes("The quick brown fox jumps over the lazy dog");
+  const std::vector<GoldenInst> insts = {
+      GoldenInst{true, 4, "", 6},   GoldenInst{false, 0, "--", 0}, GoldenInst{true, 43, "", 8},
+      GoldenInst{true, 45, "", 20}, GoldenInst{true, 35, "", 8},
+  };
+  expect_out_of_range(as_view(base), insts,
+                      to_bytes("quick --quick --ick --quick --ick --lazy dog"));
+  const std::vector<GoldenInst> base_only = {insts[0], insts[1], insts[4]};
+  const Bytes target = reference_decode(as_view(base), base_only);
+  EXPECT_EQ(util::as_string_view(as_view(target)), "quick --lazy dog");
+  EXPECT_EQ(apply_verdict(as_view(base), base_only, target), "");
+}
+
+TEST(Delta, OverlappingSelfCopyRoundTrips) {
+  // Period-3 run: a self-copy whose distance is smaller than its length.
   std::string abc_run;
   while (abc_run.size() < 5000) abc_run += "abc";
   abc_run.resize(5000);
+  const Bytes base = to_bytes("zz");
+  expect_out_of_range(as_view(base), {GoldenInst{false, 0, "abc", 0}, GoldenInst{true, 2, "", 4997}},
+                      to_bytes(abc_run));
+}
+
+TEST(Delta, SelfReferenceWorksWithEmptyBase) {
+  // With an empty base every COPY address is past it.
+  const std::string row = "<item>repeated catalog row</item>\n";
+  expect_out_of_range({}, {GoldenInst{false, 0, row, 0}, GoldenInst{true, 0, "", row.size() * 2}},
+                      to_bytes(row + row + row));
+}
+
+TEST(Delta, NonOverlappingSelfCopyBulkPathRoundTrips) {
   // A 1 KB block doubled by copies of the growing prefix, 16 times in all.
   const Bytes block = random_bytes(91, 1024);
-  std::vector<GoldenInst> doubling = {
+  std::vector<GoldenInst> insts = {
       GoldenInst{false, 0, std::string(block.begin(), block.end()), 0}};
-  Bytes blocks;
   for (std::size_t have = 1024; have < 16 * 1024; have *= 2) {
-    doubling.push_back(GoldenInst{true, 0, "", have});
+    insts.push_back(GoldenInst{true, 0, "", have});
   }
+  Bytes blocks;
   for (int i = 0; i < 16; ++i) util::append(blocks, as_view(block));
+  expect_out_of_range({}, insts, blocks);
+}
 
-  const std::string kOutOfRange = "delta: copy out of range";
+TEST(Delta, CopiesReadOnlyTheBase) {
+  // The COPY bound's edges: an address where addr + len wraps past 2^64 to
+  // 0, and copies of the last base byte, the whole base and nothing at
+  // base_size (a no-op), which decode as the reference decoder does.
+  const Bytes letters = to_bytes("ABCDEFGH");
   struct Row {
     const char* name;
-    Bytes base;
     std::vector<GoldenInst> insts;
     Bytes target;
     std::string verdict;
   };
   const Row rows[] = {
-      {"self-copy at base_size", letters,
-       {GoldenInst{false, 0, "xy", 0}, GoldenInst{true, 8, "", 2}, GoldenInst{true, 7, "", 1}},
-       to_bytes("xyxyH"), kOutOfRange},
-      {"overlapping self-copy", letters,
-       {GoldenInst{false, 0, "ab", 0}, GoldenInst{true, 8, "", 10}},
-       to_bytes("abababababab"), kOutOfRange},
-      {"period-1 self-copy", letters,
-       {GoldenInst{false, 0, "q", 0}, GoldenInst{true, 8, "", 7}}, to_bytes("qqqqqqqq"),
-       kOutOfRange},
-      {"self-copy of the decoded prefix", letters,
-       {GoldenInst{false, 0, "hello ", 0}, GoldenInst{true, 8, "", 5},
-        GoldenInst{true, 0, "", 3}},
-       to_bytes("hello helloABC"), kOutOfRange},
-      {"base and self-copies mixed",
-       to_bytes("The quick brown fox jumps over the lazy dog"),
-       {GoldenInst{true, 4, "", 6}, GoldenInst{false, 0, "--", 0},
-        GoldenInst{true, 43, "", 8}, GoldenInst{true, 45, "", 20},
-        GoldenInst{true, 35, "", 8}},
-       to_bytes("quick --quick --ick --quick --ick --lazy dog"), kOutOfRange},
-      {"period-3 self-copy", to_bytes("zz"),
-       {GoldenInst{false, 0, "abc", 0}, GoldenInst{true, 2, "", 4997}}, to_bytes(abc_run),
-       kOutOfRange},
-      {"self-copy over an empty base", Bytes{},
-       {GoldenInst{false, 0, row, 0}, GoldenInst{true, 0, "", row.size() * 2}},
-       to_bytes(row + row + row), kOutOfRange},
-      {"non-overlapping self-copies", Bytes{}, doubling, blocks, kOutOfRange},
-      {"address 2^64 - 1", letters, {GoldenInst{true, SIZE_MAX, "", 1}}, to_bytes("A"),
-       kOutOfRange},
-      {"copies up to base_size", letters,
+      {"address 2^64 - 1", {GoldenInst{true, SIZE_MAX, "", 1}}, to_bytes("A"),
+       "delta: copy out of range"},
+      {"copies up to base_size",
        {GoldenInst{true, 7, "", 1}, GoldenInst{false, 0, "xy", 0}, GoldenInst{true, 0, "", 8},
         GoldenInst{true, 8, "", 0}, GoldenInst{true, 3, "", 2}},
        to_bytes("HxyABCDEFGHDE"), ""},
   };
   for (const Row& r : rows) {
     if (r.verdict.empty()) {
-      EXPECT_EQ(reference_decode(as_view(r.base), r.insts), r.target) << r.name;
+      EXPECT_EQ(reference_decode(as_view(letters), r.insts), r.target) << r.name;
     }
-    EXPECT_EQ(apply_verdict(as_view(r.base), r.insts, r.target), r.verdict) << r.name;
+    EXPECT_EQ(apply_verdict(as_view(letters), r.insts, r.target), r.verdict) << r.name;
   }
 }
 
