@@ -5,9 +5,9 @@
 // malloc. Snapshot alloc_count() around a request loop and divide to get
 // a measured allocations-per-request figure.
 //
-// Deliberately linked ONLY into bench_perf_report and alloc_budget_test —
-// the hook replaces the global allocator, which the regular test binary has
-// no reason to pay for.
+// Linked only into alloc_budget_test and perfbench: the hook replaces the
+// global allocator, which the regular test binary and the bench binaries
+// have no reason to pay for.
 #pragma once
 
 #include <cstdint>

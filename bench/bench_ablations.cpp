@@ -44,12 +44,17 @@ core::PipelineReport run_pipeline(const trace::SiteModel& site,
   return pipeline.report();
 }
 
-void ablation_light_vs_full() {
+/// False when within() and the estimate take different match decisions on
+/// any probe.
+bool ablation_light_vs_full() {
   std::printf("\nA. grouping estimator: light estimate vs the encoder's exact size\n");
   const auto site = make_site();
   // Every probe the grouping search could make on this site: one base per
   // category against every document of every category at a later instant,
   // so same-category (match) and cross-category (no-match) pairs both occur.
+  // Each pair is timed three ways: the probe the grouping search runs,
+  // within(doc, floor(threshold x size)), which stops at its verdict; the
+  // full estimate() the selector scores with; and the transmit encode.
   const double threshold = core::GroupingConfig{}.match_threshold;
   const auto secs = [](auto t0, auto t1) {
     return std::chrono::duration<double>(t1 - t0).count();
@@ -57,9 +62,11 @@ void ablation_light_vs_full() {
   std::size_t probes = 0;
   std::size_t doc_bytes = 0;
   std::size_t agree = 0;
+  std::size_t within_agree = 0;
   std::size_t light_matches = 0;
   std::size_t full_matches = 0;
   double ratio_sum = 0;
+  double within_s = 0;
   double light_s = 0;
   double full_s = 0;
   const std::size_t per_category = site.config().docs_per_category;
@@ -70,19 +77,24 @@ void ablation_light_vs_full() {
     for (std::size_t cat = 0; cat < site.num_categories(); ++cat) {
       for (std::size_t i = 0; i < per_category; ++i) {
         const Bytes doc = site.generate(trace::DocRef{cat, i}, 2 + i, 60 * util::kSecond);
+        const auto limit =
+            static_cast<std::size_t>(threshold * static_cast<double>(doc.size()));
         const auto t0 = std::chrono::steady_clock::now();
-        const std::size_t light = estimator.estimate(util::as_view(doc));
+        const bool within = estimator.within(util::as_view(doc), limit);
         const auto t1 = std::chrono::steady_clock::now();
-        const std::size_t full = encoder.encode(util::as_view(doc)).delta.size();
+        const std::size_t light = estimator.estimate(util::as_view(doc));
         const auto t2 = std::chrono::steady_clock::now();
-        light_s += secs(t0, t1);
-        full_s += secs(t1, t2);
-        const double limit = threshold * static_cast<double>(doc.size());
-        const bool light_match = static_cast<double>(light) <= limit;
-        const bool full_match = static_cast<double>(full) <= limit;
+        const std::size_t full = encoder.encode(util::as_view(doc)).delta.size();
+        const auto t3 = std::chrono::steady_clock::now();
+        within_s += secs(t0, t1);
+        light_s += secs(t1, t2);
+        full_s += secs(t2, t3);
+        const bool light_match = light <= limit;
+        const bool full_match = full <= limit;
         light_matches += light_match;
         full_matches += full_match;
         agree += light_match == full_match;
+        within_agree += within == light_match;
         ratio_sum += static_cast<double>(light) / static_cast<double>(full);
         doc_bytes += doc.size();
         ++probes;
@@ -94,10 +106,15 @@ void ablation_light_vs_full() {
               "exact %zu, agree %.1f%%\n",
               probes, cbde::bench::to_kb(doc_bytes) / n, threshold, light_matches,
               full_matches, 100.0 * static_cast<double>(agree) / n);
-  std::printf("  light/exact size ratio %.2f (mean)   us/probe: light %.1f, exact %.1f\n",
-              ratio_sum / n, light_s * 1e6 / n, full_s * 1e6 / n);
-  std::printf("  (the sparse forward-only estimate is what makes the N-try search\n"
-              "   affordable; it only has to take the same match decision)\n");
+  std::printf("  within() takes the estimate's match decision on %zu of %zu probes\n",
+              within_agree, probes);
+  std::printf("  light/exact size ratio %.2f (mean)   us/probe: within %.1f, estimate %.1f, "
+              "encode %.1f\n",
+              ratio_sum / n, within_s * 1e6 / n, light_s * 1e6 / n, full_s * 1e6 / n);
+  std::printf("  (grouping probes run within(), at %.2fx an encode's time on these pages;\n"
+              "   the full estimate() the selector scores with takes %.2fx)\n",
+              within_s / full_s, light_s / full_s);
+  return within_agree == probes;
 }
 
 void ablation_eviction() {
@@ -194,10 +211,14 @@ void ablation_popular_fraction() {
 
 int main() {
   cbde::bench::print_title("Ablations over the paper's design choices");
-  ablation_light_vs_full();
+  const bool within_agrees = ablation_light_vs_full();
   ablation_eviction();
   ablation_rebase_timeout();
   ablation_anonymization_m();
   ablation_popular_fraction();
+  if (!within_agrees) {
+    std::fprintf(stderr, "FAIL: within() disagreed with the estimate's match decision\n");
+    return 1;
+  }
   return 0;
 }

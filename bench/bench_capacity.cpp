@@ -8,9 +8,10 @@
 //                              thanks to the front-end offloading effect;
 //   * delta generation:        6-8 ms for a 50-60 KB base-file,
 //                              ~8 KB raw / ~3 KB compressed deltas.
-// We first measure our actual delta-generation cost (wall clock) on the
-// same workload shape, then run the closed-loop capacity harness with the
-// paper's CPU magnitudes to reproduce the throughput and concurrency rows.
+// The closed-loop capacity harness runs with the paper's CPU magnitudes to
+// reproduce the throughput and concurrency rows; its output is
+// deterministic. This host's delta-generation cost is bench_perf_report's
+// `micro` section (EXPERIMENTS.md §VI-C quotes it).
 //
 // --workers replay mode (the DeltaWorkerPool scaling curve): replay one
 // identical pre-generated request stream through a real DeltaServer behind
@@ -19,12 +20,13 @@
 // each size to BENCH_capacity.json.
 //
 // Flags:
-//   --workers LIST  comma-separated worker counts (e.g. 1,2,4) — enables
-//                   replay mode; without this flag the closed-loop harness
-//                   above runs unchanged
-//   --requests N    requests per replay (default 512, smoke 96)
-//   --out PATH      where to write the JSON (default: BENCH_capacity.json)
-//   --smoke         tiny corpus (CI sanity run)
+//   --workers LIST       comma-separated worker counts (e.g. 1,2,4) — enables
+//                        replay mode; without this flag the closed-loop
+//                        harness above runs unchanged
+//   --out PATH           where to write the JSON (default: BENCH_capacity.json)
+//   --metrics-out PATH   dump the metrics registry of the last worker count's
+//                        median replay in Prometheus text exposition format
+//   --smoke              tiny corpus (CI sanity run)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,56 +37,16 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "compress/compressor.hpp"
 #include "core/delta_server.hpp"
 #include "core/delta_worker_pool.hpp"
-#include "delta/delta.hpp"
 #include "obs/span_profile.hpp"
 #include "obs/time_series.hpp"
 #include "server/load.hpp"
-#include "trace/document.hpp"
 #include "trace/site.hpp"
 
 namespace {
 
 using namespace cbde;
-
-/// Measure real wall-clock delta generation cost on a 50-60 KB base.
-void measure_delta_cost() {
-  trace::TemplateConfig tconfig;
-  tconfig.skeleton_bytes = 48000;
-  tconfig.doc_unique_bytes = 5000;
-  const trace::DocumentTemplate tmpl(99, tconfig);
-  const auto base = tmpl.generate(0, 1, 0);
-
-  double encode_us = 0;
-  double compress_us = 0;
-  std::size_t delta_bytes = 0;
-  std::size_t wire_bytes = 0;
-  const int kIters = 50;
-  for (int i = 0; i < kIters; ++i) {
-    const auto doc = tmpl.generate(static_cast<std::uint64_t>(i % 7), 2, i * 1000);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto result = delta::encode(util::as_view(base), util::as_view(doc));
-    const auto t1 = std::chrono::steady_clock::now();
-    const auto wire = compress::compress(util::as_view(result.delta));
-    const auto t2 = std::chrono::steady_clock::now();
-    encode_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
-    compress_us += std::chrono::duration<double, std::micro>(t2 - t1).count();
-    delta_bytes += result.delta.size();
-    wire_bytes += wire.size();
-  }
-  std::printf("delta generation, %.0f KB base-file (N=%d):\n",
-              static_cast<double>(base.size()) / 1024.0, kIters);
-  std::printf("  paper (PIII-866):  6-8 ms/delta, ~8 KB raw, ~3 KB compressed\n");
-  std::printf("  ours (this host):  %.2f ms encode + %.2f ms compress, %.1f KB raw, "
-              "%.1f KB compressed\n",
-              encode_us / kIters / 1000.0, compress_us / kIters / 1000.0,
-              static_cast<double>(delta_bytes) / kIters / 1024.0,
-              static_cast<double>(wire_bytes) / kIters / 1024.0);
-  std::printf("  (absolute times scale with the host; the capacity rows below use the\n"
-              "   paper's CPU magnitudes so the throughput shape is comparable)\n");
-}
 
 void capacity_row(const char* label, const server::LoadConfig& config,
                   const char* paper_note) {
@@ -104,6 +66,10 @@ void capacity_row(const char* label, const server::LoadConfig& config,
 /// the median replay is reported.
 constexpr std::size_t kReplays = 5;
 
+/// Requests per replay, and under --smoke.
+constexpr std::size_t kRequests = 512;
+constexpr std::size_t kSmokeRequests = 96;
+
 struct ReplayResult {
   std::size_t workers = 0;
   double total_ns = 0;
@@ -118,6 +84,8 @@ struct ReplayResult {
   /// Flame profile folded from the sampled request traces of this run:
   /// where serve time goes at this worker count.
   obs::SpanProfile profile;
+  /// The server registry's Prometheus text once the pool has drained.
+  std::string prometheus;
 };
 
 /// Replay `requests` identical requests against a fresh DeltaServer behind
@@ -213,6 +181,7 @@ ReplayResult run_replay(const trace::SiteModel& site, std::size_t workers,
   result.storage_bytes = server.storage_bytes();
   result.index_bytes = server.index_bytes();
   result.num_classes = server.num_classes();
+  result.prometheus = server.obs().registry().prometheus();
   return result;
 }
 
@@ -246,8 +215,8 @@ bool check_byte_parity(const ReplayResult& reference, const ReplayResult& run) {
   return ok;
 }
 
-int run_workers_mode(const std::vector<std::size_t>& worker_counts,
-                     std::size_t requests, bool smoke, const std::string& out_path) {
+int run_workers_mode(const std::vector<std::size_t>& worker_counts, bool smoke,
+                     const std::string& out_path, const std::string& metrics_out) {
   using cbde::bench::print_title;
   using cbde::bench::print_rule;
 
@@ -262,6 +231,7 @@ int run_workers_mode(const std::vector<std::size_t>& worker_counts,
   sconfig.doc_template.doc_unique_bytes = smoke ? 600 : 4000;
   const trace::SiteModel site(sconfig);
 
+  const std::size_t requests = smoke ? kSmokeRequests : kRequests;
   const std::size_t cores = std::thread::hardware_concurrency();
   std::printf("requests/run: %zu   hardware_concurrency: %zu\n", requests, cores);
   if (cores <= 1) {
@@ -361,6 +331,10 @@ int run_workers_mode(const std::vector<std::size_t>& worker_counts,
     return 1;
   }
   std::printf("wrote %s and %s\n", ts_path.c_str(), profile_path.c_str());
+  if (!metrics_out.empty()) {
+    if (!bench::write_file(metrics_out, runs.back().prometheus)) return 1;
+    std::printf("wrote %s\n", metrics_out.c_str());
+  }
 
   // Where serve time goes per worker count (self time folded from the
   // sampled traces; open https://speedscope.app on the profile for the
@@ -404,8 +378,8 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool workers_mode = false;
   std::vector<std::size_t> worker_counts;
-  std::size_t requests = 0;
   std::string out_path = "BENCH_capacity.json";
+  std::string metrics_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -417,8 +391,9 @@ int main(int argc, char** argv) {
         const std::size_t comma = list.find(',', pos);
         const std::string item =
             list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-        const unsigned long parsed = std::strtoul(item.c_str(), nullptr, 10);
-        if (parsed == 0 || parsed > kMaxWorkers) {
+        char* end = nullptr;
+        const unsigned long parsed = std::strtoul(item.c_str(), &end, 10);
+        if (end == item.c_str() || *end != '\0' || parsed == 0 || parsed > kMaxWorkers) {
           std::fprintf(stderr, "bad --workers entry: '%s'\n", item.c_str());
           return 2;
         }
@@ -426,13 +401,13 @@ int main(int argc, char** argv) {
         if (comma == std::string::npos) break;
         pos = comma + 1;
       }
-    } else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
-      requests = std::strtoul(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
+      metrics_out = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--workers LIST] [--requests N] [--out PATH] [--smoke]\n",
+                   "usage: %s [--workers LIST] [--out PATH] [--metrics-out PATH] [--smoke]\n",
                    argv[0]);
       return 2;
     }
@@ -440,15 +415,16 @@ int main(int argc, char** argv) {
 
   if (workers_mode) {
     if (worker_counts.empty()) worker_counts = {1, 2, 4};
-    if (requests == 0) requests = smoke ? 96 : 512;
-    return run_workers_mode(worker_counts, requests, smoke, out_path);
+    return run_workers_mode(worker_counts, smoke, out_path, metrics_out);
+  }
+  if (!metrics_out.empty()) {
+    std::fprintf(stderr, "--metrics-out needs --workers: only a replay has a registry\n");
+    return 2;
   }
 
   print_title(
       "SVI-C capacity -- plain web-server vs delta-server + web-server\n"
       "(paper: 175-180 req/s @255 conns vs ~130 req/s @500+ conns)");
-
-  measure_delta_cost();
 
   // CPU costs on the paper's reference host: a plain dynamic request costs
   // ~5.6 ms (=> 178 req/s); the delta pipeline adds ~2 ms of amortized delta

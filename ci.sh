@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # CI gate: sanitizer build + full test suite (the repo lint runs in it as
-# the lint.cbde ctests) + cbde_tests under TSan + perf/allocation bands +
-# perfbench smoke tests + contracts-audit test suite + Clang thread-safety
-# analysis + clang-tidy over src/. Each property is checked by one gate;
-# docs/ANALYSIS.md maps each property to its gate.
+# the lint.cbde ctests, the allocation budgets as the AllocBudget tests) +
+# cbde_tests under TSan + perf bands + perfbench smoke tests +
+# contracts-audit test suite + Clang thread-safety analysis + clang-tidy
+# over src/. Each property is checked by one gate; docs/ANALYSIS.md maps
+# each property to its gate.
 #
 #   ./ci.sh          full run
 #   ./ci.sh --fast   skip the Clang-only stages (thread-safety, clang-tidy)
@@ -12,7 +13,7 @@
 # findings and fuzz verdicts included), any sanitizer report
 # (-fno-sanitize-recover promotes them to test failures), a bench_capacity
 # replay whose Table II bytes differ across worker counts, any perf_gate
-# band violation (allocations per request included), any perfbench smoke
+# band violation, any perfbench smoke
 # test failure, any contracts-audit violation, any thread-safety or
 # clang-tidy diagnostic. Stages whose tool is absent skip LOUDLY — a skip
 # is printed, never silently green.
@@ -48,8 +49,8 @@ BENCH_JSON="build/asan-ubsan/BENCH_delta.json"
 ./build/asan-ubsan/bench/bench_perf_report --smoke --out "$BENCH_JSON"
 # Keys no later gate reads (perf_gate fails on a missing obs.overhead_pct).
 for key in encode_cached_cross encode_rotating_cross estimate_rotating_cross \
-           compress_cross decompress_cross speedup_4v1 hardware_concurrency \
-           allocs_per_request page_under_64k page_over_64k page_over_512k \
+           compress_cross decompress_cross hardware_concurrency \
+           page_under_64k page_over_64k page_over_512k \
            estimator_index_bytes encoder_index_bytes probe_accept probe_reject; do
   grep -q "\"$key\"" "$BENCH_JSON" ||
     { echo "ci.sh: $BENCH_JSON missing key $key" >&2; exit 1; }
@@ -68,8 +69,8 @@ echo "== obs catalog + telemetry schema + perf-regression gate =="
 # The metric catalog must list exactly the registered metrics. The capacity
 # smoke above wrote its window records next to the JSON; every window must
 # carry the full schema with ordered quantiles. Then band the derived
-# statistics (populated windows, lock-wait share, p99/p50, obs overhead,
-# allocations per request) against the checked-in baselines.
+# statistics (populated windows, lock-wait share, p99/p50 per worker count;
+# obs overhead) against the checked-in baselines.
 CAP_TS="${CAP_JSON%.json}_timeseries.jsonl"
 if command -v python3 >/dev/null 2>&1; then
   python3 tools/obs/validate_metrics.py --catalog docs/OBSERVABILITY.md --sources src bench

@@ -1,20 +1,26 @@
-// Per-request allocation budget for DeltaServer::serve.
+// Per-request allocation budgets for DeltaServer::serve, called directly
+// and through a DeltaWorkerPool.
 //
 // This test links bench/alloc_hook.cpp — a counting global operator new —
-// and pins the steady-state allocations-per-request of DeltaServer::serve.
-// The budget sits just above the measured figure, so a single extra
-// allocation per request fails: a reintroduced per-request document copy, a
-// new node insert, or an unreserved growth loop on the serve path.
+// and pins the steady-state allocations-per-request of DeltaServer::serve
+// and of the pool's path around it. Each budget sits just above its
+// measured figure, so a single extra allocation per request fails: a
+// reintroduced per-request document copy, a new node insert, or an
+// unreserved growth loop on the serve path.
 //
 // Built as its own executable: the hook replaces the global allocator,
 // which cbde_tests must not inherit.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <future>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "../bench/alloc_hook.hpp"
 #include "core/delta_server.hpp"
+#include "core/delta_worker_pool.hpp"
 #include "trace/site.hpp"
 #include "util/bytes.hpp"
 
@@ -23,10 +29,18 @@ namespace {
 
 constexpr std::size_t kWarmupRequests = 64;
 constexpr std::size_t kMeasuredRequests = 256;
+/// Requests the pooled measurement keeps in flight: half the pool's
+/// 128-job queue, so no submit blocks. A blocked submit emits a saturation
+/// event, which allocates, and how many episodes a run has depends on
+/// timing.
+constexpr std::size_t kMaxInFlight = 64;
 
-/// Steady-state allocations per serve() call on a small generated site:
-/// warm up until classes exist and bases are published, then measure.
-double measured_allocs_per_request() {
+/// Steady-state allocations per request on a small generated site: warm up
+/// until classes exist and bases are published, then measure. With
+/// `workers` == 0 the measured stream calls serve() directly; otherwise it
+/// goes through a DeltaWorkerPool of that many workers, built before the
+/// count starts.
+double measured_allocs_per_request(std::size_t workers) {
   trace::SiteConfig sconfig;
   sconfig.categories = {"c0", "c1", "c2", "c3"};
   sconfig.docs_per_category = 8;
@@ -69,11 +83,25 @@ double measured_allocs_per_request() {
     stream.emplace_back(ref, site.generate(ref, 2 + i % 17, 0));
   }
 
+  std::optional<core::DeltaWorkerPool> pool;
+  if (workers != 0) pool.emplace(server, workers);
+  std::vector<std::future<core::ServedResponse>> futures;
+  futures.reserve(kMeasuredRequests);
+
   const std::uint64_t before = bench::alloc_count();
   for (std::size_t i = 0; i < kMeasuredRequests; ++i) {
-    const auto& [ref, doc] = stream[i];
-    server.serve(2 + i % 17, site.url_for(ref), util::as_view(doc),
-                 static_cast<util::SimTime>(kWarmupRequests + i) * util::kSecond);
+    auto& [ref, doc] = stream[i];
+    const std::uint64_t user = 2 + i % 17;
+    const util::SimTime now = static_cast<util::SimTime>(kWarmupRequests + i) * util::kSecond;
+    if (!pool) {
+      server.serve(user, site.url_for(ref), util::as_view(doc), now);
+      continue;
+    }
+    if (i >= kMaxInFlight) futures[i - kMaxInFlight].get();
+    futures.push_back(pool->submit(user, site.url_for(ref), std::move(doc), now));
+  }
+  for (auto& future : futures) {
+    if (future.valid()) future.get();
   }
   const std::uint64_t after = bench::alloc_count();
   return static_cast<double>(after - before) /
@@ -90,13 +118,35 @@ TEST(AllocBudget, HookIsLinked) { EXPECT_TRUE(bench::alloc_hook_active()); }
 constexpr double kBudgetPerRequest = 7.0;
 
 TEST(AllocBudget, ServeStaysUnderBudget) {
-  const double per_request = measured_allocs_per_request();
+  const double per_request = measured_allocs_per_request(0);
   RecordProperty("allocs_per_request", std::to_string(per_request));
   EXPECT_GT(per_request, 0.0);  // the hook actually counted something
   EXPECT_LE(per_request, kBudgetPerRequest)
       << "serve() allocation regression: " << per_request
       << " allocs/request against a budget of " << kBudgetPerRequest
       << " — find the new allocation on the serve path";
+}
+
+// Measured 11.00 allocations/request at 1 worker and 11.11-11.15 at 4: the
+// direct figure, plus two for the job's promise, two for the promise of the
+// empty Job each worker builds before it moves the queued one in, and half
+// a deque block per job. The 4-worker excess is about 30 allocations per
+// run, not per request (it falls to 0.03 per request over 1,024 requests).
+// Same rule as above.
+constexpr double kPooledBudgetPerRequest = 11.5;
+
+TEST(AllocBudget, PooledServeStaysUnderBudget) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("workers = " + std::to_string(workers));
+    const double per_request = measured_allocs_per_request(workers);
+    RecordProperty("allocs_per_request_workers_" + std::to_string(workers),
+                   std::to_string(per_request));
+    EXPECT_GT(per_request, 0.0);
+    EXPECT_LE(per_request, kPooledBudgetPerRequest)
+        << "pooled serve allocation regression: " << per_request
+        << " allocs/request against a budget of " << kPooledBudgetPerRequest
+        << " — find the new allocation in DeltaWorkerPool or on the serve path";
+  }
 }
 
 }  // namespace
